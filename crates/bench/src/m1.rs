@@ -144,12 +144,13 @@ pub fn m1_parallel_load(max_sessions: usize, workers: usize) -> String {
     out.push_str(&format!(
         "\n  worker-count invariance at N={top_n}: K=1 and K={workers} merged streams\n  \
          identical ({} labels, {} samples per design pair); wall ops/s\n  \
-         K=1 {:.0} vs K={workers} {:.0} ({:.2}x)\n",
+         K=1 {:.0} vs K={workers} {:.0} ({:.2}x, nproc = {})\n",
         top.kernel.parity.len() + top.legacy.parity.len(),
         top.kernel.hist.samples() + top.legacy.hist.samples(),
         solo.wall_ops_per_sec(),
         top.wall_ops_per_sec(),
         top.wall_ops_per_sec() / solo.wall_ops_per_sec().max(f64::MIN_POSITIVE),
+        std::thread::available_parallelism().map_or(1, |n| n.get()),
     ));
 
     // The bottleneck-fix figure: the classic single-machine engine vs

@@ -35,7 +35,7 @@ use crate::segment::SegmentManager;
 use crate::types::{AccessRight, Acl, DiskHome, ObjToken, ProcessId, SegUid, UserId};
 use crate::vproc::VirtualProcessorManager;
 use mx_aim::{AccessKind, CompartmentSet, FlowTracker, Label, Level, ReferenceMonitor};
-use mx_hw::{Machine, PackId, TocIndex, Word};
+use mx_hw::{IdMap, Machine, PackId, TocIndex, Word};
 use std::collections::HashMap;
 
 /// Words per directory entry record.
@@ -116,9 +116,9 @@ pub struct DirStats {
 /// The directory object manager.
 #[derive(Debug)]
 pub struct DirectoryManager {
-    branch: HashMap<SegUid, BranchInfo>,
+    branch: IdMap<SegUid, BranchInfo>,
     real_tokens: HashMap<u64, SegUid>,
-    token_of: HashMap<SegUid, u64>,
+    token_of: IdMap<SegUid, u64>,
     secret: u64,
     root: SegUid,
     next_uid: u64,
@@ -196,9 +196,9 @@ impl DirectoryManager {
         ctx.qcm
             .create_cell(ctx.machine, ctx.drm, root, home, root_quota, Label::BOTTOM)?;
         let mut dm = Self {
-            branch: HashMap::new(),
+            branch: IdMap::default(),
             real_tokens: HashMap::new(),
-            token_of: HashMap::new(),
+            token_of: IdMap::default(),
             secret: mix(seed ^ 0x006d_756c_7469_6373),
             root,
             next_uid: 2,
@@ -261,9 +261,9 @@ impl DirectoryManager {
     ) -> Result<Self, KernelError> {
         let root = SegUid(1);
         let mut dm = Self {
-            branch: HashMap::new(),
+            branch: IdMap::default(),
             real_tokens: HashMap::new(),
-            token_of: HashMap::new(),
+            token_of: IdMap::default(),
             secret: mix(seed ^ 0x006d_756c_7469_6373),
             root,
             next_uid: 2,

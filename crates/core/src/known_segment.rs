@@ -15,8 +15,7 @@ use crate::quota_cell::QuotaCellManager;
 use crate::segment::SegmentManager;
 use crate::types::{DiskHome, ProcessId, SegUid};
 use mx_aim::{FlowTracker, Label};
-use mx_hw::Machine;
-use std::collections::HashMap;
+use mx_hw::{IdMap, Machine};
 
 /// Segment numbers per process (SDWs in one descriptor-segment frame).
 pub const MAX_SEGNO: u32 = mx_hw::PAGE_WORDS as u32;
@@ -48,7 +47,7 @@ pub struct KstEntry {
 /// The known-segment object manager.
 #[derive(Debug, Default)]
 pub struct KnownSegmentManager {
-    ksts: HashMap<ProcessId, Vec<Option<KstEntry>>>,
+    ksts: IdMap<ProcessId, Vec<Option<KstEntry>>>,
     /// Quota exceptions serviced (experiment counter).
     pub quota_exceptions: u64,
 }

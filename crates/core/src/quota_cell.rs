@@ -24,8 +24,7 @@ use crate::error::KernelError;
 use crate::types::{DiskHome, SegUid};
 use mx_aim::{FlowTracker, Label};
 use mx_hw::disk::QuotaCellRecord;
-use mx_hw::{Machine, Subsystem, Word};
-use std::collections::HashMap;
+use mx_hw::{IdMap, Machine, Subsystem, Word};
 
 /// Words of core-segment table per cell (uid, limit, used, flags).
 const CELL_WORDS: u64 = 4;
@@ -49,8 +48,8 @@ struct LoadedCell {
 pub struct QuotaCellManager {
     /// Registry of every cell in existence: uid → (persistent home, core
     /// table slot). Conceptually part of the core table itself.
-    cell_dir: HashMap<SegUid, CellDirEntry>,
-    loaded: HashMap<SegUid, LoadedCell>,
+    cell_dir: IdMap<SegUid, CellDirEntry>,
+    loaded: IdMap<SegUid, LoadedCell>,
     table_seg: CoreSegId,
     /// Absolute base of the core-table segment, bound once after
     /// construction via [`QuotaCellManager::bind_table_base`].
@@ -72,8 +71,8 @@ impl QuotaCellManager {
         let table_seg = csm.allocate(1)?;
         let max_cells = (mx_hw::PAGE_WORDS as u64 / CELL_WORDS) as u32;
         Ok(Self {
-            cell_dir: HashMap::new(),
-            loaded: HashMap::new(),
+            cell_dir: IdMap::default(),
+            loaded: IdMap::default(),
             table_seg,
             table_base: mx_hw::AbsAddr(0),
             max_cells,

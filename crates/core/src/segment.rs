@@ -24,8 +24,7 @@ use crate::quota_cell::QuotaCellManager;
 use crate::types::{DiskHome, SegUid};
 use mx_aim::{FlowTracker, Label};
 use mx_hw::cpu::Sdw;
-use mx_hw::{AbsAddr, Machine, Subsystem};
-use std::collections::HashMap;
+use mx_hw::{AbsAddr, IdMap, Machine, Subsystem};
 
 /// One active segment.
 #[derive(Debug, Clone)]
@@ -62,7 +61,7 @@ pub struct SegStats {
 /// The active-segment object manager.
 #[derive(Debug, Default)]
 pub struct SegmentManager {
-    active: HashMap<SegUid, ActiveSeg>,
+    active: IdMap<SegUid, ActiveSeg>,
     /// Counters.
     pub stats: SegStats,
 }

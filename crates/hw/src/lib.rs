@@ -34,6 +34,7 @@ pub mod cpu;
 pub mod disk;
 pub mod fault;
 pub mod faultinj;
+pub mod idmap;
 pub mod interp;
 pub mod machine;
 pub mod mem;
@@ -47,6 +48,7 @@ pub use cpu::{AccessMode, HwFeatures, Processor, ProcessorId};
 pub use disk::{DiskError, DiskPack, DiskSystem, PackId, RecordNo, TocEntry, TocIndex};
 pub use fault::Fault;
 pub use faultinj::{CrashWrite, DiskFaults, FaultPlan, HwFault};
+pub use idmap::IdMap;
 pub use interp::{InterpError, StepOutcome};
 pub use machine::{Machine, MachineConfig};
 pub use mem::{AbsAddr, FrameNo, MainMemory, PAGE_WORDS};

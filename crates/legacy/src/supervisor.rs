@@ -17,7 +17,7 @@ use mx_aim::{FlowTracker, Label, ReferenceMonitor};
 use mx_hw::cpu::{AccessMode, DescBase, Ptw, Sdw};
 use mx_hw::meter::{CounterSet, Subsystem};
 use mx_hw::{
-    AbsAddr, Fault, FrameNo, HwFeatures, Language, Machine, MachineConfig, VirtAddr, Word,
+    AbsAddr, Fault, FrameNo, HwFeatures, IdMap, Language, Machine, MachineConfig, VirtAddr, Word,
     PAGE_WORDS,
 };
 
@@ -182,7 +182,7 @@ pub struct Supervisor {
     /// Experiment counters.
     pub stats: Stats,
     pub(crate) processes: Vec<Option<Process>>,
-    pub(crate) branch_table: HashMap<SegUid, Branch>,
+    pub(crate) branch_table: IdMap<SegUid, Branch>,
     pub(crate) next_uid: u64,
     pub(crate) root_uid: SegUid,
     pub(crate) root_home: DiskHome,
@@ -256,7 +256,7 @@ impl Supervisor {
             flows: FlowTracker::new(),
             stats: Stats::default(),
             processes: (0..config.max_processes).map(|_| None).collect(),
-            branch_table: HashMap::new(),
+            branch_table: IdMap::default(),
             next_uid: 1,
             root_uid: SegUid(0),
             root_home: DiskHome {
