@@ -35,7 +35,8 @@ use crate::segment::SegmentManager;
 use crate::types::{AccessRight, Acl, DiskHome, ObjToken, ProcessId, SegUid, UserId};
 use crate::vproc::VirtualProcessorManager;
 use mx_aim::{AccessKind, CompartmentSet, FlowTracker, Label, Level, ReferenceMonitor};
-use mx_hw::{IdMap, Machine, PackId, TocIndex, Word};
+use mx_hw::word::{name_fits, name_is, pack_name, unpack_name, NAME_WORDS};
+use mx_hw::{AbsAddr, IdMap, Machine, PackId, RefCharges, TocIndex, Word, PAGE_WORDS};
 use std::collections::HashMap;
 
 /// Words per directory entry record.
@@ -144,30 +145,6 @@ fn name_hash(name: &str) -> u64 {
     h
 }
 
-fn pack_name(name: &str) -> [Word; 8] {
-    let mut words = [Word::ZERO; 8];
-    for (i, b) in name.bytes().take(32).enumerate() {
-        let w = i / 4;
-        let shift = (i % 4) as u32 * 9;
-        words[w] = Word::new(words[w].raw() | (u64::from(b) << shift));
-    }
-    words
-}
-
-fn unpack_name(words: &[Word; 8]) -> String {
-    let mut out = String::new();
-    for w in words {
-        for c in 0..4 {
-            let b = ((w.raw() >> (c * 9)) & 0x1FF) as u8;
-            if b == 0 {
-                return out;
-            }
-            out.push(b as char);
-        }
-    }
-    out
-}
-
 fn pack_label(label: Label) -> u64 {
     u64::from(label.level.0 & 0x7) | (label.compartments.bits() & 0xFF_FFFF) << 3
 }
@@ -177,6 +154,208 @@ fn unpack_label(bits: u64) -> Label {
         Level((bits & 0x7) as u8),
         CompartmentSet::from_bits((bits >> 3) & 0xFF_FFFF),
     )
+}
+
+/// One entry record as copied from core, decoded only on demand.
+struct StoredEntry([Word; ENTRY_WORDS as usize]);
+
+impl StoredEntry {
+    fn name_words(&self) -> &[Word; NAME_WORDS] {
+        self.0[4..12].try_into().expect("eight name words")
+    }
+
+    fn decode(&self) -> EntryRecord {
+        let w = |i: usize| self.0[i].raw();
+        let flags = w(1);
+        EntryRecord {
+            uid: SegUid(w(0)),
+            is_dir: flags & 2 != 0,
+            quota_dir: flags & 4 != 0,
+            home: DiskHome {
+                pack: PackId(w(2) as u32),
+                toc: TocIndex(w(3) as u32),
+            },
+            name: unpack_name(self.name_words()),
+            acl: Acl::unpack(w(12), w(13)),
+            label: unpack_label(flags >> 3),
+            quota_limit: w(14) as u32,
+            own_cell: SegUid(w(16)),
+        }
+    }
+}
+
+/// Reads one directory segment's entry records, a page at a time.
+///
+/// The first word the reader takes from each page goes through the
+/// segment manager's full reference path (page service, growth, the used
+/// bit); every later word on that page is copied straight from core, and
+/// its core access is charged with the rest of its entry in one batch.
+/// The simulated outcome is the per-word path's exactly — DESIGN.md,
+/// "The directory scan cursor", gives the conditions.
+struct EntryReader {
+    dir: SegUid,
+    /// The page last touched and the absolute address of its first word.
+    page: Option<(u32, AbsAddr)>,
+    /// Core accesses read but not yet charged.
+    pending: u64,
+}
+
+impl EntryReader {
+    fn new(dir: SegUid) -> Self {
+        Self {
+            dir,
+            page: None,
+            pending: 0,
+        }
+    }
+
+    /// Copies the words from `wordno` on into `out`. The words whose bits
+    /// are set in `charged` count as read: each costs a core access,
+    /// charged at the next [`EntryReader::flush`]. The first and last
+    /// words must be charged, so every page the copy touches is one a
+    /// word-by-word read would touch too.
+    fn read(
+        &mut self,
+        ctx: &mut FsCtx<'_>,
+        wordno: u32,
+        out: &mut [Word],
+        charged: u64,
+    ) -> Result<(), KernelError> {
+        debug_assert!(charged & 1 == 1 && charged >> (out.len() - 1) == 1);
+        #[cfg(test)]
+        if reference::per_word() {
+            for (i, w) in out.iter_mut().enumerate() {
+                if charged >> i & 1 == 0 {
+                    continue;
+                }
+                *w = ctx.segm.read_word(
+                    ctx.machine,
+                    ctx.drm,
+                    ctx.qcm,
+                    ctx.pfm,
+                    ctx.vpm,
+                    ctx.flows,
+                    self.dir,
+                    wordno + i as u32,
+                    Label::BOTTOM,
+                )?;
+            }
+            return Ok(());
+        }
+        let mut done = 0;
+        while done < out.len() {
+            let at = wordno + done as u32;
+            let (pageno, offset) = (at / PAGE_WORDS as u32, at as usize % PAGE_WORDS);
+            let frame = match self.page {
+                Some((p, frame)) if p == pageno => frame,
+                _ => {
+                    // What is read so far goes on the clock before any
+                    // fault the full path takes, and a failed touch
+                    // leaves no page behind.
+                    self.flush(ctx);
+                    self.page = None;
+                    let abs = ctx.segm.touch_word(
+                        ctx.machine,
+                        ctx.drm,
+                        ctx.qcm,
+                        ctx.pfm,
+                        ctx.vpm,
+                        ctx.flows,
+                        self.dir,
+                        at,
+                        Label::BOTTOM,
+                        false,
+                    )?;
+                    let frame = AbsAddr(abs.0 - offset as u64);
+                    self.page = Some((pageno, frame));
+                    frame
+                }
+            };
+            let n = (out.len() - done).min(PAGE_WORDS - offset);
+            out[done..done + n].copy_from_slice(ctx.machine.mem.words(frame.add(offset as u64), n));
+            let run = charged >> done & ((1 << n) - 1);
+            self.pending += u64::from(run.count_ones());
+            done += n;
+        }
+        Ok(())
+    }
+
+    fn flush(&mut self, ctx: &mut FsCtx<'_>) {
+        let cost = ctx.machine.cost;
+        let charges = RefCharges {
+            core_accesses: std::mem::take(&mut self.pending),
+            ..RefCharges::default()
+        };
+        ctx.machine.clock.charge_reference(&cost, charges);
+    }
+
+    /// One word, charged.
+    fn word(&mut self, ctx: &mut FsCtx<'_>, wordno: u32) -> Result<Word, KernelError> {
+        let mut w = [Word::ZERO];
+        self.read(ctx, wordno, &mut w, 1)?;
+        self.flush(ctx);
+        Ok(w[0])
+    }
+
+    /// The first unused slot below `count`, else `count`: the in-use
+    /// flags in slot order.
+    fn first_unused(&mut self, ctx: &mut FsCtx<'_>, count: u32) -> Result<u32, KernelError> {
+        let mut flags = [Word::ZERO];
+        let mut slot = 0;
+        while slot < count {
+            self.read(ctx, DirectoryManager::entry_base(slot) + 1, &mut flags, 1)?;
+            if flags[0].raw() & 1 == 0 {
+                break;
+            }
+            slot += 1;
+        }
+        self.flush(ctx);
+        Ok(slot)
+    }
+
+    /// Entry `slot`, `None` if unused, charged as the record codec reads
+    /// it: the flags word (1), then for an entry in use the words
+    /// [`StoredEntry::decode`] needs (0, 2–14 and 16).
+    fn entry(
+        &mut self,
+        ctx: &mut FsCtx<'_>,
+        slot: u32,
+    ) -> Result<Option<StoredEntry>, KernelError> {
+        const RECORD: u64 = 1 | 0x1fff << 2 | 1 << 16;
+        let base = DirectoryManager::entry_base(slot);
+        let mut e = StoredEntry([Word::ZERO; ENTRY_WORDS as usize]);
+        self.read(ctx, base + 1, &mut e.0[1..2], 1)?;
+        let in_use = e.0[1].raw() & 1 != 0;
+        if in_use {
+            self.read(ctx, base, &mut e.0[..17], RECORD)?;
+        }
+        self.flush(ctx);
+        Ok(in_use.then_some(e))
+    }
+}
+
+/// The per-word reader the cursor replaced, kept as the reference the
+/// tests compare it against.
+#[cfg(test)]
+mod reference {
+    use std::cell::Cell;
+
+    thread_local! {
+        static PER_WORD: Cell<bool> = const { Cell::new(false) };
+    }
+
+    pub(super) fn per_word() -> bool {
+        PER_WORD.get()
+    }
+
+    /// Runs `f` with every directory word read through the full
+    /// per-word path.
+    pub(super) fn per_word_during<T>(f: impl FnOnce() -> T) -> T {
+        PER_WORD.set(true);
+        let out = f();
+        PER_WORD.set(false);
+        out
+    }
 }
 
 impl DirectoryManager {
@@ -452,20 +631,6 @@ impl DirectoryManager {
             .map(|_| ())
     }
 
-    fn seg_read(&self, ctx: &mut FsCtx<'_>, uid: SegUid, wordno: u32) -> Result<Word, KernelError> {
-        ctx.segm.read_word(
-            ctx.machine,
-            ctx.drm,
-            ctx.qcm,
-            ctx.pfm,
-            ctx.vpm,
-            ctx.flows,
-            uid,
-            wordno,
-            Label::BOTTOM,
-        )
-    }
-
     fn seg_write(
         &self,
         ctx: &mut FsCtx<'_>,
@@ -488,7 +653,7 @@ impl DirectoryManager {
     }
 
     pub(crate) fn entry_count(&self, ctx: &mut FsCtx<'_>, dir: SegUid) -> Result<u32, KernelError> {
-        Ok(self.seg_read(ctx, dir, 0)?.raw() as u32)
+        Ok(EntryReader::new(dir).word(ctx, 0)?.raw() as u32)
     }
 
     /// Reads entry `slot` of directory `dir`; `Ok(None)` for unused
@@ -500,33 +665,25 @@ impl DirectoryManager {
         slot: u32,
     ) -> Result<Option<EntryRecord>, KernelError> {
         self.ensure_active(ctx, dir)?;
-        let base = Self::entry_base(slot);
-        let flags = self.seg_read(ctx, dir, base + 1)?.raw();
-        if flags & 1 == 0 {
-            return Ok(None);
+        Ok(EntryReader::new(dir).entry(ctx, slot)?.map(|e| e.decode()))
+    }
+
+    /// Every entry in use in the active directory `dir`, with its slot,
+    /// in slot order.
+    pub(crate) fn entries(
+        &self,
+        ctx: &mut FsCtx<'_>,
+        dir: SegUid,
+    ) -> Result<Vec<(u32, EntryRecord)>, KernelError> {
+        let mut reader = EntryReader::new(dir);
+        let count = reader.word(ctx, 0)?.raw() as u32;
+        let mut out = Vec::new();
+        for slot in 0..count {
+            if let Some(e) = reader.entry(ctx, slot)? {
+                out.push((slot, e.decode()));
+            }
         }
-        let uid = SegUid(self.seg_read(ctx, dir, base)?.raw());
-        let pack = PackId(self.seg_read(ctx, dir, base + 2)?.raw() as u32);
-        let toc = TocIndex(self.seg_read(ctx, dir, base + 3)?.raw() as u32);
-        let mut name_words = [Word::ZERO; 8];
-        for (i, w) in name_words.iter_mut().enumerate() {
-            *w = self.seg_read(ctx, dir, base + 4 + i as u32)?;
-        }
-        let users = self.seg_read(ctx, dir, base + 12)?.raw();
-        let rights = self.seg_read(ctx, dir, base + 13)?.raw();
-        let quota_limit = self.seg_read(ctx, dir, base + 14)?.raw() as u32;
-        let own_cell = SegUid(self.seg_read(ctx, dir, base + 16)?.raw());
-        Ok(Some(EntryRecord {
-            uid,
-            is_dir: flags & 2 != 0,
-            quota_dir: flags & 4 != 0,
-            home: DiskHome { pack, toc },
-            name: unpack_name(&name_words),
-            acl: Acl::unpack(users, rights),
-            label: unpack_label(flags >> 3),
-            quota_limit,
-            own_cell,
-        }))
+        Ok(out)
     }
 
     /// Writes a whole entry, setting the in-use flag **last** so a
@@ -610,13 +767,16 @@ impl DirectoryManager {
         dir: SegUid,
         name: &str,
     ) -> Result<Option<(u32, EntryRecord)>, KernelError> {
+        // Activation holds for the whole scan: only `delete` and
+        // `sync_to_disk` deactivate, and neither runs inside one.
         self.ensure_active(ctx, dir)?;
-        let count = self.entry_count(ctx, dir)?;
+        let mut reader = EntryReader::new(dir);
+        let count = reader.word(ctx, 0)?.raw() as u32;
         for slot in 0..count {
             crate::charge_pli(ctx.machine, 14);
-            if let Some(e) = self.read_entry(ctx, dir, slot)? {
-                if e.name == name {
-                    return Ok(Some((slot, e)));
+            if let Some(e) = reader.entry(ctx, slot)? {
+                if name_is(e.name_words(), name) {
+                    return Ok(Some((slot, e.decode())));
                 }
             }
         }
@@ -732,6 +892,7 @@ impl DirectoryManager {
     ///
     /// # Errors
     ///
+    /// [`KernelError::BadName`] (a name the entry codec cannot store),
     /// [`KernelError::NoAccess`] (bad token / no modify permission),
     /// [`KernelError::AimViolation`], [`KernelError::NameDuplicated`],
     /// or storage errors — including a propagating upward signal if the
@@ -748,6 +909,9 @@ impl DirectoryManager {
         label: Label,
         is_dir: bool,
     ) -> Result<ObjToken, KernelError> {
+        if !name_fits(name) {
+            return Err(KernelError::BadName);
+        }
         let dir = self.resolve_token(dir_token).ok_or(KernelError::NoAccess)?;
         let b = *self.branch.get(&dir).ok_or(KernelError::NoAccess)?;
         if !b.is_dir {
@@ -771,15 +935,9 @@ impl DirectoryManager {
         }
         crate::charge_pli(ctx.machine, 160);
         // Claim a slot: first unused, else extend the count.
-        let count = self.entry_count(ctx, dir)?;
-        let mut slot = count;
-        for s in 0..count {
-            let flags = self.seg_read(ctx, dir, Self::entry_base(s) + 1)?.raw();
-            if flags & 1 == 0 {
-                slot = s;
-                break;
-            }
-        }
+        let mut reader = EntryReader::new(dir);
+        let count = reader.word(ctx, 0)?.raw() as u32;
+        let slot = reader.first_unused(ctx, count)?;
         // Touch the slot's last word first: any growth (and its possible
         // upward signal) happens before we allocate durable resources.
         self.seg_write(
@@ -1088,14 +1246,11 @@ impl DirectoryManager {
         if !self.can_read_dir(ctx, user, label, dir)? {
             return Err(KernelError::NoAccess);
         }
-        let count = self.entry_count(ctx, dir)?;
-        let mut names = Vec::new();
-        for slot in 0..count {
-            if let Some(e) = self.read_entry(ctx, dir, slot)? {
-                names.push(e.name);
-            }
-        }
-        Ok(names)
+        Ok(self
+            .entries(ctx, dir)?
+            .into_iter()
+            .map(|(_, e)| e.name)
+            .collect())
     }
 }
 
@@ -1107,6 +1262,7 @@ mod tests {
     fn name_codec_round_trip() {
         for name in ["x", "alpha.pl1", &"q".repeat(32)] {
             assert_eq!(unpack_name(&pack_name(name)), name);
+            assert!(name_is(&pack_name(name), name));
         }
     }
 
@@ -1121,5 +1277,208 @@ mod tests {
         assert_eq!(mix(1), mix(1));
         assert_ne!(mix(1), mix(2));
         assert_ne!(name_hash("a"), name_hash("b"));
+    }
+
+    use crate::kernel::{Kernel, KernelConfig};
+    use crate::types::ProcessId;
+    use mx_hw::SplitMix64;
+
+    const USER: UserId = UserId(1);
+
+    fn boot(frames: usize) -> (Kernel, ProcessId) {
+        let mut k = Kernel::boot(KernelConfig {
+            frames,
+            records_per_pack: 512,
+            toc_slots_per_pack: 320,
+            pt_slots: 24,
+            max_processes: 4,
+            root_quota: 400,
+            ..KernelConfig::default()
+        });
+        k.register_account("u", USER, 7, Label::BOTTOM);
+        let pid = k.login_residue("u", 7, Label::BOTTOM).unwrap();
+        (k, pid)
+    }
+
+    /// Names longer than the codec's 32 characters, or holding NUL or
+    /// non-ASCII bytes, used to be stored garbled: created twice, never
+    /// found. They are refused before any durable work.
+    #[test]
+    fn names_the_entry_codec_cannot_store_are_refused() {
+        let (mut k, pid) = boot(128);
+        let root = k.root_token();
+        let listed = k.list_dir(pid, root).unwrap();
+        let next_uid = k.dirm.next_uid;
+        for bad in ["x".repeat(33), "café".to_string(), "a\0b".to_string()] {
+            for is_dir in [false, true] {
+                let made = k.create_entry(pid, root, &bad, Acl::owner(USER), Label::BOTTOM, is_dir);
+                assert_eq!(made, Err(KernelError::BadName), "{bad:?}");
+            }
+        }
+        assert_eq!(k.list_dir(pid, root).unwrap(), listed);
+        assert_eq!(k.dirm.next_uid, next_uid, "no uid or TOC entry spent");
+        let longest = "y".repeat(32);
+        let token = k
+            .create_entry(pid, root, &longest, Acl::owner(USER), Label::BOTTOM, false)
+            .unwrap();
+        assert_eq!(k.dir_search(pid, root, &longest), Ok(token));
+        assert_eq!(
+            k.create_entry(pid, root, &longest, Acl::owner(USER), Label::BOTTOM, false),
+            Err(KernelError::NameDuplicated)
+        );
+    }
+
+    /// Two kernels booted alike: `cursor` reads directories through the
+    /// entry reader, `per_word` through the per-word reference.
+    struct Twin {
+        cursor: Kernel,
+        per_word: Kernel,
+        pid: ProcessId,
+    }
+
+    impl Twin {
+        fn new(frames: usize) -> Self {
+            let (cursor, pid) = boot(frames);
+            let (per_word, _) = boot(frames);
+            Self {
+                cursor,
+                per_word,
+                pid,
+            }
+        }
+
+        /// Runs `op` on both kernels; its result and everything simulated
+        /// a directory read can touch must agree.
+        fn step<T: PartialEq + std::fmt::Debug>(
+            &mut self,
+            at: &str,
+            op: impl Fn(&mut Kernel, ProcessId) -> T,
+        ) -> T {
+            let pid = self.pid;
+            let out = op(&mut self.cursor, pid);
+            let per_word = reference::per_word_during(|| op(&mut self.per_word, pid));
+            assert_eq!(out, per_word, "result of {at}");
+            let (a, b) = (&self.cursor.machine, &self.per_word.machine);
+            assert_eq!(a.clock.snapshot(), b.clock.snapshot(), "clock after {at}");
+            assert_eq!(
+                a.clock.meter_snapshot(),
+                b.clock.meter_snapshot(),
+                "meter after {at}"
+            );
+            assert_eq!(
+                a.clock.meter().trace(),
+                b.clock.meter().trace(),
+                "trace after {at}"
+            );
+            assert_eq!(
+                a.clock.edge_snapshot(),
+                b.clock.edge_snapshot(),
+                "edges after {at}"
+            );
+            assert_eq!(a.tlb_stats(), b.tlb_stats(), "TLB after {at}");
+            let n = a.mem.size_words();
+            assert!(
+                a.mem.words(AbsAddr(0), n) == b.mem.words(AbsAddr(0), n),
+                "core image after {at}"
+            );
+            out
+        }
+
+        /// Slots ever used in directory `dir` (its entry count).
+        fn slots(&self, dir: SegUid) -> u32 {
+            let dm = &self.cursor.dirm;
+            dm.branch
+                .values()
+                .filter(|b| b.parent == Some(dir))
+                .map(|b| b.slot + 1)
+                .max()
+                .unwrap_or(0)
+        }
+
+        /// Pages of active segment `uid` resident in core.
+        fn resident_pages(&self, uid: SegUid, pages: u32) -> Vec<u32> {
+            let k = &self.cursor;
+            let handle = k.segm.get(uid).expect("active").handle;
+            (0..pages)
+                .filter(|&p| k.pfm.ptw(&k.machine, handle, p).present)
+                .collect()
+        }
+    }
+
+    /// Seeded churn on tight frames. Every create, delete, search and
+    /// listing reads the directory through the entry reader on one
+    /// kernel and the per-word reference on its twin; after every step
+    /// the results, clocks, meters, traces, edges, TLB tallies and core
+    /// images must be identical. The churn is checked to reach entries
+    /// that straddle a page (slot 51, 102, 153), unused slots, and scans
+    /// whose next-page fault evicts a page they just left.
+    #[test]
+    fn entry_reader_matches_the_per_word_reference_under_churn() {
+        let mut t = Twin::new(24);
+        let root = t.step("root", |k, _| k.root_token());
+        let d = t
+            .step("mkdir", |k, pid| {
+                k.create_entry(pid, root, "d", Acl::owner(USER), Label::BOTTOM, true)
+            })
+            .unwrap();
+        let d_uid = t.cursor.dirm.resolve_token(d).unwrap();
+        // Data pages that compete with the directory's for the frames.
+        let ballast = t
+            .step("ballast", |k, pid| {
+                let token =
+                    k.create_entry(pid, root, "b", Acl::owner(USER), Label::BOTTOM, false)?;
+                k.initiate(pid, token)
+            })
+            .unwrap();
+        let mut rng = SplitMix64::new(1977);
+        let (mut deleted, mut reused, mut left_page_evicted, mut widest) = (0, 0, 0, 0);
+        for i in 0..900 {
+            let name = format!("n{}", rng.below(240));
+            let at = format!("step {i} ({name})");
+            match rng.below(10) {
+                0..=5 => {
+                    let count = t.slots(d_uid);
+                    let made = t.step(&at, |k, pid| {
+                        k.create_entry(pid, d, &name, Acl::owner(USER), Label::BOTTOM, false)
+                    });
+                    if let Ok(token) = made {
+                        let uid = t.cursor.dirm.resolve_token(token).unwrap();
+                        reused += usize::from(t.cursor.dirm.branch[&uid].slot < count);
+                    }
+                    let page = rng.below(12) as u32;
+                    t.step(&at, |k, pid| {
+                        k.write_word(pid, ballast, page * PAGE_WORDS as u32, Word::new(1))
+                    })
+                    .unwrap();
+                }
+                6 => {
+                    deleted +=
+                        usize::from(t.step(&at, |k, pid| k.delete_entry(pid, d, &name)).is_ok())
+                }
+                7..=8 => {
+                    // A miss scans every slot, so every page of `d`.
+                    let missing = format!("x{name}");
+                    let found = t.step(&at, |k, pid| k.dir_search(pid, d, &missing));
+                    assert_eq!(found, Err(KernelError::NoEntry));
+                    let pages =
+                        DirectoryManager::entry_base(t.slots(d_uid)).div_ceil(PAGE_WORDS as u32);
+                    widest = widest.max(t.slots(d_uid));
+                    let resident = t.resident_pages(d_uid, pages);
+                    left_page_evicted += usize::from(resident.len() < pages as usize);
+                }
+                _ => {
+                    t.step(&at, |k, pid| k.list_dir(pid, d)).unwrap();
+                }
+            }
+        }
+        assert!(
+            widest > 153,
+            "scans reached the third straddling entry ({widest} slots)"
+        );
+        assert!(
+            deleted > 20 && reused > 5,
+            "unused slots scanned and reclaimed"
+        );
+        assert!(left_page_evicted > 0, "a scan evicted a page it had left");
     }
 }

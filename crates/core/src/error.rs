@@ -56,6 +56,9 @@ pub enum KernelError {
     NotActive,
     /// A name already exists in the target directory.
     NameDuplicated,
+    /// A name the entry codec cannot store: longer than
+    /// [`mx_hw::word::NAME_CHARS`] bytes, or holding NUL or non-ASCII.
+    BadName,
     /// The operation requires a directory.
     NotADirectory,
     /// Quota (un)designation rules violated: the directory has children
@@ -110,6 +113,7 @@ impl core::fmt::Display for KernelError {
             KernelError::TableFull(which) => write!(f, "{which} table full"),
             KernelError::NotActive => write!(f, "segment not active"),
             KernelError::NameDuplicated => write!(f, "name duplicated"),
+            KernelError::BadName => write!(f, "name not storable"),
             KernelError::NotADirectory => write!(f, "not a directory"),
             KernelError::QuotaDesignation(why) => write!(f, "quota designation: {why}"),
             KernelError::NoSuchProcess => write!(f, "no such process"),

@@ -58,9 +58,10 @@ impl KnownSegmentManager {
         Self::default()
     }
 
-    /// Creates an empty KST for a new process.
+    /// Creates an empty KST for a new process: segment number 0 only,
+    /// reserved; [`KnownSegmentManager::bind`] grows it on demand.
     pub fn create_kst(&mut self, pid: ProcessId) {
-        self.ksts.insert(pid, vec![None; MAX_SEGNO as usize]);
+        self.ksts.insert(pid, vec![None]);
     }
 
     /// Destroys a process's KST.
@@ -82,15 +83,17 @@ impl KnownSegmentManager {
         {
             return Ok(i as u32);
         }
-        let segno = kst
-            .iter()
-            .enumerate()
-            .skip(1)
-            .find(|(_, e)| e.is_none())
-            .map(|(i, _)| i as u32)
-            .ok_or(KernelError::KstFull)?;
-        kst[segno as usize] = Some(entry);
-        Ok(segno)
+        // The lowest free segment number, else the next one up.
+        let free = kst.iter().skip(1).position(Option::is_none);
+        let segno = free.map_or(kst.len(), |i| i + 1);
+        if segno >= MAX_SEGNO as usize {
+            return Err(KernelError::KstFull);
+        }
+        if segno == kst.len() {
+            kst.push(None);
+        }
+        kst[segno] = Some(entry);
+        Ok(segno as u32)
     }
 
     /// The KST entry for (process, segno).
@@ -245,6 +248,33 @@ mod tests {
             let segno = ksm.segno_of(pid, SegUid(9)).unwrap();
             assert_eq!(ksm.lookup(pid, segno).unwrap().home, new_home);
         }
+    }
+
+    #[test]
+    fn kst_fills_at_max_segno_and_reuses_the_lowest_free_segno() {
+        let mut ksm = KnownSegmentManager::new();
+        let pid = ProcessId(0);
+        ksm.create_kst(pid);
+        for uid in 1..MAX_SEGNO {
+            assert_eq!(ksm.bind(pid, entry(u64::from(uid))), Ok(uid));
+        }
+        assert_eq!(
+            ksm.bind(pid, entry(u64::from(MAX_SEGNO))),
+            Err(KernelError::KstFull)
+        );
+        assert_eq!(
+            ksm.lookup(pid, MAX_SEGNO).unwrap_err(),
+            KernelError::NoAccess
+        );
+        ksm.unbind(pid, 700).unwrap();
+        ksm.unbind(pid, 5).unwrap();
+        assert_eq!(
+            ksm.bind(pid, entry(9_000)),
+            Ok(5),
+            "lowest free segno first"
+        );
+        assert_eq!(ksm.bind(pid, entry(9_001)), Ok(700));
+        assert_eq!(ksm.bind(pid, entry(9_002)), Err(KernelError::KstFull));
     }
 
     #[test]

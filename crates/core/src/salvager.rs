@@ -911,14 +911,11 @@ impl DirectoryManager {
         dir: SegUid,
     ) -> Result<Vec<SalvageEntry>, KernelError> {
         self.ensure_active(ctx, dir)?;
-        let count = self.entry_count(ctx, dir)?;
-        let mut out = Vec::new();
-        for slot in 0..count {
-            if let Some(e) = self.read_entry(ctx, dir, slot)? {
-                out.push((slot, e.name, e.uid, e.home, e.own_cell, e.is_dir));
-            }
-        }
-        Ok(out)
+        Ok(self
+            .entries(ctx, dir)?
+            .into_iter()
+            .map(|(slot, e)| (slot, e.name, e.uid, e.home, e.own_cell, e.is_dir))
+            .collect())
     }
 }
 

@@ -380,9 +380,10 @@ impl SegmentManager {
     }
 
     /// Brings the page under `wordno` resident and returns the word's
-    /// absolute address, updating the descriptor's used/modified bits.
+    /// absolute address, updating the descriptor's used/modified bits —
+    /// everything of a word reference but the core access itself.
     #[allow(clippy::too_many_arguments)]
-    fn touch_word(
+    pub(crate) fn touch_word(
         &mut self,
         machine: &mut Machine,
         drm: &mut DiskRecordManager,

@@ -110,6 +110,22 @@ impl MainMemory {
         self.words[i] = value;
     }
 
+    /// The `n` words starting at an absolute address, borrowed in place.
+    ///
+    /// # Panics
+    ///
+    /// Panics if any of the words lies outside of core.
+    pub fn words(&self, addr: AbsAddr, n: usize) -> &[Word] {
+        let i = self.index(addr);
+        let end = i + n;
+        assert!(
+            end <= self.words.len(),
+            "absolute range {addr}+{n} outside of {} words of core",
+            self.words.len()
+        );
+        &self.words[i..end]
+    }
+
     /// Reads a whole frame into a boxed page buffer.
     pub fn read_frame(&self, frame: FrameNo) -> Box<[Word; PAGE_WORDS]> {
         let base = frame.base().0 as usize;
@@ -202,6 +218,24 @@ mod tests {
         let page = m.read_frame(FrameNo(0));
         m.write_frame(FrameNo(1), &page);
         assert_eq!(m.read(AbsAddr(PAGE_WORDS as u64 + 10)), Word::new(42));
+    }
+
+    #[test]
+    fn words_borrows_a_run_in_place() {
+        let mut m = MainMemory::new(2);
+        for i in 0..3 {
+            m.write(AbsAddr(1022 + i), Word::new(i + 1));
+        }
+        let run = m.words(AbsAddr(1022), 3);
+        assert_eq!(run, &[Word::new(1), Word::new(2), Word::new(3)]);
+        assert!(m.words(AbsAddr(2 * PAGE_WORDS as u64 - 1), 1)[0].is_zero());
+    }
+
+    #[test]
+    #[should_panic(expected = "outside of")]
+    fn words_past_the_end_of_core_panics() {
+        let m = MainMemory::new(1);
+        m.words(AbsAddr(PAGE_WORDS as u64 - 2), 3);
     }
 
     #[test]

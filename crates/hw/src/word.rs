@@ -82,9 +82,125 @@ impl core::fmt::Display for Word {
     }
 }
 
+/// Characters in a stored name: the 6180 packs four 9-bit characters to
+/// a word, and names (directory entries, linkage symbols) get eight.
+pub const NAME_CHARS: usize = 32;
+
+/// Words a stored name occupies.
+pub const NAME_WORDS: usize = NAME_CHARS / 4;
+
+/// True if `name` survives [`pack_name`] then [`unpack_name`] unchanged:
+/// at most [`NAME_CHARS`] bytes, all ASCII, and no NUL (NUL ends a name).
+pub fn name_fits(name: &str) -> bool {
+    name.len() <= NAME_CHARS && name.bytes().all(|b| b != 0 && b.is_ascii())
+}
+
+/// Packs a name's bytes four to a word, NUL padded; bytes past
+/// [`NAME_CHARS`] are dropped.
+pub fn pack_name(name: &str) -> [Word; NAME_WORDS] {
+    let mut words = [Word::ZERO; NAME_WORDS];
+    for (i, b) in name.bytes().take(NAME_CHARS).enumerate() {
+        let w = &mut words[i / 4];
+        *w = Word::new(w.raw() | u64::from(b) << (i % 4 * 9));
+    }
+    words
+}
+
+/// Decodes a stored name: the characters up to the first NUL, each
+/// 9-bit character read as its low eight bits.
+pub fn unpack_name(words: &[Word; NAME_WORDS]) -> String {
+    words
+        .iter()
+        .flat_map(|w| (0..4).map(move |c| (w.raw() >> (c * 9)) as u8))
+        .take_while(|&b| b != 0)
+        .map(char::from)
+        .collect()
+}
+
+/// `unpack_name(words) == name`, compared in place without building the
+/// string.
+pub fn name_is(words: &[Word; NAME_WORDS], name: &str) -> bool {
+    let mut want = name.chars();
+    for w in words {
+        for c in 0..4 {
+            let b = (w.raw() >> (c * 9)) as u8;
+            if b == 0 {
+                return want.next().is_none();
+            }
+            if want.next() != Some(char::from(b)) {
+                return false;
+            }
+        }
+    }
+    want.next().is_none()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::rng::SplitMix64;
+
+    #[test]
+    fn name_codec_round_trips_every_name_that_fits() {
+        for name in ["", "x", "alpha.pl1", &"q".repeat(NAME_CHARS)] {
+            assert!(name_fits(name));
+            assert_eq!(unpack_name(&pack_name(name)), name);
+            assert!(name_is(&pack_name(name), name));
+        }
+        for name in [&"x".repeat(NAME_CHARS + 1), "café", "a\0b"] {
+            assert!(!name_fits(name), "{name:?}");
+            assert_ne!(unpack_name(&pack_name(name)), name, "{name:?}");
+        }
+    }
+
+    /// `name_is` agrees with decoding on arbitrary stored words: NUL mid
+    /// name, 9-bit characters ≥ 0x100, and bytes ≥ 0x80 included.
+    #[test]
+    fn name_is_matches_unpack_on_random_words() {
+        let mut rng = SplitMix64::new(0x6e61_6d65);
+        let mut matches = 0;
+        for _ in 0..20_000 {
+            let mut words = [Word::ZERO; NAME_WORDS];
+            let len = rng.range_usize(0, NAME_CHARS + 1);
+            for i in 0..len {
+                let c = match rng.below(8) {
+                    0 => 0,                           // NUL mid name
+                    1 => rng.range_u64(0x100, 0x200), // 9-bit, high bit set
+                    2 => rng.range_u64(0x80, 0x100),  // non-ASCII byte
+                    _ => rng.range_u64(b'a'.into(), u64::from(b'e') + 1),
+                };
+                words[i / 4] = Word::new(words[i / 4].raw() | c << (i % 4 * 9));
+            }
+            let decoded = unpack_name(&words);
+            let mut name = decoded.clone();
+            match rng.below(5) {
+                0 => {}
+                1 => name.push(char::from(b'a' + rng.below(5) as u8)),
+                2 => {
+                    name.pop();
+                }
+                3 => {
+                    if let Some(c) = name.pop() {
+                        let flipped = if c == 'a' { 'b' } else { 'a' };
+                        name.push(flipped);
+                    }
+                }
+                _ => {
+                    const ALPHABET: [char; 5] = ['a', 'b', '\u{e9}', '\u{ff}', '\u{100}'];
+                    name = (0..rng.below(4))
+                        .map(|_| ALPHABET[rng.below(5) as usize])
+                        .collect();
+                }
+            }
+            let expected = decoded == name;
+            matches += usize::from(expected);
+            assert_eq!(name_is(&words, &name), expected, "{words:?} vs {name:?}");
+        }
+        assert!(
+            matches > 1_000 && matches < 19_000,
+            "both answers exercised"
+        );
+    }
 
     #[test]
     fn construction_truncates_to_36_bits() {

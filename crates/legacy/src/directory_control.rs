@@ -22,12 +22,11 @@ use crate::supervisor::{Branch, KstEntry, Supervisor, MAX_SEGNO};
 use crate::types::{AccessRight, Acl, DiskHome, LegacyError, ProcessId, SegUid};
 use mx_aim::{AccessKind, CompartmentSet, Label, Level, ReferenceMonitor};
 use mx_hw::meter::Subsystem;
-use mx_hw::{Language, PackId, TocIndex, Word};
+use mx_hw::word::{name_fits, name_is, pack_name, unpack_name, NAME_WORDS};
+use mx_hw::{AbsAddr, Language, PackId, RefCharges, TocIndex, Word, PAGE_WORDS};
 
 /// Words per directory entry record.
 pub const ENTRY_WORDS: u32 = 16;
-/// Characters per name (8 words of four 9-bit characters).
-pub const NAME_CHARS: usize = 32;
 
 const LOOKUP_INSTR_PER_ENTRY: u64 = 12;
 const CREATE_INSTR: u64 = 150;
@@ -58,30 +57,6 @@ pub struct EntryRecord {
     pub quota_used: u32,
 }
 
-fn pack_name(name: &str) -> [Word; 8] {
-    let mut words = [Word::ZERO; 8];
-    for (i, b) in name.bytes().take(NAME_CHARS).enumerate() {
-        let w = i / 4;
-        let shift = (i % 4) as u32 * 9;
-        words[w] = Word::new(words[w].raw() | (u64::from(b) << shift));
-    }
-    words
-}
-
-pub(crate) fn unpack_name(words: &[Word; 8]) -> String {
-    let mut out = String::new();
-    for w in words {
-        for c in 0..4 {
-            let b = ((w.raw() >> (c * 9)) & 0x1FF) as u8;
-            if b == 0 {
-                return out;
-            }
-            out.push(b as char);
-        }
-    }
-    out
-}
-
 fn pack_label(label: Label) -> u64 {
     u64::from(label.level.0 & 0x7) | (label.compartments.bits() & 0xFF_FFFF) << 3
 }
@@ -93,17 +68,191 @@ fn unpack_label(bits: u64) -> Label {
     )
 }
 
+/// One entry record as copied from core, decoded only on demand.
+struct StoredEntry([Word; ENTRY_WORDS as usize]);
+
+impl StoredEntry {
+    fn name_words(&self) -> &[Word; NAME_WORDS] {
+        self.0[4..12].try_into().expect("eight name words")
+    }
+
+    fn decode(&self) -> EntryRecord {
+        let w = |i: usize| self.0[i].raw();
+        let flags = w(1);
+        EntryRecord {
+            uid: SegUid(w(0)),
+            is_dir: flags & 2 != 0,
+            quota_dir: flags & 4 != 0,
+            pack: PackId(w(2) as u32),
+            toc: TocIndex(w(3) as u32),
+            name: unpack_name(self.name_words()),
+            acl: Acl::unpack(w(12), w(13)),
+            label: unpack_label(flags >> 3),
+            quota_limit: w(14) as u32,
+            quota_used: w(15) as u32,
+        }
+    }
+}
+
+/// Reads one directory segment's entry records, a page at a time.
+///
+/// The first word the reader takes from each page goes through the full
+/// supervisor word access (page service, the used bit, the setfaults
+/// flush of both processors' associative memories); every later word on
+/// that page is copied straight from core, and its core access is
+/// charged with the rest of its entry in one batch. The simulated
+/// outcome is [`Supervisor::sup_read`]'s exactly — DESIGN.md, "The
+/// directory scan cursor", gives the conditions.
+struct EntryReader {
+    astx: usize,
+    /// The page last touched and the absolute address of its first word.
+    page: Option<(u32, AbsAddr)>,
+    /// Core accesses read but not yet charged.
+    pending: u64,
+}
+
+impl EntryReader {
+    fn new(astx: usize) -> Self {
+        Self {
+            astx,
+            page: None,
+            pending: 0,
+        }
+    }
+
+    /// Copies the words from `wordno` on into `out`. The words whose bits
+    /// are set in `charged` count as read: each costs a core access,
+    /// charged at the next [`EntryReader::flush`]. The first and last
+    /// words must be charged, so every page the copy touches is one a
+    /// word-by-word read would touch too.
+    fn read(
+        &mut self,
+        sup: &mut Supervisor,
+        wordno: u32,
+        out: &mut [Word],
+        charged: u64,
+    ) -> Result<(), LegacyError> {
+        debug_assert!(charged & 1 == 1 && charged >> (out.len() - 1) == 1);
+        #[cfg(test)]
+        if reference::per_word() {
+            for (i, w) in out.iter_mut().enumerate() {
+                if charged >> i & 1 == 1 {
+                    *w = sup.sup_read(self.astx, wordno + i as u32)?;
+                }
+            }
+            return Ok(());
+        }
+        let mut done = 0;
+        while done < out.len() {
+            let at = wordno + done as u32;
+            let (pageno, offset) = (at / PAGE_WORDS as u32, at as usize % PAGE_WORDS);
+            let frame = match self.page {
+                Some((p, frame)) if p == pageno => frame,
+                _ => {
+                    // What is read so far goes on the clock before any
+                    // fault the full path takes, and a failed touch
+                    // leaves no page behind.
+                    self.flush(sup);
+                    self.page = None;
+                    let abs = sup.sup_touch(self.astx, at, false)?;
+                    let frame = AbsAddr(abs.0 - offset as u64);
+                    self.page = Some((pageno, frame));
+                    frame
+                }
+            };
+            let n = (out.len() - done).min(PAGE_WORDS - offset);
+            out[done..done + n].copy_from_slice(sup.machine.mem.words(frame.add(offset as u64), n));
+            let run = charged >> done & ((1 << n) - 1);
+            self.pending += u64::from(run.count_ones());
+            done += n;
+        }
+        Ok(())
+    }
+
+    fn flush(&mut self, sup: &mut Supervisor) {
+        let cost = sup.machine.cost;
+        let charges = RefCharges {
+            core_accesses: std::mem::take(&mut self.pending),
+            ..RefCharges::default()
+        };
+        sup.machine.clock.charge_reference(&cost, charges);
+    }
+
+    /// One word, charged.
+    fn word(&mut self, sup: &mut Supervisor, wordno: u32) -> Result<Word, LegacyError> {
+        let mut w = [Word::ZERO];
+        self.read(sup, wordno, &mut w, 1)?;
+        self.flush(sup);
+        Ok(w[0])
+    }
+
+    /// The first unused slot below `count`, else `count`: the in-use
+    /// flags in slot order.
+    fn first_unused(&mut self, sup: &mut Supervisor, count: u32) -> Result<u32, LegacyError> {
+        let mut flags = [Word::ZERO];
+        let mut slot = 0;
+        while slot < count {
+            self.read(sup, Supervisor::entry_base(slot) + 1, &mut flags, 1)?;
+            if flags[0].raw() & 1 == 0 {
+                break;
+            }
+            slot += 1;
+        }
+        self.flush(sup);
+        Ok(slot)
+    }
+
+    /// Entry `slot`, `None` if unused, charged as the record codec reads
+    /// it: the flags word (1), then for an entry in use the rest (0 and
+    /// 2–15).
+    fn entry(
+        &mut self,
+        sup: &mut Supervisor,
+        slot: u32,
+    ) -> Result<Option<StoredEntry>, LegacyError> {
+        const RECORD: u64 = 0xfffd;
+        let base = Supervisor::entry_base(slot);
+        let mut e = StoredEntry([Word::ZERO; ENTRY_WORDS as usize]);
+        self.read(sup, base + 1, &mut e.0[1..2], 1)?;
+        let in_use = e.0[1].raw() & 1 != 0;
+        if in_use {
+            self.read(sup, base, &mut e.0, RECORD)?;
+        }
+        self.flush(sup);
+        Ok(in_use.then_some(e))
+    }
+}
+
+/// The per-word reader the cursor replaced, kept as the reference the
+/// tests compare it against.
+#[cfg(test)]
+mod reference {
+    use std::cell::Cell;
+
+    thread_local! {
+        static PER_WORD: Cell<bool> = const { Cell::new(false) };
+    }
+
+    pub(super) fn per_word() -> bool {
+        PER_WORD.get()
+    }
+
+    /// Runs `f` with every directory word read through
+    /// [`super::Supervisor::sup_read`].
+    pub(super) fn per_word_during<T>(f: impl FnOnce() -> T) -> T {
+        PER_WORD.set(true);
+        let out = f();
+        PER_WORD.set(false);
+        out
+    }
+}
+
 impl Supervisor {
     // ----- entry record codec -------------------------------------------
 
     /// Word offset of entry `slot` within a directory segment.
     fn entry_base(slot: u32) -> u32 {
         1 + slot * ENTRY_WORDS
-    }
-
-    /// Number of entry slots ever used in the directory at `astx`.
-    pub(crate) fn entry_count(&mut self, astx: usize) -> Result<u32, LegacyError> {
-        Ok(self.sup_read(astx, 0)?.raw() as u32)
     }
 
     /// Reads and decodes entry `slot` of the directory at `astx`.
@@ -113,34 +262,10 @@ impl Supervisor {
     /// [`LegacyError::NoAccess`] if the slot is unused; paging errors
     /// otherwise.
     pub fn read_entry(&mut self, astx: usize, slot: u32) -> Result<EntryRecord, LegacyError> {
-        let base = Self::entry_base(slot);
-        let flags = self.sup_read(astx, base + 1)?.raw();
-        if flags & 1 == 0 {
-            return Err(LegacyError::NoAccess);
-        }
-        let uid = SegUid(self.sup_read(astx, base)?.raw());
-        let pack = PackId(self.sup_read(astx, base + 2)?.raw() as u32);
-        let toc = TocIndex(self.sup_read(astx, base + 3)?.raw() as u32);
-        let mut name_words = [Word::ZERO; 8];
-        for (i, w) in name_words.iter_mut().enumerate() {
-            *w = self.sup_read(astx, base + 4 + i as u32)?;
-        }
-        let users = self.sup_read(astx, base + 12)?.raw();
-        let rights = self.sup_read(astx, base + 13)?.raw();
-        let quota_limit = self.sup_read(astx, base + 14)?.raw() as u32;
-        let quota_used = self.sup_read(astx, base + 15)?.raw() as u32;
-        Ok(EntryRecord {
-            uid,
-            is_dir: flags & 2 != 0,
-            quota_dir: flags & 4 != 0,
-            pack,
-            toc,
-            name: unpack_name(&name_words),
-            acl: Acl::unpack(users, rights),
-            label: unpack_label(flags >> 3),
-            quota_limit,
-            quota_used,
-        })
+        EntryReader::new(astx)
+            .entry(self, slot)?
+            .map(|e| e.decode())
+            .ok_or(LegacyError::NoAccess)
     }
 
     /// Encodes and writes a full entry record into `slot`.
@@ -209,12 +334,15 @@ impl Supervisor {
         astx: usize,
         name: &str,
     ) -> Result<Option<(u32, EntryRecord)>, LegacyError> {
-        let count = self.entry_count(astx)?;
+        let mut reader = EntryReader::new(astx);
+        let count = reader.word(self, 0)?.raw() as u32;
         for slot in 0..count {
             self.charge(LOOKUP_INSTR_PER_ENTRY, Language::Pli);
-            match self.read_entry(astx, slot) {
-                Ok(e) if e.name == name => return Ok(Some((slot, e))),
-                Ok(_) | Err(LegacyError::NoAccess) => continue,
+            match reader.entry(self, slot) {
+                Ok(Some(e)) if name_is(e.name_words(), name) => {
+                    return Ok(Some((slot, e.decode())));
+                }
+                Ok(_) | Err(LegacyError::NoAccess) => {}
                 Err(other) => return Err(other),
             }
         }
@@ -227,6 +355,7 @@ impl Supervisor {
     ///
     /// # Errors
     ///
+    /// [`LegacyError::BadName`] for a name the entry codec cannot store;
     /// [`LegacyError::NameDuplicated`] on a name clash; paging and disk
     /// errors otherwise.
     pub fn create_directory_in(
@@ -245,6 +374,7 @@ impl Supervisor {
     ///
     /// # Errors
     ///
+    /// [`LegacyError::BadName`] for a name the entry codec cannot store;
     /// [`LegacyError::NameDuplicated`] on a name clash; paging and disk
     /// errors otherwise.
     pub fn create_segment_in(
@@ -267,6 +397,9 @@ impl Supervisor {
         label: Label,
         is_dir: bool,
     ) -> Result<SegUid, LegacyError> {
+        if !name_fits(name) {
+            return Err(LegacyError::BadName);
+        }
         self.charge(CREATE_INSTR, Language::Pli);
         self.salvage_barrier_uid(parent)?;
         let parent_astx = self.activate(parent)?;
@@ -306,15 +439,9 @@ impl Supervisor {
         };
 
         // Claim an entry slot: first unused, else extend.
-        let count = self.entry_count(parent_astx)?;
-        let mut slot = count;
-        for s in 0..count {
-            let flags = self.sup_read(parent_astx, Self::entry_base(s) + 1)?.raw();
-            if flags & 1 == 0 {
-                slot = s;
-                break;
-            }
-        }
+        let mut reader = EntryReader::new(parent_astx);
+        let count = reader.word(self, 0)?.raw() as u32;
+        let slot = reader.first_unused(self, count)?;
         if slot == count {
             self.sup_write(parent_astx, 0, Word::new(u64::from(count + 1)))?;
         }
@@ -745,6 +872,7 @@ mod tests {
     fn name_codec_round_trip() {
         for name in ["a", "alpha.beta", "x".repeat(32).as_str()] {
             assert_eq!(unpack_name(&pack_name(name)), name);
+            assert!(name_is(&pack_name(name), name));
         }
     }
 
@@ -805,6 +933,35 @@ mod tests {
             .create_segment_in(sup.root(), "x", Acl::owner(user), Label::BOTTOM)
             .unwrap_err();
         assert_eq!(err, LegacyError::NameDuplicated);
+    }
+
+    /// Names longer than the codec's 32 characters, or holding NUL or
+    /// non-ASCII bytes, used to be stored garbled: created twice, never
+    /// found. They are refused before any durable work.
+    #[test]
+    fn names_the_entry_codec_cannot_store_are_refused() {
+        let (mut sup, pid, user) = boot_with_user();
+        let root = sup.root();
+        let next_uid = sup.next_uid;
+        for bad in ["x".repeat(33), "café".to_string(), "a\0b".to_string()] {
+            let seg = sup.create_segment_in(root, &bad, Acl::owner(user), Label::BOTTOM);
+            assert_eq!(seg, Err(LegacyError::BadName), "{bad:?}");
+            let dir = sup.create_directory_in(root, &bad, Acl::owner(user), Label::BOTTOM);
+            assert_eq!(dir, Err(LegacyError::BadName), "{bad:?}");
+        }
+        assert_eq!(sup.next_uid, next_uid, "no uid or TOC entry spent");
+        let longest = "y".repeat(32);
+        let uid = sup
+            .create_segment_in(root, &longest, Acl::owner(user), Label::BOTTOM)
+            .unwrap();
+        assert_eq!(
+            sup.resolve(pid, &longest, AccessRight::Read).unwrap().0,
+            uid
+        );
+        assert_eq!(
+            sup.create_segment_in(root, &longest, Acl::owner(user), Label::BOTTOM),
+            Err(LegacyError::NameDuplicated)
+        );
     }
 
     #[test]
@@ -932,5 +1089,183 @@ mod tests {
             sup.resolve(pid, "tmp", AccessRight::Read).unwrap_err(),
             LegacyError::NoAccess
         );
+    }
+
+    use crate::supervisor::SupervisorConfig;
+    use mx_hw::SplitMix64;
+
+    const USER: UserId = UserId(1);
+
+    fn boot(frames: usize) -> (Supervisor, ProcessId) {
+        let mut sup = Supervisor::boot(SupervisorConfig {
+            frames,
+            ast_slots: 16,
+            max_processes: 4,
+            toc_slots_per_pack: 512,
+            root_quota_pages: 400,
+            ..SupervisorConfig::default()
+        });
+        let pid = sup.create_process(USER, Label::BOTTOM).unwrap();
+        (sup, pid)
+    }
+
+    /// Two supervisors booted alike: `cursor` reads directories through
+    /// the entry reader, `per_word` through [`Supervisor::sup_read`].
+    struct Twin {
+        cursor: Supervisor,
+        per_word: Supervisor,
+        pid: ProcessId,
+    }
+
+    impl Twin {
+        fn new(frames: usize) -> Self {
+            let (cursor, pid) = boot(frames);
+            let (per_word, _) = boot(frames);
+            Self {
+                cursor,
+                per_word,
+                pid,
+            }
+        }
+
+        /// Runs `op` on both supervisors; its result and everything
+        /// simulated a directory read can touch must agree.
+        fn step<T: PartialEq + std::fmt::Debug>(
+            &mut self,
+            at: &str,
+            op: impl Fn(&mut Supervisor, ProcessId) -> T,
+        ) -> T {
+            let pid = self.pid;
+            let out = op(&mut self.cursor, pid);
+            let per_word = reference::per_word_during(|| op(&mut self.per_word, pid));
+            assert_eq!(out, per_word, "result of {at}");
+            let (a, b) = (&self.cursor.machine, &self.per_word.machine);
+            assert_eq!(a.clock.snapshot(), b.clock.snapshot(), "clock after {at}");
+            assert_eq!(
+                a.clock.meter_snapshot(),
+                b.clock.meter_snapshot(),
+                "meter after {at}"
+            );
+            assert_eq!(
+                a.clock.meter().trace(),
+                b.clock.meter().trace(),
+                "trace after {at}"
+            );
+            assert_eq!(
+                a.clock.edge_snapshot(),
+                b.clock.edge_snapshot(),
+                "edges after {at}"
+            );
+            assert_eq!(a.tlb_stats(), b.tlb_stats(), "TLB after {at}");
+            let n = a.mem.size_words();
+            assert!(
+                a.mem.words(AbsAddr(0), n) == b.mem.words(AbsAddr(0), n),
+                "core image after {at}"
+            );
+            out
+        }
+
+        /// Slots ever used in directory `dir` (its entry count).
+        fn slots(&self, dir: SegUid) -> u32 {
+            self.cursor
+                .branch_table
+                .values()
+                .filter(|b| b.parent == Some(dir))
+                .map(|b| b.slot + 1)
+                .max()
+                .unwrap_or(0)
+        }
+    }
+
+    /// Seeded churn on tight frames. Every create, delete and lookup
+    /// reads the directory through the entry reader on one supervisor and
+    /// through `sup_read` on its twin; after every step the results,
+    /// clocks, meters, traces, edges, TLB tallies and core images must be
+    /// identical. The churn is checked to reach entries that straddle a
+    /// page (slot 63, 127, 191), unused slots, scans whose next-page
+    /// fault evicts a page they just left, and first touches whose
+    /// setfaults flush drops a live user translation.
+    #[test]
+    fn entry_reader_matches_the_per_word_reference_under_churn() {
+        let mut t = Twin::new(17);
+        let root = t.cursor.root();
+        let d = t
+            .step("mkdir", |s, _| {
+                s.create_directory_in(root, "d", Acl::owner(USER), Label::BOTTOM)
+            })
+            .unwrap();
+        // Data pages that compete with the directory's for the frames,
+        // and the directory itself made known, so user references cache
+        // its page descriptors.
+        let (ballast, dseg) = t
+            .step("initiate", |s, pid| {
+                s.create_segment_in(root, "b", Acl::owner(USER), Label::BOTTOM)?;
+                Ok::<_, LegacyError>((s.initiate(pid, "b")?, s.initiate(pid, "d")?))
+            })
+            .unwrap();
+        let mut rng = SplitMix64::new(1977);
+        let (mut deleted, mut reused, mut left_page_evicted, mut widest, mut dropped) =
+            (0, 0, 0, 0, 0);
+        for i in 0..1500 {
+            let name = format!("n{}", rng.below(640));
+            let at = format!("step {i} ({name})");
+            match rng.below(10) {
+                0..=5 => {
+                    let count = t.slots(d);
+                    let made = t.step(&at, |s, _| {
+                        s.create_segment_in(d, &name, Acl::owner(USER), Label::BOTTOM)
+                    });
+                    if let Ok(uid) = made {
+                        reused += usize::from(t.cursor.branch_table[&uid].slot < count);
+                    }
+                    let page = rng.below(12) as u32;
+                    t.step(&at, |s, pid| {
+                        s.user_write(pid, ballast, page * PAGE_WORDS as u32, Word::new(1))
+                    })
+                    .unwrap();
+                }
+                6 => {
+                    let path = format!("d>{name}");
+                    deleted += usize::from(t.step(&at, |s, pid| s.delete(pid, &path)).is_ok());
+                }
+                7..=8 => {
+                    // Cache a user translation through one of the
+                    // directory's page descriptors, then scan: a miss
+                    // reads every slot, so every page of `d`.
+                    let pages = Supervisor::entry_base(t.slots(d)).div_ceil(PAGE_WORDS as u32);
+                    let page = rng.below(u64::from(pages)) as u32;
+                    t.step(&at, |s, pid| {
+                        s.user_read(pid, dseg, page * PAGE_WORDS as u32)
+                    })
+                    .unwrap();
+                    let before = t.cursor.machine.tlb_stats().invalidations;
+                    let path = format!("d>x{name}");
+                    let found = t.step(&at, |s, pid| s.resolve(pid, &path, AccessRight::Read));
+                    assert_eq!(found, Err(LegacyError::NoAccess));
+                    dropped += usize::from(t.cursor.machine.tlb_stats().invalidations > before);
+                    widest = widest.max(t.slots(d));
+                    let astx = t.cursor.ast.find(d).expect("active");
+                    let resident = (0..pages).filter(|&p| t.cursor.ptw(astx, p).present);
+                    left_page_evicted += usize::from(resident.count() < pages as usize);
+                }
+                _ => {
+                    let path = format!("d>{name}");
+                    t.step(&at, |s, pid| {
+                        s.resolve(pid, &path, AccessRight::Read).map(|r| r.0)
+                    })
+                    .ok();
+                }
+            }
+        }
+        assert!(
+            widest > 191,
+            "scans reached the third straddling entry ({widest} slots)"
+        );
+        assert!(
+            deleted > 20 && reused > 5,
+            "unused slots scanned and reclaimed"
+        );
+        assert!(left_page_evicted > 0, "a scan evicted a page it had left");
+        assert!(dropped > 0, "a first touch dropped a live user translation");
     }
 }

@@ -22,11 +22,12 @@
 use std::collections::{HashMap, HashSet, VecDeque};
 
 use crate::ast::{Aste, QuotaCell};
-use crate::directory_control::{unpack_name, ENTRY_WORDS};
+use crate::directory_control::ENTRY_WORDS;
 use crate::supervisor::{Branch, Supervisor, SupervisorConfig};
 use crate::types::{DiskHome, LegacyError, SegUid};
 use mx_aim::Label;
 use mx_hw::meter::Subsystem;
+use mx_hw::word::unpack_name;
 use mx_hw::{Language, PackId, RecordNo, TocIndex, Word, PAGE_WORDS};
 
 /// PL/I instructions charged per word the raw walk touches — the old

@@ -398,20 +398,10 @@ impl Supervisor {
     ///
     /// Propagates paging errors (quota, full packs, pool exhaustion).
     pub fn sup_read(&mut self, astx: usize, wordno: u32) -> Result<Word, LegacyError> {
-        let pageno = wordno / PAGE_WORDS as u32;
-        loop {
-            let ptw = self.ptw(astx, pageno);
-            if ptw.present {
-                let mut p = ptw;
-                p.used = true;
-                self.set_ptw(astx, pageno, p);
-                let addr = p.frame.base().add(u64::from(wordno % PAGE_WORDS as u32));
-                let cost = self.machine.cost;
-                self.machine.clock.charge_core_access(&cost);
-                return Ok(self.machine.mem.read(addr));
-            }
-            self.service_page(astx, pageno, Label::BOTTOM)?;
-        }
+        let addr = self.sup_touch(astx, wordno, false)?;
+        let cost = self.machine.cost;
+        self.machine.clock.charge_core_access(&cost);
+        Ok(self.machine.mem.read(addr))
     }
 
     /// Writes one word of an active segment from supervisor state,
@@ -421,19 +411,31 @@ impl Supervisor {
     ///
     /// Propagates paging errors (quota, full packs, pool exhaustion).
     pub fn sup_write(&mut self, astx: usize, wordno: u32, value: Word) -> Result<(), LegacyError> {
+        let addr = self.sup_touch(astx, wordno, true)?;
+        let cost = self.machine.cost;
+        self.machine.clock.charge_core_access(&cost);
+        self.machine.mem.write(addr, value);
+        Ok(())
+    }
+
+    /// Brings the page under `wordno` resident and returns the word's
+    /// absolute address, setting the PTW's used (and, for a write,
+    /// modified) bit through [`Supervisor::set_ptw`] — everything of a
+    /// supervisor word access but the core access itself.
+    pub(crate) fn sup_touch(
+        &mut self,
+        astx: usize,
+        wordno: u32,
+        dirty: bool,
+    ) -> Result<AbsAddr, LegacyError> {
         let pageno = wordno / PAGE_WORDS as u32;
         loop {
-            let ptw = self.ptw(astx, pageno);
-            if ptw.present {
-                let mut p = ptw;
+            let mut p = self.ptw(astx, pageno);
+            if p.present {
                 p.used = true;
-                p.modified = true;
+                p.modified |= dirty;
                 self.set_ptw(astx, pageno, p);
-                let addr = p.frame.base().add(u64::from(wordno % PAGE_WORDS as u32));
-                let cost = self.machine.cost;
-                self.machine.clock.charge_core_access(&cost);
-                self.machine.mem.write(addr, value);
-                return Ok(());
+                return Ok(p.frame.base().add(u64::from(wordno % PAGE_WORDS as u32)));
             }
             self.service_page(astx, pageno, Label::BOTTOM)?;
         }

@@ -151,6 +151,9 @@ pub enum LegacyError {
     NotADirectory,
     /// The referenced name already exists in the directory.
     NameDuplicated,
+    /// A name the entry codec cannot store: longer than
+    /// [`mx_hw::word::NAME_CHARS`] bytes, or holding NUL or non-ASCII.
+    BadName,
     /// Growing the segment would exceed the controlling quota.
     QuotaExceeded { limit: u32, used: u32 },
     /// No pack in the system has room for the segment.
@@ -208,6 +211,7 @@ impl core::fmt::Display for LegacyError {
             LegacyError::NoAccess => write!(f, "no access"),
             LegacyError::NotADirectory => write!(f, "not a directory"),
             LegacyError::NameDuplicated => write!(f, "name duplicated"),
+            LegacyError::BadName => write!(f, "name not storable"),
             LegacyError::QuotaExceeded { limit, used } => {
                 write!(f, "quota exceeded ({used}/{limit} pages)")
             }

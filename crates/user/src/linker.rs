@@ -14,36 +14,13 @@
 //! name followed by the definition's word offset.
 
 use crate::namespace::NameSpace;
+use mx_hw::word::{name_is, pack_name};
 use mx_hw::Word;
 use mx_kernel::{Kernel, KernelError, ProcessId};
 use std::collections::HashMap;
 
 /// Words per symbol-table definition record.
 const DEF_WORDS: u32 = 9;
-
-fn pack_name(name: &str) -> [Word; 8] {
-    let mut words = [Word::ZERO; 8];
-    for (i, b) in name.bytes().take(32).enumerate() {
-        let w = i / 4;
-        let shift = (i % 4) as u32 * 9;
-        words[w] = Word::new(words[w].raw() | (u64::from(b) << shift));
-    }
-    words
-}
-
-fn unpack_name(words: &[Word; 8]) -> String {
-    let mut out = String::new();
-    for w in words {
-        for c in 0..4 {
-            let b = ((w.raw() >> (c * 9)) & 0x1FF) as u8;
-            if b == 0 {
-                return out;
-            }
-            out.push(b as char);
-        }
-    }
-    out
-}
 
 /// Writes a library's symbol table into its segment (what the compiler
 /// and binder would have produced).
@@ -132,7 +109,7 @@ impl UserLinker {
             for (j, w) in name_words.iter_mut().enumerate() {
                 *w = kernel.read_word(self.pid, segno, base + j as u32)?;
             }
-            if unpack_name(&name_words) == symbol {
+            if name_is(&name_words, symbol) {
                 let offset = kernel.read_word(self.pid, segno, base + 8)?.raw() as u32;
                 let link = SnappedLink { segno, offset };
                 self.snapped
