@@ -36,27 +36,22 @@
 //! string. [`C1SelfCheck`] deliberately breaks the recovery obligations
 //! so a harness test can prove the oracles catch a cheat.
 
+use crate::design::kernel::KernelDesign;
+use crate::design::legacy::LegacyDesign;
+use crate::design::{gate_retry, salvage_step_checked, Design, Session};
 use crate::hist::{Histogram, HistogramError};
+use crate::run::build_world;
 use crate::run::{
-    account_name, definitions, drive_until, file_name, kernel_salvage_step_checked,
-    legacy_salvage_step_checked, setup_kernel, setup_legacy, shared_word, storm, EngineState,
-    KSession, KernelDeferred, KernelDriver, KernelWorldCtx, LSession, LegacyDeferred, LegacyDriver,
-    LegacyWorldCtx, LoadSpec, SalvageProbe, SALVAGE_RETRY_BUDGET,
+    account_name, drive_until, restore_file, setup, storm, Deferred, Driver, EngineState, Entry,
+    LoadSpec, SalvageProbe, Single, WorldCtx, WorldPlan,
 };
-use crate::script::{SessionScript, SHARED_PAGES};
-use mx_aim::Label;
-use mx_explore::{oracle, PctPolicy, SeededRandomPolicy};
+use crate::script::SessionScript;
+use mx_explore::{PctPolicy, SeededRandomPolicy};
 use mx_hw::meter::EdgeSet;
-use mx_hw::{CrashWrite, SplitMix64, Word, PAGE_WORDS};
-use mx_kernel::{Acl, Kernel, KernelError, OnlineCheat, UserId};
-use mx_legacy::{
-    AccessRight, Acl as LAcl, LegacyError, LegacyOnlineCheat, Supervisor, UserId as LUserId,
-};
+use mx_hw::{CrashWrite, SplitMix64, PAGE_WORDS};
 use mx_sync::SchedulePolicy;
-use mx_user::{publish_library, AnsweringService, NameSpace, UserLinker};
 
 const MIX: u64 = 0x9E37_79B9_7F4A_7C15;
-const PW: u32 = PAGE_WORDS as u32;
 
 /// Which schedule drives the kernel between crashes. The old supervisor
 /// has no policy hooks; its one inherent schedule is the parity
@@ -243,10 +238,7 @@ impl C1Run {
     /// same `(seed, plan, schedule)` triple must produce byte-identical
     /// transcripts; the report treats any difference as a violation.
     pub fn transcript(&self) -> String {
-        use std::fmt::Write as _;
-        let mut s = String::new();
-        let _ = writeln!(
-            s,
+        let header = format!(
             "design={} schedule={} ops={} abandoned={} queued_peak={} \
              load_cycles={} recovery_cycles={}",
             self.design,
@@ -257,11 +249,8 @@ impl C1Run {
             self.load_cycles,
             self.recovery_cycles
         );
-        let _ = writeln!(s, "admitted={:?}", self.admitted_order);
-        let _ = writeln!(s, "bounds={:?}", self.epoch_bounds);
-        for (i, e) in self.epochs.iter().enumerate() {
-            let _ = writeln!(
-                s,
+        let epochs = self.epochs.iter().enumerate().map(|(i, e)| {
+            format!(
                 "epoch {i}: ops={} cycles={} qd={:?} hwm={} live={} queued={} \
                  crashed={} problems={} repairs={} recovery={}",
                 e.ops,
@@ -274,35 +263,47 @@ impl C1Run {
                 e.salvage_problems,
                 e.salvage_repairs,
                 e.recovery_cycles
-            );
-        }
-        let _ = writeln!(
-            s,
-            "hist: samples={} p50={} p99={}",
-            self.hist.samples(),
-            render_pct(&self.hist, 50),
-            render_pct(&self.hist, 99)
-        );
-        let _ = writeln!(s, "parity={}", self.parity.join(","));
-        for v in &self.violations {
-            let _ = writeln!(s, "violation: {v}");
-        }
-        s
+            )
+        });
+        transcript(
+            header,
+            epochs,
+            &self.admitted_order,
+            &self.epoch_bounds,
+            &self.hist,
+            &self.parity,
+            &self.violations,
+        )
     }
+}
 
-    /// Terminal labels in the stream — must equal the scripted
-    /// population, or recovery lost someone.
-    fn terminals(&self) -> usize {
-        self.parity
-            .iter()
-            .filter(|l| {
-                l.as_str() == "out"
-                    || l.as_str() == "reap"
-                    || l.starts_with("out:")
-                    || l.starts_with("reap:")
-            })
-            .count()
-    }
+/// The transcript layout C1 and S1 share, one line each: the run's
+/// header, the admission order, the epoch bounds, one line per epoch,
+/// the histogram, the label stream, and every violation.
+fn transcript(
+    header: String,
+    epochs: impl Iterator<Item = String>,
+    admitted: &[usize],
+    bounds: &[usize],
+    hist: &Histogram,
+    parity: &[String],
+    violations: &[String],
+) -> String {
+    let mut lines = vec![
+        header,
+        format!("admitted={admitted:?}"),
+        format!("bounds={bounds:?}"),
+    ];
+    lines.extend(epochs);
+    lines.push(format!(
+        "hist: samples={} p50={} p99={}",
+        hist.samples(),
+        render_pct(hist, 50),
+        render_pct(hist, 99)
+    ));
+    lines.push(format!("parity={}", parity.join(",")));
+    lines.extend(violations.iter().map(|v| format!("violation: {v}")));
+    lines.into_iter().map(|l| l + "\n").collect()
 }
 
 /// Renders a percentile with its typed failure states instead of
@@ -315,740 +316,6 @@ fn render_pct(hist: &Histogram, pct: u64) -> String {
         Err(HistogramError::Empty) => "empty".to_string(),
         Err(e) => format!("error:{e}"),
     }
-}
-
-#[allow(clippy::too_many_arguments)]
-fn assemble(
-    design: &'static str,
-    schedule: String,
-    spec: &C1Spec,
-    st: EngineState,
-    epochs: Vec<EpochReport>,
-    epoch_bounds: Vec<usize>,
-    load_cycles: u64,
-    recovery_cycles: u64,
-    mut violations: Vec<String>,
-    stranded: usize,
-    edges: EdgeSet,
-) -> C1Run {
-    let repro = spec.repro(design);
-    let mut run = C1Run {
-        design,
-        schedule,
-        ops: st.ops,
-        abandoned: st.abandoned,
-        queued_peak: st.queued_peak,
-        parity: st.parity,
-        epoch_bounds,
-        epochs,
-        admitted_order: st.admitted_order,
-        hist: st.hist,
-        load_cycles,
-        recovery_cycles,
-        violations: Vec::new(),
-        edges,
-    };
-    if stranded > 0 {
-        violations.push(format!(
-            "{design} final: {stranded} logins stranded in the admission queue [{repro}]"
-        ));
-    }
-    let ends = run.terminals();
-    if ends != spec.sessions {
-        violations.push(format!(
-            "{design} final: {ends} sessions reached a terminal label but {} were scripted \
-             — recovery lost sessions [{repro}]",
-            spec.sessions
-        ));
-    }
-    run.violations = violations;
-    run
-}
-
-// ------------------------------------------------------------- kernel --
-
-/// What [`kernel_reconcile`] rebuilds: the session table, the shard
-/// directory tokens, and the driver context.
-type KernelWorld = (
-    Vec<Option<KSession>>,
-    Vec<mx_kernel::ObjToken>,
-    KernelWorldCtx,
-);
-
-/// Rebuilds the kernel-side user world after a recovery bootload:
-/// re-registers the (in-core, therefore lost) accounts, re-opens the
-/// driver session, reconciles the shared fixtures against whatever
-/// survived on disk, wipes the population's own files, and re-opens
-/// every surviving session at its pre-crash logical state.
-fn kernel_reconcile(
-    k: &mut Kernel,
-    svc: &mut AnsweringService,
-    load: &LoadSpec,
-    scripts: &[SessionScript],
-    st: &EngineState,
-    old_sessions: &[Option<KSession>],
-) -> Result<KernelWorld, String> {
-    svc.register(k, "drv", UserId(1), "pw", Label::BOTTOM);
-    for idx in 0..load.sessions {
-        svc.register(k, &account_name(idx), UserId(1), "pw", Label::BOTTOM);
-    }
-    let drv = svc
-        .login(k, "drv", "pw", Label::BOTTOM)
-        .map_err(|e| format!("driver re-login: {e:?}"))?;
-    let root = k.root_token();
-    let acl = Acl::owner(UserId(1));
-
-    // Library: keep the surviving segment if there is one, recreate it
-    // if the crash cost us the entry, and re-publish the definitions
-    // either way (cheap, idempotent, and repairs a torn page).
-    let lib_tok = match k.dir_search(drv, root, "lib") {
-        Ok(tok) => tok,
-        Err(_) => k
-            .create_entry(drv, root, "lib", acl.clone(), Label::BOTTOM, false)
-            .map_err(|e| format!("lib recreate: {e:?}"))?,
-    };
-    let lib_segno = k
-        .initiate(drv, lib_tok)
-        .map_err(|e| format!("lib initiate: {e:?}"))?;
-    let defs = definitions();
-    let def_refs: Vec<(&str, u32)> = defs.iter().map(|(s, o)| (s.as_str(), *o)).collect();
-    publish_library(k, drv, lib_segno, &def_refs).map_err(|e| format!("lib publish: {e:?}"))?;
-
-    // Shared segment: find-or-create, then rewrite every page.
-    let shared_tok = match k.dir_search(drv, root, "shared") {
-        Ok(tok) => tok,
-        Err(_) => k
-            .create_entry(drv, root, "shared", acl.clone(), Label::BOTTOM, false)
-            .map_err(|e| format!("shared recreate: {e:?}"))?,
-    };
-    let shared_segno = k
-        .initiate(drv, shared_tok)
-        .map_err(|e| format!("shared initiate: {e:?}"))?;
-    for page in 0..SHARED_PAGES {
-        k.write_word(drv, shared_segno, page * PW, Word::new(shared_word(page)))
-            .map_err(|e| format!("shared page {page}: {e:?}"))?;
-    }
-
-    // Shard directories: keep survivors (their salvaged quota cells are
-    // the disk truth — neither design's set-quota call is idempotent),
-    // recreate and re-cap only what vanished.
-    let mut shard_toks = Vec::new();
-    for j in 0..load.shard_count() {
-        let tok = match k.dir_search(drv, root, &format!("s{j}")) {
-            Ok(tok) => tok,
-            Err(_) => {
-                let tok = k
-                    .create_entry(
-                        drv,
-                        root,
-                        &format!("s{j}"),
-                        acl.clone(),
-                        Label::BOTTOM,
-                        true,
-                    )
-                    .map_err(|e| format!("shard s{j} recreate: {e:?}"))?;
-                k.set_quota(drv, tok, load.shard_quota_pages())
-                    .map_err(|e| format!("shard s{j} quota: {e:?}"))?;
-                tok
-            }
-        };
-        shard_toks.push(tok);
-    }
-
-    // Wipe the population's own files. A survivor's file is about to be
-    // replayed to its exact pre-crash contents under the session's new
-    // process; finished sessions already deleted theirs; abandoned
-    // leftovers are reclaimed (recovery's one permitted tidy-up — both
-    // designs do it identically, so parity is unaffected).
-    for idx in 0..load.sessions {
-        let _ = k.delete_entry(drv, shard_toks[scripts[idx].shard], &file_name(idx));
-    }
-
-    // Re-open every surviving session at its script position.
-    let mut sessions: Vec<Option<KSession>> = (0..load.sessions).map(|_| None).collect();
-    for lv in &st.live {
-        let idx = lv.idx;
-        let pid = svc
-            .login(k, &account_name(idx), "pw", Label::BOTTOM)
-            .map_err(|e| format!("survivor u{idx} re-login: {e:?}"))?;
-        let ns = NameSpace::new(k, pid);
-        let mut s = KSession {
-            pid,
-            ns,
-            linker: UserLinker::new(pid),
-            own: None,
-            shared_segno: None,
-        };
-        // `own` distinguishes create-succeeded (file exists logically,
-        // even with zero pages grown) from never-created — a difference
-        // invisible in the label stream but load-bearing for replay.
-        let had_own = old_sessions[idx].as_ref().is_some_and(|o| o.own.is_some());
-        if had_own {
-            let tok = k
-                .create_entry(
-                    pid,
-                    shard_toks[scripts[idx].shard],
-                    &file_name(idx),
-                    acl.clone(),
-                    Label::BOTTOM,
-                    false,
-                )
-                .map_err(|e| format!("survivor u{idx} file recreate: {e:?}"))?;
-            let segno = k
-                .initiate(pid, tok)
-                .map_err(|e| format!("survivor u{idx} file initiate: {e:?}"))?;
-            for (page, &val) in lv.grown_vals.iter().enumerate() {
-                k.write_word(pid, segno, page as u32 * PW, Word::new(val))
-                    .map_err(|e| format!("survivor u{idx} replay page {page}: {e:?}"))?;
-            }
-            s.own = Some((segno, tok));
-        }
-        sessions[idx] = Some(s);
-    }
-    Ok((sessions, shard_toks, KernelWorldCtx { drv, shared_segno }))
-}
-
-/// Runs the chaos composition on the new kernel.
-pub fn run_kernel_c1(spec: &C1Spec) -> C1Run {
-    let load = LoadSpec::continuous(spec.sessions, spec.seed);
-    let scripts = load.scripts();
-    let schedule = spec.policy.descriptor();
-    let repro = spec.repro("kernel");
-    let mut violations: Vec<String> = Vec::new();
-
-    let (mut d, mut ctx) = setup_kernel(&load);
-    // The durability point: everything the world build created is on
-    // disk before the first crash can happen.
-    d.k.sync_to_disk().expect("setup sync");
-    d.k.reset_load_probes();
-    if let Some(p) = spec.policy.make(0) {
-        d.k.set_schedule_policy(p);
-    }
-
-    let mut st = EngineState::new();
-    storm(&mut d, &scripts, &mut st);
-
-    let mut epochs: Vec<EpochReport> = Vec::new();
-    let mut epoch_bounds: Vec<usize> = Vec::new();
-    let mut load_cycles = 0u64;
-    let mut recovery_total = 0u64;
-    let mut epoch_base = d.k.machine.clock.now();
-    let mut drained = false;
-    // The edge ledger outlives the machine: each crash boundary replaces
-    // the clock, so the ledger is folded in before every replacement.
-    let mut edges = EdgeSet::new();
-
-    for e in 0..u64::from(spec.crashes) {
-        drained = drive_until(
-            &mut d,
-            &scripts,
-            &mut st,
-            Some((e + 1) * spec.ops_per_epoch()),
-        );
-        for v in oracle::check_kernel(&d.k) {
-            violations.push(format!("kernel epoch {e}: {v} [{repro}]"));
-        }
-        let now = d.k.machine.clock.now();
-        load_cycles += now - epoch_base;
-        let mut report = EpochReport {
-            ops: st.ops,
-            cycles: now - epoch_base,
-            queue_delay: d.k.vpm.queue_delay(),
-            event_queue_hwm: d.k.upm.queue_high_watermark(),
-            live_at_crash: st.live.len(),
-            queued_at_crash: d.svc.queued_logins(),
-            salvage_problems: 0,
-            salvage_repairs: 0,
-            recovery_cycles: 0,
-            crashed: false,
-        };
-        if drained {
-            epochs.push(report);
-            break;
-        }
-        epoch_bounds.push(st.parity.len());
-
-        // ---- the crash: beacon, arm, power fails mid-sync ----
-        if let Err(err) =
-            d.k.write_word(ctx.drv, ctx.shared_segno, 1, Word::new(0xBEAC_0000 + e))
-        {
-            violations.push(format!("kernel epoch {e}: beacon write: {err:?} [{repro}]"));
-        }
-        d.k.machine
-            .faults
-            .crash_after_further_writes(1, crash_mode(spec.plan_seed, e));
-        let sync = d.k.sync_to_disk();
-        if sync.is_ok() || d.k.machine.faults.halted().is_none() {
-            violations.push(format!(
-                "kernel epoch {e}: crash plan failed to fire during sync [{repro}]"
-            ));
-            epochs.push(report);
-            edges.merge(d.k.machine.clock.edge_set());
-            return assemble(
-                "kernel",
-                schedule,
-                spec,
-                st,
-                epochs,
-                epoch_bounds,
-                load_cycles,
-                recovery_total,
-                violations,
-                0,
-                edges,
-            );
-        }
-        edges.merge(d.k.machine.clock.edge_set());
-        let image = d.k.machine.disks.clone();
-        let KernelDriver {
-            mut svc,
-            sessions: old_sessions,
-            ..
-        } = d;
-        let pending_before = svc.pending_names();
-        svc.crash_recover();
-
-        // ---- recovery: bootload, salvage twice, reconcile ----
-        let mut rk = match Kernel::boot_from_image(load.kernel_config(), image) {
-            Ok(rk) => rk,
-            Err(err) => {
-                violations.push(format!(
-                    "kernel epoch {e}: recovery bootload failed: {err:?} [{repro}]"
-                ));
-                epochs.push(report);
-                return assemble(
-                    "kernel",
-                    schedule,
-                    spec,
-                    st,
-                    epochs,
-                    epoch_bounds,
-                    load_cycles,
-                    recovery_total,
-                    violations,
-                    0,
-                    edges,
-                );
-            }
-        };
-        match (rk.salvage(true), rk.salvage(false)) {
-            (Ok(repaired), Ok(check)) => {
-                report.salvage_problems = repaired.problems.len();
-                report.salvage_repairs = repaired.repairs.len();
-                if !check.clean() {
-                    violations.push(format!(
-                        "kernel epoch {e}: salvage not idempotent — second pass sees {:?} [{repro}]",
-                        check.problems
-                    ));
-                }
-            }
-            (r, c) => violations.push(format!(
-                "kernel epoch {e}: salvage errored: {r:?} / {c:?} [{repro}]"
-            )),
-        }
-        for v in oracle::check_kernel(&rk) {
-            violations.push(format!("kernel epoch {e} post-salvage: {v} [{repro}]"));
-        }
-        match kernel_reconcile(&mut rk, &mut svc, &load, &scripts, &st, &old_sessions) {
-            Ok((sessions, shard_toks, nctx)) => {
-                if svc.pending_names() != pending_before {
-                    violations.push(format!(
-                        "kernel epoch {e}: admission queue changed across recovery — \
-                         {pending_before:?} became {:?} [{repro}]",
-                        svc.pending_names()
-                    ));
-                }
-                ctx = nctx;
-                d = KernelDriver {
-                    k: rk,
-                    svc,
-                    sessions,
-                    shard_toks,
-                    salvage: SalvageProbe::default(),
-                    deferred: Vec::new(),
-                };
-            }
-            Err(msg) => {
-                violations.push(format!("kernel epoch {e}: reconcile: {msg} [{repro}]"));
-                epochs.push(report);
-                return assemble(
-                    "kernel",
-                    schedule,
-                    spec,
-                    st,
-                    epochs,
-                    epoch_bounds,
-                    load_cycles,
-                    recovery_total,
-                    violations,
-                    0,
-                    edges,
-                );
-            }
-        }
-        if e == 0 && spec.self_check == C1SelfCheck::DropQueuedLogin {
-            d.svc.drop_last_pending_for_test();
-        }
-        report.recovery_cycles = d.k.machine.clock.now();
-        recovery_total += report.recovery_cycles;
-        report.crashed = true;
-        epochs.push(report);
-
-        if let Some(p) = spec.policy.make(e + 1) {
-            d.k.set_schedule_policy(p);
-        }
-        // Recovery and reconciliation traffic must not leak into the
-        // next epoch's figures.
-        d.k.reset_load_probes();
-        epoch_base = d.k.machine.clock.now();
-    }
-
-    if !drained {
-        drive_until(&mut d, &scripts, &mut st, None);
-        for v in oracle::check_kernel(&d.k) {
-            violations.push(format!("kernel final: {v} [{repro}]"));
-        }
-        let now = d.k.machine.clock.now();
-        load_cycles += now - epoch_base;
-        epochs.push(EpochReport {
-            ops: st.ops,
-            cycles: now - epoch_base,
-            queue_delay: d.k.vpm.queue_delay(),
-            event_queue_hwm: d.k.upm.queue_high_watermark(),
-            live_at_crash: 0,
-            queued_at_crash: d.svc.queued_logins(),
-            salvage_problems: 0,
-            salvage_repairs: 0,
-            recovery_cycles: 0,
-            crashed: false,
-        });
-    }
-    edges.merge(d.k.machine.clock.edge_set());
-    let stranded = d.svc.queued_logins();
-    assemble(
-        "kernel",
-        schedule,
-        spec,
-        st,
-        epochs,
-        epoch_bounds,
-        load_cycles,
-        recovery_total,
-        violations,
-        stranded,
-        edges,
-    )
-}
-
-// ------------------------------------------------------------- legacy --
-
-/// The legacy mirror of [`kernel_reconcile`]: same logical steps,
-/// through the 1974 supervisor's interfaces.
-fn legacy_reconcile(
-    sup: &mut Supervisor,
-    load: &LoadSpec,
-    scripts: &[SessionScript],
-    st: &EngineState,
-    old_sessions: &[Option<LSession>],
-) -> Result<(Vec<Option<LSession>>, LegacyWorldCtx), String> {
-    sup.register_user("drv", LUserId(1), "pw", Label::BOTTOM);
-    for idx in 0..load.sessions {
-        sup.register_user(&account_name(idx), LUserId(1), "pw", Label::BOTTOM);
-    }
-    let drv = sup
-        .login("drv", "pw", Label::BOTTOM)
-        .map_err(|e| format!("driver re-login: {e:?}"))?;
-    let root = sup.root();
-    let acl = LAcl::owner(LUserId(1));
-
-    let lib_uid = match sup.resolve(drv, "lib", AccessRight::Read) {
-        Ok((uid, _)) => uid,
-        Err(_) => sup
-            .create_segment_in(root, "lib", acl.clone(), Label::BOTTOM)
-            .map_err(|e| format!("lib recreate: {e:?}"))?,
-    };
-    let defs = definitions();
-    let def_refs: Vec<(&str, u32)> = defs.iter().map(|(s, o)| (s.as_str(), *o)).collect();
-    // The definition table is in-core on the old design: every recovery
-    // must re-publish or links dangle.
-    sup.publish_definitions(lib_uid, &def_refs);
-    let lib_segno = sup
-        .initiate(drv, "lib")
-        .map_err(|e| format!("lib initiate: {e:?}"))?;
-    sup.user_write(drv, lib_segno, 0, Word::new(def_refs.len() as u64))
-        .map_err(|e| format!("lib page: {e:?}"))?;
-
-    if sup.resolve(drv, "shared", AccessRight::Read).is_err() {
-        sup.create_segment_in(root, "shared", acl.clone(), Label::BOTTOM)
-            .map_err(|e| format!("shared recreate: {e:?}"))?;
-    }
-    let shared_segno = sup
-        .initiate(drv, "shared")
-        .map_err(|e| format!("shared initiate: {e:?}"))?;
-    for page in 0..SHARED_PAGES {
-        sup.user_write(drv, shared_segno, page * PW, Word::new(shared_word(page)))
-            .map_err(|e| format!("shared page {page}: {e:?}"))?;
-    }
-
-    for j in 0..load.shard_count() {
-        if sup
-            .resolve(drv, &format!("s{j}"), AccessRight::Read)
-            .is_err()
-        {
-            sup.create_directory_in(root, &format!("s{j}"), acl.clone(), Label::BOTTOM)
-                .map_err(|e| format!("shard s{j} recreate: {e:?}"))?;
-            sup.set_quota_directory(drv, &format!("s{j}"), load.shard_quota_pages())
-                .map_err(|e| format!("shard s{j} quota: {e:?}"))?;
-        }
-    }
-
-    for (idx, script) in scripts.iter().enumerate() {
-        let _ = sup.delete(drv, &format!("s{}>{}", script.shard, file_name(idx)));
-    }
-
-    let mut sessions: Vec<Option<LSession>> = (0..load.sessions).map(|_| None).collect();
-    for lv in &st.live {
-        let idx = lv.idx;
-        let pid = sup
-            .login(&account_name(idx), "pw", Label::BOTTOM)
-            .map_err(|e| format!("survivor u{idx} re-login: {e:?}"))?;
-        let mut s = LSession {
-            pid,
-            own_segno: None,
-            shared_segno: None,
-        };
-        let had_own = old_sessions[idx]
-            .as_ref()
-            .is_some_and(|o| o.own_segno.is_some());
-        if had_own {
-            let shard = scripts[idx].shard;
-            let (shard_uid, _) = sup
-                .resolve(pid, &format!("s{shard}"), AccessRight::Read)
-                .map_err(|e| format!("survivor u{idx} shard resolve: {e:?}"))?;
-            sup.create_segment_in(shard_uid, &file_name(idx), acl.clone(), Label::BOTTOM)
-                .map_err(|e| format!("survivor u{idx} file recreate: {e:?}"))?;
-            let segno = sup
-                .initiate(pid, &format!("s{shard}>{}", file_name(idx)))
-                .map_err(|e| format!("survivor u{idx} file initiate: {e:?}"))?;
-            for (page, &val) in lv.grown_vals.iter().enumerate() {
-                sup.user_write(pid, segno, page as u32 * PW, Word::new(val))
-                    .map_err(|e| format!("survivor u{idx} replay page {page}: {e:?}"))?;
-            }
-            s.own_segno = Some(segno);
-        }
-        sessions[idx] = Some(s);
-    }
-    Ok((sessions, LegacyWorldCtx { drv, shared_segno }))
-}
-
-/// Runs the chaos composition on the 1974 supervisor. Its one inherent
-/// schedule is the baseline every kernel policy run is compared to.
-pub fn run_legacy_c1(spec: &C1Spec) -> C1Run {
-    let load = LoadSpec::continuous(spec.sessions, spec.seed);
-    let scripts = load.scripts();
-    let schedule = "inherent".to_string();
-    let repro = spec.repro("legacy");
-    let mut violations: Vec<String> = Vec::new();
-
-    let (mut d, mut ctx) = setup_legacy(&load);
-    d.sup.sync_to_disk().expect("setup sync");
-
-    let mut st = EngineState::new();
-    storm(&mut d, &scripts, &mut st);
-
-    let mut epochs: Vec<EpochReport> = Vec::new();
-    let mut epoch_bounds: Vec<usize> = Vec::new();
-    let mut load_cycles = 0u64;
-    let mut recovery_total = 0u64;
-    let mut epoch_base = d.sup.machine.clock.now();
-    let mut drained = false;
-    // The edge ledger outlives the machine: each crash boundary replaces
-    // the clock, so the ledger is folded in before every replacement.
-    let mut edges = EdgeSet::new();
-
-    for e in 0..u64::from(spec.crashes) {
-        drained = drive_until(
-            &mut d,
-            &scripts,
-            &mut st,
-            Some((e + 1) * spec.ops_per_epoch()),
-        );
-        for v in oracle::check_legacy(&d.sup) {
-            violations.push(format!("legacy epoch {e}: {v} [{repro}]"));
-        }
-        let now = d.sup.machine.clock.now();
-        load_cycles += now - epoch_base;
-        let mut report = EpochReport {
-            ops: st.ops,
-            cycles: now - epoch_base,
-            queue_delay: (0, 0),
-            event_queue_hwm: 0,
-            live_at_crash: st.live.len(),
-            queued_at_crash: d.pending.len(),
-            salvage_problems: 0,
-            salvage_repairs: 0,
-            recovery_cycles: 0,
-            crashed: false,
-        };
-        if drained {
-            epochs.push(report);
-            break;
-        }
-        epoch_bounds.push(st.parity.len());
-
-        if let Err(err) = d
-            .sup
-            .user_write(ctx.drv, ctx.shared_segno, 1, Word::new(0xBEAC_0000 + e))
-        {
-            violations.push(format!("legacy epoch {e}: beacon write: {err:?} [{repro}]"));
-        }
-        d.sup
-            .machine
-            .faults
-            .crash_after_further_writes(1, crash_mode(spec.plan_seed, e));
-        let sync = d.sup.sync_to_disk();
-        if sync.is_ok() || d.sup.machine.faults.halted().is_none() {
-            violations.push(format!(
-                "legacy epoch {e}: crash plan failed to fire during sync [{repro}]"
-            ));
-            epochs.push(report);
-            edges.merge(d.sup.machine.clock.edge_set());
-            return assemble(
-                "legacy",
-                schedule,
-                spec,
-                st,
-                epochs,
-                epoch_bounds,
-                load_cycles,
-                recovery_total,
-                violations,
-                0,
-                edges,
-            );
-        }
-        edges.merge(d.sup.machine.clock.edge_set());
-        let image = d.sup.machine.disks.clone();
-        let LegacyDriver {
-            sessions: old_sessions,
-            mut pending,
-            ..
-        } = d;
-
-        let mut rs = match Supervisor::boot_from_image(load.supervisor_config(), image) {
-            Ok(rs) => rs,
-            Err(err) => {
-                violations.push(format!(
-                    "legacy epoch {e}: recovery bootload failed: {err:?} [{repro}]"
-                ));
-                epochs.push(report);
-                return assemble(
-                    "legacy",
-                    schedule,
-                    spec,
-                    st,
-                    epochs,
-                    epoch_bounds,
-                    load_cycles,
-                    recovery_total,
-                    violations,
-                    0,
-                    edges,
-                );
-            }
-        };
-        match (rs.salvage(true), rs.salvage(false)) {
-            (Ok(repaired), Ok(check)) => {
-                report.salvage_problems = repaired.problems.len();
-                report.salvage_repairs = repaired.repairs.len();
-                if !check.clean() {
-                    violations.push(format!(
-                        "legacy epoch {e}: salvage not idempotent — second pass sees {:?} [{repro}]",
-                        check.problems
-                    ));
-                }
-            }
-            (r, c) => violations.push(format!(
-                "legacy epoch {e}: salvage errored: {r:?} / {c:?} [{repro}]"
-            )),
-        }
-        for v in oracle::check_legacy(&rs) {
-            violations.push(format!("legacy epoch {e} post-salvage: {v} [{repro}]"));
-        }
-        match legacy_reconcile(&mut rs, &load, &scripts, &st, &old_sessions) {
-            Ok((sessions, nctx)) => {
-                ctx = nctx;
-                if e == 0 && spec.self_check == C1SelfCheck::DropQueuedLogin {
-                    pending.pop_back();
-                }
-                d = LegacyDriver {
-                    sup: rs,
-                    sessions,
-                    pending,
-                    salvage: SalvageProbe::default(),
-                    deferred: Vec::new(),
-                };
-            }
-            Err(msg) => {
-                violations.push(format!("legacy epoch {e}: reconcile: {msg} [{repro}]"));
-                epochs.push(report);
-                return assemble(
-                    "legacy",
-                    schedule,
-                    spec,
-                    st,
-                    epochs,
-                    epoch_bounds,
-                    load_cycles,
-                    recovery_total,
-                    violations,
-                    0,
-                    edges,
-                );
-            }
-        }
-        report.recovery_cycles = d.sup.machine.clock.now();
-        recovery_total += report.recovery_cycles;
-        report.crashed = true;
-        epochs.push(report);
-        epoch_base = d.sup.machine.clock.now();
-    }
-
-    if !drained {
-        drive_until(&mut d, &scripts, &mut st, None);
-        for v in oracle::check_legacy(&d.sup) {
-            violations.push(format!("legacy final: {v} [{repro}]"));
-        }
-        let now = d.sup.machine.clock.now();
-        load_cycles += now - epoch_base;
-        epochs.push(EpochReport {
-            ops: st.ops,
-            cycles: now - epoch_base,
-            queue_delay: (0, 0),
-            event_queue_hwm: 0,
-            live_at_crash: 0,
-            queued_at_crash: d.pending.len(),
-            salvage_problems: 0,
-            salvage_repairs: 0,
-            recovery_cycles: 0,
-            crashed: false,
-        });
-    }
-    edges.merge(d.sup.machine.clock.edge_set());
-    let stranded = d.pending.len();
-    assemble(
-        "legacy",
-        schedule,
-        spec,
-        st,
-        epochs,
-        epoch_bounds,
-        load_cycles,
-        recovery_total,
-        violations,
-        stranded,
-        edges,
-    )
 }
 
 // ----------------------------------------------------- online salvage --
@@ -1102,18 +369,22 @@ impl S1Spec {
 
     /// Completed operations per epoch (see [`C1Spec::ops_per_epoch`]).
     pub fn ops_per_epoch(&self) -> u64 {
-        2 * self.sessions as u64
+        self.stream().ops_per_epoch()
     }
 
     /// The replayable identity of a run on `design`.
     pub fn repro(&self, design: &str) -> String {
-        format!(
-            "seed={:#x} plan={:#x} schedule={} sessions={} crashes={} design={design} mode=online",
+        format!("{} mode=online", self.stream().repro(design))
+    }
+
+    /// The same stream and crash plan, as an honest C1 run.
+    fn stream(&self) -> C1Spec {
+        C1Spec::new(
+            self.sessions,
             self.seed,
             self.plan_seed,
-            self.policy.descriptor(),
-            self.sessions,
-            self.crashes
+            self.crashes,
+            self.policy,
         )
     }
 }
@@ -1199,10 +470,7 @@ impl S1Run {
     /// The run's complete deterministic transcript (see
     /// [`C1Run::transcript`]).
     pub fn transcript(&self) -> String {
-        use std::fmt::Write as _;
-        let mut s = String::new();
-        let _ = writeln!(
-            s,
+        let header = format!(
             "design={} schedule={} mode=online ops={} abandoned={} queued_peak={} \
              load_cycles={} recovery_cycles={}",
             self.design,
@@ -1213,11 +481,8 @@ impl S1Run {
             self.load_cycles,
             self.recovery_cycles
         );
-        let _ = writeln!(s, "admitted={:?}", self.admitted_order);
-        let _ = writeln!(s, "bounds={:?}", self.epoch_bounds);
-        for (i, e) in self.epochs.iter().enumerate() {
-            let _ = writeln!(
-                s,
+        let epochs = self.epochs.iter().enumerate().map(|(i, e)| {
+            format!(
                 "epoch {i}: ops={} cycles={} live={} queued={} crashed={} problems={} \
                  repairs={} released={} overlap_ops={} window={} blocked={} retries={} \
                  blocked_cycles={} first_op={} recovery={}",
@@ -1236,82 +501,18 @@ impl S1Run {
                 e.blocked_cycles,
                 e.first_op_cycles,
                 e.recovery_cycles
-            );
-        }
-        let _ = writeln!(
-            s,
-            "hist: samples={} p50={} p99={}",
-            self.hist.samples(),
-            render_pct(&self.hist, 50),
-            render_pct(&self.hist, 99)
-        );
-        let _ = writeln!(s, "parity={}", self.parity.join(","));
-        for v in &self.violations {
-            let _ = writeln!(s, "violation: {v}");
-        }
-        s
+            )
+        });
+        transcript(
+            header,
+            epochs,
+            &self.admitted_order,
+            &self.epoch_bounds,
+            &self.hist,
+            &self.parity,
+            &self.violations,
+        )
     }
-
-    /// Terminal labels in the stream (see [`C1Run::terminals`]).
-    fn terminals(&self) -> usize {
-        self.parity
-            .iter()
-            .filter(|l| {
-                l.as_str() == "out"
-                    || l.as_str() == "reap"
-                    || l.starts_with("out:")
-                    || l.starts_with("reap:")
-            })
-            .count()
-    }
-}
-
-#[allow(clippy::too_many_arguments)]
-fn s1_assemble(
-    design: &'static str,
-    schedule: String,
-    spec: &S1Spec,
-    st: EngineState,
-    epochs: Vec<S1EpochReport>,
-    epoch_bounds: Vec<usize>,
-    load_cycles: u64,
-    recovery_cycles: u64,
-    mut violations: Vec<String>,
-    stranded: usize,
-    edges: EdgeSet,
-) -> S1Run {
-    let repro = spec.repro(design);
-    let mut run = S1Run {
-        design,
-        schedule,
-        ops: st.ops,
-        abandoned: st.abandoned,
-        queued_peak: st.queued_peak,
-        parity: st.parity,
-        epoch_bounds,
-        epochs,
-        admitted_order: st.admitted_order,
-        hist: st.hist,
-        load_cycles,
-        recovery_cycles,
-        violations: Vec::new(),
-        edges,
-    };
-    if stranded > 0 {
-        violations.push(format!(
-            "{design} final: {stranded} logins stranded in the admission queue [{repro}]"
-        ));
-    }
-    let ends = run.terminals();
-    if ends != spec.sessions {
-        violations.push(format!(
-            "{design} final: {ends} sessions reached a terminal label but {} were scripted \
-             — recovery lost sessions [{repro}]",
-            spec.sessions
-        ));
-    }
-    run.violations = violations;
-    run
 }
 
 /// Harvests a drained salvage's figures into the report of the epoch
@@ -1344,350 +545,83 @@ fn patch_salvage_figures(
     }
 }
 
-/// Retries `f` through `SalvageBusy`, stepping the salvager (and its
-/// per-release oracle battery) between attempts. A bounded budget turns
-/// a wedged salvager into a typed reconcile failure instead of a hang.
-fn kernel_gate_retry<T>(
-    k: &mut Kernel,
-    probe: &mut SalvageProbe,
-    what: &str,
-    mut f: impl FnMut(&mut Kernel) -> Result<T, KernelError>,
-) -> Result<T, String> {
-    let mut attempts = 0u32;
-    loop {
-        match f(k) {
-            Ok(v) => return Ok(v),
-            Err(KernelError::SalvageBusy) => {
-                attempts += 1;
-                if attempts > SALVAGE_RETRY_BUDGET {
-                    return Err(format!(
-                        "{what}: salvage retry budget ({SALVAGE_RETRY_BUDGET}) exhausted"
-                    ));
-                }
-                probe.retries += 1;
-                kernel_salvage_step_checked(k, probe);
-            }
-            Err(e) => return Err(format!("{what}: {e:?}")),
+// ---------------------------------------------------------- one loop --
+
+/// How recovery repairs the hierarchy — the only difference between C1
+/// and S1.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum SalvageMode {
+    /// Two full salvage passes, then the population is re-admitted: C1
+    /// wipes every file, then logs in and replays one survivor at a time.
+    StopTheWorld,
+    /// The population is re-admitted at once and the salvager repairs
+    /// and releases one directory at a time underneath the resumed
+    /// stream: S1 logs in every survivor first, then wipes and replays
+    /// each shard as the salvager releases it.
+    Online,
+}
+
+/// One epoch's figures, the union of what C1 and S1 report.
+struct Epoch {
+    r: S1EpochReport,
+    queue_delay: (u64, u64),
+    event_queue_hwm: usize,
+}
+
+/// What one chaos run produced, before it is shaped into a report.
+struct Outcome {
+    design: &'static str,
+    schedule: String,
+    st: EngineState,
+    epochs: Vec<Epoch>,
+    epoch_bounds: Vec<usize>,
+    load_cycles: u64,
+    recovery_cycles: u64,
+    violations: Vec<String>,
+    edges: EdgeSet,
+    stranded: usize,
+}
+
+impl Outcome {
+    /// The whole-run checks: nobody stranded in the admission queue, and
+    /// one terminal label per scripted session.
+    fn finish(mut self, sessions: usize, repro: &str) -> Self {
+        let design = self.design;
+        if self.stranded > 0 {
+            self.violations.push(format!(
+                "{design} final: {} logins stranded in the admission queue [{repro}]",
+                self.stranded
+            ));
         }
+        let terminal = |l: &&String| matches!(l.split(':').next(), Some("out" | "reap"));
+        let ends = self.st.parity.iter().filter(terminal).count();
+        if ends != sessions {
+            self.violations.push(format!(
+                "{design} final: {ends} sessions reached a terminal label but {sessions} were \
+                 scripted — recovery lost sessions [{repro}]"
+            ));
+        }
+        self
     }
 }
 
-/// The legacy mirror of [`kernel_gate_retry`].
-fn legacy_gate_retry<T>(
-    sup: &mut Supervisor,
-    probe: &mut SalvageProbe,
-    what: &str,
-    mut f: impl FnMut(&mut Supervisor) -> Result<T, LegacyError>,
-) -> Result<T, String> {
-    let mut attempts = 0u32;
-    loop {
-        match f(sup) {
-            Ok(v) => return Ok(v),
-            Err(LegacyError::SalvageBusy) => {
-                attempts += 1;
-                if attempts > SALVAGE_RETRY_BUDGET {
-                    return Err(format!(
-                        "{what}: salvage retry budget ({SALVAGE_RETRY_BUDGET}) exhausted"
-                    ));
-                }
-                probe.retries += 1;
-                legacy_salvage_step_checked(sup, probe);
-            }
-            Err(e) => return Err(format!("{what}: {e:?}")),
+/// Installs epoch `epoch`'s schedule policy, where the design has hooks.
+fn install_policy<D: Design>(d: &mut D, policy: C1Policy, epoch: u64) {
+    if D::SCHEDULE_HOOKS {
+        if let Some(p) = policy.make(epoch) {
+            d.set_schedule_policy(p);
         }
     }
-}
-
-/// What [`kernel_reconcile_online`] rebuilds: sessions, shard tokens,
-/// driver context, and the per-shard repair work parked until the
-/// salvager releases each shard.
-type KernelOnlineWorld = (
-    Vec<Option<KSession>>,
-    Vec<mx_kernel::ObjToken>,
-    KernelWorldCtx,
-    Vec<KernelDeferred>,
-);
-
-/// The online variant of [`kernel_reconcile`]: the same logical steps,
-/// but run *against a live salvager*. Every gate call retries through
-/// `SalvageBusy` by stepping the salvager (the driver re-login forces
-/// the root and `>processes` out of quarantine — nothing is admitted
-/// against an unreleased root). Crucially the population's file wipes
-/// and the survivors' file replays are NOT performed here: each shard's
-/// share is parked in a [`KernelDeferred`] and applied the moment the
-/// salvager releases (or is proven to have dropped) that shard, so the
-/// stream resumes before the hierarchy is fully repaired.
-fn kernel_reconcile_online(
-    k: &mut Kernel,
-    svc: &mut AnsweringService,
-    load: &LoadSpec,
-    scripts: &[SessionScript],
-    st: &EngineState,
-    old_sessions: &[Option<KSession>],
-    probe: &mut SalvageProbe,
-) -> Result<KernelOnlineWorld, String> {
-    svc.register(k, "drv", UserId(1), "pw", Label::BOTTOM);
-    for idx in 0..load.sessions {
-        svc.register(k, &account_name(idx), UserId(1), "pw", Label::BOTTOM);
-    }
-    let drv = {
-        let mut attempts = 0u32;
-        loop {
-            match svc.login(k, "drv", "pw", Label::BOTTOM) {
-                Ok(pid) => break pid,
-                Err(KernelError::SalvageBusy) => {
-                    attempts += 1;
-                    if attempts > SALVAGE_RETRY_BUDGET {
-                        return Err(format!(
-                            "driver re-login: salvage retry budget ({SALVAGE_RETRY_BUDGET}) \
-                             exhausted"
-                        ));
-                    }
-                    probe.retries += 1;
-                    kernel_salvage_step_checked(k, probe);
-                }
-                Err(e) => return Err(format!("driver re-login: {e:?}")),
-            }
-        }
-    };
-    let root = k.root_token();
-    let acl = Acl::owner(UserId(1));
-
-    // Library and shared segment: find-or-create and rewrite, exactly
-    // as the stop-the-world reconcile does — both live in the root,
-    // which the driver re-login already forced out of quarantine.
-    let lib_tok =
-        match kernel_gate_retry(k, probe, "lib search", |k| k.dir_search(drv, root, "lib")) {
-            Ok(tok) => tok,
-            Err(_) => kernel_gate_retry(k, probe, "lib recreate", |k| {
-                k.create_entry(drv, root, "lib", acl.clone(), Label::BOTTOM, false)
-            })?,
-        };
-    let lib_segno = kernel_gate_retry(k, probe, "lib initiate", |k| k.initiate(drv, lib_tok))?;
-    let defs = definitions();
-    let def_refs: Vec<(&str, u32)> = defs.iter().map(|(s, o)| (s.as_str(), *o)).collect();
-    kernel_gate_retry(k, probe, "lib publish", |k| {
-        publish_library(k, drv, lib_segno, &def_refs)
-    })?;
-
-    let shared_tok = match kernel_gate_retry(k, probe, "shared search", |k| {
-        k.dir_search(drv, root, "shared")
-    }) {
-        Ok(tok) => tok,
-        Err(_) => kernel_gate_retry(k, probe, "shared recreate", |k| {
-            k.create_entry(drv, root, "shared", acl.clone(), Label::BOTTOM, false)
-        })?,
-    };
-    let shared_segno =
-        kernel_gate_retry(k, probe, "shared initiate", |k| k.initiate(drv, shared_tok))?;
-    for page in 0..SHARED_PAGES {
-        kernel_gate_retry(k, probe, &format!("shared page {page}"), |k| {
-            k.write_word(drv, shared_segno, page * PW, Word::new(shared_word(page)))
-        })?;
-    }
-
-    // Shard directories: a surviving shard keeps its token even while
-    // quarantined (the search only walks the released root); only a
-    // shard the crash destroyed is recreated and re-capped now.
-    let mut shard_toks = Vec::new();
-    for j in 0..load.shard_count() {
-        let name = format!("s{j}");
-        let tok = match kernel_gate_retry(k, probe, &format!("shard s{j} search"), |k| {
-            k.dir_search(drv, root, &name)
-        }) {
-            Ok(tok) => tok,
-            Err(_) => {
-                let tok = kernel_gate_retry(k, probe, &format!("shard s{j} recreate"), |k| {
-                    k.create_entry(drv, root, &name, acl.clone(), Label::BOTTOM, true)
-                })?;
-                kernel_gate_retry(k, probe, &format!("shard s{j} quota"), |k| {
-                    k.set_quota(drv, tok, load.shard_quota_pages())
-                })?;
-                tok
-            }
-        };
-        shard_toks.push(tok);
-    }
-
-    // Re-open every surviving session at its script position — but do
-    // NOT touch their files: the shard may still be quarantined. The
-    // wipe of the population's files and the replay of each survivor's
-    // pre-crash contents are parked per shard.
-    let mut sessions: Vec<Option<KSession>> = (0..load.sessions).map(|_| None).collect();
-    for lv in &st.live {
-        let idx = lv.idx;
-        let pid = {
-            let mut attempts = 0u32;
-            loop {
-                match svc.login(k, &account_name(idx), "pw", Label::BOTTOM) {
-                    Ok(pid) => break pid,
-                    Err(KernelError::SalvageBusy) => {
-                        attempts += 1;
-                        if attempts > SALVAGE_RETRY_BUDGET {
-                            return Err(format!(
-                                "survivor u{idx} re-login: salvage retry budget \
-                                 ({SALVAGE_RETRY_BUDGET}) exhausted"
-                            ));
-                        }
-                        probe.retries += 1;
-                        kernel_salvage_step_checked(k, probe);
-                    }
-                    Err(e) => return Err(format!("survivor u{idx} re-login: {e:?}")),
-                }
-            }
-        };
-        let ns = NameSpace::new(k, pid);
-        sessions[idx] = Some(KSession {
-            pid,
-            ns,
-            linker: UserLinker::new(pid),
-            own: None,
-            shared_segno: None,
-        });
-    }
-
-    let had_own = |idx: usize| old_sessions[idx].as_ref().is_some_and(|o| o.own.is_some());
-    let deferred = (0..load.shard_count())
-        .map(|j| KernelDeferred {
-            shard: j,
-            drv,
-            quota: load.shard_quota_pages(),
-            wipe: (0..load.sessions)
-                .filter(|idx| scripts[*idx].shard == j)
-                .collect(),
-            restore: st
-                .live
-                .iter()
-                .filter(|lv| scripts[lv.idx].shard == j && had_own(lv.idx))
-                .map(|lv| (lv.idx, lv.grown_vals.clone()))
-                .collect(),
-        })
-        .collect();
-    Ok((
-        sessions,
-        shard_toks,
-        KernelWorldCtx { drv, shared_segno },
-        deferred,
-    ))
-}
-
-/// The legacy mirror of [`kernel_reconcile_online`].
-type LegacyOnlineWorld = (Vec<Option<LSession>>, LegacyWorldCtx, Vec<LegacyDeferred>);
-
-fn legacy_reconcile_online(
-    sup: &mut Supervisor,
-    load: &LoadSpec,
-    scripts: &[SessionScript],
-    st: &EngineState,
-    old_sessions: &[Option<LSession>],
-    probe: &mut SalvageProbe,
-) -> Result<LegacyOnlineWorld, String> {
-    sup.register_user("drv", LUserId(1), "pw", Label::BOTTOM);
-    for idx in 0..load.sessions {
-        sup.register_user(&account_name(idx), LUserId(1), "pw", Label::BOTTOM);
-    }
-    let drv = legacy_gate_retry(sup, probe, "driver re-login", |s| {
-        s.login("drv", "pw", Label::BOTTOM)
-    })?;
-    let root = sup.root();
-    let acl = LAcl::owner(LUserId(1));
-
-    let lib_uid = match legacy_gate_retry(sup, probe, "lib resolve", |s| {
-        s.resolve(drv, "lib", AccessRight::Read)
-    }) {
-        Ok((uid, _)) => uid,
-        Err(_) => legacy_gate_retry(sup, probe, "lib recreate", |s| {
-            s.create_segment_in(root, "lib", acl.clone(), Label::BOTTOM)
-        })?,
-    };
-    let defs = definitions();
-    let def_refs: Vec<(&str, u32)> = defs.iter().map(|(s, o)| (s.as_str(), *o)).collect();
-    sup.publish_definitions(lib_uid, &def_refs);
-    let lib_segno = legacy_gate_retry(sup, probe, "lib initiate", |s| s.initiate(drv, "lib"))?;
-    legacy_gate_retry(sup, probe, "lib page", |s| {
-        s.user_write(drv, lib_segno, 0, Word::new(def_refs.len() as u64))
-    })?;
-
-    if legacy_gate_retry(sup, probe, "shared resolve", |s| {
-        s.resolve(drv, "shared", AccessRight::Read)
-    })
-    .is_err()
-    {
-        legacy_gate_retry(sup, probe, "shared recreate", |s| {
-            s.create_segment_in(root, "shared", acl.clone(), Label::BOTTOM)
-        })?;
-    }
-    let shared_segno =
-        legacy_gate_retry(sup, probe, "shared initiate", |s| s.initiate(drv, "shared"))?;
-    for page in 0..SHARED_PAGES {
-        legacy_gate_retry(sup, probe, &format!("shared page {page}"), |s| {
-            s.user_write(drv, shared_segno, page * PW, Word::new(shared_word(page)))
-        })?;
-    }
-
-    // Shard probes: the old resolve walks INTO the target, so a
-    // surviving-but-quarantined shard answers `SalvageBusy` — which
-    // proves it exists; only a genuine miss is recreated now.
-    for j in 0..load.shard_count() {
-        let name = format!("s{j}");
-        match sup.resolve(drv, &name, AccessRight::Read) {
-            Ok(_) | Err(LegacyError::SalvageBusy) => {}
-            Err(_) => {
-                legacy_gate_retry(sup, probe, &format!("shard s{j} recreate"), |s| {
-                    s.create_directory_in(root, &name, acl.clone(), Label::BOTTOM)
-                })?;
-                legacy_gate_retry(sup, probe, &format!("shard s{j} quota"), |s| {
-                    s.set_quota_directory(drv, &name, load.shard_quota_pages())
-                })?;
-            }
-        }
-    }
-
-    let mut sessions: Vec<Option<LSession>> = (0..load.sessions).map(|_| None).collect();
-    for lv in &st.live {
-        let idx = lv.idx;
-        let pid = legacy_gate_retry(sup, probe, &format!("survivor u{idx} re-login"), |s| {
-            s.login(&account_name(idx), "pw", Label::BOTTOM)
-        })?;
-        sessions[idx] = Some(LSession {
-            pid,
-            own_segno: None,
-            shared_segno: None,
-        });
-    }
-
-    let had_own = |idx: usize| {
-        old_sessions[idx]
-            .as_ref()
-            .is_some_and(|o| o.own_segno.is_some())
-    };
-    let deferred = (0..load.shard_count())
-        .map(|j| LegacyDeferred {
-            shard: j,
-            drv,
-            quota: load.shard_quota_pages(),
-            wipe: (0..load.sessions)
-                .filter(|idx| scripts[*idx].shard == j)
-                .collect(),
-            restore: st
-                .live
-                .iter()
-                .filter(|lv| scripts[lv.idx].shard == j && had_own(lv.idx))
-                .map(|lv| (lv.idx, lv.grown_vals.clone()))
-                .collect(),
-        })
-        .collect();
-    Ok((sessions, LegacyWorldCtx { drv, shared_segno }, deferred))
 }
 
 /// Runs any salvage still in flight to completion and applies whatever
 /// shard repair work its releases unlocked. Called at epoch boundaries
 /// so the boundary oracle battery (and the next crash) never race an
-/// unfinished repair.
-fn drain_kernel_salvage(d: &mut KernelDriver) {
+/// unfinished repair. With no salvage in flight it does nothing.
+fn drain_salvage<D: Design>(d: &mut Single<D>) {
     let mut guard = 0u32;
-    while d.k.online_salvage_active() {
-        kernel_salvage_step_checked(&mut d.k, &mut d.salvage);
+    while d.d.online_salvage_active() {
+        salvage_step_checked(&mut d.d, &mut d.salvage);
         guard += 1;
         if guard > 10_000 {
             d.salvage
@@ -1699,189 +633,277 @@ fn drain_kernel_salvage(d: &mut KernelDriver) {
     d.attempt_deferred();
 }
 
-/// The legacy mirror of [`drain_kernel_salvage`].
-fn drain_legacy_salvage(d: &mut LegacyDriver) {
-    let mut guard = 0u32;
-    while d.sup.online_salvage_active() {
-        legacy_salvage_step_checked(&mut d.sup, &mut d.salvage);
-        guard += 1;
-        if guard > 10_000 {
-            d.salvage
-                .violations
-                .push("online salvage failed to terminate within 10000 steps".to_string());
-            break;
-        }
+/// Closes the segment that just ran: drains the online salvage (whose
+/// figures belong to the epoch whose crash spawned it), runs the
+/// boundary battery, and measures the segment.
+fn close_epoch<D: Design>(
+    d: &mut Single<D>,
+    out: &mut Outcome,
+    tag: &str,
+    repro: &str,
+    base: u64,
+    live_at_crash: usize,
+) -> Epoch {
+    drain_salvage(d);
+    let prev = out.epochs.len();
+    if let Some(last) = out.epochs.last_mut() {
+        let tag = format!("{} epoch {} online salvage", D::NAME, prev - 1);
+        patch_salvage_figures(
+            &mut last.r,
+            &mut d.salvage,
+            &mut out.violations,
+            &tag,
+            repro,
+        );
     }
-    d.attempt_deferred();
+    for v in d.d.oracle() {
+        out.violations.push(format!("{tag}: {v} [{repro}]"));
+    }
+    let now = d.now();
+    out.load_cycles += now - base;
+    let (queue_delay, event_queue_hwm) = d.d.load_probes();
+    Epoch {
+        r: S1EpochReport {
+            ops: out.st.ops,
+            cycles: now - base,
+            live_at_crash,
+            queued_at_crash: d.d.queued(),
+            ..S1EpochReport::default()
+        },
+        queue_delay,
+        event_queue_hwm,
+    }
 }
 
-/// Runs the online-salvage composition on the new kernel: C1's crash
-/// schedule, but every recovery re-admits the population immediately
-/// and repairs the hierarchy one directory at a time underneath the
-/// resumed stream.
-pub fn run_kernel_s1(spec: &S1Spec) -> S1Run {
+/// What recovery rebuilt: the session table, the driver context, and
+/// (online) the per-shard repair work parked behind the quarantine.
+type Rebuilt<D> = (
+    Vec<Option<Session<D>>>,
+    WorldCtx<<D as Design>::Pid>,
+    Vec<Deferred<<D as Design>::Pid>>,
+);
+
+/// Rebuilds the user world after a recovery bootload: reconciles the
+/// shared world against whatever survived on disk, then re-opens every
+/// surviving session at its script position. Stop-the-world, the
+/// population's own files are wiped and each survivor's file replayed
+/// to its exact pre-crash contents under the session's new process;
+/// finished sessions already deleted theirs, and abandoned leftovers are
+/// reclaimed (recovery's one permitted tidy-up — both designs do it
+/// identically, so parity is unaffected). Online, the shards may still
+/// be quarantined, so each shard's wipe and replays are parked in a
+/// [`Deferred`] and applied the moment the salvager releases (or is
+/// proven to have dropped) that shard — the stream resumes before the
+/// hierarchy is fully repaired.
+fn reconcile<D: Design>(
+    d: &mut D,
+    mode: SalvageMode,
+    load: &LoadSpec,
+    scripts: &[SessionScript],
+    st: &EngineState,
+    old: &[Option<Session<D>>],
+    probe: &mut SalvageProbe,
+) -> Result<Rebuilt<D>, String> {
+    let ctx = build_world(d, &WorldPlan::single(load), probe, true)?;
+    let drv = ctx.drv;
+    // `own` distinguishes create-succeeded (the file exists logically,
+    // even with zero pages grown) from never-created — a difference
+    // invisible in the label stream but load-bearing for replay.
+    let had_own = |idx: usize| old[idx].as_ref().is_some_and(|o| o.own.is_some());
+    let online = mode == SalvageMode::Online;
+    if !online {
+        for (idx, script) in scripts.iter().enumerate() {
+            let _ = d.delete_file(drv, Entry::Shard(script.shard), idx);
+        }
+    }
+    let mut sessions: Vec<Option<Session<D>>> = (0..load.sessions).map(|_| None).collect();
+    for lv in &st.live {
+        let idx = lv.idx;
+        let pid = gate_retry(d, probe, &format!("survivor u{idx} re-login"), |d| {
+            d.login(&account_name(idx))
+        })?;
+        let mut s = Session::open(d, pid);
+        if !online && had_own(idx) {
+            let dir = Entry::Shard(scripts[idx].shard);
+            let at = d
+                .open_dir(pid, dir)
+                .map_err(|e| format!("survivor u{idx} shard resolve: {e:?}"))?;
+            s.own = Some(restore_file(d, pid, at, idx, &lv.grown_vals)?);
+        }
+        sessions[idx] = Some(s);
+    }
+    let deferred = if online {
+        (0..load.shard_count())
+            .map(|j| Deferred {
+                shard: j,
+                drv,
+                quota: load.shard_quota_pages(),
+                wipe: (0..load.sessions)
+                    .filter(|idx| scripts[*idx].shard == j)
+                    .collect(),
+                restore: st
+                    .live
+                    .iter()
+                    .filter(|lv| scripts[lv.idx].shard == j && had_own(lv.idx))
+                    .map(|lv| (lv.idx, lv.grown_vals.clone()))
+                    .collect(),
+            })
+            .collect()
+    } else {
+        Vec::new()
+    };
+    Ok((sessions, ctx, deferred))
+}
+
+/// The chaos composition on one design: the load stream cut into epochs
+/// by mid-sync power failures, each followed by a recovery bootload, a
+/// salvage in `mode`, reconciliation, and re-admission. `cheat` is the
+/// mode's self-check: C1 drops a queued login at the first recovery, S1
+/// runs a salvager that releases before repairing.
+fn run_chaos<D: Design>(spec: &C1Spec, mode: SalvageMode, cheat: bool, repro: &str) -> Outcome {
+    let name = D::NAME;
     let load = LoadSpec::continuous(spec.sessions, spec.seed);
     let scripts = load.scripts();
-    let schedule = spec.policy.descriptor();
-    let repro = spec.repro("kernel");
-    let mut violations: Vec<String> = Vec::new();
+    let mut out = Outcome {
+        design: name,
+        schedule: if D::SCHEDULE_HOOKS {
+            spec.policy.descriptor()
+        } else {
+            "inherent".to_string()
+        },
+        st: EngineState::new(),
+        epochs: Vec::new(),
+        epoch_bounds: Vec::new(),
+        load_cycles: 0,
+        recovery_cycles: 0,
+        violations: Vec::new(),
+        // The edge ledger outlives the machine: each crash boundary
+        // replaces the clock, so the ledger is folded in before every
+        // replacement.
+        edges: EdgeSet::new(),
+        stranded: 0,
+    };
 
-    let (mut d, mut ctx) = setup_kernel(&load);
-    d.k.sync_to_disk().expect("setup sync");
-    d.k.reset_load_probes();
-    if let Some(p) = spec.policy.make(0) {
-        d.k.set_schedule_policy(p);
-    }
+    let (mut d, mut ctx) = setup::<D>(&load);
+    // The durability point: everything the world build created is on
+    // disk before the first crash can happen.
+    d.d.sync_to_disk().expect("setup sync");
+    d.d.reset_load_probes();
+    install_policy(&mut d.d, spec.policy, 0);
+    storm(&mut d, &scripts, &mut out.st);
 
-    let mut st = EngineState::new();
-    storm(&mut d, &scripts, &mut st);
-
-    let mut epochs: Vec<S1EpochReport> = Vec::new();
-    let mut epoch_bounds: Vec<usize> = Vec::new();
-    let mut load_cycles = 0u64;
-    let mut recovery_total = 0u64;
-    let mut epoch_base = d.k.machine.clock.now();
+    let mut epoch_base = d.now();
     let mut drained = false;
-    // The edge ledger outlives the machine: each crash boundary replaces
-    // the clock, so the ledger is folded in before every replacement.
-    let mut edges = EdgeSet::new();
-
     for e in 0..u64::from(spec.crashes) {
-        drained = drive_until(
+        let stop = (e + 1) * spec.ops_per_epoch();
+        drained = drive_until(&mut d, &scripts, &mut out.st, Some(stop));
+        let live = out.st.live.len();
+        let mut epoch = close_epoch(
             &mut d,
-            &scripts,
-            &mut st,
-            Some((e + 1) * spec.ops_per_epoch()),
+            &mut out,
+            &format!("{name} epoch {e}"),
+            repro,
+            epoch_base,
+            live,
         );
-        drain_kernel_salvage(&mut d);
-        let prev_idx = epochs.len();
-        if let Some(prev) = epochs.last_mut() {
-            let tag = format!("kernel epoch {} online salvage", prev_idx - 1);
-            patch_salvage_figures(prev, &mut d.salvage, &mut violations, &tag, &repro);
-        }
-        for v in oracle::check_kernel(&d.k) {
-            violations.push(format!("kernel epoch {e}: {v} [{repro}]"));
-        }
-        let now = d.k.machine.clock.now();
-        load_cycles += now - epoch_base;
-        let mut report = S1EpochReport {
-            ops: st.ops,
-            cycles: now - epoch_base,
-            live_at_crash: st.live.len(),
-            queued_at_crash: d.svc.queued_logins(),
-            ..S1EpochReport::default()
-        };
         if drained {
-            epochs.push(report);
+            out.epochs.push(epoch);
             break;
         }
-        epoch_bounds.push(st.parity.len());
+        out.epoch_bounds.push(out.st.parity.len());
 
         // ---- the crash: beacon, arm, power fails mid-sync ----
-        if let Err(err) =
-            d.k.write_word(ctx.drv, ctx.shared_segno, 1, Word::new(0xBEAC_0000 + e))
-        {
-            violations.push(format!("kernel epoch {e}: beacon write: {err:?} [{repro}]"));
+        let shared = ctx
+            .shared_segno
+            .expect("one machine holds the shared segment");
+        if let Err(err) = d.d.write(ctx.drv, shared, 1, 0xBEAC_0000 + e) {
+            out.violations
+                .push(format!("{name} epoch {e}: beacon write: {err:?} [{repro}]"));
         }
-        d.k.machine
+        d.d.machine_mut()
             .faults
             .crash_after_further_writes(1, crash_mode(spec.plan_seed, e));
-        let sync = d.k.sync_to_disk();
-        if sync.is_ok() || d.k.machine.faults.halted().is_none() {
-            violations.push(format!(
-                "kernel epoch {e}: crash plan failed to fire during sync [{repro}]"
+        let sync = d.d.sync_to_disk();
+        out.edges.merge(d.d.machine().clock.edge_set());
+        if sync.is_ok() || d.d.machine().faults.halted().is_none() {
+            out.violations.push(format!(
+                "{name} epoch {e}: crash plan failed to fire during sync [{repro}]"
             ));
-            epochs.push(report);
-            edges.merge(d.k.machine.clock.edge_set());
-            return s1_assemble(
-                "kernel",
-                schedule,
-                spec,
-                st,
-                epochs,
-                epoch_bounds,
-                load_cycles,
-                recovery_total,
-                violations,
-                0,
-                edges,
-            );
+            out.epochs.push(epoch);
+            return out;
         }
-        edges.merge(d.k.machine.clock.edge_set());
-        let image = d.k.machine.disks.clone();
-        let KernelDriver {
-            mut svc,
+        let pending_before = d.d.pending_names();
+        let Single {
+            d: old,
             sessions: old_sessions,
             ..
         } = d;
-        let pending_before = svc.pending_names();
-        svc.crash_recover();
 
-        // ---- recovery: bootload, quarantine, reconcile, RESUME ----
-        let mut rk = match Kernel::boot_from_image(load.kernel_config(), image) {
-            Ok(rk) => rk,
+        // ---- recovery: bootload, salvage, reconcile ----
+        let mut nd = match old.reboot(&load.sizes()) {
+            Ok(nd) => nd,
             Err(err) => {
-                violations.push(format!(
-                    "kernel epoch {e}: recovery bootload failed: {err:?} [{repro}]"
+                out.violations.push(format!(
+                    "{name} epoch {e}: recovery bootload failed: {err:?} [{repro}]"
                 ));
-                epochs.push(report);
-                return s1_assemble(
-                    "kernel",
-                    schedule,
-                    spec,
-                    st,
-                    epochs,
-                    epoch_bounds,
-                    load_cycles,
-                    recovery_total,
-                    violations,
-                    0,
-                    edges,
-                );
+                out.epochs.push(epoch);
+                return out;
             }
         };
         let mut probe = SalvageProbe::default();
-        if e == 0 && spec.self_check == S1SelfCheck::ReleaseBeforeCellRepair {
-            // Tear the root quota cell behind the system's back, then
-            // run the salvager that releases before repairing it.
-            let root_uid = rk.dirm.root();
-            let mut flows = mx_aim::FlowTracker::new();
-            if let Err(err) = rk
-                .qcm
-                .charge(&mut rk.machine, root_uid, 3, Label::BOTTOM, &mut flows)
-            {
-                violations.push(format!(
-                    "kernel epoch {e}: self-check drift injection failed: {err:?} [{repro}]"
-                ));
+        match mode {
+            SalvageMode::StopTheWorld => {
+                match (nd.salvage(true), nd.salvage(false)) {
+                    (Ok(repaired), Ok(check)) => {
+                        epoch.r.salvage_problems = repaired.problems;
+                        epoch.r.salvage_repairs = repaired.repairs;
+                        if let Some(problems) = check.unclean {
+                            out.violations.push(format!(
+                                "{name} epoch {e}: salvage not idempotent — second pass sees \
+                                 {problems} [{repro}]"
+                            ));
+                        }
+                    }
+                    (r, c) => out.violations.push(format!(
+                        "{name} epoch {e}: salvage errored: {r:?} / {c:?} [{repro}]"
+                    )),
+                }
+                for v in nd.oracle() {
+                    out.violations
+                        .push(format!("{name} epoch {e} post-salvage: {v} [{repro}]"));
+                }
             }
-            rk.begin_online_salvage_with_cheat(Some(OnlineCheat::ReleaseBeforeCellRepair));
-        } else {
-            rk.begin_online_salvage();
+            SalvageMode::Online => {
+                if let Err(msg) = nd.begin_online_salvage(e == 0 && cheat) {
+                    out.violations
+                        .push(format!("{name} epoch {e}: {msg} [{repro}]"));
+                }
+                probe.begin_at = Some(nd.machine().clock.now());
+            }
         }
-        probe.begin_at = Some(rk.machine.clock.now());
-        match kernel_reconcile_online(
-            &mut rk,
-            &mut svc,
+        match reconcile(
+            &mut nd,
+            mode,
             &load,
             &scripts,
-            &st,
+            &out.st,
             &old_sessions,
             &mut probe,
         ) {
-            Ok((sessions, shard_toks, nctx, deferred)) => {
-                if svc.pending_names() != pending_before {
-                    violations.push(format!(
-                        "kernel epoch {e}: admission queue changed across recovery — \
-                         {pending_before:?} became {:?} [{repro}]",
-                        svc.pending_names()
-                    ));
+            Ok((sessions, nctx, deferred)) => {
+                if let Some(before) = pending_before {
+                    let after = nd.pending_names().unwrap_or_default();
+                    if after != before {
+                        out.violations.push(format!(
+                            "{name} epoch {e}: admission queue changed across recovery — \
+                             {before:?} became {after:?} [{repro}]"
+                        ));
+                    }
                 }
                 ctx = nctx;
-                d = KernelDriver {
-                    k: rk,
-                    svc,
+                d = Single {
+                    d: nd,
                     sessions,
-                    shard_toks,
                     salvage: probe,
                     deferred,
                 };
@@ -1889,286 +911,134 @@ pub fn run_kernel_s1(spec: &S1Spec) -> S1Run {
                 // stepping already released — a fresh stream op must
                 // never see a released-but-unwiped shard.
                 d.attempt_deferred();
+                if e == 0 && cheat && mode == SalvageMode::StopTheWorld {
+                    d.d.drop_youngest_queued();
+                }
             }
             Err(msg) => {
-                violations.push(format!("kernel epoch {e}: reconcile: {msg} [{repro}]"));
+                out.violations
+                    .push(format!("{name} epoch {e}: reconcile: {msg} [{repro}]"));
                 for v in probe.violations.drain(..) {
-                    violations.push(format!("kernel epoch {e} online salvage: {v} [{repro}]"));
+                    out.violations
+                        .push(format!("{name} epoch {e} online salvage: {v} [{repro}]"));
                 }
-                epochs.push(report);
-                return s1_assemble(
-                    "kernel",
-                    schedule,
-                    spec,
-                    st,
-                    epochs,
-                    epoch_bounds,
-                    load_cycles,
-                    recovery_total,
-                    violations,
-                    0,
-                    edges,
-                );
+                out.epochs.push(epoch);
+                return out;
             }
         }
-        report.recovery_cycles = d.k.machine.clock.now();
-        recovery_total += report.recovery_cycles;
-        report.crashed = true;
-        epochs.push(report);
+        epoch.r.recovery_cycles = d.now();
+        out.recovery_cycles += epoch.r.recovery_cycles;
+        epoch.r.crashed = true;
+        out.epochs.push(epoch);
 
-        if let Some(p) = spec.policy.make(e + 1) {
-            d.k.set_schedule_policy(p);
-        }
-        d.k.reset_load_probes();
-        epoch_base = d.k.machine.clock.now();
+        install_policy(&mut d.d, spec.policy, e + 1);
+        // Recovery and reconciliation traffic must not leak into the
+        // next epoch's figures.
+        d.d.reset_load_probes();
+        epoch_base = d.now();
     }
 
     if !drained {
-        drive_until(&mut d, &scripts, &mut st, None);
-        drain_kernel_salvage(&mut d);
-        let prev_idx = epochs.len();
-        if let Some(prev) = epochs.last_mut() {
-            let tag = format!("kernel epoch {} online salvage", prev_idx - 1);
-            patch_salvage_figures(prev, &mut d.salvage, &mut violations, &tag, &repro);
-        }
-        for v in oracle::check_kernel(&d.k) {
-            violations.push(format!("kernel final: {v} [{repro}]"));
-        }
-        let now = d.k.machine.clock.now();
-        load_cycles += now - epoch_base;
-        epochs.push(S1EpochReport {
-            ops: st.ops,
-            cycles: now - epoch_base,
-            queued_at_crash: d.svc.queued_logins(),
-            ..S1EpochReport::default()
-        });
+        drive_until(&mut d, &scripts, &mut out.st, None);
+        let epoch = close_epoch(
+            &mut d,
+            &mut out,
+            &format!("{name} final"),
+            repro,
+            epoch_base,
+            0,
+        );
+        out.epochs.push(epoch);
     }
-    edges.merge(d.k.machine.clock.edge_set());
-    let stranded = d.svc.queued_logins();
-    s1_assemble(
-        "kernel",
-        schedule,
-        spec,
-        st,
-        epochs,
-        epoch_bounds,
-        load_cycles,
-        recovery_total,
-        violations,
-        stranded,
-        edges,
-    )
+    out.edges.merge(d.d.machine().clock.edge_set());
+    out.stranded = d.d.queued();
+    out
+}
+
+fn c1<D: Design>(spec: &C1Spec) -> C1Run {
+    let repro = spec.repro(D::NAME);
+    let cheat = spec.self_check == C1SelfCheck::DropQueuedLogin;
+    let o = run_chaos::<D>(spec, SalvageMode::StopTheWorld, cheat, &repro)
+        .finish(spec.sessions, &repro);
+    C1Run {
+        design: o.design,
+        schedule: o.schedule,
+        ops: o.st.ops,
+        abandoned: o.st.abandoned,
+        queued_peak: o.st.queued_peak,
+        parity: o.st.parity,
+        epoch_bounds: o.epoch_bounds,
+        epochs: o
+            .epochs
+            .iter()
+            .map(|e| EpochReport {
+                ops: e.r.ops,
+                cycles: e.r.cycles,
+                queue_delay: e.queue_delay,
+                event_queue_hwm: e.event_queue_hwm,
+                live_at_crash: e.r.live_at_crash,
+                queued_at_crash: e.r.queued_at_crash,
+                salvage_problems: e.r.salvage_problems,
+                salvage_repairs: e.r.salvage_repairs,
+                recovery_cycles: e.r.recovery_cycles,
+                crashed: e.r.crashed,
+            })
+            .collect(),
+        admitted_order: o.st.admitted_order,
+        hist: o.st.hist,
+        load_cycles: o.load_cycles,
+        recovery_cycles: o.recovery_cycles,
+        violations: o.violations,
+        edges: o.edges,
+    }
+}
+
+fn s1<D: Design>(spec: &S1Spec) -> S1Run {
+    let repro = spec.repro(D::NAME);
+    let cheat = spec.self_check == S1SelfCheck::ReleaseBeforeCellRepair;
+    let o = run_chaos::<D>(&spec.stream(), SalvageMode::Online, cheat, &repro)
+        .finish(spec.sessions, &repro);
+    S1Run {
+        design: o.design,
+        schedule: o.schedule,
+        ops: o.st.ops,
+        abandoned: o.st.abandoned,
+        queued_peak: o.st.queued_peak,
+        parity: o.st.parity,
+        epoch_bounds: o.epoch_bounds,
+        epochs: o.epochs.iter().map(|e| e.r).collect(),
+        admitted_order: o.st.admitted_order,
+        hist: o.st.hist,
+        load_cycles: o.load_cycles,
+        recovery_cycles: o.recovery_cycles,
+        violations: o.violations,
+        edges: o.edges,
+    }
+}
+
+/// Runs the chaos composition (stop-the-world recovery) on the new
+/// kernel.
+pub fn run_kernel_c1(spec: &C1Spec) -> C1Run {
+    c1::<KernelDesign>(spec)
+}
+
+/// Runs the chaos composition on the 1974 supervisor. Its one inherent
+/// schedule is the baseline every kernel policy run is compared to.
+pub fn run_legacy_c1(spec: &C1Spec) -> C1Run {
+    c1::<LegacyDesign>(spec)
+}
+
+/// Runs the online-salvage composition on the new kernel: C1's crash
+/// schedule, but every recovery re-admits the population immediately
+/// and repairs the hierarchy one directory at a time underneath the
+/// resumed stream.
+pub fn run_kernel_s1(spec: &S1Spec) -> S1Run {
+    s1::<KernelDesign>(spec)
 }
 
 /// Runs the online-salvage composition on the 1974 supervisor.
 pub fn run_legacy_s1(spec: &S1Spec) -> S1Run {
-    let load = LoadSpec::continuous(spec.sessions, spec.seed);
-    let scripts = load.scripts();
-    let schedule = "inherent".to_string();
-    let repro = spec.repro("legacy");
-    let mut violations: Vec<String> = Vec::new();
-
-    let (mut d, mut ctx) = setup_legacy(&load);
-    d.sup.sync_to_disk().expect("setup sync");
-
-    let mut st = EngineState::new();
-    storm(&mut d, &scripts, &mut st);
-
-    let mut epochs: Vec<S1EpochReport> = Vec::new();
-    let mut epoch_bounds: Vec<usize> = Vec::new();
-    let mut load_cycles = 0u64;
-    let mut recovery_total = 0u64;
-    let mut epoch_base = d.sup.machine.clock.now();
-    let mut drained = false;
-    // The edge ledger outlives the machine: each crash boundary replaces
-    // the clock, so the ledger is folded in before every replacement.
-    let mut edges = EdgeSet::new();
-
-    for e in 0..u64::from(spec.crashes) {
-        drained = drive_until(
-            &mut d,
-            &scripts,
-            &mut st,
-            Some((e + 1) * spec.ops_per_epoch()),
-        );
-        drain_legacy_salvage(&mut d);
-        let prev_idx = epochs.len();
-        if let Some(prev) = epochs.last_mut() {
-            let tag = format!("legacy epoch {} online salvage", prev_idx - 1);
-            patch_salvage_figures(prev, &mut d.salvage, &mut violations, &tag, &repro);
-        }
-        for v in oracle::check_legacy(&d.sup) {
-            violations.push(format!("legacy epoch {e}: {v} [{repro}]"));
-        }
-        let now = d.sup.machine.clock.now();
-        load_cycles += now - epoch_base;
-        let mut report = S1EpochReport {
-            ops: st.ops,
-            cycles: now - epoch_base,
-            live_at_crash: st.live.len(),
-            queued_at_crash: d.pending.len(),
-            ..S1EpochReport::default()
-        };
-        if drained {
-            epochs.push(report);
-            break;
-        }
-        epoch_bounds.push(st.parity.len());
-
-        if let Err(err) = d
-            .sup
-            .user_write(ctx.drv, ctx.shared_segno, 1, Word::new(0xBEAC_0000 + e))
-        {
-            violations.push(format!("legacy epoch {e}: beacon write: {err:?} [{repro}]"));
-        }
-        d.sup
-            .machine
-            .faults
-            .crash_after_further_writes(1, crash_mode(spec.plan_seed, e));
-        let sync = d.sup.sync_to_disk();
-        if sync.is_ok() || d.sup.machine.faults.halted().is_none() {
-            violations.push(format!(
-                "legacy epoch {e}: crash plan failed to fire during sync [{repro}]"
-            ));
-            epochs.push(report);
-            edges.merge(d.sup.machine.clock.edge_set());
-            return s1_assemble(
-                "legacy",
-                schedule,
-                spec,
-                st,
-                epochs,
-                epoch_bounds,
-                load_cycles,
-                recovery_total,
-                violations,
-                0,
-                edges,
-            );
-        }
-        edges.merge(d.sup.machine.clock.edge_set());
-        let image = d.sup.machine.disks.clone();
-        let LegacyDriver {
-            sessions: old_sessions,
-            pending,
-            ..
-        } = d;
-
-        let mut rs = match Supervisor::boot_from_image(load.supervisor_config(), image) {
-            Ok(rs) => rs,
-            Err(err) => {
-                violations.push(format!(
-                    "legacy epoch {e}: recovery bootload failed: {err:?} [{repro}]"
-                ));
-                epochs.push(report);
-                return s1_assemble(
-                    "legacy",
-                    schedule,
-                    spec,
-                    st,
-                    epochs,
-                    epoch_bounds,
-                    load_cycles,
-                    recovery_total,
-                    violations,
-                    0,
-                    edges,
-                );
-            }
-        };
-        let mut probe = SalvageProbe::default();
-        if e == 0 && spec.self_check == S1SelfCheck::ReleaseBeforeCellRepair {
-            match rs.ast.find(rs.root()) {
-                Some(astx) => {
-                    if let Some(q) = rs.ast.get_mut(astx).and_then(|a| a.quota.as_mut()) {
-                        q.used += 3;
-                    }
-                }
-                None => violations.push(format!(
-                    "legacy epoch {e}: self-check drift injection found no root AST entry \
-                     [{repro}]"
-                )),
-            }
-            rs.begin_online_salvage_with_cheat(Some(LegacyOnlineCheat::ReleaseBeforeCellRepair));
-        } else {
-            rs.begin_online_salvage();
-        }
-        probe.begin_at = Some(rs.machine.clock.now());
-        match legacy_reconcile_online(&mut rs, &load, &scripts, &st, &old_sessions, &mut probe) {
-            Ok((sessions, nctx, deferred)) => {
-                ctx = nctx;
-                d = LegacyDriver {
-                    sup: rs,
-                    sessions,
-                    pending,
-                    salvage: probe,
-                    deferred,
-                };
-                d.attempt_deferred();
-            }
-            Err(msg) => {
-                violations.push(format!("legacy epoch {e}: reconcile: {msg} [{repro}]"));
-                for v in probe.violations.drain(..) {
-                    violations.push(format!("legacy epoch {e} online salvage: {v} [{repro}]"));
-                }
-                epochs.push(report);
-                return s1_assemble(
-                    "legacy",
-                    schedule,
-                    spec,
-                    st,
-                    epochs,
-                    epoch_bounds,
-                    load_cycles,
-                    recovery_total,
-                    violations,
-                    0,
-                    edges,
-                );
-            }
-        }
-        report.recovery_cycles = d.sup.machine.clock.now();
-        recovery_total += report.recovery_cycles;
-        report.crashed = true;
-        epochs.push(report);
-        epoch_base = d.sup.machine.clock.now();
-    }
-
-    if !drained {
-        drive_until(&mut d, &scripts, &mut st, None);
-        drain_legacy_salvage(&mut d);
-        let prev_idx = epochs.len();
-        if let Some(prev) = epochs.last_mut() {
-            let tag = format!("legacy epoch {} online salvage", prev_idx - 1);
-            patch_salvage_figures(prev, &mut d.salvage, &mut violations, &tag, &repro);
-        }
-        for v in oracle::check_legacy(&d.sup) {
-            violations.push(format!("legacy final: {v} [{repro}]"));
-        }
-        let now = d.sup.machine.clock.now();
-        load_cycles += now - epoch_base;
-        epochs.push(S1EpochReport {
-            ops: st.ops,
-            cycles: now - epoch_base,
-            queued_at_crash: d.pending.len(),
-            ..S1EpochReport::default()
-        });
-    }
-    edges.merge(d.sup.machine.clock.edge_set());
-    let stranded = d.pending.len();
-    s1_assemble(
-        "legacy",
-        schedule,
-        spec,
-        st,
-        epochs,
-        epoch_bounds,
-        load_cycles,
-        recovery_total,
-        violations,
-        stranded,
-        edges,
-    )
+    s1::<LegacyDesign>(spec)
 }
 
 #[cfg(test)]

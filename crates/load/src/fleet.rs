@@ -31,34 +31,32 @@
 
 use std::collections::{HashMap, VecDeque};
 
+use crate::design::kernel::KernelDesign;
+use crate::design::legacy::LegacyDesign;
+use crate::design::{Design, Res, Session};
 use crate::hist::Histogram;
 use crate::run::{
-    account_name, definitions, drive_until, file_name, klabel, llabel, shared_word, storm, symbol,
-    Action, Driver, EngineState, LoadRun, LoadSpec, ResolveTarget,
+    account_name, build_world, drive_until, end_once, exec_once, logout_once, storm, Action,
+    Driver, EngineState, Entry, LoadRun, LoadSpec, SalvageProbe, WorldPlan,
 };
-use crate::script::SHARED_PAGES;
-use mx_aim::Label;
-use mx_explore::oracle;
 use mx_hw::meter::{EdgeSet, MeterSnapshot};
-use mx_hw::{DiskSystem, Language, Subsystem, Word, PAGE_WORDS};
-use mx_kernel::demux::{FramingSpec, StreamId};
-use mx_kernel::{Acl, Kernel, KernelConfig, ObjToken, ProcessId, UserId};
-use mx_legacy::network::{NetworkId, NetworkKind};
-use mx_legacy::{
-    AccessRight, Acl as LAcl, LegacyError, ProcessId as LProcessId, Supervisor, SupervisorConfig,
-    UserId as LUserId,
-};
+use mx_hw::{DiskSystem, Language, Subsystem, PAGE_WORDS};
 use mx_sync::{ChoicePoint, FifoPolicy, SchedulePolicy};
-use mx_user::{publish_library, AnsweringService, NameSpace, UserLinker};
 
 // ------------------------------------------------------ wire protocol --
 
 /// Response channel for requests served by machine `t` is `RESP + t`.
 const CH_RESP_BASE: u16 = 100;
+/// Largest fleet the wire can address: a requester's id is its request
+/// channel, which must stay below the first reply channel.
+const MAX_MACHINES: usize = CH_RESP_BASE as usize;
+/// `Req` carries the session index in two bytes.
+const MAX_SESSIONS: usize = 1 << 16;
+const PW: u32 = PAGE_WORDS as u32;
 /// Fleet housekeeping gossip (load figures, ack-carrying).
 const CH_GOSSIP: u8 = 250;
 /// Front answering-service admission directives.
-const CH_DIRECTIVE: u8 = 251;
+pub(crate) const CH_DIRECTIVE: u8 = 251;
 
 /// Every third served request, the serving machine gossips its load
 /// figure to the rest of the fleet (and the receivers acknowledge),
@@ -471,24 +469,19 @@ fn fleet_conservation(totals: &[(u64, u64)]) -> Vec<String> {
     }
 }
 
-// ------------------------------------------------------ kernel fleet --
+// ------------------------------------------------------------- fleet --
 
 /// A daemon-held handle to a file served on behalf of a remote session.
 struct RFile {
-    parent: ObjToken,
-    name: String,
+    dir: Entry,
     segno: u32,
 }
 
-struct KMachine {
-    k: Kernel,
-    svc: AnsweringService,
-    drv: ProcessId,
-    ns: NameSpace,
-    linker: UserLinker,
-    stream: StreamId,
-    shard_toks: HashMap<usize, ObjToken>,
-    mig_tok: Option<ObjToken>,
+/// One machine of the fleet.
+struct Member<D: Design> {
+    d: D,
+    /// The resident driver's session, which serves remote requests.
+    daemon: Session<D>,
     shared_segno: Option<u32>,
     files: HashMap<usize, RFile>,
     served: u64,
@@ -498,24 +491,23 @@ struct KMachine {
     edge_base: EdgeSet,
 }
 
-struct KSessionF {
+/// A session as the front answering service tracks it.
+struct FleetSession<D: Design> {
     home: usize,
-    pid: ProcessId,
-    ns: NameSpace,
-    linker: UserLinker,
-    own_local: Option<(u32, ObjToken)>,
+    s: Session<D>,
+    /// The session's file exists somewhere (it may live on another
+    /// machine, where `s.own` cannot point).
     own_created: bool,
     migrated: bool,
-    shared_segno: Option<u32>,
     pages: Vec<u64>,
 }
 
-struct KernelFleet {
+struct Fleet<D: Design> {
     spec: FleetSpec,
     cap: usize,
     homes: Vec<usize>,
-    ms: Vec<KMachine>,
-    sessions: Vec<Option<KSessionF>>,
+    ms: Vec<Member<D>>,
+    sessions: Vec<Option<FleetSession<D>>>,
     wire: Wire,
     front: VecDeque<usize>,
     live: usize,
@@ -525,148 +517,89 @@ struct KernelFleet {
     failures: Vec<String>,
 }
 
-fn kstatus(e: &mx_kernel::KernelError) -> u8 {
-    match klabel(e) {
+fn status<D: Design>(e: &D::Error) -> u8 {
+    match D::label(e) {
         "quota" => ST_QUOTA,
         "full" => ST_FULL,
         _ => ST_ERR,
     }
 }
 
-fn setup_kernel_fleet(
-    spec: &FleetSpec,
-    wire_policy: Option<Box<dyn SchedulePolicy>>,
-) -> KernelFleet {
-    let base = spec.base();
-    let homes = spec.homes();
-    let mut ms = Vec::with_capacity(spec.machines);
-    for m in 0..spec.machines {
-        let mut cfg = base.kernel_config();
-        // Room for the resident driver plus every session the front can
-        // concentrate on one machine — admission pressure lives at the
-        // front, never in a member's process table.
-        cfg.max_processes = 32;
-        if spec.migratory && m != 0 {
-            // Small primary packs: growth fills them, forcing full-pack
-            // relocation and then migration to the store.
-            cfg.records_per_pack = 12;
-            cfg.toc_slots_per_pack = 24;
-        }
-        let mut k = Kernel::boot(cfg);
-        if spec.migratory && m != 0 {
-            // The relocation target pack, roomy enough that the member
-            // never runs entirely out while migrations drain it.
-            k.machine.disks.attach(512, 128);
-        }
-        let mut svc = AnsweringService::new();
-        svc.register(&mut k, "drv", UserId(1), "pw", Label::BOTTOM);
-        let drv = svc
-            .login(&mut k, "drv", "pw", Label::BOTTOM)
-            .expect("driver login");
-        let ns = NameSpace::new(&mut k, drv);
-        let linker = UserLinker::new(drv);
-        let root = k.root_token();
-        let acl = Acl::owner(UserId(1));
-
-        let mut shard_toks = HashMap::new();
-        let mut mig_tok = None;
-        let mut shared_segno = None;
-        if m == 0 {
-            let lib_tok = k
-                .create_entry(drv, root, "lib", acl.clone(), Label::BOTTOM, false)
-                .expect("lib");
-            let lib_segno = k.initiate(drv, lib_tok).expect("lib initiate");
-            let defs = definitions();
-            let def_refs: Vec<(&str, u32)> = defs.iter().map(|(s, o)| (s.as_str(), *o)).collect();
-            publish_library(&mut k, drv, lib_segno, &def_refs).expect("publish");
-
-            let shared_tok = k
-                .create_entry(drv, root, "shared", acl.clone(), Label::BOTTOM, false)
-                .expect("shared");
-            let sseg = k.initiate(drv, shared_tok).expect("shared initiate");
-            for page in 0..SHARED_PAGES {
-                k.write_word(
-                    drv,
-                    sseg,
-                    page * PAGE_WORDS as u32,
-                    Word::new(shared_word(page)),
-                )
-                .expect("shared page");
-            }
-            shared_segno = Some(sseg);
-
-            // The migration landing zone, capped roomily: it only ever
-            // holds files full packs pushed off member machines.
-            let mt = k
-                .create_entry(drv, root, "mig", acl.clone(), Label::BOTTOM, true)
-                .expect("mig dir");
-            k.set_quota(drv, mt, 2 * base.sessions as u32 + 64)
-                .expect("mig quota");
-            mig_tok = Some(mt);
-        }
-        for j in 0..base.shard_count() {
-            if j % spec.machines == m {
-                let tok = k
-                    .create_entry(
-                        drv,
-                        root,
-                        &format!("s{j}"),
-                        acl.clone(),
-                        Label::BOTTOM,
-                        true,
-                    )
-                    .expect("shard dir");
-                k.set_quota(drv, tok, base.shard_quota_pages())
-                    .expect("quota");
-                shard_toks.insert(j, tok);
-            }
-        }
-        for (idx, &h) in homes.iter().enumerate() {
-            if h == m {
-                svc.register(&mut k, &account_name(idx), UserId(1), "pw", Label::BOTTOM);
-            }
-        }
-        let stream = k.demux_attach(FramingSpec::FRONT_END);
-
-        let setup_cycles = k.machine.clock.now();
-        let meter_base = k.machine.clock.meter_snapshot();
-        let edge_base = k.machine.clock.edge_snapshot();
-        let reloc_seen = k.segm.stats.relocations;
-        ms.push(KMachine {
-            k,
-            svc,
-            drv,
-            ns,
-            linker,
-            stream,
-            shard_toks,
-            mig_tok,
-            shared_segno,
-            files: HashMap::new(),
-            served: 0,
-            reloc_seen,
-            setup_cycles,
-            meter_base,
-            edge_base,
-        });
-    }
-    KernelFleet {
-        spec: *spec,
-        cap: (KernelConfig::default().max_processes - 1) as usize,
-        homes,
-        ms,
-        sessions: (0..spec.sessions).map(|_| None).collect(),
-        wire: Wire::new(spec.machines, wire_policy, spec.drop_frame),
-        front: VecDeque::new(),
-        live: 0,
-        last_active: 0,
-        remote_ops: 0,
-        migrations: 0,
-        failures: Vec::new(),
-    }
+fn charge_frame<D: Design>(d: &mut D, len: usize) {
+    let m = d.machine_mut();
+    let cost = m.cost;
+    m.clock.charge_wire_frame(&cost, len);
 }
 
-impl KernelFleet {
+impl<D: Design> Fleet<D> {
+    fn new(spec: &FleetSpec, wire_policy: Option<Box<dyn SchedulePolicy>>) -> Self {
+        let base = spec.base();
+        let homes = spec.homes();
+        let mut ms = Vec::with_capacity(spec.machines);
+        for m in 0..spec.machines {
+            let mut sizes = base.sizes();
+            // Room for the resident driver plus every session the front
+            // can concentrate on one machine — admission pressure lives
+            // at the front, never in a member's process table.
+            sizes.max_processes = 32;
+            let small_packs = spec.migratory && m != 0;
+            if small_packs {
+                // Small primary packs: growth fills them, forcing
+                // full-pack relocation and then migration to the store.
+                sizes.records_per_pack = 12;
+                sizes.toc_slots_per_pack = 24;
+            }
+            let mut d = D::boot(&sizes);
+            if small_packs {
+                // The relocation target pack, roomy enough that the
+                // member never runs entirely out while migrations drain
+                // it.
+                d.machine_mut().disks.attach(512, 128);
+            }
+            let plan = WorldPlan {
+                store: m == 0,
+                // The migration landing zone, capped roomily: it only
+                // ever holds files full packs pushed off member machines.
+                mig_quota: (m == 0).then_some(2 * base.sessions as u32 + 64),
+                shards: (0..base.shard_count())
+                    .filter(|j| j % spec.machines == m)
+                    .collect(),
+                shard_quota: base.shard_quota_pages(),
+                accounts: (0..spec.sessions).filter(|&idx| homes[idx] == m).collect(),
+            };
+            let ctx = build_world(&mut d, &plan, &mut SalvageProbe::default(), false)
+                .unwrap_or_else(|e| panic!("{} machine {m} setup: {e}", D::NAME));
+            d.attach_network();
+            let daemon = Session::open(&mut d, ctx.drv);
+            let clock = &d.machine().clock;
+            ms.push(Member {
+                setup_cycles: clock.now(),
+                meter_base: clock.meter_snapshot(),
+                edge_base: clock.edge_snapshot(),
+                reloc_seen: d.relocations(),
+                d,
+                daemon,
+                shared_segno: ctx.shared_segno,
+                files: HashMap::new(),
+                served: 0,
+            });
+        }
+        Self {
+            spec: *spec,
+            cap: base.sizes().max_processes as usize - 1,
+            homes,
+            ms,
+            sessions: (0..spec.sessions).map(|_| None).collect(),
+            wire: Wire::new(spec.machines, wire_policy, spec.drop_frame),
+            front: VecDeque::new(),
+            live: 0,
+            last_active: 0,
+            remote_ops: 0,
+            migrations: 0,
+            failures: Vec::new(),
+        }
+    }
+
     /// Drains the wire: every queued frame is delivered (or dropped by
     /// the planted cheat), requests are serviced as they land, and any
     /// frames the servicing itself enqueues are delivered too.
@@ -677,63 +610,38 @@ impl KernelFleet {
     }
 
     fn deliver(&mut self, dst: usize, frame: WireFrame) {
+        let m = &mut self.ms[dst];
         match frame.kind {
             FrameKind::Directive => {
-                // Admission directives are answering-service traffic on
-                // both ends of the wire.
-                let m = &mut self.ms[dst];
-                let cost = m.k.machine.cost;
-                let g = m.k.machine.clock.enter(Subsystem::AnsweringService);
-                m.k.machine
-                    .clock
-                    .charge_wire_frame(&cost, frame.bytes.len());
-                if let Err(e) = m.k.demux_receive(m.stream, &frame.bytes) {
+                if let Err(e) = m.d.receive_directive(&frame.bytes) {
                     self.failures
                         .push(format!("machine {dst}: directive receive: {e:?}"));
-                } else {
-                    // The answering service drains its own channel via
-                    // the resident entry — kernel-internal traffic does
-                    // not cross a user gate.
-                    let _ = m.k.demux_read_resident(m.stream, u16::from(CH_DIRECTIVE));
                 }
-                self.ms[dst].k.machine.clock.exit(g);
             }
             FrameKind::Gossip => {
-                let ack = {
-                    let m = &mut self.ms[dst];
-                    let cost = m.k.machine.cost;
-                    m.k.machine
-                        .clock
-                        .charge_wire_frame(&cost, frame.bytes.len());
-                    if let Err(e) = m.k.demux_receive(m.stream, &frame.bytes) {
-                        self.failures
-                            .push(format!("machine {dst}: gossip receive: {e:?}"));
-                    } else {
-                        let _ = m.k.demux_read(m.drv, m.stream, u16::from(CH_GOSSIP));
+                charge_frame(&mut m.d, frame.bytes.len());
+                match m.d.net_receive(&frame.bytes) {
+                    Ok(()) => {
+                        let _ = m.d.net_read(m.daemon.pid, u16::from(CH_GOSSIP), false);
                     }
-                    // payload: [ack-wanted, sender]
-                    (frame.bytes.get(2) == Some(&1)).then(|| frame.bytes[3] as usize)
-                };
-                if let Some(src) = ack {
+                    Err(e) => self
+                        .failures
+                        .push(format!("machine {dst}: gossip receive: {e:?}")),
+                }
+                // payload: [ack-wanted, sender]
+                if frame.bytes.get(2) == Some(&1) {
                     let bytes = Wire::frame(CH_GOSSIP, &[0, dst as u8]);
-                    let m = &mut self.ms[dst];
-                    let cost = m.k.machine.cost;
-                    m.k.machine.clock.charge_wire_frame(&cost, bytes.len());
-                    self.wire.send(dst, src, FrameKind::Gossip, bytes);
+                    charge_frame(&mut self.ms[dst].d, bytes.len());
+                    self.wire
+                        .send(dst, frame.bytes[3] as usize, FrameKind::Gossip, bytes);
                 }
             }
             FrameKind::Data => {
-                {
-                    let m = &mut self.ms[dst];
-                    let cost = m.k.machine.cost;
-                    m.k.machine
-                        .clock
-                        .charge_wire_frame(&cost, frame.bytes.len());
-                    if let Err(e) = m.k.demux_receive(m.stream, &frame.bytes) {
-                        self.failures
-                            .push(format!("machine {dst}: frame receive: {e:?}"));
-                        return;
-                    }
+                charge_frame(&mut m.d, frame.bytes.len());
+                if let Err(e) = m.d.net_receive(&frame.bytes) {
+                    self.failures
+                        .push(format!("machine {dst}: frame receive: {e:?}"));
+                    return;
                 }
                 let ch = u16::from(frame.bytes[0]);
                 if (ch as usize) < self.spec.machines {
@@ -745,25 +653,24 @@ impl KernelFleet {
         }
     }
 
+    /// The specialized store serves from resident code; a general
+    /// machine (and every machine of a design without the resident
+    /// path) goes through the gate and the command layer.
+    fn resident(&self, mi: usize) -> bool {
+        D::RESIDENT_STORE && self.spec.specialized_store && mi == 0
+    }
+
     /// Serves one buffered request on machine `mi`: read it out of the
-    /// kernel (through the gate on a general machine, via the resident
-    /// entry on the specialized store), decode, execute, gossip, reply.
+    /// design, decode, execute, gossip, reply.
     fn service_request(&mut self, mi: usize, ch: u16) {
-        let specialized = self.spec.specialized_store && mi == 0;
-        let bytes = {
-            let m = &mut self.ms[mi];
-            let read = if specialized {
-                m.k.demux_read_resident(m.stream, ch)
-            } else {
-                m.k.demux_read(m.drv, m.stream, ch)
-            };
-            match read {
-                Ok(b) => b,
-                Err(e) => {
-                    self.failures
-                        .push(format!("machine {mi}: request read: {e:?}"));
-                    return;
-                }
+        let resident = self.resident(mi);
+        let m = &mut self.ms[mi];
+        let bytes = match m.d.net_read(m.daemon.pid, ch, resident) {
+            Ok(b) => b,
+            Err(e) => {
+                self.failures
+                    .push(format!("machine {mi}: request read: {e:?}"));
+                return;
             }
         };
         if bytes.len() != REQ_LEN {
@@ -773,51 +680,36 @@ impl KernelFleet {
             ));
             return;
         }
-        {
-            let m = &mut self.ms[mi];
-            let cost = m.k.machine.cost;
-            if specialized {
-                let g = m.k.machine.clock.enter(Subsystem::Network);
-                m.k.machine.clock.charge_instructions(
-                    &cost,
-                    RESIDENT_DISPATCH_INSTR,
-                    Language::Assembly,
-                );
-                m.k.machine.clock.exit(g);
-            } else {
-                m.k.machine
-                    .clock
-                    .charge_instructions(&cost, CMD_DECODE_INSTR, Language::Pli);
-            }
+        let mach = m.d.machine_mut();
+        let cost = mach.cost;
+        if resident {
+            let g = mach.clock.enter(Subsystem::Network);
+            mach.clock
+                .charge_instructions(&cost, RESIDENT_DISPATCH_INSTR, Language::Assembly);
+            mach.clock.exit(g);
+        } else {
+            mach.clock
+                .charge_instructions(&cost, CMD_DECODE_INSTR, Language::Pli);
         }
-        let req = Req::decode(&bytes);
-        let requester = ch as usize;
-
-        let (status, value) = self.execute_op(mi, req);
+        let (status, value) = self.execute_op(mi, Req::decode(&bytes));
 
         // Gossip *before* the response: while the reply is still in
         // flight, the acknowledgment travels the opposite way — two
         // busy links, a real delivery choice point.
         self.ms[mi].served += 1;
         if self.ms[mi].served.is_multiple_of(GOSSIP_EVERY) {
-            for o in 0..self.spec.machines {
-                if o != mi {
-                    let bytes = Wire::frame(CH_GOSSIP, &[1, mi as u8]);
-                    let m = &mut self.ms[mi];
-                    let cost = m.k.machine.cost;
-                    m.k.machine.clock.charge_wire_frame(&cost, bytes.len());
-                    self.wire.send(mi, o, FrameKind::Gossip, bytes);
-                }
+            for o in (0..self.spec.machines).filter(|&o| o != mi) {
+                let bytes = Wire::frame(CH_GOSSIP, &[1, mi as u8]);
+                charge_frame(&mut self.ms[mi].d, bytes.len());
+                self.wire.send(mi, o, FrameKind::Gossip, bytes);
             }
         }
 
         let mut payload = vec![status];
         payload.extend_from_slice(&value.to_le_bytes());
         let bytes = Wire::frame((CH_RESP_BASE + mi as u16) as u8, &payload);
-        let m = &mut self.ms[mi];
-        let cost = m.k.machine.cost;
-        m.k.machine.clock.charge_wire_frame(&cost, bytes.len());
-        self.wire.send(mi, requester, FrameKind::Data, bytes);
+        charge_frame(&mut self.ms[mi].d, bytes.len());
+        self.wire.send(mi, ch as usize, FrameKind::Data, bytes);
     }
 
     /// One remote operation, executed by machine `mi`'s resident driver.
@@ -832,150 +724,77 @@ impl KernelFleet {
             a,
             b,
         } = req;
-        let specialized = self.spec.specialized_store && mi == 0;
+        let resident = self.resident(mi);
         let m = &mut self.ms[mi];
-        let k = &mut m.k;
-        let acl = Acl::owner(UserId(1));
+        let drv = m.daemon.pid;
+        let value = |r: Res<u64, D>| r.map_or_else(|e| (status::<D>(&e), 0), |v| (ST_OK, v));
+        let done = |r: Res<(), D>| value(r.map(|()| 0));
         match op {
-            OP_LINK => match m.linker.link(k, &mut m.ns, ">lib", &symbol(a as usize)) {
-                Ok(l) => (ST_OK, u64::from(l.offset)),
-                Err(e) => (kstatus(&e), 0),
+            OP_LINK => value(m.d.link(&mut m.daemon, a as usize).map(u64::from)),
+            OP_RESOLVE_LIB => done(m.d.resolve(&mut m.daemon, Entry::Lib)),
+            OP_RESOLVE_SHARED => done(m.d.resolve(&mut m.daemon, Entry::Shared)),
+            OP_RESOLVE_SHARD => done(m.d.resolve(&mut m.daemon, Entry::Shard(shard))),
+            OP_READ_SHARED => match m.shared_segno {
+                Some(seg) => value(m.d.read(drv, seg, a * PW, resident)),
+                None => (ST_ERR, 0),
             },
-            OP_RESOLVE_LIB => match m.ns.resolve(k, ">lib") {
-                Ok(_) => (ST_OK, 0),
-                Err(e) => (kstatus(&e), 0),
-            },
-            OP_RESOLVE_SHARED => match m.ns.resolve(k, ">shared") {
-                Ok(_) => (ST_OK, 0),
-                Err(e) => (kstatus(&e), 0),
-            },
-            OP_RESOLVE_SHARD => match m.ns.resolve(k, &format!(">s{shard}")) {
-                Ok(_) => (ST_OK, 0),
-                Err(e) => (kstatus(&e), 0),
-            },
-            OP_READ_SHARED => {
-                let Some(seg) = m.shared_segno else {
-                    return (ST_ERR, 0);
-                };
-                let read = if specialized {
-                    k.resident_read_word(m.drv, seg, a * PAGE_WORDS as u32)
+            OP_GROW | OP_MIG_OPEN => {
+                let dir = if op == OP_GROW {
+                    Entry::Shard(shard)
                 } else {
-                    k.read_word(m.drv, seg, a * PAGE_WORDS as u32)
+                    Entry::Mig
                 };
-                match read {
-                    Ok(w) => (ST_OK, w.raw()),
-                    Err(e) => (kstatus(&e), 0),
-                }
-            }
-            OP_GROW => {
                 if !m.files.contains_key(&idx) {
-                    let Some(&ptok) = m.shard_toks.get(&shard) else {
-                        return (ST_ERR, 0);
-                    };
-                    let created = k
-                        .create_entry(m.drv, ptok, &file_name(idx), acl, Label::BOTTOM, false)
-                        .and_then(|tok| k.initiate(m.drv, tok));
-                    match created {
+                    match m
+                        .d
+                        .open_dir(drv, dir)
+                        .and_then(|at| m.d.create_file(drv, at, idx))
+                    {
                         Ok(segno) => {
-                            m.files.insert(
-                                idx,
-                                RFile {
-                                    parent: ptok,
-                                    name: file_name(idx),
-                                    segno,
-                                },
-                            );
+                            m.files.insert(idx, RFile { dir, segno });
                         }
-                        Err(e) => return (kstatus(&e), 0),
+                        Err(e) => return (status::<D>(&e), 0),
                     }
                 }
-                let segno = m.files[&idx].segno;
-                match k.write_word(m.drv, segno, a * PAGE_WORDS as u32, Word::new(b)) {
-                    Ok(()) => (ST_OK, 1),
-                    Err(e) => (kstatus(&e), 1),
-                }
-            }
-            OP_READ_OWN => {
-                let Some(segno) = m.files.get(&idx).map(|f| f.segno) else {
-                    return (ST_ERR, 0);
-                };
-                let read = if specialized {
-                    k.resident_read_word(m.drv, segno, a * PAGE_WORDS as u32)
-                } else {
-                    k.read_word(m.drv, segno, a * PAGE_WORDS as u32)
-                };
-                match read {
-                    Ok(w) => (ST_OK, w.raw()),
-                    Err(e) => (kstatus(&e), 0),
-                }
-            }
-            OP_DELETE_OWN => {
-                let Some(f) = m.files.remove(&idx) else {
-                    return (ST_ERR, 0);
-                };
-                match k.delete_entry(m.drv, f.parent, &f.name) {
-                    Ok(()) => (ST_OK, 0),
-                    Err(e) => (kstatus(&e), 0),
-                }
-            }
-            OP_MIG_OPEN => {
-                if m.files.contains_key(&idx) {
+                if op == OP_MIG_OPEN {
                     return (ST_OK, 0);
                 }
-                let Some(mt) = m.mig_tok else {
-                    return (ST_ERR, 0);
-                };
-                let created = k
-                    .create_entry(m.drv, mt, &file_name(idx), acl, Label::BOTTOM, false)
-                    .and_then(|tok| k.initiate(m.drv, tok));
-                match created {
-                    Ok(segno) => {
-                        m.files.insert(
-                            idx,
-                            RFile {
-                                parent: mt,
-                                name: file_name(idx),
-                                segno,
-                            },
-                        );
-                        (ST_OK, 0)
-                    }
-                    Err(e) => (kstatus(&e), 0),
+                match m.d.write(drv, m.files[&idx].segno, a * PW, b) {
+                    Ok(()) => (ST_OK, 1),
+                    Err(e) => (status::<D>(&e), 1),
                 }
             }
-            OP_MIG_WRITE => {
-                let Some(segno) = m.files.get(&idx).map(|f| f.segno) else {
-                    return (ST_ERR, 0);
-                };
-                match k.write_word(m.drv, segno, a * PAGE_WORDS as u32, Word::new(b)) {
-                    Ok(()) => (ST_OK, 0),
-                    Err(e) => (kstatus(&e), 0),
-                }
-            }
-            OP_MIG_COMMIT => match k.sync_to_disk() {
-                Ok(()) => (ST_OK, 0),
-                Err(e) => (kstatus(&e), 0),
+            OP_READ_OWN => match m.files.get(&idx) {
+                Some(f) => value(m.d.read(drv, f.segno, a * PW, resident)),
+                None => (ST_ERR, 0),
             },
+            OP_DELETE_OWN => match m.files.remove(&idx) {
+                Some(f) => done(m.d.delete_file(drv, f.dir, idx)),
+                None => (ST_ERR, 0),
+            },
+            OP_MIG_WRITE => match m.files.get(&idx) {
+                Some(f) => done(m.d.write(drv, f.segno, a * PW, b)),
+                None => (ST_ERR, 0),
+            },
+            OP_MIG_COMMIT => done(m.d.sync_to_disk()),
             _ => (ST_ERR, 0),
         }
     }
 
     /// One synchronous RPC: frame the request, put it on the wire,
     /// drain the wire (which services it at the far end), then read the
-    /// reply back through this machine's demultiplexer. `None` = the
+    /// reply back through this machine's network entry. `None` = the
     /// reply never arrived (a frame was lost).
-    fn rpc(&mut self, src: usize, dst: usize, pid: ProcessId, req: Req) -> Option<(u8, u64)> {
+    fn rpc(&mut self, src: usize, dst: usize, pid: D::Pid, req: Req) -> Option<(u8, u64)> {
         let bytes = Wire::frame(src as u8, &req.encode());
-        {
-            let m = &mut self.ms[src];
-            let cost = m.k.machine.cost;
-            m.k.machine.clock.charge_wire_frame(&cost, bytes.len());
-        }
+        charge_frame(&mut self.ms[src].d, bytes.len());
         self.wire.send(src, dst, FrameKind::Data, bytes);
         self.remote_ops += 1;
         self.pump();
-        let m = &mut self.ms[src];
-        match m.k.demux_read(pid, m.stream, CH_RESP_BASE + dst as u16) {
+        match self.ms[src]
+            .d
+            .net_read(pid, CH_RESP_BASE + dst as u16, false)
+        {
             Ok(bytes) if bytes.len() == RESP_LEN => Some((
                 bytes[0],
                 u64::from_le_bytes(bytes[1..9].try_into().expect("8 bytes")),
@@ -990,7 +809,7 @@ impl KernelFleet {
         &mut self,
         target: usize,
         home: usize,
-        pid: ProcessId,
+        pid: D::Pid,
         req: Req,
     ) -> Option<(u8, u64)> {
         if target == home {
@@ -1007,32 +826,22 @@ impl KernelFleet {
             // accept the session — one directive frame, charged to the
             // answering service on both ends of the wire.
             let bytes = Wire::frame(CH_DIRECTIVE, &[idx as u8, (idx >> 8) as u8]);
-            {
-                let m = &mut self.ms[0];
-                let cost = m.k.machine.cost;
-                let g = m.k.machine.clock.enter(Subsystem::AnsweringService);
-                m.k.machine.clock.charge_wire_frame(&cost, bytes.len());
-                m.k.machine.clock.exit(g);
-            }
+            let m = self.ms[0].d.machine_mut();
+            let cost = m.cost;
+            let g = m.clock.enter(Subsystem::AnsweringService);
+            m.clock.charge_wire_frame(&cost, bytes.len());
+            m.clock.exit(g);
             self.wire.send(0, home, FrameKind::Directive, bytes);
             self.pump();
         }
-        let m = &mut self.ms[home];
-        match m
-            .svc
-            .login(&mut m.k, &account_name(idx), "pw", Label::BOTTOM)
-        {
+        let d = &mut self.ms[home].d;
+        match d.login(&account_name(idx)) {
             Ok(pid) => {
-                let ns = NameSpace::new(&mut m.k, pid);
-                self.sessions[idx] = Some(KSessionF {
+                self.sessions[idx] = Some(FleetSession {
                     home,
-                    pid,
-                    ns,
-                    linker: UserLinker::new(pid),
-                    own_local: None,
+                    s: Session::open(d, pid),
                     own_created: false,
                     migrated: false,
-                    shared_segno: None,
                     pages: Vec::new(),
                 });
                 self.live += 1;
@@ -1048,90 +857,66 @@ impl KernelFleet {
     /// is migrated to the store — read back page by page at the source,
     /// shipped over the wire, then deleted locally.
     fn maybe_migrate(&mut self, idx: usize, shard: usize, owner: usize) {
-        let reloc = self.ms[owner].k.segm.stats.relocations;
+        let reloc = self.ms[owner].d.relocations();
         if reloc <= self.ms[owner].reloc_seen {
             return;
         }
         self.ms[owner].reloc_seen = reloc;
-        let (home, migrated, own_created, pages_len, pid) = {
-            let Some(s) = self.sessions[idx].as_ref() else {
-                return;
-            };
-            (s.home, s.migrated, s.own_created, s.pages.len(), s.pid)
+        let Some(fs) = self.sessions[idx].as_ref() else {
+            return;
         };
-        if migrated || !own_created || pages_len == 0 {
+        if fs.migrated || !fs.own_created || fs.pages.is_empty() {
             return;
         }
-        let mut vals = Vec::with_capacity(pages_len);
-        for page in 0..pages_len as u32 {
-            let read = if owner == home {
-                let Some((segno, _)) = self.sessions[idx].as_ref().and_then(|s| s.own_local) else {
-                    return;
-                };
-                self.ms[owner]
-                    .k
-                    .read_word(pid, segno, page * PAGE_WORDS as u32)
-            } else {
-                let Some(segno) = self.ms[owner].files.get(&idx).map(|f| f.segno) else {
-                    return;
-                };
-                let drv = self.ms[owner].drv;
-                self.ms[owner]
-                    .k
-                    .read_word(drv, segno, page * PAGE_WORDS as u32)
-            };
-            match read {
-                Ok(w) => vals.push(w.raw()),
-                Err(e) => {
-                    self.failures
-                        .push(format!("migration read u{idx} page {page}: {e:?}"));
-                    return;
-                }
-            }
-        }
-        let drv = self.ms[owner].drv;
-        match self.rpc(owner, 0, drv, Req::new(OP_MIG_OPEN, idx, shard)) {
-            Some((ST_OK, _)) => {}
-            r => {
-                self.failures.push(format!("migration open u{idx}: {r:?}"));
-                return;
-            }
-        }
-        for (page, &val) in vals.iter().enumerate() {
-            match self.rpc(
-                owner,
-                0,
-                drv,
-                Req::new(OP_MIG_WRITE, idx, shard).arg(page as u32).val(val),
-            ) {
+        let (home, pid, pages) = (fs.home, fs.s.pid, fs.pages.len() as u32);
+        // Where the file lives on the owner: the session's own segment
+        // at home, the daemon's handle elsewhere.
+        let (reader, segno) = if owner == home {
+            (pid, fs.s.own)
+        } else {
+            let m = &self.ms[owner];
+            (m.daemon.pid, m.files.get(&idx).map(|f| f.segno))
+        };
+        let Some(segno) = segno else {
+            return;
+        };
+        let src = &mut self.ms[owner].d;
+        let read: Result<Vec<u64>, String> = (0..pages)
+            .map(|page| {
+                src.read(reader, segno, page * PW, false)
+                    .map_err(|e| format!("migration read u{idx} page {page}: {e:?}"))
+            })
+            .collect();
+        let vals = match read {
+            Ok(vals) => vals,
+            Err(msg) => return self.failures.push(msg),
+        };
+        let drv = self.ms[owner].daemon.pid;
+        let writes = vals.iter().enumerate().map(|(page, &val)| {
+            let req = Req::new(OP_MIG_WRITE, idx, shard).arg(page as u32).val(val);
+            (req, format!("write u{idx} page {page}"))
+        });
+        let open = (Req::new(OP_MIG_OPEN, idx, shard), format!("open u{idx}"));
+        let commit = (
+            Req::new(OP_MIG_COMMIT, idx, shard),
+            format!("commit u{idx}"),
+        );
+        let steps = std::iter::once(open).chain(writes).chain([commit]);
+        for (req, what) in steps {
+            match self.rpc(owner, 0, drv, req) {
                 Some((ST_OK, _)) => {}
-                r => {
-                    self.failures
-                        .push(format!("migration write u{idx} page {page}: {r:?}"));
-                    return;
-                }
-            }
-        }
-        match self.rpc(owner, 0, drv, Req::new(OP_MIG_COMMIT, idx, shard)) {
-            Some((ST_OK, _)) => {}
-            r => {
-                self.failures
-                    .push(format!("migration commit u{idx}: {r:?}"));
-                return;
+                r => return self.failures.push(format!("migration {what}: {r:?}")),
             }
         }
         // Free the member machine's copy.
-        if owner == home {
-            let own = self.sessions[idx].as_mut().and_then(|s| s.own_local.take());
-            if own.is_some() {
-                let ptok = self.ms[owner].shard_toks[&shard];
-                if let Err(e) = self.ms[owner].k.delete_entry(pid, ptok, &file_name(idx)) {
-                    self.failures
-                        .push(format!("migration source delete u{idx}: {e:?}"));
-                }
-            }
-        } else if let Some(f) = self.ms[owner].files.remove(&idx) {
-            if let Err(e) = self.ms[owner].k.delete_entry(drv, f.parent, &f.name) {
+        let freed = if owner == home {
+            let own = self.sessions[idx].as_mut().and_then(|s| s.s.own.take());
+            own.map(|_| (pid, Entry::Shard(shard)))
+        } else {
+            self.ms[owner].files.remove(&idx).map(|f| (drv, f.dir))
+        };
+        if let Some((by, dir)) = freed {
+            if let Err(e) = self.ms[owner].d.delete_file(by, dir, idx) {
                 self.failures
                     .push(format!("migration source delete u{idx}: {e:?}"));
             }
@@ -1141,11 +926,38 @@ impl KernelFleet {
         }
         self.migrations += 1;
     }
+
+    fn session(&mut self, idx: usize) -> &mut FleetSession<D> {
+        self.sessions[idx].as_mut().expect("live session")
+    }
+
+    /// Where session `idx` acts: its home, its process, the machine
+    /// that owns its file (the store, once migrated), and whether that
+    /// file is the session's own segment at home. Marks the home busy.
+    fn place(&mut self, idx: usize, shard: usize) -> (usize, D::Pid, usize, bool) {
+        let fs = self.sessions[idx].as_ref().expect("live session");
+        let (home, pid, migrated) = (fs.home, fs.s.pid, fs.migrated);
+        let owner = if migrated {
+            0
+        } else {
+            shard % self.spec.machines
+        };
+        self.last_active = home;
+        (home, pid, owner, owner == home && !migrated)
+    }
+
+    /// Runs an action where the session lives, as one machine would.
+    fn local(&mut self, idx: usize, shard: usize, action: &Action) -> String {
+        let fs = self.sessions[idx].as_mut().expect("live session");
+        // No salvage runs in a fleet, so no barrier can fire.
+        exec_once(&mut self.ms[fs.home].d, &mut fs.s, idx, shard, action)
+            .unwrap_or_else(|| "busy".to_string())
+    }
 }
 
-impl Driver for KernelFleet {
+impl<D: Design> Driver for Fleet<D> {
     fn now(&self) -> u64 {
-        self.ms.iter().map(|m| m.k.machine.clock.now()).sum()
+        self.ms.iter().map(|m| m.d.machine().clock.now()).sum()
     }
 
     fn queued(&self) -> usize {
@@ -1175,227 +987,84 @@ impl Driver for KernelFleet {
     }
 
     fn exec(&mut self, idx: usize, shard: usize, action: &Action) -> String {
-        let (home, migrated) = {
-            let s = self.sessions[idx].as_ref().expect("live session");
-            (s.home, s.migrated)
-        };
-        self.last_active = home;
-        let machines = self.spec.machines;
+        let (home, pid, owner, local_file) = self.place(idx, shard);
+        let req = |op| Req::new(op, idx, shard);
         match *action {
-            Action::Link(sym) => {
-                if home == 0 {
-                    let m = &mut self.ms[0];
-                    let s = self.sessions[idx].as_mut().expect("live session");
-                    match s.linker.link(&mut m.k, &mut s.ns, ">lib", &symbol(sym)) {
-                        Ok(l) => format!("l:{}", l.offset),
-                        Err(e) => format!("l:{}", klabel(&e)),
-                    }
-                } else {
-                    let pid = self.sessions[idx].as_ref().expect("live session").pid;
-                    let resp =
-                        self.rpc(home, 0, pid, Req::new(OP_LINK, idx, shard).arg(sym as u32));
-                    value_label("l", resp)
-                }
+            Action::Link(sym) if home != 0 => {
+                value_label("l", self.rpc(home, 0, pid, req(OP_LINK).arg(sym as u32)))
+            }
+            Action::ReadShared { page } if home != 0 => {
+                value_label("r", self.rpc(home, 0, pid, req(OP_READ_SHARED).arg(page)))
             }
             Action::Resolve(target) => {
                 let (dst, op) = match target {
-                    ResolveTarget::Lib => (0, OP_RESOLVE_LIB),
-                    ResolveTarget::Shared => (0, OP_RESOLVE_SHARED),
-                    ResolveTarget::Shard(j) => (j % machines, OP_RESOLVE_SHARD),
+                    Entry::Lib => (0, OP_RESOLVE_LIB),
+                    Entry::Mig => unreachable!("scripts never resolve the migration zone"),
+                    Entry::Shared => (0, OP_RESOLVE_SHARED),
+                    Entry::Shard(j) => (j % self.spec.machines, OP_RESOLVE_SHARD),
                 };
                 if dst == home {
-                    let path = match target {
-                        ResolveTarget::Lib => ">lib".to_string(),
-                        ResolveTarget::Shared => ">shared".to_string(),
-                        ResolveTarget::Shard(j) => format!(">s{j}"),
-                    };
-                    let m = &mut self.ms[home];
-                    let s = self.sessions[idx].as_mut().expect("live session");
-                    match s.ns.resolve(&mut m.k, &path) {
-                        Ok(_) => "n:ok".to_string(),
-                        Err(e) => format!("n:{}", klabel(&e)),
-                    }
+                    self.local(idx, shard, action)
                 } else {
-                    let pid = self.sessions[idx].as_ref().expect("live session").pid;
-                    let resp = self.rpc(home, dst, pid, Req::new(op, idx, shard));
-                    ok_label("n", resp)
+                    ok_label("n", self.rpc(home, dst, pid, req(op)))
                 }
             }
             Action::Grow { page, val } => {
-                let owner = if migrated { 0 } else { shard % machines };
-                let label = if owner == home && !migrated {
-                    let m = &mut self.ms[home];
-                    let s = self.sessions[idx].as_mut().expect("live session");
-                    let mut out = None;
-                    if s.own_local.is_none() {
-                        match m.shard_toks.get(&shard) {
-                            Some(&ptok) => {
-                                let created =
-                                    m.k.create_entry(
-                                        s.pid,
-                                        ptok,
-                                        &file_name(idx),
-                                        Acl::owner(UserId(1)),
-                                        Label::BOTTOM,
-                                        false,
-                                    )
-                                    .and_then(|tok| {
-                                        m.k.initiate(s.pid, tok).map(|segno| (segno, tok))
-                                    });
-                                match created {
-                                    Ok(pair) => s.own_local = Some(pair),
-                                    Err(e) => out = Some(format!("w:{}", klabel(&e))),
-                                }
-                            }
-                            None => out = Some("w:err".to_string()),
-                        }
-                    }
-                    match out {
-                        Some(label) => label,
-                        None => {
-                            let (segno, _) = s.own_local.expect("just created");
-                            s.own_created = true;
-                            match m.k.write_word(
-                                s.pid,
-                                segno,
-                                page * PAGE_WORDS as u32,
-                                Word::new(val),
-                            ) {
-                                Ok(()) => "w:ok".to_string(),
-                                Err(e) => format!("w:{}", klabel(&e)),
-                            }
-                        }
-                    }
+                let label = if local_file {
+                    let label = self.local(idx, shard, action);
+                    let fs = self.session(idx);
+                    fs.own_created |= fs.s.own.is_some();
+                    label
                 } else {
-                    let pid = self.sessions[idx].as_ref().expect("live session").pid;
-                    let resp = self.daemon_call(
-                        owner,
-                        home,
-                        pid,
-                        Req::new(OP_GROW, idx, shard).arg(page).val(val),
-                    );
-                    if let Some((_, exists)) = resp {
-                        if exists == 1 {
-                            self.sessions[idx]
-                                .as_mut()
-                                .expect("live session")
-                                .own_created = true;
-                        }
+                    let resp = self.daemon_call(owner, home, pid, req(OP_GROW).arg(page).val(val));
+                    if let Some((_, 1)) = resp {
+                        self.session(idx).own_created = true;
                     }
                     ok_label("w", resp)
                 };
                 if label == "w:ok" {
-                    self.sessions[idx]
-                        .as_mut()
-                        .expect("live session")
-                        .pages
-                        .push(val);
+                    self.session(idx).pages.push(val);
                 }
                 if self.spec.migratory && owner != 0 {
                     self.maybe_migrate(idx, shard, owner);
                 }
                 label
             }
-            Action::ReadOwn { page } => {
-                let owner = if migrated { 0 } else { shard % machines };
-                if owner == home && !migrated {
-                    let m = &mut self.ms[home];
-                    let s = self.sessions[idx].as_mut().expect("live session");
-                    match s.own_local {
-                        Some((segno, _)) => {
-                            match m.k.read_word(s.pid, segno, page * PAGE_WORDS as u32) {
-                                Ok(w) => format!("r:{}", w.raw()),
-                                Err(e) => format!("r:{}", klabel(&e)),
-                            }
-                        }
-                        None => "r:err".to_string(),
-                    }
-                } else {
-                    let pid = self.sessions[idx].as_ref().expect("live session").pid;
-                    let resp = self.daemon_call(
-                        owner,
-                        home,
-                        pid,
-                        Req::new(OP_READ_OWN, idx, shard).arg(page),
-                    );
-                    value_label("r", resp)
-                }
-            }
-            Action::ReadShared { page } => {
-                if home == 0 {
-                    let m = &mut self.ms[0];
-                    let s = self.sessions[idx].as_mut().expect("live session");
-                    if s.shared_segno.is_none() {
-                        match s.ns.initiate(&mut m.k, ">shared") {
-                            Ok(segno) => s.shared_segno = Some(segno),
-                            Err(e) => return format!("r:{}", klabel(&e)),
-                        }
-                    }
-                    let segno = s.shared_segno.expect("just initiated");
-                    match m.k.read_word(s.pid, segno, page * PAGE_WORDS as u32) {
-                        Ok(w) => format!("r:{}", w.raw()),
-                        Err(e) => format!("r:{}", klabel(&e)),
-                    }
-                } else {
-                    let pid = self.sessions[idx].as_ref().expect("live session").pid;
-                    let resp =
-                        self.rpc(home, 0, pid, Req::new(OP_READ_SHARED, idx, shard).arg(page));
-                    value_label("r", resp)
-                }
-            }
+            Action::ReadOwn { page } if !local_file => value_label(
+                "r",
+                self.daemon_call(owner, home, pid, req(OP_READ_OWN).arg(page)),
+            ),
+            _ => self.local(idx, shard, action),
         }
     }
 
     fn finish(&mut self, idx: usize, shard: usize, abandon: bool) -> String {
-        let (home, pid, migrated, own_created, own_local) = {
-            let s = self.sessions[idx].as_ref().expect("live session");
-            (s.home, s.pid, s.migrated, s.own_created, s.own_local)
-        };
-        self.last_active = home;
-        let mut label = if abandon { "reap" } else { "out" }.to_string();
-        if !abandon && own_created {
-            let owner = if migrated {
-                0
-            } else {
-                shard % self.spec.machines
+        let (home, pid, owner, local_file) = self.place(idx, shard);
+        let own_created = self.session(idx).own_created;
+        let label = if !abandon && own_created && !local_file {
+            let req = Req::new(OP_DELETE_OWN, idx, shard);
+            let label = match self.daemon_call(owner, home, pid, req) {
+                Some((ST_OK, _)) => "out",
+                Some(_) => "out:err",
+                None => "out:lost",
             };
-            if owner == home && !migrated {
-                if own_local.is_some() {
-                    let ptok = self.ms[home].shard_toks[&shard];
-                    match self.ms[home].k.delete_entry(pid, ptok, &file_name(idx)) {
-                        Ok(()) => {
-                            if let Some(s) = self.sessions[idx].as_mut() {
-                                s.own_local = None;
-                            }
-                        }
-                        Err(_) => label = "out:err".to_string(),
-                    }
-                }
-            } else {
-                match self.daemon_call(owner, home, pid, Req::new(OP_DELETE_OWN, idx, shard)) {
-                    Some((ST_OK, _)) => {}
-                    Some(_) => label = "out:err".to_string(),
-                    None => label = "out:lost".to_string(),
-                }
-            }
-        }
-        let m = &mut self.ms[home];
-        match m.svc.logout(&mut m.k, pid) {
-            Ok(_) => {}
-            Err(_) => label = format!("{label}:err"),
-        }
+            logout_once(&mut self.ms[home].d, idx, pid, label.to_string())
+        } else {
+            let fs = self.sessions[idx].as_mut().expect("live session");
+            end_once(&mut self.ms[home].d, &mut fs.s, idx, shard, abandon)
+        };
         self.sessions[idx] = None;
         self.live -= 1;
-        label
+        label.unwrap_or_else(|| "busy".to_string())
     }
 
     fn schedule(&mut self) {
-        self.ms[self.last_active].k.schedule();
+        self.ms[self.last_active].d.schedule();
     }
 
     fn housekeep(&mut self) {
         for mi in 0..self.ms.len() {
-            if let Err(e) = self.ms[mi].k.sync_to_disk() {
+            if let Err(e) = self.ms[mi].d.sync_to_disk() {
                 self.failures
                     .push(format!("machine {mi}: housekeeping sweep: {e:?}"));
             }
@@ -1403,22 +1072,32 @@ impl Driver for KernelFleet {
     }
 }
 
-/// Runs the fleet spec on the kernel design. The optional policy
-/// governs only the wire's delivery order ([`ChoicePoint::Wire`]); each
-/// machine's internal schedule stays at the baseline FIFO, exactly as
-/// in the single-machine engine.
-pub fn run_kernel_fleet(
+/// Runs the fleet spec on one design. The optional policy governs only
+/// the wire's delivery order ([`ChoicePoint::Wire`]); each machine's
+/// internal schedule stays at the baseline, exactly as in the
+/// single-machine engine.
+fn run_fleet<D: Design>(
     spec: &FleetSpec,
     wire_policy: Option<Box<dyn SchedulePolicy>>,
 ) -> FleetRun {
     assert!(spec.machines >= 1, "a fleet needs at least one machine");
+    // Requests travel on channel = requester id and replies on
+    // `CH_RESP_BASE + server`, so a requester id must stay below the
+    // first reply channel; `Req` carries the session index in 2 bytes.
+    assert!(
+        spec.machines <= MAX_MACHINES,
+        "the wire addresses at most {MAX_MACHINES} machines"
+    );
+    assert!(
+        spec.sessions <= MAX_SESSIONS,
+        "the wire addresses at most {MAX_SESSIONS} sessions"
+    );
     assert!(
         !spec.dedicated_store || spec.machines >= 2,
         "a dedicated store needs at least one member machine"
     );
-    let base = spec.base();
-    let scripts = base.scripts();
-    let mut fleet = setup_kernel_fleet(spec, wire_policy);
+    let scripts = spec.base().scripts();
+    let mut fleet = Fleet::<D>::new(spec, wire_policy);
     let mut st = EngineState::new();
     storm(&mut fleet, &scripts, &mut st);
     drive_until(&mut fleet, &scripts, &mut st, None);
@@ -1427,25 +1106,25 @@ pub fn run_kernel_fleet(
     let per_machine_cycles: Vec<u64> = fleet
         .ms
         .iter()
-        .map(|m| m.k.machine.clock.now() - m.setup_cycles)
+        .map(|m| m.d.machine().clock.now() - m.setup_cycles)
         .collect();
     let mut edges = EdgeSet::new();
     let mut violations = Vec::new();
     let mut totals = Vec::new();
     let mut relocations = 0;
     for (i, m) in fleet.ms.iter().enumerate() {
-        edges.merge(&m.edge_base.delta(m.k.machine.clock.edge_set()));
-        for v in oracle::check_kernel(&m.k) {
+        edges.merge(&m.edge_base.delta(m.d.machine().clock.edge_set()));
+        for v in m.d.oracle() {
             violations.push(format!("machine {i}: {v}"));
         }
-        totals.push(disk_totals(&m.k.machine.disks));
-        relocations += m.k.segm.stats.relocations;
+        totals.push(disk_totals(&m.d.machine().disks));
+        relocations += m.d.relocations();
     }
     violations.extend(fleet_conservation(&totals));
     violations.extend(fleet.failures.iter().cloned());
     let store = &fleet.ms[0];
     FleetRun {
-        design: "kernel",
+        design: D::NAME,
         machines: spec.machines,
         cycles: per_machine_cycles.iter().sum(),
         wall_cycles: per_machine_cycles.iter().copied().max().unwrap_or(0),
@@ -1466,824 +1145,19 @@ pub fn run_kernel_fleet(
         store_cycles: per_machine_cycles[0],
         store_meter: store
             .meter_base
-            .delta(&store.k.machine.clock.meter_snapshot()),
+            .delta(&store.d.machine().clock.meter_snapshot()),
         per_machine_cycles,
         edges,
         violations,
     }
 }
 
-// ------------------------------------------------------ legacy fleet --
-
-/// A daemon-held handle to a file served on behalf of a remote session,
-/// old-supervisor flavor: pathnames, not tokens.
-struct LFile {
-    path: String,
-    segno: u32,
-}
-
-struct LMachine {
-    sup: Supervisor,
-    drv: LProcessId,
-    net: NetworkId,
-    shared_segno: Option<u32>,
-    files: HashMap<usize, LFile>,
-    served: u64,
-    reloc_seen: u64,
-    setup_cycles: u64,
-    meter_base: MeterSnapshot,
-    edge_base: EdgeSet,
-}
-
-struct LSessionF {
-    home: usize,
-    pid: LProcessId,
-    own_segno: Option<u32>,
-    own_created: bool,
-    migrated: bool,
-    shared_segno: Option<u32>,
-    pages: Vec<u64>,
-}
-
-struct LegacyFleet {
-    spec: FleetSpec,
-    cap: usize,
-    homes: Vec<usize>,
-    ms: Vec<LMachine>,
-    sessions: Vec<Option<LSessionF>>,
-    wire: Wire,
-    front: VecDeque<usize>,
-    live: usize,
-    last_active: usize,
-    remote_ops: u64,
-    migrations: u64,
-    failures: Vec<String>,
-}
-
-fn lstatus(e: &LegacyError) -> u8 {
-    match llabel(e) {
-        "quota" => ST_QUOTA,
-        "full" => ST_FULL,
-        _ => ST_ERR,
-    }
-}
-
-fn setup_legacy_fleet(
+/// Runs the fleet spec on the kernel design.
+pub fn run_kernel_fleet(
     spec: &FleetSpec,
     wire_policy: Option<Box<dyn SchedulePolicy>>,
-) -> LegacyFleet {
-    let base = spec.base();
-    let homes = spec.homes();
-    let mut ms = Vec::with_capacity(spec.machines);
-    for m in 0..spec.machines {
-        let mut cfg = base.supervisor_config();
-        cfg.max_processes = 32;
-        if spec.migratory && m != 0 {
-            cfg.records_per_pack = 12;
-            cfg.toc_slots_per_pack = 24;
-        }
-        let mut sup = Supervisor::boot(cfg);
-        if spec.migratory && m != 0 {
-            sup.machine.disks.attach(512, 128);
-        }
-        sup.register_user("drv", LUserId(1), "pw", Label::BOTTOM);
-        let drv = sup.login("drv", "pw", Label::BOTTOM).expect("driver login");
-        let root = sup.root();
-        let acl = LAcl::owner(LUserId(1));
-
-        let mut shared_segno = None;
-        if m == 0 {
-            let lib_uid = sup
-                .create_segment_in(root, "lib", acl.clone(), Label::BOTTOM)
-                .expect("lib");
-            let defs = definitions();
-            let def_refs: Vec<(&str, u32)> = defs.iter().map(|(s, o)| (s.as_str(), *o)).collect();
-            sup.publish_definitions(lib_uid, &def_refs);
-            let lib_segno = sup.initiate(drv, "lib").expect("lib initiate");
-            sup.user_write(drv, lib_segno, 0, Word::new(def_refs.len() as u64))
-                .expect("lib page");
-
-            sup.create_segment_in(root, "shared", acl.clone(), Label::BOTTOM)
-                .expect("shared");
-            let sseg = sup.initiate(drv, "shared").expect("shared initiate");
-            for page in 0..SHARED_PAGES {
-                sup.user_write(
-                    drv,
-                    sseg,
-                    page * PAGE_WORDS as u32,
-                    Word::new(shared_word(page)),
-                )
-                .expect("shared page");
-            }
-            shared_segno = Some(sseg);
-
-            sup.create_directory_in(root, "mig", acl.clone(), Label::BOTTOM)
-                .expect("mig dir");
-            sup.set_quota_directory(drv, "mig", 2 * base.sessions as u32 + 64)
-                .expect("mig quota");
-        }
-        for j in 0..base.shard_count() {
-            if j % spec.machines == m {
-                sup.create_directory_in(root, &format!("s{j}"), acl.clone(), Label::BOTTOM)
-                    .expect("shard dir");
-                sup.set_quota_directory(drv, &format!("s{j}"), base.shard_quota_pages())
-                    .expect("quota");
-            }
-        }
-        for (idx, &h) in homes.iter().enumerate() {
-            if h == m {
-                sup.register_user(&account_name(idx), LUserId(1), "pw", Label::BOTTOM);
-            }
-        }
-        let net = sup.attach_network(NetworkKind::FrontEnd);
-
-        let setup_cycles = sup.machine.clock.now();
-        let meter_base = sup.machine.clock.meter_snapshot();
-        let edge_base = sup.machine.clock.edge_snapshot();
-        let reloc_seen = sup.stats.relocations;
-        ms.push(LMachine {
-            sup,
-            drv,
-            net,
-            shared_segno,
-            files: HashMap::new(),
-            served: 0,
-            reloc_seen,
-            setup_cycles,
-            meter_base,
-            edge_base,
-        });
-    }
-    LegacyFleet {
-        spec: *spec,
-        cap: (SupervisorConfig::default().max_processes - 1) as usize,
-        homes,
-        ms,
-        sessions: (0..spec.sessions).map(|_| None).collect(),
-        wire: Wire::new(spec.machines, wire_policy, spec.drop_frame),
-        front: VecDeque::new(),
-        live: 0,
-        last_active: 0,
-        remote_ops: 0,
-        migrations: 0,
-        failures: Vec::new(),
-    }
-}
-
-impl LegacyFleet {
-    /// See [`KernelFleet::pump`].
-    fn pump(&mut self) {
-        while let Some((dst, frame)) = self.wire.pop() {
-            self.deliver(dst, frame);
-        }
-    }
-
-    fn deliver(&mut self, dst: usize, frame: WireFrame) {
-        match frame.kind {
-            FrameKind::Directive => {
-                let m = &mut self.ms[dst];
-                let m_net = m.net;
-                let cost = m.sup.machine.cost;
-                let g = m.sup.machine.clock.enter(Subsystem::AnsweringService);
-                m.sup
-                    .machine
-                    .clock
-                    .charge_wire_frame(&cost, frame.bytes.len());
-                if let Err(e) = m.sup.network_receive(m.net, &frame.bytes) {
-                    self.failures
-                        .push(format!("machine {dst}: directive receive: {e:?}"));
-                }
-                self.ms[dst].sup.machine.clock.exit(g);
-                // The old design has no resident read: even its own
-                // answering service drains the channel through the
-                // ordinary user gate, from the ambient domain.
-                let _ = self.ms[dst]
-                    .sup
-                    .network_read_channel(m_net, u16::from(CH_DIRECTIVE));
-            }
-            FrameKind::Gossip => {
-                let ack = {
-                    let m = &mut self.ms[dst];
-                    let cost = m.sup.machine.cost;
-                    m.sup
-                        .machine
-                        .clock
-                        .charge_wire_frame(&cost, frame.bytes.len());
-                    if let Err(e) = m.sup.network_receive(m.net, &frame.bytes) {
-                        self.failures
-                            .push(format!("machine {dst}: gossip receive: {e:?}"));
-                    } else {
-                        let _ = m.sup.network_read_channel(m.net, u16::from(CH_GOSSIP));
-                    }
-                    (frame.bytes.get(2) == Some(&1)).then(|| frame.bytes[3] as usize)
-                };
-                if let Some(src) = ack {
-                    let bytes = Wire::frame(CH_GOSSIP, &[0, dst as u8]);
-                    let m = &mut self.ms[dst];
-                    let cost = m.sup.machine.cost;
-                    m.sup.machine.clock.charge_wire_frame(&cost, bytes.len());
-                    self.wire.send(dst, src, FrameKind::Gossip, bytes);
-                }
-            }
-            FrameKind::Data => {
-                {
-                    let m = &mut self.ms[dst];
-                    let cost = m.sup.machine.cost;
-                    m.sup
-                        .machine
-                        .clock
-                        .charge_wire_frame(&cost, frame.bytes.len());
-                    if let Err(e) = m.sup.network_receive(m.net, &frame.bytes) {
-                        self.failures
-                            .push(format!("machine {dst}: frame receive: {e:?}"));
-                        return;
-                    }
-                }
-                let ch = u16::from(frame.bytes[0]);
-                if (ch as usize) < self.spec.machines {
-                    self.service_request(dst, ch);
-                }
-            }
-        }
-    }
-
-    /// See [`KernelFleet::service_request`]. The old supervisor has no
-    /// resident file-store path: every remote request goes through the
-    /// gated channel read and the user-domain command layer.
-    fn service_request(&mut self, mi: usize, ch: u16) {
-        let bytes = {
-            let m = &mut self.ms[mi];
-            match m.sup.network_read_channel(m.net, ch) {
-                Ok(b) => b,
-                Err(e) => {
-                    self.failures
-                        .push(format!("machine {mi}: request read: {e:?}"));
-                    return;
-                }
-            }
-        };
-        if bytes.len() != REQ_LEN {
-            self.failures.push(format!(
-                "machine {mi}: mangled request ({} bytes)",
-                bytes.len()
-            ));
-            return;
-        }
-        {
-            let m = &mut self.ms[mi];
-            let cost = m.sup.machine.cost;
-            m.sup
-                .machine
-                .clock
-                .charge_instructions(&cost, CMD_DECODE_INSTR, Language::Pli);
-        }
-        let req = Req::decode(&bytes);
-        let requester = ch as usize;
-
-        let (status, value) = self.execute_op(mi, req);
-
-        self.ms[mi].served += 1;
-        if self.ms[mi].served.is_multiple_of(GOSSIP_EVERY) {
-            for o in 0..self.spec.machines {
-                if o != mi {
-                    let bytes = Wire::frame(CH_GOSSIP, &[1, mi as u8]);
-                    let m = &mut self.ms[mi];
-                    let cost = m.sup.machine.cost;
-                    m.sup.machine.clock.charge_wire_frame(&cost, bytes.len());
-                    self.wire.send(mi, o, FrameKind::Gossip, bytes);
-                }
-            }
-        }
-
-        let mut payload = vec![status];
-        payload.extend_from_slice(&value.to_le_bytes());
-        let bytes = Wire::frame((CH_RESP_BASE + mi as u16) as u8, &payload);
-        let m = &mut self.ms[mi];
-        let cost = m.sup.machine.cost;
-        m.sup.machine.clock.charge_wire_frame(&cost, bytes.len());
-        self.wire.send(mi, requester, FrameKind::Data, bytes);
-    }
-
-    /// See [`KernelFleet::execute_op`].
-    fn execute_op(&mut self, mi: usize, req: Req) -> (u8, u64) {
-        let Req {
-            op,
-            idx,
-            shard,
-            a,
-            b,
-        } = req;
-        let m = &mut self.ms[mi];
-        let sup = &mut m.sup;
-        let acl = LAcl::owner(LUserId(1));
-        match op {
-            OP_LINK => match sup.link(m.drv, "lib", &symbol(a as usize)) {
-                Ok(l) => (ST_OK, u64::from(l.offset)),
-                Err(e) => (lstatus(&e), 0),
-            },
-            OP_RESOLVE_LIB => match sup.resolve(m.drv, "lib", AccessRight::Read) {
-                Ok(_) => (ST_OK, 0),
-                Err(e) => (lstatus(&e), 0),
-            },
-            OP_RESOLVE_SHARED => match sup.resolve(m.drv, "shared", AccessRight::Read) {
-                Ok(_) => (ST_OK, 0),
-                Err(e) => (lstatus(&e), 0),
-            },
-            OP_RESOLVE_SHARD => match sup.resolve(m.drv, &format!("s{shard}"), AccessRight::Read) {
-                Ok(_) => (ST_OK, 0),
-                Err(e) => (lstatus(&e), 0),
-            },
-            OP_READ_SHARED => {
-                let Some(seg) = m.shared_segno else {
-                    return (ST_ERR, 0);
-                };
-                match sup.user_read(m.drv, seg, a * PAGE_WORDS as u32) {
-                    Ok(w) => (ST_OK, w.raw()),
-                    Err(e) => (lstatus(&e), 0),
-                }
-            }
-            OP_GROW => {
-                if !m.files.contains_key(&idx) {
-                    let shard_uid =
-                        match sup.resolve(m.drv, &format!("s{shard}"), AccessRight::Read) {
-                            Ok((uid, _)) => uid,
-                            Err(e) => return (lstatus(&e), 0),
-                        };
-                    let path = format!("s{shard}>{}", file_name(idx));
-                    let created = sup
-                        .create_segment_in(shard_uid, &file_name(idx), acl, Label::BOTTOM)
-                        .and_then(|_| sup.initiate(m.drv, &path));
-                    match created {
-                        Ok(segno) => {
-                            m.files.insert(idx, LFile { path, segno });
-                        }
-                        Err(e) => return (lstatus(&e), 0),
-                    }
-                }
-                let segno = m.files[&idx].segno;
-                match sup.user_write(m.drv, segno, a * PAGE_WORDS as u32, Word::new(b)) {
-                    Ok(()) => (ST_OK, 1),
-                    Err(e) => (lstatus(&e), 1),
-                }
-            }
-            OP_READ_OWN => {
-                let Some(segno) = m.files.get(&idx).map(|f| f.segno) else {
-                    return (ST_ERR, 0);
-                };
-                match sup.user_read(m.drv, segno, a * PAGE_WORDS as u32) {
-                    Ok(w) => (ST_OK, w.raw()),
-                    Err(e) => (lstatus(&e), 0),
-                }
-            }
-            OP_DELETE_OWN => {
-                let Some(f) = m.files.remove(&idx) else {
-                    return (ST_ERR, 0);
-                };
-                match sup.delete(m.drv, &f.path) {
-                    Ok(()) => (ST_OK, 0),
-                    Err(e) => (lstatus(&e), 0),
-                }
-            }
-            OP_MIG_OPEN => {
-                if m.files.contains_key(&idx) {
-                    return (ST_OK, 0);
-                }
-                let mig_uid = match sup.resolve(m.drv, "mig", AccessRight::Read) {
-                    Ok((uid, _)) => uid,
-                    Err(e) => return (lstatus(&e), 0),
-                };
-                let path = format!("mig>{}", file_name(idx));
-                let created = sup
-                    .create_segment_in(mig_uid, &file_name(idx), acl, Label::BOTTOM)
-                    .and_then(|_| sup.initiate(m.drv, &path));
-                match created {
-                    Ok(segno) => {
-                        m.files.insert(idx, LFile { path, segno });
-                        (ST_OK, 0)
-                    }
-                    Err(e) => (lstatus(&e), 0),
-                }
-            }
-            OP_MIG_WRITE => {
-                let Some(segno) = m.files.get(&idx).map(|f| f.segno) else {
-                    return (ST_ERR, 0);
-                };
-                match sup.user_write(m.drv, segno, a * PAGE_WORDS as u32, Word::new(b)) {
-                    Ok(()) => (ST_OK, 0),
-                    Err(e) => (lstatus(&e), 0),
-                }
-            }
-            OP_MIG_COMMIT => match sup.sync_to_disk() {
-                Ok(()) => (ST_OK, 0),
-                Err(e) => (lstatus(&e), 0),
-            },
-            _ => (ST_ERR, 0),
-        }
-    }
-
-    /// See [`KernelFleet::rpc`].
-    fn rpc(&mut self, src: usize, dst: usize, req: Req) -> Option<(u8, u64)> {
-        let bytes = Wire::frame(src as u8, &req.encode());
-        {
-            let m = &mut self.ms[src];
-            let cost = m.sup.machine.cost;
-            m.sup.machine.clock.charge_wire_frame(&cost, bytes.len());
-        }
-        self.wire.send(src, dst, FrameKind::Data, bytes);
-        self.remote_ops += 1;
-        self.pump();
-        let m = &mut self.ms[src];
-        match m.sup.network_read_channel(m.net, CH_RESP_BASE + dst as u16) {
-            Ok(bytes) if bytes.len() == RESP_LEN => Some((
-                bytes[0],
-                u64::from_le_bytes(bytes[1..9].try_into().expect("8 bytes")),
-            )),
-            _ => None,
-        }
-    }
-
-    /// See [`KernelFleet::daemon_call`].
-    fn daemon_call(&mut self, target: usize, home: usize, req: Req) -> Option<(u8, u64)> {
-        if target == home {
-            Some(self.execute_op(target, req))
-        } else {
-            self.rpc(home, target, req)
-        }
-    }
-
-    fn admit_one(&mut self, idx: usize) {
-        let home = self.homes[idx];
-        if home != 0 {
-            let bytes = Wire::frame(CH_DIRECTIVE, &[idx as u8, (idx >> 8) as u8]);
-            {
-                let m = &mut self.ms[0];
-                let cost = m.sup.machine.cost;
-                let g = m.sup.machine.clock.enter(Subsystem::AnsweringService);
-                m.sup.machine.clock.charge_wire_frame(&cost, bytes.len());
-                m.sup.machine.clock.exit(g);
-            }
-            self.wire.send(0, home, FrameKind::Directive, bytes);
-            self.pump();
-        }
-        let m = &mut self.ms[home];
-        match m.sup.login(&account_name(idx), "pw", Label::BOTTOM) {
-            Ok(pid) => {
-                self.sessions[idx] = Some(LSessionF {
-                    home,
-                    pid,
-                    own_segno: None,
-                    own_created: false,
-                    migrated: false,
-                    shared_segno: None,
-                    pages: Vec::new(),
-                });
-                self.live += 1;
-            }
-            Err(e) => self
-                .failures
-                .push(format!("login u{idx} refused at machine {home}: {e:?}")),
-        }
-    }
-
-    /// See [`KernelFleet::maybe_migrate`].
-    fn maybe_migrate(&mut self, idx: usize, shard: usize, owner: usize) {
-        let reloc = self.ms[owner].sup.stats.relocations;
-        if reloc <= self.ms[owner].reloc_seen {
-            return;
-        }
-        self.ms[owner].reloc_seen = reloc;
-        let (home, migrated, own_created, pages_len, pid) = {
-            let Some(s) = self.sessions[idx].as_ref() else {
-                return;
-            };
-            (s.home, s.migrated, s.own_created, s.pages.len(), s.pid)
-        };
-        if migrated || !own_created || pages_len == 0 {
-            return;
-        }
-        let mut vals = Vec::with_capacity(pages_len);
-        for page in 0..pages_len as u32 {
-            let read = if owner == home {
-                let Some(segno) = self.sessions[idx].as_ref().and_then(|s| s.own_segno) else {
-                    return;
-                };
-                self.ms[owner]
-                    .sup
-                    .user_read(pid, segno, page * PAGE_WORDS as u32)
-            } else {
-                let Some(segno) = self.ms[owner].files.get(&idx).map(|f| f.segno) else {
-                    return;
-                };
-                let drv = self.ms[owner].drv;
-                self.ms[owner]
-                    .sup
-                    .user_read(drv, segno, page * PAGE_WORDS as u32)
-            };
-            match read {
-                Ok(w) => vals.push(w.raw()),
-                Err(e) => {
-                    self.failures
-                        .push(format!("migration read u{idx} page {page}: {e:?}"));
-                    return;
-                }
-            }
-        }
-        match self.rpc(owner, 0, Req::new(OP_MIG_OPEN, idx, shard)) {
-            Some((ST_OK, _)) => {}
-            r => {
-                self.failures.push(format!("migration open u{idx}: {r:?}"));
-                return;
-            }
-        }
-        for (page, &val) in vals.iter().enumerate() {
-            match self.rpc(
-                owner,
-                0,
-                Req::new(OP_MIG_WRITE, idx, shard).arg(page as u32).val(val),
-            ) {
-                Some((ST_OK, _)) => {}
-                r => {
-                    self.failures
-                        .push(format!("migration write u{idx} page {page}: {r:?}"));
-                    return;
-                }
-            }
-        }
-        match self.rpc(owner, 0, Req::new(OP_MIG_COMMIT, idx, shard)) {
-            Some((ST_OK, _)) => {}
-            r => {
-                self.failures
-                    .push(format!("migration commit u{idx}: {r:?}"));
-                return;
-            }
-        }
-        if owner == home {
-            let own = self.sessions[idx].as_mut().and_then(|s| s.own_segno.take());
-            if own.is_some() {
-                let path = format!("s{shard}>{}", file_name(idx));
-                if let Err(e) = self.ms[owner].sup.delete(pid, &path) {
-                    self.failures
-                        .push(format!("migration source delete u{idx}: {e:?}"));
-                }
-            }
-        } else if let Some(f) = self.ms[owner].files.remove(&idx) {
-            let drv = self.ms[owner].drv;
-            if let Err(e) = self.ms[owner].sup.delete(drv, &f.path) {
-                self.failures
-                    .push(format!("migration source delete u{idx}: {e:?}"));
-            }
-        }
-        if let Some(s) = self.sessions[idx].as_mut() {
-            s.migrated = true;
-        }
-        self.migrations += 1;
-    }
-}
-
-impl Driver for LegacyFleet {
-    fn now(&self) -> u64 {
-        self.ms.iter().map(|m| m.sup.machine.clock.now()).sum()
-    }
-
-    fn queued(&self) -> usize {
-        self.front.len()
-    }
-
-    fn request(&mut self, idx: usize) -> bool {
-        if self.live < self.cap {
-            self.admit_one(idx);
-            true
-        } else {
-            self.front.push_back(idx);
-            false
-        }
-    }
-
-    fn admit(&mut self) -> Vec<usize> {
-        let mut out = Vec::new();
-        while self.live < self.cap {
-            let Some(idx) = self.front.pop_front() else {
-                break;
-            };
-            self.admit_one(idx);
-            out.push(idx);
-        }
-        out
-    }
-
-    fn exec(&mut self, idx: usize, shard: usize, action: &Action) -> String {
-        let (home, migrated) = {
-            let s = self.sessions[idx].as_ref().expect("live session");
-            (s.home, s.migrated)
-        };
-        self.last_active = home;
-        let machines = self.spec.machines;
-        match *action {
-            Action::Link(sym) => {
-                if home == 0 {
-                    let m = &mut self.ms[0];
-                    let s = self.sessions[idx].as_mut().expect("live session");
-                    match m.sup.link(s.pid, "lib", &symbol(sym)) {
-                        Ok(l) => format!("l:{}", l.offset),
-                        Err(e) => format!("l:{}", llabel(&e)),
-                    }
-                } else {
-                    let resp = self.rpc(home, 0, Req::new(OP_LINK, idx, shard).arg(sym as u32));
-                    value_label("l", resp)
-                }
-            }
-            Action::Resolve(target) => {
-                let (dst, op) = match target {
-                    ResolveTarget::Lib => (0, OP_RESOLVE_LIB),
-                    ResolveTarget::Shared => (0, OP_RESOLVE_SHARED),
-                    ResolveTarget::Shard(j) => (j % machines, OP_RESOLVE_SHARD),
-                };
-                if dst == home {
-                    let path = match target {
-                        ResolveTarget::Lib => "lib".to_string(),
-                        ResolveTarget::Shared => "shared".to_string(),
-                        ResolveTarget::Shard(j) => format!("s{j}"),
-                    };
-                    let m = &mut self.ms[home];
-                    let s = self.sessions[idx].as_mut().expect("live session");
-                    match m.sup.resolve(s.pid, &path, AccessRight::Read) {
-                        Ok(_) => "n:ok".to_string(),
-                        Err(e) => format!("n:{}", llabel(&e)),
-                    }
-                } else {
-                    let resp = self.rpc(home, dst, Req::new(op, idx, shard));
-                    ok_label("n", resp)
-                }
-            }
-            Action::Grow { page, val } => {
-                let owner = if migrated { 0 } else { shard % machines };
-                let label = if owner == home && !migrated {
-                    let m = &mut self.ms[home];
-                    let s = self.sessions[idx].as_mut().expect("live session");
-                    let mut out = None;
-                    if s.own_segno.is_none() {
-                        let created = m
-                            .sup
-                            .resolve(s.pid, &format!("s{shard}"), AccessRight::Read)
-                            .and_then(|(shard_uid, _)| {
-                                m.sup.create_segment_in(
-                                    shard_uid,
-                                    &file_name(idx),
-                                    LAcl::owner(LUserId(1)),
-                                    Label::BOTTOM,
-                                )
-                            })
-                            .and_then(|_| {
-                                m.sup
-                                    .initiate(s.pid, &format!("s{shard}>{}", file_name(idx)))
-                            });
-                        match created {
-                            Ok(segno) => s.own_segno = Some(segno),
-                            Err(e) => out = Some(format!("w:{}", llabel(&e))),
-                        }
-                    }
-                    match out {
-                        Some(label) => label,
-                        None => {
-                            let segno = s.own_segno.expect("just created");
-                            s.own_created = true;
-                            match m.sup.user_write(
-                                s.pid,
-                                segno,
-                                page * PAGE_WORDS as u32,
-                                Word::new(val),
-                            ) {
-                                Ok(()) => "w:ok".to_string(),
-                                Err(e) => format!("w:{}", llabel(&e)),
-                            }
-                        }
-                    }
-                } else {
-                    let resp = self.daemon_call(
-                        owner,
-                        home,
-                        Req::new(OP_GROW, idx, shard).arg(page).val(val),
-                    );
-                    if let Some((_, exists)) = resp {
-                        if exists == 1 {
-                            self.sessions[idx]
-                                .as_mut()
-                                .expect("live session")
-                                .own_created = true;
-                        }
-                    }
-                    ok_label("w", resp)
-                };
-                if label == "w:ok" {
-                    self.sessions[idx]
-                        .as_mut()
-                        .expect("live session")
-                        .pages
-                        .push(val);
-                }
-                if self.spec.migratory && owner != 0 {
-                    self.maybe_migrate(idx, shard, owner);
-                }
-                label
-            }
-            Action::ReadOwn { page } => {
-                let owner = if migrated { 0 } else { shard % machines };
-                if owner == home && !migrated {
-                    let m = &mut self.ms[home];
-                    let s = self.sessions[idx].as_mut().expect("live session");
-                    match s.own_segno {
-                        Some(segno) => {
-                            match m.sup.user_read(s.pid, segno, page * PAGE_WORDS as u32) {
-                                Ok(w) => format!("r:{}", w.raw()),
-                                Err(e) => format!("r:{}", llabel(&e)),
-                            }
-                        }
-                        None => "r:err".to_string(),
-                    }
-                } else {
-                    let resp =
-                        self.daemon_call(owner, home, Req::new(OP_READ_OWN, idx, shard).arg(page));
-                    value_label("r", resp)
-                }
-            }
-            Action::ReadShared { page } => {
-                if home == 0 {
-                    let m = &mut self.ms[0];
-                    let s = self.sessions[idx].as_mut().expect("live session");
-                    if s.shared_segno.is_none() {
-                        match m.sup.initiate(s.pid, "shared") {
-                            Ok(segno) => s.shared_segno = Some(segno),
-                            Err(e) => return format!("r:{}", llabel(&e)),
-                        }
-                    }
-                    let segno = s.shared_segno.expect("just initiated");
-                    match m.sup.user_read(s.pid, segno, page * PAGE_WORDS as u32) {
-                        Ok(w) => format!("r:{}", w.raw()),
-                        Err(e) => format!("r:{}", llabel(&e)),
-                    }
-                } else {
-                    let resp = self.rpc(home, 0, Req::new(OP_READ_SHARED, idx, shard).arg(page));
-                    value_label("r", resp)
-                }
-            }
-        }
-    }
-
-    fn finish(&mut self, idx: usize, shard: usize, abandon: bool) -> String {
-        let (home, pid, migrated, own_created, own_segno) = {
-            let s = self.sessions[idx].as_ref().expect("live session");
-            (s.home, s.pid, s.migrated, s.own_created, s.own_segno)
-        };
-        self.last_active = home;
-        let mut label = if abandon { "reap" } else { "out" }.to_string();
-        if !abandon && own_created {
-            let owner = if migrated {
-                0
-            } else {
-                shard % self.spec.machines
-            };
-            if owner == home && !migrated {
-                if own_segno.is_some() {
-                    let path = format!("s{shard}>{}", file_name(idx));
-                    match self.ms[home].sup.delete(pid, &path) {
-                        Ok(()) => {
-                            if let Some(s) = self.sessions[idx].as_mut() {
-                                s.own_segno = None;
-                            }
-                        }
-                        Err(_) => label = "out:err".to_string(),
-                    }
-                }
-            } else {
-                match self.daemon_call(owner, home, Req::new(OP_DELETE_OWN, idx, shard)) {
-                    Some((ST_OK, _)) => {}
-                    Some(_) => label = "out:err".to_string(),
-                    None => label = "out:lost".to_string(),
-                }
-            }
-        }
-        let m = &mut self.ms[home];
-        match m.sup.logout(&account_name(idx), pid) {
-            Ok(_) => {}
-            Err(_) => label = format!("{label}:err"),
-        }
-        self.sessions[idx] = None;
-        self.live -= 1;
-        label
-    }
-
-    fn schedule(&mut self) {
-        self.ms[self.last_active].sup.dispatch();
-    }
-
-    fn housekeep(&mut self) {
-        for mi in 0..self.ms.len() {
-            if let Err(e) = self.ms[mi].sup.sync_to_disk() {
-                self.failures
-                    .push(format!("machine {mi}: housekeeping sweep: {e:?}"));
-            }
-        }
-    }
+) -> FleetRun {
+    run_fleet::<KernelDesign>(spec, wire_policy)
 }
 
 /// Runs the fleet spec on the 1974 supervisor design. The
@@ -2294,66 +1168,7 @@ pub fn run_legacy_fleet(
     spec: &FleetSpec,
     wire_policy: Option<Box<dyn SchedulePolicy>>,
 ) -> FleetRun {
-    assert!(spec.machines >= 1, "a fleet needs at least one machine");
-    assert!(
-        !spec.dedicated_store || spec.machines >= 2,
-        "a dedicated store needs at least one member machine"
-    );
-    let base = spec.base();
-    let scripts = base.scripts();
-    let mut fleet = setup_legacy_fleet(spec, wire_policy);
-    let mut st = EngineState::new();
-    storm(&mut fleet, &scripts, &mut st);
-    drive_until(&mut fleet, &scripts, &mut st, None);
-    fleet.pump();
-
-    let per_machine_cycles: Vec<u64> = fleet
-        .ms
-        .iter()
-        .map(|m| m.sup.machine.clock.now() - m.setup_cycles)
-        .collect();
-    let mut edges = EdgeSet::new();
-    let mut violations = Vec::new();
-    let mut totals = Vec::new();
-    let mut relocations = 0;
-    for (i, m) in fleet.ms.iter().enumerate() {
-        edges.merge(&m.edge_base.delta(m.sup.machine.clock.edge_set()));
-        for v in oracle::check_legacy(&m.sup) {
-            violations.push(format!("machine {i}: {v}"));
-        }
-        totals.push(disk_totals(&m.sup.machine.disks));
-        relocations += m.sup.stats.relocations;
-    }
-    violations.extend(fleet_conservation(&totals));
-    violations.extend(fleet.failures.iter().cloned());
-    let store = &fleet.ms[0];
-    FleetRun {
-        design: "legacy",
-        machines: spec.machines,
-        cycles: per_machine_cycles.iter().sum(),
-        wall_cycles: per_machine_cycles.iter().copied().max().unwrap_or(0),
-        setup_cycles: fleet.ms.iter().map(|m| m.setup_cycles).sum(),
-        ops: st.ops,
-        sessions: spec.sessions,
-        abandoned: st.abandoned,
-        queued_peak: st.queued_peak,
-        parity: st.parity,
-        hist: st.hist,
-        admitted_order: st.admitted_order,
-        frames_sent: fleet.wire.sent,
-        frames_delivered: fleet.wire.delivered,
-        frames_dropped: fleet.wire.dropped,
-        remote_ops: fleet.remote_ops,
-        migrations: fleet.migrations,
-        relocations,
-        store_cycles: per_machine_cycles[0],
-        store_meter: store
-            .meter_base
-            .delta(&store.sup.machine.clock.meter_snapshot()),
-        per_machine_cycles,
-        edges,
-        violations,
-    }
+    run_fleet::<LegacyDesign>(spec, wire_policy)
 }
 
 #[cfg(test)]

@@ -12,6 +12,7 @@
 //!
 //! Everything here is seed-pure: same spec, same bytes, every run.
 
+mod design;
 pub mod epoch;
 pub mod fleet;
 pub mod hist;

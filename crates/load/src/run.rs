@@ -3,26 +3,23 @@
 //! The engine owns every scheduling-free decision — which session acts
 //! next (round robin over the live set), when the scripted scheduler
 //! pass happens (every fourth operation), when a finished session's
-//! slot is re-offered to the admission queue — and delegates the
-//! design-specific work to a [`Driver`]. Both drivers therefore execute
+//! slot is re-offered to the admission queue — and delegates the rest
+//! to a [`Driver`]: one machine running one design ([`Single`]), or a
+//! fleet of them. Every driver is written once against the
+//! [`Design`](crate::design::Design) interface, so both designs execute
 //! the byte-identical logical stream, which is what makes the
 //! user-visible parity assertion meaningful.
 
+use crate::design::kernel::KernelDesign;
+use crate::design::legacy::LegacyDesign;
+use crate::design::{gate_retry, salvage_step_checked, Design, Session, Sizes};
 use crate::hist::Histogram;
 use crate::script::{session_script, SessionOp, SessionScript, LIB_SYMBOLS, SHARED_PAGES};
-use mx_aim::Label;
-use mx_explore::oracle;
 use mx_hw::meter::{EdgeSet, MeterSnapshot};
-use mx_hw::{Word, PAGE_WORDS};
-use mx_kernel::{
-    Acl, Kernel, KernelConfig, KernelError, ObjToken, OnlineProgress, ProcessId, UserId,
-};
-use mx_legacy::{
-    AccessRight, Acl as LAcl, LegacyError, LegacyOnlineProgress, ProcessId as LProcessId,
-    Supervisor, SupervisorConfig, UserId as LUserId,
-};
+use mx_hw::PAGE_WORDS;
 use mx_sync::SchedulePolicy;
-use mx_user::{publish_library, Admission, AnsweringService, NameSpace, UserLinker};
+
+const PW: u32 = PAGE_WORDS as u32;
 
 /// What to run: how many sessions, from which seed, on what storage.
 #[derive(Debug, Clone, Copy)]
@@ -80,7 +77,7 @@ impl LoadSpec {
         }
     }
 
-    fn shards(&self) -> usize {
+    pub(crate) fn shard_count(&self) -> usize {
         if self.tight_storage {
             2
         } else {
@@ -88,7 +85,7 @@ impl LoadSpec {
         }
     }
 
-    fn shard_quota(&self) -> u32 {
+    pub(crate) fn shard_quota_pages(&self) -> u32 {
         if self.tight_storage {
             3
         } else {
@@ -98,68 +95,29 @@ impl LoadSpec {
         }
     }
 
-    pub(crate) fn kernel_config(&self) -> KernelConfig {
+    /// The storage and process-table sizes both designs boot with.
+    pub(crate) fn sizes(&self) -> Sizes {
         if self.tight_storage {
-            if self.headroom {
-                return KernelConfig {
-                    frames: 96,
-                    packs: 2,
-                    records_per_pack: 64,
-                    toc_slots_per_pack: 96,
-                    max_processes: 4,
-                    root_quota: 512,
-                    ..KernelConfig::default()
-                };
-            }
-            KernelConfig {
+            let (records_per_pack, toc_slots_per_pack, root_quota) = if self.headroom {
+                (64, 96, 512)
+            } else {
+                (12, 24, 96)
+            };
+            Sizes {
                 frames: 96,
-                packs: 2,
-                records_per_pack: 12,
-                toc_slots_per_pack: 24,
+                records_per_pack,
+                toc_slots_per_pack,
                 max_processes: 4,
-                root_quota: 96,
-                ..KernelConfig::default()
+                root_quota,
             }
         } else {
             let n = self.sessions as u32;
-            KernelConfig {
+            Sizes {
+                frames: 256,
                 records_per_pack: (3 * n).max(1024),
                 toc_slots_per_pack: (2 * n).max(256),
+                max_processes: 16,
                 root_quota: (2 * n + 256).max(1500),
-                ..KernelConfig::default()
-            }
-        }
-    }
-
-    pub(crate) fn supervisor_config(&self) -> SupervisorConfig {
-        if self.tight_storage {
-            if self.headroom {
-                return SupervisorConfig {
-                    frames: 96,
-                    packs: 2,
-                    records_per_pack: 64,
-                    toc_slots_per_pack: 96,
-                    ast_slots: 64,
-                    max_processes: 4,
-                    root_quota_pages: 512,
-                };
-            }
-            SupervisorConfig {
-                frames: 96,
-                packs: 2,
-                records_per_pack: 12,
-                toc_slots_per_pack: 24,
-                ast_slots: 64,
-                max_processes: 4,
-                root_quota_pages: 96,
-            }
-        } else {
-            let n = self.sessions as u32;
-            SupervisorConfig {
-                records_per_pack: (3 * n).max(1024),
-                toc_slots_per_pack: (2 * n).max(256),
-                root_quota_pages: (2 * n + 256).max(1500),
-                ..SupervisorConfig::default()
             }
         }
     }
@@ -183,16 +141,8 @@ impl LoadSpec {
 
     pub(crate) fn scripts(&self) -> Vec<SessionScript> {
         (0..self.sessions)
-            .map(|i| session_script(self.seed, i, self.shards()))
+            .map(|i| session_script(self.seed, i, self.shard_count()))
             .collect()
-    }
-
-    pub(crate) fn shard_count(&self) -> usize {
-        self.shards()
-    }
-
-    pub(crate) fn shard_quota_pages(&self) -> u32 {
-        self.shard_quota()
     }
 }
 
@@ -285,20 +235,37 @@ impl LoadRun {
 #[derive(Debug, Clone, Copy)]
 pub(crate) enum Action {
     Link(usize),
-    Resolve(ResolveTarget),
+    Resolve(Entry),
     Grow { page: u32, val: u64 },
     ReadOwn { page: u32 },
     ReadShared { page: u32 },
 }
 
-#[derive(Debug, Clone, Copy)]
-pub(crate) enum ResolveTarget {
+/// A root entry the harness names: what a session resolves, and the
+/// directories session files live in.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Entry {
     Lib,
     Shared,
+    /// Quota-capped shard directory `s{j}`.
     Shard(usize),
+    /// The fleet store's migration landing zone.
+    Mig,
 }
 
-/// The design-specific half of the harness.
+impl Entry {
+    pub(crate) fn name(self) -> String {
+        match self {
+            Entry::Lib => "lib".to_string(),
+            Entry::Shared => "shared".to_string(),
+            Entry::Shard(j) => format!("s{j}"),
+            Entry::Mig => "mig".to_string(),
+        }
+    }
+}
+
+/// What the engine drives: one machine, or a fleet behind one front
+/// answering service.
 pub(crate) trait Driver {
     fn now(&self) -> u64;
     fn queued(&self) -> usize;
@@ -435,9 +402,9 @@ pub(crate) fn drive_until<D: Driver>(
             let action = match script.ops[op_ix] {
                 SessionOp::Link(s) => Some(Action::Link(s)),
                 SessionOp::Resolve(t) => Some(Action::Resolve(match t {
-                    0 => ResolveTarget::Lib,
-                    1 => ResolveTarget::Shared,
-                    _ => ResolveTarget::Shard(script.shard),
+                    0 => Entry::Lib,
+                    1 => Entry::Shared,
+                    _ => Entry::Shard(script.shard),
                 })),
                 SessionOp::Grow(val) => Some(Action::Grow { page: grown, val }),
                 SessionOp::ReadBack(r) if grown > 0 => Some(Action::ReadOwn { page: r % grown }),
@@ -501,7 +468,7 @@ pub(crate) fn account_name(idx: usize) -> String {
     format!("u{idx}")
 }
 
-fn account_index(name: &str) -> usize {
+pub(crate) fn account_index(name: &str) -> usize {
     name.strip_prefix('u')
         .and_then(|s| s.parse().ok())
         .expect("load account names are u<idx>")
@@ -598,107 +565,7 @@ pub(crate) fn check_serving_records(disks: &mx_hw::DiskSystem) -> Vec<String> {
     out
 }
 
-/// One kernel salvage step with the per-release battery applied:
-/// recheck verdict, meter conservation, serving-half record
-/// conservation at every `Released`, and the full oracle battery at
-/// `Done`. Shared by the driver's tick and the S1 reconciliation (which
-/// steps the salvager before any driver exists).
-pub(crate) fn kernel_salvage_step_checked(k: &mut Kernel, probe: &mut SalvageProbe) {
-    match k.online_salvage_step() {
-        Ok(OnlineProgress::Released {
-            dir, recheck_clean, ..
-        }) => {
-            probe.dirs_released += 1;
-            if !recheck_clean {
-                probe.violations.push(format!(
-                    "released dir uid {} with a failing recheck — \
-                     per-directory salvage not idempotent",
-                    dir.0
-                ));
-            }
-            for v in oracle::check_meter(&k.machine.clock) {
-                probe
-                    .violations
-                    .push(format!("at release of uid {}: {v}", dir.0));
-            }
-            for v in check_serving_records(&k.machine.disks) {
-                probe
-                    .violations
-                    .push(format!("at release of uid {}: {v}", dir.0));
-            }
-        }
-        Ok(OnlineProgress::Done { report }) => {
-            probe.done_at = Some(k.machine.clock.now());
-            probe.problems = report.problems.len();
-            probe.repairs = report.repairs.len();
-            for v in oracle::check_kernel(k) {
-                probe.violations.push(format!("post-salvage: {v}"));
-            }
-        }
-        Ok(OnlineProgress::Finalized { .. }) | Ok(OnlineProgress::Idle) => {}
-        Err(e) => probe
-            .violations
-            .push(format!("online salvage step failed: {e:?}")),
-    }
-}
-
-/// The legacy mirror of [`kernel_salvage_step_checked`].
-pub(crate) fn legacy_salvage_step_checked(sup: &mut Supervisor, probe: &mut SalvageProbe) {
-    match sup.online_salvage_step() {
-        Ok(LegacyOnlineProgress::Released {
-            dir, recheck_clean, ..
-        }) => {
-            probe.dirs_released += 1;
-            if !recheck_clean {
-                probe.violations.push(format!(
-                    "released dir uid {} with a failing recheck — \
-                     per-directory salvage not idempotent",
-                    dir.0
-                ));
-            }
-            for v in oracle::check_meter(&sup.machine.clock) {
-                probe
-                    .violations
-                    .push(format!("at release of uid {}: {v}", dir.0));
-            }
-            for v in check_serving_records(&sup.machine.disks) {
-                probe
-                    .violations
-                    .push(format!("at release of uid {}: {v}", dir.0));
-            }
-        }
-        Ok(LegacyOnlineProgress::Done { report }) => {
-            probe.done_at = Some(sup.machine.clock.now());
-            probe.problems = report.problems.len();
-            probe.repairs = report.repairs.len();
-            for v in oracle::check_legacy(sup) {
-                probe.violations.push(format!("post-salvage: {v}"));
-            }
-        }
-        Ok(LegacyOnlineProgress::Finalized { .. }) | Ok(LegacyOnlineProgress::Idle) => {}
-        Err(e) => probe
-            .violations
-            .push(format!("online salvage step failed: {e:?}")),
-    }
-}
-
-// ------------------------------------------------------- kernel driver --
-
-pub(crate) fn klabel(e: &KernelError) -> &'static str {
-    match e {
-        KernelError::QuotaExceeded { .. } => "quota",
-        KernelError::AllPacksFull => "full",
-        _ => "err",
-    }
-}
-
-pub(crate) struct KSession {
-    pub(crate) pid: ProcessId,
-    pub(crate) ns: NameSpace,
-    pub(crate) linker: UserLinker,
-    pub(crate) own: Option<(u32, ObjToken)>,
-    pub(crate) shared_segno: Option<u32>,
-}
+// ----------------------------------------------------- the one driver --
 
 /// Per-shard recovery work parked behind the online salvager's
 /// quarantine: the wipe of the previous population's files and the
@@ -706,40 +573,32 @@ pub(crate) struct KSession {
 /// directory is released (or, if the crash cost the entry itself, until
 /// it is recreated).
 #[derive(Debug, Clone)]
-pub(crate) struct KernelDeferred {
+pub(crate) struct Deferred<P> {
     pub(crate) shard: usize,
-    pub(crate) drv: ProcessId,
+    pub(crate) drv: P,
     pub(crate) quota: u32,
     pub(crate) wipe: Vec<usize>,
     pub(crate) restore: Vec<(usize, Vec<u64>)>,
 }
 
-pub(crate) struct KernelDriver {
-    pub(crate) k: Kernel,
-    pub(crate) svc: AnsweringService,
-    pub(crate) sessions: Vec<Option<KSession>>,
-    pub(crate) shard_toks: Vec<ObjToken>,
+/// One machine running one design under the engine.
+pub(crate) struct Single<D: Design> {
+    pub(crate) d: D,
+    pub(crate) sessions: Vec<Option<Session<D>>>,
     pub(crate) salvage: SalvageProbe,
-    pub(crate) deferred: Vec<KernelDeferred>,
+    pub(crate) deferred: Vec<Deferred<D::Pid>>,
 }
 
-impl KernelDriver {
-    pub(crate) fn open(&mut self, idx: usize, pid: ProcessId) {
-        let ns = NameSpace::new(&mut self.k, pid);
-        self.sessions[idx] = Some(KSession {
-            pid,
-            ns,
-            linker: UserLinker::new(pid),
-            own: None,
-            shared_segno: None,
-        });
+impl<D: Design> Single<D> {
+    fn open(&mut self, idx: usize, pid: D::Pid) {
+        self.sessions[idx] = Some(Session::open(&mut self.d, pid));
     }
 
     /// One salvager step (with the release battery) if a salvage is in
     /// progress, then whatever deferred shard work became serviceable.
     fn salvage_advance(&mut self) {
-        if self.k.online_salvage_active() {
-            kernel_salvage_step_checked(&mut self.k, &mut self.salvage);
+        if self.d.online_salvage_active() {
+            salvage_step_checked(&mut self.d, &mut self.salvage);
         }
         self.attempt_deferred();
     }
@@ -766,40 +625,29 @@ impl KernelDriver {
     /// `Ok(true)` = the shard's wipe and restores ran to completion;
     /// `Ok(false)` = the shard is still quarantined.
     fn try_deferred(&mut self, i: usize) -> Result<bool, String> {
-        let (shard, drv, quota) = {
-            let w = &self.deferred[i];
-            (w.shard, w.drv, w.quota)
-        };
-        match self.k.list_dir(drv, self.shard_toks[shard]) {
-            Err(KernelError::SalvageBusy) => return Ok(false),
-            Ok(_) => {}
+        let work = self.deferred[i].clone();
+        let (shard, drv) = (work.shard, work.drv);
+        let dir = Entry::Shard(shard);
+        let at = match self.d.probe_dir(drv, dir) {
+            Err(e) if D::busy(&e) => return Ok(false),
+            Ok(at) => at,
             Err(_) => {
                 // The crash (or the salvager clearing a mangled entry)
                 // cost us the shard directory itself: recreate and
                 // re-cap it. A directory created through the gates is
                 // born released, so the work below proceeds.
-                let root = self.k.root_token();
-                let tok = self
-                    .k
-                    .create_entry(
-                        drv,
-                        root,
-                        &format!("s{shard}"),
-                        Acl::owner(UserId(1)),
-                        Label::BOTTOM,
-                        true,
-                    )
+                let at = self
+                    .d
+                    .create(drv, dir)
                     .map_err(|e| format!("shard s{shard} recreate: {e:?}"))?;
-                self.k
-                    .set_quota(drv, tok, quota)
+                self.d
+                    .set_quota(drv, dir, work.quota)
                     .map_err(|e| format!("shard s{shard} quota: {e:?}"))?;
-                self.shard_toks[shard] = tok;
+                at
             }
-        }
-        let tok = self.shard_toks[shard];
-        let work = self.deferred[i].clone();
-        for idx in &work.wipe {
-            let _ = self.k.delete_entry(drv, tok, &file_name(*idx));
+        };
+        for &idx in &work.wipe {
+            let _ = self.d.delete_file(drv, dir, idx);
         }
         for (idx, vals) in &work.restore {
             // A survivor that finished before its shard was released
@@ -807,171 +655,278 @@ impl KernelDriver {
             let Some(pid) = self.sessions[*idx].as_ref().map(|s| s.pid) else {
                 continue;
             };
-            let ftok = self
-                .k
-                .create_entry(
-                    pid,
-                    tok,
-                    &file_name(*idx),
-                    Acl::owner(UserId(1)),
-                    Label::BOTTOM,
-                    false,
-                )
-                .map_err(|e| format!("survivor u{idx} file recreate: {e:?}"))?;
-            let segno = self
-                .k
-                .initiate(pid, ftok)
-                .map_err(|e| format!("survivor u{idx} file initiate: {e:?}"))?;
-            for (page, &val) in vals.iter().enumerate() {
-                self.k
-                    .write_word(pid, segno, page as u32 * PAGE_WORDS as u32, Word::new(val))
-                    .map_err(|e| format!("survivor u{idx} replay page {page}: {e:?}"))?;
-            }
+            let segno = restore_file(&mut self.d, pid, at, *idx, vals)?;
             if let Some(s) = self.sessions[*idx].as_mut() {
-                s.own = Some((segno, ftok));
+                s.own = Some(segno);
             }
         }
         Ok(true)
     }
+
+    /// Retries one attempt through `SalvageBusy` barriers (`once`
+    /// returns `None`), stepping the salvager between attempts and
+    /// recording the blocked-op figures. `None` = the retry budget ran
+    /// out: a typed violation, never a hang.
+    fn retry<T>(
+        &mut self,
+        what: impl FnOnce() -> String,
+        mut once: impl FnMut(&mut D, &mut [Option<Session<D>>]) -> Option<T>,
+    ) -> Option<T> {
+        let start = self.now();
+        let mut attempts = 0u32;
+        loop {
+            if let Some(done) = once(&mut self.d, &mut self.sessions) {
+                if attempts > 0 {
+                    self.salvage.blocked_cycles += self.now() - start;
+                }
+                return Some(done);
+            }
+            attempts += 1;
+            if attempts == 1 {
+                self.salvage.blocked_ops += 1;
+            }
+            if attempts > SALVAGE_RETRY_BUDGET {
+                self.salvage.blocked_cycles += self.now() - start;
+                self.salvage.violations.push(format!(
+                    "salvage retry budget ({SALVAGE_RETRY_BUDGET}) exhausted {}",
+                    what()
+                ));
+                return None;
+            }
+            self.salvage.retries += 1;
+            self.salvage_advance();
+        }
+    }
 }
 
-impl Driver for KernelDriver {
+/// Recreates session `idx`'s file in directory `at` and replays its
+/// pages.
+pub(crate) fn restore_file<D: Design>(
+    d: &mut D,
+    pid: D::Pid,
+    at: D::Handle,
+    idx: usize,
+    vals: &[u64],
+) -> Result<u32, String> {
+    let segno = d
+        .create_file(pid, at, idx)
+        .map_err(|e| format!("survivor u{idx} file recreate: {e:?}"))?;
+    for (page, &val) in vals.iter().enumerate() {
+        d.write(pid, segno, page as u32 * PW, val)
+            .map_err(|e| format!("survivor u{idx} replay page {page}: {e:?}"))?;
+    }
+    Ok(segno)
+}
+
+/// One attempt at an action. `None` means a `SalvageBusy` barrier was
+/// hit: the caller steps the salvager and retries. Every arm is
+/// retry-idempotent — partial effects (a created file) are recorded on
+/// the session before the barrier can fire.
+pub(crate) fn exec_once<D: Design>(
+    d: &mut D,
+    s: &mut Session<D>,
+    idx: usize,
+    shard: usize,
+    action: &Action,
+) -> Option<String> {
+    let label = |prefix: &str, e: &D::Error| format!("{prefix}:{}", D::label(e));
+    let read = |r: Result<u64, D::Error>| match r {
+        Ok(w) => format!("r:{w}"),
+        Err(e) => label("r", &e),
+    };
+    Some(match *action {
+        Action::Link(sym) => match d.link(s, sym) {
+            Ok(offset) => format!("l:{offset}"),
+            Err(e) if D::busy(&e) => return None,
+            Err(e) => label("l", &e),
+        },
+        Action::Resolve(target) => match d.resolve(s, target) {
+            Ok(()) => "n:ok".to_string(),
+            Err(e) if D::busy(&e) => return None,
+            Err(e) => label("n", &e),
+        },
+        Action::Grow { page, val } => {
+            if s.own.is_none() {
+                let dir = Entry::Shard(shard);
+                match d
+                    .open_dir(s.pid, dir)
+                    .and_then(|at| d.create_file(s.pid, at, idx))
+                {
+                    Ok(segno) => s.own = Some(segno),
+                    Err(e) if D::busy(&e) => return None,
+                    Err(e) => return Some(label("w", &e)),
+                }
+            }
+            let segno = s.own.expect("just created");
+            match d.write(s.pid, segno, page * PW, val) {
+                Ok(()) => "w:ok".to_string(),
+                Err(e) => label("w", &e),
+            }
+        }
+        // A survivor whose file restoration is still deferred behind a
+        // quarantined shard has grown pages but no segment yet: the op
+        // is blocked until the shard's release replays the file.
+        Action::ReadOwn { page } => read(d.read(s.pid, s.own?, page * PW, false)),
+        Action::ReadShared { page } => {
+            if s.shared_segno.is_none() {
+                match d.initiate_shared(s) {
+                    Ok(segno) => s.shared_segno = Some(segno),
+                    Err(e) if D::busy(&e) => return None,
+                    Err(e) => return Some(label("r", &e)),
+                }
+            }
+            let segno = s.shared_segno.expect("just initiated");
+            read(d.read(s.pid, segno, page * PW, false))
+        }
+    })
+}
+
+/// One attempt at ending a session: deletes its file (unless abandoned)
+/// and logs out (reaps, for abandoned sessions); `None` = blocked on a
+/// barrier. The delete clears `own` on success so a retry that blocks
+/// later (at logout) never re-deletes.
+pub(crate) fn end_once<D: Design>(
+    d: &mut D,
+    s: &mut Session<D>,
+    idx: usize,
+    shard: usize,
+    abandon: bool,
+) -> Option<String> {
+    let mut label = if abandon { "reap" } else { "out" }.to_string();
+    if !abandon && s.own.is_some() {
+        match d.delete_file(s.pid, Entry::Shard(shard), idx) {
+            Ok(()) => s.own = None,
+            Err(e) if D::busy(&e) => return None,
+            Err(_) => label = "out:err".to_string(),
+        }
+    }
+    logout_once(d, idx, s.pid, label)
+}
+
+/// Logs `pid` out, appending `:err` to `label` on a refusal; `None` =
+/// blocked on a barrier.
+pub(crate) fn logout_once<D: Design>(
+    d: &mut D,
+    idx: usize,
+    pid: D::Pid,
+    mut label: String,
+) -> Option<String> {
+    match d.logout(idx, pid) {
+        Ok(()) => {}
+        Err(e) if D::busy(&e) => return None,
+        Err(_) => label = format!("{label}:err"),
+    }
+    Some(label)
+}
+
+impl<D: Design> Driver for Single<D> {
     fn now(&self) -> u64 {
-        self.k.machine.clock.now()
+        self.d.machine().clock.now()
     }
 
     fn queued(&self) -> usize {
-        self.svc.queued_logins()
+        self.d.queued()
     }
 
     fn request(&mut self, idx: usize) -> bool {
-        let start = self.k.machine.clock.now();
-        let mut attempts = 0u32;
-        loop {
-            match self
-                .svc
-                .login_or_queue(&mut self.k, &account_name(idx), "pw", Label::BOTTOM)
-            {
-                Ok(Admission::Admitted(pid)) => {
-                    if attempts > 0 {
-                        self.salvage.blocked_cycles += self.k.machine.clock.now() - start;
-                    }
-                    self.open(idx, pid);
-                    return true;
-                }
-                Ok(Admission::Queued(_)) => {
-                    if attempts > 0 {
-                        self.salvage.blocked_cycles += self.k.machine.clock.now() - start;
-                    }
-                    return false;
-                }
-                Err(KernelError::SalvageBusy) => {
-                    attempts += 1;
-                    if attempts == 1 {
-                        self.salvage.blocked_ops += 1;
-                    }
-                    if attempts > SALVAGE_RETRY_BUDGET {
-                        self.salvage.blocked_cycles += self.k.machine.clock.now() - start;
-                        self.salvage.violations.push(format!(
-                            "salvage retry budget ({SALVAGE_RETRY_BUDGET}) exhausted \
-                             logging in u{idx}"
-                        ));
-                        return false;
-                    }
-                    self.salvage.retries += 1;
-                    self.salvage_advance();
-                }
-                Err(e) => {
-                    // Load accounts always authenticate; anything else
-                    // is reported through the probe, never a panic.
-                    self.salvage
-                        .violations
-                        .push(format!("login u{idx} refused: {e:?}"));
-                    return false;
-                }
+        let got = self.retry(
+            || format!("logging in u{idx}"),
+            |d, _| match d.login_or_queue(idx) {
+                Err(e) if D::busy(&e) => None,
+                got => Some(got),
+            },
+        );
+        match got {
+            Some(Ok(Some(pid))) => {
+                self.open(idx, pid);
+                true
+            }
+            Some(Ok(None)) | None => false,
+            // Load accounts always authenticate; anything else is
+            // reported through the probe, never a panic.
+            Some(Err(e)) => {
+                self.salvage
+                    .violations
+                    .push(format!("login u{idx} refused: {e:?}"));
+                false
             }
         }
     }
 
     fn admit(&mut self) -> Vec<usize> {
-        let admitted = self.svc.admit_waiting(&mut self.k);
-        admitted
-            .into_iter()
-            .map(|(name, pid)| {
-                let idx = account_index(&name);
+        let mut out = Vec::new();
+        let mut attempts = 0u32;
+        loop {
+            let pass = self.d.admit_waiting();
+            for (idx, pid) in pass.sessions {
                 self.open(idx, pid);
-                idx
-            })
-            .collect()
+                out.push(idx);
+            }
+            for (idx, e) in pass.refused {
+                self.salvage
+                    .violations
+                    .push(format!("re-login u{idx} refused: {e:?}"));
+            }
+            let Some(idx) = pass.busy else {
+                return out;
+            };
+            attempts += 1;
+            if attempts > SALVAGE_RETRY_BUDGET {
+                self.salvage.violations.push(format!(
+                    "salvage retry budget ({SALVAGE_RETRY_BUDGET}) exhausted \
+                     re-admitting u{idx}"
+                ));
+                return out;
+            }
+            self.salvage.retries += 1;
+            self.salvage_advance();
+        }
     }
 
     fn exec(&mut self, idx: usize, shard: usize, action: &Action) -> String {
-        let start = self.k.machine.clock.now();
-        let mut attempts = 0u32;
-        loop {
-            if let Some(label) = self.exec_once(idx, shard, action) {
-                if attempts > 0 {
-                    self.salvage.blocked_cycles += self.k.machine.clock.now() - start;
-                }
-                return label;
-            }
-            attempts += 1;
-            if attempts == 1 {
-                self.salvage.blocked_ops += 1;
-            }
-            if attempts > SALVAGE_RETRY_BUDGET {
-                self.salvage.blocked_cycles += self.k.machine.clock.now() - start;
-                self.salvage.violations.push(format!(
-                    "salvage retry budget ({SALVAGE_RETRY_BUDGET}) exhausted by \
-                     session {idx} mid-script"
-                ));
-                return "busy".to_string();
-            }
-            self.salvage.retries += 1;
-            self.salvage_advance();
-        }
+        self.retry(
+            || format!("by session {idx} mid-script"),
+            |d, ss| {
+                exec_once(
+                    d,
+                    ss[idx].as_mut().expect("live session"),
+                    idx,
+                    shard,
+                    action,
+                )
+            },
+        )
+        .unwrap_or_else(|| "busy".to_string())
     }
 
     fn finish(&mut self, idx: usize, shard: usize, abandon: bool) -> String {
-        let start = self.k.machine.clock.now();
-        let mut attempts = 0u32;
-        loop {
-            if let Some(label) = self.finish_once(idx, shard, abandon) {
-                if attempts > 0 {
-                    self.salvage.blocked_cycles += self.k.machine.clock.now() - start;
-                }
-                return label;
-            }
-            attempts += 1;
-            if attempts == 1 {
-                self.salvage.blocked_ops += 1;
-            }
-            if attempts > SALVAGE_RETRY_BUDGET {
-                self.salvage.blocked_cycles += self.k.machine.clock.now() - start;
-                self.salvage.violations.push(format!(
-                    "salvage retry budget ({SALVAGE_RETRY_BUDGET}) exhausted by \
-                     session {idx} at logout"
-                ));
-                return "busy".to_string();
-            }
-            self.salvage.retries += 1;
-            self.salvage_advance();
-        }
+        let label = self.retry(
+            || format!("by session {idx} at logout"),
+            |d, ss| {
+                let s = ss[idx].as_mut().expect("live session");
+                let label = end_once(d, s, idx, shard, abandon)?;
+                ss[idx] = None;
+                Some(label)
+            },
+        );
+        label.unwrap_or_else(|| "busy".to_string())
     }
 
     fn schedule(&mut self) {
-        self.k.schedule();
+        self.d.schedule();
     }
 
     fn housekeep(&mut self) {
-        self.k.sync_to_disk().expect("kernel housekeeping sweep");
+        if let Err(e) = self.d.sync_to_disk() {
+            panic!("{} housekeeping sweep: {e:?}", D::NAME);
+        }
     }
 
     fn salvage_tick(&mut self) {
         if self.salvage.first_op_at.is_none() {
-            self.salvage.first_op_at = Some(self.k.machine.clock.now());
+            self.salvage.first_op_at = Some(self.now());
         }
-        if self.k.online_salvage_active() {
+        if self.d.online_salvage_active() {
             self.salvage.ops_overlapped += 1;
             self.salvage_advance();
         } else if !self.deferred.is_empty() {
@@ -980,643 +935,193 @@ impl Driver for KernelDriver {
     }
 }
 
-impl KernelDriver {
-    /// One attempt at an action. `None` means a `SalvageBusy` barrier
-    /// was hit: the caller steps the salvager and retries. Every arm is
-    /// retry-idempotent — partial effects (a created file, a cleared
-    /// `own`) are recorded on the session before the barrier can fire.
-    fn exec_once(&mut self, idx: usize, shard: usize, action: &Action) -> Option<String> {
-        let shard_tok = self.shard_toks[shard];
-        let s = self.sessions[idx].as_mut().expect("live session");
-        let k = &mut self.k;
-        Some(match *action {
-            Action::Link(sym) => match s.linker.link(k, &mut s.ns, ">lib", &symbol(sym)) {
-                Ok(l) => format!("l:{}", l.offset),
-                Err(KernelError::SalvageBusy) => return None,
-                Err(e) => format!("l:{}", klabel(&e)),
-            },
-            Action::Resolve(target) => {
-                let path = match target {
-                    ResolveTarget::Lib => ">lib".to_string(),
-                    ResolveTarget::Shared => ">shared".to_string(),
-                    ResolveTarget::Shard(j) => format!(">s{j}"),
-                };
-                match s.ns.resolve(k, &path) {
-                    Ok(_) => "n:ok".to_string(),
-                    Err(KernelError::SalvageBusy) => return None,
-                    Err(e) => format!("n:{}", klabel(&e)),
-                }
-            }
-            Action::Grow { page, val } => {
-                if s.own.is_none() {
-                    let created = k
-                        .create_entry(
-                            s.pid,
-                            shard_tok,
-                            &file_name(idx),
-                            Acl::owner(UserId(1)),
-                            Label::BOTTOM,
-                            false,
-                        )
-                        .and_then(|tok| k.initiate(s.pid, tok).map(|segno| (segno, tok)));
-                    match created {
-                        Ok(pair) => s.own = Some(pair),
-                        Err(KernelError::SalvageBusy) => return None,
-                        Err(e) => return Some(format!("w:{}", klabel(&e))),
-                    }
-                }
-                let (segno, _) = s.own.expect("just created");
-                match k.write_word(s.pid, segno, page * PAGE_WORDS as u32, Word::new(val)) {
-                    Ok(()) => "w:ok".to_string(),
-                    Err(e) => format!("w:{}", klabel(&e)),
-                }
-            }
-            Action::ReadOwn { page } => {
-                // A survivor whose file restoration is still deferred
-                // behind a quarantined shard has grown pages but no
-                // segment yet: the op is blocked until the shard's
-                // release replays the file.
-                let (segno, _) = s.own?;
-                match k.read_word(s.pid, segno, page * PAGE_WORDS as u32) {
-                    Ok(w) => format!("r:{}", w.raw()),
-                    Err(e) => format!("r:{}", klabel(&e)),
-                }
-            }
-            Action::ReadShared { page } => {
-                if s.shared_segno.is_none() {
-                    match s.ns.initiate(k, ">shared") {
-                        Ok(segno) => s.shared_segno = Some(segno),
-                        Err(KernelError::SalvageBusy) => return None,
-                        Err(e) => return Some(format!("r:{}", klabel(&e))),
-                    }
-                }
-                let segno = s.shared_segno.expect("just initiated");
-                match k.read_word(s.pid, segno, page * PAGE_WORDS as u32) {
-                    Ok(w) => format!("r:{}", w.raw()),
-                    Err(e) => format!("r:{}", klabel(&e)),
-                }
-            }
-        })
-    }
+// -------------------------------------------------------------- world --
 
-    /// One attempt at ending a session; `None` = blocked on a barrier.
-    /// The file delete clears `own` on success so a retry that blocks
-    /// later (at logout) never re-deletes.
-    fn finish_once(&mut self, idx: usize, shard: usize, abandon: bool) -> Option<String> {
-        let (pid, own) = {
-            let s = self.sessions[idx].as_ref().expect("live session");
-            (s.pid, s.own)
-        };
-        let mut label = if abandon { "reap" } else { "out" }.to_string();
-        if !abandon && own.is_some() {
-            match self
-                .k
-                .delete_entry(pid, self.shard_toks[shard], &file_name(idx))
-            {
-                Ok(()) => {
-                    if let Some(s) = self.sessions[idx].as_mut() {
-                        s.own = None;
-                    }
-                }
-                Err(KernelError::SalvageBusy) => return None,
-                Err(_) => label = "out:err".to_string(),
-            }
+/// What one machine's world holds.
+pub(crate) struct WorldPlan {
+    /// The library and the shared segment live here.
+    pub(crate) store: bool,
+    /// Quota of the migration landing zone, if this machine has one.
+    pub(crate) mig_quota: Option<u32>,
+    /// Quota-capped shard directories kept here.
+    pub(crate) shards: Vec<usize>,
+    pub(crate) shard_quota: u32,
+    /// Sessions whose accounts are registered here.
+    pub(crate) accounts: Vec<usize>,
+}
+
+impl WorldPlan {
+    /// The whole world on one machine.
+    pub(crate) fn single(spec: &LoadSpec) -> Self {
+        Self {
+            store: true,
+            mig_quota: None,
+            shards: (0..spec.shard_count()).collect(),
+            shard_quota: spec.shard_quota_pages(),
+            accounts: (0..spec.sessions).collect(),
         }
-        // Abandoned sessions are reaped by the service — same logout
-        // residue, nobody at the terminal.
-        match self.svc.logout(&mut self.k, pid) {
-            Ok(_) => {}
-            Err(KernelError::SalvageBusy) => return None,
-            Err(_) => label = format!("{label}:err"),
-        }
-        self.sessions[idx] = None;
-        Some(label)
     }
 }
 
-// ------------------------------------------------------- legacy driver --
-
-pub(crate) fn llabel(e: &LegacyError) -> &'static str {
-    match e {
-        LegacyError::QuotaExceeded { .. } => "quota",
-        LegacyError::AllPacksFull => "full",
-        _ => "err",
-    }
-}
-
-pub(crate) struct LSession {
-    pub(crate) pid: LProcessId,
-    pub(crate) own_segno: Option<u32>,
+/// The operator-side handles a harness keeps after world setup: the
+/// driver account's process and its window onto the shared segment (on
+/// the machine that holds it). Plain load runs discard this; the
+/// recovery harness uses it to write its epoch beacon.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct WorldCtx<P> {
+    pub(crate) drv: P,
     pub(crate) shared_segno: Option<u32>,
 }
 
-/// The legacy mirror of [`KernelDeferred`].
-#[derive(Debug, Clone)]
-pub(crate) struct LegacyDeferred {
-    pub(crate) shard: usize,
-    pub(crate) drv: LProcessId,
-    pub(crate) quota: u32,
-    pub(crate) wipe: Vec<usize>,
-    pub(crate) restore: Vec<(usize, Vec<u64>)>,
-}
-
-pub(crate) struct LegacyDriver {
-    pub(crate) sup: Supervisor,
-    pub(crate) sessions: Vec<Option<LSession>>,
-    pub(crate) pending: std::collections::VecDeque<usize>,
-    pub(crate) salvage: SalvageProbe,
-    pub(crate) deferred: Vec<LegacyDeferred>,
-}
-
-impl LegacyDriver {
-    fn salvage_advance(&mut self) {
-        if self.sup.online_salvage_active() {
-            legacy_salvage_step_checked(&mut self.sup, &mut self.salvage);
-        }
-        self.attempt_deferred();
-    }
-
-    /// See [`KernelDriver::attempt_deferred`].
-    pub(crate) fn attempt_deferred(&mut self) {
-        let mut i = 0;
-        while i < self.deferred.len() {
-            match self.try_deferred(i) {
-                Ok(true) => {
-                    self.deferred.remove(i);
-                }
-                Ok(false) => i += 1,
-                Err(msg) => {
-                    self.salvage.violations.push(msg);
-                    self.deferred.remove(i);
-                }
-            }
+/// Finds (after a crash) or creates root entry `entry`.
+fn find_or_create<D: Design>(
+    d: &mut D,
+    probe: &mut SalvageProbe,
+    drv: D::Pid,
+    entry: Entry,
+    recover: bool,
+) -> Result<D::Handle, String> {
+    let name = entry.name();
+    if recover {
+        if let Ok(h) = gate_retry(d, probe, &format!("{name} search"), |d| {
+            d.search(drv, entry)
+        }) {
+            return Ok(h);
         }
     }
+    gate_retry(d, probe, &format!("{name} recreate"), |d| {
+        d.create(drv, entry)
+    })
+}
 
-    fn try_deferred(&mut self, i: usize) -> Result<bool, String> {
-        let (shard, drv, quota) = {
-            let w = &self.deferred[i];
-            (w.shard, w.drv, w.quota)
-        };
-        let path = format!("s{shard}");
-        let shard_uid = match self.sup.resolve(drv, &path, AccessRight::Read) {
-            Err(LegacyError::SalvageBusy) => return Ok(false),
-            Ok((uid, _)) => uid,
-            Err(_) => {
-                let root = self.sup.root();
-                let uid = self
-                    .sup
-                    .create_directory_in(root, &path, LAcl::owner(LUserId(1)), Label::BOTTOM)
-                    .map_err(|e| format!("shard s{shard} recreate: {e:?}"))?;
-                self.sup
-                    .set_quota_directory(drv, &path, quota)
-                    .map_err(|e| format!("shard s{shard} quota: {e:?}"))?;
-                uid
-            }
-        };
-        let work = self.deferred[i].clone();
-        for idx in &work.wipe {
-            let _ = self.sup.delete(drv, &format!("{path}>{}", file_name(*idx)));
+/// Builds the world a load executes against: driver account and login,
+/// published library, shared segment, quota-capped directories, and the
+/// session accounts. With `recover`, reconciles it after a crash
+/// instead: the accounts (in-core, therefore lost) are registered
+/// first, whatever survived on disk is kept, only what vanished is
+/// recreated, and the library and shared pages are rewritten
+/// unconditionally — cheap, idempotent, and repairs a torn page. A
+/// surviving shard keeps its salvaged quota cell: neither design's
+/// set-quota call is idempotent. Every gate call retries through
+/// `SalvageBusy`, so this also runs against a live online salvager.
+pub(crate) fn build_world<D: Design>(
+    d: &mut D,
+    plan: &WorldPlan,
+    probe: &mut SalvageProbe,
+    recover: bool,
+) -> Result<WorldCtx<D::Pid>, String> {
+    let accounts = |d: &mut D| {
+        plan.accounts
+            .iter()
+            .for_each(|&i| d.register(&account_name(i)))
+    };
+    d.register("drv");
+    if recover {
+        accounts(d);
+    }
+    let drv = gate_retry(d, probe, "driver re-login", |d| d.login("drv"))?;
+    let mut shared_segno = None;
+    if plan.store {
+        let lib = find_or_create(d, probe, drv, Entry::Lib, recover)?;
+        d.publish(drv, lib, probe)?;
+        let shared = find_or_create(d, probe, drv, Entry::Shared, recover)?;
+        let segno = gate_retry(d, probe, "shared initiate", |d| d.initiate(drv, shared))?;
+        for page in 0..SHARED_PAGES {
+            gate_retry(d, probe, &format!("shared page {page}"), |d| {
+                d.write(drv, segno, page * PW, shared_word(page))
+            })?;
         }
-        for (idx, vals) in &work.restore {
-            let Some(pid) = self.sessions[*idx].as_ref().map(|s| s.pid) else {
+        shared_segno = Some(segno);
+    }
+    let shards = plan
+        .shards
+        .iter()
+        .map(|&j| (Entry::Shard(j), plan.shard_quota));
+    for (dir, quota) in plan
+        .mig_quota
+        .map(|q| (Entry::Mig, q))
+        .into_iter()
+        .chain(shards)
+    {
+        if let Entry::Shard(j) = dir {
+            if recover && d.shard_survives(drv, j, probe) {
                 continue;
-            };
-            self.sup
-                .create_segment_in(
-                    shard_uid,
-                    &file_name(*idx),
-                    LAcl::owner(LUserId(1)),
-                    Label::BOTTOM,
-                )
-                .map_err(|e| format!("survivor u{idx} file recreate: {e:?}"))?;
-            let segno = self
-                .sup
-                .initiate(pid, &format!("{path}>{}", file_name(*idx)))
-                .map_err(|e| format!("survivor u{idx} file initiate: {e:?}"))?;
-            for (page, &val) in vals.iter().enumerate() {
-                self.sup
-                    .user_write(pid, segno, page as u32 * PAGE_WORDS as u32, Word::new(val))
-                    .map_err(|e| format!("survivor u{idx} replay page {page}: {e:?}"))?;
-            }
-            if let Some(s) = self.sessions[*idx].as_mut() {
-                s.own_segno = Some(segno);
             }
         }
-        Ok(true)
+        find_or_create(d, probe, drv, dir, false)?;
+        gate_retry(d, probe, &format!("{} quota", dir.name()), |d| {
+            d.set_quota(drv, dir, quota)
+        })?;
     }
-}
-
-impl Driver for LegacyDriver {
-    fn now(&self) -> u64 {
-        self.sup.machine.clock.now()
+    if !recover {
+        accounts(d);
     }
-
-    fn queued(&self) -> usize {
-        self.pending.len()
-    }
-
-    fn request(&mut self, idx: usize) -> bool {
-        let start = self.sup.machine.clock.now();
-        let mut attempts = 0u32;
-        loop {
-            match self.sup.login(&account_name(idx), "pw", Label::BOTTOM) {
-                Ok(pid) => {
-                    if attempts > 0 {
-                        self.salvage.blocked_cycles += self.sup.machine.clock.now() - start;
-                    }
-                    self.sessions[idx] = Some(LSession {
-                        pid,
-                        own_segno: None,
-                        shared_segno: None,
-                    });
-                    return true;
-                }
-                // The old answering service refuses when the process
-                // table is full; the caller's retry queue is the
-                // admission policy.
-                Err(LegacyError::NoSuchProcess) => {
-                    self.pending.push_back(idx);
-                    return false;
-                }
-                Err(LegacyError::SalvageBusy) => {
-                    attempts += 1;
-                    if attempts == 1 {
-                        self.salvage.blocked_ops += 1;
-                    }
-                    if attempts > SALVAGE_RETRY_BUDGET {
-                        self.salvage.blocked_cycles += self.sup.machine.clock.now() - start;
-                        self.salvage.violations.push(format!(
-                            "salvage retry budget ({SALVAGE_RETRY_BUDGET}) exhausted \
-                             logging in u{idx}"
-                        ));
-                        return false;
-                    }
-                    self.salvage.retries += 1;
-                    self.salvage_advance();
-                }
-                Err(e) => {
-                    self.salvage
-                        .violations
-                        .push(format!("login u{idx} refused: {e:?}"));
-                    return false;
-                }
-            }
-        }
-    }
-
-    fn admit(&mut self) -> Vec<usize> {
-        let mut admitted = Vec::new();
-        let mut attempts = 0u32;
-        while let Some(&idx) = self.pending.front() {
-            match self.sup.login(&account_name(idx), "pw", Label::BOTTOM) {
-                Ok(pid) => {
-                    self.pending.pop_front();
-                    self.sessions[idx] = Some(LSession {
-                        pid,
-                        own_segno: None,
-                        shared_segno: None,
-                    });
-                    admitted.push(idx);
-                }
-                Err(LegacyError::NoSuchProcess) => break,
-                Err(LegacyError::SalvageBusy) => {
-                    // A re-login needs a state segment under the (still
-                    // quarantined) `>processes`: step the salvager and
-                    // retry; the login stays at the head of the queue.
-                    attempts += 1;
-                    if attempts > SALVAGE_RETRY_BUDGET {
-                        self.salvage.violations.push(format!(
-                            "salvage retry budget ({SALVAGE_RETRY_BUDGET}) exhausted \
-                             re-admitting u{idx}"
-                        ));
-                        break;
-                    }
-                    self.salvage.retries += 1;
-                    self.salvage_advance();
-                }
-                Err(e) => {
-                    self.pending.pop_front();
-                    self.salvage
-                        .violations
-                        .push(format!("re-login u{idx} refused: {e:?}"));
-                }
-            }
-        }
-        admitted
-    }
-
-    fn exec(&mut self, idx: usize, shard: usize, action: &Action) -> String {
-        let start = self.sup.machine.clock.now();
-        let mut attempts = 0u32;
-        loop {
-            if let Some(label) = self.exec_once(idx, shard, action) {
-                if attempts > 0 {
-                    self.salvage.blocked_cycles += self.sup.machine.clock.now() - start;
-                }
-                return label;
-            }
-            attempts += 1;
-            if attempts == 1 {
-                self.salvage.blocked_ops += 1;
-            }
-            if attempts > SALVAGE_RETRY_BUDGET {
-                self.salvage.blocked_cycles += self.sup.machine.clock.now() - start;
-                self.salvage.violations.push(format!(
-                    "salvage retry budget ({SALVAGE_RETRY_BUDGET}) exhausted by \
-                     session {idx} mid-script"
-                ));
-                return "busy".to_string();
-            }
-            self.salvage.retries += 1;
-            self.salvage_advance();
-        }
-    }
-
-    fn finish(&mut self, idx: usize, shard: usize, abandon: bool) -> String {
-        let start = self.sup.machine.clock.now();
-        let mut attempts = 0u32;
-        loop {
-            if let Some(label) = self.finish_once(idx, shard, abandon) {
-                if attempts > 0 {
-                    self.salvage.blocked_cycles += self.sup.machine.clock.now() - start;
-                }
-                return label;
-            }
-            attempts += 1;
-            if attempts == 1 {
-                self.salvage.blocked_ops += 1;
-            }
-            if attempts > SALVAGE_RETRY_BUDGET {
-                self.salvage.blocked_cycles += self.sup.machine.clock.now() - start;
-                self.salvage.violations.push(format!(
-                    "salvage retry budget ({SALVAGE_RETRY_BUDGET}) exhausted by \
-                     session {idx} at logout"
-                ));
-                return "busy".to_string();
-            }
-            self.salvage.retries += 1;
-            self.salvage_advance();
-        }
-    }
-
-    fn schedule(&mut self) {
-        self.sup.dispatch();
-    }
-
-    fn housekeep(&mut self) {
-        self.sup.sync_to_disk().expect("legacy housekeeping sweep");
-    }
-
-    fn salvage_tick(&mut self) {
-        if self.salvage.first_op_at.is_none() {
-            self.salvage.first_op_at = Some(self.sup.machine.clock.now());
-        }
-        if self.sup.online_salvage_active() {
-            self.salvage.ops_overlapped += 1;
-            self.salvage_advance();
-        } else if !self.deferred.is_empty() {
-            self.attempt_deferred();
-        }
-    }
-}
-
-impl LegacyDriver {
-    /// See [`KernelDriver::exec_once`].
-    fn exec_once(&mut self, idx: usize, shard: usize, action: &Action) -> Option<String> {
-        let s = self.sessions[idx].as_mut().expect("live session");
-        let sup = &mut self.sup;
-        Some(match *action {
-            Action::Link(sym) => match sup.link(s.pid, "lib", &symbol(sym)) {
-                Ok(l) => format!("l:{}", l.offset),
-                Err(LegacyError::SalvageBusy) => return None,
-                Err(e) => format!("l:{}", llabel(&e)),
-            },
-            Action::Resolve(target) => {
-                let path = match target {
-                    ResolveTarget::Lib => "lib".to_string(),
-                    ResolveTarget::Shared => "shared".to_string(),
-                    ResolveTarget::Shard(j) => format!("s{j}"),
-                };
-                match sup.resolve(s.pid, &path, AccessRight::Read) {
-                    Ok(_) => "n:ok".to_string(),
-                    Err(LegacyError::SalvageBusy) => return None,
-                    Err(e) => format!("n:{}", llabel(&e)),
-                }
-            }
-            Action::Grow { page, val } => {
-                if s.own_segno.is_none() {
-                    let shard_uid =
-                        match sup.resolve(s.pid, &format!("s{shard}"), AccessRight::Read) {
-                            Ok((uid, _)) => uid,
-                            Err(LegacyError::SalvageBusy) => return None,
-                            Err(e) => return Some(format!("w:{}", llabel(&e))),
-                        };
-                    let created = sup
-                        .create_segment_in(
-                            shard_uid,
-                            &file_name(idx),
-                            LAcl::owner(LUserId(1)),
-                            Label::BOTTOM,
-                        )
-                        .and_then(|_| sup.initiate(s.pid, &format!("s{shard}>{}", file_name(idx))));
-                    match created {
-                        Ok(segno) => s.own_segno = Some(segno),
-                        Err(LegacyError::SalvageBusy) => return None,
-                        Err(e) => return Some(format!("w:{}", llabel(&e))),
-                    }
-                }
-                let segno = s.own_segno.expect("just created");
-                match sup.user_write(s.pid, segno, page * PAGE_WORDS as u32, Word::new(val)) {
-                    Ok(()) => "w:ok".to_string(),
-                    Err(e) => format!("w:{}", llabel(&e)),
-                }
-            }
-            Action::ReadOwn { page } => {
-                // Deferred restoration, as in the kernel driver: blocked
-                // until the shard's release replays the file.
-                let segno = s.own_segno?;
-                match sup.user_read(s.pid, segno, page * PAGE_WORDS as u32) {
-                    Ok(w) => format!("r:{}", w.raw()),
-                    Err(e) => format!("r:{}", llabel(&e)),
-                }
-            }
-            Action::ReadShared { page } => {
-                if s.shared_segno.is_none() {
-                    match sup.initiate(s.pid, "shared") {
-                        Ok(segno) => s.shared_segno = Some(segno),
-                        Err(LegacyError::SalvageBusy) => return None,
-                        Err(e) => return Some(format!("r:{}", llabel(&e))),
-                    }
-                }
-                let segno = s.shared_segno.expect("just initiated");
-                match sup.user_read(s.pid, segno, page * PAGE_WORDS as u32) {
-                    Ok(w) => format!("r:{}", w.raw()),
-                    Err(e) => format!("r:{}", llabel(&e)),
-                }
-            }
-        })
-    }
-
-    /// See [`KernelDriver::finish_once`].
-    fn finish_once(&mut self, idx: usize, shard: usize, abandon: bool) -> Option<String> {
-        let (pid, own) = {
-            let s = self.sessions[idx].as_ref().expect("live session");
-            (s.pid, s.own_segno)
-        };
-        let mut label = if abandon { "reap" } else { "out" }.to_string();
-        if !abandon && own.is_some() {
-            let path = format!("s{shard}>{}", file_name(idx));
-            match self.sup.delete(pid, &path) {
-                Ok(()) => {
-                    if let Some(s) = self.sessions[idx].as_mut() {
-                        s.own_segno = None;
-                    }
-                }
-                Err(LegacyError::SalvageBusy) => return None,
-                Err(_) => label = "out:err".to_string(),
-            }
-        }
-        match self.sup.logout(&account_name(idx), pid) {
-            Ok(_) => {}
-            Err(LegacyError::SalvageBusy) => return None,
-            Err(_) => label = format!("{label}:err"),
-        }
-        self.sessions[idx] = None;
-        Some(label)
-    }
+    Ok(WorldCtx { drv, shared_segno })
 }
 
 // ------------------------------------------------------------ run fns --
 
-/// The operator-side handles a harness keeps after world setup: the
-/// driver account's process and its window onto the shared segment.
-/// Plain load runs discard this; the recovery harness uses it to write
-/// its epoch beacon and to reconcile the world after a crash.
-pub(crate) struct KernelWorldCtx {
-    pub(crate) drv: ProcessId,
-    pub(crate) shared_segno: u32,
-}
-
-pub(crate) struct LegacyWorldCtx {
-    pub(crate) drv: LProcessId,
-    pub(crate) shared_segno: u32,
-}
-
-/// Builds the kernel world a load run executes against: overflow pack,
-/// driver account and login, published library, shared segment, quota
-/// shards, and one registered account per scripted session.
-pub(crate) fn setup_kernel(spec: &LoadSpec) -> (KernelDriver, KernelWorldCtx) {
-    let mut k = Kernel::boot(spec.kernel_config());
+/// Boots a design and builds the one-machine world for `spec`.
+pub(crate) fn setup<D: Design>(spec: &LoadSpec) -> (Single<D>, WorldCtx<D::Pid>) {
+    let mut d = D::boot(&spec.sizes());
     if let Some((records, toc_slots)) = spec.overflow_pack() {
-        k.machine.disks.attach(records, toc_slots);
+        d.machine_mut().disks.attach(records, toc_slots);
     }
-    let mut svc = AnsweringService::new();
-    svc.register(&mut k, "drv", UserId(1), "pw", Label::BOTTOM);
-    let drv = svc
-        .login(&mut k, "drv", "pw", Label::BOTTOM)
-        .expect("driver login");
-    let root = k.root_token();
-    let acl = Acl::owner(UserId(1));
-
-    // The shared library, with its definitions published.
-    let lib_tok = k
-        .create_entry(drv, root, "lib", acl.clone(), Label::BOTTOM, false)
-        .expect("lib");
-    let lib_segno = k.initiate(drv, lib_tok).expect("lib initiate");
-    let defs = definitions();
-    let def_refs: Vec<(&str, u32)> = defs.iter().map(|(s, o)| (s.as_str(), *o)).collect();
-    publish_library(&mut k, drv, lib_segno, &def_refs).expect("publish");
-
-    // The shared read-mostly segment.
-    let shared_tok = k
-        .create_entry(drv, root, "shared", acl.clone(), Label::BOTTOM, false)
-        .expect("shared");
-    let shared_segno = k.initiate(drv, shared_tok).expect("shared initiate");
-    for page in 0..SHARED_PAGES {
-        k.write_word(
-            drv,
-            shared_segno,
-            page * PAGE_WORDS as u32,
-            Word::new(shared_word(page)),
-        )
-        .expect("shared page");
-    }
-
-    // Quota-capped shard directories for the sessions' own files.
-    let mut shard_toks = Vec::new();
-    for j in 0..spec.shards() {
-        let tok = k
-            .create_entry(
-                drv,
-                root,
-                &format!("s{j}"),
-                acl.clone(),
-                Label::BOTTOM,
-                true,
-            )
-            .expect("shard dir");
-        k.set_quota(drv, tok, spec.shard_quota()).expect("quota");
-        shard_toks.push(tok);
-    }
-
-    for idx in 0..spec.sessions {
-        svc.register(&mut k, &account_name(idx), UserId(1), "pw", Label::BOTTOM);
-    }
-
-    (
-        KernelDriver {
-            k,
-            svc,
-            sessions: (0..spec.sessions).map(|_| None).collect(),
-            shard_toks,
-            salvage: SalvageProbe::default(),
-            deferred: Vec::new(),
-        },
-        KernelWorldCtx { drv, shared_segno },
+    let ctx = build_world(
+        &mut d,
+        &WorldPlan::single(spec),
+        &mut SalvageProbe::default(),
+        false,
     )
+    .unwrap_or_else(|e| panic!("{} world setup: {e}", D::NAME));
+    let sessions = (0..spec.sessions).map(|_| None).collect();
+    let driver = Single {
+        d,
+        sessions,
+        salvage: SalvageProbe::default(),
+        deferred: Vec::new(),
+    };
+    (driver, ctx)
 }
 
-/// Runs the spec on the new kernel design. An optional schedule policy
-/// is installed *after* setup, exactly as the schedule explorer does, so
-/// every policy explores from the same initial state.
-pub fn run_kernel_load(spec: &LoadSpec, policy: Option<Box<dyn SchedulePolicy>>) -> LoadRun {
-    run_kernel_load_scripts(spec, &spec.scripts(), policy)
-}
-
-/// [`run_kernel_load`] with the scripts supplied by the caller: the
-/// sharded engine partitions one global population and hands each shard
-/// machine the scripts of its members (local indices, global scripts),
-/// which is what keeps the merged stream independent of worker count.
-pub(crate) fn run_kernel_load_scripts(
+/// Runs `spec` on one design with the scripts supplied by the caller:
+/// the sharded engine partitions one global population and hands each
+/// shard machine the scripts of its members (local indices, global
+/// scripts), which is what keeps the merged stream independent of
+/// worker count. An optional schedule policy is installed *after*
+/// setup, exactly as the schedule explorer does, so every policy
+/// explores from the same initial state.
+pub(crate) fn run_load<D: Design>(
     spec: &LoadSpec,
     scripts: &[SessionScript],
     policy: Option<Box<dyn SchedulePolicy>>,
 ) -> LoadRun {
     assert_eq!(scripts.len(), spec.sessions, "one script per session");
-    let (mut driver, _ctx) = setup_kernel(spec);
+    let (mut driver, _ctx) = setup::<D>(spec);
 
-    let setup_cycles = driver.k.machine.clock.now();
-    let ops_base = driver.k.machine.ops_retired();
-    let meter_base = driver.k.machine.clock.meter_snapshot();
-    let edge_base = driver.k.machine.clock.edge_snapshot();
+    let m = driver.d.machine();
+    let setup_cycles = m.clock.now();
+    let ops_base = m.ops_retired();
+    let meter_base = m.clock.meter_snapshot();
+    let edge_base = m.clock.edge_snapshot();
     if let Some(p) = policy {
-        driver.k.set_schedule_policy(p);
+        driver.d.set_schedule_policy(p);
     }
 
-    let out = drive(&mut driver, scripts);
-    let k = driver.k;
-
-    let per_cpu_ops: Vec<u64> = k
-        .machine
+    let mut out = drive(&mut driver, scripts);
+    let d = driver.d;
+    let m = d.machine();
+    let per_cpu_ops: Vec<u64> = m
         .ops_retired()
         .iter()
         .zip(ops_base.iter())
         .map(|(now, base)| now - base)
         .collect();
+    let (queue_delay, event_queue_hwm) = d.load_probes();
+    out.user_samples.resize_with(spec.sessions, Vec::new);
     LoadRun {
-        design: "kernel",
-        cycles: k.machine.clock.now() - setup_cycles,
+        design: D::NAME,
+        cycles: m.clock.now() - setup_cycles,
         setup_cycles,
         ops: out.ops,
         sessions: spec.sessions,
@@ -1625,129 +1130,25 @@ pub(crate) fn run_kernel_load_scripts(
         parity: out.parity,
         hist: out.hist,
         per_cpu_ops,
-        queue_delay: k.vpm.queue_delay(),
-        event_queue_hwm: k.upm.queue_high_watermark(),
-        meter: meter_base.delta(&k.machine.clock.meter_snapshot()),
-        edges: edge_base.delta(k.machine.clock.edge_set()),
-        violations: oracle::check_kernel(&k),
-        user_samples: {
-            let mut us = out.user_samples;
-            us.resize_with(spec.sessions, Vec::new);
-            us
-        },
+        queue_delay,
+        event_queue_hwm,
+        meter: meter_base.delta(&m.clock.meter_snapshot()),
+        edges: edge_base.delta(m.clock.edge_set()),
+        violations: d.oracle(),
+        user_samples: out.user_samples,
     }
 }
 
-/// Builds the legacy world a load run executes against — the same
-/// sequence of logical steps as [`setup_kernel`], through the old
-/// supervisor's interfaces.
-pub(crate) fn setup_legacy(spec: &LoadSpec) -> (LegacyDriver, LegacyWorldCtx) {
-    let mut sup = Supervisor::boot(spec.supervisor_config());
-    if let Some((records, toc_slots)) = spec.overflow_pack() {
-        sup.machine.disks.attach(records, toc_slots);
-    }
-    sup.register_user("drv", LUserId(1), "pw", Label::BOTTOM);
-    let drv = sup.login("drv", "pw", Label::BOTTOM).expect("driver login");
-    let root = sup.root();
-    let acl = LAcl::owner(LUserId(1));
-
-    let lib_uid = sup
-        .create_segment_in(root, "lib", acl.clone(), Label::BOTTOM)
-        .expect("lib");
-    let defs = definitions();
-    let def_refs: Vec<(&str, u32)> = defs.iter().map(|(s, o)| (s.as_str(), *o)).collect();
-    sup.publish_definitions(lib_uid, &def_refs);
-    let lib_segno = sup.initiate(drv, "lib").expect("lib initiate");
-    // The kernel's published library occupies a page; allocate the
-    // matching record here so both designs start with identical storage.
-    sup.user_write(drv, lib_segno, 0, Word::new(def_refs.len() as u64))
-        .expect("lib page");
-
-    sup.create_segment_in(root, "shared", acl.clone(), Label::BOTTOM)
-        .expect("shared");
-    let shared_segno = sup.initiate(drv, "shared").expect("shared initiate");
-    for page in 0..SHARED_PAGES {
-        sup.user_write(
-            drv,
-            shared_segno,
-            page * PAGE_WORDS as u32,
-            Word::new(shared_word(page)),
-        )
-        .expect("shared page");
-    }
-
-    for j in 0..spec.shards() {
-        sup.create_directory_in(root, &format!("s{j}"), acl.clone(), Label::BOTTOM)
-            .expect("shard dir");
-        sup.set_quota_directory(drv, &format!("s{j}"), spec.shard_quota())
-            .expect("quota");
-    }
-
-    for idx in 0..spec.sessions {
-        sup.register_user(&account_name(idx), LUserId(1), "pw", Label::BOTTOM);
-    }
-
-    (
-        LegacyDriver {
-            sup,
-            sessions: (0..spec.sessions).map(|_| None).collect(),
-            pending: std::collections::VecDeque::new(),
-            salvage: SalvageProbe::default(),
-            deferred: Vec::new(),
-        },
-        LegacyWorldCtx { drv, shared_segno },
-    )
+/// Runs the spec on the new kernel design under an optional schedule
+/// policy.
+pub fn run_kernel_load(spec: &LoadSpec, policy: Option<Box<dyn SchedulePolicy>>) -> LoadRun {
+    run_load::<KernelDesign>(spec, &spec.scripts(), policy)
 }
 
 /// Runs the spec on the 1974 supervisor. Its scheduler has no policy
 /// hooks: one inherent schedule per spec.
 pub fn run_legacy_load(spec: &LoadSpec) -> LoadRun {
-    run_legacy_load_scripts(spec, &spec.scripts())
-}
-
-/// [`run_legacy_load`] with caller-supplied scripts; see
-/// [`run_kernel_load_scripts`].
-pub(crate) fn run_legacy_load_scripts(spec: &LoadSpec, scripts: &[SessionScript]) -> LoadRun {
-    assert_eq!(scripts.len(), spec.sessions, "one script per session");
-    let (mut driver, _ctx) = setup_legacy(spec);
-
-    let setup_cycles = driver.sup.machine.clock.now();
-    let ops_base = driver.sup.machine.ops_retired();
-    let meter_base = driver.sup.machine.clock.meter_snapshot();
-    let edge_base = driver.sup.machine.clock.edge_snapshot();
-
-    let out = drive(&mut driver, scripts);
-    let sup = driver.sup;
-
-    let per_cpu_ops: Vec<u64> = sup
-        .machine
-        .ops_retired()
-        .iter()
-        .zip(ops_base.iter())
-        .map(|(now, base)| now - base)
-        .collect();
-    LoadRun {
-        design: "legacy",
-        cycles: sup.machine.clock.now() - setup_cycles,
-        setup_cycles,
-        ops: out.ops,
-        sessions: spec.sessions,
-        abandoned: out.abandoned,
-        queued_peak: out.queued_peak,
-        parity: out.parity,
-        hist: out.hist,
-        per_cpu_ops,
-        queue_delay: (0, 0),
-        event_queue_hwm: 0,
-        meter: meter_base.delta(&sup.machine.clock.meter_snapshot()),
-        edges: edge_base.delta(sup.machine.clock.edge_set()),
-        violations: oracle::check_legacy(&sup),
-        user_samples: {
-            let mut us = out.user_samples;
-            us.resize_with(spec.sessions, Vec::new);
-            us
-        },
-    }
+    run_load::<LegacyDesign>(spec, &spec.scripts(), None)
 }
 
 /// Runs the spec through both designs under their baseline schedules.

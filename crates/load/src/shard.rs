@@ -25,8 +25,10 @@
 //! shard's machine pair) and post-merge (partition coverage, sample
 //! conservation, shard-order stability).
 
+use crate::design::kernel::KernelDesign;
+use crate::design::legacy::LegacyDesign;
 use crate::hist::Histogram;
-use crate::run::{run_kernel_load_scripts, run_legacy_load_scripts, LoadRun, LoadSpec};
+use crate::run::{run_load, LoadRun, LoadSpec};
 use crate::script::{session_script, SessionScript};
 use mx_hw::meter::EdgeSet;
 use mx_hw::rng::SplitMix64;
@@ -183,8 +185,8 @@ fn run_shard(spec: &ShardSpec, members: &[usize]) -> ShardRun {
         .iter()
         .map(|&g| session_script(spec.seed, g, local.shard_count()))
         .collect();
-    let kernel = run_kernel_load_scripts(&local, &scripts, None);
-    let legacy = run_legacy_load_scripts(&local, &scripts);
+    let kernel = run_load::<KernelDesign>(&local, &scripts, None);
+    let legacy = run_load::<LegacyDesign>(&local, &scripts, None);
     let violations = LoadRun::check_pair(&kernel, &legacy);
     ShardRun {
         members: members.to_vec(),
