@@ -137,10 +137,13 @@ fn main() {
             }
             "--machines" => {
                 i += 1;
+                // Requests travel on a channel numbered by the requester
+                // and replies on 100 + server: the wire addresses at most
+                // 100 machines.
                 match args.get(i).and_then(|s| s.parse().ok()) {
-                    Some(n) if n > 0 => machines = n,
+                    Some(n) if (1..=100).contains(&n) => machines = n,
                     _ => {
-                        eprintln!("--machines requires a positive integer");
+                        eprintln!("--machines requires an integer from 1 to 100");
                         std::process::exit(2);
                     }
                 }

@@ -21,14 +21,14 @@ use mx_kernel::{
 };
 use mx_sync::SchedulePolicy;
 use mx_user::{publish_library, Admission, AnsweringService, NameSpace, UserLinker};
+use std::collections::HashMap;
 
 pub(crate) struct KernelDesign {
     k: Kernel,
     svc: AnsweringService,
-    /// Shard directory tokens, by shard index (`None`: not on this
-    /// machine, or not yet found after a crash).
-    shards: Vec<Option<ObjToken>>,
-    mig: Option<ObjToken>,
+    /// Tokens of the root entries found or created on this machine
+    /// since boot, so a file gate never searches for its directory.
+    held: HashMap<Entry, ObjToken>,
     stream: Option<StreamId>,
 }
 
@@ -54,32 +54,13 @@ impl KernelDesign {
         Self {
             k,
             svc,
-            shards: Vec::new(),
-            mig: None,
+            held: HashMap::new(),
             stream: None,
         }
     }
 
     fn held(&self, dir: Entry) -> Res<ObjToken, Self> {
-        match dir {
-            Entry::Shard(j) => self.shards.get(j).copied().flatten(),
-            Entry::Mig => self.mig,
-            Entry::Lib | Entry::Shared => None,
-        }
-        .ok_or(KernelError::NoEntry)
-    }
-
-    fn hold(&mut self, dir: Entry, tok: ObjToken) {
-        match dir {
-            Entry::Shard(j) => {
-                if self.shards.len() <= j {
-                    self.shards.resize(j + 1, None);
-                }
-                self.shards[j] = Some(tok);
-            }
-            Entry::Mig => self.mig = Some(tok),
-            Entry::Lib | Entry::Shared => {}
-        }
+        self.held.get(&dir).copied().ok_or(KernelError::NoEntry)
     }
 
     fn stream(&self) -> StreamId {
@@ -226,7 +207,7 @@ impl Design for KernelDesign {
     fn search(&mut self, drv: ProcessId, entry: Entry) -> Res<ObjToken, Self> {
         let root = self.k.root_token();
         let tok = self.k.dir_search(drv, root, &entry.name())?;
-        self.hold(entry, tok);
+        self.held.insert(entry, tok);
         Ok(tok)
     }
 
@@ -234,7 +215,7 @@ impl Design for KernelDesign {
         let root = self.k.root_token();
         let is_dir = matches!(entry, Entry::Shard(_) | Entry::Mig);
         let tok = self.create_in(drv, root, &entry.name(), is_dir)?;
-        self.hold(entry, tok);
+        self.held.insert(entry, tok);
         Ok(tok)
     }
 

@@ -6,7 +6,7 @@
 //! the same kernel (or a specialized subset of it), sharing one user
 //! community through an inter-machine wire. This module builds that
 //! fleet deterministically: M simulated machines, each a full
-//! [`Kernel`]/[`Supervisor`] instance, a single front answering service
+//! kernel or 1974 supervisor instance, a single front answering service
 //! that routes every login, and a simulated wire carrying framed
 //! messages between machines through the *existing* network entry
 //! points (`demux_receive` on the kernel, `network_receive` on the old
@@ -181,10 +181,10 @@ impl Req {
 /// What fleet to run: machine count, population, and configuration.
 #[derive(Debug, Clone, Copy)]
 pub struct FleetSpec {
-    /// Machines in the fleet (≥ 1; 1 degenerates to the single-machine
-    /// engine with the wire idle).
+    /// Machines in the fleet, 1 to 100 (1 degenerates to the
+    /// single-machine engine with the wire idle).
     pub machines: usize,
-    /// Scripted sessions, shared with [`LoadSpec`].
+    /// Scripted sessions, shared with [`LoadSpec`]; at most 65,536.
     pub sessions: usize,
     /// Seed every script and every home assignment expands from.
     pub seed: u64,
@@ -1247,6 +1247,20 @@ mod tests {
             special.store_cycles,
             general.store_cycles
         );
+    }
+
+    #[test]
+    #[should_panic(expected = "the wire addresses at most 100 machines")]
+    fn fleets_beyond_the_reply_channels_are_refused() {
+        // Machine 100's request channel would be machine 0's reply channel.
+        run_kernel_fleet(&FleetSpec::new(101, 200, 7), None);
+    }
+
+    #[test]
+    #[should_panic(expected = "the wire addresses at most 65536 sessions")]
+    fn sessions_beyond_the_request_index_are_refused() {
+        // A request carries the session index in two bytes.
+        run_legacy_fleet(&FleetSpec::new(2, 65_537, 7), None);
     }
 
     #[test]

@@ -4,11 +4,11 @@
 //! next (round robin over the live set), when the scripted scheduler
 //! pass happens (every fourth operation), when a finished session's
 //! slot is re-offered to the admission queue — and delegates the rest
-//! to a [`Driver`]: one machine running one design ([`Single`]), or a
-//! fleet of them. Every driver is written once against the
-//! [`Design`](crate::design::Design) interface, so both designs execute
-//! the byte-identical logical stream, which is what makes the
-//! user-visible parity assertion meaningful.
+//! to a `Driver`: one machine running one design (`Single`), or a fleet
+//! of them. Every driver is written once against the `Design` interface
+//! (`design.rs`), so both designs execute the byte-identical logical
+//! stream, which is what makes the user-visible parity assertion
+//! meaningful.
 
 use crate::design::kernel::KernelDesign;
 use crate::design::legacy::LegacyDesign;
@@ -243,7 +243,7 @@ pub(crate) enum Action {
 
 /// A root entry the harness names: what a session resolves, and the
 /// directories session files live in.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub(crate) enum Entry {
     Lib,
     Shared,
@@ -625,8 +625,9 @@ impl<D: Design> Single<D> {
     /// `Ok(true)` = the shard's wipe and restores ran to completion;
     /// `Ok(false)` = the shard is still quarantined.
     fn try_deferred(&mut self, i: usize) -> Result<bool, String> {
-        let work = self.deferred[i].clone();
-        let (shard, drv) = (work.shard, work.drv);
+        let Deferred {
+            shard, drv, quota, ..
+        } = self.deferred[i];
         let dir = Entry::Shard(shard);
         let at = match self.d.probe_dir(drv, dir) {
             Err(e) if D::busy(&e) => return Ok(false),
@@ -641,11 +642,12 @@ impl<D: Design> Single<D> {
                     .create(drv, dir)
                     .map_err(|e| format!("shard s{shard} recreate: {e:?}"))?;
                 self.d
-                    .set_quota(drv, dir, work.quota)
+                    .set_quota(drv, dir, quota)
                     .map_err(|e| format!("shard s{shard} quota: {e:?}"))?;
                 at
             }
         };
+        let work = self.deferred[i].clone();
         for &idx in &work.wipe {
             let _ = self.d.delete_file(drv, dir, idx);
         }
