@@ -635,14 +635,14 @@ fn drain_salvage<D: Design>(d: &mut Single<D>) {
 
 /// Closes the segment that just ran: drains the online salvage (whose
 /// figures belong to the epoch whose crash spawned it), runs the
-/// boundary battery, and measures the segment.
+/// boundary battery, and measures the segment. After the final segment
+/// the live set is empty.
 fn close_epoch<D: Design>(
     d: &mut Single<D>,
     out: &mut Outcome,
     tag: &str,
     repro: &str,
     base: u64,
-    live_at_crash: usize,
 ) -> Epoch {
     drain_salvage(d);
     let prev = out.epochs.len();
@@ -666,7 +666,7 @@ fn close_epoch<D: Design>(
         r: S1EpochReport {
             ops: out.st.ops,
             cycles: now - base,
-            live_at_crash,
+            live_at_crash: out.st.live.len(),
             queued_at_crash: d.d.queued(),
             ..S1EpochReport::default()
         },
@@ -797,15 +797,8 @@ fn run_chaos<D: Design>(spec: &C1Spec, mode: SalvageMode, cheat: bool, repro: &s
     for e in 0..u64::from(spec.crashes) {
         let stop = (e + 1) * spec.ops_per_epoch();
         drained = drive_until(&mut d, &scripts, &mut out.st, Some(stop));
-        let live = out.st.live.len();
-        let mut epoch = close_epoch(
-            &mut d,
-            &mut out,
-            &format!("{name} epoch {e}"),
-            repro,
-            epoch_base,
-            live,
-        );
+        let tag = format!("{name} epoch {e}");
+        let mut epoch = close_epoch(&mut d, &mut out, &tag, repro, epoch_base);
         if drained {
             out.epochs.push(epoch);
             break;
@@ -940,14 +933,8 @@ fn run_chaos<D: Design>(spec: &C1Spec, mode: SalvageMode, cheat: bool, repro: &s
 
     if !drained {
         drive_until(&mut d, &scripts, &mut out.st, None);
-        let epoch = close_epoch(
-            &mut d,
-            &mut out,
-            &format!("{name} final"),
-            repro,
-            epoch_base,
-            0,
-        );
+        let tag = format!("{name} final");
+        let epoch = close_epoch(&mut d, &mut out, &tag, repro, epoch_base);
         out.epochs.push(epoch);
     }
     out.edges.merge(d.d.machine().clock.edge_set());

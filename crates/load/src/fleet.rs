@@ -1081,9 +1081,6 @@ fn run_fleet<D: Design>(
     wire_policy: Option<Box<dyn SchedulePolicy>>,
 ) -> FleetRun {
     assert!(spec.machines >= 1, "a fleet needs at least one machine");
-    // Requests travel on channel = requester id and replies on
-    // `CH_RESP_BASE + server`, so a requester id must stay below the
-    // first reply channel; `Req` carries the session index in 2 bytes.
     assert!(
         spec.machines <= MAX_MACHINES,
         "the wire addresses at most {MAX_MACHINES} machines"
