@@ -75,66 +75,12 @@ fn main() {
                     }
                 }
             }
-            "--stride" => {
-                i += 1;
-                match args.get(i).and_then(|s| s.parse().ok()) {
-                    Some(n) if n > 0 => stride = n,
-                    _ => {
-                        eprintln!("--stride requires a positive integer");
-                        std::process::exit(2);
-                    }
-                }
-            }
-            "--l1-max" => {
-                i += 1;
-                match args.get(i).and_then(|s| s.parse().ok()) {
-                    Some(n) if n > 0 => l1_max = n,
-                    _ => {
-                        eprintln!("--l1-max requires a positive integer");
-                        std::process::exit(2);
-                    }
-                }
-            }
-            "--c1-max" => {
-                i += 1;
-                match args.get(i).and_then(|s| s.parse().ok()) {
-                    Some(n) if n > 0 => c1_max = n,
-                    _ => {
-                        eprintln!("--c1-max requires a positive integer");
-                        std::process::exit(2);
-                    }
-                }
-            }
-            "--s1-max" => {
-                i += 1;
-                match args.get(i).and_then(|s| s.parse().ok()) {
-                    Some(n) if n > 0 => s1_max = n,
-                    _ => {
-                        eprintln!("--s1-max requires a positive integer");
-                        std::process::exit(2);
-                    }
-                }
-            }
-            "--m1-max" => {
-                i += 1;
-                match args.get(i).and_then(|s| s.parse().ok()) {
-                    Some(n) if n > 0 => m1_max = n,
-                    _ => {
-                        eprintln!("--m1-max requires a positive integer");
-                        std::process::exit(2);
-                    }
-                }
-            }
-            "--shards" => {
-                i += 1;
-                match args.get(i).and_then(|s| s.parse().ok()) {
-                    Some(n) if n > 0 => shards = n,
-                    _ => {
-                        eprintln!("--shards requires a positive integer");
-                        std::process::exit(2);
-                    }
-                }
-            }
+            "--stride" => stride = positive(&args, &mut i),
+            "--l1-max" => l1_max = positive(&args, &mut i),
+            "--c1-max" => c1_max = positive(&args, &mut i),
+            "--s1-max" => s1_max = positive(&args, &mut i),
+            "--m1-max" => m1_max = positive(&args, &mut i),
+            "--shards" => shards = positive(&args, &mut i),
             "--machines" => {
                 i += 1;
                 // Requests travel on a channel numbered by the requester
@@ -148,16 +94,7 @@ fn main() {
                     }
                 }
             }
-            "--f1-max" => {
-                i += 1;
-                match args.get(i).and_then(|s| s.parse().ok()) {
-                    Some(n) if n > 0 => f1_max = n,
-                    _ => {
-                        eprintln!("--f1-max requires a positive integer");
-                        std::process::exit(2);
-                    }
-                }
-            }
+            "--f1-max" => f1_max = positive(&args, &mut i),
             "--dot" => dot = true,
             other => {
                 eprintln!("unknown argument: {other}");
@@ -526,6 +463,20 @@ fn main() {
             "cycle-attribution trace: {} runs written to {path}",
             runs.len()
         );
+    }
+}
+
+/// The value after the flag at `args[*i]` as a positive integer,
+/// stepping `i` onto it; a missing, non-numeric or zero value exits 2.
+fn positive<T: std::str::FromStr + PartialOrd + From<u8>>(args: &[String], i: &mut usize) -> T {
+    let flag = &args[*i];
+    *i += 1;
+    match args.get(*i).and_then(|s| s.parse().ok()) {
+        Some(n) if n > T::from(0) => n,
+        _ => {
+            eprintln!("{flag} requires a positive integer");
+            std::process::exit(2);
+        }
     }
 }
 

@@ -31,13 +31,13 @@ use mx_hw::Clock;
 use mx_load::{run_kernel_c1, run_legacy_c1, C1Policy, C1Run, C1SelfCheck, C1Spec};
 
 /// Stream seed for the scripted population.
-const SEED: u64 = 0x0C1_1977;
+pub(crate) const SEED: u64 = 0x0C1_1977;
 /// Seed of the crash-mode stream.
-const PLAN_SEED: u64 = 0xFA17_0C1A;
+pub(crate) const PLAN_SEED: u64 = 0xFA17_0C1A;
 /// Schedule seed for the random and PCT policies.
-const SCHED_SEED: u64 = 0x5C4E_D011;
+pub(crate) const SCHED_SEED: u64 = 0x5C4E_D011;
 /// Crash/salvage/re-admit boundaries cut into the stream.
-const CRASHES: u32 = 3;
+pub(crate) const CRASHES: u32 = 3;
 
 /// Cross-run checks the single-design harness cannot do alone: parity
 /// against the legacy baseline per epoch, identical epoch bounds and

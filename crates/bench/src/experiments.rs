@@ -8,8 +8,8 @@
 
 use mx_aim::{CompartmentSet, Label, Level};
 use mx_hw::Word;
-use mx_kernel::{Kernel, KernelConfig, KernelError};
-use mx_legacy::{Acl as LAcl, LegacyError, Supervisor, SupervisorConfig, UserId as LUserId};
+use mx_kernel::{Kernel, KernelConfig};
+use mx_legacy::{Acl as LAcl, Supervisor, SupervisorConfig, UserId as LUserId};
 use mx_user::{publish_library, AnsweringService, NameSpace, UserLinker};
 use std::collections::HashMap;
 
@@ -1168,30 +1168,6 @@ pub fn a3_associative_memory(pageable: usize, pages: u32, refs: usize, ws: u32) 
             )],
         },
     ]
-}
-
-/// Convenience: run a kernel growth to quota exhaustion (used by tests).
-pub fn grow_to_quota_error(k: &mut Kernel, pid: mx_kernel::ProcessId, segno: u32) -> KernelError {
-    for p in 0..mx_kernel::page_frame::PT_WORDS {
-        if let Err(e) = k.write_word(pid, segno, p * mx_hw::PAGE_WORDS as u32, Word::new(1)) {
-            return e;
-        }
-    }
-    KernelError::SegmentTooBig
-}
-
-/// Convenience: the legacy counterpart.
-pub fn legacy_grow_to_quota_error(
-    sup: &mut Supervisor,
-    pid: mx_legacy::ProcessId,
-    segno: u32,
-) -> LegacyError {
-    for p in 0..256 {
-        if let Err(e) = sup.user_write(pid, segno, p * mx_hw::PAGE_WORDS as u32, Word::new(1)) {
-            return e;
-        }
-    }
-    LegacyError::SegmentTooBig
 }
 
 #[cfg(test)]

@@ -26,11 +26,12 @@
 //! The same matrix runs against the 1974 supervisor and the new kernel,
 //! so the experiment reports recovery outcome and recovery cost in
 //! cycles for both designs. Everything is keyed off the machine's own
-//! transfer ordinals and a [`SplitMix64`] stream seeded per crash
+//! transfer ordinals and a [`CrashWrite::seeded`] draw per crash
 //! point, so a given stride replays exactly.
 
 use mx_aim::Label;
-use mx_hw::{CrashWrite, DiskError, FaultPlan, SplitMix64, Word, PAGE_WORDS};
+use mx_explore::oracle::check_storage;
+use mx_hw::{CrashWrite, DiskError, FaultPlan, Word, PAGE_WORDS};
 use mx_kernel::{Kernel, KernelConfig, KernelError};
 use mx_legacy::{
     AccessRight, Acl as LAcl, LegacyError, Supervisor, SupervisorConfig, UserId as LUserId,
@@ -59,17 +60,9 @@ fn val(i: u32, p: u32, slot: u32) -> Word {
     Word::new(u64::from(0o4000 + i * 256 + p * 16 + slot))
 }
 
-/// The deterministic crash mode for write ordinal `n`: dropped, or torn
-/// at a word boundary strictly inside the record.
+/// The deterministic crash mode for write ordinal `n`.
 fn crash_mode(n: u64) -> CrashWrite {
-    let mut rng = SplitMix64::new(SEED ^ n.wrapping_mul(0x9E37_79B9_7F4A_7C15));
-    if rng.chance(1, 2) {
-        CrashWrite::Dropped
-    } else {
-        CrashWrite::Torn {
-            words: rng.range_usize(1, PAGE_WORDS),
-        }
-    }
+    CrashWrite::seeded(SEED ^ n.wrapping_mul(0x9E37_79B9_7F4A_7C15))
 }
 
 /// Per-design crash-matrix tallies.
@@ -180,22 +173,15 @@ fn kernel_verify_phase1(rk: &mut Kernel) {
     }
 }
 
-/// Asserts that after salvage every allocated record on every pack is
+/// Panics unless, after salvage, every allocated record on every pack is
 /// referenced by exactly one file map — nothing leaked, nothing
 /// double-claimed (claims (c) and (d)).
 fn assert_storage_conserved(disks: &mx_hw::DiskSystem, design: &str, n: u64) {
-    for pack in disks.packs() {
-        let allocated = pack.allocated_record_nos().len();
-        let referenced: usize = pack
-            .entries()
-            .map(|(_, e)| e.file_map.iter().flatten().count())
-            .sum();
-        assert_eq!(
-            allocated, referenced,
-            "{design} crash point {n}: {allocated} records allocated but \
-             {referenced} referenced after salvage"
-        );
-    }
+    let violations = check_storage(disks);
+    assert!(
+        violations.is_empty(),
+        "{design} crash point {n}: {violations:?}"
+    );
 }
 
 /// Runs the kernel half of the crash matrix.

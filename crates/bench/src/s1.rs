@@ -33,15 +33,9 @@ use mx_load::{
     S1SelfCheck, S1Spec,
 };
 
-/// Stream seed for the scripted population (C1's, so the stop-the-world
-/// baseline is the same stream).
-const SEED: u64 = 0x0C1_1977;
-/// Seed of the crash-mode stream.
-const PLAN_SEED: u64 = 0xFA17_0C1A;
-/// Schedule seed for the random and PCT policies.
-const SCHED_SEED: u64 = 0x5C4E_D011;
-/// Crash/online-salvage/re-admit boundaries cut into the stream.
-const CRASHES: u32 = 3;
+// C1's stream, crash plan and schedules: the stop-the-world baseline S1
+// is held to is C1's own run.
+use crate::c1::{CRASHES, PLAN_SEED, SCHED_SEED, SEED};
 
 /// Cross-run checks: parity against the legacy baseline, identical
 /// bounds and admission order, byte-identical reruns, and the crashes

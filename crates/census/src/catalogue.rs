@@ -119,15 +119,6 @@ impl Catalogue {
             .sum()
     }
 
-    /// Kernel size in the uniform PL/I-equivalent measure.
-    pub fn kernel_pli_equivalent_lines(&self, shrink_factor_permille: u32) -> u32 {
-        self.modules
-            .iter()
-            .filter(|m| m.region.in_kernel())
-            .map(|m| m.pli_equivalent_lines(shrink_factor_permille))
-            .sum()
-    }
-
     /// Total kernel entry points.
     pub fn kernel_entry_points(&self) -> u32 {
         self.modules
@@ -143,15 +134,6 @@ impl Catalogue {
             .iter()
             .filter(|m| m.region.in_kernel())
             .map(|m| m.user_gates)
-            .sum()
-    }
-
-    /// Total kernel object-code words.
-    pub fn kernel_object_words(&self) -> u32 {
-        self.modules
-            .iter()
-            .filter(|m| m.region.in_kernel())
-            .map(|m| m.object_words)
             .sum()
     }
 

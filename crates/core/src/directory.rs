@@ -1366,11 +1366,6 @@ mod tests {
                 "meter after {at}"
             );
             assert_eq!(
-                a.clock.meter().trace(),
-                b.clock.meter().trace(),
-                "trace after {at}"
-            );
-            assert_eq!(
                 a.clock.edge_snapshot(),
                 b.clock.edge_snapshot(),
                 "edges after {at}"
@@ -1408,8 +1403,8 @@ mod tests {
     /// Seeded churn on tight frames. Every create, delete, search and
     /// listing reads the directory through the entry reader on one
     /// kernel and the per-word reference on its twin; after every step
-    /// the results, clocks, meters, traces, edges, TLB tallies and core
-    /// images must be identical. The churn is checked to reach entries
+    /// the results, clocks, meters, edges, TLB tallies and core images
+    /// must be identical. The churn is checked to reach entries
     /// that straddle a page (slot 51, 102, 153), unused slots, and scans
     /// whose next-page fault evicts a page they just left.
     #[test]

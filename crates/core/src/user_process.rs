@@ -217,15 +217,6 @@ impl UserProcessManager {
         }
     }
 
-    /// Accumulated accounting units.
-    ///
-    /// # Errors
-    ///
-    /// [`KernelError::NoSuchProcess`] if unknown.
-    pub fn charge_of(&self, pid: ProcessId) -> Result<u64, KernelError> {
-        self.get(pid).map(|p| p.charge)
-    }
-
     /// Live process count.
     pub fn live(&self) -> usize {
         self.procs.iter().filter(|p| p.is_some()).count()

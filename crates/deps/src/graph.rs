@@ -126,11 +126,6 @@ impl ModuleGraph {
         });
     }
 
-    /// Number of modules.
-    pub fn module_count(&self) -> usize {
-        self.modules.len()
-    }
-
     /// All edges, in declaration order.
     pub fn edges(&self) -> &[DepEdge] {
         &self.edges

@@ -4,7 +4,7 @@
 //! and 4: the module list, each dependency with its kind, the loops with
 //! their explanatory notes, and (for loop-free graphs) the layering.
 
-use crate::graph::{ModuleGraph, ModuleId};
+use crate::graph::ModuleGraph;
 
 /// Renders the graph as a human-readable ASCII report.
 pub fn render_ascii(g: &ModuleGraph) -> String {
@@ -78,14 +78,6 @@ pub fn render_audit_costs(g: &ModuleGraph) -> String {
         out.push_str(&format!("{:<30}{}\n", g.name(m), cost));
     }
     out
-}
-
-/// Convenience: the names of a component, joined.
-pub fn component_names(g: &ModuleGraph, comp: &[ModuleId]) -> String {
-    comp.iter()
-        .map(|m| g.name(*m))
-        .collect::<Vec<_>>()
-        .join(", ")
 }
 
 #[cfg(test)]

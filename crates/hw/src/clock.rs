@@ -20,7 +20,7 @@
 //! scope with [`Clock::enter`], and all cycles charged until the matching
 //! [`Clock::exit`] are attributed to that subsystem.
 
-use crate::meter::{Meter, MeterGuard, MeterSnapshot, Subsystem, TraceEvent, TraceEventKind};
+use crate::meter::{Meter, MeterGuard, MeterSnapshot, Subsystem};
 
 /// The implementation language of a (simulated) supervisor module.
 ///
@@ -153,28 +153,17 @@ impl Clock {
         self.meter.attribute(cycles);
     }
 
-    /// Records a notable event in the bounded trace ring.
-    fn event(&mut self, kind: TraceEventKind) {
-        self.meter.record(TraceEvent {
-            at: self.cycles,
-            kind,
-            subsystem: self.meter.current(),
-        });
-    }
-
     /// Opens a cycle-attribution scope: every cycle charged until the
     /// matching [`Clock::exit`] is attributed to `subsystem`. Scopes nest;
     /// the innermost open scope is charged.
     pub fn enter(&mut self, subsystem: Subsystem) -> MeterGuard {
-        let at = self.cycles;
-        self.meter.enter(subsystem, at)
+        self.meter.enter(subsystem)
     }
 
     /// Closes the scope `guard` came from (unwinding any scopes left open
     /// inside it).
     pub fn exit(&mut self, guard: MeterGuard) {
-        let at = self.cycles;
-        self.meter.exit(guard, at);
+        self.meter.exit(guard);
     }
 
     /// The attribution ledger.
@@ -186,7 +175,7 @@ impl Clock {
     /// the currently-metered subsystem mutated data `owner` owns. The
     /// supervisors call this at their cross-subsystem mutation choke
     /// points (AST/page-table slots, quota cells, descriptor words);
-    /// it charges no cycles and never touches the trace ring.
+    /// it charges no cycles and counts no event.
     pub fn note_shared_data(&mut self, owner: Subsystem) {
         self.meter.note_shared_data(owner);
     }
@@ -233,8 +222,8 @@ impl Clock {
     /// Charges a whole memory reference's accumulated translation and
     /// core costs in one meter attribution. The per-reference charge
     /// sequence (descriptor fetches, PTW write-backs, the core access)
-    /// is the simulator's hottest path; none of those charges records a
-    /// trace event and no caller observes the clock between them, so
+    /// is the simulator's hottest path; none of those charges counts an
+    /// event and no caller observes the clock between them, so
     /// batching them into a single `add` is attribution-exact while
     /// cutting the inner loop to one meter call per reference.
     pub fn charge_reference(&mut self, cost: &CostModel, c: RefCharges) {
@@ -251,28 +240,28 @@ impl Clock {
     pub fn charge_fault(&mut self, cost: &CostModel) {
         self.faults += 1;
         self.add(cost.fault_overhead);
-        self.event(TraceEventKind::Fault);
+        self.meter.count_event();
     }
 
     /// Charges a kernel gate crossing.
     pub fn charge_gate(&mut self, cost: &CostModel) {
         self.gate_crossings += 1;
         self.add(cost.gate_crossing);
-        self.event(TraceEventKind::GateCrossing);
+        self.meter.count_event();
     }
 
     /// Charges a virtual-processor switch.
     pub fn charge_process_switch(&mut self, cost: &CostModel) {
         self.process_switches += 1;
         self.add(cost.process_switch);
-        self.event(TraceEventKind::ProcessSwitch);
+        self.meter.count_event();
     }
 
     /// Charges one disk record transfer.
     pub fn charge_disk_transfer(&mut self, cost: &CostModel) {
         self.disk_transfers += 1;
         self.add(cost.record_transfer());
-        self.event(TraceEventKind::DiskTransfer);
+        self.meter.count_event();
     }
 
     /// Charges `n` abstract instructions of software written in `lang`.
@@ -350,10 +339,11 @@ impl Clock {
 /// Pending per-reference charges, accumulated across one memory
 /// reference's translation and flushed with a single
 /// [`Clock::charge_reference`]. The flush happens at every
-/// charge-attribution boundary — before a fault is raised (so the fault
-/// event's timestamp sees the translation work already on the clock)
-/// and after a successful reference — so totals, tallies, and meter
-/// attribution are byte-identical to charging each step individually.
+/// charge-attribution boundary — before a fault is raised (so the
+/// translation work is attributed to the scope that made the reference,
+/// not to the fault handler's) and after a successful reference — so
+/// totals, tallies, and meter attribution are byte-identical to charging
+/// each step individually.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RefCharges {
     /// Descriptor words fetched (SDW/PTW walks).

@@ -342,13 +342,13 @@ impl Processor {
     /// The translation walk itself, accumulating descriptor-fetch and
     /// PTW-write-back charges into `pending` instead of charging the
     /// clock per step. This is the simulator's hottest loop; none of the
-    /// accumulated charges records a trace event and no caller observes
-    /// the clock mid-reference, so deferring them is attribution-exact.
+    /// accumulated charges counts an event and no caller observes the
+    /// clock mid-reference, so deferring them is attribution-exact.
     ///
     /// Flush discipline: every fault return flushes `pending` *before*
-    /// charging the fault, so the fault event's timestamp sees the
-    /// translation work already on the clock — byte-identical to the
-    /// unbatched charge sequence. A successful return leaves `pending`
+    /// charging the fault, so the translation work is on the clock, and
+    /// attributed to the faulting scope, before any fault-handler charge
+    /// — byte-identical to the unbatched charge sequence. A successful return leaves `pending`
     /// unflushed so [`Processor::read`]/[`Processor::write`] can fold
     /// the core access into the same single meter attribution.
     fn translate_batched(
@@ -551,16 +551,6 @@ impl Processor {
     pub fn retire_op(&mut self) {
         self.ops_retired += 1;
     }
-}
-
-/// Number of words a descriptor segment with `n` SDWs occupies.
-pub fn descriptor_segment_words(n: u32) -> u64 {
-    u64::from(n)
-}
-
-/// Number of words a page table with `n` PTWs occupies.
-pub fn page_table_words(n: u32) -> u64 {
-    u64::from(n)
 }
 
 /// Number of whole pages needed to hold `words` words.

@@ -14,6 +14,8 @@
 //! transfer choke points consult [`DiskFaults`] before touching a pack.
 
 use crate::disk::{DiskError, PackId, RecordNo};
+use crate::mem::PAGE_WORDS;
+use crate::rng::SplitMix64;
 use std::collections::{HashMap, HashSet};
 
 /// A machine-level hardware fault: the whole machine stops.
@@ -40,6 +42,21 @@ pub enum CrashWrite {
         /// New-data words written before power failed.
         words: usize,
     },
+}
+
+impl CrashWrite {
+    /// The crash mode drawn from `seed`: dropped half the time, otherwise
+    /// torn at a word boundary strictly inside the record.
+    pub fn seeded(seed: u64) -> Self {
+        let mut rng = SplitMix64::new(seed);
+        if rng.chance(1, 2) {
+            CrashWrite::Dropped
+        } else {
+            CrashWrite::Torn {
+                words: rng.range_usize(1, PAGE_WORDS),
+            }
+        }
+    }
 }
 
 /// A deterministic fault plan, keyed entirely off transfer ordinals.
@@ -324,5 +341,18 @@ mod tests {
             f.note_write(PackId(0)),
             Ok(WriteFate::Crash(CrashWrite::Dropped))
         );
+    }
+
+    #[test]
+    fn seeded_modes_replay_and_tear_strictly_inside_the_record() {
+        let modes: Vec<CrashWrite> = (0..64).map(CrashWrite::seeded).collect();
+        assert_eq!(modes, (0..64).map(CrashWrite::seeded).collect::<Vec<_>>());
+        let dropped = modes.iter().filter(|m| **m == CrashWrite::Dropped).count();
+        assert!((16..=48).contains(&dropped), "{dropped} of 64 dropped");
+        for m in modes {
+            if let CrashWrite::Torn { words } = m {
+                assert!((1..PAGE_WORDS).contains(&words), "torn at {words}");
+            }
+        }
     }
 }

@@ -53,8 +53,7 @@ pub use interp::{InterpError, StepOutcome};
 pub use machine::{Machine, MachineConfig};
 pub use mem::{AbsAddr, FrameNo, MainMemory, PAGE_WORDS};
 pub use meter::{
-    CounterSet, EdgeKind, EdgeSet, MeterGuard, MeterSnapshot, ObservedEdge, Subsystem, TraceEvent,
-    TraceEventKind,
+    CounterSet, EdgeKind, EdgeSet, MeterGuard, MeterSnapshot, ObservedEdge, Subsystem,
 };
 pub use rng::SplitMix64;
 pub use tlb::{Tlb, TlbEntry, TlbStats};

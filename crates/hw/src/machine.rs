@@ -103,11 +103,6 @@ impl Machine {
         self.faults.install(plan);
     }
 
-    /// Removes any fault plan, halt condition, and offline marks.
-    pub fn clear_fault_plan(&mut self) {
-        self.faults.clear();
-    }
-
     /// The machine-level fault that halted the machine, if any.
     pub fn hw_fault(&self) -> Option<HwFault> {
         self.faults.halted()
@@ -316,8 +311,13 @@ impl Machine {
     /// Posts a wakeup to `cpu`'s wakeup-waiting switch: a notification
     /// arriving between a locked-descriptor exception and the wait
     /// primitive must land on the *faulting processor*, not processor 0.
-    /// Returns false if `cpu` names no real processor.
+    /// Returns false, and sets nothing, if the machine lacks the
+    /// [`HwFeatures::wakeup_waiting`] switch or `cpu` names no real
+    /// processor.
     pub fn post_wakeup(&mut self, cpu: ProcessorId) -> bool {
+        if !self.features.wakeup_waiting {
+            return false;
+        }
         match self.cpus.get_mut(cpu.0 as usize) {
             Some(p) => {
                 p.wakeup_waiting = true;
@@ -501,6 +501,17 @@ mod tests {
         m.disk_read_into_frame(pack, rec, FrameNo(6)).unwrap();
         assert_eq!(m.mem.read(FrameNo(6).base()), Word::new(0o42));
         assert!(m.hw_fault().is_none());
+    }
+
+    #[test]
+    fn the_1974_base_has_no_wakeup_waiting_switch() {
+        let mut m = Machine::base_1974();
+        assert!(!m.post_wakeup(ProcessorId(0)));
+        assert!(!m.cpus[0].take_wakeup_waiting());
+        let mut k = Machine::kernel_proposed();
+        assert!(k.post_wakeup(ProcessorId(0)));
+        assert!(k.cpus[0].take_wakeup_waiting());
+        assert!(!k.post_wakeup(ProcessorId(k.cpu_count() as u32)));
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! mx-meter: kernel-wide cycle attribution and event tracing.
+//! mx-meter: kernel-wide cycle attribution and event counting.
 //!
 //! The paper argues about *where time goes* — how many cycles the kernel
 //! spends in page control versus the gatekeeper versus user computation —
@@ -8,16 +8,11 @@
 //! while that scope is open is attributed to it, and scopes nest across
 //! gate crossings the way rings nest on the real machine.
 //!
-//! Two invariants hold by construction:
-//!
-//! * **Conservation** — every charge path in the clock routes through one
-//!   internal add, so the per-subsystem tallies always sum exactly to
-//!   [`Clock::now`](crate::Clock::now). There is no "unattributed"
-//!   residue; cycles charged outside any scope belong to
-//!   [`Subsystem::UserDomain`].
-//! * **Bounded trace** — notable events (faults, gate crossings, process
-//!   switches, disk transfers, scope changes) land in a fixed-size ring,
-//!   so metering never grows memory with the length of a run.
+//! **Conservation** holds by construction: every charge path in the clock
+//! routes through one internal add, so the per-subsystem tallies always
+//! sum exactly to [`Clock::now`](crate::Clock::now). There is no
+//! "unattributed" residue; cycles charged outside any scope belong to
+//! [`Subsystem::UserDomain`].
 
 use std::fmt;
 
@@ -108,48 +103,6 @@ impl fmt::Display for Subsystem {
     }
 }
 
-/// What happened, for ring-buffer trace entries.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TraceEventKind {
-    /// A metering scope opened.
-    Enter,
-    /// A metering scope closed.
-    Exit,
-    /// A hardware fault was charged.
-    Fault,
-    /// A kernel gate crossing was charged.
-    GateCrossing,
-    /// A virtual-processor switch was charged.
-    ProcessSwitch,
-    /// A disk record transfer was charged.
-    DiskTransfer,
-}
-
-impl TraceEventKind {
-    /// Stable snake_case name, used as the JSON value in trace reports.
-    pub const fn name(self) -> &'static str {
-        match self {
-            TraceEventKind::Enter => "enter",
-            TraceEventKind::Exit => "exit",
-            TraceEventKind::Fault => "fault",
-            TraceEventKind::GateCrossing => "gate_crossing",
-            TraceEventKind::ProcessSwitch => "process_switch",
-            TraceEventKind::DiskTransfer => "disk_transfer",
-        }
-    }
-}
-
-/// One entry in the bounded event trace.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TraceEvent {
-    /// Clock reading when the event was recorded.
-    pub at: u64,
-    /// What happened.
-    pub kind: TraceEventKind,
-    /// The subsystem on top of the scope stack at the time.
-    pub subsystem: Subsystem,
-}
-
 /// How one subsystem was observed depending on another at run time.
 ///
 /// The two improper kinds of the paper's classification, observed rather
@@ -209,11 +162,10 @@ pub struct ObservedEdge {
 /// The always-on caller→callee edge ledger: a
 /// `Subsystem × Subsystem × EdgeKind` count matrix.
 ///
-/// Unlike the trace ring, the ledger never evicts: it is O(1) memory
-/// regardless of run length (13 × 13 × 2 counters), so the runtime
-/// dependency graph it induces is exact over the whole run, not a
-/// window. Two conservation properties hold by construction and are
-/// pinned by tests:
+/// The ledger is O(1) memory regardless of run length (13 × 13 × 2
+/// counters), and it never evicts, so the runtime dependency graph it
+/// induces is exact over the whole run, not a window. Two conservation
+/// properties hold by construction and are pinned by tests:
 ///
 /// * every scope entry records exactly one [`EdgeKind::Invoke`] edge,
 ///   so the invoke counts always sum to the meter's total scope
@@ -330,43 +282,17 @@ pub struct MeterGuard {
     pub(crate) depth: usize,
 }
 
-/// Default number of events the trace ring retains.
-pub const DEFAULT_TRACE_CAPACITY: usize = 4096;
-
-/// The attribution ledger and event ring embedded in the clock.
-#[derive(Debug, Clone)]
+/// The attribution ledger embedded in the clock.
+#[derive(Debug, Clone, Default)]
 pub struct Meter {
     attributed: [u64; Subsystem::COUNT],
     entries: [u64; Subsystem::COUNT],
     stack: Vec<Subsystem>,
-    ring: Vec<TraceEvent>,
-    ring_next: usize,
     recorded: u64,
-    capacity: usize,
     edges: EdgeSet,
 }
 
-impl Default for Meter {
-    fn default() -> Self {
-        Self::with_capacity(DEFAULT_TRACE_CAPACITY)
-    }
-}
-
 impl Meter {
-    /// A meter whose trace ring retains `capacity` events.
-    pub fn with_capacity(capacity: usize) -> Self {
-        Self {
-            attributed: [0; Subsystem::COUNT],
-            entries: [0; Subsystem::COUNT],
-            stack: Vec::new(),
-            ring: Vec::new(),
-            ring_next: 0,
-            recorded: 0,
-            capacity,
-            edges: EdgeSet::new(),
-        }
-    }
-
     /// The subsystem currently being charged.
     pub fn current(&self) -> Subsystem {
         self.stack.last().copied().unwrap_or(Subsystem::UserDomain)
@@ -379,7 +305,7 @@ impl Meter {
 
     /// Opens a scope; cycles charged until the matching exit are
     /// attributed to `subsystem`.
-    pub(crate) fn enter(&mut self, subsystem: Subsystem, at: u64) -> MeterGuard {
+    pub(crate) fn enter(&mut self, subsystem: Subsystem) -> MeterGuard {
         let depth = self.stack.len();
         // The invocation edge: attributed to the *innermost* open scope
         // (the subsystem whose code actually made the call), exactly
@@ -389,42 +315,21 @@ impl Meter {
             .record(EdgeKind::Invoke, self.current(), subsystem);
         self.stack.push(subsystem);
         self.entries[subsystem.index()] += 1;
-        self.record(TraceEvent {
-            at,
-            kind: TraceEventKind::Enter,
-            subsystem,
-        });
+        self.recorded += 1;
         MeterGuard { depth }
     }
 
     /// Closes the scope `guard` came from, unwinding any scopes left
-    /// open inside it.
-    pub(crate) fn exit(&mut self, guard: MeterGuard, at: u64) {
-        while self.stack.len() > guard.depth {
-            // The loop condition guarantees a non-empty stack.
-            let Some(subsystem) = self.stack.pop() else {
-                break;
-            };
-            self.record(TraceEvent {
-                at,
-                kind: TraceEventKind::Exit,
-                subsystem,
-            });
-        }
+    /// open inside it. Each closed scope counts as one event.
+    pub(crate) fn exit(&mut self, guard: MeterGuard) {
+        self.recorded += self.stack.len().saturating_sub(guard.depth) as u64;
+        self.stack.truncate(guard.depth);
     }
 
-    /// Appends an event to the ring, overwriting the oldest when full.
-    pub(crate) fn record(&mut self, event: TraceEvent) {
+    /// Counts one notable charge (a fault, gate crossing, process switch
+    /// or disk transfer) as an event.
+    pub(crate) fn count_event(&mut self) {
         self.recorded += 1;
-        if self.capacity == 0 {
-            return;
-        }
-        if self.ring.len() < self.capacity {
-            self.ring.push(event);
-        } else {
-            self.ring[self.ring_next] = event;
-            self.ring_next = (self.ring_next + 1) % self.capacity;
-        }
     }
 
     /// Records a shared-writable-data edge: the current scope's
@@ -443,16 +348,8 @@ impl Meter {
         &self.edges
     }
 
-    /// Retained trace events, oldest first.
-    pub fn trace(&self) -> Vec<TraceEvent> {
-        let mut out = Vec::with_capacity(self.ring.len());
-        out.extend_from_slice(&self.ring[self.ring_next..]);
-        out.extend_from_slice(&self.ring[..self.ring_next]);
-        out
-    }
-
-    /// Events recorded over the meter's lifetime (including any that the
-    /// bounded ring has since discarded).
+    /// Events recorded over the meter's lifetime: scope entries and
+    /// exits, faults, gate crossings, process switches and disk transfers.
     pub fn events_recorded(&self) -> u64 {
         self.recorded
     }
@@ -693,24 +590,7 @@ mod tests {
     }
 
     #[test]
-    fn trace_ring_is_bounded_and_keeps_newest() {
-        let mut m = Meter::with_capacity(4);
-        for i in 0..10u64 {
-            m.record(TraceEvent {
-                at: i,
-                kind: TraceEventKind::Fault,
-                subsystem: Subsystem::UserDomain,
-            });
-        }
-        let trace = m.trace();
-        assert_eq!(trace.len(), 4);
-        assert_eq!(trace[0].at, 6, "oldest retained event");
-        assert_eq!(trace[3].at, 9, "newest event");
-        assert_eq!(m.events_recorded(), 10);
-    }
-
-    #[test]
-    fn notable_charges_land_in_the_trace() {
+    fn scope_changes_and_notable_charges_are_counted() {
         let cost = CostModel::default();
         let mut clk = Clock::new();
         let g = clk.enter(Subsystem::Gatekeeper);
@@ -718,24 +598,21 @@ mod tests {
         clk.charge_fault(&cost);
         clk.charge_disk_transfer(&cost);
         clk.charge_process_switch(&cost);
+        // Plain cycle charges are not events.
+        clk.charge(3);
+        clk.charge_core_access(&cost);
+        clk.charge_instructions(&cost, 10, Language::Pli);
+        let _abandoned = clk.enter(Subsystem::PageControl);
+        // Unwinding two scopes counts two exits.
         clk.exit(g);
-        let kinds: Vec<TraceEventKind> = clk.meter().trace().iter().map(|e| e.kind).collect();
+        assert_eq!(clk.meter().events_recorded(), 8);
+        assert_eq!(clk.meter_snapshot().events_recorded(), 8);
+        clk.charge_wire_frame(&cost, 16);
         assert_eq!(
-            kinds,
-            vec![
-                TraceEventKind::Enter,
-                TraceEventKind::GateCrossing,
-                TraceEventKind::Fault,
-                TraceEventKind::DiskTransfer,
-                TraceEventKind::ProcessSwitch,
-                TraceEventKind::Exit,
-            ]
+            clk.meter().events_recorded(),
+            10,
+            "wire frame: enter + exit"
         );
-        assert!(clk
-            .meter()
-            .trace()
-            .iter()
-            .all(|e| e.subsystem == Subsystem::Gatekeeper));
     }
 
     #[test]

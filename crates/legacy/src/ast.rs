@@ -11,7 +11,7 @@
 
 use crate::types::{DiskHome, ProcessId, SegUid};
 use mx_aim::Label;
-use mx_hw::{AbsAddr, FrameNo, PAGE_WORDS};
+use mx_hw::{AbsAddr, FrameNo};
 
 /// Page-table words per pool slot — the maximum pages per segment.
 pub const PT_WORDS: u32 = 256;
@@ -267,11 +267,6 @@ impl FrameTable {
         self.states[frame.0 as usize] = FrameState::Free;
     }
 
-    /// Reassigns an occupied frame to a new page.
-    pub fn assign(&mut self, frame: FrameNo, astx: usize, pageno: u32) {
-        self.states[frame.0 as usize] = FrameState::Page { astx, pageno };
-    }
-
     /// Advances the clock hand and returns the frame it now points at
     /// (pageable frames only, wrapping).
     pub fn tick(&mut self) -> FrameNo {
@@ -296,11 +291,6 @@ impl FrameTable {
                 _ => None,
             })
             .collect()
-    }
-
-    /// Words of core below the pageable region (the wired size).
-    pub fn wired_words(&self) -> u64 {
-        self.first_pageable as u64 * PAGE_WORDS as u64
     }
 }
 

@@ -1147,11 +1147,6 @@ mod tests {
                 "meter after {at}"
             );
             assert_eq!(
-                a.clock.meter().trace(),
-                b.clock.meter().trace(),
-                "trace after {at}"
-            );
-            assert_eq!(
                 a.clock.edge_snapshot(),
                 b.clock.edge_snapshot(),
                 "edges after {at}"
@@ -1180,7 +1175,7 @@ mod tests {
     /// Seeded churn on tight frames. Every create, delete and lookup
     /// reads the directory through the entry reader on one supervisor and
     /// through `sup_read` on its twin; after every step the results,
-    /// clocks, meters, traces, edges, TLB tallies and core images must be
+    /// clocks, meters, edges, TLB tallies and core images must be
     /// identical. The churn is checked to reach entries that straddle a
     /// page (slot 63, 127, 191), unused slots, scans whose next-page
     /// fault evicts a page they just left, and first touches whose

@@ -31,7 +31,7 @@
 use crate::supervisor::Supervisor;
 use crate::types::{LegacyError, ProcessId};
 use mx_aim::Label;
-use mx_hw::cpu::{Ptw, Sdw};
+use mx_hw::cpu::Ptw;
 use mx_hw::meter::Subsystem;
 use mx_hw::{AbsAddr, DiskError, FrameNo, Language, PackId, RecordNo, VirtAddr};
 
@@ -507,17 +507,6 @@ impl Supervisor {
         self.scoped(Subsystem::PageControl, |s| {
             s.page_fault(pid, va, descriptor)
         })
-    }
-
-    /// Reads the SDW helper used by retranslation (re-exported for the
-    /// race tests).
-    pub fn retranslate_now(&mut self, pid: ProcessId, va: VirtAddr) -> bool {
-        let sdw: Sdw = self.sdw(pid, va.segno);
-        if !sdw.present {
-            return false;
-        }
-        let ptw_addr = sdw.page_table.add(u64::from(va.pageno()));
-        Ptw::decode(self.machine.mem.read(ptw_addr)).present
     }
 }
 

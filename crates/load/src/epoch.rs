@@ -48,7 +48,7 @@ use crate::run::{
 use crate::script::SessionScript;
 use mx_explore::{PctPolicy, SeededRandomPolicy};
 use mx_hw::meter::EdgeSet;
-use mx_hw::{CrashWrite, SplitMix64, PAGE_WORDS};
+use mx_hw::CrashWrite;
 use mx_sync::SchedulePolicy;
 
 const MIX: u64 = 0x9E37_79B9_7F4A_7C15;
@@ -152,18 +152,6 @@ impl C1Spec {
             self.sessions,
             self.crashes
         )
-    }
-}
-
-/// The deterministic crash mode for epoch boundary `epoch`.
-fn crash_mode(plan_seed: u64, epoch: u64) -> CrashWrite {
-    let mut rng = SplitMix64::new(plan_seed ^ (epoch + 1).wrapping_mul(MIX));
-    if rng.chance(1, 2) {
-        CrashWrite::Dropped
-    } else {
-        CrashWrite::Torn {
-            words: rng.range_usize(1, PAGE_WORDS),
-        }
     }
 }
 
@@ -813,9 +801,10 @@ fn run_chaos<D: Design>(spec: &C1Spec, mode: SalvageMode, cheat: bool, repro: &s
             out.violations
                 .push(format!("{name} epoch {e}: beacon write: {err:?} [{repro}]"));
         }
-        d.d.machine_mut()
-            .faults
-            .crash_after_further_writes(1, crash_mode(spec.plan_seed, e));
+        d.d.machine_mut().faults.crash_after_further_writes(
+            1,
+            CrashWrite::seeded(spec.plan_seed ^ (e + 1).wrapping_mul(MIX)),
+        );
         let sync = d.d.sync_to_disk();
         out.edges.merge(d.d.machine().clock.edge_set());
         if sync.is_ok() || d.d.machine().faults.halted().is_none() {
