@@ -590,7 +590,7 @@ mod tests {
     }
 
     #[test]
-    fn scope_changes_and_notable_charges_are_counted() {
+    fn notable_charges_land_in_the_trace() {
         let cost = CostModel::default();
         let mut clk = Clock::new();
         let g = clk.enter(Subsystem::Gatekeeper);
@@ -607,6 +607,11 @@ mod tests {
         clk.exit(g);
         assert_eq!(clk.meter().events_recorded(), 8);
         assert_eq!(clk.meter_snapshot().events_recorded(), 8);
+        // The count is what a trace report carries for the run.
+        assert!(clk
+            .meter_snapshot()
+            .to_json()
+            .contains("\"events_recorded\":8,"));
         clk.charge_wire_frame(&cost, 16);
         assert_eq!(
             clk.meter().events_recorded(),
