@@ -35,8 +35,10 @@ use crate::segment::SegmentManager;
 use crate::types::{AccessRight, Acl, DiskHome, ObjToken, ProcessId, SegUid, UserId};
 use crate::vproc::VirtualProcessorManager;
 use mx_aim::{AccessKind, CompartmentSet, FlowTracker, Label, Level, ReferenceMonitor};
-use mx_hw::word::{name_fits, name_is, pack_name, unpack_name, NAME_WORDS};
-use mx_hw::{AbsAddr, IdMap, Machine, PackId, RefCharges, TocIndex, Word, PAGE_WORDS};
+use mx_hw::word::{name_fits, pack_name, unpack_name, NameKey, NAME_WORDS};
+use mx_hw::{
+    AbsAddr, IdMap, Language, Machine, MainMemory, PackId, RefCharges, TocIndex, Word, PAGE_WORDS,
+};
 use std::collections::HashMap;
 
 /// Words per directory entry record.
@@ -156,12 +158,38 @@ fn unpack_label(bits: u64) -> Label {
     )
 }
 
+/// PL/I instructions `scan` spends on each slot it passes.
+const SCAN_INSTR_PER_SLOT: u64 = 14;
+
+/// The words of an entry in use that the record codec reads, as a bit
+/// set over the entry's words: 0, 2–14 and 16 (the flags word, 1, is
+/// read first, on its own).
+const RECORD: u64 = 1 | 0x1fff << 2 | 1 << 16;
+
+/// Words from an entry's base through the last one [`RECORD`] reads.
+const RECORD_SPAN: usize = 17;
+
+/// Core accesses an entry in use costs: its flags word and [`RECORD`].
+const IN_USE_READS: u64 = 1 + RECORD.count_ones() as u64;
+
+/// The name words of an entry's words.
+fn name_words(entry: &[Word]) -> &[Word; NAME_WORDS] {
+    entry[4..12].try_into().expect("eight name words")
+}
+
 /// One entry record as copied from core, decoded only on demand.
 struct StoredEntry([Word; ENTRY_WORDS as usize]);
 
 impl StoredEntry {
+    /// Copies the words an entry in use is read for.
+    fn copied(record: &[Word]) -> Self {
+        let mut e = StoredEntry([Word::ZERO; ENTRY_WORDS as usize]);
+        e.0[..RECORD_SPAN].copy_from_slice(record);
+        e
+    }
+
     fn name_words(&self) -> &[Word; NAME_WORDS] {
-        self.0[4..12].try_into().expect("eight name words")
+        name_words(&self.0)
     }
 
     fn decode(&self) -> EntryRecord {
@@ -188,16 +216,20 @@ impl StoredEntry {
 ///
 /// The first word the reader takes from each page goes through the
 /// segment manager's full reference path (page service, growth, the used
-/// bit); every later word on that page is copied straight from core, and
-/// its core access is charged with the rest of its entry in one batch.
-/// The simulated outcome is the per-word path's exactly — DESIGN.md,
-/// "The directory scan cursor", gives the conditions.
+/// bit); every later word on that page is read straight from core, and
+/// its core access waits, with the PL/I block of each slot `scan`
+/// passes, for the one charge made before the next page touch and at
+/// the end. The simulated outcome is the per-slot, per-word loop's
+/// exactly — DESIGN.md, "The directory scan cursor", gives the
+/// conditions.
 struct EntryReader {
     dir: SegUid,
     /// The page last touched and the absolute address of its first word.
     page: Option<(u32, AbsAddr)>,
     /// Core accesses read but not yet charged.
     pending: u64,
+    /// Slots `scan` passed whose PL/I block is not yet charged.
+    blocks: u64,
 }
 
 impl EntryReader {
@@ -206,7 +238,16 @@ impl EntryReader {
             dir,
             page: None,
             pending: 0,
+            blocks: 0,
         }
+    }
+
+    /// The words from `wordno` on, `n` of them, straight from core, if
+    /// they all lie on the page the reader holds.
+    fn held<'m>(&self, mem: &'m MainMemory, wordno: u32, n: usize) -> Option<&'m [Word]> {
+        let (pageno, frame) = self.page?;
+        let offset = wordno.checked_sub(pageno * PAGE_WORDS as u32)? as usize;
+        (offset + n <= PAGE_WORDS).then(|| mem.words(frame.add(offset as u64), n))
     }
 
     /// Copies the words from `wordno` on into `out`. The words whose bits
@@ -282,6 +323,11 @@ impl EntryReader {
 
     fn flush(&mut self, ctx: &mut FsCtx<'_>) {
         let cost = ctx.machine.cost;
+        let blocks = std::mem::take(&mut self.blocks);
+        let n = SCAN_INSTR_PER_SLOT;
+        ctx.machine
+            .clock
+            .charge_instruction_blocks(&cost, n, Language::Pli, blocks);
         let charges = RefCharges {
             core_accesses: std::mem::take(&mut self.pending),
             ..RefCharges::default()
@@ -298,13 +344,24 @@ impl EntryReader {
     }
 
     /// The first unused slot below `count`, else `count`: the in-use
-    /// flags in slot order.
+    /// flags in slot order, each read in place when it lies on the page
+    /// the reader holds.
     fn first_unused(&mut self, ctx: &mut FsCtx<'_>, count: u32) -> Result<u32, KernelError> {
-        let mut flags = [Word::ZERO];
         let mut slot = 0;
         while slot < count {
-            self.read(ctx, DirectoryManager::entry_base(slot) + 1, &mut flags, 1)?;
-            if flags[0].raw() & 1 == 0 {
+            let at = DirectoryManager::entry_base(slot) + 1;
+            let flags = match self.held(&ctx.machine.mem, at, 1) {
+                Some(words) => {
+                    self.pending += 1;
+                    words[0]
+                }
+                None => {
+                    let mut flags = [Word::ZERO];
+                    self.read(ctx, at, &mut flags, 1)?;
+                    flags[0]
+                }
+            };
+            if flags.raw() & 1 == 0 {
                 break;
             }
             slot += 1;
@@ -314,30 +371,72 @@ impl EntryReader {
     }
 
     /// Entry `slot`, `None` if unused, charged as the record codec reads
-    /// it: the flags word (1), then for an entry in use the words
-    /// [`StoredEntry::decode`] needs (0, 2–14 and 16).
+    /// it: the flags word (1), then for an entry in use [`RECORD`].
     fn entry(
         &mut self,
         ctx: &mut FsCtx<'_>,
         slot: u32,
     ) -> Result<Option<StoredEntry>, KernelError> {
-        const RECORD: u64 = 1 | 0x1fff << 2 | 1 << 16;
         let base = DirectoryManager::entry_base(slot);
         let mut e = StoredEntry([Word::ZERO; ENTRY_WORDS as usize]);
         self.read(ctx, base + 1, &mut e.0[1..2], 1)?;
         let in_use = e.0[1].raw() & 1 != 0;
         if in_use {
-            self.read(ctx, base, &mut e.0[..17], RECORD)?;
+            self.read(ctx, base, &mut e.0[..RECORD_SPAN], RECORD)?;
         }
         self.flush(ctx);
         Ok(in_use.then_some(e))
     }
+
+    /// `scan`'s walk: the first slot below `count` in use and named by
+    /// `key`, copied as [`EntryReader::entry`] copies it. Every slot
+    /// passed costs a PL/I block, due before the slot's first word: it
+    /// waits with the core accesses for the charge before the next page
+    /// touch, so it lands in the same place. A slot whose words lie on
+    /// the page the reader holds is read in place; any other takes
+    /// [`EntryReader::entry`]'s path.
+    fn find(
+        &mut self,
+        ctx: &mut FsCtx<'_>,
+        count: u32,
+        key: &NameKey,
+    ) -> Result<Option<(u32, StoredEntry)>, KernelError> {
+        #[cfg(test)]
+        if reference::per_word() {
+            return reference::find(self, ctx, count, key);
+        }
+        for slot in 0..count {
+            self.blocks += 1;
+            let base = DirectoryManager::entry_base(slot);
+            let found = match self.held(&ctx.machine.mem, base, RECORD_SPAN) {
+                Some(words) if words[1].raw() & 1 == 0 => {
+                    self.pending += 1;
+                    None
+                }
+                Some(words) => {
+                    self.pending += IN_USE_READS;
+                    key.matches(name_words(words))
+                        .then(|| StoredEntry::copied(words))
+                }
+                None => self
+                    .entry(ctx, slot)?
+                    .filter(|e| key.matches(e.name_words())),
+            };
+            if let Some(e) = found {
+                self.flush(ctx);
+                return Ok(Some((slot, e)));
+            }
+        }
+        self.flush(ctx);
+        Ok(None)
+    }
 }
 
-/// The per-word reader the cursor replaced, kept as the reference the
-/// tests compare it against.
+/// The per-slot, per-word loop the cursor replaced, kept as the
+/// reference the tests compare it against.
 #[cfg(test)]
 mod reference {
+    use super::{EntryReader, FsCtx, KernelError, NameKey, StoredEntry, SCAN_INSTR_PER_SLOT};
     use std::cell::Cell;
 
     thread_local! {
@@ -349,12 +448,31 @@ mod reference {
     }
 
     /// Runs `f` with every directory word read through the full
-    /// per-word path.
+    /// per-word path, and `scan` charging each slot's PL/I block before
+    /// the slot's first word.
     pub(super) fn per_word_during<T>(f: impl FnOnce() -> T) -> T {
         PER_WORD.set(true);
         let out = f();
         PER_WORD.set(false);
         out
+    }
+
+    /// `scan`'s loop before the walk.
+    pub(super) fn find(
+        reader: &mut EntryReader,
+        ctx: &mut FsCtx<'_>,
+        count: u32,
+        key: &NameKey,
+    ) -> Result<Option<(u32, StoredEntry)>, KernelError> {
+        for slot in 0..count {
+            crate::charge_pli(ctx.machine, SCAN_INSTR_PER_SLOT);
+            if let Some(e) = reader.entry(ctx, slot)? {
+                if key.matches(e.name_words()) {
+                    return Ok(Some((slot, e)));
+                }
+            }
+        }
+        Ok(None)
     }
 }
 
@@ -772,15 +890,8 @@ impl DirectoryManager {
         self.ensure_active(ctx, dir)?;
         let mut reader = EntryReader::new(dir);
         let count = reader.word(ctx, 0)?.raw() as u32;
-        for slot in 0..count {
-            crate::charge_pli(ctx.machine, 14);
-            if let Some(e) = reader.entry(ctx, slot)? {
-                if name_is(e.name_words(), name) {
-                    return Ok(Some((slot, e.decode())));
-                }
-            }
-        }
-        Ok(None)
+        let found = reader.find(ctx, count, &NameKey::new(name))?;
+        Ok(found.map(|(slot, e)| (slot, e.decode())))
     }
 
     // ---- the kernel primitives -------------------------------------------
@@ -1257,6 +1368,7 @@ impl DirectoryManager {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mx_hw::word::name_is;
 
     #[test]
     fn name_codec_round_trip() {
@@ -1400,13 +1512,43 @@ mod tests {
         }
     }
 
+    /// The walk's cases the churn reached, told from the entry layout.
+    #[derive(Debug, Default)]
+    struct Walked {
+        /// Matches on a slot read in place: its words lie on the page
+        /// of the flags word before it.
+        in_place: usize,
+        /// Matches on a slot whose words cross a page boundary.
+        straddling: usize,
+        /// Misses that walked three pages or more.
+        long_misses: usize,
+        /// Slots `first_unused` found unused past page 0.
+        unused_past_page_0: usize,
+    }
+
+    impl Walked {
+        fn matched(&mut self, slot: u32) {
+            let page = |wordno: u32| wordno / PAGE_WORDS as u32;
+            let base = DirectoryManager::entry_base(slot);
+            if page(base) != page(base + RECORD_SPAN as u32 - 1) {
+                self.straddling += 1;
+            } else if slot == 0 || page(DirectoryManager::entry_base(slot - 1) + 1) == page(base) {
+                self.in_place += 1;
+            }
+        }
+    }
+
     /// Seeded churn on tight frames. Every create, delete, search and
     /// listing reads the directory through the entry reader on one
-    /// kernel and the per-word reference on its twin; after every step
-    /// the results, clocks, meters, edges, TLB tallies and core images
-    /// must be identical. The churn is checked to reach entries
-    /// that straddle a page (slot 51, 102, 153), unused slots, and scans
-    /// whose next-page fault evicts a page they just left.
+    /// kernel and, on its twin, through the loop the walk replaced: each
+    /// slot's PL/I block charged before its first word, every word
+    /// through the full path. After every step the results, clocks,
+    /// meters, edges, TLB tallies and core images must be identical. The
+    /// churn is checked to reach entries that straddle a page (slot 51,
+    /// 102, 153), unused slots, scans whose next-page fault evicts a page
+    /// they just left, and each case of the walk: a miss over three
+    /// pages or more, a match read in place, a match on a straddling
+    /// entry, and an unused slot found past page 0.
     #[test]
     fn entry_reader_matches_the_per_word_reference_under_churn() {
         let mut t = Twin::new(24);
@@ -1427,6 +1569,8 @@ mod tests {
             .unwrap();
         let mut rng = SplitMix64::new(1977);
         let (mut deleted, mut reused, mut left_page_evicted, mut widest) = (0, 0, 0, 0);
+        let mut walked = Walked::default();
+        let mut live = HashMap::new();
         for i in 0..900 {
             let name = format!("n{}", rng.below(240));
             let at = format!("step {i} ({name})");
@@ -1436,9 +1580,18 @@ mod tests {
                     let made = t.step(&at, |k, pid| {
                         k.create_entry(pid, d, &name, Acl::owner(USER), Label::BOTTOM, false)
                     });
-                    if let Ok(token) = made {
-                        let uid = t.cursor.dirm.resolve_token(token).unwrap();
-                        reused += usize::from(t.cursor.dirm.branch[&uid].slot < count);
+                    match made {
+                        Ok(token) => {
+                            let uid = t.cursor.dirm.resolve_token(token).unwrap();
+                            let slot = t.cursor.dirm.branch[&uid].slot;
+                            reused += usize::from(slot < count);
+                            let flags = DirectoryManager::entry_base(slot) + 1;
+                            walked.unused_past_page_0 +=
+                                usize::from(slot < count && flags >= PAGE_WORDS as u32);
+                            live.insert(name.clone(), slot);
+                        }
+                        Err(KernelError::NameDuplicated) => walked.matched(live[&name]),
+                        Err(_) => {}
                     }
                     let page = rng.below(12) as u32;
                     t.step(&at, |k, pid| {
@@ -1447,8 +1600,10 @@ mod tests {
                     .unwrap();
                 }
                 6 => {
-                    deleted +=
-                        usize::from(t.step(&at, |k, pid| k.delete_entry(pid, d, &name)).is_ok())
+                    if t.step(&at, |k, pid| k.delete_entry(pid, d, &name)).is_ok() {
+                        deleted += 1;
+                        walked.matched(live.remove(&name).expect("a live name"));
+                    }
                 }
                 7..=8 => {
                     // A miss scans every slot, so every page of `d`.
@@ -1458,6 +1613,7 @@ mod tests {
                     let pages =
                         DirectoryManager::entry_base(t.slots(d_uid)).div_ceil(PAGE_WORDS as u32);
                     widest = widest.max(t.slots(d_uid));
+                    walked.long_misses += usize::from(pages >= 3);
                     let resident = t.resident_pages(d_uid, pages);
                     left_page_evicted += usize::from(resident.len() < pages as usize);
                 }
@@ -1475,5 +1631,12 @@ mod tests {
             "unused slots scanned and reclaimed"
         );
         assert!(left_page_evicted > 0, "a scan evicted a page it had left");
+        assert!(
+            walked.long_misses > 20
+                && walked.in_place > 100
+                && walked.straddling >= 3
+                && walked.unused_past_page_0 > 5,
+            "every case of the walk reached: {walked:?}"
+        );
     }
 }

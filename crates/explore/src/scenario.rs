@@ -1,7 +1,7 @@
 //! Driven concurrency scenarios, runnable on both designs.
 //!
 //! A scenario is a *pure function of its seed*: the seed expands into a
-//! fixed list of [`Op`]s before anything executes, and both the kernel
+//! fixed list of `Op`s before anything executes, and both the kernel
 //! and the 1974 supervisor then execute that same logical list. The
 //! schedule policy only reorders the kernel's internal dispatch and
 //! wakeup-drain decisions — so the **parity labels** (outcomes of the

@@ -270,6 +270,17 @@ impl Clock {
         self.add(cost.instructions(n, lang));
     }
 
+    /// Charges `k` blocks of `n` abstract instructions each, every block
+    /// rounded on its own: exactly `k` calls of
+    /// [`Clock::charge_instructions`]`(cost, n, lang)` in one meter
+    /// attribution. That is not one call for `n·k` instructions, which
+    /// would round once: 14 PL/I instructions cost 30 cycles, so `k`
+    /// blocks cost `30·k`, never ⌊30.8·k⌋.
+    pub fn charge_instruction_blocks(&mut self, cost: &CostModel, n: u64, lang: Language, k: u64) {
+        self.instructions += n * k;
+        self.add(cost.instructions(n, lang) * k);
+    }
+
     /// Charges one inter-machine wire frame of `bytes` bytes. The cost
     /// is attributed to the network subsystem under whatever scope is
     /// currently open, so the caller's context (user domain for bulk
@@ -479,6 +490,41 @@ mod tests {
         let mut clk = Clock::new();
         clk.charge_reference(&cost, RefCharges::default());
         assert_eq!(clk.now(), 0);
+    }
+
+    /// `k` blocks in one call equal `k` separate calls in cycles,
+    /// instruction tally and per-subsystem attribution, and differ from
+    /// one call for all `n·k` instructions whenever a block's cost
+    /// rounds.
+    #[test]
+    fn instruction_blocks_round_one_by_one() {
+        let cost = CostModel::default();
+        for n in [14, 12] {
+            for k in [0, 1, 1_000] {
+                let (mut blocks, mut calls, mut merged) =
+                    (Clock::new(), Clock::new(), Clock::new());
+                for clk in [&mut blocks, &mut calls, &mut merged] {
+                    let _ = clk.enter(Subsystem::DirectoryControl);
+                }
+                blocks.charge_instruction_blocks(&cost, n, Language::Pli, k);
+                for _ in 0..k {
+                    calls.charge_instructions(&cost, n, Language::Pli);
+                }
+                merged.charge_instructions(&cost, n * k, Language::Pli);
+                let at = format!("n = {n}, k = {k}");
+                assert_eq!(blocks.snapshot(), calls.snapshot(), "{at}");
+                assert_eq!(blocks.instructions_executed(), n * k, "{at}");
+                assert_eq!(blocks.meter_snapshot(), calls.meter_snapshot(), "{at}");
+                let own = blocks
+                    .meter_snapshot()
+                    .attributed_to(Subsystem::DirectoryControl);
+                assert_eq!(own, cost.instructions(n, Language::Pli) * k, "{at}");
+                if k > 1 {
+                    assert_ne!(blocks.now(), merged.now(), "{at}");
+                }
+            }
+        }
+        assert_eq!(CostModel::default().instructions(14, Language::Pli), 30);
     }
 
     #[test]

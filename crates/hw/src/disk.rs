@@ -122,13 +122,31 @@ fn blank_record() -> RecordBuf {
     Box::new([Word::ZERO; PAGE_WORDS])
 }
 
+/// The lowest empty slot of `table` at or above `floor`, below which
+/// every slot is taken; the floor moves up to it (or to the end).
+fn first_empty<T>(table: &[Option<T>], floor: &mut usize) -> Option<usize> {
+    let found = table[*floor..].iter().position(Option::is_none);
+    *floor = found.map_or(table.len(), |i| *floor + i);
+    found.map(|_| *floor)
+}
+
 /// A demountable disk pack: a fixed pool of records plus a TOC.
+///
+/// Allocation takes the lowest free record or TOC slot, as a sweep from
+/// slot 0 would, but starts from a floor per table below which every
+/// slot is taken; a free or a delete lowers it.
 #[derive(Debug, Clone)]
 pub struct DiskPack {
     /// This pack's identity.
     pub id: PackId,
     records: Vec<Option<RecordBuf>>,
     toc: Vec<Option<TocEntry>>,
+    /// Every record below this index is allocated.
+    record_floor: usize,
+    /// Every TOC slot below this index is occupied.
+    toc_floor: usize,
+    /// Records not allocated.
+    free: u32,
 }
 
 impl DiskPack {
@@ -139,6 +157,9 @@ impl DiskPack {
             id,
             records: (0..records).map(|_| None).collect(),
             toc: (0..toc_slots).map(|_| None).collect(),
+            record_floor: 0,
+            toc_floor: 0,
+            free: records,
         }
     }
 
@@ -149,27 +170,25 @@ impl DiskPack {
 
     /// Records not currently allocated.
     pub fn free_records(&self) -> u32 {
-        self.records.iter().filter(|r| r.is_none()).count() as u32
+        self.free
     }
 
     /// True if no record is free — the full-pack condition.
     pub fn is_full(&self) -> bool {
-        self.free_records() == 0
+        self.free == 0
     }
 
-    /// Allocates a zeroed record.
+    /// Allocates a zeroed record: the lowest-numbered free one.
     ///
     /// # Errors
     ///
     /// [`DiskError::PackFull`] when every record is allocated.
     pub fn allocate_record(&mut self) -> Result<RecordNo, DiskError> {
-        for (i, slot) in self.records.iter_mut().enumerate() {
-            if slot.is_none() {
-                *slot = Some(blank_record());
-                return Ok(RecordNo(i as u32));
-            }
-        }
-        Err(DiskError::PackFull { pack: self.id })
+        let i = first_empty(&self.records, &mut self.record_floor)
+            .ok_or(DiskError::PackFull { pack: self.id })?;
+        self.records[i] = Some(blank_record());
+        self.free -= 1;
+        Ok(RecordNo(i as u32))
     }
 
     /// Frees an allocated record.
@@ -182,6 +201,8 @@ impl DiskPack {
         match self.records.get_mut(record.0 as usize) {
             Some(slot @ Some(_)) => {
                 *slot = None;
+                self.free += 1;
+                self.record_floor = self.record_floor.min(record.0 as usize);
                 Ok(())
             }
             _ => Err(DiskError::BadRecord {
@@ -228,23 +249,21 @@ impl DiskPack {
         }
     }
 
-    /// Creates a TOC entry for a new segment with the given uid.
+    /// Creates a TOC entry for a new segment with the given uid, in the
+    /// lowest-numbered free slot.
     ///
     /// # Errors
     ///
     /// [`DiskError::TocFull`] when every slot is occupied.
     pub fn create_entry(&mut self, uid: u64) -> Result<TocIndex, DiskError> {
-        for (i, slot) in self.toc.iter_mut().enumerate() {
-            if slot.is_none() {
-                *slot = Some(TocEntry {
-                    uid,
-                    file_map: Vec::new(),
-                    quota_cell: None,
-                });
-                return Ok(TocIndex(i as u32));
-            }
-        }
-        Err(DiskError::TocFull { pack: self.id })
+        let i = first_empty(&self.toc, &mut self.toc_floor)
+            .ok_or(DiskError::TocFull { pack: self.id })?;
+        self.toc[i] = Some(TocEntry {
+            uid,
+            file_map: Vec::new(),
+            quota_cell: None,
+        });
+        Ok(TocIndex(i as u32))
     }
 
     /// Looks up a TOC entry.
@@ -291,6 +310,7 @@ impl DiskPack {
                 pack: self.id,
                 index,
             })?;
+        self.toc_floor = self.toc_floor.min(index.0 as usize);
         let mut bad = None;
         for rec in entry.file_map.into_iter().flatten() {
             // The file map should only name records this pack allocated;
@@ -390,6 +410,7 @@ impl DiskSystem {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::rng::SplitMix64;
 
     #[test]
     fn allocate_until_full_then_pack_full_error() {
@@ -496,6 +517,158 @@ mod tests {
             d.pack_mut(c).unwrap().allocate_record().unwrap();
         }
         assert_eq!(d.emptiest_pack(c), None);
+    }
+
+    /// A pack's tables as they were kept before the floors: every
+    /// allocation sweeps from slot 0 and every count sweeps the table.
+    /// A TOC entry is its file map's record numbers.
+    struct Sweeping {
+        records: Vec<bool>,
+        toc: Vec<Option<Vec<u32>>>,
+    }
+
+    impl Sweeping {
+        fn allocate_record(&mut self) -> Option<u32> {
+            let i = self.records.iter().position(|&taken| !taken)?;
+            self.records[i] = true;
+            Some(i as u32)
+        }
+
+        fn free_record(&mut self, r: u32) -> bool {
+            match self.records.get_mut(r as usize) {
+                Some(taken @ true) => {
+                    *taken = false;
+                    true
+                }
+                _ => false,
+            }
+        }
+
+        fn create_entry(&mut self) -> Option<u32> {
+            let i = self.toc.iter().position(Option::is_none)?;
+            self.toc[i] = Some(Vec::new());
+            Some(i as u32)
+        }
+
+        /// `None` if there is no such entry, else the last record of its
+        /// file map that was not allocated.
+        fn delete_entry(&mut self, i: u32) -> Option<Option<u32>> {
+            let map = self.toc.get_mut(i as usize)?.take()?;
+            Some(map.into_iter().filter(|&r| !self.free_record(r)).last())
+        }
+
+        fn free_records(&self) -> u32 {
+            self.records.iter().filter(|&&taken| !taken).count() as u32
+        }
+    }
+
+    /// Seeded reference model: each table is filled, emptied and
+    /// refilled, with frees and deletes interleaved (records freed while
+    /// a file map still names them included); after every step the pack
+    /// and a sweeping twin give the same index or error, `free_records`
+    /// and `is_full`.
+    #[test]
+    fn allocation_matches_a_sweeping_twin() {
+        const RECORDS: u32 = 48;
+        const SLOTS: u32 = 24;
+        let pack_id = PackId(3);
+        let mut p = DiskPack::new(pack_id, RECORDS, SLOTS);
+        let mut twin = Sweeping {
+            records: vec![false; RECORDS as usize],
+            toc: vec![None; SLOTS as usize],
+        };
+        // Three times in four a taken slot, else any index, out of
+        // range included.
+        fn pick(rng: &mut SplitMix64, len: u32, taken: impl Fn(usize) -> bool) -> u32 {
+            let live: Vec<u32> = (0..len).filter(|&i| taken(i as usize)).collect();
+            if live.is_empty() || rng.below(4) == 0 {
+                return rng.below(u64::from(len) + 2) as u32;
+            }
+            live[rng.below(live.len() as u64) as usize]
+        }
+        let mut rng = SplitMix64::new(0x00d1_5c00);
+        let (mut packs_full, mut tocs_full, mut packs_empty, mut tocs_empty) = (0, 0, 0, 0);
+        let mut stale_maps = 0;
+        // Fill, empty, refill, empty, refill: the chance in 8 that a
+        // step allocates rather than frees.
+        for (phase, grow) in [7, 1, 7, 1, 7].into_iter().enumerate() {
+            for step in 0..400u64 {
+                let at = format!("phase {phase} step {step}");
+                let allocate = rng.below(8) < grow;
+                if rng.below(2) == 0 {
+                    if allocate {
+                        let got = p.allocate_record();
+                        let want = twin.allocate_record();
+                        assert_eq!(
+                            got,
+                            want.map(RecordNo)
+                                .ok_or(DiskError::PackFull { pack: pack_id }),
+                            "{at}"
+                        );
+                        packs_full += usize::from(want.is_none());
+                        // Most records join a live file map.
+                        let live: Vec<u32> = (0..SLOTS)
+                            .filter(|&i| twin.toc[i as usize].is_some())
+                            .collect();
+                        if let (Some(r), false) = (want, live.is_empty() || rng.below(4) == 0) {
+                            let i = live[rng.below(live.len() as u64) as usize];
+                            p.entry_mut(TocIndex(i))
+                                .unwrap()
+                                .file_map
+                                .push(Some(RecordNo(r)));
+                            twin.toc[i as usize].as_mut().unwrap().push(r);
+                        }
+                    } else {
+                        let r = pick(&mut rng, RECORDS, |r| twin.records[r]);
+                        let freed = twin.free_record(r);
+                        let want = if freed {
+                            Ok(())
+                        } else {
+                            Err(DiskError::BadRecord {
+                                pack: pack_id,
+                                record: RecordNo(r),
+                            })
+                        };
+                        assert_eq!(p.free_record(RecordNo(r)), want, "{at}");
+                    }
+                } else if allocate {
+                    let want = twin.create_entry();
+                    let got = p.create_entry(step);
+                    assert_eq!(
+                        got,
+                        want.map(TocIndex)
+                            .ok_or(DiskError::TocFull { pack: pack_id }),
+                        "{at}"
+                    );
+                    tocs_full += usize::from(want.is_none());
+                } else {
+                    let i = pick(&mut rng, SLOTS, |i| twin.toc[i].is_some());
+                    let index = TocIndex(i);
+                    let want = match twin.delete_entry(i) {
+                        None => Err(DiskError::NoSuchEntry {
+                            pack: pack_id,
+                            index,
+                        }),
+                        Some(None) => Ok(()),
+                        Some(Some(r)) => {
+                            stale_maps += 1;
+                            Err(DiskError::BadRecord {
+                                pack: pack_id,
+                                record: RecordNo(r),
+                            })
+                        }
+                    };
+                    assert_eq!(p.delete_entry(index), want, "{at}");
+                }
+                assert_eq!(p.free_records(), twin.free_records(), "{at}");
+                assert_eq!(p.is_full(), twin.free_records() == 0, "{at}");
+                packs_empty += usize::from(p.free_records() == RECORDS);
+                tocs_empty += usize::from(p.entries().next().is_none());
+            }
+        }
+        assert!(packs_full > 5 && tocs_full > 5, "both tables filled");
+        assert!(packs_empty > 5 && tocs_empty > 5, "both tables emptied");
+        assert!(stale_maps > 0, "a delete met a record freed under its map");
     }
 
     #[test]

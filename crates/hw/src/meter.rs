@@ -4,9 +4,10 @@
 //! spends in page control versus the gatekeeper versus user computation —
 //! so the simulator needs attribution, not just a total. This module hangs
 //! a subsystem ledger off the [`Clock`](crate::Clock): software announces
-//! which subsystem is executing with [`Clock::enter`], every cycle charged
-//! while that scope is open is attributed to it, and scopes nest across
-//! gate crossings the way rings nest on the real machine.
+//! which subsystem is executing with
+//! [`Clock::enter`](crate::Clock::enter), every cycle charged while that
+//! scope is open is attributed to it, and scopes nest across gate
+//! crossings the way rings nest on the real machine.
 //!
 //! **Conservation** holds by construction: every charge path in the clock
 //! routes through one internal add, so the per-subsystem tallies always

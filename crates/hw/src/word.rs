@@ -118,21 +118,65 @@ pub fn unpack_name(words: &[Word; NAME_WORDS]) -> String {
 }
 
 /// `unpack_name(words) == name`, compared in place without building the
-/// string.
+/// string. A search that compares one name against many stored names
+/// builds its [`NameKey`] once instead.
 pub fn name_is(words: &[Word; NAME_WORDS], name: &str) -> bool {
-    let mut want = name.chars();
-    for w in words {
-        for c in 0..4 {
-            let b = (w.raw() >> (c * 9)) as u8;
-            if b == 0 {
-                return want.next().is_none();
+    NameKey::new(name).matches(words)
+}
+
+/// A name packed once for comparison against stored names:
+/// `NameKey::new(name).matches(words)` is `unpack_name(words) == name`.
+///
+/// The key holds the eight words a stored name must hold and a mask of
+/// the bits that must equal them. A stored character is read as its low
+/// eight bits, so the mask covers the low eight bits of each of the
+/// name's characters and of the NUL that ends it (unless the name fills
+/// all [`NAME_CHARS`]), and never a character's ninth bit. A name no
+/// stored name decodes to — longer than [`NAME_CHARS`], or holding NUL or
+/// a character above U+00FF — gets a key bit outside its mask, so it
+/// matches nothing.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct NameKey {
+    want: [u64; NAME_WORDS],
+    mask: [u64; NAME_WORDS],
+}
+
+impl NameKey {
+    const NEVER: NameKey = NameKey {
+        want: [1, 0, 0, 0, 0, 0, 0, 0],
+        mask: [0; NAME_WORDS],
+    };
+
+    /// Packs `name`.
+    pub fn new(name: &str) -> Self {
+        let mut key = NameKey {
+            want: [0; NAME_WORDS],
+            mask: [0; NAME_WORDS],
+        };
+        let mut len = 0;
+        for c in name.chars() {
+            let b = u64::from(c);
+            if len == NAME_CHARS || b == 0 || b > 0xFF {
+                return Self::NEVER;
             }
-            if want.next() != Some(char::from(b)) {
-                return false;
-            }
+            key.want[len / 4] |= b << (len % 4 * 9);
+            key.mask[len / 4] |= 0xFF << (len % 4 * 9);
+            len += 1;
         }
+        if len < NAME_CHARS {
+            key.mask[len / 4] |= 0xFF << (len % 4 * 9);
+        }
+        key
     }
-    want.next().is_none()
+
+    /// True if the stored name `words` decodes to the key's name.
+    pub fn matches(&self, words: &[Word; NAME_WORDS]) -> bool {
+        let mut diff = 0;
+        for ((w, want), mask) in words.iter().zip(&self.want).zip(&self.mask) {
+            diff |= (w.raw() & mask) ^ want;
+        }
+        diff == 0
+    }
 }
 
 #[cfg(test)]
@@ -153,18 +197,45 @@ mod tests {
         }
     }
 
-    /// `name_is` agrees with decoding on arbitrary stored words: NUL mid
-    /// name, 9-bit characters ≥ 0x100, and bytes ≥ 0x80 included.
+    /// The character-by-character comparison `name_is` used to make,
+    /// kept as the reference [`NameKey`] is checked against.
+    fn per_character(words: &[Word; NAME_WORDS], name: &str) -> bool {
+        let mut want = name.chars();
+        for w in words {
+            for c in 0..4 {
+                let b = (w.raw() >> (c * 9)) as u8;
+                if b == 0 {
+                    return want.next().is_none();
+                }
+                if want.next() != Some(char::from(b)) {
+                    return false;
+                }
+            }
+        }
+        want.next().is_none()
+    }
+
+    /// `NameKey::matches`, `name_is` and the per-character reference
+    /// agree with decoding on arbitrary stored words (NUL mid name, 9-bit
+    /// characters ≥ 0x100, bytes ≥ 0x80), against names with Latin-1
+    /// characters, a character above U+00FF, an embedded NUL, and
+    /// lengths 32 and 33.
     #[test]
     fn name_is_matches_unpack_on_random_words() {
         let mut rng = SplitMix64::new(0x6e61_6d65);
-        let mut matches = 0;
+        let (mut matches, mut full_length_matches) = (0, 0);
         for _ in 0..20_000 {
             let mut words = [Word::ZERO; NAME_WORDS];
-            let len = rng.range_usize(0, NAME_CHARS + 1);
+            // One stored name in eight fills all 32 characters.
+            let full = rng.below(8) == 0;
+            let len = if full {
+                NAME_CHARS
+            } else {
+                rng.range_usize(0, NAME_CHARS + 1)
+            };
             for i in 0..len {
                 let c = match rng.below(8) {
-                    0 => 0,                           // NUL mid name
+                    0 if !full => 0,                  // NUL mid name
                     1 => rng.range_u64(0x100, 0x200), // 9-bit, high bit set
                     2 => rng.range_u64(0x80, 0x100),  // non-ASCII byte
                     _ => rng.range_u64(b'a'.into(), u64::from(b'e') + 1),
@@ -173,7 +244,7 @@ mod tests {
             }
             let decoded = unpack_name(&words);
             let mut name = decoded.clone();
-            match rng.below(5) {
+            match rng.below(7) {
                 0 => {}
                 1 => name.push(char::from(b'a' + rng.below(5) as u8)),
                 2 => {
@@ -185,21 +256,36 @@ mod tests {
                         name.push(flipped);
                     }
                 }
-                _ => {
+                4 => {
                     const ALPHABET: [char; 5] = ['a', 'b', '\u{e9}', '\u{ff}', '\u{100}'];
                     name = (0..rng.below(4))
                         .map(|_| ALPHABET[rng.below(5) as usize])
                         .collect();
                 }
+                5 => {
+                    let at = rng.range_usize(0, name.chars().count() + 1);
+                    let (head, tail) =
+                        name.split_at(name.char_indices().nth(at).map_or(name.len(), |(i, _)| i));
+                    name = format!("{head}\0{tail}");
+                }
+                _ => {
+                    let n = NAME_CHARS + rng.below(2) as usize;
+                    name = name.chars().chain(std::iter::repeat('a')).take(n).collect();
+                }
             }
             let expected = decoded == name;
             matches += usize::from(expected);
-            assert_eq!(name_is(&words, &name), expected, "{words:?} vs {name:?}");
+            full_length_matches += usize::from(expected && name.chars().count() == NAME_CHARS);
+            let at = format!("{words:?} vs {name:?}");
+            assert_eq!(per_character(&words, &name), expected, "reference: {at}");
+            assert_eq!(NameKey::new(&name).matches(&words), expected, "key: {at}");
+            assert_eq!(name_is(&words, &name), expected, "name_is: {at}");
         }
         assert!(
             matches > 1_000 && matches < 19_000,
             "both answers exercised"
         );
+        assert!(full_length_matches > 100, "32-character names matched");
     }
 
     #[test]

@@ -22,8 +22,8 @@ use crate::supervisor::{Branch, KstEntry, Supervisor, MAX_SEGNO};
 use crate::types::{AccessRight, Acl, DiskHome, LegacyError, ProcessId, SegUid};
 use mx_aim::{AccessKind, CompartmentSet, Label, Level, ReferenceMonitor};
 use mx_hw::meter::Subsystem;
-use mx_hw::word::{name_fits, name_is, pack_name, unpack_name, NAME_WORDS};
-use mx_hw::{AbsAddr, Language, PackId, RefCharges, TocIndex, Word, PAGE_WORDS};
+use mx_hw::word::{name_fits, pack_name, unpack_name, NameKey, NAME_WORDS};
+use mx_hw::{AbsAddr, Language, MainMemory, PackId, RefCharges, TocIndex, Word, PAGE_WORDS};
 
 /// Words per directory entry record.
 pub const ENTRY_WORDS: u32 = 16;
@@ -68,12 +68,25 @@ fn unpack_label(bits: u64) -> Label {
     )
 }
 
+/// The words of an entry in use that the record codec reads, as a bit
+/// set over the entry's words: all but the flags word (1), which is read
+/// first, on its own.
+const RECORD: u64 = 0xfffd;
+
+/// Core accesses an entry in use costs: its flags word and [`RECORD`].
+const IN_USE_READS: u64 = 1 + RECORD.count_ones() as u64;
+
+/// The name words of an entry's words.
+fn name_words(entry: &[Word]) -> &[Word; NAME_WORDS] {
+    entry[4..12].try_into().expect("eight name words")
+}
+
 /// One entry record as copied from core, decoded only on demand.
 struct StoredEntry([Word; ENTRY_WORDS as usize]);
 
 impl StoredEntry {
     fn name_words(&self) -> &[Word; NAME_WORDS] {
-        self.0[4..12].try_into().expect("eight name words")
+        name_words(&self.0)
     }
 
     fn decode(&self) -> EntryRecord {
@@ -99,16 +112,19 @@ impl StoredEntry {
 /// The first word the reader takes from each page goes through the full
 /// supervisor word access (page service, the used bit, the setfaults
 /// flush of both processors' associative memories); every later word on
-/// that page is copied straight from core, and its core access is
-/// charged with the rest of its entry in one batch. The simulated
-/// outcome is [`Supervisor::sup_read`]'s exactly — DESIGN.md, "The
-/// directory scan cursor", gives the conditions.
+/// that page is read straight from core, and its core access waits,
+/// with the PL/I block of each slot `lookup` passes, for the one charge
+/// made before the next page touch and at the end. The simulated
+/// outcome is the per-slot loop over [`Supervisor::sup_read`]'s exactly
+/// — DESIGN.md, "The directory scan cursor", gives the conditions.
 struct EntryReader {
     astx: usize,
     /// The page last touched and the absolute address of its first word.
     page: Option<(u32, AbsAddr)>,
     /// Core accesses read but not yet charged.
     pending: u64,
+    /// Slots `lookup` passed whose PL/I block is not yet charged.
+    blocks: u64,
 }
 
 impl EntryReader {
@@ -117,7 +133,16 @@ impl EntryReader {
             astx,
             page: None,
             pending: 0,
+            blocks: 0,
         }
+    }
+
+    /// The words from `wordno` on, `n` of them, straight from core, if
+    /// they all lie on the page the reader holds.
+    fn held<'m>(&self, mem: &'m MainMemory, wordno: u32, n: usize) -> Option<&'m [Word]> {
+        let (pageno, frame) = self.page?;
+        let offset = wordno.checked_sub(pageno * PAGE_WORDS as u32)? as usize;
+        (offset + n <= PAGE_WORDS).then(|| mem.words(frame.add(offset as u64), n))
     }
 
     /// Copies the words from `wordno` on into `out`. The words whose bits
@@ -171,6 +196,11 @@ impl EntryReader {
 
     fn flush(&mut self, sup: &mut Supervisor) {
         let cost = sup.machine.cost;
+        let blocks = std::mem::take(&mut self.blocks);
+        let n = LOOKUP_INSTR_PER_ENTRY;
+        sup.machine
+            .clock
+            .charge_instruction_blocks(&cost, n, Language::Pli, blocks);
         let charges = RefCharges {
             core_accesses: std::mem::take(&mut self.pending),
             ..RefCharges::default()
@@ -187,13 +217,24 @@ impl EntryReader {
     }
 
     /// The first unused slot below `count`, else `count`: the in-use
-    /// flags in slot order.
+    /// flags in slot order, each read in place when it lies on the page
+    /// the reader holds.
     fn first_unused(&mut self, sup: &mut Supervisor, count: u32) -> Result<u32, LegacyError> {
-        let mut flags = [Word::ZERO];
         let mut slot = 0;
         while slot < count {
-            self.read(sup, Supervisor::entry_base(slot) + 1, &mut flags, 1)?;
-            if flags[0].raw() & 1 == 0 {
+            let at = Supervisor::entry_base(slot) + 1;
+            let flags = match self.held(&sup.machine.mem, at, 1) {
+                Some(words) => {
+                    self.pending += 1;
+                    words[0]
+                }
+                None => {
+                    let mut flags = [Word::ZERO];
+                    self.read(sup, at, &mut flags, 1)?;
+                    flags[0]
+                }
+            };
+            if flags.raw() & 1 == 0 {
                 break;
             }
             slot += 1;
@@ -203,14 +244,12 @@ impl EntryReader {
     }
 
     /// Entry `slot`, `None` if unused, charged as the record codec reads
-    /// it: the flags word (1), then for an entry in use the rest (0 and
-    /// 2–15).
+    /// it: the flags word (1), then for an entry in use [`RECORD`].
     fn entry(
         &mut self,
         sup: &mut Supervisor,
         slot: u32,
     ) -> Result<Option<StoredEntry>, LegacyError> {
-        const RECORD: u64 = 0xfffd;
         let base = Supervisor::entry_base(slot);
         let mut e = StoredEntry([Word::ZERO; ENTRY_WORDS as usize]);
         self.read(sup, base + 1, &mut e.0[1..2], 1)?;
@@ -221,12 +260,60 @@ impl EntryReader {
         self.flush(sup);
         Ok(in_use.then_some(e))
     }
+
+    /// `lookup`'s walk: the first slot below `count` in use and named by
+    /// `key`, copied as [`EntryReader::entry`] copies it; a slot the
+    /// supervisor refuses to read is passed over. Every slot passed costs
+    /// a PL/I block, due before the slot's first word: it waits with the
+    /// core accesses for the charge before the next page touch, so it
+    /// lands in the same place. A slot whose words lie on the page the
+    /// reader holds is read in place; any other takes
+    /// [`EntryReader::entry`]'s path.
+    fn find(
+        &mut self,
+        sup: &mut Supervisor,
+        count: u32,
+        key: &NameKey,
+    ) -> Result<Option<(u32, StoredEntry)>, LegacyError> {
+        #[cfg(test)]
+        if reference::per_word() {
+            return reference::find(self, sup, count, key);
+        }
+        for slot in 0..count {
+            self.blocks += 1;
+            let base = Supervisor::entry_base(slot);
+            let found = match self.held(&sup.machine.mem, base, ENTRY_WORDS as usize) {
+                Some(words) if words[1].raw() & 1 == 0 => {
+                    self.pending += 1;
+                    None
+                }
+                Some(words) => {
+                    self.pending += IN_USE_READS;
+                    key.matches(name_words(words))
+                        .then(|| StoredEntry(words.try_into().expect("one entry")))
+                }
+                None => match self.entry(sup, slot) {
+                    Ok(e) => e.filter(|e| key.matches(e.name_words())),
+                    Err(LegacyError::NoAccess) => None,
+                    Err(other) => return Err(other),
+                },
+            };
+            if let Some(e) = found {
+                self.flush(sup);
+                return Ok(Some((slot, e)));
+            }
+        }
+        self.flush(sup);
+        Ok(None)
+    }
 }
 
-/// The per-word reader the cursor replaced, kept as the reference the
-/// tests compare it against.
+/// The per-slot loop over [`super::Supervisor::sup_read`] the cursor
+/// replaced, kept as the reference the tests compare it against.
 #[cfg(test)]
 mod reference {
+    use super::{EntryReader, LegacyError, NameKey, StoredEntry, Supervisor};
+    use super::{Language, LOOKUP_INSTR_PER_ENTRY};
     use std::cell::Cell;
 
     thread_local! {
@@ -238,12 +325,31 @@ mod reference {
     }
 
     /// Runs `f` with every directory word read through
-    /// [`super::Supervisor::sup_read`].
+    /// [`super::Supervisor::sup_read`], and `lookup` charging each slot's
+    /// PL/I block before the slot's first word.
     pub(super) fn per_word_during<T>(f: impl FnOnce() -> T) -> T {
         PER_WORD.set(true);
         let out = f();
         PER_WORD.set(false);
         out
+    }
+
+    /// `lookup`'s loop before the walk.
+    pub(super) fn find(
+        reader: &mut EntryReader,
+        sup: &mut Supervisor,
+        count: u32,
+        key: &NameKey,
+    ) -> Result<Option<(u32, StoredEntry)>, LegacyError> {
+        for slot in 0..count {
+            sup.charge(LOOKUP_INSTR_PER_ENTRY, Language::Pli);
+            match reader.entry(sup, slot) {
+                Ok(Some(e)) if key.matches(e.name_words()) => return Ok(Some((slot, e))),
+                Ok(_) | Err(LegacyError::NoAccess) => {}
+                Err(other) => return Err(other),
+            }
+        }
+        Ok(None)
     }
 }
 
@@ -336,17 +442,8 @@ impl Supervisor {
     ) -> Result<Option<(u32, EntryRecord)>, LegacyError> {
         let mut reader = EntryReader::new(astx);
         let count = reader.word(self, 0)?.raw() as u32;
-        for slot in 0..count {
-            self.charge(LOOKUP_INSTR_PER_ENTRY, Language::Pli);
-            match reader.entry(self, slot) {
-                Ok(Some(e)) if name_is(e.name_words(), name) => {
-                    return Ok(Some((slot, e.decode())));
-                }
-                Ok(_) | Err(LegacyError::NoAccess) => {}
-                Err(other) => return Err(other),
-            }
-        }
-        Ok(None)
+        let found = reader.find(self, count, &NameKey::new(name))?;
+        Ok(found.map(|(slot, e)| (slot, e.decode())))
     }
 
     // ----- creation ------------------------------------------------------
@@ -860,6 +957,7 @@ impl Supervisor {
 mod tests {
     use super::*;
     use crate::types::UserId;
+    use mx_hw::word::name_is;
 
     fn boot_with_user() -> (Supervisor, ProcessId, UserId) {
         let mut sup = Supervisor::boot_default();
@@ -1172,14 +1270,44 @@ mod tests {
         }
     }
 
+    /// The walk's cases the churn reached, told from the entry layout.
+    #[derive(Debug, Default)]
+    struct Walked {
+        /// Matches on a slot read in place: its words lie on the page
+        /// of the flags word before it.
+        in_place: usize,
+        /// Matches on a slot whose words cross a page boundary.
+        straddling: usize,
+        /// Misses that walked three pages or more.
+        long_misses: usize,
+        /// Slots `first_unused` found unused past page 0.
+        unused_past_page_0: usize,
+    }
+
+    impl Walked {
+        fn matched(&mut self, slot: u32) {
+            let page = |wordno: u32| wordno / PAGE_WORDS as u32;
+            let base = Supervisor::entry_base(slot);
+            if page(base) != page(base + ENTRY_WORDS - 1) {
+                self.straddling += 1;
+            } else if slot == 0 || page(Supervisor::entry_base(slot - 1) + 1) == page(base) {
+                self.in_place += 1;
+            }
+        }
+    }
+
     /// Seeded churn on tight frames. Every create, delete and lookup
-    /// reads the directory through the entry reader on one supervisor and
-    /// through `sup_read` on its twin; after every step the results,
-    /// clocks, meters, edges, TLB tallies and core images must be
-    /// identical. The churn is checked to reach entries that straddle a
-    /// page (slot 63, 127, 191), unused slots, scans whose next-page
-    /// fault evicts a page they just left, and first touches whose
-    /// setfaults flush drops a live user translation.
+    /// reads the directory through the entry reader on one supervisor
+    /// and, on its twin, through the loop the walk replaced: each slot's
+    /// PL/I block charged before its first word, every word through
+    /// `sup_read`. After every step the results, clocks, meters, edges,
+    /// TLB tallies and core images must be identical. The churn is
+    /// checked to reach entries that straddle a page (slot 63, 127, 191),
+    /// unused slots, scans whose next-page fault evicts a page they just
+    /// left, first touches whose setfaults flush drops a live user
+    /// translation, and each case of the walk: a miss over three pages
+    /// or more, a match read in place, a match on a straddling entry,
+    /// and an unused slot found past page 0.
     #[test]
     fn entry_reader_matches_the_per_word_reference_under_churn() {
         let mut t = Twin::new(17);
@@ -1201,6 +1329,8 @@ mod tests {
         let mut rng = SplitMix64::new(1977);
         let (mut deleted, mut reused, mut left_page_evicted, mut widest, mut dropped) =
             (0, 0, 0, 0, 0);
+        let mut walked = Walked::default();
+        let mut live = std::collections::HashMap::new();
         for i in 0..1500 {
             let name = format!("n{}", rng.below(640));
             let at = format!("step {i} ({name})");
@@ -1210,8 +1340,17 @@ mod tests {
                     let made = t.step(&at, |s, _| {
                         s.create_segment_in(d, &name, Acl::owner(USER), Label::BOTTOM)
                     });
-                    if let Ok(uid) = made {
-                        reused += usize::from(t.cursor.branch_table[&uid].slot < count);
+                    match made {
+                        Ok(uid) => {
+                            let slot = t.cursor.branch_table[&uid].slot;
+                            reused += usize::from(slot < count);
+                            let flags = Supervisor::entry_base(slot) + 1;
+                            walked.unused_past_page_0 +=
+                                usize::from(slot < count && flags >= PAGE_WORDS as u32);
+                            live.insert(name.clone(), slot);
+                        }
+                        Err(LegacyError::NameDuplicated) => walked.matched(live[&name]),
+                        Err(_) => {}
                     }
                     let page = rng.below(12) as u32;
                     t.step(&at, |s, pid| {
@@ -1221,7 +1360,10 @@ mod tests {
                 }
                 6 => {
                     let path = format!("d>{name}");
-                    deleted += usize::from(t.step(&at, |s, pid| s.delete(pid, &path)).is_ok());
+                    if t.step(&at, |s, pid| s.delete(pid, &path)).is_ok() {
+                        deleted += 1;
+                        walked.matched(live.remove(&name).expect("a live name"));
+                    }
                 }
                 7..=8 => {
                     // Cache a user translation through one of the
@@ -1239,16 +1381,19 @@ mod tests {
                     assert_eq!(found, Err(LegacyError::NoAccess));
                     dropped += usize::from(t.cursor.machine.tlb_stats().invalidations > before);
                     widest = widest.max(t.slots(d));
+                    walked.long_misses += usize::from(pages >= 3);
                     let astx = t.cursor.ast.find(d).expect("active");
                     let resident = (0..pages).filter(|&p| t.cursor.ptw(astx, p).present);
                     left_page_evicted += usize::from(resident.count() < pages as usize);
                 }
                 _ => {
                     let path = format!("d>{name}");
-                    t.step(&at, |s, pid| {
+                    let found = t.step(&at, |s, pid| {
                         s.resolve(pid, &path, AccessRight::Read).map(|r| r.0)
-                    })
-                    .ok();
+                    });
+                    if found.is_ok() {
+                        walked.matched(live[&name]);
+                    }
                 }
             }
         }
@@ -1262,5 +1407,12 @@ mod tests {
         );
         assert!(left_page_evicted > 0, "a scan evicted a page it had left");
         assert!(dropped > 0, "a first touch dropped a live user translation");
+        assert!(
+            walked.long_misses > 20
+                && walked.in_place > 100
+                && walked.straddling >= 3
+                && walked.unused_past_page_0 > 5,
+            "every case of the walk reached: {walked:?}"
+        );
     }
 }

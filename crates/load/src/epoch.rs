@@ -17,7 +17,7 @@
 //!   bookkeeping; the crash costs them nothing but time. They are
 //!   re-admitted in the original FIFO order as slots free up.
 //! * **Live sessions are re-opened at their script positions.** The
-//!   engine's [`EngineState`] — cursor, per-session op index, the
+//!   engine's `EngineState` — cursor, per-session op index, the
 //!   values each session's file successfully grew by — survives the
 //!   crash (it models the users at their terminals, who remember what
 //!   they were doing). Each survivor logs in again and the harness

@@ -14,7 +14,7 @@
 //! name followed by the definition's word offset.
 
 use crate::namespace::NameSpace;
-use mx_hw::word::{name_is, pack_name};
+use mx_hw::word::{pack_name, NameKey};
 use mx_hw::Word;
 use mx_kernel::{Kernel, KernelError, ProcessId};
 use std::collections::HashMap;
@@ -102,6 +102,7 @@ impl UserLinker {
         // Scan the symbol table out of the segment, one ordinary read at
         // a time (each a gate crossing, possibly a page fault).
         let count = kernel.read_word(self.pid, segno, 0)?.raw() as u32;
+        let key = NameKey::new(symbol);
         for i in 0..count {
             kernel.charge_user_instructions(10, mx_hw::Language::Pli);
             let base = 1 + i * DEF_WORDS;
@@ -109,7 +110,7 @@ impl UserLinker {
             for (j, w) in name_words.iter_mut().enumerate() {
                 *w = kernel.read_word(self.pid, segno, base + j as u32)?;
             }
-            if name_is(&name_words, symbol) {
+            if key.matches(&name_words) {
                 let offset = kernel.read_word(self.pid, segno, base + 8)?.raw() as u32;
                 let link = SnappedLink { segno, offset };
                 self.snapped
