@@ -130,6 +130,27 @@ impl Label {
             compartments: self.compartments.intersection(other.compartments),
         }
     }
+
+    /// The label's stored form, as directory entries hold it: the level
+    /// in bits 0–2 and compartments 0–23 in bits 3–26. `None` for a label
+    /// the form cannot hold, with a level above 7 or a compartment above
+    /// 23.
+    pub const fn stored(self) -> Option<u64> {
+        let (level, bits) = (self.level.0 as u64, self.compartments.bits());
+        if level > 7 || bits >> 24 != 0 {
+            return None;
+        }
+        Some(level | bits << 3)
+    }
+
+    /// The label a stored form holds, reading bits 0–26 only: the
+    /// inverse of [`Label::stored`].
+    pub const fn from_stored(bits: u64) -> Label {
+        Label::new(
+            Level((bits & 0x7) as u8),
+            CompartmentSet::from_bits(bits >> 3 & 0xFF_FFFF),
+        )
+    }
 }
 
 impl core::fmt::Display for Label {
@@ -214,6 +235,22 @@ mod tests {
     #[should_panic(expected = "out of range")]
     fn compartment_index_bounds_checked() {
         let _ = CompartmentSet::empty().with(64);
+    }
+
+    #[test]
+    fn stored_form_round_trips_exactly_what_it_can_hold() {
+        for label in [Label::BOTTOM, l(7, 1 << 23), l(3, 0b1011), l(7, 0xFF_FFFF)] {
+            assert_eq!(label.stored().map(Label::from_stored), Some(label));
+        }
+        for label in [
+            l(8, 0),
+            l(9, 0),
+            l(0, 1 << 24),
+            l(0, 1 << 30),
+            l(7, 1 << 63),
+        ] {
+            assert_eq!(label.stored(), None, "{label}");
+        }
     }
 
     #[test]

@@ -34,11 +34,10 @@ use crate::quota_cell::QuotaCellManager;
 use crate::segment::SegmentManager;
 use crate::types::{AccessRight, Acl, DiskHome, ObjToken, ProcessId, SegUid, UserId};
 use crate::vproc::VirtualProcessorManager;
-use mx_aim::{AccessKind, CompartmentSet, FlowTracker, Label, Level, ReferenceMonitor};
-use mx_hw::word::{name_fits, pack_name, unpack_name, NameKey, NAME_WORDS};
-use mx_hw::{
-    AbsAddr, IdMap, Language, Machine, MainMemory, PackId, RefCharges, TocIndex, Word, PAGE_WORDS,
-};
+use mx_aim::{AccessKind, FlowTracker, Label, ReferenceMonitor};
+use mx_hw::entries::{name_words, EntryReader, EntryStore};
+use mx_hw::word::{name_fits, pack_name, unpack_name, NameKey};
+use mx_hw::{AbsAddr, IdMap, Machine, PackId, TocIndex, Word};
 use std::collections::HashMap;
 
 /// Words per directory entry record.
@@ -147,53 +146,33 @@ fn name_hash(name: &str) -> u64 {
     h
 }
 
-fn pack_label(label: Label) -> u64 {
-    u64::from(label.level.0 & 0x7) | (label.compartments.bits() & 0xFF_FFFF) << 3
-}
+/// The kernel's directories as the entry reader reads them: its entry
+/// layout and the segment manager's full word path.
+impl EntryStore for FsCtx<'_> {
+    type Dir = SegUid;
+    type Error = KernelError;
+    type Entry = EntryRecord;
+    type Words = [Word; ENTRY_WORDS as usize];
+    const ENTRY_WORDS: u32 = ENTRY_WORDS;
+    /// Words 0, 2–14 and 16.
+    const RECORD: u64 = 1 | 0x1fff << 2 | 1 << 16;
+    /// What `scan` spends on each slot it passes.
+    const SLOT_INSTR: u64 = 14;
 
-fn unpack_label(bits: u64) -> Label {
-    Label::new(
-        Level((bits & 0x7) as u8),
-        CompartmentSet::from_bits((bits >> 3) & 0xFF_FFFF),
-    )
-}
-
-/// PL/I instructions `scan` spends on each slot it passes.
-const SCAN_INSTR_PER_SLOT: u64 = 14;
-
-/// The words of an entry in use that the record codec reads, as a bit
-/// set over the entry's words: 0, 2–14 and 16 (the flags word, 1, is
-/// read first, on its own).
-const RECORD: u64 = 1 | 0x1fff << 2 | 1 << 16;
-
-/// Words from an entry's base through the last one [`RECORD`] reads.
-const RECORD_SPAN: usize = 17;
-
-/// Core accesses an entry in use costs: its flags word and [`RECORD`].
-const IN_USE_READS: u64 = 1 + RECORD.count_ones() as u64;
-
-/// The name words of an entry's words.
-fn name_words(entry: &[Word]) -> &[Word; NAME_WORDS] {
-    entry[4..12].try_into().expect("eight name words")
-}
-
-/// One entry record as copied from core, decoded only on demand.
-struct StoredEntry([Word; ENTRY_WORDS as usize]);
-
-impl StoredEntry {
-    /// Copies the words an entry in use is read for.
-    fn copied(record: &[Word]) -> Self {
-        let mut e = StoredEntry([Word::ZERO; ENTRY_WORDS as usize]);
-        e.0[..RECORD_SPAN].copy_from_slice(record);
-        e
+    #[inline]
+    fn machine(&mut self) -> &mut Machine {
+        self.machine
     }
 
-    fn name_words(&self) -> &[Word; NAME_WORDS] {
-        name_words(&self.0)
+    fn touch(&mut self, dir: SegUid, wordno: u32) -> Result<AbsAddr, KernelError> {
+        let (c, subject) = (self, Label::BOTTOM);
+        c.segm.touch_word(
+            c.machine, c.drm, c.qcm, c.pfm, c.vpm, c.flows, dir, wordno, subject, false,
+        )
     }
 
-    fn decode(&self) -> EntryRecord {
-        let w = |i: usize| self.0[i].raw();
+    fn decode(words: &[Word]) -> EntryRecord {
+        let w = |i: usize| words[i].raw();
         let flags = w(1);
         EntryRecord {
             uid: SegUid(w(0)),
@@ -203,240 +182,24 @@ impl StoredEntry {
                 pack: PackId(w(2) as u32),
                 toc: TocIndex(w(3) as u32),
             },
-            name: unpack_name(self.name_words()),
+            name: unpack_name(name_words(words)),
             acl: Acl::unpack(w(12), w(13)),
-            label: unpack_label(flags >> 3),
+            label: Label::from_stored(flags >> 3),
             quota_limit: w(14) as u32,
             own_cell: SegUid(w(16)),
         }
     }
-}
 
-/// Reads one directory segment's entry records, a page at a time.
-///
-/// The first word the reader takes from each page goes through the
-/// segment manager's full reference path (page service, growth, the used
-/// bit); every later word on that page is read straight from core, and
-/// its core access waits, with the PL/I block of each slot `scan`
-/// passes, for the one charge made before the next page touch and at
-/// the end. The simulated outcome is the per-slot, per-word loop's
-/// exactly — DESIGN.md, "The directory scan cursor", gives the
-/// conditions.
-struct EntryReader {
-    dir: SegUid,
-    /// The page last touched and the absolute address of its first word.
-    page: Option<(u32, AbsAddr)>,
-    /// Core accesses read but not yet charged.
-    pending: u64,
-    /// Slots `scan` passed whose PL/I block is not yet charged.
-    blocks: u64,
-}
-
-impl EntryReader {
-    fn new(dir: SegUid) -> Self {
-        Self {
-            dir,
-            page: None,
-            pending: 0,
-            blocks: 0,
-        }
-    }
-
-    /// The words from `wordno` on, `n` of them, straight from core, if
-    /// they all lie on the page the reader holds.
-    fn held<'m>(&self, mem: &'m MainMemory, wordno: u32, n: usize) -> Option<&'m [Word]> {
-        let (pageno, frame) = self.page?;
-        let offset = wordno.checked_sub(pageno * PAGE_WORDS as u32)? as usize;
-        (offset + n <= PAGE_WORDS).then(|| mem.words(frame.add(offset as u64), n))
-    }
-
-    /// Copies the words from `wordno` on into `out`. The words whose bits
-    /// are set in `charged` count as read: each costs a core access,
-    /// charged at the next [`EntryReader::flush`]. The first and last
-    /// words must be charged, so every page the copy touches is one a
-    /// word-by-word read would touch too.
-    fn read(
-        &mut self,
-        ctx: &mut FsCtx<'_>,
-        wordno: u32,
-        out: &mut [Word],
-        charged: u64,
-    ) -> Result<(), KernelError> {
-        debug_assert!(charged & 1 == 1 && charged >> (out.len() - 1) == 1);
-        #[cfg(test)]
-        if reference::per_word() {
-            for (i, w) in out.iter_mut().enumerate() {
-                if charged >> i & 1 == 0 {
-                    continue;
-                }
-                *w = ctx.segm.read_word(
-                    ctx.machine,
-                    ctx.drm,
-                    ctx.qcm,
-                    ctx.pfm,
-                    ctx.vpm,
-                    ctx.flows,
-                    self.dir,
-                    wordno + i as u32,
-                    Label::BOTTOM,
-                )?;
-            }
-            return Ok(());
-        }
-        let mut done = 0;
-        while done < out.len() {
-            let at = wordno + done as u32;
-            let (pageno, offset) = (at / PAGE_WORDS as u32, at as usize % PAGE_WORDS);
-            let frame = match self.page {
-                Some((p, frame)) if p == pageno => frame,
-                _ => {
-                    // What is read so far goes on the clock before any
-                    // fault the full path takes, and a failed touch
-                    // leaves no page behind.
-                    self.flush(ctx);
-                    self.page = None;
-                    let abs = ctx.segm.touch_word(
-                        ctx.machine,
-                        ctx.drm,
-                        ctx.qcm,
-                        ctx.pfm,
-                        ctx.vpm,
-                        ctx.flows,
-                        self.dir,
-                        at,
-                        Label::BOTTOM,
-                        false,
-                    )?;
-                    let frame = AbsAddr(abs.0 - offset as u64);
-                    self.page = Some((pageno, frame));
-                    frame
-                }
-            };
-            let n = (out.len() - done).min(PAGE_WORDS - offset);
-            out[done..done + n].copy_from_slice(ctx.machine.mem.words(frame.add(offset as u64), n));
-            let run = charged >> done & ((1 << n) - 1);
-            self.pending += u64::from(run.count_ones());
-            done += n;
-        }
-        Ok(())
-    }
-
-    fn flush(&mut self, ctx: &mut FsCtx<'_>) {
-        let cost = ctx.machine.cost;
-        let blocks = std::mem::take(&mut self.blocks);
-        let n = SCAN_INSTR_PER_SLOT;
-        ctx.machine
-            .clock
-            .charge_instruction_blocks(&cost, n, Language::Pli, blocks);
-        let charges = RefCharges {
-            core_accesses: std::mem::take(&mut self.pending),
-            ..RefCharges::default()
-        };
-        ctx.machine.clock.charge_reference(&cost, charges);
-    }
-
-    /// One word, charged.
-    fn word(&mut self, ctx: &mut FsCtx<'_>, wordno: u32) -> Result<Word, KernelError> {
-        let mut w = [Word::ZERO];
-        self.read(ctx, wordno, &mut w, 1)?;
-        self.flush(ctx);
-        Ok(w[0])
-    }
-
-    /// The first unused slot below `count`, else `count`: the in-use
-    /// flags in slot order, each read in place when it lies on the page
-    /// the reader holds.
-    fn first_unused(&mut self, ctx: &mut FsCtx<'_>, count: u32) -> Result<u32, KernelError> {
-        let mut slot = 0;
-        while slot < count {
-            let at = DirectoryManager::entry_base(slot) + 1;
-            let flags = match self.held(&ctx.machine.mem, at, 1) {
-                Some(words) => {
-                    self.pending += 1;
-                    words[0]
-                }
-                None => {
-                    let mut flags = [Word::ZERO];
-                    self.read(ctx, at, &mut flags, 1)?;
-                    flags[0]
-                }
-            };
-            if flags.raw() & 1 == 0 {
-                break;
-            }
-            slot += 1;
-        }
-        self.flush(ctx);
-        Ok(slot)
-    }
-
-    /// Entry `slot`, `None` if unused, charged as the record codec reads
-    /// it: the flags word (1), then for an entry in use [`RECORD`].
-    fn entry(
-        &mut self,
-        ctx: &mut FsCtx<'_>,
-        slot: u32,
-    ) -> Result<Option<StoredEntry>, KernelError> {
-        let base = DirectoryManager::entry_base(slot);
-        let mut e = StoredEntry([Word::ZERO; ENTRY_WORDS as usize]);
-        self.read(ctx, base + 1, &mut e.0[1..2], 1)?;
-        let in_use = e.0[1].raw() & 1 != 0;
-        if in_use {
-            self.read(ctx, base, &mut e.0[..RECORD_SPAN], RECORD)?;
-        }
-        self.flush(ctx);
-        Ok(in_use.then_some(e))
-    }
-
-    /// `scan`'s walk: the first slot below `count` in use and named by
-    /// `key`, copied as [`EntryReader::entry`] copies it. Every slot
-    /// passed costs a PL/I block, due before the slot's first word: it
-    /// waits with the core accesses for the charge before the next page
-    /// touch, so it lands in the same place. A slot whose words lie on
-    /// the page the reader holds is read in place; any other takes
-    /// [`EntryReader::entry`]'s path.
-    fn find(
-        &mut self,
-        ctx: &mut FsCtx<'_>,
-        count: u32,
-        key: &NameKey,
-    ) -> Result<Option<(u32, StoredEntry)>, KernelError> {
-        #[cfg(test)]
-        if reference::per_word() {
-            return reference::find(self, ctx, count, key);
-        }
-        for slot in 0..count {
-            self.blocks += 1;
-            let base = DirectoryManager::entry_base(slot);
-            let found = match self.held(&ctx.machine.mem, base, RECORD_SPAN) {
-                Some(words) if words[1].raw() & 1 == 0 => {
-                    self.pending += 1;
-                    None
-                }
-                Some(words) => {
-                    self.pending += IN_USE_READS;
-                    key.matches(name_words(words))
-                        .then(|| StoredEntry::copied(words))
-                }
-                None => self
-                    .entry(ctx, slot)?
-                    .filter(|e| key.matches(e.name_words())),
-            };
-            if let Some(e) = found {
-                self.flush(ctx);
-                return Ok(Some((slot, e)));
-            }
-        }
-        self.flush(ctx);
-        Ok(None)
+    #[cfg(test)]
+    fn reference(&self) -> bool {
+        reference::per_word()
     }
 }
 
-/// The per-slot, per-word loop the cursor replaced, kept as the
-/// reference the tests compare it against.
+/// Selects the per-slot, per-word loop the entry reader replaced, kept
+/// as the reference the tests compare it against.
 #[cfg(test)]
 mod reference {
-    use super::{EntryReader, FsCtx, KernelError, NameKey, StoredEntry, SCAN_INSTR_PER_SLOT};
     use std::cell::Cell;
 
     thread_local! {
@@ -455,24 +218,6 @@ mod reference {
         let out = f();
         PER_WORD.set(false);
         out
-    }
-
-    /// `scan`'s loop before the walk.
-    pub(super) fn find(
-        reader: &mut EntryReader,
-        ctx: &mut FsCtx<'_>,
-        count: u32,
-        key: &NameKey,
-    ) -> Result<Option<(u32, StoredEntry)>, KernelError> {
-        for slot in 0..count {
-            crate::charge_pli(ctx.machine, SCAN_INSTR_PER_SLOT);
-            if let Some(e) = reader.entry(ctx, slot)? {
-                if key.matches(e.name_words()) {
-                    return Ok(Some((slot, e)));
-                }
-            }
-        }
-        Ok(None)
     }
 }
 
@@ -725,7 +470,7 @@ impl DirectoryManager {
     // ---- entry records in segment storage --------------------------------
 
     fn entry_base(slot: u32) -> u32 {
-        1 + slot * ENTRY_WORDS
+        FsCtx::entry_base(slot)
     }
 
     pub(crate) fn ensure_active(
@@ -771,7 +516,7 @@ impl DirectoryManager {
     }
 
     pub(crate) fn entry_count(&self, ctx: &mut FsCtx<'_>, dir: SegUid) -> Result<u32, KernelError> {
-        Ok(EntryReader::new(dir).word(ctx, 0)?.raw() as u32)
+        EntryReader::new(dir).count(ctx)
     }
 
     /// Reads entry `slot` of directory `dir`; `Ok(None)` for unused
@@ -783,7 +528,7 @@ impl DirectoryManager {
         slot: u32,
     ) -> Result<Option<EntryRecord>, KernelError> {
         self.ensure_active(ctx, dir)?;
-        Ok(EntryReader::new(dir).entry(ctx, slot)?.map(|e| e.decode()))
+        EntryReader::new(dir).entry(ctx, slot)
     }
 
     /// Every entry in use in the active directory `dir`, with its slot,
@@ -794,11 +539,11 @@ impl DirectoryManager {
         dir: SegUid,
     ) -> Result<Vec<(u32, EntryRecord)>, KernelError> {
         let mut reader = EntryReader::new(dir);
-        let count = reader.word(ctx, 0)?.raw() as u32;
+        let count = reader.count(ctx)?;
         let mut out = Vec::new();
         for slot in 0..count {
             if let Some(e) = reader.entry(ctx, slot)? {
-                out.push((slot, e.decode()));
+                out.push((slot, e));
             }
         }
         Ok(out)
@@ -814,6 +559,7 @@ impl DirectoryManager {
         slot: u32,
         e: &EntryRecord,
     ) -> Result<(), KernelError> {
+        let label = e.label.stored().ok_or(KernelError::BadLabel)?;
         let base = Self::entry_base(slot);
         self.seg_write(ctx, dir, base, Word::new(e.uid.0))?;
         self.seg_write(ctx, dir, base + 2, Word::new(u64::from(e.home.pack.0)))?;
@@ -833,7 +579,7 @@ impl DirectoryManager {
         if e.quota_dir {
             flags |= 4;
         }
-        flags |= pack_label(e.label) << 3;
+        flags |= label << 3;
         self.seg_write(ctx, dir, base + 1, Word::new(flags))
     }
 
@@ -889,9 +635,8 @@ impl DirectoryManager {
         // `sync_to_disk` deactivate, and neither runs inside one.
         self.ensure_active(ctx, dir)?;
         let mut reader = EntryReader::new(dir);
-        let count = reader.word(ctx, 0)?.raw() as u32;
-        let found = reader.find(ctx, count, &NameKey::new(name))?;
-        Ok(found.map(|(slot, e)| (slot, e.decode())))
+        let count = reader.count(ctx)?;
+        reader.find(ctx, count, &NameKey::new(name))
     }
 
     // ---- the kernel primitives -------------------------------------------
@@ -1004,6 +749,7 @@ impl DirectoryManager {
     /// # Errors
     ///
     /// [`KernelError::BadName`] (a name the entry codec cannot store),
+    /// [`KernelError::BadLabel`] (a label it cannot store),
     /// [`KernelError::NoAccess`] (bad token / no modify permission),
     /// [`KernelError::AimViolation`], [`KernelError::NameDuplicated`],
     /// or storage errors — including a propagating upward signal if the
@@ -1022,6 +768,9 @@ impl DirectoryManager {
     ) -> Result<ObjToken, KernelError> {
         if !name_fits(name) {
             return Err(KernelError::BadName);
+        }
+        if label.stored().is_none() {
+            return Err(KernelError::BadLabel);
         }
         let dir = self.resolve_token(dir_token).ok_or(KernelError::NoAccess)?;
         let b = *self.branch.get(&dir).ok_or(KernelError::NoAccess)?;
@@ -1047,7 +796,7 @@ impl DirectoryManager {
         crate::charge_pli(ctx.machine, 160);
         // Claim a slot: first unused, else extend the count.
         let mut reader = EntryReader::new(dir);
-        let count = reader.word(ctx, 0)?.raw() as u32;
+        let count = reader.count(ctx)?;
         let slot = reader.first_unused(ctx, count)?;
         // Touch the slot's last word first: any growth (and its possible
         // upward signal) happens before we allocate durable resources.
@@ -1143,10 +892,10 @@ impl DirectoryManager {
             bi.child_cell = dir;
         }
         if let Some(parent) = b.parent {
-            if let Some((slot, mut e)) = self.scan_slot(ctx, parent, b.slot)? {
+            if let Some(mut e) = self.read_entry(ctx, parent, b.slot)? {
                 e.quota_dir = true;
                 e.quota_limit = limit;
-                self.write_entry(ctx, parent, slot, &e)?;
+                self.write_entry(ctx, parent, b.slot, &e)?;
             }
         }
         Ok(())
@@ -1190,10 +939,10 @@ impl DirectoryManager {
             bi.child_cell = bi.own_cell;
         }
         if let Some(parent) = b.parent {
-            if let Some((slot, mut e)) = self.scan_slot(ctx, parent, b.slot)? {
+            if let Some(mut e) = self.read_entry(ctx, parent, b.slot)? {
                 e.quota_dir = false;
                 e.quota_limit = 0;
-                self.write_entry(ctx, parent, slot, &e)?;
+                self.write_entry(ctx, parent, b.slot, &e)?;
             }
         }
         Ok(())
@@ -1243,15 +992,6 @@ impl DirectoryManager {
         Ok(())
     }
 
-    fn scan_slot(
-        &self,
-        ctx: &mut FsCtx<'_>,
-        dir: SegUid,
-        slot: u32,
-    ) -> Result<Option<(u32, EntryRecord)>, KernelError> {
-        Ok(self.read_entry(ctx, dir, slot)?.map(|e| (slot, e)))
-    }
-
     /// Deletes a leaf object named `name` in the directory behind
     /// `dir_token`.
     ///
@@ -1270,7 +1010,9 @@ impl DirectoryManager {
         name: &str,
     ) -> Result<(), KernelError> {
         let dir = self.resolve_token(dir_token).ok_or(KernelError::NoAccess)?;
-        let bdir = *self.branch.get(&dir).ok_or(KernelError::NoAccess)?;
+        if !self.branch.contains_key(&dir) {
+            return Err(KernelError::NoAccess);
+        }
         let meta = self.object_meta(ctx, dir)?;
         if dir != self.root
             && !(meta.acl.permits(user, AccessRight::Write)
@@ -1306,7 +1048,6 @@ impl DirectoryManager {
         self.seg_write(ctx, dir, Self::entry_base(slot) + 1, Word::ZERO)?;
         self.branch.remove(&e.uid);
         self.branch.get_mut(&dir).expect("parent").children -= 1;
-        let _ = bdir;
         if let Some(t) = self.token_of.remove(&e.uid) {
             self.real_tokens.remove(&t);
         }
@@ -1378,10 +1119,13 @@ mod tests {
         }
     }
 
+    /// An entry's flags word holds its label's stored form from bit 3 on.
     #[test]
     fn label_codec_round_trip() {
         let l = Label::new(Level(3), CompartmentSet::from_bits(0b1011));
-        assert_eq!(unpack_label(pack_label(l)), l);
+        let mut words = [Word::ZERO; ENTRY_WORDS as usize];
+        words[1] = Word::new(1 | l.stored().unwrap() << 3);
+        assert_eq!(FsCtx::decode(&words).label, l);
     }
 
     #[test]
@@ -1393,7 +1137,8 @@ mod tests {
 
     use crate::kernel::{Kernel, KernelConfig};
     use crate::types::ProcessId;
-    use mx_hw::SplitMix64;
+    use mx_aim::{CompartmentSet, Level};
+    use mx_hw::{DiskError, SplitMix64, PAGE_WORDS};
 
     const USER: UserId = UserId(1);
 
@@ -1438,6 +1183,54 @@ mod tests {
             k.create_entry(pid, root, &longest, Acl::owner(USER), Label::BOTTOM, false),
             Err(KernelError::NameDuplicated)
         );
+    }
+
+    /// Labels beyond the codec's 3 level bits and 24 compartments used to
+    /// be stored garbled: (0, {30}) as (0, {}), so a system-low process
+    /// with an ACL read grant could initiate it and its creator could not
+    /// write it, and level 9 as level 1. They are refused before any
+    /// durable work. Level 7 and compartment 23 round-trip, and AIM
+    /// decides on them as created.
+    #[test]
+    fn labels_the_entry_codec_cannot_store_are_refused() {
+        let (mut k, pid) = boot(128);
+        let root = k.root_token();
+        let listed = k.list_dir(pid, root).unwrap();
+        let next_uid = k.dirm.next_uid;
+        let label = |level, c: &[u32]| {
+            let set = c.iter().fold(CompartmentSet::empty(), |s, &c| s.with(c));
+            Label::new(Level(level), set)
+        };
+        for bad in [
+            label(0, &[30]),
+            label(9, &[]),
+            label(8, &[23]),
+            label(7, &[24]),
+        ] {
+            for is_dir in [false, true] {
+                let made = k.create_entry(pid, root, "x", Acl::owner(USER), bad, is_dir);
+                assert_eq!(made, Err(KernelError::BadLabel), "{bad}");
+            }
+        }
+        assert_eq!(k.list_dir(pid, root).unwrap(), listed);
+        assert_eq!(k.dirm.next_uid, next_uid, "no uid or TOC entry spent");
+        let top = label(7, &[23]);
+        let creator = k.create_process(USER, top).unwrap();
+        let token = k
+            .create_entry(creator, root, "top", Acl::owner(USER), top, false)
+            .unwrap();
+        // Its creator may read it (the stored label is no higher) and
+        // write it (no lower).
+        let segno = k.initiate(creator, token).unwrap();
+        k.write_word(creator, segno, 0, Word::new(7)).unwrap();
+        assert_eq!(k.read_word(creator, segno, 0), Ok(Word::new(7)));
+        // Without level 7 or compartment 23, a reader is refused.
+        for below in [label(6, &[23]), label(7, &[])] {
+            let reader = k.create_process(USER, below).unwrap();
+            let segno = k.initiate(reader, token).unwrap();
+            let read = k.read_word(reader, segno, 0);
+            assert_eq!(read, Err(KernelError::NoAccess), "{below}");
+        }
     }
 
     /// Two kernels booted alike: `cursor` reads directories through the
@@ -1530,7 +1323,8 @@ mod tests {
         fn matched(&mut self, slot: u32) {
             let page = |wordno: u32| wordno / PAGE_WORDS as u32;
             let base = DirectoryManager::entry_base(slot);
-            if page(base) != page(base + RECORD_SPAN as u32 - 1) {
+            // Word 16, the cell, is the last one the codec reads.
+            if page(base) != page(base + 16) {
                 self.straddling += 1;
             } else if slot == 0 || page(DirectoryManager::entry_base(slot - 1) + 1) == page(base) {
                 self.in_place += 1;
@@ -1548,7 +1342,9 @@ mod tests {
     /// 102, 153), unused slots, scans whose next-page fault evicts a page
     /// they just left, and each case of the walk: a miss over three
     /// pages or more, a match read in place, a match on a straddling
-    /// entry, and an unused slot found past page 0.
+    /// entry, and an unused slot found past page 0. Every seventh step
+    /// that is a miss searches with the directory's pack offline, so a
+    /// walk whose page touch must read the disk fails mid-walk.
     #[test]
     fn entry_reader_matches_the_per_word_reference_under_churn() {
         let mut t = Twin::new(24);
@@ -1559,6 +1355,7 @@ mod tests {
             })
             .unwrap();
         let d_uid = t.cursor.dirm.resolve_token(d).unwrap();
+        let pack = t.cursor.dirm.home_of(d_uid).unwrap().pack;
         // Data pages that compete with the directory's for the frames.
         let ballast = t
             .step("ballast", |k, pid| {
@@ -1569,6 +1366,7 @@ mod tests {
             .unwrap();
         let mut rng = SplitMix64::new(1977);
         let (mut deleted, mut reused, mut left_page_evicted, mut widest) = (0, 0, 0, 0);
+        let mut failed = 0;
         let mut walked = Walked::default();
         let mut live = HashMap::new();
         for i in 0..900 {
@@ -1608,7 +1406,17 @@ mod tests {
                 7..=8 => {
                     // A miss scans every slot, so every page of `d`.
                     let missing = format!("x{name}");
-                    let found = t.step(&at, |k, pid| k.dir_search(pid, d, &missing));
+                    let offline = i % 7 == 0;
+                    let found = t.step(&at, |k, pid| {
+                        k.machine.faults.set_offline(pack, offline);
+                        let found = k.dir_search(pid, d, &missing);
+                        k.machine.faults.set_offline(pack, false);
+                        found
+                    });
+                    if offline && found == Err(KernelError::Disk(DiskError::PackOffline { pack })) {
+                        failed += 1;
+                        continue;
+                    }
                     assert_eq!(found, Err(KernelError::NoEntry));
                     let pages =
                         DirectoryManager::entry_base(t.slots(d_uid)).div_ceil(PAGE_WORDS as u32);
@@ -1631,6 +1439,7 @@ mod tests {
             "unused slots scanned and reclaimed"
         );
         assert!(left_page_evicted > 0, "a scan evicted a page it had left");
+        assert!(failed > 4, "walks failed mid-walk ({failed})");
         assert!(
             walked.long_misses > 20
                 && walked.in_place > 100

@@ -59,6 +59,9 @@ pub enum KernelError {
     /// A name the entry codec cannot store: longer than
     /// [`mx_hw::word::NAME_CHARS`] bytes, or holding NUL or non-ASCII.
     BadName,
+    /// A label the entry codec cannot store: a level above 7 or a
+    /// compartment above 23 ([`mx_aim::Label::stored`]).
+    BadLabel,
     /// The operation requires a directory.
     NotADirectory,
     /// Quota (un)designation rules violated: the directory has children
@@ -114,6 +117,7 @@ impl core::fmt::Display for KernelError {
             KernelError::NotActive => write!(f, "segment not active"),
             KernelError::NameDuplicated => write!(f, "name duplicated"),
             KernelError::BadName => write!(f, "name not storable"),
+            KernelError::BadLabel => write!(f, "label not storable"),
             KernelError::NotADirectory => write!(f, "not a directory"),
             KernelError::QuotaDesignation(why) => write!(f, "quota designation: {why}"),
             KernelError::NoSuchProcess => write!(f, "no such process"),

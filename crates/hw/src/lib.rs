@@ -26,12 +26,16 @@
 //! (`associative_memory`, see [`tlb`]). It is on in both feature sets and
 //! exists as a switch only so experiments can ablate it.
 //!
-//! Nothing in this crate knows about kernels, processes, or files; it only
-//! stores words, walks descriptors, raises faults, and charges cycles.
+//! Nothing in this crate knows about kernels or processes; it stores
+//! words, walks descriptors, raises faults, and charges cycles. Of files
+//! it knows only the directory segment layout both designs share, in
+//! [`entries`]: a count word, entry `k` at word `1 + k·w`, a flags word,
+//! and name words 4–11. No design's entry codec lives here.
 
 pub mod clock;
 pub mod cpu;
 pub mod disk;
+pub mod entries;
 pub mod fault;
 pub mod faultinj;
 pub mod idmap;

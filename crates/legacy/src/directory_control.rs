@@ -20,10 +20,12 @@
 
 use crate::supervisor::{Branch, KstEntry, Supervisor, MAX_SEGNO};
 use crate::types::{AccessRight, Acl, DiskHome, LegacyError, ProcessId, SegUid};
-use mx_aim::{AccessKind, CompartmentSet, Label, Level, ReferenceMonitor};
+use mx_aim::{AccessKind, Label, ReferenceMonitor};
+use mx_hw::entries::{name_words, EntryReader, EntryStore};
+pub(crate) use mx_hw::entries::{FLAGS, NAME};
 use mx_hw::meter::Subsystem;
-use mx_hw::word::{name_fits, pack_name, unpack_name, NameKey, NAME_WORDS};
-use mx_hw::{AbsAddr, Language, MainMemory, PackId, RefCharges, TocIndex, Word, PAGE_WORDS};
+use mx_hw::word::{name_fits, pack_name, unpack_name, NameKey};
+use mx_hw::{AbsAddr, Language, Machine, PackId, TocIndex, Word};
 
 /// Words per directory entry record.
 pub const ENTRY_WORDS: u32 = 16;
@@ -57,263 +59,67 @@ pub struct EntryRecord {
     pub quota_used: u32,
 }
 
-fn pack_label(label: Label) -> u64 {
-    u64::from(label.level.0 & 0x7) | (label.compartments.bits() & 0xFF_FFFF) << 3
-}
+/// Offset of an entry's uid word.
+pub(crate) const UID: u32 = 0;
+/// Offsets of an entry's disk home: its pack, then its TOC index.
+pub(crate) const PACK: u32 = 2;
+pub(crate) const TOC: u32 = 3;
+/// Offset of an entry's ACL, two words.
+pub(crate) const ACL: u32 = 12;
+/// Offsets of a quota directory's limit and persisted use count.
+pub(crate) const QUOTA_LIMIT: u32 = 14;
+pub(crate) const QUOTA_USED: u32 = 15;
 
-fn unpack_label(bits: u64) -> Label {
-    Label::new(
-        Level((bits & 0x7) as u8),
-        CompartmentSet::from_bits((bits >> 3) & 0xFF_FFFF),
-    )
-}
+/// The old supervisor's directories as the entry reader reads them: its
+/// entry layout and its full word access (page service, the used bit,
+/// the setfaults flush of both processors' associative memories).
+impl EntryStore for Supervisor {
+    /// An AST index.
+    type Dir = usize;
+    type Error = LegacyError;
+    type Entry = EntryRecord;
+    type Words = [Word; ENTRY_WORDS as usize];
+    const ENTRY_WORDS: u32 = ENTRY_WORDS;
+    /// Every word but the flags word.
+    const RECORD: u64 = 0xfffd;
+    const SLOT_INSTR: u64 = LOOKUP_INSTR_PER_ENTRY;
 
-/// The words of an entry in use that the record codec reads, as a bit
-/// set over the entry's words: all but the flags word (1), which is read
-/// first, on its own.
-const RECORD: u64 = 0xfffd;
-
-/// Core accesses an entry in use costs: its flags word and [`RECORD`].
-const IN_USE_READS: u64 = 1 + RECORD.count_ones() as u64;
-
-/// The name words of an entry's words.
-fn name_words(entry: &[Word]) -> &[Word; NAME_WORDS] {
-    entry[4..12].try_into().expect("eight name words")
-}
-
-/// One entry record as copied from core, decoded only on demand.
-struct StoredEntry([Word; ENTRY_WORDS as usize]);
-
-impl StoredEntry {
-    fn name_words(&self) -> &[Word; NAME_WORDS] {
-        name_words(&self.0)
+    #[inline]
+    fn machine(&mut self) -> &mut Machine {
+        &mut self.machine
     }
 
-    fn decode(&self) -> EntryRecord {
-        let w = |i: usize| self.0[i].raw();
-        let flags = w(1);
+    fn touch(&mut self, astx: usize, wordno: u32) -> Result<AbsAddr, LegacyError> {
+        self.sup_touch(astx, wordno, false)
+    }
+
+    fn decode(words: &[Word]) -> EntryRecord {
+        let w = |i: u32| words[i as usize].raw();
+        let flags = w(FLAGS);
         EntryRecord {
-            uid: SegUid(w(0)),
+            uid: SegUid(w(UID)),
             is_dir: flags & 2 != 0,
             quota_dir: flags & 4 != 0,
-            pack: PackId(w(2) as u32),
-            toc: TocIndex(w(3) as u32),
-            name: unpack_name(self.name_words()),
-            acl: Acl::unpack(w(12), w(13)),
-            label: unpack_label(flags >> 3),
-            quota_limit: w(14) as u32,
-            quota_used: w(15) as u32,
+            pack: PackId(w(PACK) as u32),
+            toc: TocIndex(w(TOC) as u32),
+            name: unpack_name(name_words(words)),
+            acl: Acl::unpack(w(ACL), w(ACL + 1)),
+            label: Label::from_stored(flags >> 3),
+            quota_limit: w(QUOTA_LIMIT) as u32,
+            quota_used: w(QUOTA_USED) as u32,
         }
+    }
+
+    #[cfg(test)]
+    fn reference(&self) -> bool {
+        reference::per_word()
     }
 }
 
-/// Reads one directory segment's entry records, a page at a time.
-///
-/// The first word the reader takes from each page goes through the full
-/// supervisor word access (page service, the used bit, the setfaults
-/// flush of both processors' associative memories); every later word on
-/// that page is read straight from core, and its core access waits,
-/// with the PL/I block of each slot `lookup` passes, for the one charge
-/// made before the next page touch and at the end. The simulated
-/// outcome is the per-slot loop over [`Supervisor::sup_read`]'s exactly
-/// — DESIGN.md, "The directory scan cursor", gives the conditions.
-struct EntryReader {
-    astx: usize,
-    /// The page last touched and the absolute address of its first word.
-    page: Option<(u32, AbsAddr)>,
-    /// Core accesses read but not yet charged.
-    pending: u64,
-    /// Slots `lookup` passed whose PL/I block is not yet charged.
-    blocks: u64,
-}
-
-impl EntryReader {
-    fn new(astx: usize) -> Self {
-        Self {
-            astx,
-            page: None,
-            pending: 0,
-            blocks: 0,
-        }
-    }
-
-    /// The words from `wordno` on, `n` of them, straight from core, if
-    /// they all lie on the page the reader holds.
-    fn held<'m>(&self, mem: &'m MainMemory, wordno: u32, n: usize) -> Option<&'m [Word]> {
-        let (pageno, frame) = self.page?;
-        let offset = wordno.checked_sub(pageno * PAGE_WORDS as u32)? as usize;
-        (offset + n <= PAGE_WORDS).then(|| mem.words(frame.add(offset as u64), n))
-    }
-
-    /// Copies the words from `wordno` on into `out`. The words whose bits
-    /// are set in `charged` count as read: each costs a core access,
-    /// charged at the next [`EntryReader::flush`]. The first and last
-    /// words must be charged, so every page the copy touches is one a
-    /// word-by-word read would touch too.
-    fn read(
-        &mut self,
-        sup: &mut Supervisor,
-        wordno: u32,
-        out: &mut [Word],
-        charged: u64,
-    ) -> Result<(), LegacyError> {
-        debug_assert!(charged & 1 == 1 && charged >> (out.len() - 1) == 1);
-        #[cfg(test)]
-        if reference::per_word() {
-            for (i, w) in out.iter_mut().enumerate() {
-                if charged >> i & 1 == 1 {
-                    *w = sup.sup_read(self.astx, wordno + i as u32)?;
-                }
-            }
-            return Ok(());
-        }
-        let mut done = 0;
-        while done < out.len() {
-            let at = wordno + done as u32;
-            let (pageno, offset) = (at / PAGE_WORDS as u32, at as usize % PAGE_WORDS);
-            let frame = match self.page {
-                Some((p, frame)) if p == pageno => frame,
-                _ => {
-                    // What is read so far goes on the clock before any
-                    // fault the full path takes, and a failed touch
-                    // leaves no page behind.
-                    self.flush(sup);
-                    self.page = None;
-                    let abs = sup.sup_touch(self.astx, at, false)?;
-                    let frame = AbsAddr(abs.0 - offset as u64);
-                    self.page = Some((pageno, frame));
-                    frame
-                }
-            };
-            let n = (out.len() - done).min(PAGE_WORDS - offset);
-            out[done..done + n].copy_from_slice(sup.machine.mem.words(frame.add(offset as u64), n));
-            let run = charged >> done & ((1 << n) - 1);
-            self.pending += u64::from(run.count_ones());
-            done += n;
-        }
-        Ok(())
-    }
-
-    fn flush(&mut self, sup: &mut Supervisor) {
-        let cost = sup.machine.cost;
-        let blocks = std::mem::take(&mut self.blocks);
-        let n = LOOKUP_INSTR_PER_ENTRY;
-        sup.machine
-            .clock
-            .charge_instruction_blocks(&cost, n, Language::Pli, blocks);
-        let charges = RefCharges {
-            core_accesses: std::mem::take(&mut self.pending),
-            ..RefCharges::default()
-        };
-        sup.machine.clock.charge_reference(&cost, charges);
-    }
-
-    /// One word, charged.
-    fn word(&mut self, sup: &mut Supervisor, wordno: u32) -> Result<Word, LegacyError> {
-        let mut w = [Word::ZERO];
-        self.read(sup, wordno, &mut w, 1)?;
-        self.flush(sup);
-        Ok(w[0])
-    }
-
-    /// The first unused slot below `count`, else `count`: the in-use
-    /// flags in slot order, each read in place when it lies on the page
-    /// the reader holds.
-    fn first_unused(&mut self, sup: &mut Supervisor, count: u32) -> Result<u32, LegacyError> {
-        let mut slot = 0;
-        while slot < count {
-            let at = Supervisor::entry_base(slot) + 1;
-            let flags = match self.held(&sup.machine.mem, at, 1) {
-                Some(words) => {
-                    self.pending += 1;
-                    words[0]
-                }
-                None => {
-                    let mut flags = [Word::ZERO];
-                    self.read(sup, at, &mut flags, 1)?;
-                    flags[0]
-                }
-            };
-            if flags.raw() & 1 == 0 {
-                break;
-            }
-            slot += 1;
-        }
-        self.flush(sup);
-        Ok(slot)
-    }
-
-    /// Entry `slot`, `None` if unused, charged as the record codec reads
-    /// it: the flags word (1), then for an entry in use [`RECORD`].
-    fn entry(
-        &mut self,
-        sup: &mut Supervisor,
-        slot: u32,
-    ) -> Result<Option<StoredEntry>, LegacyError> {
-        let base = Supervisor::entry_base(slot);
-        let mut e = StoredEntry([Word::ZERO; ENTRY_WORDS as usize]);
-        self.read(sup, base + 1, &mut e.0[1..2], 1)?;
-        let in_use = e.0[1].raw() & 1 != 0;
-        if in_use {
-            self.read(sup, base, &mut e.0, RECORD)?;
-        }
-        self.flush(sup);
-        Ok(in_use.then_some(e))
-    }
-
-    /// `lookup`'s walk: the first slot below `count` in use and named by
-    /// `key`, copied as [`EntryReader::entry`] copies it; a slot the
-    /// supervisor refuses to read is passed over. Every slot passed costs
-    /// a PL/I block, due before the slot's first word: it waits with the
-    /// core accesses for the charge before the next page touch, so it
-    /// lands in the same place. A slot whose words lie on the page the
-    /// reader holds is read in place; any other takes
-    /// [`EntryReader::entry`]'s path.
-    fn find(
-        &mut self,
-        sup: &mut Supervisor,
-        count: u32,
-        key: &NameKey,
-    ) -> Result<Option<(u32, StoredEntry)>, LegacyError> {
-        #[cfg(test)]
-        if reference::per_word() {
-            return reference::find(self, sup, count, key);
-        }
-        for slot in 0..count {
-            self.blocks += 1;
-            let base = Supervisor::entry_base(slot);
-            let found = match self.held(&sup.machine.mem, base, ENTRY_WORDS as usize) {
-                Some(words) if words[1].raw() & 1 == 0 => {
-                    self.pending += 1;
-                    None
-                }
-                Some(words) => {
-                    self.pending += IN_USE_READS;
-                    key.matches(name_words(words))
-                        .then(|| StoredEntry(words.try_into().expect("one entry")))
-                }
-                None => match self.entry(sup, slot) {
-                    Ok(e) => e.filter(|e| key.matches(e.name_words())),
-                    Err(LegacyError::NoAccess) => None,
-                    Err(other) => return Err(other),
-                },
-            };
-            if let Some(e) = found {
-                self.flush(sup);
-                return Ok(Some((slot, e)));
-            }
-        }
-        self.flush(sup);
-        Ok(None)
-    }
-}
-
-/// The per-slot loop over [`super::Supervisor::sup_read`] the cursor
-/// replaced, kept as the reference the tests compare it against.
+/// Selects the per-slot loop over [`Supervisor::sup_read`] the entry
+/// reader replaced, kept as the reference the tests compare it against.
 #[cfg(test)]
 mod reference {
-    use super::{EntryReader, LegacyError, NameKey, StoredEntry, Supervisor};
-    use super::{Language, LOOKUP_INSTR_PER_ENTRY};
     use std::cell::Cell;
 
     thread_local! {
@@ -333,32 +139,14 @@ mod reference {
         PER_WORD.set(false);
         out
     }
-
-    /// `lookup`'s loop before the walk.
-    pub(super) fn find(
-        reader: &mut EntryReader,
-        sup: &mut Supervisor,
-        count: u32,
-        key: &NameKey,
-    ) -> Result<Option<(u32, StoredEntry)>, LegacyError> {
-        for slot in 0..count {
-            sup.charge(LOOKUP_INSTR_PER_ENTRY, Language::Pli);
-            match reader.entry(sup, slot) {
-                Ok(Some(e)) if key.matches(e.name_words()) => return Ok(Some((slot, e))),
-                Ok(_) | Err(LegacyError::NoAccess) => {}
-                Err(other) => return Err(other),
-            }
-        }
-        Ok(None)
-    }
 }
 
 impl Supervisor {
     // ----- entry record codec -------------------------------------------
 
     /// Word offset of entry `slot` within a directory segment.
-    fn entry_base(slot: u32) -> u32 {
-        1 + slot * ENTRY_WORDS
+    pub(crate) fn entry_base(slot: u32) -> u32 {
+        <Self as EntryStore>::entry_base(slot)
     }
 
     /// Reads and decodes entry `slot` of the directory at `astx`.
@@ -370,7 +158,6 @@ impl Supervisor {
     pub fn read_entry(&mut self, astx: usize, slot: u32) -> Result<EntryRecord, LegacyError> {
         EntryReader::new(astx)
             .entry(self, slot)?
-            .map(|e| e.decode())
             .ok_or(LegacyError::NoAccess)
     }
 
@@ -389,19 +176,21 @@ impl Supervisor {
         if entry.quota_dir {
             flags |= 4;
         }
-        flags |= pack_label(entry.label) << 3;
-        self.sup_write(astx, base, Word::new(entry.uid.0))?;
-        self.sup_write(astx, base + 1, Word::new(flags))?;
-        self.sup_write(astx, base + 2, Word::new(u64::from(entry.pack.0)))?;
-        self.sup_write(astx, base + 3, Word::new(u64::from(entry.toc.0)))?;
+        flags |= entry.label.stored().ok_or(LegacyError::BadLabel)? << 3;
+        self.sup_write(astx, base + UID, Word::new(entry.uid.0))?;
+        self.sup_write(astx, base + FLAGS, Word::new(flags))?;
+        self.sup_write(astx, base + PACK, Word::new(u64::from(entry.pack.0)))?;
+        self.sup_write(astx, base + TOC, Word::new(u64::from(entry.toc.0)))?;
         for (i, w) in pack_name(&entry.name).iter().enumerate() {
-            self.sup_write(astx, base + 4 + i as u32, *w)?;
+            self.sup_write(astx, base + NAME + i as u32, *w)?;
         }
         let (users, rights) = entry.acl.pack();
-        self.sup_write(astx, base + 12, Word::new(users))?;
-        self.sup_write(astx, base + 13, Word::new(rights))?;
-        self.sup_write(astx, base + 14, Word::new(u64::from(entry.quota_limit)))?;
-        self.sup_write(astx, base + 15, Word::new(u64::from(entry.quota_used)))?;
+        self.sup_write(astx, base + ACL, Word::new(users))?;
+        self.sup_write(astx, base + ACL + 1, Word::new(rights))?;
+        let limit = u64::from(entry.quota_limit);
+        self.sup_write(astx, base + QUOTA_LIMIT, Word::new(limit))?;
+        let used = u64::from(entry.quota_used);
+        self.sup_write(astx, base + QUOTA_USED, Word::new(used))?;
         Ok(())
     }
 
@@ -414,8 +203,8 @@ impl Supervisor {
         home: DiskHome,
     ) -> Result<(), LegacyError> {
         let base = Self::entry_base(slot);
-        self.sup_write(astx, base + 2, Word::new(u64::from(home.pack.0)))?;
-        self.sup_write(astx, base + 3, Word::new(u64::from(home.toc.0)))?;
+        self.sup_write(astx, base + PACK, Word::new(u64::from(home.pack.0)))?;
+        self.sup_write(astx, base + TOC, Word::new(u64::from(home.toc.0)))?;
         Ok(())
     }
 
@@ -429,8 +218,8 @@ impl Supervisor {
         used: u32,
     ) -> Result<(), LegacyError> {
         let base = Self::entry_base(slot);
-        self.sup_write(astx, base + 14, Word::new(u64::from(limit)))?;
-        self.sup_write(astx, base + 15, Word::new(u64::from(used)))?;
+        self.sup_write(astx, base + QUOTA_LIMIT, Word::new(u64::from(limit)))?;
+        self.sup_write(astx, base + QUOTA_USED, Word::new(u64::from(used)))?;
         Ok(())
     }
 
@@ -441,9 +230,8 @@ impl Supervisor {
         name: &str,
     ) -> Result<Option<(u32, EntryRecord)>, LegacyError> {
         let mut reader = EntryReader::new(astx);
-        let count = reader.word(self, 0)?.raw() as u32;
-        let found = reader.find(self, count, &NameKey::new(name))?;
-        Ok(found.map(|(slot, e)| (slot, e.decode())))
+        let count = reader.count(self)?;
+        reader.find(self, count, &NameKey::new(name))
     }
 
     // ----- creation ------------------------------------------------------
@@ -452,9 +240,9 @@ impl Supervisor {
     ///
     /// # Errors
     ///
-    /// [`LegacyError::BadName`] for a name the entry codec cannot store;
-    /// [`LegacyError::NameDuplicated`] on a name clash; paging and disk
-    /// errors otherwise.
+    /// [`LegacyError::BadName`] or [`LegacyError::BadLabel`] for a name or
+    /// label the entry codec cannot store; [`LegacyError::NameDuplicated`]
+    /// on a name clash; paging and disk errors otherwise.
     pub fn create_directory_in(
         &mut self,
         parent: SegUid,
@@ -471,9 +259,9 @@ impl Supervisor {
     ///
     /// # Errors
     ///
-    /// [`LegacyError::BadName`] for a name the entry codec cannot store;
-    /// [`LegacyError::NameDuplicated`] on a name clash; paging and disk
-    /// errors otherwise.
+    /// [`LegacyError::BadName`] or [`LegacyError::BadLabel`] for a name or
+    /// label the entry codec cannot store; [`LegacyError::NameDuplicated`]
+    /// on a name clash; paging and disk errors otherwise.
     pub fn create_segment_in(
         &mut self,
         parent: SegUid,
@@ -496,6 +284,9 @@ impl Supervisor {
     ) -> Result<SegUid, LegacyError> {
         if !name_fits(name) {
             return Err(LegacyError::BadName);
+        }
+        if label.stored().is_none() {
+            return Err(LegacyError::BadLabel);
         }
         self.charge(CREATE_INSTR, Language::Pli);
         self.salvage_barrier_uid(parent)?;
@@ -537,7 +328,7 @@ impl Supervisor {
 
         // Claim an entry slot: first unused, else extend.
         let mut reader = EntryReader::new(parent_astx);
-        let count = reader.word(self, 0)?.raw() as u32;
+        let count = reader.count(self)?;
         let slot = reader.first_unused(self, count)?;
         if slot == count {
             self.sup_write(parent_astx, 0, Word::new(u64::from(count + 1)))?;
@@ -948,7 +739,11 @@ impl Supervisor {
             .delete_entry(e.toc)
             .map_err(LegacyError::Disk)?;
         // Clear the in-use flag.
-        self.sup_write(parent_astx, Self::entry_base(branch.slot) + 1, Word::ZERO)?;
+        self.sup_write(
+            parent_astx,
+            Self::entry_base(branch.slot) + FLAGS,
+            Word::ZERO,
+        )?;
         Ok(())
     }
 }
@@ -957,7 +752,9 @@ impl Supervisor {
 mod tests {
     use super::*;
     use crate::types::UserId;
+    use mx_aim::{CompartmentSet, Level};
     use mx_hw::word::name_is;
+    use mx_hw::{DiskError, PAGE_WORDS};
 
     fn boot_with_user() -> (Supervisor, ProcessId, UserId) {
         let mut sup = Supervisor::boot_default();
@@ -1060,6 +857,61 @@ mod tests {
             sup.create_segment_in(root, &longest, Acl::owner(user), Label::BOTTOM),
             Err(LegacyError::NameDuplicated)
         );
+    }
+
+    /// Labels beyond the codec's 3 level bits and 24 compartments used to
+    /// be stored garbled: a system-low process resolving a (0, {30})
+    /// segment for read saw label (0, {}). They are refused before any
+    /// durable work. Level 7 and compartment 23 round-trip, and AIM
+    /// decides on them as created.
+    #[test]
+    fn labels_the_entry_codec_cannot_store_are_refused() {
+        let (mut sup, pid, user) = boot_with_user();
+        let root = sup.root();
+        let root_astx = sup.ast.find(root).unwrap();
+        let listing = |sup: &mut Supervisor| {
+            let mut reader = EntryReader::new(root_astx);
+            let count = reader.count(sup).unwrap();
+            let names = (0..count).filter_map(|slot| reader.entry(sup, slot).unwrap());
+            names.map(|e| e.name).collect::<Vec<_>>()
+        };
+        let listed = listing(&mut sup);
+        let next_uid = sup.next_uid;
+        let label = |level, c: &[u32]| {
+            let set = c.iter().fold(CompartmentSet::empty(), |s, &c| s.with(c));
+            Label::new(Level(level), set)
+        };
+        for bad in [
+            label(0, &[30]),
+            label(9, &[]),
+            label(8, &[23]),
+            label(7, &[24]),
+        ] {
+            let seg = sup.create_segment_in(root, "x", Acl::owner(user), bad);
+            assert_eq!(seg, Err(LegacyError::BadLabel), "{bad}");
+            let dir = sup.create_directory_in(root, "x", Acl::owner(user), bad);
+            assert_eq!(dir, Err(LegacyError::BadLabel), "{bad}");
+        }
+        assert_eq!(listing(&mut sup), listed);
+        assert_eq!(sup.next_uid, next_uid, "no uid or TOC entry spent");
+        assert_eq!(
+            sup.resolve(pid, "x", AccessRight::Read),
+            Err(LegacyError::NoAccess)
+        );
+        let top = label(7, &[23]);
+        let uid = sup
+            .create_segment_in(root, "top", Acl::owner(user), top)
+            .unwrap();
+        let reader = sup.create_process(user, top).unwrap();
+        let (found, entry) = sup.resolve(reader, "top", AccessRight::Read).unwrap();
+        assert_eq!((found, entry.label), (uid, top));
+        assert!(sup.resolve(reader, "top", AccessRight::Write).is_ok());
+        // Without level 7 or compartment 23, a reader is refused.
+        for below in [label(6, &[23]), label(7, &[])] {
+            let p = sup.create_process(user, below).unwrap();
+            let read = sup.resolve(p, "top", AccessRight::Read);
+            assert_eq!(read, Err(LegacyError::NoAccess), "{below}");
+        }
     }
 
     #[test]
@@ -1307,7 +1159,9 @@ mod tests {
     /// left, first touches whose setfaults flush drops a live user
     /// translation, and each case of the walk: a miss over three pages
     /// or more, a match read in place, a match on a straddling entry,
-    /// and an unused slot found past page 0.
+    /// and an unused slot found past page 0. Every seventh step that is a
+    /// miss searches with the directory's pack offline, so a walk whose
+    /// page touch must read the disk fails mid-walk.
     #[test]
     fn entry_reader_matches_the_per_word_reference_under_churn() {
         let mut t = Twin::new(17);
@@ -1326,9 +1180,13 @@ mod tests {
                 Ok::<_, LegacyError>((s.initiate(pid, "b")?, s.initiate(pid, "d")?))
             })
             .unwrap();
+        let pack = t.cursor.machine.disks.packs();
+        let pack = pack.filter(|p| p.entries().any(|(_, e)| e.uid == d.0));
+        let pack = pack.map(|p| p.id).next().expect("d's home");
         let mut rng = SplitMix64::new(1977);
         let (mut deleted, mut reused, mut left_page_evicted, mut widest, mut dropped) =
             (0, 0, 0, 0, 0);
+        let mut failed = 0;
         let mut walked = Walked::default();
         let mut live = std::collections::HashMap::new();
         for i in 0..1500 {
@@ -1377,7 +1235,17 @@ mod tests {
                     .unwrap();
                     let before = t.cursor.machine.tlb_stats().invalidations;
                     let path = format!("d>x{name}");
-                    let found = t.step(&at, |s, pid| s.resolve(pid, &path, AccessRight::Read));
+                    let offline = i % 7 == 0;
+                    let found = t.step(&at, |s, pid| {
+                        s.machine.faults.set_offline(pack, offline);
+                        let found = s.resolve(pid, &path, AccessRight::Read);
+                        s.machine.faults.set_offline(pack, false);
+                        found
+                    });
+                    if offline && found == Err(LegacyError::Disk(DiskError::PackOffline { pack })) {
+                        failed += 1;
+                        continue;
+                    }
                     assert_eq!(found, Err(LegacyError::NoAccess));
                     dropped += usize::from(t.cursor.machine.tlb_stats().invalidations > before);
                     widest = widest.max(t.slots(d));
@@ -1407,6 +1275,7 @@ mod tests {
         );
         assert!(left_page_evicted > 0, "a scan evicted a page it had left");
         assert!(dropped > 0, "a first touch dropped a live user translation");
+        assert!(failed > 8, "walks failed mid-walk ({failed})");
         assert!(
             walked.long_misses > 20
                 && walked.in_place > 100

@@ -22,12 +22,12 @@
 use std::collections::{HashMap, HashSet, VecDeque};
 
 use crate::ast::{Aste, QuotaCell};
-use crate::directory_control::ENTRY_WORDS;
+use crate::directory_control::{FLAGS, NAME, PACK, QUOTA_USED, TOC, UID};
 use crate::supervisor::{Branch, Supervisor, SupervisorConfig};
 use crate::types::{DiskHome, LegacyError, SegUid};
 use mx_aim::Label;
 use mx_hw::meter::Subsystem;
-use mx_hw::word::unpack_name;
+use mx_hw::word::{unpack_name, NAME_WORDS};
 use mx_hw::{Language, PackId, RecordNo, TocIndex, Word, PAGE_WORDS};
 
 /// PL/I instructions charged per word the raw walk touches — the old
@@ -364,9 +364,9 @@ impl Supervisor {
             if repair {
                 // Clear the in-use flag; drop any branch the recovery
                 // walk may have catalogued from this entry.
-                let base = 1 + slot * ENTRY_WORDS;
-                let uid = SegUid(self.raw_seg_read(*dir_home, base).raw());
-                self.raw_seg_write(*dir_home, base + 1, Word::ZERO)?;
+                let base = Self::entry_base(*slot);
+                let uid = SegUid(self.raw_seg_read(*dir_home, base + UID).raw());
+                self.raw_seg_write(*dir_home, base + FLAGS, Word::ZERO)?;
                 if self
                     .branch_table
                     .get(&uid)
@@ -465,7 +465,7 @@ impl Supervisor {
                     .and_then(|a| a.quota.map(|q| q.used))
                     .unwrap_or(0),
                 None => self
-                    .raw_seg_read(dir_home, 1 + slot * ENTRY_WORDS + 15)
+                    .raw_seg_read(dir_home, Self::entry_base(slot) + QUOTA_USED)
                     .raw() as u32,
             };
             if recorded != want {
@@ -484,7 +484,7 @@ impl Supervisor {
                     }
                     self.raw_seg_write(
                         dir_home,
-                        1 + slot * ENTRY_WORDS + 15,
+                        Self::entry_base(slot) + QUOTA_USED,
                         Word::new(u64::from(want)),
                     )?;
                     report
@@ -643,9 +643,9 @@ impl Supervisor {
         }
         for (slot, what) in &bad {
             st.report.problems.push(what.clone());
-            let base = 1 + slot * ENTRY_WORDS;
-            let uid = SegUid(self.raw_seg_read(home, base).raw());
-            self.online_dir_write(dir, home, base + 1, Word::ZERO)?;
+            let base = Self::entry_base(*slot);
+            let uid = SegUid(self.raw_seg_read(home, base + UID).raw());
+            self.online_dir_write(dir, home, base + FLAGS, Word::ZERO)?;
             if self
                 .branch_table
                 .get(&uid)
@@ -670,7 +670,7 @@ impl Supervisor {
                 self.online_dir_write(
                     dir,
                     home,
-                    1 + slot * ENTRY_WORDS + 15,
+                    Self::entry_base(slot) + QUOTA_USED,
                     Word::new(u64::from(actual)),
                 )?;
                 st.report
@@ -777,8 +777,8 @@ impl Supervisor {
                     Some(pastx) => self.read_entry(pastx, branch.slot)?.quota_used,
                     None => {
                         let phome = self.online_home_of(parent)?;
-                        self.raw_seg_read(phome, 1 + branch.slot * ENTRY_WORDS + 15)
-                            .raw() as u32
+                        let at = Self::entry_base(branch.slot) + QUOTA_USED;
+                        self.raw_seg_read(phome, at).raw() as u32
                     }
                 }
             };
@@ -833,10 +833,10 @@ impl Supervisor {
             }
             None => {
                 let phome = self.online_home_of(parent)?;
-                let base = 1 + branch.slot * ENTRY_WORDS;
+                let base = Self::entry_base(branch.slot);
                 Ok(DiskHome {
-                    pack: PackId(self.raw_seg_read(phome, base + 2).raw() as u32),
-                    toc: TocIndex(self.raw_seg_read(phome, base + 3).raw() as u32),
+                    pack: PackId(self.raw_seg_read(phome, base + PACK).raw() as u32),
+                    toc: TocIndex(self.raw_seg_read(phome, base + TOC).raw() as u32),
                 })
             }
         }
@@ -1067,25 +1067,25 @@ impl Supervisor {
     /// Decodes entry `slot` of the directory stored at `home`, raw.
     /// `None` if the in-use flag is clear.
     fn raw_entry(&mut self, home: DiskHome, slot: u32) -> Option<RawEntry> {
-        let base = 1 + slot * ENTRY_WORDS;
-        let flags = self.raw_seg_read(home, base + 1).raw();
+        let base = Self::entry_base(slot);
+        let flags = self.raw_seg_read(home, base + FLAGS).raw();
         if flags & 1 == 0 {
             return None;
         }
-        let mut name_words = [Word::ZERO; 8];
+        let mut name_words = [Word::ZERO; NAME_WORDS];
         for (i, w) in name_words.iter_mut().enumerate() {
-            *w = self.raw_seg_read(home, base + 4 + i as u32);
+            *w = self.raw_seg_read(home, base + NAME + i as u32);
         }
         Some(RawEntry {
-            uid: SegUid(self.raw_seg_read(home, base).raw()),
+            uid: SegUid(self.raw_seg_read(home, base + UID).raw()),
             is_dir: flags & 2 != 0,
             quota_dir: flags & 4 != 0,
             home: DiskHome {
-                pack: PackId(self.raw_seg_read(home, base + 2).raw() as u32),
-                toc: TocIndex(self.raw_seg_read(home, base + 3).raw() as u32),
+                pack: PackId(self.raw_seg_read(home, base + PACK).raw() as u32),
+                toc: TocIndex(self.raw_seg_read(home, base + TOC).raw() as u32),
             },
             name: unpack_name(&name_words),
-            quota_used: self.raw_seg_read(home, base + 15).raw() as u32,
+            quota_used: self.raw_seg_read(home, base + QUOTA_USED).raw() as u32,
         })
     }
 
@@ -1128,7 +1128,6 @@ impl Supervisor {
                 if !live || !claimed.insert((e.home.pack.0, e.home.toc.0)) {
                     continue;
                 }
-                let _ = e.quota_used;
                 *usage.entry(cell).or_default() += records_of(&self.machine.disks, e.home);
                 if e.is_dir {
                     let child_cell = if e.quota_dir {

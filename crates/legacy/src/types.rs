@@ -154,6 +154,9 @@ pub enum LegacyError {
     /// A name the entry codec cannot store: longer than
     /// [`mx_hw::word::NAME_CHARS`] bytes, or holding NUL or non-ASCII.
     BadName,
+    /// A label the entry codec cannot store: a level above 7 or a
+    /// compartment above 23 ([`mx_aim::Label::stored`]).
+    BadLabel,
     /// Growing the segment would exceed the controlling quota.
     QuotaExceeded { limit: u32, used: u32 },
     /// No pack in the system has room for the segment.
@@ -212,6 +215,7 @@ impl core::fmt::Display for LegacyError {
             LegacyError::NotADirectory => write!(f, "not a directory"),
             LegacyError::NameDuplicated => write!(f, "name duplicated"),
             LegacyError::BadName => write!(f, "name not storable"),
+            LegacyError::BadLabel => write!(f, "label not storable"),
             LegacyError::QuotaExceeded { limit, used } => {
                 write!(f, "quota exceeded ({used}/{limit} pages)")
             }
