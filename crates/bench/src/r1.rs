@@ -214,8 +214,8 @@ fn kernel_matrix(stride: u64) -> MatrixSummary {
             matches!(err, KernelError::Disk(_)),
             "kernel crash point {n}: power failure must surface typed, got {err:?}"
         );
-        let image = rig.k.machine.disks.clone();
-        let mut rk = Kernel::boot_from_image(kernel_config(), image).expect("recovery bootload");
+        let mut rk =
+            Kernel::boot_from_image(kernel_config(), rig.k.machine).expect("recovery bootload");
         let repaired = rk.salvage(true).expect("salvage with repair");
         let check = rk.salvage(false).expect("salvage check pass");
         assert!(
@@ -361,9 +361,8 @@ fn legacy_matrix(stride: u64) -> MatrixSummary {
             matches!(err, LegacyError::Disk(_)),
             "legacy crash point {n}: power failure must surface typed, got {err:?}"
         );
-        let image = rig.sup.machine.disks.clone();
-        let mut rs =
-            Supervisor::boot_from_image(legacy_config(), image).expect("recovery bootload");
+        let mut rs = Supervisor::boot_from_image(legacy_config(), rig.sup.machine)
+            .expect("recovery bootload");
         let repaired = rs.salvage(true).expect("salvage with repair");
         let check = rs.salvage(false).expect("salvage check pass");
         assert!(

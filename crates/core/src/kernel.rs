@@ -60,6 +60,22 @@ pub struct KernelConfig {
     pub seed: u64,
 }
 
+impl KernelConfig {
+    /// The machine this configuration boots: two processors with the
+    /// paper's proposed hardware additions.
+    fn machine(&self) -> MachineConfig {
+        MachineConfig {
+            frames: self.frames,
+            cpus: 2,
+            packs: self.packs,
+            records_per_pack: self.records_per_pack,
+            toc_slots_per_pack: self.toc_slots_per_pack,
+            features: HwFeatures::KERNEL_PROPOSED,
+            cost: Default::default(),
+        }
+    }
+}
+
 impl Default for KernelConfig {
     fn default() -> Self {
         Self {
@@ -218,11 +234,12 @@ impl Kernel {
         "demux_read",
     ];
 
-    /// Everything below the file system: the machine, core segments,
-    /// virtual processors, the cell table, and the page-frame manager —
-    /// shared by the cold bootload and the recovery bootload.
+    /// Everything below the file system, built on `machine`: core
+    /// segments, virtual processors, the cell table, and the page-frame
+    /// manager — shared by the cold bootload and the recovery bootload.
     fn assemble(
         config: &KernelConfig,
+        mut machine: Machine,
     ) -> (
         Machine,
         CoreSegmentManager,
@@ -230,15 +247,6 @@ impl Kernel {
         QuotaCellManager,
         PageFrameManager,
     ) {
-        let mut machine = Machine::new(MachineConfig {
-            frames: config.frames,
-            cpus: 2,
-            packs: config.packs,
-            records_per_pack: config.records_per_pack,
-            toc_slots_per_pack: config.toc_slots_per_pack,
-            features: HwFeatures::KERNEL_PROPOSED,
-            cost: Default::default(),
-        });
         // Core segments live just above frame 0 (scratch); cap the
         // region at half of core so a pageable pool always remains.
         let mut csm = CoreSegmentManager::new(1, (config.frames / 2) as u32);
@@ -310,7 +318,8 @@ impl Kernel {
     /// Panics if the configuration leaves fewer than eight pageable
     /// frames.
     pub fn boot(config: KernelConfig) -> Self {
-        let (mut machine, csm, mut vpm, mut qcm, mut pfm) = Self::assemble(&config);
+        let (mut machine, csm, mut vpm, mut qcm, mut pfm) =
+            Self::assemble(&config, Machine::new(config.machine()));
         let dseg_base = csm.end_frame();
         let mut drm = DiskRecordManager::new();
         let mut segm = SegmentManager::new();
@@ -380,22 +389,20 @@ impl Kernel {
         Self::boot(KernelConfig::default())
     }
 
-    /// Bootloads Kernel/Multics from a surviving disk image — the crash
-    /// recovery path. No root directory is created; the hierarchy is
-    /// rebuilt by walking the image's own directory segments (the root
-    /// is the pack-0 TOC entry recording uid 1). Entries the crash tore
-    /// are left for [`Kernel::salvage`] to report and repair.
+    /// Bootloads Kernel/Multics on the machine that crashed — the crash
+    /// recovery path. Only its packs survive ([`Machine::restart`]). No
+    /// root directory is created; the hierarchy is rebuilt by walking
+    /// the image's own directory segments (the root is the pack-0 TOC
+    /// entry recording uid 1). Entries the crash tore are left for
+    /// [`Kernel::salvage`] to report and repair.
     ///
     /// # Errors
     ///
     /// [`KernelError::NoEntry`] if pack 0 records no root directory;
     /// storage errors walking the image.
-    pub fn boot_from_image(
-        config: KernelConfig,
-        image: mx_hw::DiskSystem,
-    ) -> Result<Self, KernelError> {
-        let (mut machine, csm, mut vpm, mut qcm, mut pfm) = Self::assemble(&config);
-        machine.disks = image;
+    pub fn boot_from_image(config: KernelConfig, crashed: Machine) -> Result<Self, KernelError> {
+        let (mut machine, csm, mut vpm, mut qcm, mut pfm) =
+            Self::assemble(&config, crashed.restart(config.machine()));
         let dseg_base = csm.end_frame();
         let root_home = machine
             .disks
@@ -1662,9 +1669,9 @@ mod tests {
                 .unwrap();
         }
         k.sync_to_disk().unwrap();
-        let image = k.machine.disks.clone();
+        let crashed = k.machine;
 
-        let mut k2 = Kernel::boot_from_image(config, image).unwrap();
+        let mut k2 = Kernel::boot_from_image(config, crashed).unwrap();
         let report = k2.salvage(false).unwrap();
         assert!(
             report.clean(),

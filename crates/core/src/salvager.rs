@@ -1163,9 +1163,9 @@ mod tests {
         let segno = k.initiate(pid, f).unwrap();
         k.write_word(pid, segno, 0, Word::new(5)).unwrap();
         k.sync_to_disk().unwrap();
-        let image = k.machine.disks.clone();
+        let crashed = k.machine;
 
-        let mut rk = Kernel::boot_from_image(config(), image).unwrap();
+        let mut rk = Kernel::boot_from_image(config(), crashed).unwrap();
         rk.register_account("u", UserId(1), 1, Label::BOTTOM);
         rk.begin_online_salvage();
         assert!(rk.online_salvage_active());
@@ -1243,10 +1243,10 @@ mod tests {
         let segno = k.initiate(pid, f).unwrap();
         k.write_word(pid, segno, 0, Word::new(5)).unwrap();
         k.sync_to_disk().unwrap();
-        let image = k.machine.disks.clone();
+        let crashed = k.machine;
 
         let run = |cheat: Option<OnlineCheat>| {
-            let mut rk = Kernel::boot_from_image(config(), image.clone()).unwrap();
+            let mut rk = Kernel::boot_from_image(config(), crashed.clone()).unwrap();
             // Torn quota cell: the root cell over-charged behind the
             // system's back.
             let mut flows = mx_aim::FlowTracker::new();

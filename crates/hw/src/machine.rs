@@ -84,8 +84,24 @@ impl Machine {
         for _ in 0..config.packs {
             disks.attach(config.records_per_pack, config.toc_slots_per_pack);
         }
+        let mem = MainMemory::new(config.frames);
+        Self::on(&config, mem, disks)
+    }
+
+    /// Bootloads this machine again after a crash: exactly what
+    /// [`Machine::new`] builds from `config`, except that the disks are
+    /// this machine's and core is `config.frames` zeroed frames in this
+    /// machine's own buffer. Only the packs survive; the clock, the
+    /// processors and the fault-injection state start fresh.
+    pub fn restart(self, config: MachineConfig) -> Self {
+        let Self { mut mem, disks, .. } = self;
+        mem.reset(config.frames);
+        Self::on(&config, mem, disks)
+    }
+
+    fn on(config: &MachineConfig, mem: MainMemory, disks: DiskSystem) -> Self {
         Self {
-            mem: MainMemory::new(config.frames),
+            mem,
             clock: Clock::new(),
             cost: config.cost,
             cpus: (0..config.cpus)
@@ -201,6 +217,17 @@ impl Machine {
             .fold(TlbStats::default(), |acc, cpu| acc.merge(&cpu.tlb.stats()))
     }
 
+    /// Consults the fault plan for one read of `record` on `pack`,
+    /// charging the clock for a transient failure (the transfer was
+    /// attempted).
+    fn note_read(&mut self, pack: PackId, record: RecordNo) -> Result<(), DiskError> {
+        let noted = self.faults.note_read(pack, record);
+        if let Err(DiskError::TransientRead { .. }) = noted {
+            self.clock.charge_disk_transfer(&self.cost);
+        }
+        noted
+    }
+
     /// Transfers a disk record into a core frame, charging the clock.
     ///
     /// # Errors
@@ -214,8 +241,10 @@ impl Machine {
         record: RecordNo,
         frame: FrameNo,
     ) -> Result<(), DiskError> {
-        let data = self.disk_read_record(pack, record)?;
-        self.mem.write_frame(frame, &data);
+        self.note_read(pack, record)?;
+        let data = self.disks.pack(pack)?.read_record(record)?;
+        self.mem.write_frame(frame, data);
+        self.clock.charge_disk_transfer(&self.cost);
         Ok(())
     }
 
@@ -232,9 +261,20 @@ impl Machine {
         record: RecordNo,
         frame: FrameNo,
     ) -> Result<(), DiskError> {
-        let mut buf = [Word::ZERO; PAGE_WORDS];
-        buf.copy_from_slice(&self.mem.read_frame(frame)[..]);
-        self.disk_write_record(pack, record, &buf)
+        let data = self
+            .mem
+            .words(frame.base(), PAGE_WORDS)
+            .try_into()
+            .expect("a frame is one page of words");
+        channel_write(
+            &mut self.faults,
+            &mut self.disks,
+            &mut self.clock,
+            &self.cost,
+            pack,
+            record,
+            data,
+        )
     }
 
     /// Reads a whole record through the fault-checked channel, charging
@@ -249,15 +289,33 @@ impl Machine {
         pack: PackId,
         record: RecordNo,
     ) -> Result<crate::disk::RecordBuf, DiskError> {
-        if let Err(e) = self.faults.note_read(pack, record) {
-            if matches!(e, DiskError::TransientRead { .. }) {
-                self.clock.charge_disk_transfer(&self.cost);
-            }
-            return Err(e);
-        }
+        self.note_read(pack, record)?;
         let data = self.disks.pack(pack)?.read_record(record)?.clone();
         self.clock.charge_disk_transfer(&self.cost);
         Ok(data)
+    }
+
+    /// Reads the word at `offset` of a record through the fault-checked
+    /// channel, in place: the same fault check and the same charge as
+    /// [`Machine::disk_read_record`], for a reader that wants one word.
+    ///
+    /// # Errors
+    ///
+    /// Propagates [`DiskError`], including injected faults.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `offset` is not below [`PAGE_WORDS`].
+    pub fn disk_read_word(
+        &mut self,
+        pack: PackId,
+        record: RecordNo,
+        offset: usize,
+    ) -> Result<Word, DiskError> {
+        self.note_read(pack, record)?;
+        let word = self.disks.pack(pack)?.read_record(record)?[offset];
+        self.clock.charge_disk_transfer(&self.cost);
+        Ok(word)
     }
 
     /// Writes a whole record through the fault-checked channel, charging
@@ -274,33 +332,15 @@ impl Machine {
         record: RecordNo,
         data: &[Word; PAGE_WORDS],
     ) -> Result<(), DiskError> {
-        match self.faults.note_write(pack)? {
-            WriteFate::Commit => {
-                self.disks.pack_mut(pack)?.write_record(record, data)?;
-                self.clock.charge_disk_transfer(&self.cost);
-                Ok(())
-            }
-            WriteFate::Crash(mode) => {
-                let words = match mode {
-                    crate::faultinj::CrashWrite::Dropped => 0,
-                    crate::faultinj::CrashWrite::Torn { words } => words.min(PAGE_WORDS),
-                };
-                if words > 0 {
-                    // A tear at a word boundary: the prefix is new data,
-                    // the rest keeps whatever the record held.
-                    if let Ok(pk) = self.disks.pack_mut(pack) {
-                        if let Ok(old) = pk.read_record(record) {
-                            let mut torn = old.clone();
-                            torn[..words].copy_from_slice(&data[..words]);
-                            let _ = pk.write_record(record, &torn);
-                            self.clock.charge_disk_transfer(&self.cost);
-                        }
-                    }
-                }
-                self.faults.halt();
-                Err(DiskError::PowerFail)
-            }
-        }
+        channel_write(
+            &mut self.faults,
+            &mut self.disks,
+            &mut self.clock,
+            &self.cost,
+            pack,
+            record,
+            data,
+        )
     }
 
     /// Number of real processors.
@@ -331,6 +371,46 @@ impl Machine {
     /// [`ProcessorId`].
     pub fn ops_retired(&self) -> Vec<u64> {
         self.cpus.iter().map(|c| c.ops_retired).collect()
+    }
+}
+
+/// One record write through the fault-checked channel, over the
+/// machine's parts so that `data` may be borrowed from its core.
+fn channel_write(
+    faults: &mut DiskFaults,
+    disks: &mut DiskSystem,
+    clock: &mut Clock,
+    cost: &CostModel,
+    pack: PackId,
+    record: RecordNo,
+    data: &[Word; PAGE_WORDS],
+) -> Result<(), DiskError> {
+    match faults.note_write(pack)? {
+        WriteFate::Commit => {
+            disks.pack_mut(pack)?.write_record(record, data)?;
+            clock.charge_disk_transfer(cost);
+            Ok(())
+        }
+        WriteFate::Crash(mode) => {
+            let words = match mode {
+                crate::faultinj::CrashWrite::Dropped => 0,
+                crate::faultinj::CrashWrite::Torn { words } => words.min(PAGE_WORDS),
+            };
+            if words > 0 {
+                // A tear at a word boundary: the prefix is new data,
+                // the rest keeps whatever the record held.
+                if let Ok(pk) = disks.pack_mut(pack) {
+                    if let Ok(old) = pk.read_record(record) {
+                        let mut torn = old.clone();
+                        torn[..words].copy_from_slice(&data[..words]);
+                        let _ = pk.write_record(record, &torn);
+                        clock.charge_disk_transfer(cost);
+                    }
+                }
+            }
+            faults.halt();
+            Err(DiskError::PowerFail)
+        }
     }
 }
 
@@ -512,6 +592,162 @@ mod tests {
         assert!(k.post_wakeup(ProcessorId(0)));
         assert!(k.cpus[0].take_wakeup_waiting());
         assert!(!k.post_wakeup(ProcessorId(k.cpu_count() as u32)));
+    }
+
+    #[test]
+    fn restart_is_new_with_the_crashed_machines_disks() {
+        use crate::faultinj::{CrashWrite, FaultPlan};
+        use crate::meter::Subsystem;
+        let config = MachineConfig {
+            frames: 8,
+            packs: 2,
+            records_per_pack: 8,
+            toc_slots_per_pack: 4,
+            ..MachineConfig::kernel_proposed()
+        };
+        // A machine with every kind of state a crash leaves behind.
+        let crashed = || {
+            let mut m = Machine::new(config.clone());
+            let pt = FrameNo(1).base();
+            let ptw = Ptw {
+                frame: FrameNo(2),
+                present: true,
+                ..Ptw::default()
+            };
+            m.mem.write(pt, ptw.encode());
+            let sdw = Sdw {
+                page_table: pt,
+                bound_pages: 1,
+                read: true,
+                write: true,
+                execute: false,
+                present: true,
+                software: false,
+            };
+            m.mem.write(AbsAddr(0), sdw.encode());
+            for cpu in &mut m.cpus {
+                cpu.dbr_user = Some(DescBase {
+                    base: AbsAddr(0),
+                    len: 1,
+                });
+                cpu.system_segno_limit = 0;
+            }
+            let va = VirtAddr::new(0, 5);
+            m.write(ProcessorId(0), va, Word::new(0o55)).unwrap();
+            m.read(ProcessorId(1), va).unwrap();
+            assert_eq!(m.tlb_stats().fills, 2, "both processors filled");
+            let guard = m.clock.enter(Subsystem::Salvager);
+            m.clock
+                .charge_instructions(&m.cost, 9, crate::Language::Pli);
+            m.clock.exit(guard);
+            let rec = m
+                .disks
+                .pack_mut(PackId(0))
+                .unwrap()
+                .allocate_record()
+                .unwrap();
+            m.install_fault_plan(
+                FaultPlan::new().crash_after_writes(2, CrashWrite::Torn { words: 3 }),
+            );
+            m.disk_write_from_frame(PackId(0), rec, FrameNo(2)).unwrap();
+            m.disk_read_into_frame(PackId(0), rec, FrameNo(3)).unwrap();
+            m.faults.set_offline(PackId(1), true);
+            assert_eq!(
+                m.disk_write_from_frame(PackId(0), rec, FrameNo(1)),
+                Err(DiskError::PowerFail)
+            );
+            assert!(m.hw_fault().is_some());
+            m
+        };
+        for frames in [8, 5, 12] {
+            let config = MachineConfig {
+                frames,
+                ..config.clone()
+            };
+            let m = crashed();
+            let mut fresh = Machine::new(config.clone());
+            fresh.disks = m.disks.clone();
+            let restarted = m.restart(config);
+            assert_eq!(
+                format!("{restarted:?}"),
+                format!("{fresh:?}"),
+                "restart at {frames} frames"
+            );
+        }
+    }
+
+    #[test]
+    fn disk_read_word_is_disk_read_record_at_one_offset() {
+        use crate::faultinj::{CrashWrite, FaultPlan};
+        /// One read both ways, on twin machines: the same answer, and the
+        /// same cycles, transfers and fault counters left behind. Returns
+        /// the answer and the cycles it charged.
+        fn read(
+            twins: &mut [Machine; 2],
+            rec: RecordNo,
+            off: usize,
+        ) -> (Result<Word, DiskError>, u64) {
+            let [whole, word] = twins;
+            let before = whole.clock.now();
+            let a = whole.disk_read_record(PackId(0), rec).map(|buf| buf[off]);
+            let b = word.disk_read_word(PackId(0), rec, off);
+            assert_eq!(a, b);
+            assert_eq!(whole.clock.now(), word.clock.now());
+            assert_eq!(whole.clock.disk_transfers(), word.clock.disk_transfers());
+            assert_eq!(
+                (whole.faults.reads, whole.faults.writes, whole.hw_fault()),
+                (word.faults.reads, word.faults.writes, word.hw_fault())
+            );
+            (a, whole.clock.now() - before)
+        }
+        let transfer = CostModel::default().record_transfer();
+        let mut m = Machine::base_1974();
+        let rec = m
+            .disks
+            .pack_mut(PackId(0))
+            .unwrap()
+            .allocate_record()
+            .unwrap();
+        let mut page = [Word::ZERO; PAGE_WORDS];
+        page[37] = Word::new(0o3737);
+        m.disks
+            .pack_mut(PackId(0))
+            .unwrap()
+            .write_record(rec, &page)
+            .unwrap();
+        m.install_fault_plan(FaultPlan::new().transient_read(PackId(0), rec, 2));
+        let mut twins = [m.clone(), m];
+        assert_eq!(read(&mut twins, rec, 37), (Ok(Word::new(0o3737)), transfer));
+        let transient = Err(DiskError::TransientRead {
+            pack: PackId(0),
+            record: rec,
+        });
+        assert_eq!(read(&mut twins, rec, 37), (transient, transfer), "charged");
+        assert_eq!(read(&mut twins, rec, 0), (Ok(Word::ZERO), transfer));
+        let unallocated = RecordNo(rec.0 + 1);
+        let bad = Err(DiskError::BadRecord {
+            pack: PackId(0),
+            record: unallocated,
+        });
+        assert_eq!(read(&mut twins, unallocated, 0), (bad, 0));
+        for m in &mut twins {
+            m.faults.set_offline(PackId(0), true);
+        }
+        let offline = Err(DiskError::PackOffline { pack: PackId(0) });
+        assert_eq!(read(&mut twins, rec, 37), (offline, 0), "not charged");
+        for m in &mut twins {
+            m.faults.set_offline(PackId(0), false);
+            m.faults.crash_after_further_writes(1, CrashWrite::Dropped);
+            assert_eq!(
+                m.disk_write_record(PackId(0), rec, &page),
+                Err(DiskError::PowerFail)
+            );
+        }
+        assert_eq!(
+            read(&mut twins, rec, 37),
+            (Err(DiskError::PowerFail), 0),
+            "halted"
+        );
     }
 
     #[test]

@@ -68,10 +68,22 @@ impl MainMemory {
     ///
     /// Panics if `frames` is zero — a machine without core is not a machine.
     pub fn new(frames: usize) -> Self {
+        let mut mem = Self { words: Vec::new() };
+        mem.reset(frames);
+        mem
+    }
+
+    /// Makes this memory `frames` zeroed page frames in its own buffer —
+    /// the core a bootload of the same machine finds, without faulting
+    /// a new allocation in.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `frames` is zero.
+    pub fn reset(&mut self, frames: usize) {
         assert!(frames > 0, "main memory must have at least one frame");
-        Self {
-            words: vec![Word::ZERO; frames * PAGE_WORDS],
-        }
+        self.words.clear();
+        self.words.resize(frames * PAGE_WORDS, Word::ZERO);
     }
 
     /// Number of page frames.
@@ -124,14 +136,6 @@ impl MainMemory {
             self.words.len()
         );
         &self.words[i..end]
-    }
-
-    /// Reads a whole frame into a boxed page buffer.
-    pub fn read_frame(&self, frame: FrameNo) -> Box<[Word; PAGE_WORDS]> {
-        let base = frame.base().0 as usize;
-        let mut page = Box::new([Word::ZERO; PAGE_WORDS]);
-        page.copy_from_slice(&self.words[base..base + PAGE_WORDS]);
-        page
     }
 
     /// Overwrites a whole frame from a page buffer.
@@ -202,6 +206,17 @@ mod tests {
     }
 
     #[test]
+    fn reset_zeroes_core_in_its_own_buffer() {
+        let mut m = MainMemory::new(4);
+        m.write(AbsAddr(5), Word::new(9));
+        let buffer = m.words.as_ptr();
+        m.reset(2);
+        assert_eq!(m.frames(), 2);
+        assert!(m.frame_is_zero(FrameNo(0)) && m.frame_is_zero(FrameNo(1)));
+        assert_eq!(m.words.as_ptr(), buffer, "the allocation is kept");
+    }
+
+    #[test]
     fn frame_zero_scan_detects_nonzero() {
         let mut m = MainMemory::new(1);
         assert!(m.frame_is_zero(FrameNo(0)));
@@ -215,7 +230,7 @@ mod tests {
     fn frame_copy_round_trip() {
         let mut m = MainMemory::new(2);
         m.write(AbsAddr(10), Word::new(42));
-        let page = m.read_frame(FrameNo(0));
+        let page: [Word; PAGE_WORDS] = m.words(AbsAddr(0), PAGE_WORDS).try_into().unwrap();
         m.write_frame(FrameNo(1), &page);
         assert_eq!(m.read(AbsAddr(PAGE_WORDS as u64 + 10)), Word::new(42));
     }

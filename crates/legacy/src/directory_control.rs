@@ -998,9 +998,9 @@ mod tests {
 
         // A fresh boot from the image: the file exists on disk but has
         // no AST entry, exactly the post-recovery state.
-        let image = sup.machine.disks.clone();
+        let crashed = sup.machine;
         let mut rs =
-            Supervisor::boot_from_image(crate::SupervisorConfig::default(), image).unwrap();
+            Supervisor::boot_from_image(crate::SupervisorConfig::default(), crashed).unwrap();
         let pid = rs.create_process(user, Label::BOTTOM).unwrap();
         let root_astx = rs.ast.find(rs.root()).unwrap();
         let root_before = rs.ast.get(root_astx).unwrap().quota.unwrap().used;

@@ -33,7 +33,7 @@ use crate::types::{LegacyError, ProcessId};
 use mx_aim::Label;
 use mx_hw::cpu::Ptw;
 use mx_hw::meter::Subsystem;
-use mx_hw::{AbsAddr, DiskError, FrameNo, Language, PackId, RecordNo, VirtAddr};
+use mx_hw::{AbsAddr, DiskError, FrameNo, Language, Machine, VirtAddr};
 
 /// Transient-read retries before the supervisor gives up on a record —
 /// the same budget the kernel's page-frame manager uses.
@@ -173,7 +173,9 @@ impl Supervisor {
             // transient-read retry; on exhaustion the claimed frame is
             // released and the typed error surfaces.
             let frame = self.claim_frame(astx, pageno)?;
-            if let Err(e) = self.read_into_frame_with_retry(home.pack, record, frame) {
+            if let Err(e) =
+                self.read_with_retry(|m| m.disk_read_into_frame(home.pack, record, frame))
+            {
                 self.frames.release(frame);
                 return Err(e);
             }
@@ -229,23 +231,20 @@ impl Supervisor {
         Ok(())
     }
 
-    /// Reads a disk record into a core frame, absorbing transient read
-    /// errors up to [`READ_RETRY_BUDGET`]; anything worse surfaces as
+    /// Makes one disk read, absorbing transient read errors up to
+    /// [`READ_RETRY_BUDGET`] retries; anything worse surfaces as
     /// [`LegacyError::Disk`].
-    pub(crate) fn read_into_frame_with_retry(
+    pub(crate) fn read_with_retry<T>(
         &mut self,
-        pack: PackId,
-        record: RecordNo,
-        frame: FrameNo,
-    ) -> Result<(), LegacyError> {
+        mut read: impl FnMut(&mut Machine) -> Result<T, DiskError>,
+    ) -> Result<T, LegacyError> {
         let mut retries = 0;
         loop {
-            match self.machine.disk_read_into_frame(pack, record, frame) {
-                Ok(()) => return Ok(()),
-                Err(e @ DiskError::TransientRead { .. }) if retries < READ_RETRY_BUDGET => {
+            match read(&mut self.machine) {
+                Ok(v) => return Ok(v),
+                Err(DiskError::TransientRead { .. }) if retries < READ_RETRY_BUDGET => {
                     retries += 1;
                     self.stats.disk_retries += 1;
-                    let _ = e;
                 }
                 Err(e) => return Err(LegacyError::Disk(e)),
             }

@@ -28,7 +28,7 @@ use crate::types::{DiskHome, LegacyError, SegUid};
 use mx_aim::Label;
 use mx_hw::meter::Subsystem;
 use mx_hw::word::{unpack_name, NAME_WORDS};
-use mx_hw::{Language, PackId, RecordNo, TocIndex, Word, PAGE_WORDS};
+use mx_hw::{DiskError, Language, PackId, RecordNo, TocIndex, Word, PAGE_WORDS};
 
 /// PL/I instructions charged per word the raw walk touches — the old
 /// salvager interpreted the disk structures in software.
@@ -169,10 +169,11 @@ impl Supervisor {
         self.flush_segment(root_astx)
     }
 
-    /// Re-bootloads the supervisor from a surviving disk image, as after
-    /// a crash: finds the root's TOC entry (the bootload gives the root
-    /// uid 1 on pack 0), rebuilds the branch table by walking the
-    /// on-disk hierarchy, and recomputes the root quota cell.
+    /// Re-bootloads the supervisor on the machine that crashed, whose
+    /// packs alone survive ([`Machine::restart`](mx_hw::Machine::restart)):
+    /// finds the root's TOC entry (the bootload gives the root uid 1 on
+    /// pack 0), rebuilds the branch table by walking the on-disk
+    /// hierarchy, and recomputes the root quota cell.
     ///
     /// Entries damaged by the crash — dangling, or claiming a TOC entry
     /// twice — are skipped here; clearing them is the salvager's job.
@@ -183,10 +184,9 @@ impl Supervisor {
     /// disk errors reading the image.
     pub fn boot_from_image(
         config: SupervisorConfig,
-        image: mx_hw::DiskSystem,
+        crashed: mx_hw::Machine,
     ) -> Result<Self, LegacyError> {
-        let mut sup = Self::assemble(&config);
-        sup.machine.disks = image;
+        let mut sup = Self::assemble(&config, crashed.restart(config.machine()));
         let root_toc = sup
             .machine
             .disks
@@ -241,9 +241,9 @@ impl Supervisor {
         let mut max_uid = 1u64;
         let mut queue = VecDeque::from([(root_uid, root_home)]);
         while let Some((dir, home)) = queue.pop_front() {
-            let count = sup.raw_seg_read(home, 0).raw() as u32;
+            let count = sup.raw_seg_read(home, 0)?.raw() as u32;
             for slot in 0..count {
-                let Some(e) = sup.raw_entry(home, slot) else {
+                let Some(e) = sup.raw_entry(home, slot)? else {
                     continue;
                 };
                 let live = sup
@@ -275,7 +275,7 @@ impl Supervisor {
 
         // The root cell's used count is never persisted; recompute it
         // from what the image actually stores.
-        let usage = sup.raw_cell_usage();
+        let usage = sup.raw_cell_usage()?;
         let root_astx = sup.ast.find(root_uid).ok_or(LegacyError::NotActive)?;
         if let Some(cell) = sup.ast.get_mut(root_astx).and_then(|a| a.quota.as_mut()) {
             cell.used = usage.get(&root_uid).copied().unwrap_or(0);
@@ -293,7 +293,11 @@ impl Supervisor {
     ///
     /// # Errors
     ///
-    /// Disk errors from the initial flush or the repairs.
+    /// Disk errors from the initial flush, the walk (a pack offline, a
+    /// power failure, a record that stays unreadable past
+    /// [`READ_RETRY_BUDGET`](crate::page_control::READ_RETRY_BUDGET) retries) or the repairs. The hierarchy is
+    /// walked before anything is repaired, so an error in that walk
+    /// leaves the image as it was.
     pub fn salvage(&mut self, repair: bool) -> Result<LegacySalvageReport, LegacyError> {
         let guard = self.machine.clock.enter(Subsystem::Salvager);
         let result = self.salvage_walk(repair);
@@ -320,9 +324,9 @@ impl Supervisor {
         let mut queue = VecDeque::from([(root_uid, root_home)]);
         let mut bad: Vec<(DiskHome, u32, String)> = Vec::new(); // (dir home, slot, problem)
         while let Some((_dir, home)) = queue.pop_front() {
-            let count = self.raw_seg_read(home, 0).raw() as u32;
+            let count = self.raw_seg_read(home, 0)?.raw() as u32;
             for slot in 0..count {
-                let Some(e) = self.raw_entry(home, slot) else {
+                let Some(e) = self.raw_entry(home, slot)? else {
                     continue;
                 };
                 report.objects_checked += 1;
@@ -365,7 +369,7 @@ impl Supervisor {
                 // Clear the in-use flag; drop any branch the recovery
                 // walk may have catalogued from this entry.
                 let base = Self::entry_base(*slot);
-                let uid = SegUid(self.raw_seg_read(*dir_home, base + UID).raw());
+                let uid = SegUid(self.raw_seg_read(*dir_home, base + UID)?.raw());
                 self.raw_seg_write(*dir_home, base + FLAGS, Word::ZERO)?;
                 if self
                     .branch_table
@@ -433,7 +437,7 @@ impl Supervisor {
 
         // Invariant 3: cell drift. The root cell lives in the AST; other
         // cells live in their directory's entry (or the AST if active).
-        let actual = self.raw_cell_usage();
+        let actual = self.raw_cell_usage()?;
         report.cells_checked += 1;
         let root_astx = self.ast.find(root_uid).ok_or(LegacyError::NotActive)?;
         let recorded = self
@@ -465,7 +469,7 @@ impl Supervisor {
                     .and_then(|a| a.quota.map(|q| q.used))
                     .unwrap_or(0),
                 None => self
-                    .raw_seg_read(dir_home, Self::entry_base(slot) + QUOTA_USED)
+                    .raw_seg_read(dir_home, Self::entry_base(slot) + QUOTA_USED)?
                     .raw() as u32,
             };
             if recorded != want {
@@ -604,12 +608,12 @@ impl Supervisor {
         if let Some(astx) = self.ast.find(dir) {
             self.flush_segment(astx)?;
         }
-        let count = self.raw_seg_read(home, 0).raw() as u32;
+        let count = self.raw_seg_read(home, 0)?.raw() as u32;
         let mut bad: Vec<(u32, String)> = Vec::new();
         // (child uid, slot, recorded used, child home)
         let mut quota_children: Vec<(SegUid, u32, u32, DiskHome)> = Vec::new();
         for slot in 0..count {
-            let Some(e) = self.raw_entry(home, slot) else {
+            let Some(e) = self.raw_entry(home, slot)? else {
                 continue;
             };
             st.report.objects_checked += 1;
@@ -644,7 +648,7 @@ impl Supervisor {
         for (slot, what) in &bad {
             st.report.problems.push(what.clone());
             let base = Self::entry_base(*slot);
-            let uid = SegUid(self.raw_seg_read(home, base + UID).raw());
+            let uid = SegUid(self.raw_seg_read(home, base + UID)?.raw());
             self.online_dir_write(dir, home, base + FLAGS, Word::ZERO)?;
             if self
                 .branch_table
@@ -660,7 +664,7 @@ impl Supervisor {
             // The child's subtree is frozen (quarantined until its own
             // claim), so its true usage is computable now, while the
             // cell word in this directory is still the salvager's.
-            let actual = self.online_cell_actual(child_home, &st.claimed);
+            let actual = self.online_cell_actual(child_home, &st.claimed)?;
             st.cell_expect.insert(quid, actual);
             if recorded != actual && st.cheat != Some(LegacyOnlineCheat::ReleaseBeforeCellRepair) {
                 st.report.problems.push(format!(
@@ -682,7 +686,7 @@ impl Supervisor {
             st.report.cells_checked += 1;
             // The whole tree is still frozen at the root's claim (it is
             // the first), so the root cell's truth is computable here.
-            let usage = self.raw_cell_usage();
+            let usage = self.raw_cell_usage()?;
             let want = usage.get(&self.root_uid).copied().unwrap_or(0);
             st.cell_expect.insert(dir, want);
             let root_astx = self.ast.find(dir).ok_or(LegacyError::NotActive)?;
@@ -730,10 +734,10 @@ impl Supervisor {
         home: DiskHome,
     ) -> Result<bool, LegacyError> {
         let mut clean = true;
-        let count = self.raw_seg_read(home, 0).raw() as u32;
+        let count = self.raw_seg_read(home, 0)?.raw() as u32;
         let mut local: HashSet<(u32, u32)> = HashSet::new();
         for slot in 0..count {
-            let Some(e) = self.raw_entry(home, slot) else {
+            let Some(e) = self.raw_entry(home, slot)? else {
                 continue;
             };
             let toc_uid = self
@@ -778,7 +782,7 @@ impl Supervisor {
                     None => {
                         let phome = self.online_home_of(parent)?;
                         let at = Self::entry_base(branch.slot) + QUOTA_USED;
-                        self.raw_seg_read(phome, at).raw() as u32
+                        self.raw_seg_read(phome, at)?.raw() as u32
                     }
                 }
             };
@@ -835,8 +839,8 @@ impl Supervisor {
                 let phome = self.online_home_of(parent)?;
                 let base = Self::entry_base(branch.slot);
                 Ok(DiskHome {
-                    pack: PackId(self.raw_seg_read(phome, base + PACK).raw() as u32),
-                    toc: TocIndex(self.raw_seg_read(phome, base + TOC).raw() as u32),
+                    pack: PackId(self.raw_seg_read(phome, base + PACK)?.raw() as u32),
+                    toc: TocIndex(self.raw_seg_read(phome, base + TOC)?.raw() as u32),
                 })
             }
         }
@@ -849,7 +853,15 @@ impl Supervisor {
     /// nearest-superior attribution as [`Supervisor::raw_cell_usage`].
     /// Entries whose TOC home is already claimed elsewhere are excluded,
     /// matching the claim winner the walk keeps.
-    fn online_cell_actual(&mut self, qdir_home: DiskHome, claimed: &HashSet<(u32, u32)>) -> u32 {
+    ///
+    /// # Errors
+    ///
+    /// As [`Supervisor::raw_seg_read`].
+    fn online_cell_actual(
+        &mut self,
+        qdir_home: DiskHome,
+        claimed: &HashSet<(u32, u32)>,
+    ) -> Result<u32, LegacyError> {
         fn records_of(disks: &mx_hw::DiskSystem, home: DiskHome) -> u32 {
             disks
                 .pack(home.pack)
@@ -862,9 +874,9 @@ impl Supervisor {
         let mut used = 0u32;
         let mut queue = VecDeque::from([qdir_home]);
         while let Some(home) = queue.pop_front() {
-            let count = self.raw_seg_read(home, 0).raw() as u32;
+            let count = self.raw_seg_read(home, 0)?.raw() as u32;
             for slot in 0..count {
-                let Some(e) = self.raw_entry(home, slot) else {
+                let Some(e) = self.raw_entry(home, slot)? else {
                     continue;
                 };
                 let live = self
@@ -884,7 +896,7 @@ impl Supervisor {
                 }
             }
         }
-        used
+        Ok(used)
     }
 
     /// Finalize: reclaims TOC entries on `pack` that no claimed
@@ -990,28 +1002,42 @@ impl Supervisor {
 
     // ----- raw disk-image access -----------------------------------------
 
-    /// Reads one word of a segment straight from its disk records (zero
-    /// pages and unreadable structures read as zero).
+    /// Reads one word of a segment straight from its disk records.
     ///
     /// The walk is unbuffered — every word costs a full record transfer,
     /// which is exactly how expensive the old salvager's raw disk pass
     /// was — and the transfer is charged to the clock so recovery time
     /// is measurable.
-    fn raw_seg_read(&mut self, home: DiskHome, wordno: u32) -> Word {
+    ///
+    /// Torn structures read as zero: a missing TOC entry, a zero page,
+    /// or a file map naming a record or pack that does not exist.
+    /// Transient read errors are retried up to [`READ_RETRY_BUDGET`](crate::page_control::READ_RETRY_BUDGET).
+    ///
+    /// # Errors
+    ///
+    /// [`LegacyError::Disk`] for an offline pack, a power failure, or an
+    /// exhausted retry budget: a directory the walk cannot read is not
+    /// an empty one.
+    fn raw_seg_read(&mut self, home: DiskHome, wordno: u32) -> Result<Word, LegacyError> {
         let page = wordno as usize / PAGE_WORDS;
         let off = wordno as usize % PAGE_WORDS;
         self.charge(RAW_WALK_INSTR, Language::Pli);
-        let record = self
+        let Some(record) = self
             .machine
             .disks
             .pack(home.pack)
             .ok()
             .and_then(|p| p.entry(home.toc).ok())
-            .and_then(|e| e.file_map.get(page).copied().flatten());
-        record
-            .and_then(|r| self.machine.disk_read_record(home.pack, r).ok())
-            .map(|buf| buf[off])
-            .unwrap_or(Word::ZERO)
+            .and_then(|e| e.file_map.get(page).copied().flatten())
+        else {
+            return Ok(Word::ZERO);
+        };
+        match self.read_with_retry(|m| m.disk_read_word(home.pack, record, off)) {
+            Err(LegacyError::Disk(DiskError::BadRecord { .. } | DiskError::NoSuchPack { .. })) => {
+                Ok(Word::ZERO)
+            }
+            read => read,
+        }
     }
 
     /// Writes one word of a segment straight into its disk records,
@@ -1066,34 +1092,42 @@ impl Supervisor {
 
     /// Decodes entry `slot` of the directory stored at `home`, raw.
     /// `None` if the in-use flag is clear.
-    fn raw_entry(&mut self, home: DiskHome, slot: u32) -> Option<RawEntry> {
+    ///
+    /// # Errors
+    ///
+    /// As [`Supervisor::raw_seg_read`].
+    fn raw_entry(&mut self, home: DiskHome, slot: u32) -> Result<Option<RawEntry>, LegacyError> {
         let base = Self::entry_base(slot);
-        let flags = self.raw_seg_read(home, base + FLAGS).raw();
+        let flags = self.raw_seg_read(home, base + FLAGS)?.raw();
         if flags & 1 == 0 {
-            return None;
+            return Ok(None);
         }
         let mut name_words = [Word::ZERO; NAME_WORDS];
         for (i, w) in name_words.iter_mut().enumerate() {
-            *w = self.raw_seg_read(home, base + NAME + i as u32);
+            *w = self.raw_seg_read(home, base + NAME + i as u32)?;
         }
-        Some(RawEntry {
-            uid: SegUid(self.raw_seg_read(home, base + UID).raw()),
+        Ok(Some(RawEntry {
+            uid: SegUid(self.raw_seg_read(home, base + UID)?.raw()),
             is_dir: flags & 2 != 0,
             quota_dir: flags & 4 != 0,
             home: DiskHome {
-                pack: PackId(self.raw_seg_read(home, base + PACK).raw() as u32),
-                toc: TocIndex(self.raw_seg_read(home, base + TOC).raw() as u32),
+                pack: PackId(self.raw_seg_read(home, base + PACK)?.raw() as u32),
+                toc: TocIndex(self.raw_seg_read(home, base + TOC)?.raw() as u32),
             },
             name: unpack_name(&name_words),
-            quota_used: self.raw_seg_read(home, base + QUOTA_USED).raw() as u32,
-        })
+            quota_used: self.raw_seg_read(home, base + QUOTA_USED)?.raw() as u32,
+        }))
     }
 
     /// Computes, from the disk image alone, the pages actually charged
     /// to each quota cell: an object charges the nearest superior quota
     /// directory; a quota directory's own pages charge its superior's
     /// cell; the root charges itself.
-    fn raw_cell_usage(&mut self) -> HashMap<SegUid, u32> {
+    ///
+    /// # Errors
+    ///
+    /// As [`Supervisor::raw_seg_read`].
+    fn raw_cell_usage(&mut self) -> Result<HashMap<SegUid, u32>, LegacyError> {
         let mut usage: HashMap<SegUid, u32> = HashMap::new();
         fn records_of(disks: &mx_hw::DiskSystem, home: DiskHome) -> u32 {
             disks
@@ -1112,9 +1146,9 @@ impl Supervisor {
         // (directory home, cell its children charge to)
         let mut queue = VecDeque::from([(self.root_home, self.root_uid)]);
         while let Some((home, cell)) = queue.pop_front() {
-            let count = self.raw_seg_read(home, 0).raw() as u32;
+            let count = self.raw_seg_read(home, 0)?.raw() as u32;
             for slot in 0..count {
-                let Some(e) = self.raw_entry(home, slot) else {
+                let Some(e) = self.raw_entry(home, slot)? else {
                     continue;
                 };
                 let live = self
@@ -1140,13 +1174,14 @@ impl Supervisor {
                 }
             }
         }
-        usage
+        Ok(usage)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::page_control::READ_RETRY_BUDGET;
     use crate::types::{Acl, UserId};
     use mx_hw::PAGE_WORDS;
 
@@ -1160,6 +1195,50 @@ mod tests {
             max_processes: 4,
             root_quota_pages: 200,
         }
+    }
+
+    #[test]
+    fn raw_walk_retries_transient_reads_within_the_budget() {
+        let mut sup = Supervisor::boot(config());
+        let dir = sup
+            .create_directory_in(sup.root(), "d", Acl::owner(UserId(1)), Label::BOTTOM)
+            .unwrap();
+        sup.create_segment_in(dir, "f", Acl::owner(UserId(1)), Label::BOTTOM)
+            .unwrap();
+        sup.sync_to_disk().unwrap();
+        let home = sup.root_home;
+        let record = sup
+            .machine
+            .disks
+            .pack(home.pack)
+            .unwrap()
+            .entry(home.toc)
+            .unwrap()
+            .file_map[0]
+            .unwrap();
+        // The walk's first read is the root's entry count: fail it on
+        // each of its first `failures` attempts.
+        let plan = |failures: u32| {
+            (1..=u64::from(failures)).fold(mx_hw::FaultPlan::new(), |plan, k| {
+                plan.transient_read(home.pack, record, k)
+            })
+        };
+        sup.machine.install_fault_plan(plan(READ_RETRY_BUDGET));
+        let retries = sup.stats.disk_retries;
+        let report = sup.salvage(false).unwrap();
+        assert!(report.clean(), "problems: {:?}", report.problems);
+        assert_eq!(
+            sup.stats.disk_retries - retries,
+            u64::from(READ_RETRY_BUDGET)
+        );
+        sup.machine.install_fault_plan(plan(READ_RETRY_BUDGET + 1));
+        assert_eq!(
+            sup.salvage(false).unwrap_err(),
+            LegacyError::Disk(DiskError::TransientRead {
+                pack: home.pack,
+                record
+            })
+        );
     }
 
     #[test]
@@ -1178,9 +1257,9 @@ mod tests {
                 .unwrap();
         }
         sup.sync_to_disk().unwrap();
-        let image = sup.machine.disks.clone();
+        let crashed = sup.machine;
 
-        let mut back = Supervisor::boot_from_image(config(), image).unwrap();
+        let mut back = Supervisor::boot_from_image(config(), crashed).unwrap();
         let report = back.salvage(false).unwrap();
         assert!(report.clean(), "problems: {:?}", report.problems);
         // The hierarchy came back: the file is reachable and readable.
@@ -1213,9 +1292,9 @@ mod tests {
         let astx = sup.activate(seg).unwrap();
         sup.sup_write(astx, 0, Word::new(7)).unwrap();
         sup.sync_to_disk().unwrap();
-        let image = sup.machine.disks.clone();
+        let crashed = sup.machine;
 
-        let mut back = Supervisor::boot_from_image(config(), image).unwrap();
+        let mut back = Supervisor::boot_from_image(config(), crashed).unwrap();
         back.begin_online_salvage();
         assert!(back.online_salvage_active());
         // A process needs a state segment under ">processes", so even
@@ -1292,11 +1371,11 @@ mod tests {
         sup.create_segment_in(dir, "f", Acl::owner(user), Label::BOTTOM)
             .unwrap();
         sup.sync_to_disk().unwrap();
-        let image = sup.machine.disks.clone();
+        let crashed = sup.machine;
 
         // Honest salvager: repairs the drifted root cell and the
         // recheck passes.
-        let mut honest = Supervisor::boot_from_image(config(), image.clone()).unwrap();
+        let mut honest = Supervisor::boot_from_image(config(), crashed.clone()).unwrap();
         let root_astx = honest.ast.find(honest.root()).unwrap();
         honest
             .ast
@@ -1321,7 +1400,7 @@ mod tests {
 
         // Cheating salvager: skips the repair; the per-release recheck
         // catches it at the root's own release.
-        let mut cheat = Supervisor::boot_from_image(config(), image).unwrap();
+        let mut cheat = Supervisor::boot_from_image(config(), crashed).unwrap();
         let root_astx = cheat.ast.find(cheat.root()).unwrap();
         cheat
             .ast

@@ -40,6 +40,22 @@ pub struct SupervisorConfig {
     pub root_quota_pages: u32,
 }
 
+impl SupervisorConfig {
+    /// The machine this configuration boots: two processors at the 1974
+    /// feature level.
+    pub(crate) fn machine(&self) -> MachineConfig {
+        MachineConfig {
+            frames: self.frames,
+            cpus: 2,
+            packs: self.packs,
+            records_per_pack: self.records_per_pack,
+            toc_slots_per_pack: self.toc_slots_per_pack,
+            features: HwFeatures::BASE_1974,
+            cost: Default::default(),
+        }
+    }
+}
+
 impl Default for SupervisorConfig {
     fn default() -> Self {
         Self {
@@ -216,25 +232,16 @@ impl Supervisor {
     /// Panics if the configuration does not leave at least eight
     /// pageable frames.
     pub fn boot(config: SupervisorConfig) -> Self {
-        let mut sup = Self::assemble(&config);
+        let mut sup = Self::assemble(&config, Machine::new(config.machine()));
         sup.create_root(config.root_quota_pages);
         sup
     }
 
-    /// Builds the supervisor structures without touching the disks —
-    /// shared by [`Supervisor::boot`] (which then creates the root) and
-    /// [`Supervisor::boot_from_image`] (which recovers it from a
-    /// surviving disk image instead).
-    pub(crate) fn assemble(config: &SupervisorConfig) -> Self {
-        let machine = Machine::new(MachineConfig {
-            frames: config.frames,
-            cpus: 2,
-            packs: config.packs,
-            records_per_pack: config.records_per_pack,
-            toc_slots_per_pack: config.toc_slots_per_pack,
-            features: HwFeatures::BASE_1974,
-            cost: Default::default(),
-        });
+    /// Builds the supervisor structures on `machine` without touching
+    /// the disks — shared by [`Supervisor::boot`] (which then creates
+    /// the root on a new machine) and [`Supervisor::boot_from_image`]
+    /// (which recovers it from the packs of the machine that crashed).
+    pub(crate) fn assemble(config: &SupervisorConfig, machine: Machine) -> Self {
         // Low-core layout: frame 0 scratch, then the page-table pool,
         // then one dseg frame per process slot.
         let pt_frames = (ActiveSegmentTable::pt_pool_words(config.ast_slots) as usize)

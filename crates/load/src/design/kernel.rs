@@ -97,11 +97,10 @@ impl Design for KernelDesign {
     /// The answering service is a user-domain program: its records and
     /// its admission queue survive; its sessions died with core.
     fn reboot(self, sizes: &Sizes) -> Res<Self, Self> {
-        let image = self.k.machine.disks.clone();
         let mut svc = self.svc;
         svc.crash_recover();
         Ok(Self::on(
-            Kernel::boot_from_image(config(sizes), image)?,
+            Kernel::boot_from_image(config(sizes), self.k.machine)?,
             svc,
         ))
     }

@@ -71,9 +71,8 @@ impl Design for LegacyDesign {
     }
 
     fn reboot(self, sizes: &Sizes) -> Res<Self, Self> {
-        let image = self.sup.machine.disks.clone();
         Ok(Self {
-            sup: Supervisor::boot_from_image(config(sizes), image)?,
+            sup: Supervisor::boot_from_image(config(sizes), self.sup.machine)?,
             pending: self.pending,
             net: None,
         })

@@ -231,3 +231,71 @@ fn legacy_pack_offline_surfaces_typed_error_and_recovers() {
     let report = sup.salvage(false).unwrap();
     assert!(report.clean(), "problems: {:?}", report.problems);
 }
+
+#[test]
+fn legacy_pack_offline_mid_salvage_is_a_typed_error() {
+    // A small table of contents on pack 0 forces later directories to
+    // spill onto pack 1, so the raw walk crosses pack boundaries.
+    let mut sup = Supervisor::boot(SupervisorConfig {
+        toc_slots_per_pack: 12,
+        records_per_pack: 128,
+        ..SupervisorConfig::default()
+    });
+    let pid = sup.create_process(LUserId(1), Label::BOTTOM).unwrap();
+    let mut victim = None;
+    for i in 0..8 {
+        let d = sup
+            .create_directory_in(
+                sup.root(),
+                &format!("d{i}"),
+                LAcl::owner(LUserId(1)),
+                Label::BOTTOM,
+            )
+            .unwrap();
+        sup.create_segment_in(d, "f", LAcl::owner(LUserId(1)), Label::BOTTOM)
+            .unwrap();
+        let path = format!("d{i}>f");
+        let segno = sup.initiate(pid, &path).unwrap();
+        sup.user_write(pid, segno, 0, Word::new(0o70 + i)).unwrap();
+        let astx = sup.activate(d).unwrap();
+        let pack = sup.ast.get(astx).unwrap().home.pack;
+        if pack != PackId(0) {
+            victim = Some((pack, path, Word::new(0o70 + i)));
+            break;
+        }
+    }
+    let (pack, path, value) = victim.expect("some directory landed off pack 0");
+    sup.sync_to_disk().unwrap();
+    let image = |sup: &Supervisor| {
+        let packs = sup.machine.disks.packs();
+        let toc: Vec<_> = packs
+            .map(|p| {
+                let entries: Vec<_> = p.entries().map(|(i, e)| (i, e.clone())).collect();
+                (entries, p.allocated_record_nos())
+            })
+            .collect();
+        let root = sup.ast.find(sup.root()).unwrap();
+        (toc, sup.ast.get(root).unwrap().quota)
+    };
+    let before = image(&sup);
+    // The walk reads the online pack and meets the offline one mid-walk:
+    // a directory it cannot read is not an empty directory, so nothing
+    // below it may be reclaimed as an orphan or uncharged.
+    sup.machine.faults.set_offline(pack, true);
+    let err = sup.salvage(true).unwrap_err();
+    assert!(
+        matches!(err, LegacyError::Disk(DiskError::PackOffline { pack: p }) if p == pack),
+        "expected typed pack-offline from the salvage walk, got {err:?}"
+    );
+    assert!(
+        image(&sup) == before,
+        "the failed salvage must leave every TOC entry, record and cell in place"
+    );
+    // The pack comes back: the salvager finds the file system it
+    // abandoned mid-walk fully consistent, and the file reads its value.
+    sup.machine.faults.set_offline(pack, false);
+    let report = sup.salvage(false).unwrap();
+    assert!(report.clean(), "problems: {:?}", report.problems);
+    let segno = sup.initiate(pid, &path).unwrap();
+    assert_eq!(sup.user_read(pid, segno, 0).unwrap(), value);
+}
