@@ -189,7 +189,7 @@ pub struct Kernel {
     /// In-progress incremental salvage, if any (see
     /// [`Kernel::begin_online_salvage`]). While set, gates into
     /// unreleased directories surface [`KernelError::SalvageBusy`].
-    pub(crate) online: Option<crate::salvager::OnlineSalvage>,
+    pub(crate) online: Option<mx_hw::salvage::Online<Kernel>>,
 }
 
 macro_rules! ctx {
@@ -206,6 +206,7 @@ macro_rules! ctx {
         }
     };
 }
+pub(crate) use ctx;
 
 impl Kernel {
     /// The user-callable gates — the whole protected interface.
@@ -463,59 +464,12 @@ impl Kernel {
         // Refind the well-known `>processes` directory (recreate it if
         // the crash predated it).
         let root_uid = kernel.dirm.root();
-        let existing = kernel.with_retries(|k| {
-            let Kernel {
-                machine,
-                drm,
-                qcm,
-                pfm,
-                vpm,
-                segm,
-                flows,
-                monitor,
-                dirm,
-                ..
-            } = k;
-            let mut fs = FsCtx {
-                machine,
-                drm,
-                qcm,
-                pfm,
-                vpm,
-                segm,
-                flows,
-                monitor,
-            };
-            dirm.lookup_in(&mut fs, root_uid, "processes")
-        })?;
+        let existing =
+            kernel.with_retries(|k| k.dirm.lookup_in(&mut ctx!(k), root_uid, "processes"))?;
         if let Some(puid) = existing {
             // Surviving state segments hold names `proc-N`; resume the
             // counter past them so new processes never collide.
-            let entries = kernel.with_retries(|k| {
-                let Kernel {
-                    machine,
-                    drm,
-                    qcm,
-                    pfm,
-                    vpm,
-                    segm,
-                    flows,
-                    monitor,
-                    dirm,
-                    ..
-                } = k;
-                let mut fs = FsCtx {
-                    machine,
-                    drm,
-                    qcm,
-                    pfm,
-                    vpm,
-                    segm,
-                    flows,
-                    monitor,
-                };
-                dirm.salvage_entries(&mut fs, puid)
-            })?;
+            let entries = kernel.with_retries(|k| k.salvage_dir_entries(puid))?;
             for (_, name, ..) in entries {
                 if let Some(n) = name
                     .strip_prefix("proc-")
@@ -807,30 +761,8 @@ impl Kernel {
             let user = k.upm.user_of(pid)?;
             let label = k.upm.label_of(pid)?;
             k.with_retries(|k| {
-                let Kernel {
-                    machine,
-                    drm,
-                    qcm,
-                    pfm,
-                    vpm,
-                    segm,
-                    flows,
-                    monitor,
-                    dirm,
-                    ksm,
-                    ..
-                } = k;
-                let mut fs = FsCtx {
-                    machine,
-                    drm,
-                    qcm,
-                    pfm,
-                    vpm,
-                    segm,
-                    flows,
-                    monitor,
-                };
-                dirm.initiate(&mut fs, ksm, pid, user, label, token)
+                k.dirm
+                    .initiate(&mut ctx!(k), &mut k.ksm, pid, user, label, token)
             })
         })
     }
@@ -905,48 +837,26 @@ impl Kernel {
             let user = k.upm.user_of(pid)?;
             let plabel = k.upm.label_of(pid)?;
             k.with_retries(|k| {
-                let Kernel {
-                    machine,
-                    drm,
-                    qcm,
-                    pfm,
-                    vpm,
-                    segm,
-                    flows,
-                    monitor,
-                    dirm,
-                    ksm,
-                    online,
-                    ..
-                } = k;
-                let mut fs = FsCtx {
-                    machine,
-                    drm,
-                    qcm,
-                    pfm,
-                    vpm,
-                    segm,
-                    flows,
-                    monitor,
-                };
+                let mut fs = ctx!(k);
                 // Structural modification of a quarantined subtree is
                 // barred: deleting a not-yet-salvaged child directory
                 // through its (released) parent would pull the frontier
                 // out from under the salvager.
-                if let Some(o) = online.as_ref() {
-                    if let Some(duid) = dirm.resolve_token(dir) {
-                        if let Some(cuid) = dirm.lookup_in(&mut fs, duid, name)? {
-                            let child_is_dir = dirm
+                if let Some(o) = k.online.as_ref() {
+                    if let Some(duid) = k.dirm.resolve_token(dir) {
+                        if let Some(cuid) = k.dirm.lookup_in(&mut fs, duid, name)? {
+                            let child_is_dir = k
+                                .dirm
                                 .activation_info(cuid)
                                 .map(|(_, _, d, _)| d)
                                 .unwrap_or(false);
-                            if child_is_dir && !o.released.contains(&cuid) {
+                            if child_is_dir && !o.is_released(cuid) {
                                 return Err(KernelError::SalvageBusy);
                             }
                         }
                     }
                 }
-                dirm.delete(&mut fs, ksm, user, plabel, dir, name)
+                k.dirm.delete(&mut fs, &mut k.ksm, user, plabel, dir, name)
             })
         })
     }

@@ -20,12 +20,24 @@
 //! 4. no file map names a record outside its pack;
 //! 5. every allocated record is referenced by some file map (a crash
 //!    between allocation and the file-map commit leaks the record).
+//!
+//! The claim check behind invariants 1 and 2, the per-pack sweeps for
+//! invariants 2 and 5, and the online salvage machine are the legacy
+//! salvager's too, in [`mx_hw::salvage`]; this module reads directories
+//! and quota cells and clears entries the kernel's way.
 
-use crate::directory::{DirectoryManager, FsCtx};
+use crate::directory::FsCtx;
 use crate::error::KernelError;
-use crate::kernel::Kernel;
+use crate::kernel::{ctx, Kernel};
 use crate::types::{DiskHome, ObjToken, SegUid};
-use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
+use mx_hw::salvage::{self, Claim, Claims, Findings, Online, Salvager, Sweep};
+use mx_hw::{Machine, PackId, RecordNo, TocIndex};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
+
+pub use mx_hw::salvage::OnlineCheat;
+
+/// Progress from one [`Kernel::online_salvage_step`].
+pub type OnlineProgress = salvage::OnlineProgress<SegUid, SalvageReport>;
 
 /// One detected inconsistency.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -85,6 +97,17 @@ pub enum Problem {
     },
 }
 
+impl Problem {
+    /// How entry `name` of `dir`, naming `uid` at `home`, is reported
+    /// when its claim fails.
+    fn of_claim(claim: Claim, dir: SegUid, name: String, uid: SegUid, home: DiskHome) -> Self {
+        match claim {
+            Claim::Duplicate => Problem::DoublyClaimedToc { dir, name, home },
+            _ => Problem::DanglingEntry { dir, name, uid },
+        }
+    }
+}
+
 /// The salvager's findings (and actions, when repairing).
 #[derive(Debug, Clone, Default)]
 pub struct SalvageReport {
@@ -104,6 +127,17 @@ impl SalvageReport {
         self.problems.is_empty()
     }
 }
+
+impl Findings for SalvageReport {
+    type Problem = Problem;
+
+    fn lists(&mut self) -> (&mut Vec<Problem>, &mut Vec<String>) {
+        (&mut self.problems, &mut self.repairs)
+    }
+}
+
+/// A directory entry whose claim failed: `(dir, slot, uid, problem)`.
+type BadEntry = (SegUid, u32, SegUid, Problem);
 
 impl Kernel {
     /// Runs the salvager over the whole hierarchy.
@@ -127,11 +161,12 @@ impl Kernel {
         let mut report = SalvageReport::default();
 
         // Walk the hierarchy from the root, collecting every catalogued
-        // object: uid -> (home, own_cell), and counting who claims each
-        // TOC entry along the way.
+        // object: uid -> (home, own_cell), and claiming each TOC entry
+        // along the way. The catalogue and the cell set below are
+        // ordered, so the report is the same in every process.
         let root = self.dirm.root();
-        let mut catalogued: HashMap<SegUid, (DiskHome, SegUid)> = HashMap::new();
-        let mut claimed: HashSet<(u32, u32)> = HashSet::new();
+        let mut catalogued: BTreeMap<SegUid, (DiskHome, SegUid)> = BTreeMap::new();
+        let mut claims = Claims::default();
         // The cell governing each directory's children, derived from the
         // walk (nearest superior quota directory) rather than from the
         // entries' cached `own_cell` words, which a torn page can leave
@@ -142,51 +177,72 @@ impl Kernel {
         // The root itself.
         if let Some((home, _, _, _)) = self.dirm.activation_info(root) {
             catalogued.insert(root, (home, root));
-            claimed.insert((home.pack.0, home.toc.0));
+            claims.insert(home.pack, home.toc);
         }
         let mut stack = vec![root];
-        let mut bad_entries = Vec::new(); // (dir, slot, uid, problem)
+        let mut bad = Vec::new();
         while let Some(dir) = stack.pop() {
             let gcell = *governs.get(&dir).ok_or(KernelError::Salvage(
                 "governing cell missing for walked dir",
             ))?;
-            let entries = self.salvage_dir_entries(dir)?;
-            for (slot, name, uid, home, _own_cell, is_dir) in entries {
+            for (slot, name, uid, home, is_dir) in self.salvage_dir_entries(dir)? {
                 report.objects_checked += 1;
-                // Invariant 1: home must exist and agree on the uid.
-                let toc_uid = self
-                    .machine
-                    .disks
-                    .pack(home.pack)
-                    .ok()
-                    .and_then(|p| p.entry(home.toc).ok())
-                    .map(|e| e.uid);
-                if toc_uid != Some(uid.0) {
-                    bad_entries.push((dir, slot, uid, Problem::DanglingEntry { dir, name, uid }));
-                    continue;
-                }
-                // Invariant 2 (first half): no TOC entry is claimed by
-                // more than one directory entry. The first claim wins;
-                // later ones are duplicates.
-                if !claimed.insert((home.pack.0, home.toc.0)) {
-                    bad_entries.push((
-                        dir,
-                        slot,
-                        uid,
-                        Problem::DoublyClaimedToc { dir, name, home },
-                    ));
-                    continue;
-                }
-                catalogued.insert(uid, (home, gcell));
-                if is_dir {
-                    governs.insert(uid, if self.qcm.exists(uid) { uid } else { gcell });
-                    stack.push(uid);
+                // Invariants 1 and 2 (first half): the first claim wins.
+                match claims.claim(&self.machine.disks, home.pack, home.toc, uid.0) {
+                    Claim::Won => {
+                        catalogued.insert(uid, (home, gcell));
+                        if is_dir {
+                            governs.insert(uid, if self.qcm.exists(uid) { uid } else { gcell });
+                            stack.push(uid);
+                        }
+                    }
+                    claim => {
+                        let problem = Problem::of_claim(claim, dir, name, uid, home);
+                        bad.push((dir, slot, uid, problem));
+                    }
                 }
             }
         }
-        if repair {
-            for (dir, slot, uid, problem) in &bad_entries {
-                self.salvage_clear(*dir, *slot, *uid)?;
+        self.clear_entries(&mut report, bad, repair)?;
+
+        // Invariant 4 + per-cell actual usage from the disk's view.
+        let mut actual_by_cell: BTreeMap<SegUid, u32> = BTreeMap::new();
+        for (home, cell) in catalogued.values() {
+            *actual_by_cell.entry(*cell).or_insert(0) += self.records_of(*home, Some(&mut report));
+        }
+
+        // Invariant 2 (second half), then invariant 5, a pack at a time.
+        for s in Sweep::all(&self.machine.disks) {
+            salvage::sweep(self, &claims, s, &mut report, repair)?;
+        }
+
+        // Invariant 3: cell drift.
+        let cells: BTreeSet<SegUid> = catalogued.values().map(|(_, c)| *c).collect();
+        for cell in cells {
+            report.cells_checked += 1;
+            let actual = actual_by_cell.get(&cell).copied().unwrap_or(0);
+            let Some(recorded) = self.cell_recorded(cell)? else {
+                continue;
+            };
+            if recorded != actual {
+                self.cell_drift(&mut report, cell, recorded, actual, repair)?;
+            }
+        }
+        Ok(report)
+    }
+
+    /// Reports each entry whose claim failed and, with `repair`, clears
+    /// it.
+    fn clear_entries(
+        &mut self,
+        report: &mut SalvageReport,
+        bad: Vec<BadEntry>,
+        repair: bool,
+    ) -> Result<(), KernelError> {
+        for (dir, slot, uid, problem) in bad {
+            if repair {
+                self.dirm
+                    .salvage_clear_entry(&mut ctx!(self), dir, slot, uid)?;
                 report.repairs.push(match problem {
                     Problem::DoublyClaimedToc { .. } => {
                         format!("cleared duplicate claim on uid {} in dir {}", uid.0, dir.0)
@@ -194,202 +250,90 @@ impl Kernel {
                     _ => format!("cleared dangling entry for uid {} in dir {}", uid.0, dir.0),
                 });
             }
+            report.problems.push(problem);
         }
-        report
-            .problems
-            .extend(bad_entries.into_iter().map(|(_, _, _, p)| p));
-
-        // Invariant 4 + per-cell actual usage from the disk's view.
-        let mut actual_by_cell: BTreeMap<SegUid, u32> = BTreeMap::new();
-        for (uid, (home, cell)) in &catalogued {
-            let _ = uid;
-            if let Ok(pack) = self.machine.disks.pack(home.pack) {
-                let capacity = pack.capacity();
-                if let Ok(entry) = pack.entry(home.toc) {
-                    let mut used = 0;
-                    for (pageno, rec) in entry.file_map.iter().enumerate() {
-                        if let Some(r) = rec {
-                            if r.0 >= capacity {
-                                report.problems.push(Problem::BadRecordPointer {
-                                    home: *home,
-                                    pageno: pageno as u32,
-                                });
-                            } else {
-                                used += 1;
-                            }
-                        }
-                    }
-                    *actual_by_cell.entry(*cell).or_insert(0) += used;
-                }
-            }
-        }
-
-        // Invariant 2 (second half): orphan TOC entries.
-        let mut orphans = Vec::new();
-        for pack in self.machine.disks.packs() {
-            for (toc, entry) in pack.entries() {
-                if !claimed.contains(&(pack.id.0, toc.0)) {
-                    orphans.push(Problem::OrphanTocEntry {
-                        home: DiskHome { pack: pack.id, toc },
-                        uid: SegUid(entry.uid),
-                    });
-                }
-            }
-        }
-        if repair {
-            for p in &orphans {
-                if let Problem::OrphanTocEntry { home, uid } = p {
-                    // Only reclaim storage for objects nothing names and
-                    // nothing has active.
-                    if self.segm.get(*uid).is_none() && !self.qcm.exists(*uid) {
-                        self.drm.delete_entry(&mut self.machine, *home)?;
-                        report.repairs.push(format!(
-                            "reclaimed orphan TOC entry {:?} (uid {})",
-                            home, uid.0
-                        ));
-                    }
-                }
-            }
-        }
-        report.problems.extend(orphans);
-
-        // Invariant 5: every allocated record is referenced by some file
-        // map. Runs after the orphan sweep so reclaimed entries' records
-        // are already back in the free pool.
-        let mut leaked = Vec::new();
-        for pack in self.machine.disks.packs() {
-            let mut referenced: HashSet<u32> = HashSet::new();
-            for (_, entry) in pack.entries() {
-                for rec in entry.file_map.iter().flatten() {
-                    referenced.insert(rec.0);
-                }
-            }
-            for rec in pack.allocated_record_nos() {
-                if !referenced.contains(&rec.0) {
-                    leaked.push((pack.id, rec));
-                }
-            }
-        }
-        for (pack, rec) in leaked {
-            report
-                .problems
-                .push(Problem::LeakedRecord { pack, record: rec });
-            if repair {
-                if let Ok(p) = self.machine.disks.pack_mut(pack) {
-                    let _ = p.free_record(rec);
-                }
-                report
-                    .repairs
-                    .push(format!("freed leaked record {} on pack {}", rec.0, pack.0));
-            }
-        }
-
-        // Invariant 3: cell drift.
-        let cells: Vec<SegUid> = catalogued
-            .values()
-            .map(|(_, c)| *c)
-            .collect::<HashSet<_>>()
-            .into_iter()
-            .collect();
-        for cell in cells {
-            report.cells_checked += 1;
-            let actual = actual_by_cell.get(&cell).copied().unwrap_or(0);
-            let recorded = match self.qcm.cell_state(cell) {
-                Some((_, used)) => used,
-                None => {
-                    // Not resident: read the persistent copy.
-                    match self.dirm.activation_info(cell) {
-                        Some((home, _, _, _)) => self
-                            .drm
-                            .read_quota_cell(&self.machine, home)?
-                            .map(|r| r.used_pages)
-                            .unwrap_or(0),
-                        None => continue,
-                    }
-                }
-            };
-            if recorded != actual {
-                report.problems.push(Problem::CellDrift {
-                    cell,
-                    recorded,
-                    actual,
-                });
-                if repair {
-                    self.repair_cell(cell, recorded, actual)?;
-                    report.repairs.push(format!(
-                        "reset cell {} used count {} -> {}",
-                        cell.0, recorded, actual
-                    ));
-                }
-            }
-        }
-        Ok(report)
+        Ok(())
     }
 
-    fn repair_cell(
+    /// Reports `cell`'s drift and, with `repair`, forces both copies
+    /// (core table if resident, TOC always) to the disk's truth. No
+    /// limit enforcement: the pages already exist.
+    fn cell_drift(
         &mut self,
+        report: &mut SalvageReport,
         cell: SegUid,
-        _recorded: u32,
+        recorded: u32,
         actual: u32,
+        repair: bool,
     ) -> Result<(), KernelError> {
-        // Force both copies (core table if resident, TOC always) to the
-        // disk's truth. No limit enforcement: the pages already exist.
-        self.qcm
-            .salvage_set_used(&mut self.machine, &mut self.drm, cell, actual)
+        report.problems.push(Problem::CellDrift {
+            cell,
+            recorded,
+            actual,
+        });
+        if repair {
+            self.qcm
+                .salvage_set_used(&mut self.machine, &mut self.drm, cell, actual)?;
+            report.repairs.push(format!(
+                "reset cell {} used count {} -> {}",
+                cell.0, recorded, actual
+            ));
+        }
+        Ok(())
     }
 
-    /// Every live entry of `dir`, from segment storage (the borrow-split
-    /// shared by the offline walk and the online claims).
-    fn salvage_dir_entries(&mut self, dir: SegUid) -> Result<Vec<SalvageEntry>, KernelError> {
-        let Kernel {
-            machine,
-            drm,
-            qcm,
-            pfm,
-            vpm,
-            segm,
-            flows,
-            monitor,
-            dirm,
-            ..
-        } = self;
-        let mut fs = FsCtx {
-            machine,
-            drm,
-            qcm,
-            pfm,
-            vpm,
-            segm,
-            flows,
-            monitor,
+    /// What `cell` records: the core table if resident, the persistent
+    /// TOC copy otherwise; `None` if the cell has no recorded home.
+    fn cell_recorded(&self, cell: SegUid) -> Result<Option<u32>, KernelError> {
+        if let Some((_, used)) = self.qcm.cell_state(cell) {
+            return Ok(Some(used));
+        }
+        let Some((home, _, _, _)) = self.dirm.activation_info(cell) else {
+            return Ok(None);
         };
-        dirm.salvage_entries(&mut fs, dir)
+        let stored = self.drm.read_quota_cell(&self.machine, home)?;
+        Ok(Some(stored.map_or(0, |r| r.used_pages)))
     }
 
-    fn salvage_clear(&mut self, dir: SegUid, slot: u32, uid: SegUid) -> Result<(), KernelError> {
-        let Kernel {
-            machine,
-            drm,
-            qcm,
-            pfm,
-            vpm,
-            segm,
-            flows,
-            monitor,
-            dirm,
-            ..
-        } = self;
-        let mut fs = FsCtx {
-            machine,
-            drm,
-            qcm,
-            pfm,
-            vpm,
-            segm,
-            flows,
-            monitor,
+    /// The valid (in-pack) mapped records of one TOC entry; each page
+    /// mapped outside the pack is a [`Problem::BadRecordPointer`] in
+    /// `report`, if one is given (invariant 4).
+    fn records_of(&self, home: DiskHome, mut report: Option<&mut SalvageReport>) -> u32 {
+        let Ok(pack) = self.machine.disks.pack(home.pack) else {
+            return 0;
         };
-        dirm.salvage_clear_entry(&mut fs, dir, slot, uid)
+        let Ok(entry) = pack.entry(home.toc) else {
+            return 0;
+        };
+        let mut used = 0;
+        for (pageno, rec) in entry.file_map.iter().enumerate() {
+            match rec {
+                Some(r) if r.0 >= pack.capacity() => {
+                    if let Some(report) = report.as_deref_mut() {
+                        report.problems.push(Problem::BadRecordPointer {
+                            home,
+                            pageno: pageno as u32,
+                        });
+                    }
+                }
+                Some(_) => used += 1,
+                None => {}
+            }
+        }
+        used
+    }
+
+    /// Every live entry of `dir`, read from segment storage.
+    pub(crate) fn salvage_dir_entries(
+        &mut self,
+        dir: SegUid,
+    ) -> Result<Vec<SalvageEntry>, KernelError> {
+        let mut fs = ctx!(self);
+        self.dirm.ensure_active(&mut fs, dir)?;
+        let entries = self.dirm.entries(&mut fs, dir)?.into_iter();
+        Ok(entries
+            .map(|(slot, e)| (slot, e.name, e.uid, e.home, e.is_dir))
+            .collect())
     }
 
     // ---- online (incremental) salvage ------------------------------------
@@ -407,22 +351,11 @@ impl Kernel {
     #[doc(hidden)]
     pub fn begin_online_salvage_with_cheat(&mut self, cheat: Option<OnlineCheat>) {
         let root = self.dirm.root();
-        let mut claimed = HashSet::new();
+        let mut online = Online::new(root, cheat);
         if let Some((home, _, _, _)) = self.dirm.activation_info(root) {
-            claimed.insert((home.pack.0, home.toc.0));
+            online.claims.insert(home.pack, home.toc);
         }
-        let mut frontier = VecDeque::new();
-        frontier.push_back(root);
-        self.online = Some(OnlineSalvage {
-            released: HashSet::new(),
-            frontier,
-            claimed,
-            finalize: VecDeque::new(),
-            finalize_built: false,
-            report: SalvageReport::default(),
-            cheat,
-            dirs_released: 0,
-        });
+        self.online = Some(online);
     }
 
     /// True while an incremental salvage is in progress.
@@ -432,7 +365,7 @@ impl Kernel {
 
     /// Directories the online salvager has released so far (figures).
     pub fn online_salvage_dirs_released(&self) -> u32 {
-        self.online.as_ref().map_or(0, |o| o.dirs_released)
+        self.online.as_ref().map_or(0, Online::dirs_released)
     }
 
     /// Performs one unit of online salvage: claims, repairs, rechecks
@@ -443,135 +376,12 @@ impl Kernel {
     /// # Errors
     ///
     /// Storage errors reading directories; [`KernelError::Salvage`] on
-    /// internal inconsistencies. The salvage state survives an error and
-    /// the step may be retried.
+    /// internal inconsistencies. A failed step is undone — its directory
+    /// goes back to the head of the frontier, and the claims, the
+    /// released set and the report are as before — so the next step
+    /// retries it ([`mx_hw::salvage::Online`]).
     pub fn online_salvage_step(&mut self) -> Result<OnlineProgress, KernelError> {
-        let Some(mut st) = self.online.take() else {
-            return Ok(OnlineProgress::Idle);
-        };
-        let meter = self.machine.clock.enter(mx_hw::meter::Subsystem::Salvager);
-        let result = self.online_step_inner(&mut st);
-        self.machine.clock.exit(meter);
-        if !matches!(result, Ok(OnlineProgress::Done { .. })) {
-            self.online = Some(st);
-        }
-        result
-    }
-
-    fn online_step_inner(&mut self, st: &mut OnlineSalvage) -> Result<OnlineProgress, KernelError> {
-        if let Some(dir) = st.frontier.pop_front() {
-            return self.online_claim_dir(st, dir);
-        }
-        if !st.finalize_built {
-            // The frontier drained: every directory has been claimed, so
-            // the claim set is complete and the global sweeps are sound.
-            st.finalize_built = true;
-            let packs: Vec<mx_hw::PackId> = self.machine.disks.packs().map(|p| p.id).collect();
-            for p in &packs {
-                st.finalize.push_back(FinalizeStep::Orphans(*p));
-            }
-            for p in &packs {
-                st.finalize.push_back(FinalizeStep::Leaks(*p));
-            }
-        }
-        match st.finalize.pop_front() {
-            Some(FinalizeStep::Orphans(pack)) => {
-                self.online_orphan_sweep(st, pack)?;
-                Ok(OnlineProgress::Finalized { pack, leaks: false })
-            }
-            Some(FinalizeStep::Leaks(pack)) => {
-                self.online_leak_sweep(st, pack);
-                Ok(OnlineProgress::Finalized { pack, leaks: true })
-            }
-            None => Ok(OnlineProgress::Done {
-                report: std::mem::take(&mut st.report),
-            }),
-        }
-    }
-
-    /// Claim → check/repair → recheck → release, for one directory.
-    fn online_claim_dir(
-        &mut self,
-        st: &mut OnlineSalvage,
-        dir: SegUid,
-    ) -> Result<OnlineProgress, KernelError> {
-        let problems_before = st.report.problems.len();
-        let repairs_before = st.report.repairs.len();
-        // The cell preview must run before this directory's entries join
-        // the global claim set: its duplicate filter is "already claimed
-        // by a processed directory", and the whole subtree below `dir`
-        // is still quarantined (frozen), so the preview is exact.
-        let is_cell = self.qcm.exists(dir) || dir == self.dirm.root();
-        let preview = if is_cell {
-            Some(self.online_cell_usage(st, dir)?)
-        } else {
-            None
-        };
-
-        let entries = self.salvage_dir_entries(dir)?;
-        st.report.objects_checked += entries.len() as u32;
-        let mut bad = Vec::new();
-        for (slot, name, uid, home, _own_cell, is_dir) in entries {
-            // Invariant 1: home must exist and agree on the uid.
-            let toc_uid = self
-                .machine
-                .disks
-                .pack(home.pack)
-                .ok()
-                .and_then(|p| p.entry(home.toc).ok())
-                .map(|e| e.uid);
-            if toc_uid != Some(uid.0) {
-                bad.push((slot, uid, Problem::DanglingEntry { dir, name, uid }));
-                continue;
-            }
-            // Invariant 2 (first half): first claim wins, globally.
-            if !st.claimed.insert((home.pack.0, home.toc.0)) {
-                bad.push((slot, uid, Problem::DoublyClaimedToc { dir, name, home }));
-                continue;
-            }
-            // Invariant 4 for this entry's object.
-            self.online_check_record_pointers(st, home);
-            if is_dir {
-                st.frontier.push_back(uid);
-            }
-        }
-        for (slot, uid, problem) in bad {
-            self.salvage_clear(dir, slot, uid)?;
-            st.report.repairs.push(match &problem {
-                Problem::DoublyClaimedToc { .. } => {
-                    format!("cleared duplicate claim on uid {} in dir {}", uid.0, dir.0)
-                }
-                _ => format!("cleared dangling entry for uid {} in dir {}", uid.0, dir.0),
-            });
-            st.report.problems.push(problem);
-        }
-        // Invariant 3, before release (the planted cheat skips exactly
-        // this repair and lets the recheck below expose it).
-        if let Some(actual) = preview {
-            st.report.cells_checked += 1;
-            let recorded = self.online_cell_recorded(dir)?;
-            if recorded != actual && st.cheat != Some(OnlineCheat::ReleaseBeforeCellRepair) {
-                st.report.problems.push(Problem::CellDrift {
-                    cell: dir,
-                    recorded,
-                    actual,
-                });
-                self.repair_cell(dir, recorded, actual)?;
-                st.report.repairs.push(format!(
-                    "reset cell {} used count {} -> {}",
-                    dir.0, recorded, actual
-                ));
-            }
-        }
-        let recheck_clean = self.online_recheck(st, dir, preview)?;
-        st.released.insert(dir);
-        st.dirs_released += 1;
-        Ok(OnlineProgress::Released {
-            dir,
-            recheck_clean,
-            problems_found: (st.report.problems.len() - problems_before) as u32,
-            repairs_made: (st.report.repairs.len() - repairs_before) as u32,
-        })
+        salvage::step(self)
     }
 
     /// Per-directory release proof: every entry satisfies invariants 1
@@ -580,40 +390,25 @@ impl Kernel {
     /// as a problem and fails the recheck.
     fn online_recheck(
         &mut self,
-        st: &mut OnlineSalvage,
+        report: &mut SalvageReport,
         dir: SegUid,
         preview: Option<u32>,
     ) -> Result<bool, KernelError> {
         let mut clean = true;
-        let entries = self.salvage_dir_entries(dir)?;
-        let mut local: HashSet<(u32, u32)> = HashSet::new();
-        for (_slot, name, uid, home, _own_cell, _is_dir) in entries {
-            let toc_uid = self
-                .machine
-                .disks
-                .pack(home.pack)
-                .ok()
-                .and_then(|p| p.entry(home.toc).ok())
-                .map(|e| e.uid);
-            if toc_uid != Some(uid.0) {
+        let mut local = Claims::default();
+        for (_slot, name, uid, home, _is_dir) in self.salvage_dir_entries(dir)? {
+            let claim = local.claim(&self.machine.disks, home.pack, home.toc, uid.0);
+            if claim != Claim::Won {
                 clean = false;
-                st.report
-                    .problems
-                    .push(Problem::DanglingEntry { dir, name, uid });
-                continue;
-            }
-            if !local.insert((home.pack.0, home.toc.0)) {
-                clean = false;
-                st.report
-                    .problems
-                    .push(Problem::DoublyClaimedToc { dir, name, home });
+                let problem = Problem::of_claim(claim, dir, name, uid, home);
+                report.problems.push(problem);
             }
         }
         if let Some(actual) = preview {
             let recorded = self.online_cell_recorded(dir)?;
             if recorded != actual {
                 clean = false;
-                st.report.problems.push(Problem::CellDrift {
+                report.problems.push(Problem::CellDrift {
                     cell: dir,
                     recorded,
                     actual,
@@ -629,158 +424,32 @@ impl Kernel {
     /// plus the root's own pages when `dir` is the root. Dangling
     /// entries and duplicates of already-claimed TOC entries contribute
     /// nothing — exactly what the later per-directory repairs leave.
-    fn online_cell_usage(&mut self, st: &OnlineSalvage, dir: SegUid) -> Result<u32, KernelError> {
-        let mut seen = st.claimed.clone();
+    fn online_cell_usage(&mut self, claims: &Claims, dir: SegUid) -> Result<u32, KernelError> {
+        let mut seen = Claims::default();
         let mut used = 0;
         if dir == self.dirm.root() {
             if let Some((home, _, _, _)) = self.dirm.activation_info(dir) {
-                used += self.online_records_of(home);
+                used += self.records_of(home, None);
             }
         }
         let mut stack = vec![dir];
         while let Some(d) = stack.pop() {
-            let entries = self.salvage_dir_entries(d)?;
-            for (_slot, _name, uid, home, _own_cell, is_dir) in entries {
-                let toc_uid = self
-                    .machine
-                    .disks
-                    .pack(home.pack)
-                    .ok()
-                    .and_then(|p| p.entry(home.toc).ok())
-                    .map(|e| e.uid);
-                if toc_uid != Some(uid.0) {
-                    continue;
-                }
-                if !seen.insert((home.pack.0, home.toc.0)) {
-                    continue;
-                }
-                used += self.online_records_of(home);
-                if is_dir && !self.qcm.exists(uid) {
-                    stack.push(uid);
+            for (_slot, _name, uid, home, is_dir) in self.salvage_dir_entries(d)? {
+                if claims.preview(&mut seen, &self.machine.disks, home.pack, home.toc, uid.0) {
+                    used += self.records_of(home, None);
+                    if is_dir && !self.qcm.exists(uid) {
+                        stack.push(uid);
+                    }
                 }
             }
         }
         Ok(used)
     }
 
-    /// Valid (in-pack) mapped records of one TOC entry.
-    fn online_records_of(&self, home: DiskHome) -> u32 {
-        match self.machine.disks.pack(home.pack) {
-            Ok(pack) => {
-                let capacity = pack.capacity();
-                match pack.entry(home.toc) {
-                    Ok(e) => e
-                        .file_map
-                        .iter()
-                        .flatten()
-                        .filter(|r| r.0 < capacity)
-                        .count() as u32,
-                    Err(_) => 0,
-                }
-            }
-            Err(_) => 0,
-        }
-    }
-
-    fn online_check_record_pointers(&self, st: &mut OnlineSalvage, home: DiskHome) {
-        if let Ok(pack) = self.machine.disks.pack(home.pack) {
-            let capacity = pack.capacity();
-            if let Ok(entry) = pack.entry(home.toc) {
-                for (pageno, rec) in entry.file_map.iter().enumerate() {
-                    if let Some(r) = rec {
-                        if r.0 >= capacity {
-                            st.report.problems.push(Problem::BadRecordPointer {
-                                home,
-                                pageno: pageno as u32,
-                            });
-                        }
-                    }
-                }
-            }
-        }
-    }
-
-    /// What the cell currently records: the core table if resident, the
-    /// persistent TOC copy otherwise.
-    fn online_cell_recorded(&mut self, cell: SegUid) -> Result<u32, KernelError> {
-        match self.qcm.cell_state(cell) {
-            Some((_, used)) => Ok(used),
-            None => match self.dirm.activation_info(cell) {
-                Some((home, _, _, _)) => Ok(self
-                    .drm
-                    .read_quota_cell(&self.machine, home)?
-                    .map(|r| r.used_pages)
-                    .unwrap_or(0)),
-                None => Err(KernelError::Salvage("quota cell has no recorded home")),
-            },
-        }
-    }
-
-    /// Invariant 2 (second half) for one pack, against the completed
-    /// claim set (which includes every TOC entry the service created
-    /// while salvage ran — see [`Kernel::salvage_note_created`]).
-    fn online_orphan_sweep(
-        &mut self,
-        st: &mut OnlineSalvage,
-        pack_id: mx_hw::PackId,
-    ) -> Result<(), KernelError> {
-        let mut orphans = Vec::new();
-        if let Ok(pack) = self.machine.disks.pack(pack_id) {
-            for (toc, entry) in pack.entries() {
-                if !st.claimed.contains(&(pack_id.0, toc.0)) {
-                    orphans.push((DiskHome { pack: pack_id, toc }, SegUid(entry.uid)));
-                }
-            }
-        }
-        for (home, uid) in orphans {
-            st.report
-                .problems
-                .push(Problem::OrphanTocEntry { home, uid });
-            // Only reclaim storage for objects nothing names and nothing
-            // has active.
-            if self.segm.get(uid).is_none() && !self.qcm.exists(uid) {
-                self.drm.delete_entry(&mut self.machine, home)?;
-                st.report.repairs.push(format!(
-                    "reclaimed orphan TOC entry {:?} (uid {})",
-                    home, uid.0
-                ));
-            }
-        }
-        Ok(())
-    }
-
-    /// Invariant 5 for one pack. Runs after that pack's orphan sweep, so
-    /// reclaimed entries' records are already back in the free pool;
-    /// service operations between steps are atomic, so the pack is
-    /// consistent at every sweep.
-    fn online_leak_sweep(&mut self, st: &mut OnlineSalvage, pack_id: mx_hw::PackId) {
-        let mut leaked = Vec::new();
-        if let Ok(pack) = self.machine.disks.pack(pack_id) {
-            let mut referenced: HashSet<u32> = HashSet::new();
-            for (_, entry) in pack.entries() {
-                for rec in entry.file_map.iter().flatten() {
-                    referenced.insert(rec.0);
-                }
-            }
-            for rec in pack.allocated_record_nos() {
-                if !referenced.contains(&rec.0) {
-                    leaked.push(rec);
-                }
-            }
-        }
-        for rec in leaked {
-            st.report.problems.push(Problem::LeakedRecord {
-                pack: pack_id,
-                record: rec,
-            });
-            if let Ok(p) = self.machine.disks.pack_mut(pack_id) {
-                let _ = p.free_record(rec);
-            }
-            st.report.repairs.push(format!(
-                "freed leaked record {} on pack {}",
-                rec.0, pack_id.0
-            ));
-        }
+    /// What a quota directory's cell currently records.
+    fn online_cell_recorded(&self, cell: SegUid) -> Result<u32, KernelError> {
+        self.cell_recorded(cell)?
+            .ok_or(KernelError::Salvage("quota cell has no recorded home"))
     }
 
     // ---- the quarantine barrier and service hooks ------------------------
@@ -805,7 +474,7 @@ impl Kernel {
                 .activation_info(uid)
                 .map(|(_, _, d, _)| d)
                 .unwrap_or(false);
-            if is_dir && !o.released.contains(&uid) {
+            if is_dir && !o.is_released(uid) {
                 return Err(KernelError::SalvageBusy);
             }
         }
@@ -816,15 +485,12 @@ impl Kernel {
     /// running, so the finalize orphan sweep does not reclaim it. A
     /// freshly created directory is trivially clean and born released.
     pub(crate) fn salvage_note_created(&mut self, uid: SegUid, is_dir: bool) {
-        if self.online.is_some() {
-            let home = self.dirm.home_of(uid);
-            if let Some(o) = &mut self.online {
-                if let Some(h) = home {
-                    o.claimed.insert((h.pack.0, h.toc.0));
-                }
-                if is_dir {
-                    o.released.insert(uid);
-                }
+        if let Some(o) = &mut self.online {
+            if let Some(h) = self.dirm.home_of(uid) {
+                o.claims.insert(h.pack, h.toc);
+            }
+            if is_dir {
+                o.release_new(uid);
             }
         }
     }
@@ -833,91 +499,108 @@ impl Kernel {
     /// the salvager is running.
     pub(crate) fn salvage_note_relocated(&mut self, new_home: DiskHome) {
         if let Some(o) = &mut self.online {
-            o.claimed.insert((new_home.pack.0, new_home.toc.0));
+            o.claims.insert(new_home.pack, new_home.toc);
         }
     }
 }
 
-/// Why the test-only cheating salvager misbehaves (the S1 planted-cheat
-/// self-check).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum OnlineCheat {
-    /// Release a quota directory without repairing its drifted cell.
-    ReleaseBeforeCellRepair,
-}
+impl Salvager for Kernel {
+    type Uid = SegUid;
+    type Dir = SegUid;
+    type Report = SalvageReport;
+    type Error = KernelError;
+    type Memo = ();
 
-/// Progress from one [`Kernel::online_salvage_step`].
-#[derive(Debug, Clone)]
-pub enum OnlineProgress {
-    /// A directory was claimed, repaired, rechecked and released into
-    /// service.
-    Released {
-        /// The directory now servable.
-        dir: SegUid,
-        /// The post-repair recheck found nothing left wrong.
-        recheck_clean: bool,
-        /// Problems recorded while claiming this directory.
-        problems_found: u32,
-        /// Repairs performed on this directory.
-        repairs_made: u32,
-    },
-    /// A per-pack finalize sweep ran.
-    Finalized {
-        /// The pack swept.
-        pack: mx_hw::PackId,
-        /// False: orphan reclaim; true: leaked-record sweep.
-        leaks: bool,
-    },
-    /// The hierarchy is fully salvaged; the barrier has lifted.
-    Done {
-        /// The accumulated findings and repairs.
-        report: SalvageReport,
-    },
-    /// No online salvage is in progress.
-    Idle,
-}
+    fn machine(&mut self) -> &mut Machine {
+        &mut self.machine
+    }
 
-#[derive(Debug)]
-enum FinalizeStep {
-    Orphans(mx_hw::PackId),
-    Leaks(mx_hw::PackId),
-}
+    fn online(&mut self) -> &mut Option<Online<Self>> {
+        &mut self.online
+    }
 
-/// State of an in-progress incremental salvage: the released (servable)
-/// directories, the claim frontier, the global claim set, and the
-/// accumulated findings.
-#[derive(Debug)]
-pub(crate) struct OnlineSalvage {
-    pub(crate) released: HashSet<SegUid>,
-    frontier: VecDeque<SegUid>,
-    claimed: HashSet<(u32, u32)>,
-    finalize: VecDeque<FinalizeStep>,
-    finalize_built: bool,
-    report: SalvageReport,
-    cheat: Option<OnlineCheat>,
-    dirs_released: u32,
+    fn uid(dir: SegUid) -> SegUid {
+        dir
+    }
+
+    /// Claim → check/repair → recheck, for one directory.
+    fn claim_dir(&mut self, st: &mut Online<Self>, dir: SegUid) -> Result<bool, KernelError> {
+        // The cell preview must run before this directory's entries join
+        // the global claim set: its duplicate filter is "already claimed
+        // by a processed directory", and the whole subtree below `dir`
+        // is still quarantined (frozen), so the preview is exact.
+        let is_cell = self.qcm.exists(dir) || dir == self.dirm.root();
+        let preview = if is_cell {
+            Some(self.online_cell_usage(&st.claims, dir)?)
+        } else {
+            None
+        };
+
+        let entries = self.salvage_dir_entries(dir)?;
+        st.report.objects_checked += entries.len() as u32;
+        let mut bad = Vec::new();
+        for (slot, name, uid, home, is_dir) in entries {
+            // Invariants 1 and 2 (first half): first claim wins, globally.
+            match st
+                .claims
+                .claim(&self.machine.disks, home.pack, home.toc, uid.0)
+            {
+                Claim::Won => {
+                    // Invariant 4 for this entry's object.
+                    self.records_of(home, Some(&mut st.report));
+                    if is_dir {
+                        st.push(uid);
+                    }
+                }
+                claim => {
+                    let problem = Problem::of_claim(claim, dir, name, uid, home);
+                    bad.push((dir, slot, uid, problem));
+                }
+            }
+        }
+        self.clear_entries(&mut st.report, bad, true)?;
+        // Invariant 3, before release (the planted cheat skips exactly
+        // this repair and lets the recheck below expose it).
+        if let Some(actual) = preview {
+            st.report.cells_checked += 1;
+            let recorded = self.online_cell_recorded(dir)?;
+            if recorded != actual && st.cheat.is_none() {
+                self.cell_drift(&mut st.report, dir, recorded, actual, true)?;
+            }
+        }
+        self.online_recheck(&mut st.report, dir, preview)
+    }
+
+    /// Only reclaims storage for objects nothing names and nothing has
+    /// active.
+    fn orphan(
+        &mut self,
+        report: &mut SalvageReport,
+        pack: PackId,
+        toc: TocIndex,
+        uid: u64,
+        repair: bool,
+    ) -> Result<(), KernelError> {
+        let (home, uid) = (DiskHome { pack, toc }, SegUid(uid));
+        report.problems.push(Problem::OrphanTocEntry { home, uid });
+        if repair && self.segm.get(uid).is_none() && !self.qcm.exists(uid) {
+            self.drm.delete_entry(&mut self.machine, home)?;
+            report.repairs.push(format!(
+                "reclaimed orphan TOC entry {:?} (uid {})",
+                home, uid.0
+            ));
+        }
+        Ok(())
+    }
+
+    fn leaked(pack: PackId, record: RecordNo) -> Problem {
+        Problem::LeakedRecord { pack, record }
+    }
 }
 
 /// One live directory entry as the salvager sees it:
-/// `(slot, name, uid, home, own_cell, is_dir)`.
-type SalvageEntry = (u32, String, SegUid, DiskHome, SegUid, bool);
-
-impl DirectoryManager {
-    /// Salvager access: every live entry of `dir`, read from segment
-    /// storage.
-    pub(crate) fn salvage_entries(
-        &mut self,
-        ctx: &mut FsCtx<'_>,
-        dir: SegUid,
-    ) -> Result<Vec<SalvageEntry>, KernelError> {
-        self.ensure_active(ctx, dir)?;
-        Ok(self
-            .entries(ctx, dir)?
-            .into_iter()
-            .map(|(slot, e)| (slot, e.name, e.uid, e.home, e.own_cell, e.is_dir))
-            .collect())
-    }
-}
+/// `(slot, name, uid, home, is_dir)`.
+type SalvageEntry = (u32, String, SegUid, DiskHome, bool);
 
 #[cfg(test)]
 mod tests {
@@ -1301,5 +984,107 @@ mod tests {
             .problems
             .iter()
             .any(|p| matches!(p, Problem::DanglingEntry { name, .. } if name == "victim")));
+    }
+
+    /// Six quota directories, each holding one page and over-charged by
+    /// two, three of them with a file map pointing past its pack.
+    fn drifted_image() -> Kernel {
+        let (mut k, pid) = boot();
+        let root = k.root_token();
+        let owner = || Acl::owner(UserId(1));
+        for i in 0..6u64 {
+            let d = k
+                .create_entry(pid, root, &format!("q{i}"), owner(), Label::BOTTOM, true)
+                .unwrap();
+            k.set_quota(pid, d, 20).unwrap();
+            let f = k
+                .create_entry(pid, d, "f", owner(), Label::BOTTOM, false)
+                .unwrap();
+            let segno = k.initiate(pid, f).unwrap();
+            k.write_word(pid, segno, 0, Word::new(i)).unwrap();
+            let cell = k.uid_of_token(d).unwrap();
+            let mut flows = mx_aim::FlowTracker::new();
+            k.qcm
+                .charge(&mut k.machine, cell, 2, Label::BOTTOM, &mut flows)
+                .unwrap();
+            if i % 2 == 0 {
+                let home = k.dirm.home_of(k.uid_of_token(f).unwrap()).unwrap();
+                let pack = k.machine.disks.pack_mut(home.pack).unwrap();
+                let entry = pack.entry_mut(home.toc).unwrap();
+                entry.file_map.push(Some(mx_hw::RecordNo(9999)));
+            }
+        }
+        k
+    }
+
+    #[test]
+    fn offline_reports_are_the_same_in_every_process() {
+        let (a, b) = (
+            drifted_image().salvage(false),
+            drifted_image().salvage(false),
+        );
+        let (a, b) = (a.unwrap(), b.unwrap());
+        let count = |f: fn(&Problem) -> bool| a.problems.iter().filter(|p| f(p)).count();
+        assert_eq!(count(|p| matches!(p, Problem::CellDrift { .. })), 6);
+        assert_eq!(count(|p| matches!(p, Problem::BadRecordPointer { .. })), 3);
+        assert_eq!(format!("{a:?}"), format!("{b:?}"));
+        let (a, b) = (drifted_image().salvage(true), drifted_image().salvage(true));
+        assert_eq!(format!("{:?}", a.unwrap()), format!("{:?}", b.unwrap()));
+    }
+
+    #[test]
+    fn an_online_step_failed_by_an_offline_pack_is_retried() {
+        let (mut k, pid) = boot();
+        let root = k.root_token();
+        let dir = k
+            .create_entry(pid, root, "d", Acl::owner(UserId(1)), Label::BOTTOM, true)
+            .unwrap();
+        k.set_quota(pid, dir, 20).unwrap();
+        let f = k
+            .create_entry(pid, dir, "f", Acl::owner(UserId(1)), Label::BOTTOM, false)
+            .unwrap();
+        let segno = k.initiate(pid, f).unwrap();
+        k.write_word(pid, segno, 0, Word::new(5)).unwrap();
+        let d = k.uid_of_token(dir).unwrap();
+        k.sync_to_disk().unwrap();
+
+        let mut rk = Kernel::boot_from_image(config(), k.machine).unwrap();
+        rk.register_account("u", UserId(1), 1, Label::BOTTOM);
+        rk.begin_online_salvage();
+        rk.online_salvage_step().unwrap(); // the root
+        rk.online_salvage_step().unwrap(); // `>processes`
+
+        // `>d` is next: page it out and take its pack away.
+        rk.sync_to_disk().unwrap();
+        let pack = rk.dirm.home_of(d).unwrap().pack;
+        rk.machine.faults.set_offline(pack, true);
+        assert_eq!(
+            rk.online_salvage_step().unwrap_err(),
+            KernelError::Disk(mx_hw::DiskError::PackOffline { pack })
+        );
+        assert!(!rk.online.as_ref().unwrap().is_released(d));
+        rk.machine.faults.set_offline(pack, false);
+        match rk.online_salvage_step().unwrap() {
+            OnlineProgress::Released {
+                dir, recheck_clean, ..
+            } => assert!(dir == d && recheck_clean),
+            other => panic!("expected the retried release of d, got {other:?}"),
+        }
+        let report = loop {
+            match rk.online_salvage_step().unwrap() {
+                OnlineProgress::Done { report } => break report,
+                OnlineProgress::Idle => panic!("went idle before done"),
+                _ => {}
+            }
+        };
+        assert!(report.clean(), "problems: {:?}", report.problems);
+        let pid = rk.login_residue("u", 1, Label::BOTTOM).unwrap();
+        let root = rk.root_token();
+        let dtok = rk.dir_search(pid, root, "d").unwrap();
+        let ftok = rk.dir_search(pid, dtok, "f").unwrap();
+        let segno = rk.initiate(pid, ftok).unwrap();
+        assert_eq!(rk.read_word(pid, segno, 0).unwrap(), Word::new(5));
+        let offline = rk.salvage(false).unwrap();
+        assert!(offline.clean(), "offline recheck: {:?}", offline.problems);
     }
 }

@@ -30,7 +30,10 @@
 //! words, walks descriptors, raises faults, and charges cycles. Of files
 //! it knows only the directory segment layout both designs share, in
 //! [`entries`]: a count word, entry `k` at word `1 + k·w`, a flags word,
-//! and name words 4–11. No design's entry codec lives here.
+//! and name words 4–11. No design's entry codec lives here. Of salvage
+//! it knows what both designs' salvagers check of the packs, in
+//! [`salvage`]: the claim check, the per-pack sweeps and the online
+//! salvage machine.
 
 pub mod clock;
 pub mod cpu;
@@ -44,6 +47,7 @@ pub mod machine;
 pub mod mem;
 pub mod meter;
 pub mod rng;
+pub mod salvage;
 pub mod tlb;
 pub mod word;
 

@@ -44,7 +44,8 @@ pub mod segment_control;
 pub mod supervisor;
 pub mod types;
 
-pub use recovery::{LegacyOnlineCheat, LegacyOnlineProgress, LegacySalvageReport};
+pub use mx_hw::salvage::OnlineCheat;
+pub use recovery::{LegacyOnlineProgress, LegacySalvageReport};
 pub use registry::{actual_structure, legacy_runtime_lattice, superficial_structure};
 pub use supervisor::{Supervisor, SupervisorConfig};
 pub use types::{AccessRight, Acl, LegacyError, ProcessId, SegUid, UserId};

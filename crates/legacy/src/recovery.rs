@@ -18,8 +18,12 @@
 //! The salvager works on the disk image directly (flushing core first),
 //! because after a crash the AST is empty and the directory segments
 //! may themselves be damaged in ways the paging path cannot tolerate.
+//! The claim check behind invariants 1 and 2, the per-pack sweeps for
+//! invariants 2 and 4, and the online salvage machine are the new
+//! design's too, in [`mx_hw::salvage`]; this module reads directories
+//! and quota cells raw and clears entries the old supervisor's way.
 
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{HashMap, VecDeque};
 
 use crate::ast::{Aste, QuotaCell};
 use crate::directory_control::{FLAGS, NAME, PACK, QUOTA_USED, TOC, UID};
@@ -27,12 +31,21 @@ use crate::supervisor::{Branch, Supervisor, SupervisorConfig};
 use crate::types::{DiskHome, LegacyError, SegUid};
 use mx_aim::Label;
 use mx_hw::meter::Subsystem;
+use mx_hw::salvage::{
+    self, live, toc_entry, Claim, Claims, Findings, Online, OnlineCheat, OnlineProgress, Salvager,
+    Sweep,
+};
 use mx_hw::word::{unpack_name, NAME_WORDS};
-use mx_hw::{DiskError, Language, PackId, RecordNo, TocIndex, Word, PAGE_WORDS};
+use mx_hw::{
+    DiskError, DiskSystem, Language, Machine, PackId, RecordNo, TocIndex, Word, PAGE_WORDS,
+};
 
 /// PL/I instructions charged per word the raw walk touches — the old
 /// salvager interpreted the disk structures in software.
 const RAW_WALK_INSTR: u64 = 10;
+
+/// What one [`Supervisor::online_salvage_step`] accomplished.
+pub type LegacyOnlineProgress = OnlineProgress<SegUid, LegacySalvageReport>;
 
 /// The legacy salvager's findings (and actions, when repairing).
 #[derive(Debug, Clone, Default)]
@@ -52,6 +65,26 @@ impl LegacySalvageReport {
     pub fn clean(&self) -> bool {
         self.problems.is_empty()
     }
+
+    /// Records the drift of `cell` (`root cell` or `cell N`) and, if
+    /// `reset`, its reset to `actual`.
+    fn drift(&mut self, cell: &str, recorded: u32, actual: u32, reset: bool) {
+        self.problems.push(format!(
+            "{cell} drift: recorded {recorded}, actual {actual}"
+        ));
+        if reset {
+            self.repairs
+                .push(format!("reset {cell} used {recorded} -> {actual}"));
+        }
+    }
+}
+
+impl Findings for LegacySalvageReport {
+    type Problem = String;
+
+    fn lists(&mut self) -> (&mut Vec<String>, &mut Vec<String>) {
+        (&mut self.problems, &mut self.repairs)
+    }
 }
 
 /// A directory entry as the raw disk walk decodes it.
@@ -64,77 +97,30 @@ struct RawEntry {
     quota_used: u32,
 }
 
-/// A deliberately broken online salvager, for the self-check harness:
-/// proves the per-release recheck actually catches a salvager that
-/// releases a directory without finishing its repairs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum LegacyOnlineCheat {
-    /// Skip quota-cell repair but release the directory anyway.
-    ReleaseBeforeCellRepair,
+impl RawEntry {
+    /// Claims this entry's TOC entry: `Err` with how the salvager
+    /// reports it if the claim fails.
+    fn claim(&self, claims: &mut Claims, disks: &DiskSystem) -> Result<(), String> {
+        match claims.claim(disks, self.home.pack, self.home.toc, self.uid.0) {
+            Claim::Won => Ok(()),
+            Claim::Duplicate => Err(format!(
+                "duplicate claim '{}' on uid {}",
+                self.name, self.uid.0
+            )),
+            Claim::Dangling => Err(format!(
+                "dangling entry '{}' (uid {})",
+                self.name, self.uid.0
+            )),
+        }
+    }
 }
 
-/// What one [`Supervisor::online_salvage_step`] accomplished.
-#[derive(Debug, Clone)]
-pub enum LegacyOnlineProgress {
-    /// A directory was claimed, repaired, recheck-verified and released.
-    Released {
-        /// The directory now open to service.
-        dir: SegUid,
-        /// False if the post-repair recheck still found problems — a
-        /// salvager bug (or a planted [`LegacyOnlineCheat`]); never
-        /// expected in honest runs.
-        recheck_clean: bool,
-        /// Problems recorded while claiming this directory.
-        problems_found: u32,
-        /// Repairs recorded while claiming this directory.
-        repairs_made: u32,
-    },
-    /// A whole-pack finalize sweep ran after the frontier drained.
-    Finalized {
-        /// The pack swept.
-        pack: PackId,
-        /// False for the orphan sweep, true for the leak sweep.
-        leaks: bool,
-    },
-    /// The salvage completed; the quarantine is fully lifted.
-    Done {
-        /// Everything found and repaired across the whole run.
-        report: LegacySalvageReport,
-    },
-    /// No salvage is running.
-    Idle,
-}
+/// A directory entry whose claim failed: `(dir, dir home, slot, problem)`.
+type BadEntry = (SegUid, DiskHome, u32, String);
 
-/// One deferred whole-pack step after the directory frontier drains.
-#[derive(Debug, Clone, Copy)]
-enum LegacyFinalizeStep {
-    Orphans(PackId),
-    Leaks(PackId),
-}
-
-/// The state of an in-progress online salvage (see
-/// [`Supervisor::begin_online_salvage`]).
-#[derive(Debug)]
-pub(crate) struct LegacyOnlineSalvage {
-    /// Directories proven clean and open to service.
-    pub(crate) released: HashSet<SegUid>,
-    /// Directories discovered but not yet claimed, with the homes their
-    /// parents' entries recorded. The home is stable: a quarantined
-    /// directory cannot be activated, so it cannot relocate.
-    frontier: VecDeque<(SegUid, DiskHome)>,
-    /// TOC entries claimed by a walked directory entry (or noted as
-    /// service-created); the finalize orphan sweep keeps exactly these.
-    claimed: HashSet<(u32, u32)>,
-    /// Per quota cell, the frozen-truth used count established when the
-    /// cell was checked at its parent's claim (or the root's own claim);
-    /// the owning directory's recheck re-verifies the recorded value
-    /// against it before release.
-    cell_expect: HashMap<SegUid, u32>,
-    finalize: VecDeque<LegacyFinalizeStep>,
-    finalize_built: bool,
-    report: LegacySalvageReport,
-    cheat: Option<LegacyOnlineCheat>,
-    dirs_released: u32,
+/// Pages of `home` occupying disk records (zero if it has no TOC entry).
+fn records_of(disks: &DiskSystem, home: DiskHome) -> u32 {
+    toc_entry(disks, home.pack, home.toc).map_or(0, |e| e.records_used())
 }
 
 impl Supervisor {
@@ -241,20 +227,10 @@ impl Supervisor {
         let mut max_uid = 1u64;
         let mut queue = VecDeque::from([(root_uid, root_home)]);
         while let Some((dir, home)) = queue.pop_front() {
-            let count = sup.raw_seg_read(home, 0)?.raw() as u32;
-            for slot in 0..count {
-                let Some(e) = sup.raw_entry(home, slot)? else {
-                    continue;
-                };
-                let live = sup
-                    .machine
-                    .disks
-                    .pack(e.home.pack)
-                    .ok()
-                    .and_then(|p| p.entry(e.home.toc).ok())
-                    .map(|t| t.uid == e.uid.0)
-                    .unwrap_or(false);
-                if !live || sup.branch_table.contains_key(&e.uid) {
+            for (slot, e) in sup.raw_entries(home)? {
+                if !live(&sup.machine.disks, e.home.pack, e.home.toc, e.uid.0)
+                    || sup.branch_table.contains_key(&e.uid)
+                {
                     continue;
                 }
                 sup.branch_table.insert(
@@ -276,8 +252,7 @@ impl Supervisor {
         // The root cell's used count is never persisted; recompute it
         // from what the image actually stores.
         let usage = sup.raw_cell_usage()?;
-        let root_astx = sup.ast.find(root_uid).ok_or(LegacyError::NotActive)?;
-        if let Some(cell) = sup.ast.get_mut(root_astx).and_then(|a| a.quota.as_mut()) {
+        if let Some(cell) = sup.root_quota()? {
             cell.used = usage.get(&root_uid).copied().unwrap_or(0);
         }
         Ok(sup)
@@ -315,151 +290,43 @@ impl Supervisor {
         }
 
         // Walk the hierarchy raw, checking invariants 1 and 2 and
-        // collecting each object's governing quota cell along the way.
+        // collecting each quota directory along the way.
         let root_uid = self.root_uid;
         let root_home = self.root_home;
-        let mut claimed: HashSet<(u32, u32)> = HashSet::new();
-        claimed.insert((root_home.pack.0, root_home.toc.0));
-        let mut quota_dirs: Vec<(SegUid, DiskHome, u32)> = Vec::new(); // (uid, parent dir home, slot)
+        let mut claims = Claims::default();
+        claims.insert(root_home.pack, root_home.toc);
+        let mut quota_dirs: Vec<(SegUid, SegUid, DiskHome, u32)> = Vec::new(); // (uid, parent, its home, slot)
         let mut queue = VecDeque::from([(root_uid, root_home)]);
-        let mut bad: Vec<(DiskHome, u32, String)> = Vec::new(); // (dir home, slot, problem)
-        while let Some((_dir, home)) = queue.pop_front() {
-            let count = self.raw_seg_read(home, 0)?.raw() as u32;
-            for slot in 0..count {
-                let Some(e) = self.raw_entry(home, slot)? else {
-                    continue;
-                };
+        let mut bad = Vec::new();
+        while let Some((dir, home)) = queue.pop_front() {
+            for (slot, e) in self.raw_entries(home)? {
                 report.objects_checked += 1;
-                // Invariant 1: the home must exist and agree on the uid.
-                let toc_uid = self
-                    .machine
-                    .disks
-                    .pack(e.home.pack)
-                    .ok()
-                    .and_then(|p| p.entry(e.home.toc).ok())
-                    .map(|t| t.uid);
-                if toc_uid != Some(e.uid.0) {
-                    bad.push((
-                        home,
-                        slot,
-                        format!("dangling entry '{}' (uid {})", e.name, e.uid.0),
-                    ));
-                    continue;
-                }
-                // Invariant 2, first half: one claim per TOC entry.
-                if !claimed.insert((e.home.pack.0, e.home.toc.0)) {
-                    bad.push((
-                        home,
-                        slot,
-                        format!("duplicate claim '{}' on uid {}", e.name, e.uid.0),
-                    ));
+                if let Err(what) = e.claim(&mut claims, &self.machine.disks) {
+                    bad.push((dir, home, slot, what));
                     continue;
                 }
                 if e.quota_dir {
-                    quota_dirs.push((e.uid, home, slot));
+                    quota_dirs.push((e.uid, dir, home, slot));
                 }
                 if e.is_dir {
                     queue.push_back((e.uid, e.home));
                 }
             }
         }
-        for (dir_home, slot, what) in &bad {
-            report.problems.push(what.clone());
-            if repair {
-                // Clear the in-use flag; drop any branch the recovery
-                // walk may have catalogued from this entry.
-                let base = Self::entry_base(*slot);
-                let uid = SegUid(self.raw_seg_read(*dir_home, base + UID)?.raw());
-                self.raw_seg_write(*dir_home, base + FLAGS, Word::ZERO)?;
-                if self
-                    .branch_table
-                    .get(&uid)
-                    .is_some_and(|b| b.slot == *slot && b.parent.is_some())
-                {
-                    self.branch_table.remove(&uid);
-                }
-                report.repairs.push(format!("cleared {what}"));
-            }
-        }
+        self.clear_entries(&mut report, bad, repair, false)?;
 
-        // Invariant 2, second half: orphan TOC entries.
-        let mut orphans: Vec<(PackId, TocIndex, u64)> = Vec::new();
-        for pack in self.machine.disks.packs() {
-            for (toc, entry) in pack.entries() {
-                if !claimed.contains(&(pack.id.0, toc.0)) {
-                    orphans.push((pack.id, toc, entry.uid));
-                }
-            }
-        }
-        for (pack, toc, uid) in orphans {
-            report
-                .problems
-                .push(format!("orphan TOC entry {}:{} (uid {uid})", pack.0, toc.0));
-            if repair {
-                if let Ok(p) = self.machine.disks.pack_mut(pack) {
-                    let _ = p.delete_entry(toc);
-                }
-                report
-                    .repairs
-                    .push(format!("reclaimed orphan TOC entry {}:{}", pack.0, toc.0));
-            }
-        }
-
-        // Invariant 4: every allocated record is referenced by some file
-        // map (after the orphan sweep returned reclaimed records).
-        let mut leaked: Vec<(PackId, RecordNo)> = Vec::new();
-        for pack in self.machine.disks.packs() {
-            let mut referenced: HashSet<u32> = HashSet::new();
-            for (_, entry) in pack.entries() {
-                for rec in entry.file_map.iter().flatten() {
-                    referenced.insert(rec.0);
-                }
-            }
-            for rec in pack.allocated_record_nos() {
-                if !referenced.contains(&rec.0) {
-                    leaked.push((pack.id, rec));
-                }
-            }
-        }
-        for (pack, rec) in leaked {
-            report
-                .problems
-                .push(format!("leaked record {} on pack {}", rec.0, pack.0));
-            if repair {
-                if let Ok(p) = self.machine.disks.pack_mut(pack) {
-                    let _ = p.free_record(rec);
-                }
-                report
-                    .repairs
-                    .push(format!("freed leaked record {} on pack {}", rec.0, pack.0));
-            }
+        // Invariant 2, second half, then invariant 4, a pack at a time.
+        for s in Sweep::all(&self.machine.disks) {
+            salvage::sweep(self, &claims, s, &mut report, repair)?;
         }
 
         // Invariant 3: cell drift. The root cell lives in the AST; other
         // cells live in their directory's entry (or the AST if active).
         let actual = self.raw_cell_usage()?;
         report.cells_checked += 1;
-        let root_astx = self.ast.find(root_uid).ok_or(LegacyError::NotActive)?;
-        let recorded = self
-            .ast
-            .get(root_astx)
-            .and_then(|a| a.quota.map(|q| q.used))
-            .unwrap_or(0);
         let want = actual.get(&root_uid).copied().unwrap_or(0);
-        if recorded != want {
-            report.problems.push(format!(
-                "root cell drift: recorded {recorded}, actual {want}"
-            ));
-            if repair {
-                if let Some(cell) = self.ast.get_mut(root_astx).and_then(|a| a.quota.as_mut()) {
-                    cell.used = want;
-                }
-                report
-                    .repairs
-                    .push(format!("reset root cell used {recorded} -> {want}"));
-            }
-        }
-        for (uid, dir_home, slot) in quota_dirs {
+        self.check_root_cell(&mut report, want, repair)?;
+        for (uid, parent, parent_home, slot) in quota_dirs {
             report.cells_checked += 1;
             let want = actual.get(&uid).copied().unwrap_or(0);
             let recorded = match self.ast.find(uid) {
@@ -469,35 +336,98 @@ impl Supervisor {
                     .and_then(|a| a.quota.map(|q| q.used))
                     .unwrap_or(0),
                 None => self
-                    .raw_seg_read(dir_home, Self::entry_base(slot) + QUOTA_USED)?
+                    .raw_seg_read(parent_home, Self::entry_base(slot) + QUOTA_USED)?
                     .raw() as u32,
             };
             if recorded != want {
-                report.problems.push(format!(
-                    "cell {} drift: recorded {recorded}, actual {want}",
-                    uid.0
-                ));
                 if repair {
-                    if let Some(cell) = self
-                        .ast
-                        .find(uid)
-                        .and_then(|astx| self.ast.get_mut(astx))
-                        .and_then(|a| a.quota.as_mut())
-                    {
-                        cell.used = want;
-                    }
-                    self.raw_seg_write(
-                        dir_home,
-                        Self::entry_base(slot) + QUOTA_USED,
-                        Word::new(u64::from(want)),
-                    )?;
-                    report
-                        .repairs
-                        .push(format!("reset cell {} used {recorded} -> {want}", uid.0));
+                    self.set_cell(uid, parent, parent_home, slot, want, false)?;
                 }
+                report.drift(&format!("cell {}", uid.0), recorded, want, repair);
             }
         }
         Ok(report)
+    }
+
+    /// Reports each entry whose claim failed and, with `repair`, clears
+    /// its in-use flag — through core if `through_core` and its
+    /// directory is active, raw otherwise — and drops any branch the
+    /// recovery walk catalogued from it.
+    fn clear_entries(
+        &mut self,
+        report: &mut LegacySalvageReport,
+        bad: Vec<BadEntry>,
+        repair: bool,
+        through_core: bool,
+    ) -> Result<(), LegacyError> {
+        for (dir, home, slot, what) in bad {
+            if repair {
+                let base = Self::entry_base(slot);
+                let uid = SegUid(self.raw_seg_read(home, base + UID)?.raw());
+                self.dir_write(dir, home, base + FLAGS, Word::ZERO, through_core)?;
+                if self
+                    .branch_table
+                    .get(&uid)
+                    .is_some_and(|b| b.slot == slot && b.parent == Some(dir))
+                {
+                    self.branch_table.remove(&uid);
+                }
+                report.repairs.push(format!("cleared {what}"));
+            }
+            report.problems.push(what);
+        }
+        Ok(())
+    }
+
+    /// Sets quota directory `uid`'s cell, kept in entry `slot` of
+    /// `parent` (stored at `parent_home`) and in the AST while `uid` is
+    /// active, to `used`.
+    fn set_cell(
+        &mut self,
+        uid: SegUid,
+        parent: SegUid,
+        parent_home: DiskHome,
+        slot: u32,
+        used: u32,
+        through_core: bool,
+    ) -> Result<(), LegacyError> {
+        if let Some(cell) = self
+            .ast
+            .find(uid)
+            .and_then(|astx| self.ast.get_mut(astx))
+            .and_then(|a| a.quota.as_mut())
+        {
+            cell.used = used;
+        }
+        let (at, value) = (
+            Self::entry_base(slot) + QUOTA_USED,
+            Word::new(u64::from(used)),
+        );
+        self.dir_write(parent, parent_home, at, value, through_core)
+    }
+
+    /// The root's quota cell, which lives only in the AST.
+    fn root_quota(&mut self) -> Result<Option<&mut QuotaCell>, LegacyError> {
+        let astx = self.ast.find(self.root_uid).ok_or(LegacyError::NotActive)?;
+        Ok(self.ast.get_mut(astx).and_then(|a| a.quota.as_mut()))
+    }
+
+    /// Checks the root cell against `want` and, with `repair`, resets it.
+    fn check_root_cell(
+        &mut self,
+        report: &mut LegacySalvageReport,
+        want: u32,
+        repair: bool,
+    ) -> Result<(), LegacyError> {
+        let cell = self.root_quota()?;
+        let recorded = cell.as_ref().map_or(0, |q| q.used);
+        if recorded != want {
+            if let Some(q) = cell.filter(|_| repair) {
+                q.used = want;
+            }
+            report.drift("root cell", recorded, want, repair);
+        }
+        Ok(())
     }
 
     // ----- online salvage -------------------------------------------------
@@ -515,20 +445,12 @@ impl Supervisor {
     /// [`Supervisor::begin_online_salvage`] with a planted defect, for
     /// the self-check harness only.
     #[doc(hidden)]
-    pub fn begin_online_salvage_with_cheat(&mut self, cheat: Option<LegacyOnlineCheat>) {
-        let mut claimed = HashSet::new();
-        claimed.insert((self.root_home.pack.0, self.root_home.toc.0));
-        self.online = Some(LegacyOnlineSalvage {
-            released: HashSet::new(),
-            frontier: VecDeque::from([(self.root_uid, self.root_home)]),
-            claimed,
-            cell_expect: HashMap::new(),
-            finalize: VecDeque::new(),
-            finalize_built: false,
-            report: LegacySalvageReport::default(),
-            cheat,
-            dirs_released: 0,
-        });
+    pub fn begin_online_salvage_with_cheat(&mut self, cheat: Option<OnlineCheat>) {
+        let mut online = Online::new((self.root_uid, self.root_home), cheat);
+        online
+            .claims
+            .insert(self.root_home.pack, self.root_home.toc);
+        self.online = Some(online);
     }
 
     /// True while an online salvage is in progress.
@@ -538,7 +460,7 @@ impl Supervisor {
 
     /// Directories released so far by the running online salvage.
     pub fn online_salvage_dirs_released(&self) -> u32 {
-        self.online.as_ref().map(|o| o.dirs_released).unwrap_or(0)
+        self.online.as_ref().map_or(0, Online::dirs_released)
     }
 
     /// Performs one unit of online salvage work: releases the next
@@ -548,179 +470,13 @@ impl Supervisor {
     /// # Errors
     ///
     /// Disk errors from the walk or the repairs;
-    /// [`LegacyError::Salvage`] on internal inconsistencies.
+    /// [`LegacyError::Salvage`] on internal inconsistencies. A failed
+    /// step is undone — its directory goes back to the head of the
+    /// frontier, and the claims, the released set and the report are as
+    /// before — so the next step retries it
+    /// ([`mx_hw::salvage::Online`]).
     pub fn online_salvage_step(&mut self) -> Result<LegacyOnlineProgress, LegacyError> {
-        let Some(mut st) = self.online.take() else {
-            return Ok(LegacyOnlineProgress::Idle);
-        };
-        let guard = self.machine.clock.enter(Subsystem::Salvager);
-        let result = self.online_step_inner(&mut st);
-        self.machine.clock.exit(guard);
-        match &result {
-            Ok(LegacyOnlineProgress::Done { .. }) => {}
-            _ => self.online = Some(st),
-        }
-        result
-    }
-
-    fn online_step_inner(
-        &mut self,
-        st: &mut LegacyOnlineSalvage,
-    ) -> Result<LegacyOnlineProgress, LegacyError> {
-        if let Some((dir, home)) = st.frontier.pop_front() {
-            return self.online_claim_dir(st, dir, home);
-        }
-        if !st.finalize_built {
-            st.finalize_built = true;
-            let packs: Vec<PackId> = self.machine.disks.packs().map(|p| p.id).collect();
-            for p in &packs {
-                st.finalize.push_back(LegacyFinalizeStep::Orphans(*p));
-            }
-            for p in &packs {
-                st.finalize.push_back(LegacyFinalizeStep::Leaks(*p));
-            }
-        }
-        match st.finalize.pop_front() {
-            Some(LegacyFinalizeStep::Orphans(pack)) => {
-                self.online_orphan_sweep(st, pack);
-                Ok(LegacyOnlineProgress::Finalized { pack, leaks: false })
-            }
-            Some(LegacyFinalizeStep::Leaks(pack)) => {
-                self.online_leak_sweep(st, pack);
-                Ok(LegacyOnlineProgress::Finalized { pack, leaks: true })
-            }
-            None => Ok(LegacyOnlineProgress::Done {
-                report: std::mem::take(&mut st.report),
-            }),
-        }
-    }
-
-    fn online_claim_dir(
-        &mut self,
-        st: &mut LegacyOnlineSalvage,
-        dir: SegUid,
-        home: DiskHome,
-    ) -> Result<LegacyOnlineProgress, LegacyError> {
-        let problems_before = st.report.problems.len();
-        let repairs_before = st.report.repairs.len();
-        // An active quarantined directory (only the root in practice)
-        // may hold dirty pages; flush so the raw reads see the truth.
-        if let Some(astx) = self.ast.find(dir) {
-            self.flush_segment(astx)?;
-        }
-        let count = self.raw_seg_read(home, 0)?.raw() as u32;
-        let mut bad: Vec<(u32, String)> = Vec::new();
-        // (child uid, slot, recorded used, child home)
-        let mut quota_children: Vec<(SegUid, u32, u32, DiskHome)> = Vec::new();
-        for slot in 0..count {
-            let Some(e) = self.raw_entry(home, slot)? else {
-                continue;
-            };
-            st.report.objects_checked += 1;
-            let toc_uid = self
-                .machine
-                .disks
-                .pack(e.home.pack)
-                .ok()
-                .and_then(|p| p.entry(e.home.toc).ok())
-                .map(|t| t.uid);
-            if toc_uid != Some(e.uid.0) {
-                bad.push((
-                    slot,
-                    format!("dangling entry '{}' (uid {})", e.name, e.uid.0),
-                ));
-                continue;
-            }
-            if !st.claimed.insert((e.home.pack.0, e.home.toc.0)) {
-                bad.push((
-                    slot,
-                    format!("duplicate claim '{}' on uid {}", e.name, e.uid.0),
-                ));
-                continue;
-            }
-            if e.quota_dir {
-                quota_children.push((e.uid, slot, e.quota_used, e.home));
-            }
-            if e.is_dir {
-                st.frontier.push_back((e.uid, e.home));
-            }
-        }
-        for (slot, what) in &bad {
-            st.report.problems.push(what.clone());
-            let base = Self::entry_base(*slot);
-            let uid = SegUid(self.raw_seg_read(home, base + UID)?.raw());
-            self.online_dir_write(dir, home, base + FLAGS, Word::ZERO)?;
-            if self
-                .branch_table
-                .get(&uid)
-                .is_some_and(|b| b.slot == *slot && b.parent == Some(dir))
-            {
-                self.branch_table.remove(&uid);
-            }
-            st.report.repairs.push(format!("cleared {what}"));
-        }
-        for (quid, slot, recorded, child_home) in quota_children {
-            st.report.cells_checked += 1;
-            // The child's subtree is frozen (quarantined until its own
-            // claim), so its true usage is computable now, while the
-            // cell word in this directory is still the salvager's.
-            let actual = self.online_cell_actual(child_home, &st.claimed)?;
-            st.cell_expect.insert(quid, actual);
-            if recorded != actual && st.cheat != Some(LegacyOnlineCheat::ReleaseBeforeCellRepair) {
-                st.report.problems.push(format!(
-                    "cell {} drift: recorded {recorded}, actual {actual}",
-                    quid.0
-                ));
-                self.online_dir_write(
-                    dir,
-                    home,
-                    Self::entry_base(slot) + QUOTA_USED,
-                    Word::new(u64::from(actual)),
-                )?;
-                st.report
-                    .repairs
-                    .push(format!("reset cell {} used {recorded} -> {actual}", quid.0));
-            }
-        }
-        if dir == self.root_uid {
-            st.report.cells_checked += 1;
-            // The whole tree is still frozen at the root's claim (it is
-            // the first), so the root cell's truth is computable here.
-            let usage = self.raw_cell_usage()?;
-            let want = usage.get(&self.root_uid).copied().unwrap_or(0);
-            st.cell_expect.insert(dir, want);
-            let root_astx = self.ast.find(dir).ok_or(LegacyError::NotActive)?;
-            let recorded = self
-                .ast
-                .get(root_astx)
-                .and_then(|a| a.quota.map(|q| q.used))
-                .unwrap_or(0);
-            if recorded != want && st.cheat != Some(LegacyOnlineCheat::ReleaseBeforeCellRepair) {
-                st.report.problems.push(format!(
-                    "root cell drift: recorded {recorded}, actual {want}"
-                ));
-                if let Some(cell) = self.ast.get_mut(root_astx).and_then(|a| a.quota.as_mut()) {
-                    cell.used = want;
-                }
-                st.report
-                    .repairs
-                    .push(format!("reset root cell used {recorded} -> {want}"));
-            }
-        }
-        // Repairs to an active directory went through the paging path;
-        // flush again so the raw recheck reads current data.
-        if let Some(astx) = self.ast.find(dir) {
-            self.flush_segment(astx)?;
-        }
-        let recheck_clean = self.online_recheck(st, dir, home)?;
-        st.released.insert(dir);
-        st.dirs_released += 1;
-        Ok(LegacyOnlineProgress::Released {
-            dir,
-            recheck_clean,
-            problems_found: (st.report.problems.len() - problems_before) as u32,
-            repairs_made: (st.report.repairs.len() - repairs_before) as u32,
-        })
+        salvage::step(self)
     }
 
     /// Honest recheck before release: re-reads the directory raw and
@@ -729,45 +485,21 @@ impl Supervisor {
     /// frozen truth captured when the cell was checked.
     fn online_recheck(
         &mut self,
-        st: &mut LegacyOnlineSalvage,
+        st: &mut Online<Self>,
         dir: SegUid,
         home: DiskHome,
     ) -> Result<bool, LegacyError> {
         let mut clean = true;
-        let count = self.raw_seg_read(home, 0)?.raw() as u32;
-        let mut local: HashSet<(u32, u32)> = HashSet::new();
-        for slot in 0..count {
-            let Some(e) = self.raw_entry(home, slot)? else {
-                continue;
-            };
-            let toc_uid = self
-                .machine
-                .disks
-                .pack(e.home.pack)
-                .ok()
-                .and_then(|p| p.entry(e.home.toc).ok())
-                .map(|t| t.uid);
-            if toc_uid != Some(e.uid.0) {
+        let mut local = Claims::default();
+        for (_, e) in self.raw_entries(home)? {
+            if let Err(what) = e.claim(&mut local, &self.machine.disks) {
                 clean = false;
-                st.report
-                    .problems
-                    .push(format!("dangling entry '{}' (uid {})", e.name, e.uid.0));
-                continue;
-            }
-            if !local.insert((e.home.pack.0, e.home.toc.0)) {
-                clean = false;
-                st.report
-                    .problems
-                    .push(format!("duplicate claim '{}' on uid {}", e.name, e.uid.0));
+                st.report.problems.push(what);
             }
         }
-        if let Some(expect) = st.cell_expect.get(&dir).copied() {
+        if let Some(expect) = st.memo.get(&dir).copied() {
             let recorded = if dir == self.root_uid {
-                let root_astx = self.ast.find(dir).ok_or(LegacyError::NotActive)?;
-                self.ast
-                    .get(root_astx)
-                    .and_then(|a| a.quota.map(|q| q.used))
-                    .unwrap_or(0)
+                self.root_quota()?.map_or(0, |q| q.used)
             } else {
                 let branch = self
                     .branch_table
@@ -788,25 +520,25 @@ impl Supervisor {
             };
             if recorded != expect {
                 clean = false;
-                st.report.problems.push(format!(
-                    "cell {} drift: recorded {recorded}, actual {expect}",
-                    dir.0
-                ));
+                st.report
+                    .drift(&format!("cell {}", dir.0), recorded, expect, false);
             }
         }
         Ok(clean)
     }
 
-    /// Writes one word of a claimed directory: through the paging path
-    /// if the directory is active (keeping core coherent), raw if not.
-    fn online_dir_write(
+    /// Writes one word of directory `dir`, stored at `home`: through the
+    /// paging path if `through_core` and `dir` is active (keeping core
+    /// coherent), raw otherwise.
+    fn dir_write(
         &mut self,
         dir: SegUid,
         home: DiskHome,
         wordno: u32,
         value: Word,
+        through_core: bool,
     ) -> Result<(), LegacyError> {
-        match self.ast.find(dir) {
+        match self.ast.find(dir).filter(|_| through_core) {
             Some(astx) => self.sup_write(astx, wordno, value),
             None => self.raw_seg_write(home, wordno, value),
         }
@@ -860,106 +592,23 @@ impl Supervisor {
     fn online_cell_actual(
         &mut self,
         qdir_home: DiskHome,
-        claimed: &HashSet<(u32, u32)>,
+        claims: &Claims,
     ) -> Result<u32, LegacyError> {
-        fn records_of(disks: &mx_hw::DiskSystem, home: DiskHome) -> u32 {
-            disks
-                .pack(home.pack)
-                .ok()
-                .and_then(|p| p.entry(home.toc).ok())
-                .map(|e| e.records_used())
-                .unwrap_or(0)
-        }
-        let mut seen = claimed.clone();
+        let mut seen = Claims::default();
         let mut used = 0u32;
         let mut queue = VecDeque::from([qdir_home]);
         while let Some(home) = queue.pop_front() {
-            let count = self.raw_seg_read(home, 0)?.raw() as u32;
-            for slot in 0..count {
-                let Some(e) = self.raw_entry(home, slot)? else {
-                    continue;
-                };
-                let live = self
-                    .machine
-                    .disks
-                    .pack(e.home.pack)
-                    .ok()
-                    .and_then(|p| p.entry(e.home.toc).ok())
-                    .map(|t| t.uid == e.uid.0)
-                    .unwrap_or(false);
-                if !live || !seen.insert((e.home.pack.0, e.home.toc.0)) {
-                    continue;
-                }
-                used += records_of(&self.machine.disks, e.home);
-                if e.is_dir && !e.quota_dir {
-                    queue.push_back(e.home);
+            for (_, e) in self.raw_entries(home)? {
+                let disks = &self.machine.disks;
+                if claims.preview(&mut seen, disks, e.home.pack, e.home.toc, e.uid.0) {
+                    used += records_of(disks, e.home);
+                    if e.is_dir && !e.quota_dir {
+                        queue.push_back(e.home);
+                    }
                 }
             }
         }
         Ok(used)
-    }
-
-    /// Finalize: reclaims TOC entries on `pack` that no claimed
-    /// directory entry references. Service-created objects were noted
-    /// into the claim set at birth, so only crash debris qualifies; an
-    /// active segment's home is additionally never touched.
-    fn online_orphan_sweep(&mut self, st: &mut LegacyOnlineSalvage, pack: PackId) {
-        let mut orphans: Vec<(TocIndex, u64)> = Vec::new();
-        if let Ok(p) = self.machine.disks.pack(pack) {
-            for (toc, entry) in p.entries() {
-                if !st.claimed.contains(&(pack.0, toc.0)) {
-                    orphans.push((toc, entry.uid));
-                }
-            }
-        }
-        for (toc, uid) in orphans {
-            let active = self
-                .ast
-                .iter()
-                .any(|(_, a)| a.home.pack == pack && a.home.toc == toc);
-            if active {
-                continue;
-            }
-            st.report
-                .problems
-                .push(format!("orphan TOC entry {}:{} (uid {uid})", pack.0, toc.0));
-            if let Ok(p) = self.machine.disks.pack_mut(pack) {
-                let _ = p.delete_entry(toc);
-            }
-            st.report
-                .repairs
-                .push(format!("reclaimed orphan TOC entry {}:{}", pack.0, toc.0));
-        }
-    }
-
-    /// Finalize: frees allocated records on `pack` no file map
-    /// references (run after the orphan sweep returned its records).
-    fn online_leak_sweep(&mut self, st: &mut LegacyOnlineSalvage, pack: PackId) {
-        let mut leaked: Vec<RecordNo> = Vec::new();
-        if let Ok(p) = self.machine.disks.pack(pack) {
-            let mut referenced: HashSet<u32> = HashSet::new();
-            for (_, entry) in p.entries() {
-                for rec in entry.file_map.iter().flatten() {
-                    referenced.insert(rec.0);
-                }
-            }
-            for rec in p.allocated_record_nos() {
-                if !referenced.contains(&rec.0) {
-                    leaked.push(rec);
-                }
-            }
-        }
-        for rec in leaked {
-            st.report
-                .problems
-                .push(format!("leaked record {} on pack {}", rec.0, pack.0));
-            if let Ok(p) = self.machine.disks.pack_mut(pack) {
-                let _ = p.free_record(rec);
-            }
-            st.report
-                .repairs
-                .push(format!("freed leaked record {} on pack {}", rec.0, pack.0));
-        }
     }
 
     /// The quarantine barrier: while an online salvage runs, any
@@ -973,7 +622,7 @@ impl Supervisor {
                 .get(&uid)
                 .map(|b| b.is_dir)
                 .unwrap_or(false);
-            if is_dir && !o.released.contains(&uid) {
+            if is_dir && !o.is_released(uid) {
                 return Err(LegacyError::SalvageBusy);
             }
         }
@@ -985,9 +634,9 @@ impl Supervisor {
     /// a new directory is born released (it cannot be crash debris).
     pub(crate) fn salvage_note_created(&mut self, uid: SegUid, home: DiskHome, is_dir: bool) {
         if let Some(o) = &mut self.online {
-            o.claimed.insert((home.pack.0, home.toc.0));
+            o.claims.insert(home.pack, home.toc);
             if is_dir {
-                o.released.insert(uid);
+                o.release_new(uid);
             }
         }
     }
@@ -996,7 +645,7 @@ impl Supervisor {
     /// entry, so the orphan sweep keeps the new home.
     pub(crate) fn salvage_note_relocated(&mut self, new_home: DiskHome) {
         if let Some(o) = &mut self.online {
-            o.claimed.insert((new_home.pack.0, new_home.toc.0));
+            o.claims.insert(new_home.pack, new_home.toc);
         }
     }
 
@@ -1022,12 +671,7 @@ impl Supervisor {
         let page = wordno as usize / PAGE_WORDS;
         let off = wordno as usize % PAGE_WORDS;
         self.charge(RAW_WALK_INSTR, Language::Pli);
-        let Some(record) = self
-            .machine
-            .disks
-            .pack(home.pack)
-            .ok()
-            .and_then(|p| p.entry(home.toc).ok())
+        let Some(record) = toc_entry(&self.machine.disks, home.pack, home.toc)
             .and_then(|e| e.file_map.get(page).copied().flatten())
         else {
             return Ok(Word::ZERO);
@@ -1090,33 +734,40 @@ impl Supervisor {
         Ok(())
     }
 
-    /// Decodes entry `slot` of the directory stored at `home`, raw.
-    /// `None` if the in-use flag is clear.
+    /// Every entry in use of the directory stored at `home`, with its
+    /// slot, decoded raw: the count word, then each slot's flags and, if
+    /// the in-use flag is set, its name, uid, home and cell words.
     ///
     /// # Errors
     ///
     /// As [`Supervisor::raw_seg_read`].
-    fn raw_entry(&mut self, home: DiskHome, slot: u32) -> Result<Option<RawEntry>, LegacyError> {
-        let base = Self::entry_base(slot);
-        let flags = self.raw_seg_read(home, base + FLAGS)?.raw();
-        if flags & 1 == 0 {
-            return Ok(None);
+    fn raw_entries(&mut self, home: DiskHome) -> Result<Vec<(u32, RawEntry)>, LegacyError> {
+        let count = self.raw_seg_read(home, 0)?.raw() as u32;
+        let mut entries = Vec::new();
+        for slot in 0..count {
+            let base = Self::entry_base(slot);
+            let flags = self.raw_seg_read(home, base + FLAGS)?.raw();
+            if flags & 1 == 0 {
+                continue;
+            }
+            let mut name_words = [Word::ZERO; NAME_WORDS];
+            for (i, w) in name_words.iter_mut().enumerate() {
+                *w = self.raw_seg_read(home, base + NAME + i as u32)?;
+            }
+            let entry = RawEntry {
+                uid: SegUid(self.raw_seg_read(home, base + UID)?.raw()),
+                is_dir: flags & 2 != 0,
+                quota_dir: flags & 4 != 0,
+                home: DiskHome {
+                    pack: PackId(self.raw_seg_read(home, base + PACK)?.raw() as u32),
+                    toc: TocIndex(self.raw_seg_read(home, base + TOC)?.raw() as u32),
+                },
+                name: unpack_name(&name_words),
+                quota_used: self.raw_seg_read(home, base + QUOTA_USED)?.raw() as u32,
+            };
+            entries.push((slot, entry));
         }
-        let mut name_words = [Word::ZERO; NAME_WORDS];
-        for (i, w) in name_words.iter_mut().enumerate() {
-            *w = self.raw_seg_read(home, base + NAME + i as u32)?;
-        }
-        Ok(Some(RawEntry {
-            uid: SegUid(self.raw_seg_read(home, base + UID)?.raw()),
-            is_dir: flags & 2 != 0,
-            quota_dir: flags & 4 != 0,
-            home: DiskHome {
-                pack: PackId(self.raw_seg_read(home, base + PACK)?.raw() as u32),
-                toc: TocIndex(self.raw_seg_read(home, base + TOC)?.raw() as u32),
-            },
-            name: unpack_name(&name_words),
-            quota_used: self.raw_seg_read(home, base + QUOTA_USED)?.raw() as u32,
-        }))
+        Ok(entries)
     }
 
     /// Computes, from the disk image alone, the pages actually charged
@@ -1129,37 +780,17 @@ impl Supervisor {
     /// As [`Supervisor::raw_seg_read`].
     fn raw_cell_usage(&mut self) -> Result<HashMap<SegUid, u32>, LegacyError> {
         let mut usage: HashMap<SegUid, u32> = HashMap::new();
-        fn records_of(disks: &mx_hw::DiskSystem, home: DiskHome) -> u32 {
-            disks
-                .pack(home.pack)
-                .ok()
-                .and_then(|p| p.entry(home.toc).ok())
-                .map(|e| e.records_used())
-                .unwrap_or(0)
-        }
         usage.insert(
             self.root_uid,
             records_of(&self.machine.disks, self.root_home),
         );
-        let mut claimed: HashSet<(u32, u32)> = HashSet::new();
-        claimed.insert((self.root_home.pack.0, self.root_home.toc.0));
+        let mut claims = Claims::default();
+        claims.insert(self.root_home.pack, self.root_home.toc);
         // (directory home, cell its children charge to)
         let mut queue = VecDeque::from([(self.root_home, self.root_uid)]);
         while let Some((home, cell)) = queue.pop_front() {
-            let count = self.raw_seg_read(home, 0)?.raw() as u32;
-            for slot in 0..count {
-                let Some(e) = self.raw_entry(home, slot)? else {
-                    continue;
-                };
-                let live = self
-                    .machine
-                    .disks
-                    .pack(e.home.pack)
-                    .ok()
-                    .and_then(|p| p.entry(e.home.toc).ok())
-                    .map(|t| t.uid == e.uid.0)
-                    .unwrap_or(false);
-                if !live || !claimed.insert((e.home.pack.0, e.home.toc.0)) {
+            for (_, e) in self.raw_entries(home)? {
+                if e.claim(&mut claims, &self.machine.disks).is_err() {
                     continue;
                 }
                 *usage.entry(cell).or_default() += records_of(&self.machine.disks, e.home);
@@ -1175,6 +806,126 @@ impl Supervisor {
             }
         }
         Ok(usage)
+    }
+}
+
+impl Salvager for Supervisor {
+    type Uid = SegUid;
+    /// A directory found but not yet claimed, with the home its parent's
+    /// entry recorded. The home is stable: a quarantined directory
+    /// cannot be activated, so it cannot relocate.
+    type Dir = (SegUid, DiskHome);
+    type Report = LegacySalvageReport;
+    type Error = LegacyError;
+    /// Per quota cell, the frozen-truth used count established when the
+    /// cell was checked at its parent's claim (or the root's own claim);
+    /// the owning directory's recheck re-verifies the recorded value
+    /// against it before release.
+    type Memo = HashMap<SegUid, u32>;
+
+    fn machine(&mut self) -> &mut Machine {
+        &mut self.machine
+    }
+
+    fn online(&mut self) -> &mut Option<Online<Self>> {
+        &mut self.online
+    }
+
+    fn uid((dir, _): (SegUid, DiskHome)) -> SegUid {
+        dir
+    }
+
+    fn claim_dir(
+        &mut self,
+        st: &mut Online<Self>,
+        (dir, home): (SegUid, DiskHome),
+    ) -> Result<bool, LegacyError> {
+        // An active quarantined directory (only the root in practice)
+        // may hold dirty pages; flush so the raw reads see the truth.
+        if let Some(astx) = self.ast.find(dir) {
+            self.flush_segment(astx)?;
+        }
+        let mut bad = Vec::new();
+        // (child uid, slot, recorded used, child home)
+        let mut quota_children: Vec<(SegUid, u32, u32, DiskHome)> = Vec::new();
+        for (slot, e) in self.raw_entries(home)? {
+            st.report.objects_checked += 1;
+            if let Err(what) = e.claim(&mut st.claims, &self.machine.disks) {
+                bad.push((dir, home, slot, what));
+                continue;
+            }
+            if e.quota_dir {
+                quota_children.push((e.uid, slot, e.quota_used, e.home));
+            }
+            if e.is_dir {
+                st.push((e.uid, e.home));
+            }
+        }
+        self.clear_entries(&mut st.report, bad, true, true)?;
+        for (quid, slot, recorded, child_home) in quota_children {
+            st.report.cells_checked += 1;
+            // The child's subtree is frozen (quarantined until its own
+            // claim), so its true usage is computable now, while the
+            // cell word in this directory is still the salvager's.
+            let actual = self.online_cell_actual(child_home, &st.claims)?;
+            st.memo.insert(quid, actual);
+            if recorded != actual && st.cheat.is_none() {
+                self.set_cell(quid, dir, home, slot, actual, true)?;
+                st.report
+                    .drift(&format!("cell {}", quid.0), recorded, actual, true);
+            }
+        }
+        if dir == self.root_uid {
+            st.report.cells_checked += 1;
+            // The whole tree is still frozen at the root's claim (it is
+            // the first), so the root cell's truth is computable here.
+            let usage = self.raw_cell_usage()?;
+            let want = usage.get(&self.root_uid).copied().unwrap_or(0);
+            st.memo.insert(dir, want);
+            if st.cheat.is_none() {
+                self.check_root_cell(&mut st.report, want, true)?;
+            }
+        }
+        // Repairs to an active directory went through the paging path;
+        // flush again so the raw recheck reads current data.
+        if let Some(astx) = self.ast.find(dir) {
+            self.flush_segment(astx)?;
+        }
+        self.online_recheck(st, dir, home)
+    }
+
+    /// Reclaims TOC entries no claimed directory entry references.
+    /// Service-created objects were noted into the claim set at birth,
+    /// so only crash debris qualifies; an active segment's home is
+    /// additionally never touched, nor reported.
+    fn orphan(
+        &mut self,
+        report: &mut LegacySalvageReport,
+        pack: PackId,
+        toc: TocIndex,
+        uid: u64,
+        repair: bool,
+    ) -> Result<(), LegacyError> {
+        let home = DiskHome { pack, toc };
+        if self.ast.iter().any(|(_, a)| a.home == home) {
+            return Ok(());
+        }
+        report
+            .problems
+            .push(format!("orphan TOC entry {}:{} (uid {uid})", pack.0, toc.0));
+        if repair {
+            if let Ok(p) = self.machine.disks.pack_mut(pack) {
+                let _ = p.delete_entry(toc);
+            }
+            report
+                .repairs
+                .push(format!("reclaimed orphan TOC entry {}:{}", pack.0, toc.0));
+        }
+        Ok(())
+    }
+
+    fn leaked(pack: PackId, record: RecordNo) -> String {
+        format!("leaked record {} on pack {}", record.0, pack.0)
     }
 }
 
@@ -1410,7 +1161,7 @@ mod tests {
             .as_mut()
             .unwrap()
             .used += 3;
-        cheat.begin_online_salvage_with_cheat(Some(LegacyOnlineCheat::ReleaseBeforeCellRepair));
+        cheat.begin_online_salvage_with_cheat(Some(OnlineCheat::ReleaseBeforeCellRepair));
         match cheat.online_salvage_step().unwrap() {
             LegacyOnlineProgress::Released { recheck_clean, .. } => {
                 assert!(!recheck_clean, "the recheck must catch the planted cheat");
@@ -1467,5 +1218,92 @@ mod tests {
         assert!(!report.repairs.is_empty());
         let report = sup.salvage(false).unwrap();
         assert!(report.clean(), "problems: {:?}", report.problems);
+    }
+
+    /// The image of `>d>f` (word 0 = 7) after a clean shutdown, with an
+    /// entry `>d>g` whose TOC entry is gone if `dangling`; also `f` and
+    /// `>d`'s home.
+    fn image_with_dir(dangling: bool) -> (mx_hw::Machine, SegUid, DiskHome) {
+        let mut sup = Supervisor::boot(config());
+        let owner = || Acl::owner(UserId(1));
+        let dir = sup
+            .create_directory_in(sup.root(), "d", owner(), Label::BOTTOM)
+            .unwrap();
+        let seg = sup
+            .create_segment_in(dir, "f", owner(), Label::BOTTOM)
+            .unwrap();
+        let astx = sup.activate(seg).unwrap();
+        sup.sup_write(astx, 0, Word::new(7)).unwrap();
+        let g = sup
+            .create_segment_in(dir, "g", owner(), Label::BOTTOM)
+            .unwrap();
+        let home_of = |sup: &mut Supervisor, uid| {
+            let astx = sup.activate(uid).unwrap();
+            sup.ast.get(astx).unwrap().home
+        };
+        let (d_home, g_home) = (home_of(&mut sup, dir), home_of(&mut sup, g));
+        sup.sync_to_disk().unwrap();
+        if dangling {
+            let pack = sup.machine.disks.pack_mut(g_home.pack).unwrap();
+            pack.delete_entry(g_home.toc).unwrap();
+        }
+        (sup.machine, seg, d_home)
+    }
+
+    /// Steps `sup`'s online salvage to `Done`, then checks that `f` still
+    /// reads 7 and an offline pass is clean; the online report.
+    fn drain_and_check(sup: &mut Supervisor, f: SegUid) -> LegacySalvageReport {
+        let report = loop {
+            match sup.online_salvage_step().unwrap() {
+                LegacyOnlineProgress::Done { report } => break report,
+                LegacyOnlineProgress::Idle => panic!("salvage went idle before Done"),
+                _ => {}
+            }
+        };
+        let astx = sup.activate(f).unwrap();
+        assert_eq!(sup.sup_read(astx, 0).unwrap(), Word::new(7));
+        let check = sup.salvage(false).unwrap();
+        assert!(check.clean(), "problems: {:?}", check.problems);
+        report
+    }
+
+    #[test]
+    fn an_online_step_failed_by_an_offline_pack_is_retried() {
+        let (crashed, f, d_home) = image_with_dir(false);
+        let mut back = Supervisor::boot_from_image(config(), crashed).unwrap();
+        back.begin_online_salvage();
+        back.online_salvage_step().unwrap(); // the root
+        back.machine.faults.set_offline(d_home.pack, true);
+        assert_eq!(
+            back.online_salvage_step().unwrap_err(),
+            LegacyError::Disk(DiskError::PackOffline { pack: d_home.pack })
+        );
+        back.machine.faults.set_offline(d_home.pack, false);
+        let report = drain_and_check(&mut back, f);
+        assert!(report.clean(), "problems: {:?}", report.problems);
+    }
+
+    #[test]
+    fn an_online_step_failed_after_reading_its_entries_is_retried() {
+        let (crashed, f, d_home) = image_with_dir(true);
+        let mut back = Supervisor::boot_from_image(config(), crashed).unwrap();
+        back.begin_online_salvage();
+        back.online_salvage_step().unwrap(); // the root
+
+        // `>d`'s pack drops offline at the raw write that clears `g`,
+        // after every entry of `>d` was read and claimed.
+        let plan = mx_hw::FaultPlan::new().pack_offline_after_writes(d_home.pack, 1);
+        back.machine.install_fault_plan(plan);
+        assert_eq!(
+            back.online_salvage_step().unwrap_err(),
+            LegacyError::Disk(DiskError::PackOffline { pack: d_home.pack })
+        );
+        back.machine.install_fault_plan(mx_hw::FaultPlan::new());
+        let report = drain_and_check(&mut back, f);
+        // The failed attempt's findings were undone with it: `g` is
+        // reported and cleared once.
+        assert_eq!(report.problems.len(), 1, "problems: {:?}", report.problems);
+        assert!(report.problems[0].starts_with("dangling entry 'g'"));
+        assert_eq!(report.repairs, [format!("cleared {}", report.problems[0])]);
     }
 }

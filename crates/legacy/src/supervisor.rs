@@ -216,7 +216,7 @@ pub struct Supervisor {
     pub(crate) networks: Vec<crate::network::NetworkHandler>,
     /// In-progress online salvage, if one is running (see
     /// [`Supervisor::begin_online_salvage`]).
-    pub(crate) online: Option<crate::recovery::LegacyOnlineSalvage>,
+    pub(crate) online: Option<mx_hw::salvage::Online<Supervisor>>,
     max_processes: u32,
     dseg_frame_base: u32,
 }

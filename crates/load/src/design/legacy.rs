@@ -16,7 +16,7 @@ use mx_explore::oracle;
 use mx_hw::{Machine, Subsystem, Word};
 use mx_legacy::network::{NetworkId, NetworkKind};
 use mx_legacy::{
-    AccessRight, Acl, LegacyError, LegacyOnlineCheat, LegacyOnlineProgress, ProcessId, SegUid,
+    AccessRight, Acl, LegacyError, LegacyOnlineProgress, OnlineCheat, ProcessId, SegUid,
     Supervisor, SupervisorConfig, UserId,
 };
 use mx_sync::SchedulePolicy;
@@ -316,7 +316,7 @@ impl Design for LegacyDesign {
             None => Err("self-check drift injection found no root AST entry".to_string()),
         };
         self.sup
-            .begin_online_salvage_with_cheat(Some(LegacyOnlineCheat::ReleaseBeforeCellRepair));
+            .begin_online_salvage_with_cheat(Some(OnlineCheat::ReleaseBeforeCellRepair));
         torn
     }
 
