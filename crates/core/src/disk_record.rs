@@ -5,18 +5,28 @@
 //! pages) and the quota-cell manager (cells persist in TOC entries).
 //! It wraps the raw pack hardware with kernel error reporting and clock
 //! charges; it knows nothing about segments, directories, or quota.
+//! Its file-map edits and the full-pack segment move are the old
+//! supervisor's too, in [`DiskPack`] and [`mx_hw::storage`].
 
 use crate::error::KernelError;
+use crate::page_frame::READ_ABSORB;
 use crate::types::DiskHome;
-use mx_hw::{DiskPack, Machine, PackId, RecordNo, TocIndex};
+use mx_hw::{DiskError, DiskPack, Machine, PackId, RecordNo, TocEntry, TocIndex};
 
 /// The disk-record object manager.
 #[derive(Debug, Default, Clone)]
 pub struct DiskRecordManager {
-    /// Records allocated (experiment counter).
-    pub allocations: u64,
     /// Full-pack conditions surfaced.
     pub pack_full_events: u64,
+}
+
+/// The pack `pack`, for a manager that edits it; an unknown pack is an
+/// object that is not active.
+fn pack_mut(machine: &mut Machine, pack: PackId) -> Result<&mut DiskPack, KernelError> {
+    machine
+        .disks
+        .pack_mut(pack)
+        .map_err(|_| KernelError::NotActive)
 }
 
 impl DiskRecordManager {
@@ -87,10 +97,7 @@ impl DiskRecordManager {
         machine: &mut Machine,
         home: DiskHome,
     ) -> Result<(), KernelError> {
-        machine
-            .disks
-            .pack_mut(home.pack)
-            .map_err(|_| KernelError::NotActive)?
+        pack_mut(machine, home.pack)?
             .delete_entry(home.toc)
             .map_err(|_| KernelError::NotActive)
     }
@@ -106,21 +113,10 @@ impl DiskRecordManager {
         machine: &mut Machine,
         pack: PackId,
     ) -> Result<RecordNo, KernelError> {
-        match machine
-            .disks
-            .pack_mut(pack)
-            .map_err(|_| KernelError::NotActive)?
-            .allocate_record()
-        {
-            Ok(r) => {
-                self.allocations += 1;
-                Ok(r)
-            }
-            Err(_) => {
-                self.pack_full_events += 1;
-                Err(KernelError::AllPacksFull)
-            }
-        }
+        pack_mut(machine, pack)?.allocate_record().map_err(|_| {
+            self.pack_full_events += 1;
+            KernelError::AllPacksFull
+        })
     }
 
     /// Frees a record.
@@ -151,10 +147,11 @@ impl DiskRecordManager {
         machine.disks.pack(pack).map_err(|_| KernelError::NotActive)
     }
 
-    /// The pack with the most free space, excluding `exclude` — the
-    /// relocation target chooser.
-    pub fn emptiest_other(&self, machine: &Machine, exclude: PackId) -> Option<PackId> {
-        machine.disks.emptiest_pack(exclude)
+    /// The TOC entry at `home`.
+    fn entry<'m>(&self, machine: &'m Machine, home: DiskHome) -> Result<&'m TocEntry, KernelError> {
+        self.pack(machine, home.pack)?
+            .entry(home.toc)
+            .map_err(|_| KernelError::NotActive)
     }
 
     /// The file map entry for page `pageno` of the segment at `home`.
@@ -168,13 +165,9 @@ impl DiskRecordManager {
         home: DiskHome,
         pageno: u32,
     ) -> Result<Option<RecordNo>, KernelError> {
-        let entry = machine
-            .disks
-            .pack(home.pack)
-            .map_err(|_| KernelError::NotActive)?
-            .entry(home.toc)
-            .map_err(|_| KernelError::NotActive)?;
-        Ok(entry.file_map.get(pageno as usize).copied().flatten())
+        self.pack(machine, home.pack)?
+            .page_record(home.toc, pageno)
+            .map_err(|_| KernelError::NotActive)
     }
 
     /// Current length (pages) of the segment at `home`.
@@ -183,13 +176,7 @@ impl DiskRecordManager {
     ///
     /// [`KernelError::NotActive`] for an unknown entry.
     pub fn len_pages(&self, machine: &Machine, home: DiskHome) -> Result<u32, KernelError> {
-        Ok(machine
-            .disks
-            .pack(home.pack)
-            .map_err(|_| KernelError::NotActive)?
-            .entry(home.toc)
-            .map_err(|_| KernelError::NotActive)?
-            .len_pages())
+        Ok(self.entry(machine, home)?.len_pages())
     }
 
     /// Records currently charged to the segment at `home`.
@@ -198,13 +185,7 @@ impl DiskRecordManager {
     ///
     /// [`KernelError::NotActive`] for an unknown entry.
     pub fn records_used(&self, machine: &Machine, home: DiskHome) -> Result<u32, KernelError> {
-        Ok(machine
-            .disks
-            .pack(home.pack)
-            .map_err(|_| KernelError::NotActive)?
-            .entry(home.toc)
-            .map_err(|_| KernelError::NotActive)?
-            .records_used())
+        Ok(self.entry(machine, home)?.records_used())
     }
 
     /// Points page `pageno` of the file map at `record` (growing the map
@@ -220,17 +201,66 @@ impl DiskRecordManager {
         pageno: u32,
         record: Option<RecordNo>,
     ) -> Result<(), KernelError> {
-        let entry = machine
-            .disks
-            .pack_mut(home.pack)
-            .map_err(|_| KernelError::NotActive)?
-            .entry_mut(home.toc)
-            .map_err(|_| KernelError::NotActive)?;
-        if entry.file_map.len() <= pageno as usize {
-            entry.file_map.resize(pageno as usize + 1, None);
+        pack_mut(machine, home.pack)?
+            .map_page(home.toc, pageno, record)
+            .map_err(|_| KernelError::NotActive)
+    }
+
+    /// Makes page `pageno` of the segment at `home` a zero page, freeing
+    /// its record; true if it had one.
+    ///
+    /// # Errors
+    ///
+    /// [`KernelError::NotActive`] for an unknown entry or a record that
+    /// was not allocated.
+    pub fn unmap(
+        &mut self,
+        machine: &mut Machine,
+        home: DiskHome,
+        pageno: u32,
+    ) -> Result<bool, KernelError> {
+        pack_mut(machine, home.pack)?
+            .unmap_page(home.toc, pageno)
+            .map(|freed| freed.is_some())
+            .map_err(|_| KernelError::NotActive)
+    }
+
+    /// Truncates the segment at `home` to zero pages, freeing its
+    /// records; returns how many it freed.
+    ///
+    /// # Errors
+    ///
+    /// [`KernelError::NotActive`] for an unknown entry or a record that
+    /// was not allocated.
+    pub fn truncate(&mut self, machine: &mut Machine, home: DiskHome) -> Result<u32, KernelError> {
+        pack_mut(machine, home.pack)?
+            .truncate_entry(home.toc)
+            .map_err(|_| KernelError::NotActive)
+    }
+
+    /// Moves the segment at `home` — records, file map and quota-cell
+    /// record — to the emptiest other pack, reading each record as the
+    /// page-frame manager does ([`Machine::move_segment`]); returns its
+    /// new home.
+    ///
+    /// # Errors
+    ///
+    /// [`KernelError::AllPacksFull`] if no other pack has a free record
+    /// for every mapped page and one more, [`KernelError::TableFull`] if
+    /// its TOC is full, [`KernelError::Disk`] for a failed transfer. A
+    /// failed move leaves nothing behind unless the power failed.
+    pub fn move_segment(
+        &mut self,
+        machine: &mut Machine,
+        home: DiskHome,
+    ) -> Result<DiskHome, KernelError> {
+        match machine.move_segment(home.pack, home.toc, READ_ABSORB).0 {
+            Ok((pack, toc)) => Ok(DiskHome { pack, toc }),
+            Err(DiskError::PackFull { .. }) => Err(KernelError::AllPacksFull),
+            Err(DiskError::TocFull { .. }) => Err(KernelError::TableFull("table of contents")),
+            Err(DiskError::NoSuchEntry { .. }) => Err(KernelError::NotActive),
+            Err(e) => Err(KernelError::Disk(e)),
         }
-        entry.file_map[pageno as usize] = record;
-        Ok(())
     }
 
     /// Reads the on-disk quota cell of the entry at `home`.
@@ -243,13 +273,7 @@ impl DiskRecordManager {
         machine: &Machine,
         home: DiskHome,
     ) -> Result<Option<mx_hw::disk::QuotaCellRecord>, KernelError> {
-        Ok(machine
-            .disks
-            .pack(home.pack)
-            .map_err(|_| KernelError::NotActive)?
-            .entry(home.toc)
-            .map_err(|_| KernelError::NotActive)?
-            .quota_cell)
+        Ok(self.entry(machine, home)?.quota_cell)
     }
 
     /// Writes the on-disk quota cell of the entry at `home`.
@@ -263,10 +287,7 @@ impl DiskRecordManager {
         home: DiskHome,
         cell: Option<mx_hw::disk::QuotaCellRecord>,
     ) -> Result<(), KernelError> {
-        machine
-            .disks
-            .pack_mut(home.pack)
-            .map_err(|_| KernelError::NotActive)?
+        pack_mut(machine, home.pack)?
             .entry_mut(home.toc)
             .map_err(|_| KernelError::NotActive)?
             .quota_cell = cell;
@@ -324,7 +345,6 @@ mod tests {
             Err(KernelError::AllPacksFull)
         );
         assert_eq!(drm.pack_full_events, 1);
-        assert_eq!(drm.emptiest_other(&m, PackId(0)), Some(PackId(1)));
     }
 
     #[test]

@@ -35,6 +35,15 @@ use mx_hw::meter::{CounterSet, Subsystem};
 use mx_hw::{Fault, HwFeatures, Machine, MachineConfig, ProcessorId, VirtAddr, Word};
 use std::collections::HashMap;
 
+/// Virtual processors (the first three are kernel-bound).
+const VPS: u32 = 6;
+
+/// Real-memory event queue capacity.
+const EVENT_QUEUE: usize = 64;
+
+/// Seed for the identifier secret (deterministic experiments).
+const SEED: u64 = 0x6b65_726e_656c;
+
 /// Bootload configuration for Kernel/Multics.
 #[derive(Debug, Clone)]
 pub struct KernelConfig {
@@ -46,32 +55,24 @@ pub struct KernelConfig {
     pub records_per_pack: u32,
     /// TOC slots per pack.
     pub toc_slots_per_pack: u32,
-    /// Fixed virtual processor count (first three are kernel-bound).
-    pub vps: u32,
     /// Page-table pool slots (max simultaneously active segments).
     pub pt_slots: u32,
     /// Process slots (wired descriptor-segment frames).
     pub max_processes: u32,
-    /// Real-memory event queue capacity.
-    pub event_queue: usize,
     /// Root quota cell limit, pages.
     pub root_quota: u32,
-    /// Seed for the identifier secret (deterministic experiments).
-    pub seed: u64,
 }
 
 impl KernelConfig {
-    /// The machine this configuration boots: two processors with the
-    /// paper's proposed hardware additions.
+    /// The machine this configuration boots: the paper's proposed
+    /// hardware additions.
     fn machine(&self) -> MachineConfig {
         MachineConfig {
             frames: self.frames,
-            cpus: 2,
             packs: self.packs,
             records_per_pack: self.records_per_pack,
             toc_slots_per_pack: self.toc_slots_per_pack,
             features: HwFeatures::KERNEL_PROPOSED,
-            cost: Default::default(),
         }
     }
 }
@@ -83,12 +84,9 @@ impl Default for KernelConfig {
             packs: 2,
             records_per_pack: 1024,
             toc_slots_per_pack: 256,
-            vps: 6,
             pt_slots: 64,
             max_processes: 16,
-            event_queue: 64,
             root_quota: 1500,
-            seed: 0x6b65_726e_656c,
         }
     }
 }
@@ -235,24 +233,19 @@ impl Kernel {
         "demux_read",
     ];
 
-    /// Everything below the file system, built on `machine`: core
-    /// segments, virtual processors, the cell table, and the page-frame
-    /// manager — shared by the cold bootload and the recovery bootload.
+    /// The kernel assembled on `machine`: core segments, virtual
+    /// processors, the cell table, the page-frame manager, the directory
+    /// manager `dirm` builds on them (the cold bootload's root step or
+    /// the recovery bootload's walk) and the process manager.
     fn assemble(
         config: &KernelConfig,
         mut machine: Machine,
-    ) -> (
-        Machine,
-        CoreSegmentManager,
-        VirtualProcessorManager,
-        QuotaCellManager,
-        PageFrameManager,
-    ) {
+        dirm: impl FnOnce(&mut FsCtx<'_>) -> Result<DirectoryManager, KernelError>,
+    ) -> Result<Self, KernelError> {
         // Core segments live just above frame 0 (scratch); cap the
         // region at half of core so a pageable pool always remains.
         let mut csm = CoreSegmentManager::new(1, (config.frames / 2) as u32);
-        let mut vpm =
-            VirtualProcessorManager::new(&mut csm, config.vps).expect("core for VP states");
+        let mut vpm = VirtualProcessorManager::new(&mut csm, VPS).expect("core for VP states");
         vpm.bind_kernel(VpId(0), "user-scheduler");
         vpm.bind_kernel(VpId(1), "page-purifier");
         vpm.bind_kernel(VpId(2), "core-manager");
@@ -309,44 +302,23 @@ impl Kernel {
             "configuration leaves fewer than 8 pageable frames"
         );
         pfm.set_pageable_region(wired_end, config.frames as u32);
-        (machine, csm, vpm, qcm, pfm)
-    }
 
-    /// Bootloads Kernel/Multics.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the configuration leaves fewer than eight pageable
-    /// frames.
-    pub fn boot(config: KernelConfig) -> Self {
-        let (mut machine, csm, mut vpm, mut qcm, mut pfm) =
-            Self::assemble(&config, Machine::new(config.machine()));
-        let dseg_base = csm.end_frame();
         let mut drm = DiskRecordManager::new();
         let mut segm = SegmentManager::new();
         let mut flows = FlowTracker::new();
         let mut monitor = ReferenceMonitor::new();
-        let dirm = {
-            let mut fs = FsCtx {
-                machine: &mut machine,
-                drm: &mut drm,
-                qcm: &mut qcm,
-                pfm: &mut pfm,
-                vpm: &mut vpm,
-                segm: &mut segm,
-                flows: &mut flows,
-                monitor: &mut monitor,
-            };
-            DirectoryManager::new(&mut fs, config.seed, config.root_quota).expect("root directory")
-        };
-        let upm = UserProcessManager::new(
-            &mut vpm,
-            dseg_base,
-            config.max_processes,
-            config.event_queue,
-        );
-
-        let mut kernel = Self {
+        let dirm = dirm(&mut FsCtx {
+            machine: &mut machine,
+            drm: &mut drm,
+            qcm: &mut qcm,
+            pfm: &mut pfm,
+            vpm: &mut vpm,
+            segm: &mut segm,
+            flows: &mut flows,
+            monitor: &mut monitor,
+        })?;
+        let upm = UserProcessManager::new(&mut vpm, dseg_base, config.max_processes, EVENT_QUEUE);
+        Ok(Self {
             machine,
             csm,
             vpm,
@@ -365,23 +337,39 @@ impl Kernel {
             processes_dir: ObjToken(0),
             state_counter: 0,
             online: None,
-        };
-        let root = kernel.dirm.root_token();
-        let processes_dir = kernel
-            .with_retries(|k| {
-                k.dirm.create(
-                    &mut ctx!(k),
-                    UserId(0),
-                    Label::BOTTOM,
-                    root,
-                    "processes",
-                    Acl::owner(UserId(0)),
-                    Label::BOTTOM,
-                    true,
-                )
-            })
-            .expect("processes directory");
-        kernel.processes_dir = processes_dir;
+        })
+    }
+
+    /// Creates the well-known `>processes` directory.
+    fn create_processes_dir(&mut self) -> Result<ObjToken, KernelError> {
+        let root = self.dirm.root_token();
+        self.with_retries(|k| {
+            k.dirm.create(
+                &mut ctx!(k),
+                UserId(0),
+                Label::BOTTOM,
+                root,
+                "processes",
+                Acl::owner(UserId(0)),
+                Label::BOTTOM,
+                true,
+            )
+        })
+    }
+
+    /// Bootloads Kernel/Multics.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the configuration leaves fewer than eight pageable
+    /// frames.
+    pub fn boot(config: KernelConfig) -> Self {
+        let machine = Machine::new(config.machine());
+        let mut kernel = Self::assemble(&config, machine, |fs| {
+            DirectoryManager::new(fs, SEED, config.root_quota)
+        })
+        .expect("root directory");
+        kernel.processes_dir = kernel.create_processes_dir().expect("processes directory");
         kernel
     }
 
@@ -402,65 +390,20 @@ impl Kernel {
     /// [`KernelError::NoEntry`] if pack 0 records no root directory;
     /// storage errors walking the image.
     pub fn boot_from_image(config: KernelConfig, crashed: Machine) -> Result<Self, KernelError> {
-        let (mut machine, csm, mut vpm, mut qcm, mut pfm) =
-            Self::assemble(&config, crashed.restart(config.machine()));
-        let dseg_base = csm.end_frame();
-        let root_home = machine
+        let machine = crashed.restart(config.machine());
+        let pack = mx_hw::PackId(0);
+        let root = machine
             .disks
-            .pack(mx_hw::PackId(0))
+            .pack(pack)
             .ok()
-            .and_then(|p| {
-                p.entries()
-                    .find(|(_, e)| e.uid == 1)
-                    .map(|(toc, _)| crate::types::DiskHome {
-                        pack: mx_hw::PackId(0),
-                        toc,
-                    })
-            })
-            .ok_or(KernelError::NoEntry)?;
-        let mut drm = DiskRecordManager::new();
-        let mut segm = SegmentManager::new();
-        let mut flows = FlowTracker::new();
-        let mut monitor = ReferenceMonitor::new();
-        let dirm = {
-            let mut fs = FsCtx {
-                machine: &mut machine,
-                drm: &mut drm,
-                qcm: &mut qcm,
-                pfm: &mut pfm,
-                vpm: &mut vpm,
-                segm: &mut segm,
-                flows: &mut flows,
-                monitor: &mut monitor,
-            };
-            DirectoryManager::recover(&mut fs, config.seed, root_home)?
+            .and_then(|p| p.entries().find(|(_, e)| e.uid == 1).map(|(toc, _)| toc));
+        let root_home = crate::types::DiskHome {
+            pack,
+            toc: root.ok_or(KernelError::NoEntry)?,
         };
-        let upm = UserProcessManager::new(
-            &mut vpm,
-            dseg_base,
-            config.max_processes,
-            config.event_queue,
-        );
-        let mut kernel = Self {
-            machine,
-            csm,
-            vpm,
-            drm,
-            qcm,
-            pfm,
-            segm,
-            ksm: KnownSegmentManager::new(),
-            dirm,
-            upm,
-            demux: DemuxManager::new(),
-            monitor,
-            flows,
-            stats: KernelStats::default(),
-            accounts: HashMap::new(),
-            processes_dir: ObjToken(0),
-            state_counter: 0,
-            online: None,
-        };
+        let mut kernel = Self::assemble(&config, machine, |fs| {
+            DirectoryManager::recover(fs, SEED, root_home)
+        })?;
         // Refind the well-known `>processes` directory (recreate it if
         // the crash predated it).
         let root_uid = kernel.dirm.root();
@@ -481,21 +424,7 @@ impl Kernel {
         }
         kernel.processes_dir = match existing {
             Some(uid) => kernel.dirm.token_for(uid),
-            None => {
-                let root = kernel.dirm.root_token();
-                kernel.with_retries(|k| {
-                    k.dirm.create(
-                        &mut ctx!(k),
-                        UserId(0),
-                        Label::BOTTOM,
-                        root,
-                        "processes",
-                        Acl::owner(UserId(0)),
-                        Label::BOTTOM,
-                        true,
-                    )
-                })?
-            }
+            None => kernel.create_processes_dir()?,
         };
         // The recovery walk itself dispatched VPs and queued events; a
         // recovered system's load probes must start the new epoch clean

@@ -39,39 +39,18 @@ use crate::quota_cell::QuotaCellManager;
 use crate::types::{DiskHome, SegUid};
 use crate::vproc::VirtualProcessorManager;
 use mx_hw::cpu::Ptw;
-use mx_hw::{AbsAddr, DiskError, FrameNo, Machine, PackId, RecordNo, Subsystem, PAGE_WORDS};
+use mx_hw::{AbsAddr, FrameNo, Machine, Subsystem, PAGE_WORDS};
 use mx_sync::sim::EcId;
 use std::collections::VecDeque;
 
 /// Page-table words per paged object — the maximum segment size in pages.
 pub const PT_WORDS: u32 = 256;
 
-/// Transient-read retries before the failure surfaces as a typed error.
-pub const READ_RETRY_BUDGET: u32 = 3;
+pub use mx_hw::storage::READ_RETRY_BUDGET;
 
-/// Reads a record into a frame, retrying transient errors up to the
-/// budget; exhaustion (and every hard fault) surfaces as
-/// [`KernelError::Disk`] — never a panic. Returns the retries used.
-pub(crate) fn read_into_frame_with_retry(
-    machine: &mut Machine,
-    pack: PackId,
-    record: RecordNo,
-    frame: FrameNo,
-) -> Result<u32, KernelError> {
-    let mut retries = 0;
-    loop {
-        match machine.disk_read_into_frame(pack, record, frame) {
-            Ok(()) => return Ok(retries),
-            Err(e @ DiskError::TransientRead { .. }) => {
-                retries += 1;
-                if retries >= READ_RETRY_BUDGET {
-                    return Err(KernelError::Disk(e));
-                }
-            }
-            Err(e) => return Err(KernelError::Disk(e)),
-        }
-    }
-}
+/// Transient failures one kernel disk read absorbs: the kernel counts
+/// attempts, so the failure that uses up [`READ_RETRY_BUDGET`] surfaces.
+pub(crate) const READ_ABSORB: u32 = READ_RETRY_BUDGET - 1;
 
 /// A handle to a paged object (a bound page-table slot).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -213,20 +192,32 @@ impl PageFrameManager {
             .ok_or(KernelError::TableFull("page table pool"))? as u32;
         self.slots[slot as usize] = Some(PtBinding { home, cell });
         let handle = PtHandle(slot);
+        self.arm(machine, drm, handle, home)?;
+        Ok(handle)
+    }
+
+    /// Arms every descriptor of `handle` from the file map at `home` (not
+    /// present, the quota-trap bit on exactly the unallocated pages) and
+    /// flushes every translation cached from the table's previous use.
+    fn arm(
+        &self,
+        machine: &mut Machine,
+        drm: &DiskRecordManager,
+        handle: PtHandle,
+        home: DiskHome,
+    ) -> Result<(), KernelError> {
         for pageno in 0..PT_WORDS {
-            let allocated = drm.record_of(machine, home, pageno)?.is_some();
+            let quota_trap = drm.record_of(machine, home, pageno)?.is_none();
             let ptw = Ptw {
-                quota_trap: !allocated,
+                quota_trap,
                 ..Ptw::default()
             };
             machine
                 .mem
                 .write(self.ptw_addr(handle, pageno), ptw.encode());
         }
-        // The slot may be a reused one: translations cached from its
-        // previous tenant must not survive into the new binding.
         machine.tlb_invalidate_ptw_range(self.ptw_addr(handle, 0), u64::from(PT_WORDS));
-        Ok(handle)
+        Ok(())
     }
 
     /// Unbinds a paged object: flushes every resident page (with the
@@ -342,24 +333,25 @@ impl PageFrameManager {
             .record_of(machine, home, pageno)?
             .expect("missing-page fault on a page with no record: quota-trap bit lost");
         let frame = self.claim_frame(machine, drm, qcm, handle.0, pageno)?;
-        match read_into_frame_with_retry(machine, home.pack, record, frame) {
-            Ok(retries) => self.stats.transient_retries += u64::from(retries),
-            Err(e) => {
-                // Release the claimed frame so an exhausted or offline
-                // read leaves no leak, and clear the lock bit the
-                // hardware set at fault time — a descriptor left locked
-                // would turn every later reference into an endless
-                // LockedDescriptor wait. Waiters are notified so they
-                // re-fault and observe the error themselves.
-                self.frames[frame.0 as usize] = FrameUse::Free;
-                let mut unlocked = ptw;
-                unlocked.locked = false;
-                self.set_ptw(machine, handle, pageno, unlocked);
-                self.stats.notifications += 1;
-                vpm.advance(self.page_event);
-                return Err(e);
-            }
+        let (read, retries) = machine.read_with_retry(READ_ABSORB, |m| {
+            m.disk_read_into_frame(home.pack, record, frame)
+        });
+        if let Err(e) = read {
+            // Release the claimed frame so an exhausted or offline read
+            // leaves no leak, and clear the lock bit the hardware set at
+            // fault time — a descriptor left locked would turn every
+            // later reference into an endless LockedDescriptor wait.
+            // Waiters are notified so they re-fault and observe the
+            // error themselves.
+            self.frames[frame.0 as usize] = FrameUse::Free;
+            let mut unlocked = ptw;
+            unlocked.locked = false;
+            self.set_ptw(machine, handle, pageno, unlocked);
+            self.stats.notifications += 1;
+            vpm.advance(self.page_event);
+            return Err(KernelError::Disk(e));
         }
+        self.stats.transient_retries += u64::from(retries);
         self.set_ptw(
             machine,
             handle,
@@ -517,25 +509,7 @@ impl PageFrameManager {
         // unnecessary access to the data in every page".
         crate::charge_pli(machine, 45);
         if machine.mem.frame_is_zero(frame) {
-            // Revert to the zero flag: free the record, re-arm the
-            // quota-trap bit, drop the storage charge.
-            if let Some(record) = drm.record_of(machine, binding.home, pageno)? {
-                drm.set_record(machine, binding.home, pageno, None)?;
-                drm.free(machine, binding.home.pack, record);
-                if let Some(cell) = binding.cell {
-                    qcm.uncharge(machine, cell, 1)?;
-                }
-            }
-            self.set_ptw(
-                machine,
-                handle,
-                pageno,
-                Ptw {
-                    quota_trap: true,
-                    ..Ptw::default()
-                },
-            );
-            self.stats.zero_reversions += 1;
+            self.revert_to_zero(machine, drm, qcm, handle, pageno)?;
         } else {
             if ptw.modified {
                 let record = drm
@@ -549,6 +523,31 @@ impl PageFrameManager {
         }
         self.frames[frame.0 as usize] = FrameUse::Free;
         self.write_queue.retain(|f| *f != frame);
+        Ok(())
+    }
+
+    /// Reverts a resident all-zero page to the zero flag: frees its
+    /// record, drops the storage charge and re-arms the quota-trap bit.
+    fn revert_to_zero(
+        &mut self,
+        machine: &mut Machine,
+        drm: &mut DiskRecordManager,
+        qcm: &mut QuotaCellManager,
+        handle: PtHandle,
+        pageno: u32,
+    ) -> Result<(), KernelError> {
+        let binding = self.slots[handle.0 as usize].expect("bound slot");
+        if drm.unmap(machine, binding.home, pageno)? {
+            if let Some(cell) = binding.cell {
+                qcm.uncharge(machine, cell, 1)?;
+            }
+        }
+        let trap = Ptw {
+            quota_trap: true,
+            ..Ptw::default()
+        };
+        self.set_ptw(machine, handle, pageno, trap);
+        self.stats.zero_reversions += 1;
         Ok(())
     }
 
@@ -583,24 +582,8 @@ impl PageFrameManager {
         }
         if machine.mem.frame_is_zero(frame) {
             // The page went back to zeros while dirty: revert in place.
-            if let Some(record) = drm.record_of(machine, binding.home, pageno)? {
-                drm.set_record(machine, binding.home, pageno, None)?;
-                drm.free(machine, binding.home.pack, record);
-                if let Some(cell) = binding.cell {
-                    qcm.uncharge(machine, cell, 1)?;
-                }
-            }
-            self.set_ptw(
-                machine,
-                handle,
-                pageno,
-                Ptw {
-                    quota_trap: true,
-                    ..Ptw::default()
-                },
-            );
+            self.revert_to_zero(machine, drm, qcm, handle, pageno)?;
             self.frames[frame.0 as usize] = FrameUse::Free;
-            self.stats.zero_reversions += 1;
         } else {
             let record = drm
                 .record_of(machine, binding.home, pageno)?
@@ -650,20 +633,7 @@ impl PageFrameManager {
             .as_mut()
             .expect("bound handle");
         binding.home = new_home;
-        for pageno in 0..PT_WORDS {
-            let allocated = drm.record_of(machine, new_home, pageno)?.is_some();
-            let ptw = Ptw {
-                quota_trap: !allocated,
-                ..Ptw::default()
-            };
-            machine
-                .mem
-                .write(self.ptw_addr(handle, pageno), ptw.encode());
-        }
-        // The whole table was re-armed: flush any translation cached
-        // from it (full-pack relocation keeps the table address).
-        machine.tlb_invalidate_ptw_range(self.ptw_addr(handle, 0), u64::from(PT_WORDS));
-        Ok(())
+        self.arm(machine, drm, handle, new_home)
     }
 }
 

@@ -216,8 +216,11 @@ impl Kernel {
             salvage::sweep(self, &claims, s, &mut report, repair)?;
         }
 
-        // Invariant 3: cell drift.
-        let cells: BTreeSet<SegUid> = catalogued.values().map(|(_, c)| *c).collect();
+        // Invariant 3: cell drift, for every cell governing a catalogued
+        // object and every catalogued quota directory, whose objects may
+        // all have been reclaimed as orphans.
+        let mut cells: BTreeSet<SegUid> = catalogued.values().map(|(_, c)| *c).collect();
+        cells.extend(catalogued.keys().filter(|uid| self.qcm.exists(**uid)));
         for cell in cells {
             report.cells_checked += 1;
             let actual = actual_by_cell.get(&cell).copied().unwrap_or(0);
@@ -1015,6 +1018,45 @@ mod tests {
             }
         }
         k
+    }
+
+    #[test]
+    fn a_quota_directory_whose_files_are_all_orphans_is_audited() {
+        let (mut k, pid) = boot();
+        let root = k.root_token();
+        let q = k
+            .create_entry(pid, root, "q", Acl::owner(UserId(1)), Label::BOTTOM, true)
+            .unwrap();
+        k.set_quota(pid, q, 10).unwrap();
+        let f = k
+            .create_entry(pid, q, "f", Acl::owner(UserId(1)), Label::BOTTOM, false)
+            .unwrap();
+        let segno = k.initiate(pid, f).unwrap();
+        for p in 0..3 {
+            let wordno = p * mx_hw::PAGE_WORDS as u32;
+            k.write_word(pid, segno, wordno, Word::new(7)).unwrap();
+        }
+        let (q, f) = (k.uid_of_token(q).unwrap(), k.uid_of_token(f).unwrap());
+        // A torn directory page loses `f`'s entry; its TOC entry, its
+        // records and `q`'s charge for them stay.
+        let entries = k.salvage_dir_entries(q).unwrap();
+        let slot = entries.iter().find(|e| e.2 == f).unwrap().0;
+        k.dirm
+            .salvage_clear_entry(&mut ctx!(k), q, slot, f)
+            .unwrap();
+        k.sync_to_disk().unwrap();
+        let drift = Problem::CellDrift {
+            cell: q,
+            recorded: 3,
+            actual: 0,
+        };
+        let report = k.salvage(false).unwrap();
+        assert!(report.problems.contains(&drift), "{:?}", report.problems);
+        let report = k.salvage(true).unwrap();
+        assert!(report.repairs.iter().any(|r| r.contains("reset cell")));
+        let report = k.salvage(false).unwrap();
+        assert!(report.clean(), "problems: {:?}", report.problems);
+        assert_eq!(k.cell_recorded(q).unwrap(), Some(0));
     }
 
     #[test]

@@ -200,8 +200,10 @@ impl SegmentManager {
     ///
     /// [`KernelError::QuotaExceeded`] (charge refused),
     /// [`KernelError::AllPacksFull`] (no pack can take the segment), or
-    /// [`KernelError::Upward`] carrying [`Signal::SegmentMoved`] — the
-    /// page **was** created; only the directory entry update remains.
+    /// [`KernelError::Upward`] carrying [`Signal::SegmentMoved`] whenever
+    /// the segment moved — only the directory entry update remains (a
+    /// page not created is re-requested by the retry). Every failure
+    /// gives the charge back.
     #[allow(clippy::too_many_arguments)]
     pub fn grow(
         &mut self,
@@ -220,37 +222,39 @@ impl SegmentManager {
         };
         crate::charge_pli(machine, 35);
         qcm.charge(machine, cell, 1, subject, flows)?;
-        match pfm.add_page(machine, drm, qcm, handle, pageno) {
-            Ok(()) => Ok(()),
-            Err(KernelError::AllPacksFull) => {
-                // Full pack: relocate, retry the creation on the new
-                // home, then signal upward for the directory update.
-                let new_home = self.relocate(machine, drm, qcm, pfm, uid)?;
-                match pfm.add_page(machine, drm, qcm, handle, pageno) {
-                    Ok(()) => {
-                        self.stats.upward_signals += 1;
-                        Err(KernelError::Upward(Signal::SegmentMoved { uid, new_home }))
-                    }
-                    Err(e) => {
-                        qcm.uncharge(machine, cell, 1)?;
-                        Err(e)
-                    }
-                }
+        let mut added = pfm.add_page(machine, drm, qcm, handle, pageno);
+        let mut moved = None;
+        if added == Err(KernelError::AllPacksFull) {
+            // Full pack: relocate and retry the creation on the new home.
+            added = self
+                .relocate(machine, drm, qcm, pfm, uid)
+                .and_then(|new_home| {
+                    moved = Some(new_home);
+                    pfm.add_page(machine, drm, qcm, handle, pageno)
+                });
+        }
+        if added.is_err() {
+            qcm.uncharge(machine, cell, 1)?;
+        }
+        match moved {
+            Some(new_home) => {
+                self.stats.upward_signals += 1;
+                Err(KernelError::Upward(Signal::SegmentMoved { uid, new_home }))
             }
-            Err(e) => {
-                qcm.uncharge(machine, cell, 1)?;
-                Err(e)
-            }
+            None => added,
         }
     }
 
-    /// Moves a segment, records and all, to the emptiest other pack.
-    /// The paged object keeps its handle (and page-table address), so
-    /// connected address spaces remain valid.
+    /// Moves a segment, records and all, to the emptiest other pack
+    /// through the disk record manager
+    /// ([`DiskRecordManager::move_segment`]). The paged object keeps its
+    /// handle (and page-table address), so connected address spaces
+    /// remain valid.
     ///
     /// # Errors
     ///
-    /// [`KernelError::AllPacksFull`] if no other pack has room.
+    /// [`KernelError::AllPacksFull`] if no other pack has room for the
+    /// segment and one page more; storage errors from the copy.
     pub fn relocate(
         &mut self,
         machine: &mut Machine,
@@ -265,54 +269,10 @@ impl SegmentManager {
         };
         crate::charge_pli(machine, 380);
         pfm.flush(machine, drm, qcm, handle)?;
-        let target = drm
-            .emptiest_other(machine, old.pack)
-            .ok_or(KernelError::AllPacksFull)?;
-        let new_toc = drm.create_entry(machine, target, uid.0)?;
-        let new_home = DiskHome {
-            pack: target,
-            toc: new_toc,
-        };
-
-        // Copy the file map record by record.
-        let len = drm.len_pages(machine, old)?;
-        for pageno in 0..len {
-            let Some(old_rec) = drm.record_of(machine, old, pageno)? else {
-                drm.set_record(machine, new_home, pageno, None)?;
-                continue;
-            };
-            // The copy goes through the fault-checked channel: transient
-            // read errors are retried within the budget, hard faults
-            // surface as typed errors.
-            let buf = {
-                let mut retries = 0;
-                loop {
-                    match machine.disk_read_record(old.pack, old_rec) {
-                        Ok(b) => break b,
-                        Err(e @ mx_hw::DiskError::TransientRead { .. }) => {
-                            retries += 1;
-                            if retries >= crate::page_frame::READ_RETRY_BUDGET {
-                                return Err(KernelError::Disk(e));
-                            }
-                        }
-                        Err(e) => return Err(KernelError::Disk(e)),
-                    }
-                }
-            };
-            let new_rec = drm.allocate(machine, target)?;
-            machine
-                .disk_write_record(target, new_rec, &buf)
-                .map_err(KernelError::Disk)?;
-            drm.set_record(machine, new_home, pageno, Some(new_rec))?;
-        }
-        // Move the on-disk quota cell, if this segment is a quota
-        // directory, and repoint the cell manager at the new home.
-        let cell_rec = drm.read_quota_cell(machine, old)?;
-        if cell_rec.is_some() {
-            drm.write_quota_cell(machine, new_home, cell_rec)?;
-        }
+        let new_home = drm.move_segment(machine, old)?;
+        // The quota cell, if this segment is a quota directory, moved
+        // with it: repoint the cell manager at the new home.
         qcm.update_home(uid, new_home);
-        drm.delete_entry(machine, old)?;
         pfm.rebind_home(machine, drm, handle, new_home)?;
         self.active
             .get_mut(&uid)
@@ -442,29 +402,12 @@ impl SegmentManager {
             (seg.handle, seg.home, seg.cell)
         };
         // Flush drops zero pages (uncharging them); then free whatever
-        // records remain.
+        // records remain and re-arm every descriptor.
         pfm.flush(machine, drm, qcm, handle)?;
-        let len = drm.len_pages(machine, home)?;
-        let mut freed = 0;
-        for pageno in 0..len {
-            if let Some(rec) = drm.record_of(machine, home, pageno)? {
-                drm.set_record(machine, home, pageno, None)?;
-                drm.free(machine, home.pack, rec);
-                freed += 1;
-            }
-        }
+        let freed = drm.truncate(machine, home)?;
         if freed > 0 {
             qcm.uncharge(machine, cell, freed)?;
         }
-        // Reset the file map length and re-arm every descriptor.
-        machine
-            .disks
-            .pack_mut(home.pack)
-            .map_err(|_| KernelError::NotActive)?
-            .entry_mut(home.toc)
-            .map_err(|_| KernelError::NotActive)?
-            .file_map
-            .clear();
         pfm.rebind_home(machine, drm, handle, home)?;
         Ok(())
     }

@@ -298,7 +298,6 @@ fn kernel_for(kind: ScenarioKind) -> Kernel {
                 pt_slots: 24,
                 max_processes: 4,
                 root_quota: 500,
-                ..KernelConfig::default()
             });
             k.machine.disks.attach(64, 32);
             k

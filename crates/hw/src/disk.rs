@@ -302,28 +302,86 @@ impl DiskPack {
     /// [`DiskError::BadRecord`] if a (corrupt) file map names a record
     /// that is not allocated — the entry is gone either way.
     pub fn delete_entry(&mut self, index: TocIndex) -> Result<(), DiskError> {
-        let entry = self
-            .toc
-            .get_mut(index.0 as usize)
-            .and_then(Option::take)
-            .ok_or(DiskError::NoSuchEntry {
-                pack: self.id,
-                index,
-            })?;
-        self.toc_floor = self.toc_floor.min(index.0 as usize);
-        let mut bad = None;
-        for rec in entry.file_map.into_iter().flatten() {
-            // The file map should only name records this pack allocated;
-            // report a corrupt map as a typed error instead of panicking,
-            // still freeing whatever else the map names.
+        let freed = self.truncate_entry(index);
+        if let Some(slot @ Some(_)) = self.toc.get_mut(index.0 as usize) {
+            *slot = None;
+            self.toc_floor = self.toc_floor.min(index.0 as usize);
+        }
+        freed.map(|_| ())
+    }
+
+    /// The record holding page `pageno` of entry `index`: `None` for a
+    /// zero page or a page past the end of the file map.
+    ///
+    /// # Errors
+    ///
+    /// [`DiskError::NoSuchEntry`] if the entry does not exist.
+    pub fn page_record(&self, index: TocIndex, pageno: u32) -> Result<Option<RecordNo>, DiskError> {
+        let map = &self.entry(index)?.file_map;
+        Ok(map.get(pageno as usize).copied().flatten())
+    }
+
+    /// Points page `pageno` of entry `index` at `record` (`None` makes it
+    /// a zero page), growing the file map with zero pages to reach it.
+    ///
+    /// # Errors
+    ///
+    /// [`DiskError::NoSuchEntry`] if the entry does not exist.
+    pub fn map_page(
+        &mut self,
+        index: TocIndex,
+        pageno: u32,
+        record: Option<RecordNo>,
+    ) -> Result<(), DiskError> {
+        let map = &mut self.entry_mut(index)?.file_map;
+        if map.len() <= pageno as usize {
+            map.resize(pageno as usize + 1, None);
+        }
+        map[pageno as usize] = record;
+        Ok(())
+    }
+
+    /// Makes page `pageno` of entry `index` a zero page, freeing its
+    /// record; returns the record it held, if any.
+    ///
+    /// # Errors
+    ///
+    /// [`DiskError::NoSuchEntry`] if the entry does not exist, or
+    /// [`DiskError::BadRecord`] if the map named a record that is not
+    /// allocated — the page is a zero page either way.
+    pub fn unmap_page(
+        &mut self,
+        index: TocIndex,
+        pageno: u32,
+    ) -> Result<Option<RecordNo>, DiskError> {
+        let map = &mut self.entry_mut(index)?.file_map;
+        let Some(record) = map.get_mut(pageno as usize).and_then(Option::take) else {
+            return Ok(None);
+        };
+        self.free_record(record)?;
+        Ok(Some(record))
+    }
+
+    /// Truncates entry `index` to zero pages, freeing every record its
+    /// file map names; returns how many it names.
+    ///
+    /// # Errors
+    ///
+    /// [`DiskError::NoSuchEntry`] if the entry does not exist, or
+    /// [`DiskError::BadRecord`] for the last record the map names that
+    /// is not allocated — the entry is truncated either way.
+    pub fn truncate_entry(&mut self, index: TocIndex) -> Result<u32, DiskError> {
+        let map = std::mem::take(&mut self.entry_mut(index)?.file_map);
+        let (mut named, mut bad) = (0, None);
+        for rec in map.into_iter().flatten() {
+            // A corrupt map is a typed error, not a panic, and whatever
+            // else it names is still freed.
+            named += 1;
             if let Err(e) = self.free_record(rec) {
                 bad = Some(e);
             }
         }
-        match bad {
-            Some(e) => Err(e),
-            None => Ok(()),
-        }
+        bad.map_or(Ok(named), Err)
     }
 
     /// Record numbers currently allocated — the salvager's leak sweep

@@ -33,7 +33,9 @@
 //! and name words 4–11. No design's entry codec lives here. Of salvage
 //! it knows what both designs' salvagers check of the packs, in
 //! [`salvage`]: the claim check, the per-pack sweeps and the online
-//! salvage machine.
+//! salvage machine. Of segment storage it knows what both designs do
+//! to a segment's disk home, in [`storage`]: the transient-read retry
+//! and the full-pack segment move.
 
 pub mod clock;
 pub mod cpu;
@@ -48,6 +50,7 @@ pub mod mem;
 pub mod meter;
 pub mod rng;
 pub mod salvage;
+pub mod storage;
 pub mod tlb;
 pub mod word;
 

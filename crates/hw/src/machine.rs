@@ -15,13 +15,15 @@ use crate::tlb::TlbStats;
 use crate::word::Word;
 use crate::VirtAddr;
 
-/// Configuration for building a [`Machine`].
+/// Real processors of every machine.
+pub const CPUS: u32 = 2;
+
+/// Configuration for building a [`Machine`] of [`CPUS`] processors with
+/// the default [`CostModel`].
 #[derive(Debug, Clone)]
 pub struct MachineConfig {
     /// Page frames of primary memory.
     pub frames: usize,
-    /// Number of real processors.
-    pub cpus: u32,
     /// Number of disk packs to attach at bootload.
     pub packs: u32,
     /// Records (pages) per pack.
@@ -30,20 +32,16 @@ pub struct MachineConfig {
     pub toc_slots_per_pack: u32,
     /// Hardware feature set.
     pub features: HwFeatures,
-    /// Cycle cost model.
-    pub cost: CostModel,
 }
 
 impl Default for MachineConfig {
     fn default() -> Self {
         Self {
             frames: 256,
-            cpus: 2,
             packs: 2,
             records_per_pack: 1024,
             toc_slots_per_pack: 256,
             features: HwFeatures::BASE_1974,
-            cost: CostModel::default(),
         }
     }
 }
@@ -103,8 +101,8 @@ impl Machine {
         Self {
             mem,
             clock: Clock::new(),
-            cost: config.cost,
-            cpus: (0..config.cpus)
+            cost: CostModel::default(),
+            cpus: (0..CPUS)
                 .map(|i| Processor::new(ProcessorId(i), config.features))
                 .collect(),
             disks,

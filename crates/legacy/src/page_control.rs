@@ -35,9 +35,12 @@ use mx_hw::cpu::Ptw;
 use mx_hw::meter::Subsystem;
 use mx_hw::{AbsAddr, DiskError, FrameNo, Language, Machine, VirtAddr};
 
-/// Transient-read retries before the supervisor gives up on a record —
-/// the same budget the kernel's page-frame manager uses.
-pub const READ_RETRY_BUDGET: u32 = 3;
+pub use mx_hw::storage::READ_RETRY_BUDGET;
+
+/// Transient failures one disk read of the old supervisor absorbs: it
+/// counts retries after the first attempt, so it absorbs the whole
+/// [`READ_RETRY_BUDGET`] (the kernel absorbs one fewer).
+pub(crate) const READ_ABSORB: u32 = READ_RETRY_BUDGET;
 
 /// Cost constants (abstract instructions) for the PL/I paths of page
 /// control; the old page control was largely assembly, so the *resident*
@@ -158,15 +161,12 @@ impl Supervisor {
         let (home, len) = (aste.home, aste.len_pages);
 
         // What does the file map say about this page?
-        let record = {
-            let pack = self
-                .machine
-                .disks
-                .pack(home.pack)
-                .map_err(LegacyError::Disk)?;
-            let entry = pack.entry(home.toc).map_err(LegacyError::Disk)?;
-            entry.file_map.get(pageno as usize).copied().flatten()
-        };
+        let record = self
+            .machine
+            .disks
+            .pack(home.pack)
+            .and_then(|p| p.page_record(home.toc, pageno))
+            .map_err(LegacyError::Disk)?;
 
         if let Some(record) = record {
             // Ordinary page-in from its disk record, with the bounded
@@ -213,20 +213,13 @@ impl Supervisor {
 
         // Commit the new page to the file map (growing it if needed).
         let aste = self.ast.get_mut(astx).ok_or(LegacyError::NotActive)?;
+        aste.len_pages = len.max(pageno + 1);
         let home = aste.home;
-        if pageno >= len {
-            aste.len_pages = pageno + 1;
-        }
-        let pack = self
-            .machine
+        self.machine
             .disks
             .pack_mut(home.pack)
+            .and_then(|p| p.map_page(home.toc, pageno, Some(record)))
             .map_err(LegacyError::Disk)?;
-        let entry = pack.entry_mut(home.toc).map_err(LegacyError::Disk)?;
-        if entry.file_map.len() <= pageno as usize {
-            entry.file_map.resize(pageno as usize + 1, None);
-        }
-        entry.file_map[pageno as usize] = Some(record);
         self.install_ptw(astx, pageno, frame);
         Ok(())
     }
@@ -236,19 +229,11 @@ impl Supervisor {
     /// [`LegacyError::Disk`].
     pub(crate) fn read_with_retry<T>(
         &mut self,
-        mut read: impl FnMut(&mut Machine) -> Result<T, DiskError>,
+        read: impl FnMut(&mut Machine) -> Result<T, DiskError>,
     ) -> Result<T, LegacyError> {
-        let mut retries = 0;
-        loop {
-            match read(&mut self.machine) {
-                Ok(v) => return Ok(v),
-                Err(DiskError::TransientRead { .. }) if retries < READ_RETRY_BUDGET => {
-                    retries += 1;
-                    self.stats.disk_retries += 1;
-                }
-                Err(e) => return Err(LegacyError::Disk(e)),
-            }
-        }
+        let (outcome, retries) = self.machine.read_with_retry(READ_ABSORB, read);
+        self.stats.disk_retries += u64::from(retries);
+        outcome.map_err(LegacyError::Disk)
     }
 
     fn install_ptw(&mut self, astx: usize, pageno: u32, frame: FrameNo) {
@@ -268,25 +253,23 @@ impl Supervisor {
     /// invokes segment control to relocate the segment and retries on its
     /// new home — the upward call of the full-pack loop.
     fn allocate_record_for(&mut self, astx: usize) -> Result<mx_hw::RecordNo, LegacyError> {
-        let home = self.ast.get(astx).ok_or(LegacyError::NotActive)?.home;
-        let pack = self
-            .machine
-            .disks
-            .pack_mut(home.pack)
-            .map_err(LegacyError::Disk)?;
-        match pack.allocate_record() {
-            Ok(r) => Ok(r),
-            Err(_) => {
-                // Full disk pack: page control invokes segment control.
+        let allocate = |s: &mut Self| -> Result<mx_hw::RecordNo, LegacyError> {
+            let home = s.ast.get(astx).ok_or(LegacyError::NotActive)?.home;
+            let pack = s
+                .machine
+                .disks
+                .pack_mut(home.pack)
+                .map_err(LegacyError::Disk)?;
+            pack.allocate_record()
+                .map_err(|_| LegacyError::AllPacksFull)
+        };
+        match allocate(self) {
+            // Full disk pack: page control invokes segment control.
+            Err(LegacyError::AllPacksFull) => {
                 self.relocate_segment(astx)?;
-                let new_home = self.ast.get(astx).ok_or(LegacyError::NotActive)?.home;
-                self.machine
-                    .disks
-                    .pack_mut(new_home.pack)
-                    .map_err(LegacyError::Disk)?
-                    .allocate_record()
-                    .map_err(|_| LegacyError::AllPacksFull)
+                allocate(self)
             }
+            allocated => allocated,
         }
     }
 
@@ -339,32 +322,25 @@ impl Supervisor {
         // the data in every page of every file stored by the system."
         self.charge(EVICT_SCAN_INSTR, Language::Assembly);
         let home = self.ast.get(astx).ok_or(LegacyError::NotActive)?.home;
-        let record = {
-            let pack = self
-                .machine
-                .disks
-                .pack(home.pack)
-                .map_err(LegacyError::Disk)?;
-            pack.entry(home.toc).map_err(LegacyError::Disk)?.file_map[pageno as usize]
-        };
         let modified = self.ptw(astx, pageno).modified;
+        let disks = &mut self.machine.disks;
         if self.machine.mem.frame_is_zero(frame) {
             // Revert to the zero-page flag; free the record and drop the
             // charge.
-            if let Some(record) = record {
-                let pack = self
-                    .machine
-                    .disks
-                    .pack_mut(home.pack)
-                    .map_err(LegacyError::Disk)?;
-                pack.entry_mut(home.toc)
-                    .map_err(LegacyError::Disk)?
-                    .file_map[pageno as usize] = None;
-                let _ = pack.free_record(record);
+            let pack = disks.pack_mut(home.pack).map_err(LegacyError::Disk)?;
+            if pack
+                .unmap_page(home.toc, pageno)
+                .map_err(LegacyError::Disk)?
+                .is_some()
+            {
                 self.quota_uncharge(astx, 1);
             }
             self.stats.zero_reversions += 1;
         } else if modified {
+            let pack = disks.pack(home.pack).map_err(LegacyError::Disk)?;
+            let record = pack
+                .page_record(home.toc, pageno)
+                .map_err(LegacyError::Disk)?;
             let record = record.ok_or(LegacyError::NotActive)?;
             self.machine
                 .disk_write_from_frame(home.pack, record, frame)

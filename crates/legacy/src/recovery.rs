@@ -692,41 +692,29 @@ impl Supervisor {
         wordno: u32,
         value: Word,
     ) -> Result<(), LegacyError> {
-        let page = wordno as usize / PAGE_WORDS;
+        let page = wordno / PAGE_WORDS as u32;
         let off = wordno as usize % PAGE_WORDS;
         self.charge(RAW_WALK_INSTR, Language::Pli);
-        let record = {
-            let pack = self
-                .machine
-                .disks
-                .pack_mut(home.pack)
-                .map_err(LegacyError::Disk)?;
-            let record = pack
-                .entry(home.toc)
-                .map_err(LegacyError::Disk)?
-                .file_map
-                .get(page)
-                .copied()
-                .flatten();
-            match record {
-                Some(r) => r,
-                None => {
-                    let r = pack
-                        .allocate_record()
-                        .map_err(|_| LegacyError::AllPacksFull)?;
-                    let entry = pack.entry_mut(home.toc).map_err(LegacyError::Disk)?;
-                    if entry.file_map.len() <= page {
-                        entry.file_map.resize(page + 1, None);
-                    }
-                    entry.file_map[page] = Some(r);
-                    r
-                }
+        let pack = self
+            .machine
+            .disks
+            .pack_mut(home.pack)
+            .map_err(LegacyError::Disk)?;
+        let record = match pack
+            .page_record(home.toc, page)
+            .map_err(LegacyError::Disk)?
+        {
+            Some(r) => r,
+            None => {
+                let r = pack
+                    .allocate_record()
+                    .map_err(|_| LegacyError::AllPacksFull)?;
+                pack.map_page(home.toc, page, Some(r))
+                    .map_err(LegacyError::Disk)?;
+                r
             }
         };
-        let mut buf = self
-            .machine
-            .disk_read_record(home.pack, record)
-            .map_err(LegacyError::Disk)?;
+        let mut buf = self.read_with_retry(|m| m.disk_read_record(home.pack, record))?;
         buf[off] = value;
         self.machine
             .disk_write_record(home.pack, record, buf.as_ref())

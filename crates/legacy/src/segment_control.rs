@@ -4,16 +4,18 @@
 //! first (the AST mirrors the hierarchy); deactivation refuses while
 //! inferior segments are active. On a full pack, [`Supervisor::
 //! relocate_segment`] moves every record of the segment to the emptiest
-//! other pack and then — the loop the paper highlights — *directly
-//! rewrites the directory entry* it locates through the branch table,
-//! the data base the naming layers maintain.
+//! other pack (the kernel's copy too, [`mx_hw::storage`]) and then — the
+//! loop the paper highlights — *directly rewrites the directory entry*
+//! it locates through the branch table, the data base the naming layers
+//! maintain.
 
 use crate::ast::{Aste, QuotaCell};
+use crate::page_control::READ_ABSORB;
 use crate::supervisor::Supervisor;
 use crate::types::{DiskHome, LegacyError, ProcessId, SegUid};
 use mx_hw::cpu::Sdw;
 use mx_hw::meter::Subsystem;
-use mx_hw::Language;
+use mx_hw::{DiskError, Language};
 
 /// Abstract-instruction costs of segment control's PL/I paths.
 const ACTIVATE_INSTR: u64 = 120;
@@ -167,11 +169,13 @@ impl Supervisor {
     }
 
     /// Relocates a whole segment to the emptiest other pack (full-pack
-    /// service) and directly rewrites its directory entry.
+    /// service, [`mx_hw::Machine::move_segment`]) and directly rewrites
+    /// its directory entry.
     ///
     /// # Errors
     ///
-    /// [`LegacyError::AllPacksFull`] when no pack can take the segment.
+    /// [`LegacyError::AllPacksFull`] when no pack can take the segment
+    /// and one page more; [`LegacyError::Disk`] for a failed transfer.
     pub(crate) fn relocate_segment(&mut self, astx: usize) -> Result<(), LegacyError> {
         self.stats.relocations += 1;
         self.charge(RELOCATE_INSTR, Language::Pli);
@@ -179,104 +183,29 @@ impl Supervisor {
         // sees current contents.
         self.flush_segment(astx)?;
 
-        let aste = self.ast.get(astx).expect("live astx").clone();
-        let old = aste.home;
-        let target = self
-            .machine
-            .disks
-            .emptiest_pack(old.pack)
-            .ok_or(LegacyError::AllPacksFull)?;
-
-        // Copy the file map record by record, through the fault-checked
-        // channel: transient read errors are retried within the budget,
-        // hard faults (pack offline, power failure) surface typed.
-        let (old_map, quota_cell) = {
-            let pack = self
-                .machine
-                .disks
-                .pack(old.pack)
-                .map_err(LegacyError::Disk)?;
-            let entry = pack.entry(old.toc).map_err(LegacyError::Disk)?;
-            (entry.file_map.clone(), entry.quota_cell)
-        };
-        let new_toc = self
-            .machine
-            .disks
-            .pack_mut(target)
-            .map_err(LegacyError::Disk)?
-            .create_entry(aste.uid.0)
-            .map_err(|_| LegacyError::AllPacksFull)?;
-        let mut new_map = Vec::with_capacity(old_map.len());
-        for rec in &old_map {
-            match rec {
-                None => new_map.push(None),
-                Some(r) => {
-                    let buf = {
-                        let mut retries = 0;
-                        loop {
-                            match self.machine.disk_read_record(old.pack, *r) {
-                                Ok(b) => break b,
-                                Err(e @ mx_hw::DiskError::TransientRead { .. }) => {
-                                    retries += 1;
-                                    self.stats.disk_retries += 1;
-                                    if retries >= crate::page_control::READ_RETRY_BUDGET {
-                                        return Err(LegacyError::Disk(e));
-                                    }
-                                }
-                                Err(e) => return Err(LegacyError::Disk(e)),
-                            }
-                        }
-                    };
-                    let new_rec = self
-                        .machine
-                        .disks
-                        .pack_mut(target)
-                        .map_err(LegacyError::Disk)?
-                        .allocate_record()
-                        .map_err(|_| LegacyError::AllPacksFull)?;
-                    self.machine
-                        .disk_write_record(target, new_rec, &buf)
-                        .map_err(LegacyError::Disk)?;
-                    new_map.push(Some(new_rec));
-                }
-            }
-        }
-        {
-            let pack = self
-                .machine
-                .disks
-                .pack_mut(target)
-                .map_err(LegacyError::Disk)?;
-            let entry = pack.entry_mut(new_toc).map_err(LegacyError::Disk)?;
-            entry.file_map = new_map;
-            entry.quota_cell = quota_cell;
-        }
-        self.machine
-            .disks
-            .pack_mut(old.pack)
-            .map_err(LegacyError::Disk)?
-            .delete_entry(old.toc)
-            .map_err(LegacyError::Disk)?;
+        // The copy reads through the fault-checked channel with page
+        // control's retry edge.
+        let aste = self.ast.get(astx).expect("live astx");
+        let (old, dir_home) = (aste.home, aste.dir_home);
+        let (moved, retries) = self.machine.move_segment(old.pack, old.toc, READ_ABSORB);
+        self.stats.disk_retries += u64::from(retries);
+        let (pack, toc) = moved.map_err(|e| match e {
+            DiskError::PackFull { .. } | DiskError::TocFull { .. } => LegacyError::AllPacksFull,
+            e => LegacyError::Disk(e),
+        })?;
 
         // Update the AST and then — reading the branch table, the data
         // base the naming layers own — directly rewrite the directory
         // entry with the new pack and TOC index.
-        let new_home = DiskHome {
-            pack: target,
-            toc: new_toc,
-        };
+        let new_home = DiskHome { pack, toc };
         self.salvage_note_relocated(new_home);
         self.ast.get_mut(astx).expect("live astx").home = new_home;
         self.machine
             .clock
             .note_shared_data(Subsystem::DirectoryControl);
-        match aste.dir_home {
-            Some((parent_astx, slot)) => {
-                self.write_entry_home(parent_astx, slot, new_home)?;
-            }
-            None => {
-                self.root_home = new_home;
-            }
+        match dir_home {
+            Some((parent_astx, slot)) => self.write_entry_home(parent_astx, slot, new_home)?,
+            None => self.root_home = new_home,
         }
         Ok(())
     }
@@ -298,19 +227,12 @@ impl Supervisor {
             self.frames.release(frame);
         }
         let home = self.ast.get(astx).ok_or(LegacyError::NotActive)?.home;
-        let released = {
-            let pack = self
-                .machine
-                .disks
-                .pack_mut(home.pack)
-                .map_err(LegacyError::Disk)?;
-            let entry = pack.entry_mut(home.toc).map_err(LegacyError::Disk)?;
-            let recs: Vec<_> = entry.file_map.drain(..).flatten().collect();
-            for r in &recs {
-                let _ = pack.free_record(*r);
-            }
-            recs.len() as u32
-        };
+        let released = self
+            .machine
+            .disks
+            .pack_mut(home.pack)
+            .and_then(|p| p.truncate_entry(home.toc))
+            .map_err(LegacyError::Disk)?;
         if released > 0 {
             self.quota_uncharge(astx, released);
         }

@@ -46,12 +46,10 @@ impl SupervisorConfig {
     pub(crate) fn machine(&self) -> MachineConfig {
         MachineConfig {
             frames: self.frames,
-            cpus: 2,
             packs: self.packs,
             records_per_pack: self.records_per_pack,
             toc_slots_per_pack: self.toc_slots_per_pack,
             features: HwFeatures::BASE_1974,
-            cost: Default::default(),
         }
     }
 }

@@ -97,3 +97,32 @@ fn reruns_are_byte_identical_and_cheats_are_caught() {
         "the repro triple must replay to the identical violations"
     );
 }
+
+/// Roadmap item 6's run: 64 users, three crashes, FIFO, script `seed`.
+fn item_6(seed: u64) -> C1Spec {
+    C1Spec::new(64, seed, PLAN, 3, C1Policy::Fifo)
+}
+
+#[test]
+fn an_orphaned_shard_cell_is_audited_at_seed_0x1001() {
+    // Both salvagers reclaim the orphaned files of a shard's quota
+    // directory. Each must then audit the shard's cell, which governs
+    // no surviving object: a cell left charged makes a survivor's
+    // replayed write fail `QuotaExceeded` where the other design writes.
+    let k = run_kernel_c1(&item_6(0x1001));
+    let l = run_legacy_c1(&item_6(0x1001));
+    assert_eq!(k.violations, Vec::<String>::new());
+    assert_eq!(l.violations, Vec::<String>::new());
+    assert_eq!(k.parity, l.parity, "label-by-label across all crashes");
+}
+
+#[test]
+fn forty_script_seeds_recover_with_cross_design_parity() {
+    for seed in 0x1000..0x1028 {
+        let k = run_kernel_c1(&item_6(seed));
+        let l = run_legacy_c1(&item_6(seed));
+        assert_eq!(k.violations, Vec::<String>::new(), "seed {seed:#x}");
+        assert_eq!(l.violations, Vec::<String>::new(), "seed {seed:#x}");
+        assert_eq!(k.parity, l.parity, "seed {seed:#x}");
+    }
+}

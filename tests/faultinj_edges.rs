@@ -1,13 +1,17 @@
 //! Fault-injection edge cases at the boundaries of the recovery story.
 //!
-//! R1 sweeps crash points; these tests pin the two edges it skirts:
-//! a transient read that fails on the *last* retry of
-//! `READ_RETRY_BUDGET` (one short of the budget is absorbed; exactly
-//! the budget surfaces as a typed error, never a panic), and a pack
-//! dropping offline in the middle of a salvage walk. Both designs.
+//! R1 sweeps crash points; these tests pin the edges it skirts: a
+//! transient read that fails on the *last* retry of `READ_RETRY_BUDGET`
+//! (one short of the budget is absorbed; exactly the budget surfaces as
+//! a typed error, never a panic), a pack dropping offline in the middle
+//! of a salvage walk, and the full-pack segment move refused or failed
+//! part-way (a target too small, an exactly full one, a read exhausting
+//! the design's retry edge), which must leave no storage and no quota
+//! charge behind. Both designs.
 
 use multics::aim::Label;
-use multics::hw::{DiskError, FaultPlan, PackId, Word};
+use multics::explore::oracle::check_storage;
+use multics::hw::{DiskError, FaultPlan, PackId, Word, PAGE_WORDS};
 use multics::kernel::{Acl, Kernel, KernelConfig, KernelError, UserId};
 use multics::legacy::{
     AccessRight, Acl as LAcl, LegacyError, Supervisor, SupervisorConfig, UserId as LUserId,
@@ -298,4 +302,358 @@ fn legacy_pack_offline_mid_salvage_is_a_typed_error() {
     assert!(report.clean(), "problems: {:?}", report.problems);
     let segno = sup.initiate(pid, &path).unwrap();
     assert_eq!(sup.user_read(pid, segno, 0).unwrap(), value);
+}
+
+// ------------------------------------------------------ full-pack moves --
+
+/// The first word of page `p` of the test file.
+fn page(p: u32) -> u32 {
+    p * PAGE_WORDS as u32
+}
+
+/// A booted kernel with one process and one initiated file `f`.
+struct KFile {
+    k: Kernel,
+    pid: multics::kernel::ProcessId,
+    segno: u32,
+    uid: multics::kernel::SegUid,
+}
+
+impl KFile {
+    fn boot(config: KernelConfig) -> Self {
+        let mut k = Kernel::boot(config);
+        k.register_account("u", UserId(1), 1, Label::BOTTOM);
+        let pid = k.login_residue("u", 1, Label::BOTTOM).unwrap();
+        let root = k.root_token();
+        let tok = k
+            .create_entry(pid, root, "f", Acl::owner(UserId(1)), Label::BOTTOM, false)
+            .unwrap();
+        let segno = k.initiate(pid, tok).unwrap();
+        let uid = k.uid_of_token(tok).unwrap();
+        Self { k, pid, segno, uid }
+    }
+
+    fn write(&mut self, p: u32) -> Result<(), KernelError> {
+        self.k
+            .write_word(self.pid, self.segno, page(p), Word::new(u64::from(p) + 1))
+    }
+
+    /// Writes pages from page 0 on while pack 0 has a free record;
+    /// returns the next page.
+    fn fill_pack_0(&mut self) -> u32 {
+        let mut p = 0;
+        while self.k.machine.disks.pack(PackId(0)).unwrap().free_records() > 0 {
+            self.write(p).unwrap();
+            p += 1;
+        }
+        p
+    }
+
+    fn home(&self) -> multics::kernel::DiskHome {
+        self.k.dirm.home_of(self.uid).unwrap()
+    }
+
+    /// Every page below `pages` reads back what [`KFile::write`] wrote,
+    /// storage is conserved and the salvager finds nothing, after the
+    /// image is synced.
+    fn intact(&mut self, pages: u32) {
+        for p in 0..pages {
+            let w = self.k.read_word(self.pid, self.segno, page(p)).unwrap();
+            assert_eq!(w, Word::new(u64::from(p) + 1), "page {p}");
+        }
+        self.k.sync_to_disk().unwrap();
+        assert_eq!(check_storage(&self.k.machine.disks), Vec::<String>::new());
+        let report = self.k.salvage(false).unwrap();
+        assert!(report.clean(), "problems: {:?}", report.problems);
+    }
+}
+
+/// A booted old supervisor with one process and one initiated file `f`.
+struct LFile {
+    sup: Supervisor,
+    pid: multics::legacy::ProcessId,
+    segno: u32,
+}
+
+impl LFile {
+    fn boot(config: SupervisorConfig) -> Self {
+        let mut sup = Supervisor::boot(config);
+        let pid = sup.create_process(LUserId(1), Label::BOTTOM).unwrap();
+        sup.create_segment_in(sup.root(), "f", LAcl::owner(LUserId(1)), Label::BOTTOM)
+            .unwrap();
+        let segno = sup.initiate(pid, "f").unwrap();
+        Self { sup, pid, segno }
+    }
+
+    fn write(&mut self, p: u32) -> Result<(), LegacyError> {
+        self.sup
+            .user_write(self.pid, self.segno, page(p), Word::new(u64::from(p) + 1))
+    }
+
+    fn fill_pack_0(&mut self) -> u32 {
+        let mut p = 0;
+        while self
+            .sup
+            .machine
+            .disks
+            .pack(PackId(0))
+            .unwrap()
+            .free_records()
+            > 0
+        {
+            self.write(p).unwrap();
+            p += 1;
+        }
+        p
+    }
+
+    fn home(&mut self) -> multics::legacy::types::DiskHome {
+        let uid = self
+            .sup
+            .resolve(self.pid, "f", AccessRight::Read)
+            .unwrap()
+            .0;
+        let astx = self.sup.activate(uid).unwrap();
+        self.sup.ast.get(astx).unwrap().home
+    }
+
+    fn intact(&mut self, pages: u32) {
+        for p in 0..pages {
+            let w = self.sup.user_read(self.pid, self.segno, page(p)).unwrap();
+            assert_eq!(w, Word::new(u64::from(p) + 1), "page {p}");
+        }
+        self.sup.sync_to_disk().unwrap();
+        assert_eq!(check_storage(&self.sup.machine.disks), Vec::<String>::new());
+        let report = self.sup.salvage(false).unwrap();
+        assert!(report.clean(), "problems: {:?}", report.problems);
+    }
+}
+
+fn one_small_pack() -> KernelConfig {
+    KernelConfig {
+        packs: 1,
+        records_per_pack: 16,
+        ..KernelConfig::default()
+    }
+}
+
+fn legacy_one_small_pack() -> SupervisorConfig {
+    SupervisorConfig {
+        packs: 1,
+        records_per_pack: 16,
+        ..SupervisorConfig::default()
+    }
+}
+
+#[test]
+fn kernel_refused_growth_gives_its_quota_charge_back() {
+    let mut f = KFile::boot(KernelConfig {
+        packs: 2,
+        records_per_pack: 8,
+        toc_slots_per_pack: 16,
+        root_quota: 64,
+        ..KernelConfig::default()
+    });
+    let mut written = 0;
+    let mut refused = 0;
+    for p in 0..20 {
+        match f.write(p) {
+            Ok(()) => written = p + 1,
+            Err(KernelError::AllPacksFull) => refused += 1,
+            Err(e) => panic!("page {p}: {e:?}"),
+        }
+    }
+    assert!(
+        refused > 0 && written > 0,
+        "{written} written, {refused} refused"
+    );
+    f.intact(written);
+}
+
+#[test]
+fn legacy_refused_growth_gives_its_quota_charge_back() {
+    let mut f = LFile::boot(SupervisorConfig {
+        packs: 2,
+        records_per_pack: 8,
+        toc_slots_per_pack: 16,
+        root_quota_pages: 64,
+        ..SupervisorConfig::default()
+    });
+    let mut written = 0;
+    let mut refused = 0;
+    for p in 0..20 {
+        match f.write(p) {
+            Ok(()) => written = p + 1,
+            Err(LegacyError::AllPacksFull) => refused += 1,
+            Err(e) => panic!("page {p}: {e:?}"),
+        }
+    }
+    assert!(
+        refused > 0 && written > 0,
+        "{written} written, {refused} refused"
+    );
+    f.intact(written);
+}
+
+#[test]
+fn kernel_move_to_a_pack_too_small_is_refused_untouched() {
+    let mut f = KFile::boot(one_small_pack());
+    let next = f.fill_pack_0();
+    assert_eq!(
+        f.write(next),
+        Err(KernelError::AllPacksFull),
+        "no other pack"
+    );
+    // A pack with fewer free records than the file has pages.
+    let small = f.k.machine.disks.attach(5, 8);
+    let home = f.home();
+    assert!(f.k.drm.records_used(&f.k.machine, home).unwrap() > 5);
+    assert_eq!(f.write(next), Err(KernelError::AllPacksFull));
+    assert_eq!(f.home(), home, "the file did not move");
+    let target = f.k.machine.disks.pack(small).unwrap();
+    assert_eq!((target.free_records(), target.entries().count()), (5, 0));
+    f.intact(next);
+}
+
+#[test]
+fn legacy_move_to_a_pack_too_small_is_refused_untouched() {
+    let mut f = LFile::boot(legacy_one_small_pack());
+    let next = f.fill_pack_0();
+    assert_eq!(
+        f.write(next),
+        Err(LegacyError::AllPacksFull),
+        "no other pack"
+    );
+    let small = f.sup.machine.disks.attach(5, 8);
+    let home = f.home();
+    assert_eq!(f.write(next), Err(LegacyError::AllPacksFull));
+    assert_eq!(f.home(), home, "the file did not move");
+    let target = f.sup.machine.disks.pack(small).unwrap();
+    assert_eq!((target.free_records(), target.entries().count()), (5, 0));
+    f.intact(next);
+}
+
+#[test]
+fn kernel_move_to_an_exactly_full_pack_keeps_the_file() {
+    // A four-page file, every pack full, and a new pack with exactly
+    // four free records: the move would fit, the page after it not.
+    let mut f = KFile::boot(one_small_pack());
+    for p in 0..4 {
+        f.write(p).unwrap();
+    }
+    let root = f.k.root_token();
+    let g =
+        f.k.create_entry(
+            f.pid,
+            root,
+            "g",
+            Acl::owner(UserId(1)),
+            Label::BOTTOM,
+            false,
+        )
+        .unwrap();
+    let gseg = f.k.initiate(f.pid, g).unwrap();
+    let mut p = 0;
+    while f.k.write_word(f.pid, gseg, page(p), Word::new(1)).is_ok() {
+        p += 1;
+    }
+    f.k.machine.disks.attach(4, 8);
+    let home = f.home();
+    assert_eq!(f.write(4), Err(KernelError::AllPacksFull));
+    assert_eq!(f.home(), home, "refused before anything moved");
+    f.intact(4);
+}
+
+#[test]
+fn legacy_move_to_an_exactly_full_pack_keeps_the_file() {
+    let mut f = LFile::boot(legacy_one_small_pack());
+    for p in 0..4 {
+        f.write(p).unwrap();
+    }
+    f.sup
+        .create_segment_in(f.sup.root(), "g", LAcl::owner(LUserId(1)), Label::BOTTOM)
+        .unwrap();
+    let gseg = f.sup.initiate(f.pid, "g").unwrap();
+    let mut p = 0;
+    while f.sup.user_write(f.pid, gseg, page(p), Word::new(1)).is_ok() {
+        p += 1;
+    }
+    f.sup.machine.disks.attach(4, 8);
+    let home = f.home();
+    let relocations = f.sup.stats.relocations;
+    assert_eq!(f.write(4), Err(LegacyError::AllPacksFull));
+    assert_eq!(f.home(), home, "refused before anything moved");
+    assert_eq!(f.sup.stats.relocations, relocations + 1, "a move was tried");
+    f.intact(4);
+}
+
+/// Transient failures the move meets on the first record it reads.
+fn failing_first_record(pack: PackId, rec: multics::hw::RecordNo, failures: u64) -> FaultPlan {
+    (1..=failures).fold(FaultPlan::new(), |plan, kth| {
+        plan.transient_read(pack, rec, kth)
+    })
+}
+
+#[test]
+fn kernel_move_absorbs_as_many_transient_failures_as_its_paging() {
+    for (failures, moves) in [(BUDGET - 1, true), (BUDGET, false)] {
+        let mut f = KFile::boot(one_small_pack());
+        f.k.machine.disks.attach(64, 16);
+        let next = f.fill_pack_0();
+        let home = f.home();
+        let rec = f.k.drm.record_of(&f.k.machine, home, 0).unwrap().unwrap();
+        let plan = failing_first_record(home.pack, rec, failures);
+        f.k.machine.install_fault_plan(plan);
+        match f.write(next) {
+            Ok(()) if moves => assert_ne!(f.home(), home),
+            Err(KernelError::Disk(DiskError::TransientRead { .. })) if !moves => {
+                assert_eq!(f.home(), home, "the failed move left the file");
+                assert_eq!(check_storage(&f.k.machine.disks), Vec::<String>::new());
+                assert_eq!(
+                    f.k.machine.disks.pack(PackId(1)).unwrap().entries().count(),
+                    0
+                );
+                // The failures were transient: the next attempt moves.
+                f.write(next).unwrap();
+            }
+            other => panic!("{failures} failures: {other:?}"),
+        }
+        f.intact(next + 1);
+    }
+}
+
+#[test]
+fn legacy_move_absorbs_as_many_transient_failures_as_its_paging() {
+    for (failures, moves) in [(BUDGET, true), (BUDGET + 1, false)] {
+        let mut f = LFile::boot(legacy_one_small_pack());
+        f.sup.machine.disks.attach(64, 16);
+        let next = f.fill_pack_0();
+        let home = f.home();
+        let entry = f.sup.machine.disks.pack(home.pack).unwrap().entry(home.toc);
+        let rec = entry.unwrap().file_map[0].unwrap();
+        let plan = failing_first_record(home.pack, rec, failures);
+        f.sup.machine.install_fault_plan(plan);
+        let retries = f.sup.stats.disk_retries;
+        match f.write(next) {
+            Ok(()) if moves => assert_ne!(f.home(), home),
+            Err(LegacyError::Disk(DiskError::TransientRead { .. })) if !moves => {
+                assert_eq!(f.home(), home, "the failed move left the file");
+                assert_eq!(check_storage(&f.sup.machine.disks), Vec::<String>::new());
+                assert_eq!(
+                    f.sup
+                        .machine
+                        .disks
+                        .pack(PackId(1))
+                        .unwrap()
+                        .entries()
+                        .count(),
+                    0
+                );
+                f.write(next).unwrap();
+            }
+            other => panic!("{failures} failures: {other:?}"),
+        }
+        assert_eq!(f.sup.stats.disk_retries - retries, BUDGET, "absorbed");
+        f.intact(next + 1);
+    }
 }

@@ -98,7 +98,6 @@ fn programs_survive_relocation_of_their_own_data_mid_run() {
         pt_slots: 16,
         max_processes: 4,
         root_quota: 400,
-        ..KernelConfig::default()
     });
     k.machine.disks.attach(128, 32);
     k.register_account("dev", UserId(1), 1, Label::BOTTOM);

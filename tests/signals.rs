@@ -18,7 +18,6 @@ fn boot_tight() -> (Kernel, multics::kernel::ProcessId) {
         pt_slots: 24,
         max_processes: 4,
         root_quota: 500,
-        ..KernelConfig::default()
     });
     // Two roomier packs so the mover always has a target.
     k.machine.disks.attach(64, 32);
