@@ -11,7 +11,7 @@
 use crate::error::KernelError;
 use crate::page_frame::READ_ABSORB;
 use crate::types::DiskHome;
-use mx_hw::{DiskError, DiskPack, Machine, PackId, RecordNo, TocEntry, TocIndex};
+use mx_hw::{DiskError, DiskPack, DiskSystem, Machine, PackId, RecordNo, TocEntry, TocIndex};
 
 /// The disk-record object manager.
 #[derive(Debug, Default, Clone)]
@@ -170,6 +170,26 @@ impl DiskRecordManager {
             .map_err(|_| KernelError::NotActive)
     }
 
+    /// The file map of the segment at `home`: page `p`'s record at
+    /// index `p`, `None` for a zero page; pages past its end are zero
+    /// pages. It borrows only the disks, so a caller may write core
+    /// while it reads the map.
+    ///
+    /// # Errors
+    ///
+    /// [`KernelError::NotActive`] for an unknown entry.
+    pub fn file_map<'d>(
+        &self,
+        disks: &'d DiskSystem,
+        home: DiskHome,
+    ) -> Result<&'d [Option<RecordNo>], KernelError> {
+        disks
+            .pack(home.pack)
+            .and_then(|p| p.entry(home.toc))
+            .map(|e| e.file_map.as_slice())
+            .map_err(|_| KernelError::NotActive)
+    }
+
     /// Current length (pages) of the segment at `home`.
     ///
     /// # Errors
@@ -240,8 +260,9 @@ impl DiskRecordManager {
 
     /// Moves the segment at `home` — records, file map and quota-cell
     /// record — to the emptiest other pack, reading each record as the
-    /// page-frame manager does ([`Machine::move_segment`]); returns its
-    /// new home.
+    /// page-frame manager does ([`Machine::move_segment`]). Returns its
+    /// new home, with the transient read failures the move absorbed
+    /// (counted whether or not it completed).
     ///
     /// # Errors
     ///
@@ -253,14 +274,16 @@ impl DiskRecordManager {
         &mut self,
         machine: &mut Machine,
         home: DiskHome,
-    ) -> Result<DiskHome, KernelError> {
-        match machine.move_segment(home.pack, home.toc, READ_ABSORB).0 {
+    ) -> (Result<DiskHome, KernelError>, u32) {
+        let (moved, absorbed) = machine.move_segment(home.pack, home.toc, READ_ABSORB);
+        let moved = match moved {
             Ok((pack, toc)) => Ok(DiskHome { pack, toc }),
             Err(DiskError::PackFull { .. }) => Err(KernelError::AllPacksFull),
             Err(DiskError::TocFull { .. }) => Err(KernelError::TableFull("table of contents")),
             Err(DiskError::NoSuchEntry { .. }) => Err(KernelError::NotActive),
             Err(e) => Err(KernelError::Disk(e)),
-        }
+        };
+        (moved, absorbed)
     }
 
     /// Reads the on-disk quota cell of the entry at `home`.

@@ -39,7 +39,8 @@ use crate::quota_cell::QuotaCellManager;
 use crate::types::{DiskHome, SegUid};
 use crate::vproc::VirtualProcessorManager;
 use mx_hw::cpu::Ptw;
-use mx_hw::{AbsAddr, FrameNo, Machine, Subsystem, PAGE_WORDS};
+use mx_hw::frames::Page;
+use mx_hw::{AbsAddr, FrameNo, FrameTable, Machine, Subsystem, PAGE_WORDS};
 use mx_sync::sim::EcId;
 use std::collections::VecDeque;
 
@@ -63,12 +64,6 @@ struct PtBinding {
     cell: Option<SegUid>,
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum FrameUse {
-    Free,
-    Page { slot: u32, pageno: u32 },
-}
-
 /// Experiment counters for the paging paths.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct PageStats {
@@ -84,7 +79,8 @@ pub struct PageStats {
     pub purifier_writes: u64,
     /// Eventcount notifications issued after services.
     pub notifications: u64,
-    /// Transient read errors absorbed by the retry path.
+    /// Transient read errors absorbed by the retry path: page-ins, and
+    /// the reads of a full-pack segment move.
     pub transient_retries: u64,
 }
 
@@ -93,9 +89,8 @@ pub struct PageStats {
 pub struct PageFrameManager {
     pool_base: AbsAddr,
     slots: Vec<Option<PtBinding>>,
-    frames: Vec<FrameUse>,
-    first_pageable: u32,
-    clock_hand: u32,
+    /// Frame ownership, by page-table slot, and the clock hand.
+    frames: FrameTable,
     write_queue: VecDeque<FrameNo>,
     /// Advanced whenever a locked descriptor is serviced and unlocked.
     pub page_event: EcId,
@@ -126,9 +121,7 @@ impl PageFrameManager {
         Ok(Self {
             pool_base: csm.addr(pool_seg, 0),
             slots: (0..slots).map(|_| None).collect(),
-            frames: Vec::new(),
-            first_pageable: 0,
-            clock_hand: 0,
+            frames: FrameTable::new(0, 0),
             write_queue: VecDeque::new(),
             page_event: vpm.create_eventcount(),
             stats: PageStats::default(),
@@ -138,14 +131,12 @@ impl PageFrameManager {
     /// Declares the pageable region `[first, total)` once initialization
     /// has fixed the wired layout.
     pub fn set_pageable_region(&mut self, first: u32, total: u32) {
-        self.first_pageable = first;
-        self.clock_hand = first;
-        self.frames = (0..total).map(|_| FrameUse::Free).collect();
+        self.frames = FrameTable::new(total as usize, first);
     }
 
     /// Number of pageable frames.
     pub fn pageable(&self) -> u32 {
-        self.frames.len() as u32 - self.first_pageable
+        self.frames.pageable()
     }
 
     /// Absolute address of the page table for a bound handle.
@@ -206,17 +197,21 @@ impl PageFrameManager {
         handle: PtHandle,
         home: DiskHome,
     ) -> Result<(), KernelError> {
-        for pageno in 0..PT_WORDS {
-            let quota_trap = drm.record_of(machine, home, pageno)?.is_none();
-            let ptw = Ptw {
-                quota_trap,
-                ..Ptw::default()
-            };
-            machine
-                .mem
-                .write(self.ptw_addr(handle, pageno), ptw.encode());
+        let map = drm.file_map(&machine.disks, home)?;
+        let base = self.ptw_addr(handle, 0);
+        let trap = Ptw {
+            quota_trap: true,
+            ..Ptw::default()
+        };
+        machine.mem.fill(base, PT_WORDS as usize, trap.encode());
+        for (pageno, record) in (0..PT_WORDS).zip(map) {
+            if record.is_some() {
+                machine
+                    .mem
+                    .write(base.add(u64::from(pageno)), Ptw::default().encode());
+            }
         }
-        machine.tlb_invalidate_ptw_range(self.ptw_addr(handle, 0), u64::from(PT_WORDS));
+        machine.tlb_invalidate_ptw_range(base, u64::from(PT_WORDS));
         Ok(())
     }
 
@@ -251,17 +246,8 @@ impl PageFrameManager {
         qcm: &mut QuotaCellManager,
         handle: PtHandle,
     ) -> Result<(), KernelError> {
-        let owned: Vec<(u32, u32)> = self
-            .frames
-            .iter()
-            .enumerate()
-            .filter_map(|(f, u)| match u {
-                FrameUse::Page { slot, pageno } if *slot == handle.0 => Some((f as u32, *pageno)),
-                _ => None,
-            })
-            .collect();
-        for (frame, pageno) in owned {
-            self.evict_frame(machine, drm, qcm, FrameNo(frame), handle.0, pageno)?;
+        for (frame, pageno) in self.frames.owned(handle.0) {
+            self.evict_frame(machine, drm, qcm, frame, handle.0, pageno)?;
         }
         Ok(())
     }
@@ -343,7 +329,7 @@ impl PageFrameManager {
             // later reference into an endless LockedDescriptor wait.
             // Waiters are notified so they re-fault and observe the
             // error themselves.
-            self.frames[frame.0 as usize] = FrameUse::Free;
+            self.frames.release(frame);
             let mut unlocked = ptw;
             unlocked.locked = false;
             self.set_ptw(machine, handle, pageno, unlocked);
@@ -427,12 +413,12 @@ impl PageFrameManager {
         pageno: u32,
     ) -> Result<FrameNo, KernelError> {
         for attempt in 0..3 {
-            if let Some(f) = self.take_free(slot, pageno) {
+            if let Some(f) = self.frames.take(slot, pageno) {
                 return Ok(f);
             }
             if let Some((frame, vslot, vpage)) = self.select_clean_victim(machine) {
                 self.evict_frame(machine, drm, qcm, frame, vslot, vpage)?;
-                if let Some(f) = self.take_free(slot, pageno) {
+                if let Some(f) = self.frames.take(slot, pageno) {
                     return Ok(f);
                 }
             }
@@ -444,28 +430,16 @@ impl PageFrameManager {
         Err(KernelError::TableFull("page frames"))
     }
 
-    fn take_free(&mut self, slot: u32, pageno: u32) -> Option<FrameNo> {
-        let start = self.first_pageable as usize;
-        let i = self.frames[start..]
-            .iter()
-            .position(|f| *f == FrameUse::Free)?;
-        let frame = FrameNo((start + i) as u32);
-        self.frames[frame.0 as usize] = FrameUse::Page { slot, pageno };
-        Some(frame)
-    }
-
     /// Second-chance clock preferring clean pages; dirty candidates are
     /// queued for the purifier instead of being written inline.
     fn select_clean_victim(&mut self, machine: &mut Machine) -> Option<(FrameNo, u32, u32)> {
-        let n = self.frames.len() as u32;
-        let span = (n - self.first_pageable) * 2;
-        for _ in 0..span {
-            let f = self.clock_hand;
-            self.clock_hand += 1;
-            if self.clock_hand >= n {
-                self.clock_hand = self.first_pageable;
-            }
-            let FrameUse::Page { slot, pageno } = self.frames[f as usize] else {
+        for _ in 0..self.frames.pageable() * 2 {
+            let f = self.frames.tick();
+            let Some(Page {
+                owner: slot,
+                pageno,
+            }) = self.frames.page(f)
+            else {
                 continue;
             };
             let handle = PtHandle(slot);
@@ -479,12 +453,12 @@ impl PageFrameManager {
                 continue;
             }
             if ptw.modified {
-                if !self.write_queue.contains(&FrameNo(f)) {
-                    self.write_queue.push_back(FrameNo(f));
+                if !self.write_queue.contains(&f) {
+                    self.write_queue.push_back(f);
                 }
                 continue;
             }
-            return Some((FrameNo(f), slot, pageno));
+            return Some((f, slot, pageno));
         }
         None
     }
@@ -521,7 +495,7 @@ impl PageFrameManager {
             }
             self.set_ptw(machine, handle, pageno, Ptw::default());
         }
-        self.frames[frame.0 as usize] = FrameUse::Free;
+        self.frames.release(frame);
         self.write_queue.retain(|f| *f != frame);
         Ok(())
     }
@@ -571,7 +545,11 @@ impl PageFrameManager {
             return Ok(false);
         };
         crate::charge_pli(machine, 50);
-        let FrameUse::Page { slot, pageno } = self.frames[frame.0 as usize] else {
+        let Some(Page {
+            owner: slot,
+            pageno,
+        }) = self.frames.page(frame)
+        else {
             return Ok(true);
         };
         let handle = PtHandle(slot);
@@ -583,7 +561,7 @@ impl PageFrameManager {
         if machine.mem.frame_is_zero(frame) {
             // The page went back to zeros while dirty: revert in place.
             self.revert_to_zero(machine, drm, qcm, handle, pageno)?;
-            self.frames[frame.0 as usize] = FrameUse::Free;
+            self.frames.release(frame);
         } else {
             let record = drm
                 .record_of(machine, binding.home, pageno)?
@@ -622,11 +600,9 @@ impl PageFrameManager {
         handle: PtHandle,
         new_home: DiskHome,
     ) -> Result<(), KernelError> {
-        assert!(
-            !self
-                .frames
-                .iter()
-                .any(|f| matches!(f, FrameUse::Page { slot, .. } if *slot == handle.0)),
+        assert_eq!(
+            self.frames.resident(handle.0),
+            0,
             "rebinding a paged object with resident pages"
         );
         let binding = self.slots[handle.0 as usize]
@@ -721,6 +697,55 @@ mod tests {
             "page 0 has a record now"
         );
         assert!(r.pfm.ptw(&r.machine, h2, 1).quota_trap);
+    }
+
+    #[test]
+    fn arm_matches_the_per_page_lookup_on_every_file_map_shape() {
+        let mut r = rig(64, 400);
+        // Empty, partial, holed (200 pages, a hole every third page and
+        // at the end) and full-length file maps.
+        let base = r.pfm.pt_addr(r.handle);
+        for (uid, len) in (200..).zip([0, 10, 200, PT_WORDS]) {
+            let toc = r.drm.create_entry(&mut r.machine, PackId(0), uid).unwrap();
+            let home = DiskHome {
+                pack: PackId(0),
+                toc,
+            };
+            for p in 0..len {
+                let hole = len == 200 && (p % 3 == 1 || p == len - 1);
+                let record = (!hole).then(|| r.drm.allocate(&mut r.machine, PackId(0)).unwrap());
+                r.drm.set_record(&mut r.machine, home, p, record).unwrap();
+            }
+            assert_eq!(r.drm.len_pages(&r.machine, home).unwrap(), len);
+            // Words left by the table's previous use.
+            r.machine
+                .mem
+                .fill(base, PT_WORDS as usize, Word::new(0o777_000_777_000));
+            r.pfm
+                .rebind_home(&mut r.machine, &r.drm, r.handle, home)
+                .unwrap();
+            for pageno in 0..PT_WORDS {
+                let quota_trap = r.drm.record_of(&r.machine, home, pageno).unwrap().is_none();
+                let want = Ptw {
+                    quota_trap,
+                    ..Ptw::default()
+                };
+                let got = r.machine.mem.read(base.add(u64::from(pageno)));
+                assert_eq!(got, want.encode(), "length {len}, page {pageno}");
+            }
+            r.pfm
+                .rebind_home(&mut r.machine, &r.drm, r.handle, r.home)
+                .unwrap();
+        }
+        // An unknown home arms nothing.
+        let armed = r.machine.mem.words(base, PT_WORDS as usize).to_vec();
+        let gone = DiskHome {
+            pack: PackId(0),
+            toc: mx_hw::TocIndex(7),
+        };
+        let err = r.pfm.rebind_home(&mut r.machine, &r.drm, r.handle, gone);
+        assert_eq!(err, Err(KernelError::NotActive));
+        assert_eq!(r.machine.mem.words(base, PT_WORDS as usize), armed);
     }
 
     #[test]
@@ -851,12 +876,12 @@ mod tests {
             plan = plan.transient_read(PackId(0), rec, k);
         }
         r.machine.install_fault_plan(plan);
-        let free_before = r
-            .pfm
-            .frames
-            .iter()
-            .filter(|f| **f == FrameUse::Free)
-            .count();
+        let free = |r: &Rig| {
+            (0..r.machine.mem.frames() as u32)
+                .filter(|&f| r.pfm.frames.page(FrameNo(f)).is_none())
+                .count()
+        };
+        let free_before = free(&r);
         let (h, p) = (r.handle, 0);
         let err = r
             .pfm
@@ -866,13 +891,7 @@ mod tests {
             err,
             KernelError::Disk(DiskError::TransientRead { .. })
         ));
-        let free_after = r
-            .pfm
-            .frames
-            .iter()
-            .filter(|f| **f == FrameUse::Free)
-            .count();
-        assert_eq!(free_before, free_after, "claimed frame released");
+        assert_eq!(free_before, free(&r), "claimed frame released");
         // The fault was transient: once the plan's ordinals pass, the
         // same reference succeeds.
         r.pfm

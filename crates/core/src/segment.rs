@@ -269,7 +269,11 @@ impl SegmentManager {
         };
         crate::charge_pli(machine, 380);
         pfm.flush(machine, drm, qcm, handle)?;
-        let new_home = drm.move_segment(machine, old)?;
+        // The move reads each record as a page-in does, so the failures
+        // it absorbs are counted with the page-ins'.
+        let (moved, absorbed) = drm.move_segment(machine, old);
+        pfm.stats.transient_retries += u64::from(absorbed);
+        let new_home = moved?;
         // The quota cell, if this segment is a quota directory, moved
         // with it: repoint the cell manager at the new home.
         qcm.update_home(uid, new_home);

@@ -125,6 +125,8 @@ pub struct DiskFaults {
     pub writes: u64,
     /// Global read attempts.
     pub reads: u64,
+    /// Read attempts of each record the plan fails reads of; no other
+    /// record's count is ever compared.
     per_record_reads: HashMap<(PackId, RecordNo), u64>,
     offline: HashSet<PackId>,
     halted: Option<HwFault>,
@@ -212,12 +214,13 @@ impl DiskFaults {
             return Err(DiskError::PackOffline { pack });
         }
         self.reads += 1;
+        let Some(ordinals) = self.plan.transient_reads.get(&(pack, record)) else {
+            return Ok(());
+        };
         let count = self.per_record_reads.entry((pack, record)).or_insert(0);
         *count += 1;
-        if let Some(ordinals) = self.plan.transient_reads.get(&(pack, record)) {
-            if ordinals.contains(count) {
-                return Err(DiskError::TransientRead { pack, record });
-            }
+        if ordinals.contains(count) {
+            return Err(DiskError::TransientRead { pack, record });
         }
         Ok(())
     }
@@ -279,8 +282,10 @@ mod tests {
             })
         );
         assert_eq!(f.note_read(PackId(0), RecordNo(7)), Ok(()), "fails once");
-        // Other records are untouched.
+        // Other records are untouched, and not counted.
         assert_eq!(f.note_read(PackId(0), RecordNo(8)), Ok(()));
+        assert_eq!(f.per_record_reads.len(), 1);
+        assert_eq!(f.reads, 4);
     }
 
     #[test]

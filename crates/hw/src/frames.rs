@@ -1,0 +1,227 @@
+//! The frame table both designs keep: which page each core frame holds,
+//! and the replacement clock hand over the pageable frames.
+//!
+//! The frames below the first pageable one are wired (low core, the
+//! page-table pool, descriptor segments) and never hold a page. Each
+//! design keeps its own replacement policy and names a page's owner in
+//! its own terms: the kernel by its page-table slot, the 1974 supervisor
+//! by the segment's AST index.
+//!
+//! Two pieces of host bookkeeping spare the table sweeps without moving
+//! any choice the sweeps made. A free floor marks the lowest frame that
+//! may be free, so a claim starts there and still takes the lowest free
+//! frame. A count of resident pages per owner lets [`FrameTable::owned`]
+//! stop at the owner's last page, and skip the table when it has none,
+//! while still listing the pages in ascending frame order.
+
+use crate::mem::FrameNo;
+
+/// A page resident in a frame.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Page {
+    /// The design's name for the page's segment.
+    pub owner: u32,
+    /// Page number within the segment.
+    pub pageno: u32,
+}
+
+/// Who holds each core frame, plus the clock hand for page replacement.
+#[derive(Debug, Clone)]
+pub struct FrameTable {
+    pages: Vec<Option<Page>>,
+    first_pageable: u32,
+    clock_hand: u32,
+    /// Every pageable frame below this one holds a page.
+    floor: u32,
+    /// Resident pages per owner, indexed by owner.
+    resident: Vec<u32>,
+}
+
+impl FrameTable {
+    /// A table over `frames` frames, the first `first_pageable` of which
+    /// are wired; every pageable frame starts free.
+    ///
+    /// # Panics
+    ///
+    /// Panics if more frames are wired than exist.
+    pub fn new(frames: usize, first_pageable: u32) -> Self {
+        assert!(
+            first_pageable as usize <= frames,
+            "{first_pageable} wired frames of {frames}"
+        );
+        Self {
+            pages: vec![None; frames],
+            first_pageable,
+            clock_hand: first_pageable,
+            floor: first_pageable,
+            resident: Vec::new(),
+        }
+    }
+
+    /// Number of pageable frames.
+    pub fn pageable(&self) -> u32 {
+        self.pages.len() as u32 - self.first_pageable
+    }
+
+    /// The page in `frame`, or `None` for a free or wired frame.
+    pub fn page(&self, frame: FrameNo) -> Option<Page> {
+        self.pages[frame.0 as usize]
+    }
+
+    /// Number of pages `owner` has resident.
+    pub fn resident(&self, owner: u32) -> u32 {
+        self.resident.get(owner as usize).copied().unwrap_or(0)
+    }
+
+    /// Gives the lowest free pageable frame to page `pageno` of `owner`,
+    /// if any frame is free.
+    pub fn take(&mut self, owner: u32, pageno: u32) -> Option<FrameNo> {
+        let floor = self.floor as usize;
+        let Some(i) = self.pages[floor..].iter().position(Option::is_none) else {
+            self.floor = self.pages.len() as u32;
+            return None;
+        };
+        let frame = floor + i;
+        self.pages[frame] = Some(Page { owner, pageno });
+        self.floor = frame as u32 + 1;
+        let owner = owner as usize;
+        if owner >= self.resident.len() {
+            self.resident.resize(owner + 1, 0);
+        }
+        self.resident[owner] += 1;
+        Some(FrameNo(frame as u32))
+    }
+
+    /// Frees the page in `frame`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the frame is wired or already free.
+    pub fn release(&mut self, frame: FrameNo) {
+        assert!(frame.0 >= self.first_pageable, "releasing a wired frame");
+        let page = self.pages[frame.0 as usize]
+            .take()
+            .expect("releasing a free frame");
+        // Counted when the page was taken, so never below zero.
+        self.resident[page.owner as usize] -= 1;
+        self.floor = self.floor.min(frame.0);
+    }
+
+    /// Advances the clock hand and returns the frame it pointed at
+    /// (pageable frames only, wrapping).
+    pub fn tick(&mut self) -> FrameNo {
+        let frame = FrameNo(self.clock_hand);
+        self.clock_hand += 1;
+        if self.clock_hand as usize >= self.pages.len() {
+            self.clock_hand = self.first_pageable;
+        }
+        frame
+    }
+
+    /// Every frame holding a page of `owner`, with its page number, in
+    /// ascending frame order.
+    pub fn owned(&self, owner: u32) -> Vec<(FrameNo, u32)> {
+        let mut left = self.resident(owner) as usize;
+        let mut owned = Vec::with_capacity(left);
+        let pageable = &self.pages[self.first_pageable as usize..];
+        for (frame, page) in (self.first_pageable..).zip(pageable) {
+            if left == 0 {
+                break;
+            }
+            if let Some(page) = page.filter(|p| p.owner == owner) {
+                owned.push((FrameNo(frame), page.pageno));
+                left -= 1;
+            }
+        }
+        owned
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::rng::SplitMix64;
+
+    /// The table without its floor and counts: every claim and every
+    /// owner's listing sweeps from the first pageable frame.
+    struct SweepTable {
+        pages: Vec<Option<Page>>,
+        first_pageable: usize,
+    }
+
+    impl SweepTable {
+        fn take(&mut self, owner: u32, pageno: u32) -> Option<FrameNo> {
+            let i = self.pages[self.first_pageable..]
+                .iter()
+                .position(Option::is_none)?;
+            let frame = self.first_pageable + i;
+            self.pages[frame] = Some(Page { owner, pageno });
+            Some(FrameNo(frame as u32))
+        }
+
+        fn owned(&self, owner: u32) -> Vec<(FrameNo, u32)> {
+            (self.first_pageable..self.pages.len())
+                .filter_map(|f| match self.pages[f] {
+                    Some(p) if p.owner == owner => Some((FrameNo(f as u32), p.pageno)),
+                    _ => None,
+                })
+                .collect()
+        }
+    }
+
+    #[test]
+    fn claims_and_listings_match_the_sweeping_twin_on_random_sequences() {
+        // Releases below the floor, listings of an owner with nothing
+        // resident, and claims refused by a full table.
+        let (mut below_floor, mut none_resident, mut full) = (0, 0, 0);
+        for seed in 0..16u64 {
+            let mut rng = SplitMix64::new(0xF4A3_0000 + seed);
+            let (frames, wired) = (rng.range_usize(6, 40), rng.range_u32(0, 5));
+            let mut table = FrameTable::new(frames, wired);
+            let mut twin = SweepTable {
+                pages: vec![None; frames],
+                first_pageable: wired as usize,
+            };
+            for step in 0..2_000 {
+                if rng.chance(3, 5) {
+                    let (owner, pageno) = (rng.range_u32(0, 6), rng.range_u32(0, 256));
+                    let got = table.take(owner, pageno);
+                    assert_eq!(got, twin.take(owner, pageno), "seed {seed} step {step}");
+                    full += usize::from(got.is_none());
+                } else {
+                    let held: Vec<usize> =
+                        (0..frames).filter(|&f| twin.pages[f].is_some()).collect();
+                    if !held.is_empty() {
+                        let frame = held[rng.below(held.len() as u64) as usize];
+                        below_floor += usize::from((frame as u32) < table.floor);
+                        table.release(FrameNo(frame as u32));
+                        twin.pages[frame] = None;
+                    }
+                }
+                assert_eq!(table.pages, twin.pages, "seed {seed} step {step}");
+                for owner in 0..6 {
+                    let owned = twin.owned(owner);
+                    none_resident += usize::from(owned.is_empty());
+                    assert_eq!(table.resident(owner) as usize, owned.len());
+                    assert_eq!(table.owned(owner), owned, "seed {seed} step {step}");
+                }
+            }
+        }
+        assert!(
+            below_floor > 1_000,
+            "{below_floor} releases below the floor"
+        );
+        assert!(
+            none_resident > 1_000,
+            "{none_resident} owners with nothing resident"
+        );
+        assert!(full > 1_000, "{full} claims refused by a full table");
+    }
+
+    #[test]
+    #[should_panic(expected = "free frame")]
+    fn releasing_a_free_frame_panics() {
+        let mut table = FrameTable::new(4, 2);
+        table.release(FrameNo(3));
+    }
+}

@@ -35,7 +35,9 @@
 //! [`salvage`]: the claim check, the per-pack sweeps and the online
 //! salvage machine. Of segment storage it knows what both designs do
 //! to a segment's disk home, in [`storage`]: the transient-read retry
-//! and the full-pack segment move.
+//! and the full-pack segment move. Of page control it knows the frame
+//! table both designs keep, in [`frames`]; each keeps its own
+//! replacement policy.
 
 pub mod clock;
 pub mod cpu;
@@ -43,6 +45,7 @@ pub mod disk;
 pub mod entries;
 pub mod fault;
 pub mod faultinj;
+pub mod frames;
 pub mod idmap;
 pub mod interp;
 pub mod machine;
@@ -59,6 +62,7 @@ pub use cpu::{AccessMode, HwFeatures, Processor, ProcessorId};
 pub use disk::{DiskError, DiskPack, DiskSystem, PackId, RecordNo, TocEntry, TocIndex};
 pub use fault::Fault;
 pub use faultinj::{CrashWrite, DiskFaults, FaultPlan, HwFault};
+pub use frames::FrameTable;
 pub use idmap::IdMap;
 pub use interp::{InterpError, StepOutcome};
 pub use machine::{Machine, MachineConfig};

@@ -138,6 +138,23 @@ impl MainMemory {
         &self.words[i..end]
     }
 
+    /// Writes `value` to each of the `n` words starting at an absolute
+    /// address.
+    ///
+    /// # Panics
+    ///
+    /// Panics if any of the words lies outside of core.
+    pub fn fill(&mut self, addr: AbsAddr, n: usize, value: Word) {
+        let i = self.index(addr);
+        let end = i + n;
+        assert!(
+            end <= self.words.len(),
+            "absolute range {addr}+{n} outside of {} words of core",
+            self.words.len()
+        );
+        self.words[i..end].fill(value);
+    }
+
     /// Overwrites a whole frame from a page buffer.
     pub fn write_frame(&mut self, frame: FrameNo, page: &[Word; PAGE_WORDS]) {
         let base = frame.base().0 as usize;
@@ -244,6 +261,25 @@ mod tests {
         let run = m.words(AbsAddr(1022), 3);
         assert_eq!(run, &[Word::new(1), Word::new(2), Word::new(3)]);
         assert!(m.words(AbsAddr(2 * PAGE_WORDS as u64 - 1), 1)[0].is_zero());
+    }
+
+    #[test]
+    fn fill_writes_exactly_the_run() {
+        let mut m = MainMemory::new(2);
+        m.fill(AbsAddr(1020), 6, Word::new(7));
+        for a in 1018..1028 {
+            let want = if (1020..1026).contains(&a) { 7 } else { 0 };
+            assert_eq!(m.read(AbsAddr(a)), Word::new(want), "word {a}");
+        }
+        m.fill(AbsAddr(2 * PAGE_WORDS as u64 - 1), 1, Word::new(1));
+        assert_eq!(m.read(AbsAddr(2 * PAGE_WORDS as u64 - 1)), Word::new(1));
+    }
+
+    #[test]
+    #[should_panic(expected = "outside of")]
+    fn fill_past_the_end_of_core_panics() {
+        let mut m = MainMemory::new(1);
+        m.fill(AbsAddr(PAGE_WORDS as u64 - 2), 3, Word::new(1));
     }
 
     #[test]

@@ -116,8 +116,9 @@ impl TlbStats {
 /// Beside the ways themselves it keeps two ordered indexes of the
 /// resident entries, one by PTW and one by SDW core address, so a
 /// setfaults flush finds exactly the entries it drops instead of sweeping
-/// every way. A flush that matches nothing returns after one binary
-/// search and changes no tally and no LRU stamp.
+/// every way. A flush that matches nothing changes no tally and no LRU
+/// stamp; a single-address one that the index's filter rules out returns
+/// without the binary search, and any other after one.
 #[derive(Debug, Clone)]
 pub struct Tlb {
     sets: Vec<[Option<TlbEntry>; TLB_WAYS]>,
@@ -127,28 +128,67 @@ pub struct Tlb {
     stats: TlbStats,
 }
 
+/// Buckets of an index's counting filter (a power of two).
+const FILTER_BUCKETS: usize = 512;
+
 /// `(descriptor address, slot)` for every resident entry, sorted, where
 /// `slot` is `set * TLB_WAYS + way`: one key per entry, so at most
 /// `TLB_SETS * TLB_WAYS`, held contiguously for a cheap search.
-#[derive(Debug, Clone, Default)]
-struct AddrIndex(Vec<(u64, usize)>);
+///
+/// Beside the keys, a counting filter holds how many keys fall in each
+/// bucket of addresses, so most addresses that no entry was cached from
+/// are ruled out without a search. A bucket counts at most the
+/// `TLB_SETS * TLB_WAYS` resident entries, so its count never wraps.
+#[derive(Debug, Clone)]
+struct AddrIndex {
+    keys: Vec<(u64, usize)>,
+    filter: [u16; FILTER_BUCKETS],
+}
+
+impl Default for AddrIndex {
+    fn default() -> Self {
+        Self {
+            keys: Vec::new(),
+            filter: [0; FILTER_BUCKETS],
+        }
+    }
+}
 
 impl AddrIndex {
+    /// The filter bucket of an address (Fibonacci hashing, so the
+    /// consecutive PTWs of one page table spread over every bucket).
+    fn bucket(addr: u64) -> usize {
+        (addr.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> (64 - FILTER_BUCKETS.trailing_zeros()))
+            as usize
+    }
+
     fn insert(&mut self, key: (u64, usize)) {
-        let at = self.0.partition_point(|k| *k < key);
-        self.0.insert(at, key);
+        let at = self.keys.partition_point(|k| *k < key);
+        self.keys.insert(at, key);
+        self.filter[Self::bucket(key.0)] += 1;
     }
 
     fn remove(&mut self, key: (u64, usize)) {
-        let at = self.0.partition_point(|k| *k < key);
-        debug_assert_eq!(self.0.get(at), Some(&key), "indexed key");
-        self.0.remove(at);
+        let at = self.keys.partition_point(|k| *k < key);
+        debug_assert_eq!(self.keys.get(at), Some(&key), "indexed key");
+        self.keys.remove(at);
+        self.filter[Self::bucket(key.0)] -= 1;
+    }
+
+    /// False only if no key has address `addr`.
+    fn may_hold(&self, addr: u64) -> bool {
+        self.filter[Self::bucket(addr)] > 0
+    }
+
+    fn clear(&mut self) {
+        self.keys.clear();
+        self.filter = [0; FILTER_BUCKETS];
     }
 
     /// The keys whose address lies in `[lo, hi)`: one binary search
     /// when there are none, the common case.
     fn range(&self, lo: u64, hi: u64) -> &[(u64, usize)] {
-        let rest = &self.0[self.0.partition_point(|&(a, _)| a < lo)..];
+        let rest = &self.keys[self.keys.partition_point(|&(a, _)| a < lo)..];
         match rest.first() {
             Some(&(a, _)) if a < hi => &rest[..rest.partition_point(|&(a, _)| a < hi)],
             _ => &[],
@@ -243,12 +283,16 @@ impl Tlb {
 
     /// Drops every entry cached from the PTW at `addr`.
     pub fn invalidate_ptw(&mut self, addr: AbsAddr) {
-        self.flush(Index::Ptw, addr.0, addr.0 + 1);
+        if self.by_ptw.may_hold(addr.0) {
+            self.flush(Index::Ptw, addr.0, addr.0 + 1);
+        }
     }
 
     /// Drops every entry cached from the SDW at `addr`.
     pub fn invalidate_sdw(&mut self, addr: AbsAddr) {
-        self.flush(Index::Sdw, addr.0, addr.0 + 1);
+        if self.by_sdw.may_hold(addr.0) {
+            self.flush(Index::Sdw, addr.0, addr.0 + 1);
+        }
     }
 
     /// Drops every entry whose PTW lies in `[base, base + len)` — the
@@ -265,12 +309,12 @@ impl Tlb {
 
     /// Drops everything (the 6180's "clear associative memory").
     pub fn clear(&mut self) {
-        for &(_, slot) in &self.by_ptw.0 {
+        for &(_, slot) in &self.by_ptw.keys {
             self.sets[slot / TLB_WAYS][slot % TLB_WAYS] = None;
         }
-        self.stats.invalidations += self.by_ptw.0.len() as u64;
-        self.by_ptw.0.clear();
-        self.by_sdw.0.clear();
+        self.stats.invalidations += self.by_ptw.keys.len() as u64;
+        self.by_ptw.clear();
+        self.by_sdw.clear();
     }
 
     /// Drops every entry whose `index` address lies in `[lo, hi)`.
@@ -298,7 +342,7 @@ impl Tlb {
 
     /// Number of resident entries (for tests).
     pub fn resident(&self) -> usize {
-        self.by_ptw.0.len()
+        self.by_ptw.keys.len()
     }
 }
 
@@ -491,8 +535,8 @@ mod tests {
     }
 
     /// Asserts `tlb` holds exactly the reference's ways (LRU stamps
-    /// included), clock and tallies, and that both indexes list exactly
-    /// the resident entries.
+    /// included), clock and tallies, that both indexes list exactly the
+    /// resident entries and that each filter counts exactly its keys.
     fn assert_matches(tlb: &Tlb, reference: &SweepTlb, step: usize) {
         assert_eq!(tlb.sets, reference.sets, "resident set, step {step}");
         assert_eq!(tlb.stats, reference.stats, "tallies, step {step}");
@@ -503,12 +547,15 @@ mod tests {
             (&tlb.by_ptw, (|e| e.ptw_addr) as fn(&TlbEntry) -> AbsAddr),
             (&tlb.by_sdw, |e| e.sdw_addr),
         ] {
-            assert_eq!(index.0.len(), resident, "index size, step {step}");
-            assert!(index.0.is_sorted(), "index order, step {step}");
-            for &(key, slot) in &index.0 {
+            assert_eq!(index.keys.len(), resident, "index size, step {step}");
+            assert!(index.keys.is_sorted(), "index order, step {step}");
+            let mut filter = [0u16; FILTER_BUCKETS];
+            for &(key, slot) in &index.keys {
                 let e = tlb.sets[slot / TLB_WAYS][slot % TLB_WAYS].as_ref();
                 assert_eq!(e.map(addr), Some(AbsAddr(key)), "index key, step {step}");
+                filter[AddrIndex::bucket(key)] += 1;
             }
+            assert_eq!(index.filter, filter, "filter counts, step {step}");
         }
     }
 
@@ -539,8 +586,26 @@ mod tests {
     #[test]
     fn indexed_flushes_match_the_full_sweep_on_random_sequences() {
         // Steps whose flush dropped something, whose flush matched
-        // nothing, and whose fill replaced or evicted a resident entry.
+        // nothing, and whose fill replaced or evicted a resident entry;
+        // single-address flushes the filter answered, and those it let
+        // through to the search that then matched nothing.
         let (mut dropping, mut empty, mut replacing) = (0, 0, 0);
+        let (mut answered, mut passed) = (0, 0);
+        let mut single =
+            |index: &AddrIndex, reference: &SweepTlb, addr: &dyn Fn(&TlbEntry) -> u64, at: u64| {
+                let held = reference
+                    .sets
+                    .iter()
+                    .flatten()
+                    .flatten()
+                    .any(|r| addr(r) == at);
+                if !index.may_hold(at) {
+                    assert!(!held, "the filter ruled out a resident address");
+                    answered += 1;
+                } else if !held {
+                    passed += 1;
+                }
+            };
         for seed in 0..12u64 {
             let mut rng = SplitMix64::new(0x7_1B00 + seed);
             let mut tlb = Tlb::new();
@@ -559,10 +624,12 @@ mod tests {
                         assert_eq!(got, want, "lookup, seed {seed} step {step}");
                     }
                     900..=949 => {
+                        single(&tlb.by_ptw, &reference, &|r| r.ptw_addr.0, e.ptw_addr.0);
                         tlb.invalidate_ptw(e.ptw_addr);
                         reference.retain(|r| r.ptw_addr != e.ptw_addr);
                     }
                     950..=979 => {
+                        single(&tlb.by_sdw, &reference, &|r| r.sdw_addr.0, e.sdw_addr.0);
                         tlb.invalidate_sdw(e.sdw_addr);
                         reference.retain(|r| r.sdw_addr != e.sdw_addr);
                     }
@@ -594,6 +661,10 @@ mod tests {
             }
         }
         assert!(dropping > 1_000 && empty > 1_000 && replacing > 1_000);
+        assert!(
+            answered > 1_000 && passed > 20,
+            "{answered} answered, {passed} passed"
+        );
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! The active segment table, frame table, and page-table pool.
+//! The active segment table and page-table pool.
 //!
 //! The AST is segment control's central data base — and, in the old
 //! supervisor, everybody else's too: page control reads it directly to
@@ -11,7 +11,7 @@
 
 use crate::types::{DiskHome, ProcessId, SegUid};
 use mx_aim::Label;
-use mx_hw::{AbsAddr, FrameNo};
+use mx_hw::AbsAddr;
 
 /// Page-table words per pool slot — the maximum pages per segment.
 pub const PT_WORDS: u32 = 256;
@@ -187,118 +187,11 @@ impl ActiveSegmentTable {
     }
 }
 
-/// What a core frame is being used for.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum FrameState {
-    /// Permanently reserved at bootload (low core, tables).
-    Wired(&'static str),
-    /// Free for page assignment.
-    Free,
-    /// Holds page `pageno` of the segment at AST index `astx`.
-    Page {
-        /// AST index of the owning segment.
-        astx: usize,
-        /// Page number within the segment.
-        pageno: u32,
-    },
-}
-
-/// The frame table: who owns each core frame, plus the clock hand for
-/// page replacement.
-#[derive(Debug, Clone)]
-pub struct FrameTable {
-    states: Vec<FrameState>,
-    /// First frame eligible for paging.
-    first_pageable: u32,
-    clock_hand: u32,
-}
-
-impl FrameTable {
-    /// A frame table over `frames` frames, the first `wired` of which
-    /// are permanently reserved.
-    pub fn new(frames: usize, wired: u32, purpose: &'static str) -> Self {
-        let states = (0..frames)
-            .map(|i| {
-                if (i as u32) < wired {
-                    FrameState::Wired(purpose)
-                } else {
-                    FrameState::Free
-                }
-            })
-            .collect();
-        Self {
-            states,
-            first_pageable: wired,
-            clock_hand: wired,
-        }
-    }
-
-    /// Number of pageable frames.
-    pub fn pageable(&self) -> u32 {
-        self.states.len() as u32 - self.first_pageable
-    }
-
-    /// The state of a frame.
-    pub fn state(&self, frame: FrameNo) -> &FrameState {
-        &self.states[frame.0 as usize]
-    }
-
-    /// Claims a free pageable frame, if any.
-    pub fn take_free(&mut self, astx: usize, pageno: u32) -> Option<FrameNo> {
-        let start = self.first_pageable as usize;
-        let pos = self.states[start..]
-            .iter()
-            .position(|s| *s == FrameState::Free)?;
-        let frame = FrameNo((start + pos) as u32);
-        self.states[frame.0 as usize] = FrameState::Page { astx, pageno };
-        Some(frame)
-    }
-
-    /// Releases a frame back to the free pool.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the frame was wired.
-    pub fn release(&mut self, frame: FrameNo) {
-        assert!(
-            !matches!(self.states[frame.0 as usize], FrameState::Wired(_)),
-            "releasing a wired frame"
-        );
-        self.states[frame.0 as usize] = FrameState::Free;
-    }
-
-    /// Advances the clock hand and returns the frame it now points at
-    /// (pageable frames only, wrapping).
-    pub fn tick(&mut self) -> FrameNo {
-        let n = self.states.len() as u32;
-        let frame = FrameNo(self.clock_hand);
-        self.clock_hand += 1;
-        if self.clock_hand >= n {
-            self.clock_hand = self.first_pageable;
-        }
-        frame
-    }
-
-    /// All frames currently holding pages of `astx`.
-    pub fn frames_of(&self, astx: usize) -> Vec<(FrameNo, u32)> {
-        self.states
-            .iter()
-            .enumerate()
-            .filter_map(|(i, s)| match s {
-                FrameState::Page { astx: a, pageno } if *a == astx => {
-                    Some((FrameNo(i as u32), *pageno))
-                }
-                _ => None,
-            })
-            .collect()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mx_hw::PackId;
-    use mx_hw::TocIndex;
+    use mx_hw::frames::Page;
+    use mx_hw::{FrameNo, FrameTable, PackId, TocIndex};
 
     fn aste(uid: u64, parent: Option<usize>) -> Aste {
         Aste {
@@ -384,36 +277,42 @@ mod tests {
 
     #[test]
     fn frame_table_alloc_release_cycle() {
-        let mut ft = FrameTable::new(8, 4, "low core");
+        let mut ft = FrameTable::new(8, 4);
         assert_eq!(ft.pageable(), 4);
-        let f = ft.take_free(0, 0).unwrap();
+        let f = ft.take(0, 0).unwrap();
         assert_eq!(f, FrameNo(4));
-        assert_eq!(*ft.state(f), FrameState::Page { astx: 0, pageno: 0 });
+        assert_eq!(
+            ft.page(f),
+            Some(Page {
+                owner: 0,
+                pageno: 0
+            })
+        );
         ft.release(f);
-        assert_eq!(*ft.state(f), FrameState::Free);
+        assert_eq!(ft.page(f), None);
     }
 
     #[test]
     fn clock_hand_wraps_over_pageable_frames() {
-        let mut ft = FrameTable::new(6, 4, "low");
+        let mut ft = FrameTable::new(6, 4);
         let seq: Vec<u32> = (0..5).map(|_| ft.tick().0).collect();
         assert_eq!(seq, vec![4, 5, 4, 5, 4]);
     }
 
     #[test]
     fn frames_of_collects_a_segments_pages() {
-        let mut ft = FrameTable::new(8, 2, "low");
-        let f1 = ft.take_free(3, 0).unwrap();
-        let _f2 = ft.take_free(4, 0).unwrap();
-        let f3 = ft.take_free(3, 7).unwrap();
-        let got = ft.frames_of(3);
+        let mut ft = FrameTable::new(8, 2);
+        let f1 = ft.take(3, 0).unwrap();
+        let _f2 = ft.take(4, 0).unwrap();
+        let f3 = ft.take(3, 7).unwrap();
+        let got = ft.owned(3);
         assert_eq!(got, vec![(f1, 0), (f3, 7)]);
     }
 
     #[test]
     #[should_panic(expected = "wired")]
     fn releasing_wired_frame_panics() {
-        let mut ft = FrameTable::new(4, 2, "low");
+        let mut ft = FrameTable::new(4, 2);
         ft.release(FrameNo(0));
     }
 }

@@ -699,7 +699,7 @@ impl Supervisor {
             if records > 0 {
                 self.quota_uncharge(astx, records);
             }
-            for (frame, pageno) in self.frames.frames_of(astx) {
+            for (frame, pageno) in self.frames.owned(astx as u32) {
                 self.set_ptw(astx, pageno, Default::default());
                 self.frames.release(frame);
             }

@@ -32,6 +32,7 @@ use crate::supervisor::Supervisor;
 use crate::types::{LegacyError, ProcessId};
 use mx_aim::Label;
 use mx_hw::cpu::Ptw;
+use mx_hw::frames::Page;
 use mx_hw::meter::Subsystem;
 use mx_hw::{AbsAddr, DiskError, FrameNo, Language, Machine, VirtAddr};
 
@@ -276,13 +277,13 @@ impl Supervisor {
     /// Claims a core frame, evicting by the clock algorithm when none is
     /// free.
     pub(crate) fn claim_frame(&mut self, astx: usize, pageno: u32) -> Result<FrameNo, LegacyError> {
-        if let Some(f) = self.frames.take_free(astx, pageno) {
+        if let Some(f) = self.frames.take(astx as u32, pageno) {
             return Ok(f);
         }
         let victim = self.select_victim()?;
         self.evict(victim)?;
         self.frames
-            .take_free(astx, pageno)
+            .take(astx as u32, pageno)
             .ok_or(LegacyError::PageTablePoolFull)
     }
 
@@ -291,10 +292,10 @@ impl Supervisor {
         let limit = self.frames.pageable() * 2 + 2;
         for _ in 0..limit {
             let frame = self.frames.tick();
-            let (astx, pageno) = match *self.frames.state(frame) {
-                crate::ast::FrameState::Page { astx, pageno } => (astx, pageno),
-                _ => continue,
+            let Some(Page { owner, pageno }) = self.frames.page(frame) else {
+                continue;
             };
+            let astx = owner as usize;
             let mut ptw = self.ptw(astx, pageno);
             if ptw.wired {
                 continue;
@@ -313,10 +314,10 @@ impl Supervisor {
     /// file-map flag and dropping the storage charge if so), otherwise
     /// writes it to its disk record.
     pub(crate) fn evict(&mut self, frame: FrameNo) -> Result<(), LegacyError> {
-        let (astx, pageno) = match *self.frames.state(frame) {
-            crate::ast::FrameState::Page { astx, pageno } => (astx, pageno),
-            _ => return Ok(()),
+        let Some(Page { owner, pageno }) = self.frames.page(frame) else {
+            return Ok(());
         };
+        let astx = owner as usize;
         self.stats.evictions += 1;
         // "This algorithm must be given (otherwise unnecessary) access to
         // the data in every page of every file stored by the system."
@@ -449,7 +450,7 @@ impl Supervisor {
     /// rereads).
     pub fn flush_segment(&mut self, astx: usize) -> Result<(), LegacyError> {
         self.scoped(Subsystem::PageControl, |s| {
-            for (frame, _pageno) in s.frames.frames_of(astx) {
+            for (frame, _pageno) in s.frames.owned(astx as u32) {
                 s.evict(frame)?;
             }
             Ok(())

@@ -222,7 +222,7 @@ impl Supervisor {
     fn truncate_segment_body(&mut self, uid: SegUid) -> Result<(), LegacyError> {
         let astx = self.ast.find(uid).ok_or(LegacyError::NotActive)?;
         // Drop resident frames without write-back.
-        for (frame, pageno) in self.frames.frames_of(astx) {
+        for (frame, pageno) in self.frames.owned(astx as u32) {
             self.set_ptw(astx, pageno, Default::default());
             self.frames.release(frame);
         }

@@ -11,14 +11,14 @@
 
 use std::collections::{HashMap, VecDeque};
 
-use crate::ast::{ActiveSegmentTable, Aste, FrameTable, QuotaCell, PT_WORDS};
+use crate::ast::{ActiveSegmentTable, Aste, QuotaCell, PT_WORDS};
 use crate::types::{DiskHome, LegacyError, ProcessId, SegUid, UserId};
 use mx_aim::{FlowTracker, Label, ReferenceMonitor};
 use mx_hw::cpu::{AccessMode, DescBase, Ptw, Sdw};
 use mx_hw::meter::{CounterSet, Subsystem};
 use mx_hw::{
-    AbsAddr, Fault, FrameNo, HwFeatures, IdMap, Language, Machine, MachineConfig, VirtAddr, Word,
-    PAGE_WORDS,
+    AbsAddr, Fault, FrameNo, FrameTable, HwFeatures, IdMap, Language, Machine, MachineConfig,
+    VirtAddr, Word, PAGE_WORDS,
 };
 
 /// Configuration for bootloading the old supervisor.
@@ -185,7 +185,7 @@ pub(crate) struct GlobalLock {
 pub struct Supervisor {
     /// The machine everything runs on (1974 feature level).
     pub machine: Machine,
-    /// Frame ownership and the replacement clock hand.
+    /// Frame ownership, by AST index, and the replacement clock hand.
     pub frames: FrameTable,
     /// The active segment table.
     pub ast: ActiveSegmentTable,
@@ -250,7 +250,7 @@ impl Supervisor {
             (wired as usize) + 8 <= config.frames,
             "configuration leaves fewer than 8 pageable frames"
         );
-        let frames = FrameTable::new(config.frames, wired, "supervisor tables");
+        let frames = FrameTable::new(config.frames, wired);
         let ast = ActiveSegmentTable::new(config.ast_slots, FrameNo(1).base());
 
         Self {

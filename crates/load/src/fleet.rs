@@ -271,6 +271,8 @@ struct WireFrame {
 struct Wire {
     machines: usize,
     links: Vec<VecDeque<WireFrame>>,
+    /// The busy links' ids, refilled by every [`Wire::pop`].
+    busy: Vec<u32>,
     policy: Box<dyn SchedulePolicy>,
     sent: u64,
     delivered: u64,
@@ -284,6 +286,7 @@ impl Wire {
         Self {
             machines,
             links: (0..machines * machines).map(|_| VecDeque::new()).collect(),
+            busy: Vec::with_capacity(machines * machines),
             policy: policy.unwrap_or_else(|| Box::new(FifoPolicy)),
             sent: 0,
             delivered: 0,
@@ -313,15 +316,16 @@ impl Wire {
     /// drop cheat discards.
     fn pop(&mut self) -> Option<(usize, WireFrame)> {
         loop {
-            let ids: Vec<u32> = (0..self.links.len())
-                .filter(|&l| !self.links[l].is_empty())
-                .map(|l| l as u32)
-                .collect();
+            let ids = &mut self.busy;
+            ids.clear();
+            ids.extend(
+                (0..self.links.len() as u32).filter(|&l| !self.links[l as usize].is_empty()),
+            );
             let link = match ids.len() {
                 0 => return None,
                 1 => ids[0] as usize,
                 _ => {
-                    let pick = self.policy.choose(ChoicePoint::Wire, &ids);
+                    let pick = self.policy.choose(ChoicePoint::Wire, ids);
                     ids[pick.min(ids.len() - 1)] as usize
                 }
             };

@@ -604,6 +604,7 @@ fn kernel_move_absorbs_as_many_transient_failures_as_its_paging() {
         let rec = f.k.drm.record_of(&f.k.machine, home, 0).unwrap().unwrap();
         let plan = failing_first_record(home.pack, rec, failures);
         f.k.machine.install_fault_plan(plan);
+        let retries = f.k.pfm.stats.transient_retries;
         match f.write(next) {
             Ok(()) if moves => assert_ne!(f.home(), home),
             Err(KernelError::Disk(DiskError::TransientRead { .. })) if !moves => {
@@ -618,6 +619,11 @@ fn kernel_move_absorbs_as_many_transient_failures_as_its_paging() {
             }
             other => panic!("{failures} failures: {other:?}"),
         }
+        assert_eq!(
+            f.k.pfm.stats.transient_retries - retries,
+            BUDGET - 1,
+            "absorbed"
+        );
         f.intact(next + 1);
     }
 }
