@@ -560,6 +560,7 @@ impl DirectoryManager {
         e: &EntryRecord,
     ) -> Result<(), KernelError> {
         let label = e.label.stored().ok_or(KernelError::BadLabel)?;
+        let (users, rights) = e.acl.stored().ok_or(KernelError::BadAcl)?;
         let base = Self::entry_base(slot);
         self.seg_write(ctx, dir, base, Word::new(e.uid.0))?;
         self.seg_write(ctx, dir, base + 2, Word::new(u64::from(e.home.pack.0)))?;
@@ -567,7 +568,6 @@ impl DirectoryManager {
         for (i, w) in pack_name(&e.name).iter().enumerate() {
             self.seg_write(ctx, dir, base + 4 + i as u32, *w)?;
         }
-        let (users, rights) = e.acl.pack();
         self.seg_write(ctx, dir, base + 12, Word::new(users))?;
         self.seg_write(ctx, dir, base + 13, Word::new(rights))?;
         self.seg_write(ctx, dir, base + 14, Word::new(u64::from(e.quota_limit)))?;
@@ -750,6 +750,7 @@ impl DirectoryManager {
     ///
     /// [`KernelError::BadName`] (a name the entry codec cannot store),
     /// [`KernelError::BadLabel`] (a label it cannot store),
+    /// [`KernelError::BadAcl`] (an ACL it cannot store),
     /// [`KernelError::NoAccess`] (bad token / no modify permission),
     /// [`KernelError::AimViolation`], [`KernelError::NameDuplicated`],
     /// or storage errors — including a propagating upward signal if the
@@ -771,6 +772,9 @@ impl DirectoryManager {
         }
         if label.stored().is_none() {
             return Err(KernelError::BadLabel);
+        }
+        if acl.stored().is_none() {
+            return Err(KernelError::BadAcl);
         }
         let dir = self.resolve_token(dir_token).ok_or(KernelError::NoAccess)?;
         let b = *self.branch.get(&dir).ok_or(KernelError::NoAccess)?;
@@ -1139,6 +1143,7 @@ mod tests {
     use crate::types::ProcessId;
     use mx_aim::{CompartmentSet, Level};
     use mx_hw::{DiskError, SplitMix64, PAGE_WORDS};
+    use std::collections::HashSet;
 
     const USER: UserId = UserId(1);
 
@@ -1233,6 +1238,52 @@ mod tests {
         }
     }
 
+    /// ACLs beyond the codec's four terms and user ids 0–255 used to be
+    /// stored garbled: owner 300 came back as owner 44, so user 300 was
+    /// refused and user 44 could initiate and write the segment, and a
+    /// fifth term was dropped. They are refused before any durable work.
+    /// Four terms and user 255 round-trip, and decide access as created.
+    #[test]
+    fn acls_the_entry_codec_cannot_store_are_refused() {
+        let (mut k, pid) = boot(128);
+        let root = k.root_token();
+        let listed = k.list_dir(pid, root).unwrap();
+        let next_uid = k.dirm.next_uid;
+        let readers = |acl: &mut Acl, users: &[u32]| {
+            for &u in users {
+                acl.grant(UserId(u), &[AccessRight::Read]);
+            }
+        };
+        let mut five = Acl::owner(USER);
+        readers(&mut five, &[2, 3, 4, 5]);
+        for bad in [Acl::owner(UserId(256)), Acl::owner(UserId(300)), five] {
+            for is_dir in [false, true] {
+                let made = k.create_entry(pid, root, "x", bad.clone(), Label::BOTTOM, is_dir);
+                assert_eq!(made, Err(KernelError::BadAcl), "{bad:?}");
+            }
+        }
+        assert_eq!(k.list_dir(pid, root).unwrap(), listed);
+        assert_eq!(k.dirm.next_uid, next_uid, "no uid or TOC entry spent");
+        let mut four = Acl::owner(UserId(255));
+        readers(&mut four, &[2, 3, 4]);
+        let token = k
+            .create_entry(pid, root, "edge", four.clone(), Label::BOTTOM, false)
+            .unwrap();
+        let uid = k.dirm.resolve_token(token).unwrap();
+        let stored = k.dirm.object_meta(&mut crate::kernel::ctx!(k), uid);
+        assert_eq!(stored.unwrap().acl, four);
+        let owner = k.create_process(UserId(255), Label::BOTTOM).unwrap();
+        let segno = k.initiate(owner, token).unwrap();
+        k.write_word(owner, segno, 0, Word::new(7)).unwrap();
+        let reader = k.create_process(UserId(4), Label::BOTTOM).unwrap();
+        let segno = k.initiate(reader, token).unwrap();
+        assert_eq!(k.read_word(reader, segno, 0), Ok(Word::new(7)));
+        let write = k.write_word(reader, segno, 0, Word::new(8));
+        assert_eq!(write, Err(KernelError::NoAccess));
+        // The creator is not on the list.
+        assert_eq!(k.initiate(pid, token), Err(KernelError::NoAccess));
+    }
+
     /// Two kernels booted alike: `cursor` reads directories through the
     /// entry reader, `per_word` through the per-word reference.
     struct Twin {
@@ -1284,6 +1335,15 @@ mod tests {
             out
         }
 
+        /// Creates segment `name` in `dir`; its slot.
+        fn create(&mut self, at: &str, dir: ObjToken, name: &str) -> Result<u32, KernelError> {
+            let made = self.step(at, |k, pid| {
+                k.create_entry(pid, dir, name, Acl::owner(USER), Label::BOTTOM, false)
+            });
+            let dm = &self.cursor.dirm;
+            made.map(|token| dm.branch[&dm.resolve_token(token).unwrap()].slot)
+        }
+
         /// Slots ever used in directory `dir` (its entry count).
         fn slots(&self, dir: SegUid) -> u32 {
             let dm = &self.cursor.dirm;
@@ -1305,7 +1365,47 @@ mod tests {
         }
     }
 
-    /// The walk's cases the churn reached, told from the entry layout.
+    /// Words from an entry's base through word 16, the cell: the last
+    /// one the codec reads.
+    const SPAN: u32 = 17;
+
+    fn page(wordno: u32) -> u32 {
+        wordno / PAGE_WORDS as u32
+    }
+
+    /// The page of the words of slot `slot` the codec reads, if they lie
+    /// on one.
+    fn one_page(slot: u32) -> Option<u32> {
+        let base = DirectoryManager::entry_base(slot);
+        (page(base) == page(base + SPAN - 1)).then_some(page(base))
+    }
+
+    /// True if `find` reads `slot` in a run: its words lie on the page of
+    /// the last word the walk read, the count word before slot 0, else
+    /// the slot before's record if in use, or its flags word.
+    fn in_find_run(slot: u32, in_use: &HashSet<u32>) -> bool {
+        let last_read = match slot.checked_sub(1) {
+            None => 0,
+            Some(s) if in_use.contains(&s) => DirectoryManager::entry_base(s) + SPAN - 1,
+            Some(s) => DirectoryManager::entry_base(s) + 1,
+        };
+        one_page(slot) == Some(page(last_read))
+    }
+
+    /// The page of slot `slot`'s flags word.
+    fn flags_page(slot: u32) -> u32 {
+        page(DirectoryManager::entry_base(slot) + 1)
+    }
+
+    /// True if `first_unused` reads `slot`'s flags word in a run: it lies
+    /// on the page of the flags word before it (of the count word, for
+    /// slot 0).
+    fn in_unused_run(slot: u32) -> bool {
+        slot == 0 || flags_page(slot - 1) == flags_page(slot)
+    }
+
+    /// The walk's cases the churn reached, told from the entry layout
+    /// and the slots in use before each step.
     #[derive(Debug, Default)]
     struct Walked {
         /// Matches on a slot read in place: its words lie on the page
@@ -1317,17 +1417,54 @@ mod tests {
         long_misses: usize,
         /// Slots `first_unused` found unused past page 0.
         unused_past_page_0: usize,
+        /// Matches on a run's first slot, and on the last slot of a
+        /// page's run.
+        run_first_matches: usize,
+        run_last_matches: usize,
+        /// Misses whose last run the count cut mid-page, and misses whose
+        /// count ends at the last slot of a page's run.
+        cut_by_count: usize,
+        count_at_page_end: usize,
+        /// `first_unused` answers at a run's first position and at the
+        /// last flags word of a page's run.
+        unused_run_first: usize,
+        unused_run_last: usize,
     }
 
     impl Walked {
-        fn matched(&mut self, slot: u32) {
-            let page = |wordno: u32| wordno / PAGE_WORDS as u32;
+        fn matched(&mut self, slot: u32, in_use: &HashSet<u32>) {
             let base = DirectoryManager::entry_base(slot);
-            // Word 16, the cell, is the last one the codec reads.
-            if page(base) != page(base + 16) {
+            if one_page(slot).is_none() {
                 self.straddling += 1;
             } else if slot == 0 || page(DirectoryManager::entry_base(slot - 1) + 1) == page(base) {
                 self.in_place += 1;
+            }
+            if in_find_run(slot, in_use) {
+                let first = slot == 0 || !in_find_run(slot - 1, in_use);
+                self.run_first_matches += usize::from(first);
+                self.run_last_matches += usize::from(one_page(slot + 1) != one_page(slot));
+            }
+        }
+
+        fn missed(&mut self, count: u32, in_use: &HashSet<u32>) {
+            if count > 0 && in_find_run(count - 1, in_use) {
+                if one_page(count) == one_page(count - 1) {
+                    self.cut_by_count += 1;
+                } else {
+                    self.count_at_page_end += 1;
+                }
+            }
+        }
+
+        fn claimed(&mut self, slot: u32, count: u32) {
+            if slot == count {
+                return;
+            }
+            self.unused_past_page_0 += usize::from(flags_page(slot) > 0);
+            if in_unused_run(slot) {
+                let first = slot == 0 || !in_unused_run(slot - 1);
+                self.unused_run_first += usize::from(first);
+                self.unused_run_last += usize::from(flags_page(slot + 1) != flags_page(slot));
             }
         }
     }
@@ -1344,7 +1481,12 @@ mod tests {
     /// pages or more, a match read in place, a match on a straddling
     /// entry, and an unused slot found past page 0. Every seventh step
     /// that is a miss searches with the directory's pack offline, so a
-    /// walk whose page touch must read the disk fails mid-walk.
+    /// walk whose page touch must read the disk fails mid-walk. Aimed
+    /// steps after the churn reach each edge of a run: a match at a
+    /// run's first slot and at its last, `first_unused` answering at a
+    /// run's first position and at its last, and a count that ends at
+    /// the last slot of a page's run; misses whose run the count cuts
+    /// mid-page come from the churn.
     #[test]
     fn entry_reader_matches_the_per_word_reference_under_churn() {
         let mut t = Twin::new(24);
@@ -1369,27 +1511,24 @@ mod tests {
         let mut failed = 0;
         let mut walked = Walked::default();
         let mut live = HashMap::new();
+        // The count word: slots ever used.
+        let mut count = 0;
         for i in 0..900 {
             let name = format!("n{}", rng.below(240));
             let at = format!("step {i} ({name})");
+            let in_use: HashSet<u32> = live.values().copied().collect();
             match rng.below(10) {
                 0..=5 => {
-                    let count = t.slots(d_uid);
-                    let made = t.step(&at, |k, pid| {
-                        k.create_entry(pid, d, &name, Acl::owner(USER), Label::BOTTOM, false)
-                    });
-                    match made {
-                        Ok(token) => {
-                            let uid = t.cursor.dirm.resolve_token(token).unwrap();
-                            let slot = t.cursor.dirm.branch[&uid].slot;
+                    match t.create(&at, d, &name) {
+                        Ok(slot) => {
+                            walked.missed(count, &in_use);
+                            walked.claimed(slot, count);
                             reused += usize::from(slot < count);
-                            let flags = DirectoryManager::entry_base(slot) + 1;
-                            walked.unused_past_page_0 +=
-                                usize::from(slot < count && flags >= PAGE_WORDS as u32);
+                            count = count.max(slot + 1);
                             live.insert(name.clone(), slot);
                         }
-                        Err(KernelError::NameDuplicated) => walked.matched(live[&name]),
-                        Err(_) => {}
+                        Err(KernelError::NameDuplicated) => walked.matched(live[&name], &in_use),
+                        Err(e) => panic!("{at}: {e}"),
                     }
                     let page = rng.below(12) as u32;
                     t.step(&at, |k, pid| {
@@ -1400,7 +1539,7 @@ mod tests {
                 6 => {
                     if t.step(&at, |k, pid| k.delete_entry(pid, d, &name)).is_ok() {
                         deleted += 1;
-                        walked.matched(live.remove(&name).expect("a live name"));
+                        walked.matched(live.remove(&name).expect("a live name"), &in_use);
                     }
                 }
                 7..=8 => {
@@ -1418,6 +1557,7 @@ mod tests {
                         continue;
                     }
                     assert_eq!(found, Err(KernelError::NoEntry));
+                    walked.missed(count, &in_use);
                     let pages =
                         DirectoryManager::entry_base(t.slots(d_uid)).div_ceil(PAGE_WORDS as u32);
                     widest = widest.max(t.slots(d_uid));
@@ -1430,6 +1570,52 @@ mod tests {
                 }
             }
         }
+        // Aimed steps at the edges of every run in the slots churned:
+        // with every slot in use, a duplicate create matches each run's
+        // first and last slot; deleting one slot and creating again has
+        // `first_unused` answer at it.
+        let mut fresh = (0..).map(|i| format!("f{i}"));
+        while live.len() < count as usize {
+            let name = fresh.next().unwrap();
+            let slot = t.create(&name, d, &name).unwrap();
+            live.insert(name, slot);
+        }
+        let mut all: HashSet<u32> = (0..count).collect();
+        let mut named: HashMap<u32, String> = live.into_iter().map(|(n, s)| (s, n)).collect();
+        for slot in 0..count {
+            let at = format!("aimed at slot {slot}");
+            let first = |run: &dyn Fn(u32) -> bool| run(slot) && (slot == 0 || !run(slot - 1));
+            let in_run = |s| in_find_run(s, &all);
+            if first(&in_run) || in_run(slot) && one_page(slot + 1) != one_page(slot) {
+                let made = t.create(&at, d, &named[&slot]);
+                assert_eq!(made, Err(KernelError::NameDuplicated), "{at}");
+                walked.matched(slot, &all);
+            }
+            let flags_edge = flags_page(slot + 1) != flags_page(slot);
+            if first(&in_unused_run) || in_unused_run(slot) && flags_edge {
+                let gone = t.step(&at, |k, pid| k.delete_entry(pid, d, &named[&slot]));
+                assert_eq!(gone, Ok(()), "{at}");
+                walked.matched(slot, &all);
+                all.remove(&slot);
+                let name = fresh.next().unwrap();
+                assert_eq!(t.create(&at, d, &name), Ok(slot), "{at}");
+                walked.missed(count, &all);
+                walked.claimed(slot, count);
+                all.insert(slot);
+                named.insert(slot, name);
+            }
+        }
+        // Grow the directory until its count ends at the last slot of a
+        // page's run, and miss.
+        while !(in_find_run(count - 1, &all) && one_page(count) != one_page(count - 1)) {
+            let name = fresh.next().unwrap();
+            assert_eq!(t.create(&name, d, &name), Ok(count));
+            all.insert(count);
+            count += 1;
+        }
+        let found = t.step("miss at a page's end", |k, pid| k.dir_search(pid, d, "x"));
+        assert_eq!(found, Err(KernelError::NoEntry));
+        walked.missed(count, &all);
         assert!(
             widest > 153,
             "scans reached the third straddling entry ({widest} slots)"
@@ -1444,7 +1630,13 @@ mod tests {
             walked.long_misses > 20
                 && walked.in_place > 100
                 && walked.straddling >= 3
-                && walked.unused_past_page_0 > 5,
+                && walked.unused_past_page_0 > 5
+                && walked.run_first_matches >= 4
+                && walked.run_last_matches >= 3
+                && walked.cut_by_count > 100
+                && walked.count_at_page_end >= 2
+                && walked.unused_run_first >= 3
+                && walked.unused_run_last >= 3,
             "every case of the walk reached: {walked:?}"
         );
     }

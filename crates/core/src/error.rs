@@ -62,6 +62,9 @@ pub enum KernelError {
     /// A label the entry codec cannot store: a level above 7 or a
     /// compartment above 23 ([`mx_aim::Label::stored`]).
     BadLabel,
+    /// An ACL the entry codec cannot store: more than four terms, or a
+    /// user id above 255 ([`crate::Acl::stored`]).
+    BadAcl,
     /// The operation requires a directory.
     NotADirectory,
     /// Quota (un)designation rules violated: the directory has children
@@ -118,6 +121,7 @@ impl core::fmt::Display for KernelError {
             KernelError::NameDuplicated => write!(f, "name duplicated"),
             KernelError::BadName => write!(f, "name not storable"),
             KernelError::BadLabel => write!(f, "label not storable"),
+            KernelError::BadAcl => write!(f, "ACL not storable"),
             KernelError::NotADirectory => write!(f, "not a directory"),
             KernelError::QuotaDesignation(why) => write!(f, "quota designation: {why}"),
             KernelError::NoSuchProcess => write!(f, "no such process"),

@@ -140,21 +140,22 @@ pub mod types {
 
         /// Grants rights to a user.
         pub fn grant(&mut self, user: UserId, rights: &[AccessRight]) {
-            let slot = |r: &AccessRight| match r {
-                AccessRight::Read => 0,
-                AccessRight::Write => 1,
-                AccessRight::Execute => 2,
-            };
-            if let Some(term) = self.terms.iter_mut().find(|(u, _)| *u == user) {
-                for r in rights {
-                    term.1[slot(r)] = true;
+            let mut bits = [false; 3];
+            for r in rights {
+                bits[right_slot(*r)] = true;
+            }
+            self.add(user, bits);
+        }
+
+        /// Adds a term's rights to the user's term, or appends the term.
+        fn add(&mut self, user: UserId, bits: [bool; 3]) {
+            match self.terms.iter_mut().find(|(u, _)| *u == user) {
+                Some((_, have)) => {
+                    for (have, add) in have.iter_mut().zip(bits) {
+                        *have |= add;
+                    }
                 }
-            } else {
-                let mut bits = [false; 3];
-                for r in rights {
-                    bits[slot(r)] = true;
-                }
-                self.terms.push((user, bits));
+                None => self.terms.push((user, bits)),
             }
         }
 
@@ -165,52 +166,59 @@ pub mod types {
 
         /// True if the user holds the right.
         pub fn permits(&self, user: UserId, right: AccessRight) -> bool {
-            let i = match right {
-                AccessRight::Read => 0,
-                AccessRight::Write => 1,
-                AccessRight::Execute => 2,
-            };
             self.terms
                 .iter()
                 .find(|(u, _)| *u == user)
-                .map(|(_, b)| b[i])
-                .unwrap_or(false)
+                .is_some_and(|(_, b)| b[right_slot(right)])
         }
 
-        /// Packs up to four terms into two 36-bit words.
-        pub fn pack(&self) -> (u64, u64) {
-            let mut users = 0u64;
-            let mut rights = 0u64;
-            for (i, (u, r)) in self.terms.iter().take(4).enumerate() {
-                users |= (u.0 as u64 & 0xFF) << (i * 9);
-                let bits = (r[0] as u64) | (r[1] as u64) << 1 | (r[2] as u64) << 2 | 0b1000;
-                rights |= bits << (i * 4);
+        /// The two words a directory entry stores the ACL in: up to four
+        /// terms, each user id in a 9-bit field of the first word and its
+        /// rights in a 4-bit field of the second (read, write, execute,
+        /// and a bit marking the term present). `None` for an ACL the
+        /// form cannot hold: more than four terms, or a user id above
+        /// 255. [`Acl::unpack`] is its inverse.
+        pub fn stored(&self) -> Option<(u64, u64)> {
+            if self.terms.len() > ACL_TERMS {
+                return None;
             }
-            (users & ((1 << 36) - 1), rights & ((1 << 36) - 1))
+            let (mut users, mut rights) = (0, 0);
+            for (i, (u, r)) in self.terms.iter().enumerate() {
+                if u.0 > ACL_MAX_USER {
+                    return None;
+                }
+                users |= u64::from(u.0) << (i * 9);
+                let bits = u64::from(r[0]) | u64::from(r[1]) << 1 | u64::from(r[2]) << 2;
+                rights |= (bits | 0b1000) << (i * 4);
+            }
+            Some((users, rights))
         }
 
-        /// Unpacks an ACL packed by [`Acl::pack`].
+        /// The ACL [`Acl::stored`] stored in `users` and `rights`.
         pub fn unpack(users: u64, rights: u64) -> Self {
             let mut acl = Self::new();
-            for i in 0..4 {
-                let bits = (rights >> (i * 4)) & 0xF;
-                if bits & 0b1000 == 0 {
-                    continue;
+            for i in 0..ACL_TERMS {
+                let bits = rights >> (i * 4) & 0xF;
+                if bits & 0b1000 != 0 {
+                    let user = UserId((users >> (i * 9) & u64::from(ACL_MAX_USER)) as u32);
+                    acl.add(user, [bits & 1 != 0, bits & 2 != 0, bits & 4 != 0]);
                 }
-                let user = UserId(((users >> (i * 9)) & 0xFF) as u32);
-                let mut list = Vec::new();
-                if bits & 1 != 0 {
-                    list.push(AccessRight::Read);
-                }
-                if bits & 2 != 0 {
-                    list.push(AccessRight::Write);
-                }
-                if bits & 4 != 0 {
-                    list.push(AccessRight::Execute);
-                }
-                acl.grant(user, &list);
             }
             acl
+        }
+    }
+
+    /// Terms a stored ACL holds.
+    const ACL_TERMS: usize = 4;
+
+    /// The highest user id a stored ACL holds.
+    const ACL_MAX_USER: u32 = 0xFF;
+
+    fn right_slot(r: AccessRight) -> usize {
+        match r {
+            AccessRight::Read => 0,
+            AccessRight::Write => 1,
+            AccessRight::Execute => 2,
         }
     }
 
@@ -223,7 +231,7 @@ pub mod types {
             let mut a = Acl::new();
             a.grant(UserId(3), &[AccessRight::Read, AccessRight::Write]);
             a.grant(UserId(0), &[AccessRight::Execute]);
-            let (u, r) = a.pack();
+            let (u, r) = a.stored().unwrap();
             let b = Acl::unpack(u, r);
             assert!(b.permits(UserId(3), AccessRight::Write));
             assert!(b.permits(UserId(0), AccessRight::Execute));

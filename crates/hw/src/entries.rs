@@ -75,23 +75,14 @@ pub trait EntryStore {
     }
 }
 
-/// The words from `wordno` on, `n` of them, straight from core, if they
-/// all lie on `page`: a page number and the absolute address of its
-/// first word.
-#[inline]
-fn held(page: Option<(u32, AbsAddr)>, mem: &MainMemory, wordno: u32, n: usize) -> Option<&[Word]> {
-    let (pageno, frame) = page?;
-    let offset = wordno.checked_sub(pageno * PAGE_WORDS as u32)? as usize;
-    (offset + n <= PAGE_WORDS).then(|| mem.words(frame.add(offset as u64), n))
-}
-
 /// Reads one directory segment's entry records, a page at a time.
 ///
 /// The first word the reader takes from each page goes through the
 /// design's full word path ([`EntryStore::touch`]); every later word on
 /// that page is read straight from core, and its core access waits, with
 /// the PL/I block of each slot [`EntryReader::find`] passes, for the one
-/// charge made before the next page touch and at the end. The simulated
+/// charge made before the next page touch and at the end. The walks read
+/// the slots that lie wholly on the page held as one run. The simulated
 /// outcome is the per-slot, per-word loop's exactly — DESIGN.md, "The
 /// directory scan cursor", gives the conditions.
 pub struct EntryReader<S: EntryStore> {
@@ -108,8 +99,8 @@ impl<S: EntryStore> EntryReader<S> {
     /// Words from an entry's base through the last one the codec reads.
     const SPAN: usize = (u64::BITS - S::RECORD.leading_zeros()) as usize;
 
-    /// Core accesses an entry in use costs: its flags word and the record.
-    const IN_USE_READS: u64 = 1 + S::RECORD.count_ones() as u64;
+    /// Core accesses an entry in use costs beyond its flags word.
+    const RECORD_READS: u64 = S::RECORD.count_ones() as u64;
 
     /// A reader of `dir` holding no page.
     pub fn new(dir: S::Dir) -> Self {
@@ -199,9 +190,34 @@ impl<S: EntryStore> EntryReader<S> {
         Ok(w[0].raw() as u32)
     }
 
+    /// The run from `slot`: the slots from `slot` on, below `count`,
+    /// whose words `at..at + len` all lie on the page the reader holds.
+    /// The run's end, and its words straight from core, from the first
+    /// slot's word `at` through the last slot's word `at + len - 1`: slot
+    /// `slot + i`'s words start `i · ENTRY_WORDS` in. `None` if slot
+    /// `slot` is not on that page, or no page is held.
+    fn run<'m>(
+        &self,
+        mem: &'m MainMemory,
+        slot: u32,
+        count: u32,
+        at: u32,
+        len: u32,
+    ) -> Option<(u32, &'m [Word])> {
+        let (pageno, frame) = self.page?;
+        let offset = (S::entry_base(slot) + at).checked_sub(pageno * PAGE_WORDS as u32)?;
+        // Slot s's words end before word 1 + s·w + at + len, which the
+        // page's end must not pass.
+        let page_end = (pageno + 1) * PAGE_WORDS as u32;
+        let end = ((page_end - 1 - at - len) / S::ENTRY_WORDS + 1).min(count);
+        let slots = end.checked_sub(slot).filter(|&n| n > 0)?;
+        let n = (slots - 1) * S::ENTRY_WORDS + len;
+        Some((end, mem.words(frame.add(u64::from(offset)), n as usize)))
+    }
+
     /// The first unused slot below `count`, else `count`: the in-use
-    /// flags in slot order, each read in place when it lies on the page
-    /// the reader holds.
+    /// flags in slot order. The flags words that lie on the page the
+    /// reader holds are read in place, as one run.
     ///
     /// # Errors
     ///
@@ -209,22 +225,25 @@ impl<S: EntryStore> EntryReader<S> {
     pub fn first_unused(&mut self, store: &mut S, count: u32) -> Result<u32, S::Error> {
         let mut slot = 0;
         while slot < count {
-            let at = S::entry_base(slot) + FLAGS;
-            let flags = match held(self.page, &store.machine().mem, at, 1) {
-                Some(words) => {
-                    self.pending += 1;
-                    words[0]
+            let Some((end, run)) = self.run(&store.machine().mem, slot, count, FLAGS, 1) else {
+                let mut flags = [Word::ZERO];
+                self.read(store, S::entry_base(slot) + FLAGS, &mut flags, 1)?;
+                if flags[0].raw() & 1 == 0 {
+                    break;
                 }
-                None => {
-                    let mut flags = [Word::ZERO];
-                    self.read(store, at, &mut flags, 1)?;
-                    flags[0]
-                }
+                slot += 1;
+                continue;
             };
-            if flags.raw() & 1 == 0 {
+            let step = S::ENTRY_WORDS as usize;
+            let in_use = run.iter().step_by(step).take_while(|f| f.raw() & 1 != 0);
+            let passed = in_use.count() as u32;
+            // Every flags word passed is read, and the unused one, if any.
+            let read = (passed + 1).min(end - slot);
+            self.pending += u64::from(read);
+            slot += passed;
+            if slot < end {
                 break;
             }
-            slot += 1;
         }
         self.flush(store);
         Ok(slot)
@@ -258,9 +277,10 @@ impl<S: EntryStore> EntryReader<S> {
     /// `key`, decoded. Every slot passed costs a PL/I block, due before
     /// the slot's first word: it waits with the core accesses for the
     /// charge before the next page touch, so it lands in the same place.
-    /// A slot whose words lie on the page the reader holds is read and,
-    /// if it matches, decoded in place; any other is read as
-    /// [`EntryReader::entry`] reads it.
+    /// The slots whose words lie on the page the reader holds are read as
+    /// one run, and a match among them is decoded in place; the slot that
+    /// enters a page or straddles two is read as [`EntryReader::entry`]
+    /// reads it.
     ///
     /// # Errors
     ///
@@ -275,27 +295,37 @@ impl<S: EntryStore> EntryReader<S> {
             return self.find_per_slot(store, count, key);
         }
         let named = |words: &[Word]| key.matches(name_words(words));
-        for slot in 0..count {
-            self.blocks += 1;
-            let base = S::entry_base(slot);
-            let found = match held(self.page, &store.machine().mem, base, Self::SPAN) {
-                Some(words) if words[FLAGS as usize].raw() & 1 == 0 => {
-                    self.pending += 1;
-                    None
+        let mut slot = 0;
+        while slot < count {
+            let span = Self::SPAN as u32;
+            let Some((end, run)) = self.run(&store.machine().mem, slot, count, 0, span) else {
+                self.blocks += 1;
+                if let Some(e) = self.stored(store, slot)?.filter(|e| named(e.as_ref())) {
+                    return Ok(Some((slot, S::decode(e.as_ref()))));
                 }
-                Some(words) => {
-                    self.pending += Self::IN_USE_READS;
-                    named(words).then(|| S::decode(words))
-                }
-                None => self
-                    .stored(store, slot)?
-                    .filter(|e| named(e.as_ref()))
-                    .map(|e| S::decode(e.as_ref())),
+                slot += 1;
+                continue;
             };
-            if let Some(e) = found {
-                self.flush(store);
-                return Ok(Some((slot, e)));
+            let (mut in_use, mut found) = (0, None);
+            for (words, at) in run.chunks(S::ENTRY_WORDS as usize).zip(slot..) {
+                if words[FLAGS as usize].raw() & 1 != 0 {
+                    in_use += 1;
+                    if named(words) {
+                        found = Some((at, S::decode(words)));
+                        break;
+                    }
+                }
             }
+            // Each slot passed costs its block and its flags word, and
+            // each one in use its record.
+            let passed = u64::from(found.as_ref().map_or(end, |(at, _)| at + 1) - slot);
+            self.blocks += passed;
+            self.pending += passed + in_use * Self::RECORD_READS;
+            if found.is_some() {
+                self.flush(store);
+                return Ok(found);
+            }
+            slot = end;
         }
         self.flush(store);
         Ok(None)

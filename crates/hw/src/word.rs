@@ -107,14 +107,26 @@ pub fn pack_name(name: &str) -> [Word; NAME_WORDS] {
 }
 
 /// Decodes a stored name: the characters up to the first NUL, each
-/// 9-bit character read as its low eight bits.
+/// 9-bit character read as its low eight bits. An ASCII name costs one
+/// allocation.
 pub fn unpack_name(words: &[Word; NAME_WORDS]) -> String {
-    words
-        .iter()
-        .flat_map(|w| (0..4).map(move |c| (w.raw() >> (c * 9)) as u8))
-        .take_while(|&b| b != 0)
-        .map(char::from)
-        .collect()
+    let mut bytes = [0; NAME_CHARS];
+    let mut len = 0;
+    'name: for w in words {
+        for c in 0..4 {
+            let b = (w.raw() >> (c * 9)) as u8;
+            if b == 0 {
+                break 'name;
+            }
+            bytes[len] = b;
+            len += 1;
+        }
+    }
+    let bytes = &bytes[..len];
+    match std::str::from_utf8(bytes) {
+        Ok(ascii) if bytes.is_ascii() => ascii.to_owned(),
+        _ => bytes.iter().copied().map(char::from).collect(),
+    }
 }
 
 /// `unpack_name(words) == name`, compared in place without building the
@@ -169,13 +181,13 @@ impl NameKey {
         key
     }
 
-    /// True if the stored name `words` decodes to the key's name.
+    /// True if the stored name `words` decodes to the key's name. The
+    /// words are compared in order and the answer is no at the first
+    /// whose masked bits differ: names that share a prefix, as
+    /// `proc-1` … `proc-999` do, mostly differ by word 1.
     pub fn matches(&self, words: &[Word; NAME_WORDS]) -> bool {
-        let mut diff = 0;
-        for ((w, want), mask) in words.iter().zip(&self.want).zip(&self.mask) {
-            diff |= (w.raw() & mask) ^ want;
-        }
-        diff == 0
+        let mut pairs = words.iter().zip(&self.want).zip(&self.mask);
+        pairs.all(|((w, want), mask)| w.raw() & mask == *want)
     }
 }
 
@@ -215,8 +227,20 @@ mod tests {
         want.next().is_none()
     }
 
-    /// `NameKey::matches`, `name_is` and the per-character reference
-    /// agree with decoding on arbitrary stored words (NUL mid name, 9-bit
+    /// The character-by-character decoding `unpack_name` used to do,
+    /// kept as the reference the buffered one is checked against.
+    fn unpack_per_character(words: &[Word; NAME_WORDS]) -> String {
+        words
+            .iter()
+            .flat_map(|w| (0..4).map(move |c| (w.raw() >> (c * 9)) as u8))
+            .take_while(|&b| b != 0)
+            .map(char::from)
+            .collect()
+    }
+
+    /// `unpack_name` agrees with the per-character decoding, and
+    /// `NameKey::matches`, `name_is` and the per-character comparison
+    /// agree with decoding, on arbitrary stored words (NUL mid name, 9-bit
     /// characters ≥ 0x100, bytes ≥ 0x80), against names with Latin-1
     /// characters, a character above U+00FF, an embedded NUL, and
     /// lengths 32 and 33.
@@ -224,6 +248,7 @@ mod tests {
     fn name_is_matches_unpack_on_random_words() {
         let mut rng = SplitMix64::new(0x6e61_6d65);
         let (mut matches, mut full_length_matches) = (0, 0);
+        let (mut latin1, mut ninth_bits, mut full_length) = (0, 0, 0);
         for _ in 0..20_000 {
             let mut words = [Word::ZERO; NAME_WORDS];
             // One stored name in eight fills all 32 characters.
@@ -243,6 +268,11 @@ mod tests {
                 words[i / 4] = Word::new(words[i / 4].raw() | c << (i % 4 * 9));
             }
             let decoded = unpack_name(&words);
+            assert_eq!(decoded, unpack_per_character(&words), "{words:?}");
+            latin1 += usize::from(!decoded.is_ascii());
+            full_length += usize::from(decoded.chars().count() == NAME_CHARS);
+            let ninth = |w: &Word| (0..4).any(|c| w.bit(c * 9 + 8));
+            ninth_bits += usize::from(words.iter().any(ninth));
             let mut name = decoded.clone();
             match rng.below(7) {
                 0 => {}
@@ -286,6 +316,11 @@ mod tests {
             "both answers exercised"
         );
         assert!(full_length_matches > 100, "32-character names matched");
+        assert!(
+            latin1 > 1_000 && ninth_bits > 1_000 && full_length > 1_000,
+            "decoded: {latin1} with bytes ≥ 0x80, {ninth_bits} with ninth bits \
+             set, {full_length} of 32 characters"
+        );
     }
 
     #[test]

@@ -18,7 +18,7 @@
 //!   subtree-usage computation and charge migration — the complexity
 //!   that drove the new design's childless-only rule.
 
-use crate::supervisor::{Branch, KstEntry, Supervisor, MAX_SEGNO};
+use crate::supervisor::{Branch, KstEntry, Supervisor};
 use crate::types::{AccessRight, Acl, DiskHome, LegacyError, ProcessId, SegUid};
 use mx_aim::{AccessKind, Label, ReferenceMonitor};
 use mx_hw::entries::{name_words, EntryReader, EntryStore};
@@ -177,6 +177,7 @@ impl Supervisor {
             flags |= 4;
         }
         flags |= entry.label.stored().ok_or(LegacyError::BadLabel)? << 3;
+        let (users, rights) = entry.acl.stored().ok_or(LegacyError::BadAcl)?;
         self.sup_write(astx, base + UID, Word::new(entry.uid.0))?;
         self.sup_write(astx, base + FLAGS, Word::new(flags))?;
         self.sup_write(astx, base + PACK, Word::new(u64::from(entry.pack.0)))?;
@@ -184,7 +185,6 @@ impl Supervisor {
         for (i, w) in pack_name(&entry.name).iter().enumerate() {
             self.sup_write(astx, base + NAME + i as u32, *w)?;
         }
-        let (users, rights) = entry.acl.pack();
         self.sup_write(astx, base + ACL, Word::new(users))?;
         self.sup_write(astx, base + ACL + 1, Word::new(rights))?;
         let limit = u64::from(entry.quota_limit);
@@ -240,9 +240,10 @@ impl Supervisor {
     ///
     /// # Errors
     ///
-    /// [`LegacyError::BadName`] or [`LegacyError::BadLabel`] for a name or
-    /// label the entry codec cannot store; [`LegacyError::NameDuplicated`]
-    /// on a name clash; paging and disk errors otherwise.
+    /// [`LegacyError::BadName`], [`LegacyError::BadLabel`] or
+    /// [`LegacyError::BadAcl`] for a name, label or ACL the entry codec
+    /// cannot store; [`LegacyError::NameDuplicated`] on a name clash;
+    /// paging and disk errors otherwise.
     pub fn create_directory_in(
         &mut self,
         parent: SegUid,
@@ -259,9 +260,10 @@ impl Supervisor {
     ///
     /// # Errors
     ///
-    /// [`LegacyError::BadName`] or [`LegacyError::BadLabel`] for a name or
-    /// label the entry codec cannot store; [`LegacyError::NameDuplicated`]
-    /// on a name clash; paging and disk errors otherwise.
+    /// [`LegacyError::BadName`], [`LegacyError::BadLabel`] or
+    /// [`LegacyError::BadAcl`] for a name, label or ACL the entry codec
+    /// cannot store; [`LegacyError::NameDuplicated`] on a name clash;
+    /// paging and disk errors otherwise.
     pub fn create_segment_in(
         &mut self,
         parent: SegUid,
@@ -287,6 +289,9 @@ impl Supervisor {
         }
         if label.stored().is_none() {
             return Err(LegacyError::BadLabel);
+        }
+        if acl.stored().is_none() {
+            return Err(LegacyError::BadAcl);
         }
         self.charge(CREATE_INSTR, Language::Pli);
         self.salvage_barrier_uid(parent)?;
@@ -468,20 +473,7 @@ impl Supervisor {
             write: entry.acl.permits(user, AccessRight::Write) && aim_write,
             execute: entry.acl.permits(user, AccessRight::Execute) && aim_read,
         };
-        let proc = self.process_mut(pid)?;
-        let segno = proc
-            .kst
-            .iter()
-            .enumerate()
-            .skip(1)
-            .find(|(_, e)| e.is_none())
-            .map(|(i, _)| i as u32)
-            .ok_or(LegacyError::KstFull)?;
-        if segno >= MAX_SEGNO {
-            return Err(LegacyError::KstFull);
-        }
-        proc.kst[segno as usize] = Some(kst_entry);
-        Ok(segno)
+        self.process_mut(pid)?.kst.bind(kst_entry)
     }
 
     // ----- dynamic quota designation --------------------------------------
@@ -755,6 +747,7 @@ mod tests {
     use mx_aim::{CompartmentSet, Level};
     use mx_hw::word::name_is;
     use mx_hw::{DiskError, PAGE_WORDS};
+    use std::collections::{HashMap, HashSet};
 
     fn boot_with_user() -> (Supervisor, ProcessId, UserId) {
         let mut sup = Supervisor::boot_default();
@@ -912,6 +905,56 @@ mod tests {
             let read = sup.resolve(p, "top", AccessRight::Read);
             assert_eq!(read, Err(LegacyError::NoAccess), "{below}");
         }
+    }
+
+    /// ACLs beyond the codec's four terms and user ids 0–255 used to be
+    /// stored garbled: owner 300 came back as owner 44, so user 300 was
+    /// refused and user 44 could initiate and write the segment, and a
+    /// fifth term was dropped. They are refused before any durable work.
+    /// Four terms and user 255 round-trip, and decide access as created.
+    #[test]
+    fn acls_the_entry_codec_cannot_store_are_refused() {
+        let (mut sup, pid, user) = boot_with_user();
+        let root = sup.root();
+        let root_astx = sup.ast.find(root).unwrap();
+        let listing = |sup: &mut Supervisor| {
+            let mut reader = EntryReader::new(root_astx);
+            let count = reader.count(sup).unwrap();
+            let names = (0..count).filter_map(|slot| reader.entry(sup, slot).unwrap());
+            names.map(|e| e.name).collect::<Vec<_>>()
+        };
+        let listed = listing(&mut sup);
+        let next_uid = sup.next_uid;
+        let readers = |acl: &mut Acl, users: &[u32]| {
+            for &u in users {
+                acl.grant(UserId(u), &[AccessRight::Read]);
+            }
+        };
+        let mut five = Acl::owner(user);
+        readers(&mut five, &[2, 3, 4, 5]);
+        for bad in [Acl::owner(UserId(256)), Acl::owner(UserId(300)), five] {
+            let seg = sup.create_segment_in(root, "x", bad.clone(), Label::BOTTOM);
+            assert_eq!(seg, Err(LegacyError::BadAcl), "{bad:?}");
+            let dir = sup.create_directory_in(root, "x", bad.clone(), Label::BOTTOM);
+            assert_eq!(dir, Err(LegacyError::BadAcl), "{bad:?}");
+        }
+        assert_eq!(listing(&mut sup), listed);
+        assert_eq!(sup.next_uid, next_uid, "no uid or TOC entry spent");
+        let mut four = Acl::owner(UserId(255));
+        readers(&mut four, &[2, 3, 4]);
+        let uid = sup
+            .create_segment_in(root, "edge", four.clone(), Label::BOTTOM)
+            .unwrap();
+        let owner = sup.create_process(UserId(255), Label::BOTTOM).unwrap();
+        let (found, entry) = sup.resolve(owner, "edge", AccessRight::Write).unwrap();
+        assert_eq!((found, entry.acl), (uid, four));
+        let reader = sup.create_process(UserId(4), Label::BOTTOM).unwrap();
+        assert!(sup.resolve(reader, "edge", AccessRight::Read).is_ok());
+        let write = sup.resolve(reader, "edge", AccessRight::Write);
+        assert_eq!(write, Err(LegacyError::NoAccess));
+        // The creator is not on the list.
+        let read = sup.resolve(pid, "edge", AccessRight::Read);
+        assert_eq!(read, Err(LegacyError::NoAccess));
     }
 
     #[test]
@@ -1110,6 +1153,14 @@ mod tests {
             out
         }
 
+        /// Creates segment `name` in `dir`; its slot.
+        fn create(&mut self, at: &str, dir: SegUid, name: &str) -> Result<u32, LegacyError> {
+            let made = self.step(at, |s, _| {
+                s.create_segment_in(dir, name, Acl::owner(USER), Label::BOTTOM)
+            });
+            made.map(|uid| self.cursor.branch_table[&uid].slot)
+        }
+
         /// Slots ever used in directory `dir` (its entry count).
         fn slots(&self, dir: SegUid) -> u32 {
             self.cursor
@@ -1122,7 +1173,43 @@ mod tests {
         }
     }
 
-    /// The walk's cases the churn reached, told from the entry layout.
+    fn page(wordno: u32) -> u32 {
+        wordno / PAGE_WORDS as u32
+    }
+
+    /// The page of slot `slot`'s words, if they lie on one: the codec
+    /// reads all of them.
+    fn one_page(slot: u32) -> Option<u32> {
+        let base = Supervisor::entry_base(slot);
+        (page(base) == page(base + ENTRY_WORDS - 1)).then_some(page(base))
+    }
+
+    /// True if `find` reads `slot` in a run: its words lie on the page of
+    /// the last word the walk read, the count word before slot 0, else
+    /// the slot before's last word if in use, or its flags word.
+    fn in_find_run(slot: u32, in_use: &HashSet<u32>) -> bool {
+        let last_read = match slot.checked_sub(1) {
+            None => 0,
+            Some(s) if in_use.contains(&s) => Supervisor::entry_base(s) + ENTRY_WORDS - 1,
+            Some(s) => Supervisor::entry_base(s) + FLAGS,
+        };
+        one_page(slot) == Some(page(last_read))
+    }
+
+    /// The page of slot `slot`'s flags word.
+    fn flags_page(slot: u32) -> u32 {
+        page(Supervisor::entry_base(slot) + FLAGS)
+    }
+
+    /// True if `first_unused` reads `slot`'s flags word in a run: it lies
+    /// on the page of the flags word before it (of the count word, for
+    /// slot 0).
+    fn in_unused_run(slot: u32) -> bool {
+        slot == 0 || flags_page(slot - 1) == flags_page(slot)
+    }
+
+    /// The walk's cases the churn reached, told from the entry layout
+    /// and the slots in use before each step.
     #[derive(Debug, Default)]
     struct Walked {
         /// Matches on a slot read in place: its words lie on the page
@@ -1134,16 +1221,54 @@ mod tests {
         long_misses: usize,
         /// Slots `first_unused` found unused past page 0.
         unused_past_page_0: usize,
+        /// Matches on a run's first slot, and on the last slot of a
+        /// page's run.
+        run_first_matches: usize,
+        run_last_matches: usize,
+        /// Misses whose last run the count cut mid-page, and misses whose
+        /// count ends at the last slot of a page's run.
+        cut_by_count: usize,
+        count_at_page_end: usize,
+        /// `first_unused` answers at a run's first position and at the
+        /// last flags word of a page's run.
+        unused_run_first: usize,
+        unused_run_last: usize,
     }
 
     impl Walked {
-        fn matched(&mut self, slot: u32) {
-            let page = |wordno: u32| wordno / PAGE_WORDS as u32;
+        fn matched(&mut self, slot: u32, in_use: &HashSet<u32>) {
             let base = Supervisor::entry_base(slot);
-            if page(base) != page(base + ENTRY_WORDS - 1) {
+            if one_page(slot).is_none() {
                 self.straddling += 1;
             } else if slot == 0 || page(Supervisor::entry_base(slot - 1) + 1) == page(base) {
                 self.in_place += 1;
+            }
+            if in_find_run(slot, in_use) {
+                let first = slot == 0 || !in_find_run(slot - 1, in_use);
+                self.run_first_matches += usize::from(first);
+                self.run_last_matches += usize::from(one_page(slot + 1) != one_page(slot));
+            }
+        }
+
+        fn missed(&mut self, count: u32, in_use: &HashSet<u32>) {
+            if count > 0 && in_find_run(count - 1, in_use) {
+                if one_page(count) == one_page(count - 1) {
+                    self.cut_by_count += 1;
+                } else {
+                    self.count_at_page_end += 1;
+                }
+            }
+        }
+
+        fn claimed(&mut self, slot: u32, count: u32) {
+            if slot == count {
+                return;
+            }
+            self.unused_past_page_0 += usize::from(flags_page(slot) > 0);
+            if in_unused_run(slot) {
+                let first = slot == 0 || !in_unused_run(slot - 1);
+                self.unused_run_first += usize::from(first);
+                self.unused_run_last += usize::from(flags_page(slot + 1) != flags_page(slot));
             }
         }
     }
@@ -1161,7 +1286,12 @@ mod tests {
     /// or more, a match read in place, a match on a straddling entry,
     /// and an unused slot found past page 0. Every seventh step that is a
     /// miss searches with the directory's pack offline, so a walk whose
-    /// page touch must read the disk fails mid-walk.
+    /// page touch must read the disk fails mid-walk. Aimed steps after the
+    /// churn reach each edge of a run: a match at a run's first slot and
+    /// at its last, `first_unused` answering at a run's first position
+    /// and at its last, and a count that ends at the last slot of a
+    /// page's run; misses whose run the count cuts mid-page come from the
+    /// churn.
     #[test]
     fn entry_reader_matches_the_per_word_reference_under_churn() {
         let mut t = Twin::new(17);
@@ -1188,27 +1318,25 @@ mod tests {
             (0, 0, 0, 0, 0);
         let mut failed = 0;
         let mut walked = Walked::default();
-        let mut live = std::collections::HashMap::new();
+        let mut live = HashMap::new();
+        // The count word: slots ever used.
+        let mut count = 0;
         for i in 0..1500 {
             let name = format!("n{}", rng.below(640));
             let at = format!("step {i} ({name})");
+            let in_use: HashSet<u32> = live.values().copied().collect();
             match rng.below(10) {
                 0..=5 => {
-                    let count = t.slots(d);
-                    let made = t.step(&at, |s, _| {
-                        s.create_segment_in(d, &name, Acl::owner(USER), Label::BOTTOM)
-                    });
-                    match made {
-                        Ok(uid) => {
-                            let slot = t.cursor.branch_table[&uid].slot;
+                    match t.create(&at, d, &name) {
+                        Ok(slot) => {
+                            walked.missed(count, &in_use);
+                            walked.claimed(slot, count);
                             reused += usize::from(slot < count);
-                            let flags = Supervisor::entry_base(slot) + 1;
-                            walked.unused_past_page_0 +=
-                                usize::from(slot < count && flags >= PAGE_WORDS as u32);
+                            count = count.max(slot + 1);
                             live.insert(name.clone(), slot);
                         }
-                        Err(LegacyError::NameDuplicated) => walked.matched(live[&name]),
-                        Err(_) => {}
+                        Err(LegacyError::NameDuplicated) => walked.matched(live[&name], &in_use),
+                        Err(e) => panic!("{at}: {e}"),
                     }
                     let page = rng.below(12) as u32;
                     t.step(&at, |s, pid| {
@@ -1220,7 +1348,7 @@ mod tests {
                     let path = format!("d>{name}");
                     if t.step(&at, |s, pid| s.delete(pid, &path)).is_ok() {
                         deleted += 1;
-                        walked.matched(live.remove(&name).expect("a live name"));
+                        walked.matched(live.remove(&name).expect("a live name"), &in_use);
                     }
                 }
                 7..=8 => {
@@ -1247,6 +1375,7 @@ mod tests {
                         continue;
                     }
                     assert_eq!(found, Err(LegacyError::NoAccess));
+                    walked.missed(count, &in_use);
                     dropped += usize::from(t.cursor.machine.tlb_stats().invalidations > before);
                     widest = widest.max(t.slots(d));
                     walked.long_misses += usize::from(pages >= 3);
@@ -1260,11 +1389,60 @@ mod tests {
                         s.resolve(pid, &path, AccessRight::Read).map(|r| r.0)
                     });
                     if found.is_ok() {
-                        walked.matched(live[&name]);
+                        walked.matched(live[&name], &in_use);
                     }
                 }
             }
         }
+        // Aimed steps at the edges of every run in the slots churned:
+        // with every slot in use, a duplicate create matches each run's
+        // first and last slot; deleting one slot and creating again has
+        // `first_unused` answer at it.
+        let mut fresh = (0..).map(|i| format!("f{i}"));
+        while live.len() < count as usize {
+            let name = fresh.next().unwrap();
+            let slot = t.create(&name, d, &name).unwrap();
+            live.insert(name, slot);
+        }
+        let mut all: HashSet<u32> = (0..count).collect();
+        let mut named: HashMap<u32, String> = live.into_iter().map(|(n, s)| (s, n)).collect();
+        for slot in 0..count {
+            let at = format!("aimed at slot {slot}");
+            let first = |run: &dyn Fn(u32) -> bool| run(slot) && (slot == 0 || !run(slot - 1));
+            let in_run = |s| in_find_run(s, &all);
+            if first(&in_run) || in_run(slot) && one_page(slot + 1) != one_page(slot) {
+                let made = t.create(&at, d, &named[&slot]);
+                assert_eq!(made, Err(LegacyError::NameDuplicated), "{at}");
+                walked.matched(slot, &all);
+            }
+            let flags_edge = flags_page(slot + 1) != flags_page(slot);
+            if first(&in_unused_run) || in_unused_run(slot) && flags_edge {
+                let path = format!("d>{}", named[&slot]);
+                let gone = t.step(&at, |s, pid| s.delete(pid, &path));
+                assert_eq!(gone, Ok(()), "{at}");
+                walked.matched(slot, &all);
+                all.remove(&slot);
+                let name = fresh.next().unwrap();
+                assert_eq!(t.create(&at, d, &name), Ok(slot), "{at}");
+                walked.missed(count, &all);
+                walked.claimed(slot, count);
+                all.insert(slot);
+                named.insert(slot, name);
+            }
+        }
+        // Grow the directory until its count ends at the last slot of a
+        // page's run, and miss.
+        while !(in_find_run(count - 1, &all) && one_page(count) != one_page(count - 1)) {
+            let name = fresh.next().unwrap();
+            assert_eq!(t.create(&name, d, &name), Ok(count));
+            all.insert(count);
+            count += 1;
+        }
+        let found = t.step("miss at a page's end", |s, pid| {
+            s.resolve(pid, "d>x", AccessRight::Read)
+        });
+        assert_eq!(found, Err(LegacyError::NoAccess));
+        walked.missed(count, &all);
         assert!(
             widest > 191,
             "scans reached the third straddling entry ({widest} slots)"
@@ -1280,7 +1458,13 @@ mod tests {
             walked.long_misses > 20
                 && walked.in_place > 100
                 && walked.straddling >= 3
-                && walked.unused_past_page_0 > 5,
+                && walked.unused_past_page_0 > 5
+                && walked.run_first_matches >= 10
+                && walked.run_last_matches >= 10
+                && walked.cut_by_count > 100
+                && walked.count_at_page_end >= 6
+                && walked.unused_run_first >= 4
+                && walked.unused_run_last >= 4,
             "every case of the walk reached: {walked:?}"
         );
     }

@@ -95,10 +95,7 @@ impl Supervisor {
     /// Finds the segment number a uid is already known by in a process.
     pub(crate) fn segno_of(&self, pid: ProcessId, uid: SegUid) -> Option<u32> {
         let proc = self.processes.get(pid.0 as usize)?.as_ref()?;
-        proc.kst
-            .iter()
-            .position(|e| e.as_ref().is_some_and(|k| k.uid == uid))
-            .map(|i| i as u32)
+        proc.kst.segno_of(uid)
     }
 }
 

@@ -8,7 +8,7 @@
 //! on every dispatch — so switching to a process can itself page, which
 //! is the central dependency loop of Figure 3 made executable.
 
-use crate::supervisor::{ProcState, Process, Supervisor, MAX_SEGNO};
+use crate::supervisor::{Kst, ProcState, Process, Supervisor};
 use crate::types::{Acl, LegacyError, ProcessId, SegUid, UserId};
 use mx_aim::Label;
 use mx_hw::meter::Subsystem;
@@ -62,7 +62,7 @@ impl Supervisor {
             user,
             label,
             dseg_frame,
-            kst: vec![None; MAX_SEGNO as usize],
+            kst: Kst::new(),
             state: ProcState::Ready,
             state_uid: Some(state_uid),
             cpu_charge: 0,

@@ -133,8 +133,8 @@ impl Supervisor {
         let kst = self.processes[pid.0 as usize]
             .as_ref()
             .expect("live process")
-            .kst[segno as usize]
-            .as_ref()
+            .kst
+            .get(segno)
             .expect("initiated segno")
             .clone();
         let aste = self.ast.get_mut(astx).expect("live astx");
@@ -159,8 +159,7 @@ impl Supervisor {
         let uid = self
             .process(pid)?
             .kst
-            .get(segno as usize)
-            .and_then(|e| e.as_ref())
+            .get(segno)
             .map(|e| e.uid)
             .ok_or(LegacyError::NoAccess)?;
         let astx = self.activate(uid)?;

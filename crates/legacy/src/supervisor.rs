@@ -144,6 +144,47 @@ pub(crate) struct KstEntry {
     pub execute: bool,
 }
 
+/// A process's known segment table: segment number → entry. Number 0 is
+/// reserved; the table grows on demand, up to [`MAX_SEGNO`] numbers.
+#[derive(Debug, Clone)]
+pub(crate) struct Kst(Vec<Option<KstEntry>>);
+
+impl Kst {
+    /// An empty table.
+    pub fn new() -> Self {
+        Kst(vec![None])
+    }
+
+    /// Makes `entry` known at the lowest free segment number.
+    ///
+    /// # Errors
+    ///
+    /// [`LegacyError::KstFull`] when all [`MAX_SEGNO`] are taken.
+    pub fn bind(&mut self, entry: KstEntry) -> Result<u32, LegacyError> {
+        let free = self.0.iter().skip(1).position(Option::is_none);
+        let segno = free.map_or(self.0.len(), |i| i + 1);
+        if segno >= MAX_SEGNO as usize {
+            return Err(LegacyError::KstFull);
+        }
+        if segno == self.0.len() {
+            self.0.push(None);
+        }
+        self.0[segno] = Some(entry);
+        Ok(segno as u32)
+    }
+
+    /// The entry known at `segno`, if any.
+    pub fn get(&self, segno: u32) -> Option<&KstEntry> {
+        self.0.get(segno as usize)?.as_ref()
+    }
+
+    /// The lowest segment number `uid` is known by, if any.
+    pub fn segno_of(&self, uid: SegUid) -> Option<u32> {
+        let known = |e: &Option<KstEntry>| e.as_ref().is_some_and(|k| k.uid == uid);
+        self.0.iter().position(known).map(|i| i as u32)
+    }
+}
+
 /// Scheduling state of a process.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum ProcState {
@@ -163,8 +204,8 @@ pub(crate) struct Process {
     pub label: Label,
     /// Wired frame holding this process's descriptor segment.
     pub dseg_frame: FrameNo,
-    /// Known segment table: segment number → entry.
-    pub kst: Vec<Option<KstEntry>>,
+    /// Known segment table.
+    pub kst: Kst,
     pub state: ProcState,
     /// The segment holding the process's swappable state — making
     /// process implementation depend on the virtual memory, which is the
@@ -611,6 +652,34 @@ mod tests {
         assert!(aste.quota.is_some(), "root is a quota directory");
         assert_eq!(aste.len_pages, 1, "header page materialized");
         assert_eq!(sup.stats.materializations, 1);
+    }
+
+    /// The table grows on demand, keeps number 0 reserved, and binds the
+    /// lowest free number: the same numbers the full-size table gave.
+    #[test]
+    fn kst_fills_at_max_segno_and_reuses_the_lowest_free_segno() {
+        let entry = |uid| KstEntry {
+            uid: SegUid(uid),
+            read: true,
+            write: true,
+            execute: false,
+        };
+        let mut kst = Kst::new();
+        for uid in 1..MAX_SEGNO {
+            assert_eq!(kst.bind(entry(u64::from(uid))), Ok(uid));
+        }
+        assert_eq!(
+            kst.bind(entry(u64::from(MAX_SEGNO))),
+            Err(LegacyError::KstFull)
+        );
+        assert!(kst.get(0).is_none() && kst.get(MAX_SEGNO).is_none());
+        assert_eq!(kst.segno_of(SegUid(700)), Some(700));
+        kst.0[700] = None;
+        kst.0[5] = None;
+        assert_eq!(kst.bind(entry(9_000)), Ok(5), "lowest free segno first");
+        assert_eq!(kst.bind(entry(9_001)), Ok(700));
+        assert_eq!(kst.bind(entry(9_002)), Err(LegacyError::KstFull));
+        assert_eq!(kst.segno_of(SegUid(9_001)), Some(700));
     }
 
     #[test]

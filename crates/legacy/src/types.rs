@@ -51,13 +51,18 @@ impl Acl {
 
     /// Grants rights to a user (adds to any existing term).
     pub fn grant(&mut self, user: UserId, rights: &[AccessRight]) {
-        let idx = rights_index_set(rights);
-        if let Some(term) = self.terms.iter_mut().find(|(u, _)| *u == user) {
-            for (have, add) in term.1.iter_mut().zip(idx) {
-                *have |= add;
+        self.add(user, rights_index_set(rights));
+    }
+
+    /// Adds a term's rights to the user's term, or appends the term.
+    fn add(&mut self, user: UserId, rights: [bool; 3]) {
+        match self.terms.iter_mut().find(|(u, _)| *u == user) {
+            Some((_, have)) => {
+                for (have, add) in have.iter_mut().zip(rights) {
+                    *have |= add;
+                }
             }
-        } else {
-            self.terms.push((user, idx));
+            None => self.terms.push((user, rights)),
         }
     }
 
@@ -75,46 +80,49 @@ impl Acl {
             .unwrap_or(false)
     }
 
-    /// Packs the ACL into two 36-bit words for the directory-entry
-    /// record: word 0 holds up to four user ids (9 bits each), word 1
-    /// the corresponding right triples (3 bits each). A real system
-    /// stores ACLs of arbitrary length; four terms suffice for the
-    /// experiments and keep the record fixed-size.
-    pub fn pack(&self) -> (u64, u64) {
-        let mut users = 0u64;
-        let mut rights = 0u64;
-        for (i, (u, r)) in self.terms.iter().take(4).enumerate() {
-            users |= (u.0 as u64 & 0xFF) << (i * 9);
-            let bits = (r[0] as u64) | (r[1] as u64) << 1 | (r[2] as u64) << 2 | 0b1000;
-            rights |= bits << (i * 4);
+    /// The two words a directory entry stores the ACL in: up to four
+    /// terms, each user id in a 9-bit field of the first word and its
+    /// rights in a 4-bit field of the second (read, write, execute, and a
+    /// bit marking the term present). A real system stores ACLs of
+    /// arbitrary length; four terms suffice for the experiments and keep
+    /// the record fixed-size. `None` for an ACL the form cannot hold:
+    /// more than four terms, or a user id above 255. [`Acl::unpack`] is
+    /// its inverse.
+    pub fn stored(&self) -> Option<(u64, u64)> {
+        if self.terms.len() > ACL_TERMS {
+            return None;
         }
-        (users & ((1 << 36) - 1), rights & ((1 << 36) - 1))
+        let (mut users, mut rights) = (0, 0);
+        for (i, (u, r)) in self.terms.iter().enumerate() {
+            if u.0 > ACL_MAX_USER {
+                return None;
+            }
+            users |= u64::from(u.0) << (i * 9);
+            let bits = u64::from(r[0]) | u64::from(r[1]) << 1 | u64::from(r[2]) << 2;
+            rights |= (bits | 0b1000) << (i * 4);
+        }
+        Some((users, rights))
     }
 
-    /// Unpacks an ACL packed by [`Acl::pack`].
+    /// The ACL [`Acl::stored`] stored in `users` and `rights`.
     pub fn unpack(users: u64, rights: u64) -> Self {
         let mut acl = Self::new();
-        for i in 0..4 {
-            let bits = (rights >> (i * 4)) & 0xF;
-            if bits & 0b1000 == 0 {
-                continue;
+        for i in 0..ACL_TERMS {
+            let bits = rights >> (i * 4) & 0xF;
+            if bits & 0b1000 != 0 {
+                let user = UserId((users >> (i * 9) & u64::from(ACL_MAX_USER)) as u32);
+                acl.add(user, [bits & 1 != 0, bits & 2 != 0, bits & 4 != 0]);
             }
-            let user = UserId(((users >> (i * 9)) & 0xFF) as u32);
-            let mut list = Vec::new();
-            if bits & 0b001 != 0 {
-                list.push(AccessRight::Read);
-            }
-            if bits & 0b010 != 0 {
-                list.push(AccessRight::Write);
-            }
-            if bits & 0b100 != 0 {
-                list.push(AccessRight::Execute);
-            }
-            acl.grant(user, &list);
         }
         acl
     }
 }
+
+/// Terms a stored ACL holds.
+const ACL_TERMS: usize = 4;
+
+/// The highest user id a stored ACL holds.
+const ACL_MAX_USER: u32 = 0xFF;
 
 fn right_slot(r: AccessRight) -> usize {
     match r {
@@ -157,6 +165,9 @@ pub enum LegacyError {
     /// A label the entry codec cannot store: a level above 7 or a
     /// compartment above 23 ([`mx_aim::Label::stored`]).
     BadLabel,
+    /// An ACL the entry codec cannot store: more than four terms, or a
+    /// user id above 255 ([`Acl::stored`]).
+    BadAcl,
     /// Growing the segment would exceed the controlling quota.
     QuotaExceeded { limit: u32, used: u32 },
     /// No pack in the system has room for the segment.
@@ -216,6 +227,7 @@ impl core::fmt::Display for LegacyError {
             LegacyError::NameDuplicated => write!(f, "name duplicated"),
             LegacyError::BadName => write!(f, "name not storable"),
             LegacyError::BadLabel => write!(f, "label not storable"),
+            LegacyError::BadAcl => write!(f, "ACL not storable"),
             LegacyError::QuotaExceeded { limit, used } => {
                 write!(f, "quota exceeded ({used}/{limit} pages)")
             }
@@ -278,7 +290,7 @@ mod tests {
         acl.grant(UserId(0), &[AccessRight::Read]);
         acl.grant(UserId(7), &[AccessRight::Read, AccessRight::Write]);
         acl.grant(UserId(200), &[AccessRight::Execute]);
-        let (u, r) = acl.pack();
+        let (u, r) = acl.stored().unwrap();
         let back = Acl::unpack(u, r);
         assert!(back.permits(UserId(0), AccessRight::Read));
         assert!(!back.permits(UserId(0), AccessRight::Write));
@@ -292,7 +304,7 @@ mod tests {
         // UserId(0) must be distinguishable from an empty slot.
         let mut acl = Acl::new();
         acl.grant(UserId(0), &[AccessRight::Write]);
-        let (u, r) = acl.pack();
+        let (u, r) = acl.stored().unwrap();
         let back = Acl::unpack(u, r);
         assert!(back.permits(UserId(0), AccessRight::Write));
     }

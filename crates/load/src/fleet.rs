@@ -271,7 +271,8 @@ struct WireFrame {
 struct Wire {
     machines: usize,
     links: Vec<VecDeque<WireFrame>>,
-    /// The busy links' ids, refilled by every [`Wire::pop`].
+    /// The busy links' ids, ascending: [`Wire::send`] adds a link it
+    /// makes busy, [`Wire::pop`] removes a link it empties.
     busy: Vec<u32>,
     policy: Box<dyn SchedulePolicy>,
     sent: u64,
@@ -307,7 +308,13 @@ impl Wire {
 
     fn send(&mut self, src: usize, dst: usize, kind: FrameKind, bytes: Vec<u8>) {
         self.sent += 1;
-        self.links[src * self.machines + dst].push_back(WireFrame { kind, bytes });
+        let link = src * self.machines + dst;
+        if self.links[link].is_empty() {
+            let id = link as u32;
+            let at = self.busy.partition_point(|&l| l < id);
+            self.busy.insert(at, id);
+        }
+        self.links[link].push_back(WireFrame { kind, bytes });
     }
 
     /// Next frame off the wire: link chosen by the policy when more than
@@ -316,20 +323,20 @@ impl Wire {
     /// drop cheat discards.
     fn pop(&mut self) -> Option<(usize, WireFrame)> {
         loop {
-            let ids = &mut self.busy;
-            ids.clear();
-            ids.extend(
-                (0..self.links.len() as u32).filter(|&l| !self.links[l as usize].is_empty()),
-            );
-            let link = match ids.len() {
+            let ids = &self.busy;
+            let at = match ids.len() {
                 0 => return None,
-                1 => ids[0] as usize,
-                _ => {
-                    let pick = self.policy.choose(ChoicePoint::Wire, ids);
-                    ids[pick.min(ids.len() - 1)] as usize
-                }
+                1 => 0,
+                _ => self
+                    .policy
+                    .choose(ChoicePoint::Wire, ids)
+                    .min(ids.len() - 1),
             };
+            let link = ids[at] as usize;
             let frame = self.links[link].pop_front().expect("non-empty link");
+            if self.links[link].is_empty() {
+                self.busy.remove(at);
+            }
             if frame.kind == FrameKind::Data {
                 self.data_deliveries += 1;
                 if self.drop_at == Some(self.data_deliveries) {
