@@ -889,12 +889,8 @@ impl Kernel {
     /// processes across every configured processor.
     pub fn cpu_for(&self, pid: ProcessId) -> ProcessorId {
         let n = self.machine.cpu_count() as u32;
-        if let Some(vp) = self.upm.vp_of(pid) {
-            if let Some(ix) = self.vpm.user_vps().iter().position(|v| *v == vp) {
-                return ProcessorId(ix as u32 % n);
-            }
-        }
-        ProcessorId(pid.0 % n)
+        let rank = self.upm.vp_of(pid).and_then(|vp| self.vpm.user_rank(vp));
+        ProcessorId(rank.unwrap_or(pid.0) % n)
     }
 
     fn user_access(
@@ -1570,6 +1566,62 @@ mod tests {
         assert!(
             ops[0] > 0 && ops[1] > 0,
             "both processors retire user work: {ops:?}"
+        );
+    }
+
+    #[test]
+    fn cpu_for_is_the_old_search_for_every_pid() {
+        // The definition before the ranks were kept: search the bindings
+        // for the process, then the list of user VPs for its VP.
+        fn searched(k: &Kernel, pid: ProcessId) -> ProcessorId {
+            let n = k.machine.cpu_count() as u32;
+            let vp = k.upm.bindings().find(|&(_, p)| p == pid).map(|(vp, _)| vp);
+            if let Some(vp) = vp {
+                if let Some(ix) = k.vpm.user_vps().iter().position(|v| *v == vp) {
+                    return ProcessorId(ix as u32 % n);
+                }
+            }
+            ProcessorId(pid.0 % n)
+        }
+        let max = 12;
+        let mut k = Kernel::boot(KernelConfig {
+            max_processes: max,
+            ..KernelConfig::default()
+        });
+        let mut rng = mx_hw::SplitMix64::new(0xC9F0_0001);
+        let mut live = Vec::new();
+        let (mut bound, mut unbound) = (0, 0);
+        for step in 0..400 {
+            match rng.below(8) {
+                0 | 1 if live.len() < max as usize => {
+                    let name = format!("u{step}");
+                    live.push(login(&mut k, &name, UserId(1 + step % 250)));
+                }
+                2 if !live.is_empty() => {
+                    let pid = live.swap_remove(rng.below(live.len() as u64) as usize);
+                    k.destroy_process(pid).unwrap();
+                }
+                _ => {
+                    k.schedule();
+                }
+            }
+            for pid in (0..max + 2).map(ProcessId) {
+                assert_eq!(
+                    k.cpu_for(pid),
+                    searched(&k, pid),
+                    "pid {} step {step}",
+                    pid.0
+                );
+                if k.upm.vp_of(pid).is_some() {
+                    bound += 1;
+                } else if live.contains(&pid) {
+                    unbound += 1;
+                }
+            }
+        }
+        assert!(
+            bound > 500 && unbound > 500,
+            "{bound} bound, {unbound} unbound"
         );
     }
 

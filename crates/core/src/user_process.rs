@@ -20,7 +20,7 @@ use mx_aim::Label;
 use mx_hw::{FrameNo, Machine};
 use mx_sync::sim::EcId;
 use mx_sync::MessageQueue;
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 
 /// An event delivered from the virtual-processor level to the
 /// user-process level through the real-memory queue.
@@ -81,7 +81,10 @@ pub struct UserProcessManager {
     /// Advanced on every queue put; level 2 awaits it when idle.
     pub queue_event: EcId,
     ready: VecDeque<ProcessId>,
-    bound: HashMap<VpId, ProcessId>,
+    /// The process bound to each VP, indexed by VP.
+    tenant: Vec<Option<ProcessId>>,
+    /// The VP each process is bound to, indexed by process slot.
+    bound: Vec<Option<VpId>>,
     vp_rotation: VecDeque<VpId>,
     /// Level-2 dispatches performed.
     pub dispatches: u64,
@@ -105,7 +108,8 @@ impl UserProcessManager {
             queue: MessageQueue::new(queue_capacity),
             queue_event: vpm.create_eventcount(),
             ready: VecDeque::new(),
-            bound: HashMap::new(),
+            tenant: vec![None; vpm.count()],
+            bound: vec![None; max_processes as usize],
             vp_rotation: vpm.user_vps().into(),
             dispatches: 0,
             loads: 0,
@@ -160,7 +164,9 @@ impl UserProcessManager {
             .and_then(Option::take)
             .ok_or(KernelError::NoSuchProcess)?;
         self.ready.retain(|p| *p != pid);
-        self.bound.retain(|_, p| *p != pid);
+        if let Some(vp) = self.bound[slot].take() {
+            self.tenant[vp.0 as usize] = None;
+        }
         Ok(proc.charge)
     }
 
@@ -226,10 +232,15 @@ impl UserProcessManager {
     /// the kernel uses to home a process's memory references on a real
     /// processor.
     pub fn vp_of(&self, pid: ProcessId) -> Option<VpId> {
-        self.bound
-            .iter()
-            .find(|(_, p)| **p == pid)
-            .map(|(vp, _)| *vp)
+        self.bound.get(pid.0 as usize).copied().flatten()
+    }
+
+    /// Every (VP, process) binding, as the old search read them.
+    #[cfg(test)]
+    pub(crate) fn bindings(&self) -> impl Iterator<Item = (VpId, ProcessId)> + '_ {
+        (0u32..)
+            .zip(&self.tenant)
+            .filter_map(|(vp, pid)| pid.map(|pid| (VpId(vp), pid)))
     }
 
     fn get(&self, pid: ProcessId) -> Result<&UserProc, KernelError> {
@@ -301,8 +312,7 @@ impl UserProcessManager {
         self.ready.push_back(pid);
         self.dispatches += 1;
         // Already on a VP?
-        if let Some((vp, _)) = self.bound.iter().find(|(_, p)| **p == pid) {
-            let vp = *vp;
+        if let Some(vp) = self.vp_of(pid) {
             if let Ok(p) = self.get_mut(pid) {
                 p.state = UpState::Bound(vp);
                 p.charge += 1;
@@ -316,7 +326,9 @@ impl UserProcessManager {
         // Bind to the next user VP in rotation (unloading its tenant).
         let vp = self.vp_rotation.pop_front()?;
         self.vp_rotation.push_back(vp);
-        if let Some(prev) = self.bound.insert(vp, pid) {
+        self.bound[pid.0 as usize] = Some(vp);
+        if let Some(prev) = self.tenant[vp.0 as usize].replace(pid) {
+            self.bound[prev.0 as usize] = None;
             if let Ok(p) = self.get_mut(prev) {
                 if p.state == UpState::Bound(vp) {
                     p.state = UpState::Ready;

@@ -54,6 +54,8 @@ pub const VP_SWITCH_CYCLES: u64 = 35;
 struct Vp {
     binding: VpBinding,
     state: VpState,
+    /// Position among the user VPs, if this is one.
+    user_rank: Option<u32>,
 }
 
 /// The fixed population of virtual processors plus the eventcount table.
@@ -94,9 +96,10 @@ impl VirtualProcessorManager {
         let state_seg = csm.allocate(frames.max(1))?;
         Ok(Self {
             vps: (0..count)
-                .map(|_| Vp {
+                .map(|i| Vp {
                     binding: VpBinding::User,
                     state: VpState::Ready,
+                    user_rank: Some(i),
                 })
                 .collect(),
             events: EventTable::new(),
@@ -127,6 +130,13 @@ impl VirtualProcessorManager {
     /// Panics on a foreign VP id.
     pub fn bind_kernel(&mut self, vp: VpId, module: &'static str) {
         self.vps[vp.0 as usize].binding = VpBinding::Kernel(module);
+        let mut rank = 0;
+        for v in &mut self.vps {
+            v.user_rank = (v.binding == VpBinding::User).then(|| {
+                rank += 1;
+                rank - 1
+            });
+        }
     }
 
     /// The binding of a VP.
@@ -141,6 +151,12 @@ impl VirtualProcessorManager {
     /// Total virtual processors (fixed).
     pub fn count(&self) -> usize {
         self.vps.len()
+    }
+
+    /// A user VP's position in [`VirtualProcessorManager::user_vps`];
+    /// `None` for a VP bound to a kernel module or a foreign id.
+    pub fn user_rank(&self, vp: VpId) -> Option<u32> {
+        self.vps.get(vp.0 as usize).and_then(|v| v.user_rank)
     }
 
     /// VPs available for user-process multiplexing.

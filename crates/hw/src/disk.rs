@@ -14,7 +14,7 @@
 //! feature analysed in the paper), and, for directory segments, the
 //! on-disk home of the directory's quota cell.
 
-use crate::mem::PAGE_WORDS;
+use crate::mem::{live_chunks, ALL_LIVE, CHUNK_WORDS, PAGE_WORDS};
 use crate::word::Word;
 /// Identifies a disk pack.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -115,11 +115,66 @@ impl TocEntry {
     }
 }
 
-/// One page-sized disk record buffer.
+/// One whole page read off a record.
 pub type RecordBuf = Box<[Word; PAGE_WORDS]>;
 
-fn blank_record() -> RecordBuf {
-    Box::new([Word::ZERO; PAGE_WORDS])
+/// One disk record: its page's nonzero [`CHUNK_WORDS`]-word chunks,
+/// lowest first, and a live mask with one bit per chunk naming them. An
+/// empty record is a page of zeros and holds no buffer.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct Record {
+    live: u16,
+    chunks: Vec<Word>,
+}
+
+impl Record {
+    /// The mask of the page's nonzero chunks.
+    pub(crate) fn live(&self) -> u16 {
+        self.live
+    }
+
+    /// The nonzero chunks, lowest first.
+    pub(crate) fn chunks(&self) -> &[Word] {
+        &self.chunks
+    }
+
+    /// The word at `offset` of the page.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `offset` is not below [`PAGE_WORDS`].
+    pub fn word(&self, offset: usize) -> Word {
+        assert!(offset < PAGE_WORDS, "word {offset} of a page");
+        let c = offset / CHUNK_WORDS;
+        if self.live >> c & 1 == 0 {
+            return Word::ZERO;
+        }
+        let below = (self.live & ((1 << c) - 1)).count_ones() as usize;
+        self.chunks[below * CHUNK_WORDS + offset % CHUNK_WORDS]
+    }
+
+    /// The whole page.
+    pub fn page(&self) -> RecordBuf {
+        let mut page = Box::new([Word::ZERO; PAGE_WORDS]);
+        for (c, chunk) in live_chunks(self.live).zip(self.chunks.chunks_exact(CHUNK_WORDS)) {
+            page[c * CHUNK_WORDS..][..CHUNK_WORDS].copy_from_slice(chunk);
+        }
+        page
+    }
+
+    /// Becomes `page`, whose chunks outside `live` are all zeros: keeps
+    /// the nonzero chunks among those `live` names, in its own buffer.
+    pub(crate) fn store(&mut self, page: &[Word; PAGE_WORDS], live: u16) {
+        self.live = 0;
+        self.chunks.clear();
+        for c in live_chunks(live) {
+            let chunk = &page[c * CHUNK_WORDS..][..CHUNK_WORDS];
+            if chunk.iter().any(|w| !w.is_zero()) {
+                self.live |= 1 << c;
+                self.chunks.extend_from_slice(chunk);
+            }
+        }
+    }
 }
 
 /// The lowest empty slot of `table` at or above `floor`, below which
@@ -139,7 +194,7 @@ fn first_empty<T>(table: &[Option<T>], floor: &mut usize) -> Option<usize> {
 pub struct DiskPack {
     /// This pack's identity.
     pub id: PackId,
-    records: Vec<Option<RecordBuf>>,
+    records: Vec<Option<Record>>,
     toc: Vec<Option<TocEntry>>,
     /// Every record below this index is allocated.
     record_floor: usize,
@@ -178,7 +233,8 @@ impl DiskPack {
         self.free == 0
     }
 
-    /// Allocates a zeroed record: the lowest-numbered free one.
+    /// Allocates a zeroed record: the lowest-numbered free one. It holds
+    /// no buffer until a write gives it a nonzero chunk.
     ///
     /// # Errors
     ///
@@ -186,7 +242,7 @@ impl DiskPack {
     pub fn allocate_record(&mut self) -> Result<RecordNo, DiskError> {
         let i = first_empty(&self.records, &mut self.record_floor)
             .ok_or(DiskError::PackFull { pack: self.id })?;
-        self.records[i] = Some(blank_record());
+        self.records[i] = Some(Record::default());
         self.free -= 1;
         Ok(RecordNo(i as u32))
     }
@@ -217,7 +273,7 @@ impl DiskPack {
     /// # Errors
     ///
     /// [`DiskError::BadRecord`] if the record is not allocated.
-    pub fn read_record(&self, record: RecordNo) -> Result<&RecordBuf, DiskError> {
+    pub fn read_record(&self, record: RecordNo) -> Result<&Record, DiskError> {
         self.records
             .get(record.0 as usize)
             .and_then(|r| r.as_ref())
@@ -237,16 +293,21 @@ impl DiskPack {
         record: RecordNo,
         data: &[Word; PAGE_WORDS],
     ) -> Result<(), DiskError> {
-        match self.records.get_mut(record.0 as usize) {
-            Some(Some(buf)) => {
-                buf.copy_from_slice(data);
-                Ok(())
-            }
-            _ => Err(DiskError::BadRecord {
-                pack: self.id,
-                record,
-            }),
-        }
+        self.record_mut(record)?.store(data, ALL_LIVE);
+        Ok(())
+    }
+
+    /// An allocated record, to overwrite.
+    ///
+    /// # Errors
+    ///
+    /// [`DiskError::BadRecord`] if the record is not allocated.
+    pub(crate) fn record_mut(&mut self, record: RecordNo) -> Result<&mut Record, DiskError> {
+        let pack = self.id;
+        self.records
+            .get_mut(record.0 as usize)
+            .and_then(|r| r.as_mut())
+            .ok_or(DiskError::BadRecord { pack, record })
     }
 
     /// Creates a TOC entry for a new segment with the given uid, in the
@@ -495,8 +556,10 @@ mod tests {
         page[PAGE_WORDS - 1] = Word::new(8);
         p.write_record(r, &page).unwrap();
         let back = p.read_record(r).unwrap();
-        assert_eq!(back[0], Word::new(7));
-        assert_eq!(back[PAGE_WORDS - 1], Word::new(8));
+        assert_eq!(back.word(0), Word::new(7));
+        assert_eq!(back.word(PAGE_WORDS - 1), Word::new(8));
+        assert_eq!(back.live(), 1 | 1 << 15, "the first and last chunks");
+        assert_eq!(back.page()[..], page[..]);
     }
 
     #[test]

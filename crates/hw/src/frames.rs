@@ -10,9 +10,9 @@
 //! Two pieces of host bookkeeping spare the table sweeps without moving
 //! any choice the sweeps made. A free floor marks the lowest frame that
 //! may be free, so a claim starts there and still takes the lowest free
-//! frame. A count of resident pages per owner lets [`FrameTable::owned`]
-//! stop at the owner's last page, and skip the table when it has none,
-//! while still listing the pages in ascending frame order.
+//! frame. Each owner's frames are kept in ascending order, so
+//! [`FrameTable::owned`] lists the owner's pages in ascending frame order
+//! without walking the table.
 
 use crate::mem::FrameNo;
 
@@ -33,8 +33,8 @@ pub struct FrameTable {
     clock_hand: u32,
     /// Every pageable frame below this one holds a page.
     floor: u32,
-    /// Resident pages per owner, indexed by owner.
-    resident: Vec<u32>,
+    /// Each owner's frames in ascending order, indexed by owner.
+    frames_of: Vec<Vec<u32>>,
 }
 
 impl FrameTable {
@@ -54,7 +54,7 @@ impl FrameTable {
             first_pageable,
             clock_hand: first_pageable,
             floor: first_pageable,
-            resident: Vec::new(),
+            frames_of: Vec::new(),
         }
     }
 
@@ -70,7 +70,7 @@ impl FrameTable {
 
     /// Number of pages `owner` has resident.
     pub fn resident(&self, owner: u32) -> u32 {
-        self.resident.get(owner as usize).copied().unwrap_or(0)
+        self.frames_of.get(owner as usize).map_or(0, Vec::len) as u32
     }
 
     /// Gives the lowest free pageable frame to page `pageno` of `owner`,
@@ -81,15 +81,16 @@ impl FrameTable {
             self.floor = self.pages.len() as u32;
             return None;
         };
-        let frame = floor + i;
-        self.pages[frame] = Some(Page { owner, pageno });
-        self.floor = frame as u32 + 1;
+        let frame = (floor + i) as u32;
+        self.pages[frame as usize] = Some(Page { owner, pageno });
+        self.floor = frame + 1;
         let owner = owner as usize;
-        if owner >= self.resident.len() {
-            self.resident.resize(owner + 1, 0);
+        if owner >= self.frames_of.len() {
+            self.frames_of.resize_with(owner + 1, Vec::new);
         }
-        self.resident[owner] += 1;
-        Some(FrameNo(frame as u32))
+        let frames = &mut self.frames_of[owner];
+        frames.insert(frames.partition_point(|&f| f < frame), frame);
+        Some(FrameNo(frame))
     }
 
     /// Frees the page in `frame`.
@@ -102,8 +103,11 @@ impl FrameTable {
         let page = self.pages[frame.0 as usize]
             .take()
             .expect("releasing a free frame");
-        // Counted when the page was taken, so never below zero.
-        self.resident[page.owner as usize] -= 1;
+        let frames = &mut self.frames_of[page.owner as usize];
+        let at = frames
+            .binary_search(&frame.0)
+            .expect("a taken frame is listed under its owner");
+        frames.remove(at);
         self.floor = self.floor.min(frame.0);
     }
 
@@ -121,19 +125,16 @@ impl FrameTable {
     /// Every frame holding a page of `owner`, with its page number, in
     /// ascending frame order.
     pub fn owned(&self, owner: u32) -> Vec<(FrameNo, u32)> {
-        let mut left = self.resident(owner) as usize;
-        let mut owned = Vec::with_capacity(left);
-        let pageable = &self.pages[self.first_pageable as usize..];
-        for (frame, page) in (self.first_pageable..).zip(pageable) {
-            if left == 0 {
-                break;
-            }
-            if let Some(page) = page.filter(|p| p.owner == owner) {
-                owned.push((FrameNo(frame), page.pageno));
-                left -= 1;
-            }
-        }
-        owned
+        let Some(frames) = self.frames_of.get(owner as usize) else {
+            return Vec::new();
+        };
+        frames
+            .iter()
+            .map(|&f| {
+                let page = self.pages[f as usize].expect("a listed frame holds a page");
+                (FrameNo(f), page.pageno)
+            })
+            .collect()
     }
 }
 
@@ -216,6 +217,48 @@ mod tests {
             "{none_resident} owners with nothing resident"
         );
         assert!(full > 1_000, "{full} claims refused by a full table");
+    }
+
+    #[test]
+    fn releasing_an_owners_lowest_page_keeps_its_listing() {
+        // Two owners interleaved over the table; most releases take an
+        // owner's lowest frame, and its listing must still match the
+        // sweep's.
+        let mut lowest = 0;
+        let mut rng = SplitMix64::new(0x10E5_7000);
+        let (frames, wired) = (24, 3);
+        let mut table = FrameTable::new(frames, wired);
+        let mut twin = SweepTable {
+            pages: vec![None; frames],
+            first_pageable: wired as usize,
+        };
+        for step in 0..4_000 {
+            let owner = rng.range_u32(0, 2);
+            if rng.chance(1, 2) {
+                assert_eq!(
+                    table.take(owner, step),
+                    twin.take(owner, step),
+                    "step {step}"
+                );
+            } else if let Some(&(first, _)) = twin.owned(owner).first() {
+                let frame = if rng.chance(3, 4) {
+                    first
+                } else {
+                    let owned = twin.owned(owner);
+                    owned[rng.below(owned.len() as u64) as usize].0
+                };
+                lowest += usize::from(frame == first);
+                table.release(frame);
+                twin.pages[frame.0 as usize] = None;
+            }
+            for owner in 0..2 {
+                assert_eq!(table.owned(owner), twin.owned(owner), "step {step}");
+            }
+        }
+        assert!(
+            lowest > 1_000,
+            "{lowest} releases of an owner's lowest page"
+        );
     }
 
     #[test]

@@ -10,7 +10,7 @@ use crate::cpu::{HwFeatures, Processor, ProcessorId};
 use crate::disk::{DiskError, DiskSystem, PackId, RecordNo};
 use crate::fault::Fault;
 use crate::faultinj::{DiskFaults, FaultPlan, HwFault, WriteFate};
-use crate::mem::{AbsAddr, FrameNo, MainMemory, PAGE_WORDS};
+use crate::mem::{AbsAddr, FrameNo, MainMemory, ALL_LIVE, PAGE_WORDS};
 use crate::tlb::TlbStats;
 use crate::word::Word;
 use crate::VirtAddr;
@@ -227,6 +227,8 @@ impl Machine {
     }
 
     /// Transfers a disk record into a core frame, charging the clock.
+    /// Only the record's nonzero chunks and the frame's live chunks the
+    /// record lacks are touched.
     ///
     /// # Errors
     ///
@@ -241,12 +243,14 @@ impl Machine {
     ) -> Result<(), DiskError> {
         self.note_read(pack, record)?;
         let data = self.disks.pack(pack)?.read_record(record)?;
-        self.mem.write_frame(frame, data);
+        self.mem.load_frame(frame, data.live(), data.chunks());
         self.clock.charge_disk_transfer(&self.cost);
         Ok(())
     }
 
     /// Transfers a core frame onto a disk record, charging the clock.
+    /// Only the frame's live chunks are looked at, and only its nonzero
+    /// ones are kept.
     ///
     /// # Errors
     ///
@@ -259,6 +263,7 @@ impl Machine {
         record: RecordNo,
         frame: FrameNo,
     ) -> Result<(), DiskError> {
+        let live = self.mem.live(frame);
         let data = self
             .mem
             .words(frame.base(), PAGE_WORDS)
@@ -271,7 +276,7 @@ impl Machine {
             &self.cost,
             pack,
             record,
-            data,
+            (data, live),
         )
     }
 
@@ -288,7 +293,7 @@ impl Machine {
         record: RecordNo,
     ) -> Result<crate::disk::RecordBuf, DiskError> {
         self.note_read(pack, record)?;
-        let data = self.disks.pack(pack)?.read_record(record)?.clone();
+        let data = self.disks.pack(pack)?.read_record(record)?.page();
         self.clock.charge_disk_transfer(&self.cost);
         Ok(data)
     }
@@ -311,7 +316,7 @@ impl Machine {
         offset: usize,
     ) -> Result<Word, DiskError> {
         self.note_read(pack, record)?;
-        let word = self.disks.pack(pack)?.read_record(record)?[offset];
+        let word = self.disks.pack(pack)?.read_record(record)?.word(offset);
         self.clock.charge_disk_transfer(&self.cost);
         Ok(word)
     }
@@ -337,7 +342,7 @@ impl Machine {
             &self.cost,
             pack,
             record,
-            data,
+            (data, ALL_LIVE),
         )
     }
 
@@ -373,7 +378,8 @@ impl Machine {
 }
 
 /// One record write through the fault-checked channel, over the
-/// machine's parts so that `data` may be borrowed from its core.
+/// machine's parts so that the page may be borrowed from its core. The
+/// page comes with a live mask: its chunks outside the mask are zeros.
 fn channel_write(
     faults: &mut DiskFaults,
     disks: &mut DiskSystem,
@@ -381,11 +387,11 @@ fn channel_write(
     cost: &CostModel,
     pack: PackId,
     record: RecordNo,
-    data: &[Word; PAGE_WORDS],
+    (data, live): (&[Word; PAGE_WORDS], u16),
 ) -> Result<(), DiskError> {
     match faults.note_write(pack)? {
         WriteFate::Commit => {
-            disks.pack_mut(pack)?.write_record(record, data)?;
+            disks.pack_mut(pack)?.record_mut(record)?.store(data, live);
             clock.charge_disk_transfer(cost);
             Ok(())
         }
@@ -399,7 +405,7 @@ fn channel_write(
                 // the rest keeps whatever the record held.
                 if let Ok(pk) = disks.pack_mut(pack) {
                     if let Ok(old) = pk.read_record(record) {
-                        let mut torn = old.clone();
+                        let mut torn = old.page();
                         torn[..words].copy_from_slice(&data[..words]);
                         let _ = pk.write_record(record, &torn);
                         clock.charge_disk_transfer(cost);
@@ -542,8 +548,16 @@ mod tests {
             Err(DiskError::PowerFail)
         );
         let surviving = m.disks.pack(pack).unwrap().read_record(rec).unwrap();
-        assert_eq!(surviving[3], Word::new(0o222), "prefix reached the platter");
-        assert_eq!(surviving[4], Word::new(0o111), "suffix kept old contents");
+        assert_eq!(
+            surviving.word(3),
+            Word::new(0o222),
+            "prefix reached the platter"
+        );
+        assert_eq!(
+            surviving.word(4),
+            Word::new(0o111),
+            "suffix kept old contents"
+        );
         // A dropped crash write leaves the record untouched.
         let mut m2 = Machine::base_1974();
         let rec2 = m2.disks.pack_mut(pack).unwrap().allocate_record().unwrap();
@@ -558,7 +572,12 @@ mod tests {
             Err(DiskError::PowerFail)
         );
         assert_eq!(
-            m2.disks.pack(pack).unwrap().read_record(rec2).unwrap()[0],
+            m2.disks
+                .pack(pack)
+                .unwrap()
+                .read_record(rec2)
+                .unwrap()
+                .word(0),
             Word::new(0o111)
         );
     }
@@ -633,6 +652,8 @@ mod tests {
             let va = VirtAddr::new(0, 5);
             m.write(ProcessorId(0), va, Word::new(0o55)).unwrap();
             m.read(ProcessorId(1), va).unwrap();
+            // A frame written past the initialized prefix.
+            m.mem.write(FrameNo(7).base().add(700), Word::new(0o77));
             assert_eq!(m.tlb_stats().fills, 2, "both processors filled");
             let guard = m.clock.enter(Subsystem::Salvager);
             m.clock
@@ -665,12 +686,20 @@ mod tests {
             let m = crashed();
             let mut fresh = Machine::new(config.clone());
             fresh.disks = m.disks.clone();
-            let restarted = m.restart(config);
+            let mut restarted = m.restart(config);
             assert_eq!(
                 format!("{restarted:?}"),
                 format!("{fresh:?}"),
                 "restart at {frames} frames"
             );
+            // Each frame first written after the bootload: past the
+            // fresh core's prefix, inside or past the restarted one's.
+            for f in [frames - 1, 6.min(frames - 1), 0] {
+                let at = FrameNo(f as u32).base().add(f as u64);
+                restarted.mem.write(at, Word::new(0o66));
+                fresh.mem.write(at, Word::new(0o66));
+                assert_eq!(restarted.mem, fresh.mem, "frame {f} at {frames} frames");
+            }
         }
     }
 
@@ -708,6 +737,9 @@ mod tests {
             .unwrap();
         let mut page = [Word::ZERO; PAGE_WORDS];
         page[37] = Word::new(0o3737);
+        for off in [63, 64, 1023] {
+            page[off] = Word::new(off as u64);
+        }
         m.disks
             .pack_mut(PackId(0))
             .unwrap()
@@ -722,6 +754,11 @@ mod tests {
         });
         assert_eq!(read(&mut twins, rec, 37), (transient, transfer), "charged");
         assert_eq!(read(&mut twins, rec, 0), (Ok(Word::ZERO), transfer));
+        // Each edge of a kept chunk, and a word of a chunk not kept.
+        for off in [63, 64, 1023] {
+            assert_eq!(read(&mut twins, rec, off), (Ok(page[off]), transfer));
+        }
+        assert_eq!(read(&mut twins, rec, 200), (Ok(Word::ZERO), transfer));
         let unallocated = RecordNo(rec.0 + 1);
         let bad = Err(DiskError::BadRecord {
             pack: PackId(0),
@@ -746,6 +783,213 @@ mod tests {
             (Err(DiskError::PowerFail), 0),
             "halted"
         );
+    }
+
+    /// Seeded reference model of the sparse page bytes: core, one pack
+    /// and the channel against a dense twin, a plain vector of core words
+    /// and whole-page records. Random writes (zero ones included), fills
+    /// across chunk and frame edges, zero fills, page-outs, page-ins, raw
+    /// record transfers, torn crash writes and resets; after every step
+    /// every core word, every zero scan and every record word agree, a
+    /// frame's clear bit covers only zeros, and a record keeps exactly
+    /// its nonzero chunks.
+    #[test]
+    fn sparse_pages_match_a_dense_twin() {
+        use crate::faultinj::CrashWrite;
+        use crate::mem::{ALL_LIVE, CHUNK_WORDS};
+        use crate::rng::SplitMix64;
+        use std::collections::BTreeMap;
+        const FRAMES: usize = 6;
+        const RECORDS: usize = 5;
+        let config = MachineConfig {
+            frames: FRAMES,
+            packs: 1,
+            records_per_pack: RECORDS as u32,
+            toc_slots_per_pack: 1,
+            ..MachineConfig::default()
+        };
+        let pack = PackId(0);
+        let mut m = Machine::new(config.clone());
+        for _ in 0..RECORDS {
+            m.disks.pack_mut(pack).unwrap().allocate_record().unwrap();
+        }
+        let mut core = vec![Word::ZERO; FRAMES * PAGE_WORDS];
+        let mut records = vec![[Word::ZERO; PAGE_WORDS]; RECORDS];
+        let zero = |words: &[Word]| words.iter().all(|w| w.is_zero());
+        let mut rng = SplitMix64::new(0x5BA2_5E00);
+        let value = |rng: &mut SplitMix64| {
+            if rng.chance(1, 4) {
+                Word::ZERO
+            } else {
+                Word::new(rng.range_u64(1, 1 << 20))
+            }
+        };
+        let offset = |rng: &mut SplitMix64| match rng.below(6) {
+            0 => 63,
+            1 => 64,
+            2 => 1023,
+            _ => rng.below(PAGE_WORDS as u64) as usize,
+        };
+        let mut seen: BTreeMap<&str, usize> = BTreeMap::new();
+        for step in 0..4_000 {
+            let at = format!("step {step}");
+            let f = rng.below(FRAMES as u64) as usize;
+            let (frame, rec) = (
+                FrameNo(f as u32),
+                RecordNo(rng.below(RECORDS as u64) as u32),
+            );
+            let page = f * PAGE_WORDS..(f + 1) * PAGE_WORDS;
+            let past_prefix = f >= m.mem.written_frames();
+            let mut note = |what| *seen.entry(what).or_default() += 1;
+            match rng.below(12) {
+                0..=2 => {
+                    let (off, v) = (offset(&mut rng), value(&mut rng));
+                    if v.is_zero() && m.mem.live(frame) >> (off / CHUNK_WORDS) & 1 == 1 {
+                        note("a zero write into a live chunk");
+                    }
+                    match off {
+                        63 => note("a write at word 63"),
+                        64 => note("a write at word 64"),
+                        1023 => note("a write at word 1023"),
+                        _ => {}
+                    }
+                    if past_prefix && !v.is_zero() {
+                        note("a frame first written past the prefix");
+                    }
+                    m.mem.write(frame.base().add(off as u64), v);
+                    core[page.start + off] = v;
+                }
+                3 | 4 => {
+                    let start = page.start + offset(&mut rng);
+                    let n = rng.range_usize(1, (2 * PAGE_WORDS).min(core.len() - start) + 1);
+                    let v = value(&mut rng);
+                    if start / CHUNK_WORDS != (start + n - 1) / CHUNK_WORDS {
+                        note("a fill across a chunk edge");
+                    }
+                    if start / PAGE_WORDS != (start + n - 1) / PAGE_WORDS {
+                        note("a fill across a frame edge");
+                    }
+                    m.mem.fill(AbsAddr(start as u64), n, v);
+                    core[start..start + n].fill(v);
+                }
+                5 => {
+                    m.mem.zero_frame(frame);
+                    core[page].fill(Word::ZERO);
+                }
+                6 | 7 => {
+                    m.disk_write_from_frame(pack, rec, frame).unwrap();
+                    records[rec.0 as usize].copy_from_slice(&core[page]);
+                    let kept = m.disks.pack(pack).unwrap().read_record(rec).unwrap();
+                    if kept.live() == ALL_LIVE {
+                        note("a record with all 16 chunks");
+                    }
+                }
+                8 | 9 => {
+                    let data = &records[rec.0 as usize];
+                    if zero(data) && !zero(&core[page.clone()]) {
+                        note("a page-in of an empty record over a dirty frame");
+                    }
+                    m.disk_read_into_frame(pack, rec, frame).unwrap();
+                    core[page].copy_from_slice(data);
+                }
+                10 => {
+                    // A raw write of a page with some chunks zero, then a
+                    // raw read of the whole page and of one word.
+                    let mut raw = [Word::ZERO; PAGE_WORDS];
+                    for chunk in raw.chunks_mut(CHUNK_WORDS) {
+                        if rng.chance(1, 2) {
+                            chunk[rng.below(CHUNK_WORDS as u64) as usize] = Word::new(9);
+                        }
+                    }
+                    m.disk_write_record(pack, rec, &raw).unwrap();
+                    records[rec.0 as usize] = raw;
+                    let whole = m.disk_read_record(pack, rec).unwrap();
+                    assert_eq!(whole[..], raw[..], "{at}");
+                    let off = offset(&mut rng);
+                    assert_eq!(m.disk_read_word(pack, rec, off), Ok(raw[off]), "{at}");
+                }
+                _ if rng.chance(1, 2) => {
+                    let words = match rng.below(3) {
+                        0 => CHUNK_WORDS * rng.range_usize(1, PAGE_WORDS / CHUNK_WORDS),
+                        1 => CHUNK_WORDS * rng.range_usize(0, 16) + rng.range_usize(1, 64),
+                        _ => rng.range_usize(1, PAGE_WORDS),
+                    };
+                    note(if words % CHUNK_WORDS == 0 {
+                        "a tear at a chunk edge"
+                    } else {
+                        "a tear mid-chunk"
+                    });
+                    m.faults
+                        .crash_after_further_writes(1, CrashWrite::Torn { words });
+                    assert_eq!(
+                        m.disk_write_from_frame(pack, rec, frame),
+                        Err(DiskError::PowerFail),
+                        "{at}"
+                    );
+                    records[rec.0 as usize][..words].copy_from_slice(&core[page][..words]);
+                    m = m.restart(config.clone());
+                    core.fill(Word::ZERO);
+                }
+                _ => {
+                    // Through a smaller core, so the prefix shrinks.
+                    note("a reset");
+                    m.mem.reset(rng.range_usize(1, FRAMES + 1));
+                    m.mem.reset(FRAMES);
+                    core.fill(Word::ZERO);
+                }
+            }
+            for (f, want) in core.chunks(PAGE_WORDS).enumerate() {
+                let frame = FrameNo(f as u32);
+                let got = m.mem.words(frame.base(), PAGE_WORDS);
+                if let Some(w) = (0..PAGE_WORDS).find(|&w| got[w] != want[w]) {
+                    panic!(
+                        "{at}: frame {f} word {w} is {:?}, not {:?}",
+                        got[w], want[w]
+                    );
+                }
+                assert_eq!(m.mem.frame_is_zero(frame), zero(want), "{at} frame {f}");
+                let live = m.mem.live(frame);
+                for (c, chunk) in want.chunks(CHUNK_WORDS).enumerate() {
+                    assert!(
+                        live >> c & 1 == 1 || zero(chunk),
+                        "{at}: frame {f} chunk {c} is nonzero under a clear bit"
+                    );
+                }
+            }
+            let read: Vec<Word> = (0..core.len() as u64)
+                .map(|a| m.mem.read(AbsAddr(a)))
+                .collect();
+            assert!(read == core, "{at}: core words");
+            for (r, want) in records.iter().enumerate() {
+                let kept = m.disks.pack(pack).unwrap().read_record(RecordNo(r as u32));
+                let kept = kept.unwrap();
+                assert_eq!(kept.page()[..], want[..], "{at} record {r}");
+                for (c, chunk) in want.chunks(CHUNK_WORDS).enumerate() {
+                    assert_eq!(
+                        kept.live() >> c & 1 == 1,
+                        !zero(chunk),
+                        "{at}: record {r} keeps exactly its nonzero chunks"
+                    );
+                }
+            }
+        }
+        for (what, floor) in [
+            ("a zero write into a live chunk", 30),
+            ("a write at word 63", 75),
+            ("a write at word 64", 75),
+            ("a write at word 1023", 75),
+            ("a frame first written past the prefix", 25),
+            ("a fill across a chunk edge", 300),
+            ("a fill across a frame edge", 200),
+            ("a page-in of an empty record over a dirty frame", 40),
+            ("a record with all 16 chunks", 15),
+            ("a tear at a chunk edge", 25),
+            ("a tear mid-chunk", 50),
+            ("a reset", 80),
+        ] {
+            let n = seen.get(what).copied().unwrap_or(0);
+            assert!(n >= floor, "{n} times {what}, fewer than {floor}");
+        }
     }
 
     #[test]

@@ -198,7 +198,7 @@ mod tests {
             assert_eq!(a.is_some(), b.is_some(), "page {p}");
             if let Some(rec) = b {
                 let data = m.disks.pack(pack).unwrap().read_record(*rec).unwrap();
-                assert_eq!(data[0], Word::new(p as u64 + 1));
+                assert_eq!(data.word(0), Word::new(p as u64 + 1));
             }
         }
         assert!(m.disks.pack(PackId(0)).unwrap().entry(toc).is_err());

@@ -1145,11 +1145,7 @@ mod tests {
                 "edges after {at}"
             );
             assert_eq!(a.tlb_stats(), b.tlb_stats(), "TLB after {at}");
-            let n = a.mem.size_words();
-            assert!(
-                a.mem.words(AbsAddr(0), n) == b.mem.words(AbsAddr(0), n),
-                "core image after {at}"
-            );
+            assert!(a.mem == b.mem, "core image after {at}");
             out
         }
 
