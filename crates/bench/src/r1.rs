@@ -487,20 +487,21 @@ fn degradation_notes() -> Vec<String> {
         .sup
         .resolve(r.pid, ">t", AccessRight::Read)
         .expect("probe entry");
+    let home = e.home;
     let rec = r
         .sup
         .machine
         .disks
-        .pack(e.pack)
+        .pack(home.pack)
         .expect("probe pack")
-        .entry(e.toc)
+        .entry(home.toc)
         .expect("probe toc")
         .file_map[0]
         .expect("probe record");
     r.sup
         .machine
         .faults
-        .install(FaultPlan::new().transient_read(e.pack, rec, 1));
+        .install(FaultPlan::new().transient_read(home.pack, rec, 1));
     let astx = r.sup.activate(t).expect("re-activate");
     assert_eq!(
         r.sup.sup_read(astx, 0).expect("absorbed read"),
@@ -510,7 +511,7 @@ fn degradation_notes() -> Vec<String> {
     r.sup.sync_to_disk().expect("re-sync");
     let mut plan = FaultPlan::new();
     for kth in 1..=u64::from(mx_legacy::page_control::READ_RETRY_BUDGET) + 1 {
-        plan = plan.transient_read(e.pack, rec, kth);
+        plan = plan.transient_read(home.pack, rec, kth);
     }
     r.sup.machine.faults.install(plan);
     let astx = r.sup.activate(t).expect("re-activate");
@@ -521,7 +522,7 @@ fn degradation_notes() -> Vec<String> {
     );
     r.sup.machine.faults.clear();
     r.sup.sync_to_disk().expect("re-sync");
-    r.sup.machine.faults.set_offline(e.pack, true);
+    r.sup.machine.faults.set_offline(home.pack, true);
     // The old supervisor stores directory representations in segments,
     // so even re-activation pages against the offline pack — and must
     // degrade to a typed error rather than a panic.
@@ -530,7 +531,7 @@ fn degradation_notes() -> Vec<String> {
         matches!(err, LegacyError::Disk(DiskError::PackOffline { .. })),
         "offline must be typed, got {err:?}"
     );
-    r.sup.machine.faults.set_offline(e.pack, false);
+    r.sup.machine.faults.set_offline(home.pack, false);
     let astx = r.sup.activate(t).expect("re-activate");
     assert_eq!(
         r.sup.sup_read(astx, 0).expect("pack back online"),

@@ -18,11 +18,7 @@ use crate::user_process::{KernelEvent, UserProcessManager};
 use crate::vproc::VirtualProcessorManager;
 use std::collections::HashMap;
 
-/// Largest frame an attached stream accepts. Anything longer than the
-/// kernel's wired buffer is refused with a typed error *before* any
-/// parse looks at it — an oversized frame is a caller bug (or an attack
-/// on the buffer), not line noise to be silently dropped.
-pub const MAX_FRAME: usize = 4096;
+pub use mx_hw::MAX_FRAME;
 
 /// Identifies an attached multiplexed stream.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]

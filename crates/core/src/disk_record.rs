@@ -275,14 +275,13 @@ impl DiskRecordManager {
         machine: &mut Machine,
         home: DiskHome,
     ) -> (Result<DiskHome, KernelError>, u32) {
-        let (moved, absorbed) = machine.move_segment(home.pack, home.toc, READ_ABSORB);
-        let moved = match moved {
-            Ok((pack, toc)) => Ok(DiskHome { pack, toc }),
-            Err(DiskError::PackFull { .. }) => Err(KernelError::AllPacksFull),
-            Err(DiskError::TocFull { .. }) => Err(KernelError::TableFull("table of contents")),
-            Err(DiskError::NoSuchEntry { .. }) => Err(KernelError::NotActive),
-            Err(e) => Err(KernelError::Disk(e)),
-        };
+        let (moved, absorbed) = machine.move_segment(home, READ_ABSORB);
+        let moved = moved.map_err(|e| match e {
+            DiskError::PackFull { .. } => KernelError::AllPacksFull,
+            DiskError::TocFull { .. } => KernelError::TableFull("table of contents"),
+            DiskError::NoSuchEntry { .. } => KernelError::NotActive,
+            e => KernelError::Disk(e),
+        });
         (moved, absorbed)
     }
 

@@ -31,6 +31,7 @@ use crate::user_process::{Dispatch, KernelEvent, UserProcessManager};
 use crate::vproc::{VirtualProcessorManager, VpId, VP_SWITCH_CYCLES};
 use mx_aim::{FlowTracker, Label, ReferenceMonitor};
 use mx_hw::cpu::{DescBase, Ptw, Sdw};
+use mx_hw::interp::{self, ProgramRun};
 use mx_hw::meter::{CounterSet, Subsystem};
 use mx_hw::{Fault, HwFeatures, Machine, MachineConfig, ProcessorId, VirtAddr, Word};
 use std::collections::HashMap;
@@ -126,28 +127,6 @@ struct Account {
     password_hash: u64,
     clearance: Label,
     charge_units: u64,
-}
-
-/// How a program run ended.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ProgramOutcome {
-    /// The program executed HLT.
-    Halted,
-    /// An undecodable instruction word was fetched.
-    Illegal,
-    /// The step budget ran out.
-    StepLimit,
-}
-
-/// The result of [`Kernel::run_program`].
-#[derive(Debug, Clone, Copy)]
-pub struct ProgramRun {
-    /// Instructions completed.
-    pub steps: u64,
-    /// Why execution stopped.
-    pub outcome: ProgramOutcome,
-    /// Final register file.
-    pub regs: mx_hw::interp::Registers,
 }
 
 /// Kernel/Multics, assembled.
@@ -1284,7 +1263,6 @@ impl Kernel {
         start: u32,
         max_steps: u64,
     ) -> Result<ProgramRun, KernelError> {
-        use mx_hw::interp::{step, Registers, StepOutcome};
         let frame = self.upm.dseg_frame(pid)?;
         let cpu = self.cpu_for(pid);
         self.machine.cpus[cpu.0 as usize].dbr_user = Some(DescBase {
@@ -1292,44 +1270,18 @@ impl Kernel {
             len: MAX_SEGNO,
         });
         self.machine.cpus[cpu.0 as usize].retire_op();
-        let mut regs = Registers::at(VirtAddr::new(segno, start));
-        let mut steps = 0;
-        while steps < max_steps {
-            let cost = self.machine.cost;
-            let r = {
-                let Machine {
-                    mem, clock, cpus, ..
-                } = &mut self.machine;
-                step(&mut cpus[cpu.0 as usize], mem, clock, &cost, &mut regs)
-            };
-            match r {
-                Ok(StepOutcome::Ran) => steps += 1,
-                Ok(StepOutcome::Halted) => {
-                    return Ok(ProgramRun {
-                        steps,
-                        outcome: ProgramOutcome::Halted,
-                        regs,
-                    });
-                }
-                Ok(StepOutcome::IllegalInstruction) => {
-                    return Ok(ProgramRun {
-                        steps,
-                        outcome: ProgramOutcome::Illegal,
-                        regs,
-                    });
-                }
-                Err(fault) => match self.dispatch_fault(pid, fault) {
-                    Ok(()) => {}
-                    Err(KernelError::Upward(sig)) => self.consume_signal(sig)?,
-                    Err(e) => return Err(e),
-                },
-            }
-        }
-        Ok(ProgramRun {
-            steps,
-            outcome: ProgramOutcome::StepLimit,
-            regs,
-        })
+        let pc = VirtAddr::new(segno, start);
+        interp::drive(
+            self,
+            |k| &mut k.machine,
+            cpu,
+            pc,
+            max_steps,
+            |k, fault| match k.dispatch_fault(pid, fault) {
+                Err(KernelError::Upward(sig)) => k.consume_signal(sig),
+                done => done,
+            },
+        )
     }
 
     /// Marker type used by the uid-bearing test helpers.

@@ -15,10 +15,9 @@ use crate::quota_cell::QuotaCellManager;
 use crate::segment::SegmentManager;
 use crate::types::{DiskHome, ProcessId, SegUid};
 use mx_aim::{FlowTracker, Label};
-use mx_hw::{IdMap, Machine};
+use mx_hw::{IdMap, Known, Kst, Machine};
 
-/// Segment numbers per process (SDWs in one descriptor-segment frame).
-pub const MAX_SEGNO: u32 = mx_hw::PAGE_WORDS as u32;
+pub use mx_hw::MAX_SEGNO;
 
 /// One known segment: everything activation needs, captured at
 /// initiation so no directory is ever consulted afterwards.
@@ -44,10 +43,16 @@ pub struct KstEntry {
     pub execute: bool,
 }
 
+impl Known for KstEntry {
+    fn uid(&self) -> SegUid {
+        self.uid
+    }
+}
+
 /// The known-segment object manager.
 #[derive(Debug, Default)]
 pub struct KnownSegmentManager {
-    ksts: IdMap<ProcessId, Vec<Option<KstEntry>>>,
+    ksts: IdMap<ProcessId, Kst<KstEntry>>,
     /// Quota exceptions serviced (experiment counter).
     pub quota_exceptions: u64,
 }
@@ -58,10 +63,9 @@ impl KnownSegmentManager {
         Self::default()
     }
 
-    /// Creates an empty KST for a new process: segment number 0 only,
-    /// reserved; [`KnownSegmentManager::bind`] grows it on demand.
+    /// Creates an empty KST for a new process.
     pub fn create_kst(&mut self, pid: ProcessId) {
-        self.ksts.insert(pid, vec![None]);
+        self.ksts.insert(pid, Kst::default());
     }
 
     /// Destroys a process's KST.
@@ -69,31 +73,15 @@ impl KnownSegmentManager {
         self.ksts.remove(&pid);
     }
 
-    /// Makes a segment known to a process, returning its segment number.
+    /// Makes a segment known to a process, returning its segment number
+    /// (the one it is known by already, if any: [`Kst::bind`]).
     ///
     /// # Errors
     ///
     /// [`KernelError::NoSuchProcess`] / [`KernelError::KstFull`].
     pub fn bind(&mut self, pid: ProcessId, entry: KstEntry) -> Result<u32, KernelError> {
         let kst = self.ksts.get_mut(&pid).ok_or(KernelError::NoSuchProcess)?;
-        // Reuse an existing segno for an already-known uid.
-        if let Some(i) = kst
-            .iter()
-            .position(|e| e.as_ref().is_some_and(|k| k.uid == entry.uid))
-        {
-            return Ok(i as u32);
-        }
-        // The lowest free segment number, else the next one up.
-        let free = kst.iter().skip(1).position(Option::is_none);
-        let segno = free.map_or(kst.len(), |i| i + 1);
-        if segno >= MAX_SEGNO as usize {
-            return Err(KernelError::KstFull);
-        }
-        if segno == kst.len() {
-            kst.push(None);
-        }
-        kst[segno] = Some(entry);
-        Ok(segno as u32)
+        kst.bind(entry).ok_or(KernelError::KstFull)
     }
 
     /// The KST entry for (process, segno).
@@ -102,21 +90,13 @@ impl KnownSegmentManager {
     ///
     /// [`KernelError::NoAccess`] if the segment number is not known.
     pub fn lookup(&self, pid: ProcessId, segno: u32) -> Result<&KstEntry, KernelError> {
-        self.ksts
-            .get(&pid)
-            .ok_or(KernelError::NoSuchProcess)?
-            .get(segno as usize)
-            .and_then(|e| e.as_ref())
-            .ok_or(KernelError::NoAccess)
+        let kst = self.ksts.get(&pid).ok_or(KernelError::NoSuchProcess)?;
+        kst.get(segno).ok_or(KernelError::NoAccess)
     }
 
     /// The segment number a uid is known by in a process, if any.
     pub fn segno_of(&self, pid: ProcessId, uid: SegUid) -> Option<u32> {
-        self.ksts
-            .get(&pid)?
-            .iter()
-            .position(|e| e.as_ref().is_some_and(|k| k.uid == uid))
-            .map(|i| i as u32)
+        self.ksts.get(&pid)?.segno_of(uid)
     }
 
     /// Unbinds a segment number.
@@ -125,22 +105,16 @@ impl KnownSegmentManager {
     ///
     /// [`KernelError::NoAccess`] if it was not bound.
     pub fn unbind(&mut self, pid: ProcessId, segno: u32) -> Result<KstEntry, KernelError> {
-        self.ksts
-            .get_mut(&pid)
-            .ok_or(KernelError::NoSuchProcess)?
-            .get_mut(segno as usize)
-            .and_then(Option::take)
-            .ok_or(KernelError::NoAccess)
+        let kst = self.ksts.get_mut(&pid).ok_or(KernelError::NoSuchProcess)?;
+        kst.unbind(segno).ok_or(KernelError::NoAccess)
     }
 
     /// Refreshes the recorded disk home of a uid everywhere it is known
     /// (applied when the moved-segment signal is consumed).
     pub fn refresh_home(&mut self, uid: SegUid, new_home: DiskHome) {
         for kst in self.ksts.values_mut() {
-            for entry in kst.iter_mut().flatten() {
-                if entry.uid == uid {
-                    entry.home = new_home;
-                }
+            for entry in kst.entries_mut().filter(|e| e.uid == uid) {
+                entry.home = new_home;
             }
         }
     }

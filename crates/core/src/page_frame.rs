@@ -44,8 +44,7 @@ use mx_hw::{AbsAddr, FrameNo, FrameTable, Machine, Subsystem, PAGE_WORDS};
 use mx_sync::sim::EcId;
 use std::collections::VecDeque;
 
-/// Page-table words per paged object — the maximum segment size in pages.
-pub const PT_WORDS: u32 = 256;
+pub use mx_hw::PT_WORDS;
 
 pub use mx_hw::storage::READ_RETRY_BUDGET;
 

@@ -31,13 +31,13 @@ use crate::error::KernelError;
 use crate::kernel::{ctx, Kernel};
 use crate::types::{DiskHome, ObjToken, SegUid};
 use mx_hw::salvage::{self, Claim, Claims, Findings, Online, Salvager, Sweep};
-use mx_hw::{Machine, PackId, RecordNo, TocIndex};
+use mx_hw::{Machine, PackId, RecordNo};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 
 pub use mx_hw::salvage::OnlineCheat;
 
 /// Progress from one [`Kernel::online_salvage_step`].
-pub type OnlineProgress = salvage::OnlineProgress<SegUid, SalvageReport>;
+pub type OnlineProgress = salvage::OnlineProgress<SalvageReport>;
 
 /// One detected inconsistency.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -177,7 +177,7 @@ impl Kernel {
         // The root itself.
         if let Some((home, _, _, _)) = self.dirm.activation_info(root) {
             catalogued.insert(root, (home, root));
-            claims.insert(home.pack, home.toc);
+            claims.insert(home);
         }
         let mut stack = vec![root];
         let mut bad = Vec::new();
@@ -188,7 +188,7 @@ impl Kernel {
             for (slot, name, uid, home, is_dir) in self.salvage_dir_entries(dir)? {
                 report.objects_checked += 1;
                 // Invariants 1 and 2 (first half): the first claim wins.
-                match claims.claim(&self.machine.disks, home.pack, home.toc, uid.0) {
+                match claims.claim(&self.machine.disks, home, uid) {
                     Claim::Won => {
                         catalogued.insert(uid, (home, gcell));
                         if is_dir {
@@ -356,7 +356,7 @@ impl Kernel {
         let root = self.dirm.root();
         let mut online = Online::new(root, cheat);
         if let Some((home, _, _, _)) = self.dirm.activation_info(root) {
-            online.claims.insert(home.pack, home.toc);
+            online.claims.insert(home);
         }
         self.online = Some(online);
     }
@@ -400,7 +400,7 @@ impl Kernel {
         let mut clean = true;
         let mut local = Claims::default();
         for (_slot, name, uid, home, _is_dir) in self.salvage_dir_entries(dir)? {
-            let claim = local.claim(&self.machine.disks, home.pack, home.toc, uid.0);
+            let claim = local.claim(&self.machine.disks, home, uid);
             if claim != Claim::Won {
                 clean = false;
                 let problem = Problem::of_claim(claim, dir, name, uid, home);
@@ -438,7 +438,7 @@ impl Kernel {
         let mut stack = vec![dir];
         while let Some(d) = stack.pop() {
             for (_slot, _name, uid, home, is_dir) in self.salvage_dir_entries(d)? {
-                if claims.preview(&mut seen, &self.machine.disks, home.pack, home.toc, uid.0) {
+                if claims.preview(&mut seen, &self.machine.disks, home, uid) {
                     used += self.records_of(home, None);
                     if is_dir && !self.qcm.exists(uid) {
                         stack.push(uid);
@@ -490,7 +490,7 @@ impl Kernel {
     pub(crate) fn salvage_note_created(&mut self, uid: SegUid, is_dir: bool) {
         if let Some(o) = &mut self.online {
             if let Some(h) = self.dirm.home_of(uid) {
-                o.claims.insert(h.pack, h.toc);
+                o.claims.insert(h);
             }
             if is_dir {
                 o.release_new(uid);
@@ -502,13 +502,12 @@ impl Kernel {
     /// the salvager is running.
     pub(crate) fn salvage_note_relocated(&mut self, new_home: DiskHome) {
         if let Some(o) = &mut self.online {
-            o.claims.insert(new_home.pack, new_home.toc);
+            o.claims.insert(new_home);
         }
     }
 }
 
 impl Salvager for Kernel {
-    type Uid = SegUid;
     type Dir = SegUid;
     type Report = SalvageReport;
     type Error = KernelError;
@@ -544,10 +543,7 @@ impl Salvager for Kernel {
         let mut bad = Vec::new();
         for (slot, name, uid, home, is_dir) in entries {
             // Invariants 1 and 2 (first half): first claim wins, globally.
-            match st
-                .claims
-                .claim(&self.machine.disks, home.pack, home.toc, uid.0)
-            {
+            match st.claims.claim(&self.machine.disks, home, uid) {
                 Claim::Won => {
                     // Invariant 4 for this entry's object.
                     self.records_of(home, Some(&mut st.report));
@@ -579,12 +575,10 @@ impl Salvager for Kernel {
     fn orphan(
         &mut self,
         report: &mut SalvageReport,
-        pack: PackId,
-        toc: TocIndex,
-        uid: u64,
+        home: DiskHome,
+        uid: SegUid,
         repair: bool,
     ) -> Result<(), KernelError> {
-        let (home, uid) = (DiskHome { pack, toc }, SegUid(uid));
         report.problems.push(Problem::OrphanTocEntry { home, uid });
         if repair && self.segm.get(uid).is_none() && !self.qcm.exists(uid) {
             self.drm.delete_entry(&mut self.machine, home)?;

@@ -244,6 +244,10 @@ impl Ptw {
     }
 }
 
+/// PTWs per page table: the page bound both designs give every SDW, and
+/// the words each slot of their page-table pools takes.
+pub const PT_WORDS: u32 = 256;
+
 /// A descriptor base register: locates a descriptor segment in core.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DescBase {

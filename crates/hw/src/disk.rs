@@ -28,6 +28,16 @@ pub struct RecordNo(pub u32);
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct TocIndex(pub u32);
 
+/// Where a segment lives on disk: the pack and TOC index a directory
+/// entry names it by.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub struct DiskHome {
+    /// The containing pack.
+    pub pack: PackId,
+    /// Index into that pack's table of contents.
+    pub toc: TocIndex,
+}
+
 /// Errors raised by the disk subsystem.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DiskError {

@@ -23,8 +23,9 @@
 //! 20-bit literal.
 
 use crate::clock::{Clock, CostModel, Language};
-use crate::cpu::{AccessMode, Processor};
+use crate::cpu::{AccessMode, Processor, ProcessorId};
 use crate::fault::Fault;
+use crate::machine::Machine;
 use crate::mem::MainMemory;
 use crate::word::Word;
 use crate::VirtAddr;
@@ -209,52 +210,70 @@ pub enum StepOutcome {
     IllegalInstruction,
 }
 
-/// Why [`run`] stopped without reaching a verdict.
+/// How a program run ended.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum InterpError {
-    /// A translation fault surfaced with no supervisor to service it.
-    Fault(Fault),
-    /// The program executed `max` steps without halting.
-    StepLimit {
-        /// The exhausted step budget.
-        max: usize,
-    },
+pub enum ProgramOutcome {
+    /// The program executed HLT.
+    Halted,
+    /// An undecodable instruction word was fetched.
+    Illegal,
+    /// The step budget ran out.
+    StepLimit,
 }
 
-impl core::fmt::Display for InterpError {
-    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
-        match self {
-            Self::Fault(fault) => write!(f, "unserviced fault: {fault}"),
-            Self::StepLimit { max } => write!(f, "program did not halt in {max} steps"),
-        }
-    }
+/// The result of a supervisor's program run ([`drive`]).
+#[derive(Debug, Clone, Copy)]
+pub struct ProgramRun {
+    /// Instructions completed.
+    pub steps: u64,
+    /// Why execution stopped.
+    pub outcome: ProgramOutcome,
+    /// Final register file.
+    pub regs: Registers,
 }
 
-impl std::error::Error for InterpError {}
-
-/// Steps a program until it halts, hits an undecodable word, faults, or
-/// exhausts `max` steps. Drivers with a fault handler should loop over
-/// [`step`] instead; this is for programs expected to run fault-free.
+/// Runs a program from `pc` on processor `cpu` of `machine(sys)` until
+/// it halts, fetches an undecodable word or completes `max_steps`
+/// instructions, passing each fault to `service`: a supervisor's fault
+/// dispatcher, after which the faulting instruction runs again. Both
+/// designs' `run_program` are this loop with their own dispatcher.
 ///
 /// # Errors
 ///
-/// [`InterpError::Fault`] on any translation fault,
-/// [`InterpError::StepLimit`] if the budget runs out first.
-pub fn run(
-    cpu: &mut Processor,
-    mem: &mut MainMemory,
-    clock: &mut Clock,
-    cost: &CostModel,
-    regs: &mut Registers,
-    max: usize,
-) -> Result<StepOutcome, InterpError> {
-    for _ in 0..max {
-        match step(cpu, mem, clock, cost, regs).map_err(InterpError::Fault)? {
-            StepOutcome::Ran => {}
-            other => return Ok(other),
+/// The first error `service` returns.
+pub fn drive<S, E>(
+    sys: &mut S,
+    machine: impl Fn(&mut S) -> &mut Machine,
+    cpu: ProcessorId,
+    pc: VirtAddr,
+    max_steps: u64,
+    mut service: impl FnMut(&mut S, Fault) -> Result<(), E>,
+) -> Result<ProgramRun, E> {
+    let mut regs = Registers::at(pc);
+    let mut steps = 0;
+    let outcome = loop {
+        if steps == max_steps {
+            break ProgramOutcome::StepLimit;
         }
-    }
-    Err(InterpError::StepLimit { max })
+        let Machine {
+            mem,
+            clock,
+            cpus,
+            cost,
+            ..
+        } = machine(sys);
+        match step(&mut cpus[cpu.0 as usize], mem, clock, cost, &mut regs) {
+            Ok(StepOutcome::Ran) => steps += 1,
+            Ok(StepOutcome::Halted) => break ProgramOutcome::Halted,
+            Ok(StepOutcome::IllegalInstruction) => break ProgramOutcome::Illegal,
+            Err(fault) => service(sys, fault)?,
+        }
+    };
+    Ok(ProgramRun {
+        steps,
+        outcome,
+        regs,
+    })
 }
 
 /// Executes one instruction through the processor's address translation.
@@ -405,16 +424,21 @@ fn write_operand(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cpu::{DescBase, HwFeatures, Ptw, Sdw};
+    use crate::cpu::{DescBase, Ptw, Sdw};
+    use crate::machine::MachineConfig;
     use crate::mem::{FrameNo, PAGE_WORDS};
-    use crate::ProcessorId;
 
-    /// One segment (0): pages 0..4 mapped to frames 2..6; RWE access.
-    fn setup() -> (MainMemory, Clock, CostModel, Processor) {
-        let mut mem = MainMemory::new(16);
+    /// One segment (0): pages 0..4 mapped to frames 2..6; RWE access,
+    /// on processor 0 of a 16-frame machine.
+    fn setup() -> Machine {
+        let mut m = Machine::new(MachineConfig {
+            frames: 16,
+            packs: 0,
+            ..MachineConfig::default()
+        });
         let pt = FrameNo(1).base();
         for p in 0..4u32 {
-            mem.write(
+            m.mem.write(
                 pt.add(u64::from(p)),
                 Ptw {
                     frame: FrameNo(2 + p),
@@ -433,13 +457,12 @@ mod tests {
             present: true,
             software: false,
         };
-        mem.write(FrameNo(0).base(), sdw.encode());
-        let mut cpu = Processor::new(ProcessorId(0), HwFeatures::BASE_1974);
-        cpu.dbr_user = Some(DescBase {
+        m.mem.write(FrameNo(0).base(), sdw.encode());
+        m.cpus[0].dbr_user = Some(DescBase {
             base: FrameNo(0).base(),
             len: 1,
         });
-        (mem, Clock::new(), CostModel::default(), cpu)
+        m
     }
 
     fn load(mem: &mut MainMemory, at: u32, words: &[Word]) {
@@ -451,6 +474,17 @@ mod tests {
                 .add(u64::from(va % PAGE_WORDS as u32));
             mem.write(abs, *w);
         }
+    }
+
+    /// Runs the rig's program from word 0 with no supervisor: the first
+    /// fault ends the run.
+    fn run(m: &mut Machine, max_steps: u64) -> Result<ProgramRun, Fault> {
+        let pc = VirtAddr::new(0, 0);
+        drive(m, |m| m, ProcessorId(0), pc, max_steps, |_, f| Err(f))
+    }
+
+    fn step_once(m: &mut Machine, regs: &mut Registers) -> Result<StepOutcome, Fault> {
+        step(&mut m.cpus[0], &mut m.mem, &mut m.clock, &m.cost, regs)
     }
 
     #[test]
@@ -472,9 +506,9 @@ mod tests {
 
     #[test]
     fn arithmetic_and_store() {
-        let (mut mem, mut clock, cost, mut cpu) = setup();
+        let mut m = setup();
         // data at word 100..102; program at 0.
-        load(&mut mem, 100, &[Word::new(7), Word::new(5)]);
+        load(&mut m.mem, 100, &[Word::new(7), Word::new(5)]);
         let prog = assemble(&[
             Instr::mem(Op::Lda, 0, 100),
             Instr::mem(Op::Add, 0, 101),
@@ -482,21 +516,20 @@ mod tests {
             Instr::mem(Op::Sub, 0, 101),
             Instr::bare(Op::Hlt),
         ]);
-        load(&mut mem, 0, &prog);
-        let mut regs = Registers::at(VirtAddr::new(0, 0));
-        let out = run(&mut cpu, &mut mem, &mut clock, &cost, &mut regs, 10).expect("runs clean");
-        assert_eq!(out, StepOutcome::Halted);
-        assert_eq!(regs.a, Word::new(7));
+        load(&mut m.mem, 0, &prog);
+        let out = run(&mut m, 10).expect("runs clean");
+        assert_eq!(out.outcome, ProgramOutcome::Halted);
+        assert_eq!(out.regs.a, Word::new(7));
         // The stored sum landed in segment word 102 (frame 2, offset 102).
-        assert_eq!(mem.read(FrameNo(2).base().add(102)), Word::new(12));
+        assert_eq!(m.mem.read(FrameNo(2).base().add(102)), Word::new(12));
     }
 
     #[test]
     fn loop_sums_an_array_across_pages() {
-        let (mut mem, mut clock, cost, mut cpu) = setup();
+        let mut m = setup();
         // 1500 words of value 1 starting at word 1000 (crosses page 0→1).
         let ones = vec![Word::new(1); 1500];
-        load(&mut mem, 1000, &ones);
+        load(&mut m.mem, 1000, &ones);
         // sum += arr[X], kept in a memory cell at word 900:
         // A = arr[X]; A += sum; sum = A.
         let prog = assemble(&[
@@ -513,19 +546,20 @@ mod tests {
             Instr::mem(Op::Lda, 0, 900),   // 9: A = sum
             Instr::bare(Op::Hlt),          // 10
         ]);
-        load(&mut mem, 0, &prog);
-        let mut regs = Registers::at(VirtAddr::new(0, 0));
-        let out =
-            run(&mut cpu, &mut mem, &mut clock, &cost, &mut regs, 20_000).expect("runs clean");
-        assert_eq!(out, StepOutcome::Halted);
-        assert_eq!(regs.a, Word::new(1500));
-        assert!(clock.instructions_executed() > 9000, "the loop really ran");
+        load(&mut m.mem, 0, &prog);
+        let out = run(&mut m, 20_000).expect("runs clean");
+        assert_eq!(out.outcome, ProgramOutcome::Halted);
+        assert_eq!(out.regs.a, Word::new(1500));
+        assert!(
+            m.clock.instructions_executed() > 9000,
+            "the loop really ran"
+        );
     }
 
     #[test]
     fn compare_and_branches() {
-        let (mut mem, mut clock, cost, mut cpu) = setup();
-        load(&mut mem, 200, &[Word::new(10)]);
+        let mut m = setup();
+        load(&mut m.mem, 200, &[Word::new(10)]);
         let prog = assemble(&[
             Instr::imm(Op::Ldi, 9),      // 0
             Instr::mem(Op::Cmp, 0, 200), // 1: 9 < 10 -> LT, !EQ
@@ -534,39 +568,38 @@ mod tests {
             Instr::imm(Op::Ldi, 77),     // 4
             Instr::bare(Op::Hlt),        // 5
         ]);
-        load(&mut mem, 0, &prog);
-        let mut regs = Registers::at(VirtAddr::new(0, 0));
-        run(&mut cpu, &mut mem, &mut clock, &cost, &mut regs, 10).expect("runs clean");
+        load(&mut m.mem, 0, &prog);
+        let regs = run(&mut m, 10).expect("runs clean").regs;
         assert_eq!(regs.a, Word::new(77));
         assert!(regs.lt && !regs.eq);
     }
 
     #[test]
     fn nonterminating_program_reports_step_limit() {
-        let (mut mem, mut clock, cost, mut cpu) = setup();
-        load(&mut mem, 0, &assemble(&[Instr::mem(Op::Jmp, 0, 0)]));
-        let mut regs = Registers::at(VirtAddr::new(0, 0));
-        let err = run(&mut cpu, &mut mem, &mut clock, &cost, &mut regs, 25).unwrap_err();
-        assert_eq!(err, InterpError::StepLimit { max: 25 });
+        let mut m = setup();
+        load(&mut m.mem, 0, &assemble(&[Instr::mem(Op::Jmp, 0, 0)]));
+        let out = run(&mut m, 25).expect("runs clean");
+        assert_eq!(out.outcome, ProgramOutcome::StepLimit);
+        assert_eq!(out.steps, 25);
     }
 
     #[test]
     fn faults_leave_pc_on_the_faulting_instruction() {
-        let (mut mem, mut clock, cost, mut cpu) = setup();
+        let mut m = setup();
         // Mark page 3 missing.
         let pt = FrameNo(1).base();
-        mem.write(pt.add(3), Ptw::default().encode());
+        m.mem.write(pt.add(3), Ptw::default().encode());
         let prog = assemble(&[
             Instr::mem(Op::Lda, 0, 3 * PAGE_WORDS as u32),
             Instr::bare(Op::Hlt),
         ]);
-        load(&mut mem, 0, &prog);
+        load(&mut m.mem, 0, &prog);
         let mut regs = Registers::at(VirtAddr::new(0, 0));
-        let err = step(&mut cpu, &mut mem, &mut clock, &cost, &mut regs).unwrap_err();
+        let err = step_once(&mut m, &mut regs).unwrap_err();
         assert!(matches!(err, Fault::MissingPage { .. }));
         assert_eq!(regs.pc, VirtAddr::new(0, 0), "re-executes after service");
         // Service it (hand-install the page) and re-step.
-        mem.write(
+        m.mem.write(
             pt.add(3),
             Ptw {
                 frame: FrameNo(5),
@@ -575,33 +608,30 @@ mod tests {
             }
             .encode(),
         );
-        assert_eq!(
-            step(&mut cpu, &mut mem, &mut clock, &cost, &mut regs).unwrap(),
-            StepOutcome::Ran
-        );
+        assert_eq!(step_once(&mut m, &mut regs).unwrap(), StepOutcome::Ran);
         assert_eq!(regs.pc, VirtAddr::new(0, 1));
     }
 
     #[test]
     fn illegal_instruction_is_reported_not_executed() {
-        let (mut mem, mut clock, cost, mut cpu) = setup();
-        load(&mut mem, 0, &[Word::new(63 << 30)]);
+        let mut m = setup();
+        load(&mut m.mem, 0, &[Word::new(63 << 30)]);
         let mut regs = Registers::at(VirtAddr::new(0, 0));
         assert_eq!(
-            step(&mut cpu, &mut mem, &mut clock, &cost, &mut regs).unwrap(),
+            step_once(&mut m, &mut regs).unwrap(),
             StepOutcome::IllegalInstruction
         );
     }
 
     #[test]
     fn execute_permission_is_enforced_on_fetch() {
-        let (mut mem, mut clock, cost, mut cpu) = setup();
+        let mut m = setup();
         // Strip execute from the SDW.
-        let mut sdw = Sdw::decode(mem.read(FrameNo(0).base()));
+        let mut sdw = Sdw::decode(m.mem.read(FrameNo(0).base()));
         sdw.execute = false;
-        mem.write(FrameNo(0).base(), sdw.encode());
+        m.mem.write(FrameNo(0).base(), sdw.encode());
         let mut regs = Registers::at(VirtAddr::new(0, 0));
-        let err = step(&mut cpu, &mut mem, &mut clock, &cost, &mut regs).unwrap_err();
+        let err = step_once(&mut m, &mut regs).unwrap_err();
         assert!(matches!(err, Fault::AccessViolation { .. }));
     }
 }

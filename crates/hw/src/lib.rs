@@ -26,11 +26,18 @@
 //! (`associative_memory`, see [`tlb`]). It is on in both feature sets and
 //! exists as a switch only so experiments can ablate it.
 //!
-//! Nothing in this crate knows about kernels or processes; it stores
-//! words, walks descriptors, raises faults, and charges cycles. Of files
-//! it knows only the directory segment layout both designs share, in
-//! [`entries`]: a count word, entry `k` at word `1 + k·w`, a flags word,
-//! and name words 4–11. No design's entry codec lives here. Of salvage
+//! Nothing in this crate knows how either design works; it stores
+//! words, walks descriptors, raises faults, and charges cycles. It
+//! declares once the vocabulary both designs share: the identifiers
+//! they hand out ([`ids`]), a segment's [`DiskHome`], the ACL and the
+//! two words an entry stores it in ([`acl`]), the per-process known
+//! segment table and its numbering rule ([`kst`], [`MAX_SEGNO`]), the
+//! page-table size [`PT_WORDS`], the network frame limit [`MAX_FRAME`],
+//! and the program-run loop and how a run ended ([`interp::drive`],
+//! [`interp::ProgramRun`]). Of files it knows only the directory
+//! segment layout both designs share, in [`entries`]: a count word,
+//! entry `k` at word `1 + k·w`, a flags word, and name words 4–11.
+//! Neither design's entry codec lives here, only the ACL's. Of salvage
 //! it knows what both designs' salvagers check of the packs, in
 //! [`salvage`]: the claim check, the per-pack sweeps and the online
 //! salvage machine. Of segment storage it knows what both designs do
@@ -39,6 +46,7 @@
 //! table both designs keep, in [`frames`]; each keeps its own
 //! replacement policy.
 
+pub mod acl;
 pub mod clock;
 pub mod cpu;
 pub mod disk;
@@ -47,7 +55,9 @@ pub mod fault;
 pub mod faultinj;
 pub mod frames;
 pub mod idmap;
+pub mod ids;
 pub mod interp;
+pub mod kst;
 pub mod machine;
 pub mod mem;
 pub mod meter;
@@ -57,14 +67,17 @@ pub mod storage;
 pub mod tlb;
 pub mod word;
 
+pub use acl::{AccessRight, Acl};
 pub use clock::{Clock, CostModel, Language, RefCharges};
-pub use cpu::{AccessMode, HwFeatures, Processor, ProcessorId};
-pub use disk::{DiskError, DiskPack, DiskSystem, PackId, RecordNo, TocEntry, TocIndex};
+pub use cpu::{AccessMode, HwFeatures, Processor, ProcessorId, PT_WORDS};
+pub use disk::{DiskError, DiskHome, DiskPack, DiskSystem, PackId, RecordNo, TocEntry, TocIndex};
 pub use fault::Fault;
 pub use faultinj::{CrashWrite, DiskFaults, FaultPlan, HwFault};
 pub use frames::FrameTable;
 pub use idmap::IdMap;
-pub use interp::{InterpError, StepOutcome};
+pub use ids::{ProcessId, SegUid, UserId};
+pub use interp::{ProgramOutcome, ProgramRun, StepOutcome};
+pub use kst::{Known, Kst, MAX_SEGNO};
 pub use machine::{Machine, MachineConfig};
 pub use mem::{AbsAddr, FrameNo, MainMemory, PAGE_WORDS};
 pub use meter::{
@@ -108,6 +121,12 @@ impl core::fmt::Display for VirtAddr {
         write!(f, "{}|{}", self.segno, self.wordno)
     }
 }
+
+/// Largest frame an attached network stream accepts: the wired buffer
+/// either design gives a stream. A longer frame is refused with a typed
+/// error before any parse looks at it; it would overrun the buffer, so it
+/// is a caller bug (or an attack on the buffer), not line noise.
+pub const MAX_FRAME: usize = 4096;
 
 #[cfg(test)]
 mod tests {

@@ -19,21 +19,24 @@
 //! entry (all inside [`Salvager::claim_dir`]), and whether an orphan may
 //! be reclaimed ([`Salvager::orphan`]).
 
-use crate::disk::{DiskSystem, PackId, RecordNo, TocEntry, TocIndex};
+use crate::disk::{DiskHome, DiskSystem, PackId, RecordNo, TocEntry};
+use crate::ids::SegUid;
 use crate::meter::Subsystem;
 use crate::Machine;
 use std::collections::{HashSet, VecDeque};
 use std::fmt::Debug;
-use std::hash::Hash;
 
-/// TOC entry `toc` of `pack`, if both exist.
-pub fn toc_entry(disks: &DiskSystem, pack: PackId, toc: TocIndex) -> Option<&TocEntry> {
-    disks.pack(pack).ok().and_then(|p| p.entry(toc).ok())
+/// The TOC entry at `home`, if its pack and the entry exist.
+pub fn toc_entry(disks: &DiskSystem, home: DiskHome) -> Option<&TocEntry> {
+    disks
+        .pack(home.pack)
+        .ok()
+        .and_then(|p| p.entry(home.toc).ok())
 }
 
-/// True if TOC entry `toc` of `pack` exists and records `uid`.
-pub fn live(disks: &DiskSystem, pack: PackId, toc: TocIndex, uid: u64) -> bool {
-    toc_entry(disks, pack, toc).is_some_and(|e| e.uid == uid)
+/// True if the TOC entry at `home` exists and records `uid`.
+pub fn live(disks: &DiskSystem, home: DiskHome, uid: SegUid) -> bool {
+    toc_entry(disks, home).is_some_and(|e| e.uid == uid.0)
 }
 
 /// What a directory entry's claim on its TOC entry finds.
@@ -51,35 +54,35 @@ pub enum Claim {
 /// fails can forget its own.
 #[derive(Debug, Default)]
 pub struct Claims {
-    set: HashSet<(PackId, TocIndex)>,
-    order: Vec<(PackId, TocIndex)>,
+    set: HashSet<DiskHome>,
+    order: Vec<DiskHome>,
 }
 
 impl Claims {
-    /// Claims TOC entry `toc` of `pack` for an entry that names `uid`.
-    pub fn claim(&mut self, disks: &DiskSystem, pack: PackId, toc: TocIndex, uid: u64) -> Claim {
-        if !live(disks, pack, toc, uid) {
+    /// Claims the TOC entry at `home` for an entry that names `uid`.
+    pub fn claim(&mut self, disks: &DiskSystem, home: DiskHome, uid: SegUid) -> Claim {
+        if !live(disks, home, uid) {
             Claim::Dangling
-        } else if self.insert(pack, toc) {
+        } else if self.insert(home) {
             Claim::Won
         } else {
             Claim::Duplicate
         }
     }
 
-    /// Claims `toc` of `pack` unchecked: the root's home, or an object
-    /// the service made. False if it was claimed already.
-    pub fn insert(&mut self, pack: PackId, toc: TocIndex) -> bool {
-        let fresh = self.set.insert((pack, toc));
+    /// Claims the TOC entry at `home` unchecked: the root's home, or an
+    /// object the service made. False if it was claimed already.
+    pub fn insert(&mut self, home: DiskHome) -> bool {
+        let fresh = self.set.insert(home);
         if fresh {
-            self.order.push((pack, toc));
+            self.order.push(home);
         }
         fresh
     }
 
-    /// True if `toc` of `pack` is claimed.
-    pub fn contains(&self, pack: PackId, toc: TocIndex) -> bool {
-        self.set.contains(&(pack, toc))
+    /// True if the TOC entry at `home` is claimed.
+    pub fn contains(&self, home: DiskHome) -> bool {
+        self.set.contains(&home)
     }
 
     /// [`Claims::claim`] into `seen`, for an entry these claims do not
@@ -90,11 +93,10 @@ impl Claims {
         &self,
         seen: &mut Claims,
         disks: &DiskSystem,
-        pack: PackId,
-        toc: TocIndex,
-        uid: u64,
+        home: DiskHome,
+        uid: SegUid,
     ) -> bool {
-        !self.contains(pack, toc) && seen.claim(disks, pack, toc, uid) == Claim::Won
+        !self.contains(home) && seen.claim(disks, home, uid) == Claim::Won
     }
 
     /// Forgets every claim after the first `len`.
@@ -145,14 +147,14 @@ pub fn sweep<S: Salvager>(
     let disks = &sys.machine().disks;
     match sweep {
         Sweep::Orphans(pack) => {
-            let orphans: Vec<(TocIndex, u64)> = disks.pack(pack).map_or(Vec::new(), |p| {
+            let orphans: Vec<(DiskHome, SegUid)> = disks.pack(pack).map_or(Vec::new(), |p| {
                 p.entries()
-                    .filter(|(toc, _)| !claims.contains(pack, *toc))
-                    .map(|(toc, e)| (toc, e.uid))
+                    .map(|(toc, e)| (DiskHome { pack, toc }, SegUid(e.uid)))
+                    .filter(|&(home, _)| !claims.contains(home))
                     .collect()
             });
-            for (toc, uid) in orphans {
-                sys.orphan(report, pack, toc, uid, repair)?;
+            for (home, uid) in orphans {
+                sys.orphan(report, home, uid, repair)?;
             }
         }
         Sweep::Leaks(pack) => {
@@ -202,8 +204,6 @@ fn lens<R: Findings>(report: &mut R) -> (usize, usize) {
 
 /// What a design tells the shared salvager.
 pub trait Salvager: Sized {
-    /// A segment's unique identifier.
-    type Uid: Copy + Eq + Hash + Debug;
     /// What the frontier holds for a directory to claim.
     type Dir: Copy + Debug;
     /// The design's report.
@@ -220,7 +220,7 @@ pub trait Salvager: Sized {
     fn online(&mut self) -> &mut Option<Online<Self>>;
 
     /// The directory a frontier item names.
-    fn uid(dir: Self::Dir) -> Self::Uid;
+    fn uid(dir: Self::Dir) -> SegUid;
 
     /// Claims, checks and repairs one directory and rechecks it for
     /// release: each entry's TOC entry through `st.claims`, each
@@ -233,8 +233,8 @@ pub trait Salvager: Sized {
     /// retried ([`step`]).
     fn claim_dir(&mut self, st: &mut Online<Self>, dir: Self::Dir) -> Result<bool, Self::Error>;
 
-    /// Reports the orphan TOC entry `toc` of `pack`, which records
-    /// `uid`, and with `repair` reclaims it if the design may.
+    /// Reports the orphan TOC entry at `home`, which records `uid`, and
+    /// with `repair` reclaims it if the design may.
     ///
     /// # Errors
     ///
@@ -242,9 +242,8 @@ pub trait Salvager: Sized {
     fn orphan(
         &mut self,
         report: &mut Self::Report,
-        pack: PackId,
-        toc: TocIndex,
-        uid: u64,
+        home: DiskHome,
+        uid: SegUid,
         repair: bool,
     ) -> Result<(), Self::Error>;
 
@@ -263,12 +262,12 @@ pub enum OnlineCheat {
 
 /// What one [`step`] did.
 #[derive(Debug, Clone)]
-pub enum OnlineProgress<U, R> {
+pub enum OnlineProgress<R> {
     /// A directory was claimed, repaired, rechecked and released into
     /// service.
     Released {
         /// The directory now servable.
-        dir: U,
+        dir: SegUid,
         /// The post-repair recheck found nothing left wrong. False is a
         /// salvager bug (or a planted [`OnlineCheat`]), never expected in
         /// honest runs.
@@ -308,7 +307,7 @@ pub enum OnlineProgress<U, R> {
 #[derive(Debug)]
 pub struct Online<S: Salvager> {
     /// Directories proven clean and open to service.
-    released: HashSet<S::Uid>,
+    released: HashSet<SegUid>,
     /// Directories found but not yet claimed.
     frontier: VecDeque<S::Dir>,
     /// TOC entries claimed by a claimed directory's entries, the root's
@@ -348,13 +347,13 @@ impl<S: Salvager> Online<S> {
     }
 
     /// True once `uid` is released (or was born released).
-    pub fn is_released(&self, uid: S::Uid) -> bool {
+    pub fn is_released(&self, uid: SegUid) -> bool {
         self.released.contains(&uid)
     }
 
     /// Releases a directory the service created while salvage runs: it
     /// cannot be crash debris.
-    pub fn release_new(&mut self, uid: S::Uid) {
+    pub fn release_new(&mut self, uid: SegUid) {
         self.released.insert(uid);
     }
 
@@ -363,7 +362,7 @@ impl<S: Salvager> Online<S> {
         self.dirs_released
     }
 
-    fn advance(&mut self, sys: &mut S) -> Result<OnlineProgress<S::Uid, S::Report>, S::Error> {
+    fn advance(&mut self, sys: &mut S) -> Result<OnlineProgress<S::Report>, S::Error> {
         let (claims, before) = (self.claims.order.len(), lens(&mut self.report));
         let result = match self.frontier.pop_front() {
             Some(dir) => {
@@ -424,7 +423,7 @@ impl<S: Salvager> Online<S> {
 ///
 /// What the design's [`Salvager::claim_dir`] or [`Salvager::orphan`]
 /// returns.
-pub fn step<S: Salvager>(sys: &mut S) -> Result<OnlineProgress<S::Uid, S::Report>, S::Error> {
+pub fn step<S: Salvager>(sys: &mut S) -> Result<OnlineProgress<S::Report>, S::Error> {
     let Some(mut st) = sys.online().take() else {
         return Ok(OnlineProgress::Idle);
     };
@@ -440,6 +439,7 @@ pub fn step<S: Salvager>(sys: &mut S) -> Result<OnlineProgress<S::Uid, S::Report
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::disk::TocIndex;
     use crate::MachineConfig;
     use std::collections::HashMap;
 
@@ -470,7 +470,6 @@ mod tests {
     }
 
     impl Salvager for Toy {
-        type Uid = u64;
         type Dir = u64;
         type Report = Report;
         type Error = &'static str;
@@ -482,13 +481,16 @@ mod tests {
         fn online(&mut self) -> &mut Option<Online<Self>> {
             &mut self.online
         }
-        fn uid(dir: u64) -> u64 {
-            dir
+        fn uid(dir: u64) -> SegUid {
+            SegUid(dir)
         }
         fn claim_dir(&mut self, st: &mut Online<Self>, dir: u64) -> Result<bool, &'static str> {
             for &(uid, toc, is_dir) in &self.dirs[&dir] {
                 st.report.objects += 1;
-                match st.claims.claim(&self.machine.disks, PackId(0), toc, uid) {
+                match st
+                    .claims
+                    .claim(&self.machine.disks, at(0, toc.0), SegUid(uid))
+                {
                     Claim::Won if is_dir => st.push(uid),
                     Claim::Won => {}
                     claim => st.report.problems.push(format!("{claim:?} {uid} in {dir}")),
@@ -502,14 +504,14 @@ mod tests {
         fn orphan(
             &mut self,
             report: &mut Report,
-            pack: PackId,
-            toc: TocIndex,
-            uid: u64,
+            home: DiskHome,
+            uid: SegUid,
             repair: bool,
         ) -> Result<(), &'static str> {
+            let DiskHome { pack, toc } = home;
             report
                 .problems
-                .push(format!("orphan {}:{} uid {uid}", pack.0, toc.0));
+                .push(format!("orphan {}:{} uid {}", pack.0, toc.0, uid.0));
             if std::mem::take(&mut self.fail_orphan) {
                 return Err("reclaim failed");
             }
@@ -523,6 +525,14 @@ mod tests {
         }
         fn leaked(pack: PackId, record: RecordNo) -> String {
             format!("leaked {}:{}", pack.0, record.0)
+        }
+    }
+
+    /// TOC entry `toc` of pack `pack`.
+    fn at(pack: u32, toc: u32) -> DiskHome {
+        DiskHome {
+            pack: PackId(pack),
+            toc: TocIndex(toc),
         }
     }
 
@@ -553,7 +563,7 @@ mod tests {
             (4, vec![(5, TocIndex(6), false)]),
         ]);
         let mut online = Online::new(1, None);
-        online.claims.insert(PackId(0), TocIndex(0));
+        online.claims.insert(at(0, 0));
         Toy {
             machine,
             online: Some(online),
@@ -568,7 +578,7 @@ mod tests {
         let mut steps = Vec::new();
         loop {
             match step(t) {
-                Ok(OnlineProgress::Released { dir, .. }) => steps.push(format!("dir {dir}")),
+                Ok(OnlineProgress::Released { dir, .. }) => steps.push(format!("dir {}", dir.0)),
                 Ok(OnlineProgress::Finalized { pack, leaks }) => {
                     steps.push(format!(
                         "{} {}",
@@ -668,9 +678,12 @@ mod tests {
             .create_entry(10)
             .unwrap();
         let o = t.online.as_mut().unwrap();
-        o.claims.insert(PackId(1), toc);
-        o.release_new(10);
-        assert!(o.is_released(10) && !o.is_released(2));
+        o.claims.insert(DiskHome {
+            pack: PackId(1),
+            toc,
+        });
+        o.release_new(SegUid(10));
+        assert!(o.is_released(SegUid(10)) && !o.is_released(SegUid(2)));
         let (_, report) = drain(&mut t);
         assert!(!report.problems.iter().any(|p| p.contains("uid 10")));
         assert!(t.machine.disks.pack(PackId(1)).unwrap().entry(toc).is_ok());
@@ -681,28 +694,16 @@ mod tests {
         let mut t = toy();
         let disks = &t.machine.disks;
         let mut claims = Claims::default();
-        assert_eq!(claims.claim(disks, PackId(0), TocIndex(1), 2), Claim::Won);
-        assert_eq!(
-            claims.claim(disks, PackId(0), TocIndex(1), 2),
-            Claim::Duplicate
-        );
-        assert_eq!(
-            claims.claim(disks, PackId(0), TocIndex(2), 2),
-            Claim::Dangling
-        );
-        assert_eq!(
-            claims.claim(disks, PackId(0), TocIndex(7), 2),
-            Claim::Dangling
-        );
-        assert_eq!(
-            claims.claim(disks, PackId(5), TocIndex(1), 2),
-            Claim::Dangling
-        );
+        assert_eq!(claims.claim(disks, at(0, 1), SegUid(2)), Claim::Won);
+        assert_eq!(claims.claim(disks, at(0, 1), SegUid(2)), Claim::Duplicate);
+        assert_eq!(claims.claim(disks, at(0, 2), SegUid(2)), Claim::Dangling);
+        assert_eq!(claims.claim(disks, at(0, 7), SegUid(2)), Claim::Dangling);
+        assert_eq!(claims.claim(disks, at(5, 1), SegUid(2)), Claim::Dangling);
         let mut seen = Claims::default();
-        assert!(!claims.preview(&mut seen, disks, PackId(0), TocIndex(1), 2));
-        assert!(claims.preview(&mut seen, disks, PackId(0), TocIndex(2), 3));
-        assert!(!claims.preview(&mut seen, disks, PackId(0), TocIndex(2), 3));
-        assert!(!claims.contains(PackId(0), TocIndex(2)));
+        assert!(!claims.preview(&mut seen, disks, at(0, 1), SegUid(2)));
+        assert!(claims.preview(&mut seen, disks, at(0, 2), SegUid(3)));
+        assert!(!claims.preview(&mut seen, disks, at(0, 2), SegUid(3)));
+        assert!(!claims.contains(at(0, 2)));
         t.online = None;
         assert!(matches!(step(&mut t), Ok(OnlineProgress::Idle)));
     }

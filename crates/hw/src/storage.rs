@@ -6,7 +6,7 @@
 //! and maps the [`DiskError`]s to its own errors; nothing here enters a
 //! meter scope.
 
-use crate::disk::{DiskError, PackId, TocIndex};
+use crate::disk::{DiskError, DiskHome, PackId};
 use crate::machine::Machine;
 
 /// The transient-read retry budget of both designs' disk paths. The
@@ -34,10 +34,9 @@ impl Machine {
         }
     }
 
-    /// Moves the segment in TOC entry `toc` of pack `from`, records and
-    /// all, to the emptiest other pack, absorbing up to `absorb`
-    /// transient failures per read. Returns the new pack and TOC index,
-    /// with the failures absorbed.
+    /// Moves the segment at `home`, records and all, to the emptiest
+    /// other pack, absorbing up to `absorb` transient failures per read.
+    /// Returns its new home, with the failures absorbed.
     ///
     /// It refuses before touching anything unless the target has a free
     /// record for every mapped page and one more (the page the move is
@@ -47,7 +46,8 @@ impl Machine {
     ///
     /// # Errors
     ///
-    /// [`DiskError::PackFull`] naming `from` when no other pack has room,
+    /// [`DiskError::PackFull`] naming the home's pack when no other pack
+    /// has room,
     /// [`DiskError::TocFull`] for a full target TOC, or the failed lookup
     /// or transfer. A failed move deletes the entry it built and frees
     /// every record it allocated, except after [`DiskError::PowerFail`]:
@@ -55,10 +55,10 @@ impl Machine {
     /// the salvager.
     pub fn move_segment(
         &mut self,
-        from: PackId,
-        toc: TocIndex,
+        home: DiskHome,
         absorb: u32,
-    ) -> (Result<(PackId, TocIndex), DiskError>, u32) {
+    ) -> (Result<DiskHome, DiskError>, u32) {
+        let DiskHome { pack: from, toc } = home;
         let (map, cell, uid) = match self.disks.pack(from).and_then(|p| p.entry(toc)) {
             Ok(e) => (e.file_map.clone(), e.quota_cell, e.uid),
             Err(e) => return (Err(e), 0),
@@ -108,14 +108,14 @@ impl Machine {
         if let Ok(pack) = self.disks.pack_mut(from) {
             let _ = pack.delete_entry(toc);
         }
-        (Ok((to, new)), absorbed)
+        (Ok(DiskHome { pack: to, toc: new }), absorbed)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::disk::{QuotaCellRecord, RecordNo};
+    use crate::disk::{QuotaCellRecord, RecordNo, TocIndex};
     use crate::faultinj::{CrashWrite, FaultPlan};
     use crate::machine::MachineConfig;
     use crate::mem::PAGE_WORDS;
@@ -149,6 +149,14 @@ mod tests {
             used_pages: 4,
         });
         (m, toc)
+    }
+
+    /// Entry `toc` of pack 0.
+    fn home(toc: TocIndex) -> DiskHome {
+        DiskHome {
+            pack: PackId(0),
+            toc,
+        }
     }
 
     /// Each pack's TOC entries and free records.
@@ -188,8 +196,8 @@ mod tests {
     fn a_move_copies_the_map_holes_and_cell_to_the_emptiest_pack() {
         let (mut m, toc) = machine(&[8, 4, 16], 5);
         let old = m.disks.pack(PackId(0)).unwrap().entry(toc).unwrap().clone();
-        let (moved, absorbed) = m.move_segment(PackId(0), toc, ABSORB);
-        let (pack, new) = moved.unwrap();
+        let (moved, absorbed) = m.move_segment(home(toc), ABSORB);
+        let DiskHome { pack, toc: new } = moved.unwrap();
         assert_eq!((pack, absorbed), (PackId(2), 0));
         let entry = m.disks.pack(pack).unwrap().entry(new).unwrap().clone();
         assert_eq!((entry.uid, entry.quota_cell), (old.uid, old.quota_cell));
@@ -211,7 +219,7 @@ mod tests {
         for (target, ok) in [(2, false), (3, true)] {
             let (mut m, toc) = machine(&[8, target], 5);
             let before = image(&m);
-            let (moved, _) = m.move_segment(PackId(0), toc, ABSORB);
+            let (moved, _) = m.move_segment(home(toc), ABSORB);
             assert_eq!(moved.is_ok(), ok, "target of {target} records");
             if !ok {
                 assert_eq!(moved, Err(DiskError::PackFull { pack: PackId(0) }));
@@ -233,7 +241,7 @@ mod tests {
             plan = plan.transient_read(PackId(0), second, k);
         }
         exhausted.install_fault_plan(plan);
-        let (moved, absorbed) = exhausted.move_segment(PackId(0), toc, ABSORB);
+        let (moved, absorbed) = exhausted.move_segment(home(toc), ABSORB);
         assert!(matches!(moved, Err(DiskError::TransientRead { .. })));
         assert_eq!(absorbed, ABSORB);
         assert!(image(&exhausted) == before, "the half-built copy is undone");
@@ -241,14 +249,14 @@ mod tests {
         // record was allocated.
         let mut offline = m.clone();
         offline.faults.set_offline(PackId(1), true);
-        let (moved, _) = offline.move_segment(PackId(0), toc, ABSORB);
+        let (moved, _) = offline.move_segment(home(toc), ABSORB);
         assert_eq!(moved, Err(DiskError::PackOffline { pack: PackId(1) }));
         assert!(image(&offline) == before, "the allocated record is freed");
         // Power fails on the second write: the copy stays mapped up to
         // the first, and the second write's record stays allocated.
         let mut crashed = m;
         crashed.install_fault_plan(FaultPlan::new().crash_after_writes(2, CrashWrite::Dropped));
-        let (moved, _) = crashed.move_segment(PackId(0), toc, ABSORB);
+        let (moved, _) = crashed.move_segment(home(toc), ABSORB);
         assert_eq!(moved, Err(DiskError::PowerFail));
         let target = crashed.disks.pack(PackId(1)).unwrap();
         let (new, entry) = target.entries().next().expect("the half-built copy");

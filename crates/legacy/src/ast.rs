@@ -13,8 +13,7 @@ use crate::types::{DiskHome, ProcessId, SegUid};
 use mx_aim::Label;
 use mx_hw::AbsAddr;
 
-/// Page-table words per pool slot — the maximum pages per segment.
-pub const PT_WORDS: u32 = 256;
+pub use mx_hw::PT_WORDS;
 
 /// The cached quota cell of a quota directory, held in its AST entry
 /// while the directory is active.

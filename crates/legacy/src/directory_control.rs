@@ -43,10 +43,8 @@ pub struct EntryRecord {
     pub is_dir: bool,
     /// True if the directory is a quota directory.
     pub quota_dir: bool,
-    /// Containing pack.
-    pub pack: PackId,
-    /// Index into the pack's table of contents.
-    pub toc: TocIndex,
+    /// Where the named object lives on disk.
+    pub home: DiskHome,
     /// Entry name (up to 32 characters).
     pub name: String,
     /// Discretionary access control list.
@@ -100,8 +98,10 @@ impl EntryStore for Supervisor {
             uid: SegUid(w(UID)),
             is_dir: flags & 2 != 0,
             quota_dir: flags & 4 != 0,
-            pack: PackId(w(PACK) as u32),
-            toc: TocIndex(w(TOC) as u32),
+            home: DiskHome {
+                pack: PackId(w(PACK) as u32),
+                toc: TocIndex(w(TOC) as u32),
+            },
             name: unpack_name(name_words(words)),
             acl: Acl::unpack(w(ACL), w(ACL + 1)),
             label: Label::from_stored(flags >> 3),
@@ -180,8 +180,7 @@ impl Supervisor {
         let (users, rights) = entry.acl.stored().ok_or(LegacyError::BadAcl)?;
         self.sup_write(astx, base + UID, Word::new(entry.uid.0))?;
         self.sup_write(astx, base + FLAGS, Word::new(flags))?;
-        self.sup_write(astx, base + PACK, Word::new(u64::from(entry.pack.0)))?;
-        self.sup_write(astx, base + TOC, Word::new(u64::from(entry.toc.0)))?;
+        self.write_entry_home(astx, slot, entry.home)?;
         for (i, w) in pack_name(&entry.name).iter().enumerate() {
             self.sup_write(astx, base + NAME + i as u32, *w)?;
         }
@@ -306,28 +305,31 @@ impl Supervisor {
         // subtrees cluster (and packs genuinely fill).
         let parent_pack = self.ast.get(parent_astx).expect("active parent").home.pack;
         let uid = self.allocate_uid();
-        let toc = match self
+        let home = match self
             .machine
             .disks
             .pack_mut(parent_pack)
             .map_err(LegacyError::Disk)?
             .create_entry(uid.0)
         {
-            Ok(t) => (parent_pack, t),
+            Ok(toc) => DiskHome {
+                pack: parent_pack,
+                toc,
+            },
             Err(_) => {
                 let alt = self
                     .machine
                     .disks
                     .emptiest_pack(parent_pack)
                     .ok_or(LegacyError::AllPacksFull)?;
-                let t = self
+                let toc = self
                     .machine
                     .disks
                     .pack_mut(alt)
                     .map_err(LegacyError::Disk)?
                     .create_entry(uid.0)
                     .map_err(|_| LegacyError::AllPacksFull)?;
-                (alt, t)
+                DiskHome { pack: alt, toc }
             }
         };
 
@@ -342,8 +344,7 @@ impl Supervisor {
             uid,
             is_dir,
             quota_dir: false,
-            pack: toc.0,
-            toc: toc.1,
+            home,
             name: name.to_string(),
             acl,
             label,
@@ -359,14 +360,7 @@ impl Supervisor {
                 is_dir,
             },
         );
-        self.salvage_note_created(
-            uid,
-            DiskHome {
-                pack: toc.0,
-                toc: toc.1,
-            },
-            is_dir,
-        );
+        self.salvage_note_created(uid, home, is_dir);
         Ok(uid)
     }
 
@@ -442,8 +436,9 @@ impl Supervisor {
         }
     }
 
-    /// Makes a segment known to a process: resolves the path, picks a
-    /// free segment number, and records the effective access in the KST.
+    /// Makes a segment known to a process: resolves the path and records
+    /// the effective access in the KST at the lowest free segment number.
+    /// A segment the process knows already keeps its number and entry.
     /// The SDW is left faulted; first reference activates and connects.
     ///
     /// # Errors
@@ -473,7 +468,8 @@ impl Supervisor {
             write: entry.acl.permits(user, AccessRight::Write) && aim_write,
             execute: entry.acl.permits(user, AccessRight::Execute) && aim_read,
         };
-        self.process_mut(pid)?.kst.bind(kst_entry)
+        let kst = &mut self.process_mut(pid)?.kst;
+        kst.bind(kst_entry).ok_or(LegacyError::KstFull)
     }
 
     // ----- dynamic quota designation --------------------------------------
@@ -647,11 +643,7 @@ impl Supervisor {
                 .copied()
                 .ok_or(LegacyError::NoAccess)?;
             let parent_astx = self.activate(branch.parent.expect("non-root"))?;
-            let e = self.read_entry(parent_astx, branch.slot)?;
-            DiskHome {
-                pack: e.pack,
-                toc: e.toc,
-            }
+            self.read_entry(parent_astx, branch.slot)?.home
         };
         Ok(self
             .machine
@@ -723,12 +715,12 @@ impl Supervisor {
         }
         let branch = self.branch_table.remove(&uid).expect("resolved object");
         let parent_astx = self.activate(branch.parent.expect("non-root"))?;
-        let e = self.read_entry(parent_astx, branch.slot)?;
+        let home = self.read_entry(parent_astx, branch.slot)?.home;
         self.machine
             .disks
-            .pack_mut(e.pack)
+            .pack_mut(home.pack)
             .map_err(LegacyError::Disk)?
-            .delete_entry(e.toc)
+            .delete_entry(home.toc)
             .map_err(LegacyError::Disk)?;
         // Clear the in-use flag.
         self.sup_write(
@@ -780,6 +772,25 @@ mod tests {
         assert_eq!(uid, leaf);
         assert!(!entry.is_dir);
         assert_eq!(entry.name, "leaf");
+    }
+
+    /// A path the process knows already keeps its segment number: more
+    /// initiations than there are numbers never fill the table, and a
+    /// second segment still takes the next number.
+    #[test]
+    fn initiating_a_known_path_returns_its_segment_number() {
+        let (mut sup, pid, user) = boot_with_user();
+        for name in ["s", "t"] {
+            sup.create_segment_in(sup.root(), name, Acl::owner(user), Label::BOTTOM)
+                .unwrap();
+        }
+        let first = sup.initiate(pid, "s").unwrap();
+        for _ in 1..1_100 {
+            assert_eq!(sup.initiate(pid, "s"), Ok(first));
+        }
+        assert_eq!(sup.initiate(pid, "t"), Ok(first + 1));
+        sup.user_write(pid, first, 0, mx_hw::Word::new(7)).unwrap();
+        assert_eq!(sup.user_read(pid, first, 0), Ok(mx_hw::Word::new(7)));
     }
 
     #[test]

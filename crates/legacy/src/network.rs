@@ -20,15 +20,11 @@ use mx_hw::meter::Subsystem;
 use mx_hw::Language;
 use std::collections::HashMap;
 
+pub use mx_hw::MAX_FRAME;
+
 const ARPANET_PARSE_INSTR: u64 = 70;
 const FRONTEND_PARSE_INSTR: u64 = 55;
 const THIRDNET_PARSE_INSTR: u64 = 62;
-
-/// Largest frame a kernel handler accepts. Oversized frames are refused
-/// with a typed error before any handler-specific parse runs — they
-/// would overrun the handler's wired buffer, so they are a caller bug,
-/// not line noise.
-pub const MAX_FRAME: usize = 4096;
 
 /// Which wire protocol a handler speaks.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -8,9 +8,10 @@
 //! on every dispatch — so switching to a process can itself page, which
 //! is the central dependency loop of Figure 3 made executable.
 
-use crate::supervisor::{Kst, ProcState, Process, Supervisor};
+use crate::supervisor::{ProcState, Process, Supervisor};
 use crate::types::{Acl, LegacyError, ProcessId, SegUid, UserId};
 use mx_aim::Label;
+use mx_hw::interp::{self, ProgramRun};
 use mx_hw::meter::Subsystem;
 use mx_hw::{Language, Word};
 
@@ -62,7 +63,7 @@ impl Supervisor {
             user,
             label,
             dseg_frame,
-            kst: Kst::new(),
+            kst: Default::default(),
             state: ProcState::Ready,
             state_uid: Some(state_uid),
             cpu_charge: 0,
@@ -174,7 +175,9 @@ impl Supervisor {
 
     /// Runs a user program under the old supervisor: steps the
     /// interpreter, servicing faults through the monolithic handlers
-    /// (interpretive retranslation, quota walks and all).
+    /// (interpretive retranslation, quota walks and all). Returns when
+    /// the program halts, hits an undecodable word, or exhausts
+    /// `max_steps`, saying which.
     ///
     /// # Errors
     ///
@@ -186,27 +189,18 @@ impl Supervisor {
         segno: u32,
         start: u32,
         max_steps: u64,
-    ) -> Result<(u64, mx_hw::interp::Registers), LegacyError> {
-        use mx_hw::interp::{step, Registers, StepOutcome};
+    ) -> Result<ProgramRun, LegacyError> {
         let cpu = self.load_dbr(pid)?;
         self.machine.cpus[cpu.0 as usize].retire_op();
-        let mut regs = Registers::at(mx_hw::VirtAddr::new(segno, start));
-        let mut steps = 0;
-        while steps < max_steps {
-            let cost = self.machine.cost;
-            let r = {
-                let mx_hw::Machine {
-                    mem, clock, cpus, ..
-                } = &mut self.machine;
-                step(&mut cpus[cpu.0 as usize], mem, clock, &cost, &mut regs)
-            };
-            match r {
-                Ok(StepOutcome::Ran) => steps += 1,
-                Ok(StepOutcome::Halted) | Ok(StepOutcome::IllegalInstruction) => break,
-                Err(fault) => self.handle_fault(pid, fault)?,
-            }
-        }
-        Ok((steps, regs))
+        let pc = mx_hw::VirtAddr::new(segno, start);
+        interp::drive(
+            self,
+            |s| &mut s.machine,
+            cpu,
+            pc,
+            max_steps,
+            |s, fault| s.handle_fault(pid, fault),
+        )
     }
 
     /// Number of live processes.

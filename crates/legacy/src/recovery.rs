@@ -45,7 +45,7 @@ use mx_hw::{
 const RAW_WALK_INSTR: u64 = 10;
 
 /// What one [`Supervisor::online_salvage_step`] accomplished.
-pub type LegacyOnlineProgress = OnlineProgress<SegUid, LegacySalvageReport>;
+pub type LegacyOnlineProgress = OnlineProgress<LegacySalvageReport>;
 
 /// The legacy salvager's findings (and actions, when repairing).
 #[derive(Debug, Clone, Default)]
@@ -101,7 +101,7 @@ impl RawEntry {
     /// Claims this entry's TOC entry: `Err` with how the salvager
     /// reports it if the claim fails.
     fn claim(&self, claims: &mut Claims, disks: &DiskSystem) -> Result<(), String> {
-        match claims.claim(disks, self.home.pack, self.home.toc, self.uid.0) {
+        match claims.claim(disks, self.home, self.uid) {
             Claim::Won => Ok(()),
             Claim::Duplicate => Err(format!(
                 "duplicate claim '{}' on uid {}",
@@ -120,7 +120,7 @@ type BadEntry = (SegUid, DiskHome, u32, String);
 
 /// Pages of `home` occupying disk records (zero if it has no TOC entry).
 fn records_of(disks: &DiskSystem, home: DiskHome) -> u32 {
-    toc_entry(disks, home.pack, home.toc).map_or(0, |e| e.records_used())
+    toc_entry(disks, home).map_or(0, |e| e.records_used())
 }
 
 impl Supervisor {
@@ -228,8 +228,7 @@ impl Supervisor {
         let mut queue = VecDeque::from([(root_uid, root_home)]);
         while let Some((dir, home)) = queue.pop_front() {
             for (slot, e) in sup.raw_entries(home)? {
-                if !live(&sup.machine.disks, e.home.pack, e.home.toc, e.uid.0)
-                    || sup.branch_table.contains_key(&e.uid)
+                if !live(&sup.machine.disks, e.home, e.uid) || sup.branch_table.contains_key(&e.uid)
                 {
                     continue;
                 }
@@ -294,7 +293,7 @@ impl Supervisor {
         let root_uid = self.root_uid;
         let root_home = self.root_home;
         let mut claims = Claims::default();
-        claims.insert(root_home.pack, root_home.toc);
+        claims.insert(root_home);
         let mut quota_dirs: Vec<(SegUid, SegUid, DiskHome, u32)> = Vec::new(); // (uid, parent, its home, slot)
         let mut queue = VecDeque::from([(root_uid, root_home)]);
         let mut bad = Vec::new();
@@ -447,9 +446,7 @@ impl Supervisor {
     #[doc(hidden)]
     pub fn begin_online_salvage_with_cheat(&mut self, cheat: Option<OnlineCheat>) {
         let mut online = Online::new((self.root_uid, self.root_home), cheat);
-        online
-            .claims
-            .insert(self.root_home.pack, self.root_home.toc);
+        online.claims.insert(self.root_home);
         self.online = Some(online);
     }
 
@@ -560,13 +557,7 @@ impl Supervisor {
             .parent
             .ok_or(LegacyError::Salvage("non-root object without a parent"))?;
         match self.ast.find(parent) {
-            Some(pastx) => {
-                let e = self.read_entry(pastx, branch.slot)?;
-                Ok(DiskHome {
-                    pack: e.pack,
-                    toc: e.toc,
-                })
-            }
+            Some(pastx) => Ok(self.read_entry(pastx, branch.slot)?.home),
             None => {
                 let phome = self.online_home_of(parent)?;
                 let base = Self::entry_base(branch.slot);
@@ -600,7 +591,7 @@ impl Supervisor {
         while let Some(home) = queue.pop_front() {
             for (_, e) in self.raw_entries(home)? {
                 let disks = &self.machine.disks;
-                if claims.preview(&mut seen, disks, e.home.pack, e.home.toc, e.uid.0) {
+                if claims.preview(&mut seen, disks, e.home, e.uid) {
                     used += records_of(disks, e.home);
                     if e.is_dir && !e.quota_dir {
                         queue.push_back(e.home);
@@ -634,7 +625,7 @@ impl Supervisor {
     /// a new directory is born released (it cannot be crash debris).
     pub(crate) fn salvage_note_created(&mut self, uid: SegUid, home: DiskHome, is_dir: bool) {
         if let Some(o) = &mut self.online {
-            o.claims.insert(home.pack, home.toc);
+            o.claims.insert(home);
             if is_dir {
                 o.release_new(uid);
             }
@@ -645,7 +636,7 @@ impl Supervisor {
     /// entry, so the orphan sweep keeps the new home.
     pub(crate) fn salvage_note_relocated(&mut self, new_home: DiskHome) {
         if let Some(o) = &mut self.online {
-            o.claims.insert(new_home.pack, new_home.toc);
+            o.claims.insert(new_home);
         }
     }
 
@@ -671,7 +662,7 @@ impl Supervisor {
         let page = wordno as usize / PAGE_WORDS;
         let off = wordno as usize % PAGE_WORDS;
         self.charge(RAW_WALK_INSTR, Language::Pli);
-        let Some(record) = toc_entry(&self.machine.disks, home.pack, home.toc)
+        let Some(record) = toc_entry(&self.machine.disks, home)
             .and_then(|e| e.file_map.get(page).copied().flatten())
         else {
             return Ok(Word::ZERO);
@@ -773,7 +764,7 @@ impl Supervisor {
             records_of(&self.machine.disks, self.root_home),
         );
         let mut claims = Claims::default();
-        claims.insert(self.root_home.pack, self.root_home.toc);
+        claims.insert(self.root_home);
         // (directory home, cell its children charge to)
         let mut queue = VecDeque::from([(self.root_home, self.root_uid)]);
         while let Some((home, cell)) = queue.pop_front() {
@@ -798,7 +789,6 @@ impl Supervisor {
 }
 
 impl Salvager for Supervisor {
-    type Uid = SegUid;
     /// A directory found but not yet claimed, with the home its parent's
     /// entry recorded. The home is stable: a quarantined directory
     /// cannot be activated, so it cannot relocate.
@@ -889,18 +879,18 @@ impl Salvager for Supervisor {
     fn orphan(
         &mut self,
         report: &mut LegacySalvageReport,
-        pack: PackId,
-        toc: TocIndex,
-        uid: u64,
+        home: DiskHome,
+        uid: SegUid,
         repair: bool,
     ) -> Result<(), LegacyError> {
-        let home = DiskHome { pack, toc };
         if self.ast.iter().any(|(_, a)| a.home == home) {
             return Ok(());
         }
-        report
-            .problems
-            .push(format!("orphan TOC entry {}:{} (uid {uid})", pack.0, toc.0));
+        let DiskHome { pack, toc } = home;
+        report.problems.push(format!(
+            "orphan TOC entry {}:{} (uid {})",
+            pack.0, toc.0, uid.0
+        ));
         if repair {
             if let Ok(p) = self.machine.disks.pack_mut(pack) {
                 let _ = p.delete_entry(toc);
@@ -1194,12 +1184,12 @@ mod tests {
         // Delete the TOC entry out from under the catalogue.
         let branch = sup.branch_table[&seg];
         let root_astx = sup.ast.find(sup.root()).unwrap();
-        let e = sup.read_entry(root_astx, branch.slot).unwrap();
+        let home = sup.read_entry(root_astx, branch.slot).unwrap().home;
         sup.machine
             .disks
-            .pack_mut(e.pack)
+            .pack_mut(home.pack)
             .unwrap()
-            .delete_entry(e.toc)
+            .delete_entry(home.toc)
             .unwrap();
         let report = sup.salvage(true).unwrap();
         assert!(report.problems.iter().any(|p| p.contains("dangling")));

@@ -12,7 +12,7 @@
 use crate::ast::{Aste, QuotaCell};
 use crate::page_control::READ_ABSORB;
 use crate::supervisor::Supervisor;
-use crate::types::{DiskHome, LegacyError, ProcessId, SegUid};
+use crate::types::{LegacyError, ProcessId, SegUid};
 use mx_hw::cpu::Sdw;
 use mx_hw::meter::Subsystem;
 use mx_hw::{DiskError, Language};
@@ -46,10 +46,7 @@ impl Supervisor {
 
         // Read the entry record out of the superior directory segment.
         let entry = self.read_entry(parent_astx, branch.slot)?;
-        let home = DiskHome {
-            pack: entry.pack,
-            toc: entry.toc,
-        };
+        let home = entry.home;
         let len_pages = {
             let pack = self
                 .machine
@@ -186,9 +183,9 @@ impl Supervisor {
         // control's retry edge.
         let aste = self.ast.get(astx).expect("live astx");
         let (old, dir_home) = (aste.home, aste.dir_home);
-        let (moved, retries) = self.machine.move_segment(old.pack, old.toc, READ_ABSORB);
+        let (moved, retries) = self.machine.move_segment(old, READ_ABSORB);
         self.stats.disk_retries += u64::from(retries);
-        let (pack, toc) = moved.map_err(|e| match e {
+        let new_home = moved.map_err(|e| match e {
             DiskError::PackFull { .. } | DiskError::TocFull { .. } => LegacyError::AllPacksFull,
             e => LegacyError::Disk(e),
         })?;
@@ -196,7 +193,6 @@ impl Supervisor {
         // Update the AST and then — reading the branch table, the data
         // base the naming layers own — directly rewrite the directory
         // entry with the new pack and TOC index.
-        let new_home = DiskHome { pack, toc };
         self.salvage_note_relocated(new_home);
         self.ast.get_mut(astx).expect("live astx").home = new_home;
         self.machine
@@ -327,8 +323,7 @@ mod tests {
         let root_astx = sup.ast.find(sup.root()).unwrap();
         let slot = sup.branch_table[&seg].slot;
         let entry = sup.read_entry(root_astx, slot).unwrap();
-        assert_eq!(entry.pack, home.pack);
-        assert_eq!(entry.toc, home.toc);
+        assert_eq!(entry.home, home);
     }
 
     #[test]

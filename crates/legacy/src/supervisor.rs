@@ -17,9 +17,11 @@ use mx_aim::{FlowTracker, Label, ReferenceMonitor};
 use mx_hw::cpu::{AccessMode, DescBase, Ptw, Sdw};
 use mx_hw::meter::{CounterSet, Subsystem};
 use mx_hw::{
-    AbsAddr, Fault, FrameNo, FrameTable, HwFeatures, IdMap, Language, Machine, MachineConfig,
-    VirtAddr, Word, PAGE_WORDS,
+    AbsAddr, Fault, FrameNo, FrameTable, HwFeatures, IdMap, Known, Kst, Language, Machine,
+    MachineConfig, VirtAddr, Word, PAGE_WORDS,
 };
+
+pub use mx_hw::MAX_SEGNO;
 
 /// Configuration for bootloading the old supervisor.
 #[derive(Debug, Clone)]
@@ -144,44 +146,9 @@ pub(crate) struct KstEntry {
     pub execute: bool,
 }
 
-/// A process's known segment table: segment number → entry. Number 0 is
-/// reserved; the table grows on demand, up to [`MAX_SEGNO`] numbers.
-#[derive(Debug, Clone)]
-pub(crate) struct Kst(Vec<Option<KstEntry>>);
-
-impl Kst {
-    /// An empty table.
-    pub fn new() -> Self {
-        Kst(vec![None])
-    }
-
-    /// Makes `entry` known at the lowest free segment number.
-    ///
-    /// # Errors
-    ///
-    /// [`LegacyError::KstFull`] when all [`MAX_SEGNO`] are taken.
-    pub fn bind(&mut self, entry: KstEntry) -> Result<u32, LegacyError> {
-        let free = self.0.iter().skip(1).position(Option::is_none);
-        let segno = free.map_or(self.0.len(), |i| i + 1);
-        if segno >= MAX_SEGNO as usize {
-            return Err(LegacyError::KstFull);
-        }
-        if segno == self.0.len() {
-            self.0.push(None);
-        }
-        self.0[segno] = Some(entry);
-        Ok(segno as u32)
-    }
-
-    /// The entry known at `segno`, if any.
-    pub fn get(&self, segno: u32) -> Option<&KstEntry> {
-        self.0.get(segno as usize)?.as_ref()
-    }
-
-    /// The lowest segment number `uid` is known by, if any.
-    pub fn segno_of(&self, uid: SegUid) -> Option<u32> {
-        let known = |e: &Option<KstEntry>| e.as_ref().is_some_and(|k| k.uid == uid);
-        self.0.iter().position(known).map(|i| i as u32)
+impl Known for KstEntry {
+    fn uid(&self) -> SegUid {
+        self.uid
     }
 }
 
@@ -205,7 +172,7 @@ pub(crate) struct Process {
     /// Wired frame holding this process's descriptor segment.
     pub dseg_frame: FrameNo,
     /// Known segment table.
-    pub kst: Kst,
+    pub kst: Kst<KstEntry>,
     pub state: ProcState,
     /// The segment holding the process's swappable state — making
     /// process implementation depend on the virtual memory, which is the
@@ -259,9 +226,6 @@ pub struct Supervisor {
     max_processes: u32,
     dseg_frame_base: u32,
 }
-
-/// Maximum segment numbers per process (SDWs in one dseg frame).
-pub const MAX_SEGNO: u32 = PAGE_WORDS as u32;
 
 impl Supervisor {
     /// Bootloads the old supervisor on 1974-feature-level hardware.
@@ -642,6 +606,7 @@ impl Supervisor {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::types::Acl;
 
     #[test]
     fn boot_builds_root_directory() {
@@ -656,30 +621,39 @@ mod tests {
 
     /// The table grows on demand, keeps number 0 reserved, and binds the
     /// lowest free number: the same numbers the full-size table gave.
+    /// `initiate` answers a full table with `KstFull` and a path the
+    /// process knows with its number.
     #[test]
     fn kst_fills_at_max_segno_and_reuses_the_lowest_free_segno() {
+        // Filler uids far above any the supervisor hands out.
         let entry = |uid| KstEntry {
-            uid: SegUid(uid),
+            uid: SegUid(1 << 40 | uid),
             read: true,
             write: true,
             execute: false,
         };
-        let mut kst = Kst::new();
-        for uid in 1..MAX_SEGNO {
-            assert_eq!(kst.bind(entry(u64::from(uid))), Ok(uid));
+        let mut sup = Supervisor::boot_default();
+        let user = UserId(1);
+        let pid = sup.create_process(user, Label::BOTTOM).unwrap();
+        for name in ["s", "t", "u", "v"] {
+            sup.create_segment_in(sup.root(), name, Acl::owner(user), Label::BOTTOM)
+                .unwrap();
         }
-        assert_eq!(
-            kst.bind(entry(u64::from(MAX_SEGNO))),
-            Err(LegacyError::KstFull)
-        );
+        assert_eq!(sup.initiate(pid, "s"), Ok(1));
+        let kst = &mut sup.process_mut(pid).unwrap().kst;
+        for segno in 2..MAX_SEGNO {
+            assert_eq!(kst.bind(entry(u64::from(segno))), Some(segno));
+        }
         assert!(kst.get(0).is_none() && kst.get(MAX_SEGNO).is_none());
-        assert_eq!(kst.segno_of(SegUid(700)), Some(700));
-        kst.0[700] = None;
-        kst.0[5] = None;
-        assert_eq!(kst.bind(entry(9_000)), Ok(5), "lowest free segno first");
-        assert_eq!(kst.bind(entry(9_001)), Ok(700));
-        assert_eq!(kst.bind(entry(9_002)), Err(LegacyError::KstFull));
-        assert_eq!(kst.segno_of(SegUid(9_001)), Some(700));
+        assert_eq!(kst.segno_of(SegUid(1 << 40 | 700)), Some(700));
+        assert_eq!(sup.initiate(pid, "t"), Err(LegacyError::KstFull));
+        assert_eq!(sup.initiate(pid, "s"), Ok(1), "known path, same number");
+        let kst = &mut sup.process_mut(pid).unwrap().kst;
+        assert!(kst.unbind(700).is_some() && kst.unbind(5).is_some());
+        assert_eq!(sup.initiate(pid, "t"), Ok(5), "lowest free segno first");
+        assert_eq!(sup.initiate(pid, "u"), Ok(700));
+        assert_eq!(sup.initiate(pid, "v"), Err(LegacyError::KstFull));
+        assert_eq!(sup.initiate(pid, "u"), Ok(700));
     }
 
     #[test]

@@ -1,153 +1,8 @@
-//! Common identifiers, access control, and the supervisor error type.
+//! The supervisor error type. The identifiers, disk homes and ACLs are
+//! declared once in [`mx_hw`] for both designs and re-exported here.
 
-use mx_hw::{DiskError, Fault, PackId, TocIndex};
-
-/// A segment's system-wide unique identifier.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct SegUid(pub u64);
-
-/// A user known to the system.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct UserId(pub u32);
-
-/// A process.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct ProcessId(pub u32);
-
-/// A discretionary access right on a file or directory.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum AccessRight {
-    /// Read (for a directory: list / search).
-    Read,
-    /// Write (for a directory: add and remove entries).
-    Write,
-    /// Execute.
-    Execute,
-}
-
-/// An access control list: `(user, rights)` terms. "Every file and
-/// directory has its own access control list … access to a file is
-/// determined entirely by the access control list for that file."
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct Acl {
-    terms: Vec<(UserId, [bool; 3])>,
-}
-
-impl Acl {
-    /// An empty ACL (nobody has access).
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// An ACL granting one user full access.
-    pub fn owner(user: UserId) -> Self {
-        let mut acl = Self::new();
-        acl.grant(
-            user,
-            &[AccessRight::Read, AccessRight::Write, AccessRight::Execute],
-        );
-        acl
-    }
-
-    /// Grants rights to a user (adds to any existing term).
-    pub fn grant(&mut self, user: UserId, rights: &[AccessRight]) {
-        self.add(user, rights_index_set(rights));
-    }
-
-    /// Adds a term's rights to the user's term, or appends the term.
-    fn add(&mut self, user: UserId, rights: [bool; 3]) {
-        match self.terms.iter_mut().find(|(u, _)| *u == user) {
-            Some((_, have)) => {
-                for (have, add) in have.iter_mut().zip(rights) {
-                    *have |= add;
-                }
-            }
-            None => self.terms.push((user, rights)),
-        }
-    }
-
-    /// Revokes all rights from a user.
-    pub fn revoke(&mut self, user: UserId) {
-        self.terms.retain(|(u, _)| *u != user);
-    }
-
-    /// True if the user holds the right.
-    pub fn permits(&self, user: UserId, right: AccessRight) -> bool {
-        self.terms
-            .iter()
-            .find(|(u, _)| *u == user)
-            .map(|(_, r)| r[right_slot(right)])
-            .unwrap_or(false)
-    }
-
-    /// The two words a directory entry stores the ACL in: up to four
-    /// terms, each user id in a 9-bit field of the first word and its
-    /// rights in a 4-bit field of the second (read, write, execute, and a
-    /// bit marking the term present). A real system stores ACLs of
-    /// arbitrary length; four terms suffice for the experiments and keep
-    /// the record fixed-size. `None` for an ACL the form cannot hold:
-    /// more than four terms, or a user id above 255. [`Acl::unpack`] is
-    /// its inverse.
-    pub fn stored(&self) -> Option<(u64, u64)> {
-        if self.terms.len() > ACL_TERMS {
-            return None;
-        }
-        let (mut users, mut rights) = (0, 0);
-        for (i, (u, r)) in self.terms.iter().enumerate() {
-            if u.0 > ACL_MAX_USER {
-                return None;
-            }
-            users |= u64::from(u.0) << (i * 9);
-            let bits = u64::from(r[0]) | u64::from(r[1]) << 1 | u64::from(r[2]) << 2;
-            rights |= (bits | 0b1000) << (i * 4);
-        }
-        Some((users, rights))
-    }
-
-    /// The ACL [`Acl::stored`] stored in `users` and `rights`.
-    pub fn unpack(users: u64, rights: u64) -> Self {
-        let mut acl = Self::new();
-        for i in 0..ACL_TERMS {
-            let bits = rights >> (i * 4) & 0xF;
-            if bits & 0b1000 != 0 {
-                let user = UserId((users >> (i * 9) & u64::from(ACL_MAX_USER)) as u32);
-                acl.add(user, [bits & 1 != 0, bits & 2 != 0, bits & 4 != 0]);
-            }
-        }
-        acl
-    }
-}
-
-/// Terms a stored ACL holds.
-const ACL_TERMS: usize = 4;
-
-/// The highest user id a stored ACL holds.
-const ACL_MAX_USER: u32 = 0xFF;
-
-fn right_slot(r: AccessRight) -> usize {
-    match r {
-        AccessRight::Read => 0,
-        AccessRight::Write => 1,
-        AccessRight::Execute => 2,
-    }
-}
-
-fn rights_index_set(rights: &[AccessRight]) -> [bool; 3] {
-    let mut out = [false; 3];
-    for r in rights {
-        out[right_slot(*r)] = true;
-    }
-    out
-}
-
-/// Where a segment lives on disk: the naming a directory entry uses.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct DiskHome {
-    /// The containing pack.
-    pub pack: PackId,
-    /// Index into that pack's table of contents.
-    pub toc: TocIndex,
-}
+pub use mx_hw::{AccessRight, Acl, DiskHome, ProcessId, SegUid, UserId};
+use mx_hw::{DiskError, Fault};
 
 /// Everything the old supervisor can report as going wrong.
 #[derive(Debug, Clone, PartialEq, Eq)]

@@ -21,7 +21,7 @@ pub(crate) mod legacy;
 
 use crate::run::{check_serving_records, Entry, SalvageProbe, SALVAGE_RETRY_BUDGET};
 use mx_explore::oracle;
-use mx_hw::Machine;
+use mx_hw::{Machine, ProcessId};
 use mx_sync::SchedulePolicy;
 use std::fmt::Debug;
 
@@ -38,7 +38,7 @@ pub(crate) struct Sizes {
 
 /// One logged-in session, as the harness tracks it.
 pub(crate) struct Session<D: Design> {
-    pub(crate) pid: D::Pid,
+    pub(crate) pid: ProcessId,
     /// The design's per-session user-domain state.
     pub(crate) ext: D::Ext,
     /// Segment number of the session's own file, once created.
@@ -47,7 +47,7 @@ pub(crate) struct Session<D: Design> {
 }
 
 impl<D: Design> Session<D> {
-    pub(crate) fn open(d: &mut D, pid: D::Pid) -> Self {
+    pub(crate) fn open(d: &mut D, pid: ProcessId) -> Self {
         Self {
             pid,
             ext: d.open(pid),
@@ -60,7 +60,7 @@ impl<D: Design> Session<D> {
 /// What one pass over the admission queue did.
 pub(crate) struct Admitted<D: Design> {
     /// Logins admitted, `(session index, process)`, in queue order.
-    pub(crate) sessions: Vec<(usize, D::Pid)>,
+    pub(crate) sessions: Vec<(usize, ProcessId)>,
     /// Logins the design refused outright and dropped from the queue.
     pub(crate) refused: Vec<(usize, D::Error)>,
     /// The head login hit a salvage barrier and stays queued.
@@ -100,7 +100,6 @@ pub(crate) trait Design: Sized {
     /// request reads and page reads, no command layer).
     const RESIDENT_STORE: bool;
 
-    type Pid: Copy + Debug;
     /// A directory or segment as the storage gates name it.
     type Handle: Copy;
     /// Per-session user-domain state.
@@ -126,12 +125,12 @@ pub(crate) trait Design: Sized {
 
     // ------------------------------------------- accounts, admission --
     fn register(&mut self, name: &str);
-    fn login(&mut self, name: &str) -> Res<Self::Pid, Self>;
+    fn login(&mut self, name: &str) -> Res<ProcessId, Self>;
     /// The session-side state for a fresh login.
-    fn open(&mut self, pid: Self::Pid) -> Self::Ext;
+    fn open(&mut self, pid: ProcessId) -> Self::Ext;
     /// Login for session `idx`; `Ok(None)` = parked in the admission
     /// queue (slot exhaustion is never an error).
-    fn login_or_queue(&mut self, idx: usize) -> Res<Option<Self::Pid>, Self>;
+    fn login_or_queue(&mut self, idx: usize) -> Res<Option<ProcessId>, Self>;
     /// Admits parked logins while slots last.
     fn admit_waiting(&mut self) -> Admitted<Self>;
     fn queued(&self) -> usize;
@@ -140,7 +139,7 @@ pub(crate) trait Design: Sized {
     fn pending_names(&self) -> Option<Vec<String>>;
     /// Self-check: forgets the youngest parked login.
     fn drop_youngest_queued(&mut self);
-    fn logout(&mut self, idx: usize, pid: Self::Pid) -> Res<(), Self>;
+    fn logout(&mut self, idx: usize, pid: ProcessId) -> Res<(), Self>;
 
     // ---------------------------------------------------- name space --
     /// Snaps a link to library symbol `sym`; the link's offset.
@@ -150,31 +149,31 @@ pub(crate) trait Design: Sized {
 
     // ------------------------------------------------------- storage --
     /// Looks `entry` up in the root.
-    fn search(&mut self, drv: Self::Pid, entry: Entry) -> Res<Self::Handle, Self>;
+    fn search(&mut self, drv: ProcessId, entry: Entry) -> Res<Self::Handle, Self>;
     /// Creates `entry` in the root: a directory for shards and the
     /// migration zone, a segment otherwise.
-    fn create(&mut self, drv: Self::Pid, entry: Entry) -> Res<Self::Handle, Self>;
-    fn initiate(&mut self, drv: Self::Pid, seg: Self::Handle) -> Res<u32, Self>;
+    fn create(&mut self, drv: ProcessId, entry: Entry) -> Res<Self::Handle, Self>;
+    fn initiate(&mut self, drv: ProcessId, seg: Self::Handle) -> Res<u32, Self>;
     /// Publishes the library's definitions, retrying through `probe`.
     fn publish(
         &mut self,
-        drv: Self::Pid,
+        drv: ProcessId,
         lib: Self::Handle,
         probe: &mut SalvageProbe,
     ) -> Result<(), String>;
     /// Recovery's probe for shard `s{shard}`: true = it survived.
-    fn shard_survives(&mut self, drv: Self::Pid, shard: usize, probe: &mut SalvageProbe) -> bool;
-    fn set_quota(&mut self, drv: Self::Pid, dir: Entry, pages: u32) -> Res<(), Self>;
+    fn shard_survives(&mut self, drv: ProcessId, shard: usize, probe: &mut SalvageProbe) -> bool;
+    fn set_quota(&mut self, drv: ProcessId, dir: Entry, pages: u32) -> Res<(), Self>;
     /// The directory to create a session file in.
-    fn open_dir(&mut self, pid: Self::Pid, dir: Entry) -> Res<Self::Handle, Self>;
+    fn open_dir(&mut self, pid: ProcessId, dir: Entry) -> Res<Self::Handle, Self>;
     /// Whether `dir` is out of salvage quarantine (`SalvageBusy` if not).
-    fn probe_dir(&mut self, pid: Self::Pid, dir: Entry) -> Res<Self::Handle, Self>;
+    fn probe_dir(&mut self, pid: ProcessId, dir: Entry) -> Res<Self::Handle, Self>;
     /// Creates and initiates session `idx`'s file in directory `at`.
-    fn create_file(&mut self, pid: Self::Pid, at: Self::Handle, idx: usize) -> Res<u32, Self>;
-    fn delete_file(&mut self, pid: Self::Pid, dir: Entry, idx: usize) -> Res<(), Self>;
-    fn write(&mut self, pid: Self::Pid, segno: u32, offset: u32, val: u64) -> Res<(), Self>;
+    fn create_file(&mut self, pid: ProcessId, at: Self::Handle, idx: usize) -> Res<u32, Self>;
+    fn delete_file(&mut self, pid: ProcessId, dir: Entry, idx: usize) -> Res<(), Self>;
+    fn write(&mut self, pid: ProcessId, segno: u32, offset: u32, val: u64) -> Res<(), Self>;
     /// A word read; `resident` takes the specialized store's path.
-    fn read(&mut self, pid: Self::Pid, segno: u32, offset: u32, resident: bool) -> Res<u64, Self>;
+    fn read(&mut self, pid: ProcessId, segno: u32, offset: u32, resident: bool) -> Res<u64, Self>;
     fn sync_to_disk(&mut self) -> Res<(), Self>;
 
     // ---------------------------------------------------- scheduling --
@@ -197,7 +196,7 @@ pub(crate) trait Design: Sized {
     // ------------------------------------------------------- network --
     fn attach_network(&mut self);
     fn net_receive(&mut self, frame: &[u8]) -> Res<(), Self>;
-    fn net_read(&mut self, pid: Self::Pid, channel: u16, resident: bool) -> Res<Vec<u8>, Self>;
+    fn net_read(&mut self, pid: ProcessId, channel: u16, resident: bool) -> Res<Vec<u8>, Self>;
     /// Receives and drains an answering-service directive frame,
     /// charging the answering service for it.
     fn receive_directive(&mut self, frame: &[u8]) -> Res<(), Self>;

@@ -85,7 +85,6 @@ impl Design for KernelDesign {
     const SCHEDULE_HOOKS: bool = true;
     const RESIDENT_STORE: bool = true;
 
-    type Pid = ProcessId;
     type Handle = ObjToken;
     type Ext = UserSide;
     type Error = KernelError;

@@ -56,7 +56,6 @@ impl Design for LegacyDesign {
     const SCHEDULE_HOOKS: bool = false;
     const RESIDENT_STORE: bool = false;
 
-    type Pid = ProcessId;
     /// The uid, for creating in, and the entry, for naming by path.
     type Handle = (SegUid, Entry);
     type Ext = ();

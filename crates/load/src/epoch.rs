@@ -665,11 +665,7 @@ fn close_epoch<D: Design>(
 
 /// What recovery rebuilt: the session table, the driver context, and
 /// (online) the per-shard repair work parked behind the quarantine.
-type Rebuilt<D> = (
-    Vec<Option<Session<D>>>,
-    WorldCtx<<D as Design>::Pid>,
-    Vec<Deferred<<D as Design>::Pid>>,
-);
+type Rebuilt<D> = (Vec<Option<Session<D>>>, WorldCtx, Vec<Deferred>);
 
 /// Rebuilds the user world after a recovery bootload: reconciles the
 /// shared world against whatever survived on disk, then re-opens every

@@ -40,7 +40,7 @@ use crate::run::{
     Driver, EngineState, Entry, LoadRun, LoadSpec, SalvageProbe, WorldPlan,
 };
 use mx_hw::meter::{EdgeSet, MeterSnapshot};
-use mx_hw::{DiskSystem, Language, Subsystem, PAGE_WORDS};
+use mx_hw::{DiskSystem, Language, ProcessId, Subsystem, PAGE_WORDS};
 use mx_sync::{ChoicePoint, FifoPolicy, SchedulePolicy};
 
 // ------------------------------------------------------ wire protocol --
@@ -796,7 +796,7 @@ impl<D: Design> Fleet<D> {
     /// drain the wire (which services it at the far end), then read the
     /// reply back through this machine's network entry. `None` = the
     /// reply never arrived (a frame was lost).
-    fn rpc(&mut self, src: usize, dst: usize, pid: D::Pid, req: Req) -> Option<(u8, u64)> {
+    fn rpc(&mut self, src: usize, dst: usize, pid: ProcessId, req: Req) -> Option<(u8, u64)> {
         let bytes = Wire::frame(src as u8, &req.encode());
         charge_frame(&mut self.ms[src].d, bytes.len());
         self.wire.send(src, dst, FrameKind::Data, bytes);
@@ -820,7 +820,7 @@ impl<D: Design> Fleet<D> {
         &mut self,
         target: usize,
         home: usize,
-        pid: D::Pid,
+        pid: ProcessId,
         req: Req,
     ) -> Option<(u8, u64)> {
         if target == home {
@@ -945,7 +945,7 @@ impl<D: Design> Fleet<D> {
     /// Where session `idx` acts: its home, its process, the machine
     /// that owns its file (the store, once migrated), and whether that
     /// file is the session's own segment at home. Marks the home busy.
-    fn place(&mut self, idx: usize, shard: usize) -> (usize, D::Pid, usize, bool) {
+    fn place(&mut self, idx: usize, shard: usize) -> (usize, ProcessId, usize, bool) {
         let fs = self.sessions[idx].as_ref().expect("live session");
         let (home, pid, migrated) = (fs.home, fs.s.pid, fs.migrated);
         let owner = if migrated {

@@ -16,7 +16,7 @@ use crate::design::{gate_retry, salvage_step_checked, Design, Session, Sizes};
 use crate::hist::Histogram;
 use crate::script::{session_script, SessionOp, SessionScript, LIB_SYMBOLS, SHARED_PAGES};
 use mx_hw::meter::{EdgeSet, MeterSnapshot};
-use mx_hw::PAGE_WORDS;
+use mx_hw::{ProcessId, PAGE_WORDS};
 use mx_sync::SchedulePolicy;
 
 const PW: u32 = PAGE_WORDS as u32;
@@ -573,9 +573,9 @@ pub(crate) fn check_serving_records(disks: &mx_hw::DiskSystem) -> Vec<String> {
 /// directory is released (or, if the crash cost the entry itself, until
 /// it is recreated).
 #[derive(Debug, Clone)]
-pub(crate) struct Deferred<P> {
+pub(crate) struct Deferred {
     pub(crate) shard: usize,
-    pub(crate) drv: P,
+    pub(crate) drv: ProcessId,
     pub(crate) quota: u32,
     pub(crate) wipe: Vec<usize>,
     pub(crate) restore: Vec<(usize, Vec<u64>)>,
@@ -586,11 +586,11 @@ pub(crate) struct Single<D: Design> {
     pub(crate) d: D,
     pub(crate) sessions: Vec<Option<Session<D>>>,
     pub(crate) salvage: SalvageProbe,
-    pub(crate) deferred: Vec<Deferred<D::Pid>>,
+    pub(crate) deferred: Vec<Deferred>,
 }
 
 impl<D: Design> Single<D> {
-    fn open(&mut self, idx: usize, pid: D::Pid) {
+    fn open(&mut self, idx: usize, pid: ProcessId) {
         self.sessions[idx] = Some(Session::open(&mut self.d, pid));
     }
 
@@ -705,7 +705,7 @@ impl<D: Design> Single<D> {
 /// pages.
 pub(crate) fn restore_file<D: Design>(
     d: &mut D,
-    pid: D::Pid,
+    pid: ProcessId,
     at: D::Handle,
     idx: usize,
     vals: &[u64],
@@ -810,7 +810,7 @@ pub(crate) fn end_once<D: Design>(
 pub(crate) fn logout_once<D: Design>(
     d: &mut D,
     idx: usize,
-    pid: D::Pid,
+    pid: ProcessId,
     mut label: String,
 ) -> Option<String> {
     match d.logout(idx, pid) {
@@ -970,8 +970,8 @@ impl WorldPlan {
 /// the machine that holds it). Plain load runs discard this; the
 /// recovery harness uses it to write its epoch beacon.
 #[derive(Debug, Clone, Copy)]
-pub(crate) struct WorldCtx<P> {
-    pub(crate) drv: P,
+pub(crate) struct WorldCtx {
+    pub(crate) drv: ProcessId,
     pub(crate) shared_segno: Option<u32>,
 }
 
@@ -979,7 +979,7 @@ pub(crate) struct WorldCtx<P> {
 fn find_or_create<D: Design>(
     d: &mut D,
     probe: &mut SalvageProbe,
-    drv: D::Pid,
+    drv: ProcessId,
     entry: Entry,
     recover: bool,
 ) -> Result<D::Handle, String> {
@@ -1011,7 +1011,7 @@ pub(crate) fn build_world<D: Design>(
     plan: &WorldPlan,
     probe: &mut SalvageProbe,
     recover: bool,
-) -> Result<WorldCtx<D::Pid>, String> {
+) -> Result<WorldCtx, String> {
     let accounts = |d: &mut D| {
         plan.accounts
             .iter()
@@ -1064,7 +1064,7 @@ pub(crate) fn build_world<D: Design>(
 // ------------------------------------------------------------ run fns --
 
 /// Boots a design and builds the one-machine world for `spec`.
-pub(crate) fn setup<D: Design>(spec: &LoadSpec) -> (Single<D>, WorldCtx<D::Pid>) {
+pub(crate) fn setup<D: Design>(spec: &LoadSpec) -> (Single<D>, WorldCtx) {
     let mut d = D::boot(&spec.sizes());
     if let Some((records, toc_slots)) = spec.overflow_pack() {
         d.machine_mut().disks.attach(records, toc_slots);

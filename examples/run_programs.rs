@@ -63,9 +63,13 @@ fn main() {
         sup.user_write(lpid, prog_seg, i as u32, *w).unwrap();
     }
     let before = sup.machine.clock.now();
-    let (steps, regs) = sup.run_program(lpid, prog_seg, 0, 100_000).unwrap();
+    let lrun = sup.run_program(lpid, prog_seg, 0, 100_000).unwrap();
     println!("old supervisor:");
-    println!("  program ran {steps} instructions, A = {}", regs.a.raw());
+    println!(
+        "  program ran {} instructions, A = {}",
+        lrun.steps,
+        lrun.regs.a.raw()
+    );
     println!("  cycles: {}", sup.machine.clock.now() - before);
     println!(
         "  page faults {}, quota walks {} (avg {:.1} levels)",
@@ -119,7 +123,7 @@ fn main() {
         k.stats.page_faults, k.stats.quota_faults
     );
 
-    assert_eq!(regs.a.raw(), 3000);
+    assert_eq!(lrun.regs.a.raw(), 3000);
     assert_eq!(run.regs.a.raw(), 3000);
     println!("\nboth systems computed sum = 3000 through real paged execution");
 }

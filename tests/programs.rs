@@ -4,6 +4,9 @@ use multics::aim::Label;
 use multics::hw::interp::{assemble, Instr, Op};
 use multics::hw::Word;
 use multics::kernel::{Acl, Kernel, KernelConfig, KernelError, ProgramOutcome, UserId};
+use multics::legacy::{
+    Acl as LAcl, ProcessId as LProcessId, Supervisor, SupervisorConfig, UserId as LUserId,
+};
 
 fn boot() -> (Kernel, multics::kernel::ProcessId) {
     let mut k = Kernel::boot(KernelConfig {
@@ -153,10 +156,65 @@ fn illegal_instructions_are_contained() {
     assert_eq!(run.steps, 0);
 }
 
+/// The old supervisor with one process and a root it may create in.
+fn legacy_boot() -> (Supervisor, LProcessId) {
+    let mut sup = Supervisor::boot(SupervisorConfig::default());
+    let pid = sup.create_process(LUserId(1), Label::BOTTOM).unwrap();
+    (sup, pid)
+}
+
+fn legacy_seg(sup: &mut Supervisor, pid: LProcessId, name: &str) -> u32 {
+    sup.create_segment_in(sup.root(), name, LAcl::owner(LUserId(1)), Label::BOTTOM)
+        .unwrap();
+    sup.initiate(pid, name).unwrap()
+}
+
+#[test]
+fn legacy_program_grows_its_data_segment_and_halts() {
+    let (mut sup, pid) = legacy_boot();
+    let prog = legacy_seg(&mut sup, pid, "prog");
+    let data = legacy_seg(&mut sup, pid, "data");
+    let code = assemble(&[
+        Instr::imm(Op::Ldi, 42),
+        Instr::mem(Op::Sta, data, 5 * 1024),
+        Instr::imm(Op::Ldi, 0),
+        Instr::mem(Op::Lda, data, 5 * 1024),
+        Instr::bare(Op::Hlt),
+    ]);
+    for (i, w) in code.iter().enumerate() {
+        sup.user_write(pid, prog, i as u32, *w).unwrap();
+    }
+    let walks = sup.stats.quota_walks;
+    let run = sup.run_program(pid, prog, 0, 100).unwrap();
+    assert_eq!((run.outcome, run.steps), (ProgramOutcome::Halted, 4));
+    assert_eq!(run.regs.a, Word::new(42));
+    assert!(sup.stats.quota_walks > walks, "the store walked for quota");
+}
+
+#[test]
+fn legacy_step_limit_reports_progress_without_losing_state() {
+    let (mut sup, pid) = legacy_boot();
+    let prog = legacy_seg(&mut sup, pid, "spin");
+    let code = assemble(&[Instr::mem(Op::Jmp, prog, 0)]);
+    sup.user_write(pid, prog, 0, code[0]).unwrap();
+    let run = sup.run_program(pid, prog, 0, 500).unwrap();
+    assert_eq!(run.outcome, ProgramOutcome::StepLimit);
+    assert_eq!(run.steps, 500);
+}
+
+#[test]
+fn legacy_illegal_instructions_are_contained() {
+    let (mut sup, pid) = legacy_boot();
+    let prog = legacy_seg(&mut sup, pid, "bad");
+    sup.user_write(pid, prog, 0, Word::new(63 << 30)).unwrap();
+    let run = sup.run_program(pid, prog, 0, 10).unwrap();
+    assert_eq!(run.outcome, ProgramOutcome::Illegal);
+    assert_eq!(run.steps, 0);
+}
+
 #[test]
 fn both_systems_run_the_same_binary_to_the_same_answer() {
     // The old supervisor executes the identical word image.
-    use multics::legacy::{Acl as LAcl, Supervisor, SupervisorConfig, UserId as LUserId};
     // Fibonacci by the shift-register method:
     // a=0; b=1; repeat 18 { t=a+b; a=b; b=t }  with a,b,t in data[0..3].
     let shift = |prog_seg: u32, data: u32| {
@@ -199,8 +257,8 @@ fn both_systems_run_the_same_binary_to_the_same_answer() {
     for (i, w) in shift(lprog, ldata).iter().enumerate() {
         sup.user_write(lpid, lprog, i as u32, *w).unwrap();
     }
-    let (_, lregs) = sup.run_program(lpid, lprog, 0, 10_000).unwrap();
+    let lrun = sup.run_program(lpid, lprog, 0, 10_000).unwrap();
 
-    assert_eq!(krun.regs.a, lregs.a, "same binary, same answer");
+    assert_eq!(krun.regs.a, lrun.regs.a, "same binary, same answer");
     assert_eq!(krun.regs.a, Word::new(4181), "fib(19)");
 }
