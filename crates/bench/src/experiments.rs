@@ -7,7 +7,7 @@
 //! regenerate those shapes.
 
 use mx_aim::{CompartmentSet, Label, Level};
-use mx_hw::Word;
+use mx_hw::{BootConfig, Word};
 use mx_kernel::{Kernel, KernelConfig};
 use mx_legacy::{Acl as LAcl, Supervisor, SupervisorConfig, UserId as LUserId};
 use mx_user::{publish_library, AnsweringService, NameSpace, UserLinker};
@@ -329,11 +329,11 @@ pub fn p4_memory(
         let frames = pageable + 9;
         let mut sup = Supervisor::boot(SupervisorConfig {
             frames,
-            ast_slots: 16,
+            pt_slots: 16,
             max_processes: 4,
             records_per_pack: 2048,
             toc_slots_per_pack: 64,
-            root_quota_pages: 1200,
+            root_quota: 1200,
             ..SupervisorConfig::default()
         });
         let lpid = sup
@@ -443,10 +443,11 @@ pub struct SchedulerRow {
 pub fn p5_scheduler(process_counts: &[u32], passes: usize) -> Vec<SchedulerRow> {
     let mut rows = Vec::new();
     for &n in process_counts {
-        let mut sup = Supervisor::boot(SupervisorConfig {
+        let config = BootConfig {
             max_processes: n + 2,
-            ..SupervisorConfig::default()
-        });
+            ..BootConfig::default()
+        };
+        let mut sup = Supervisor::boot(config.clone());
         for i in 0..n {
             sup.create_process(LUserId(i), Label::BOTTOM)
                 .expect("legacy process");
@@ -457,10 +458,7 @@ pub fn p5_scheduler(process_counts: &[u32], passes: usize) -> Vec<SchedulerRow> 
         }
         let legacy = (sup.machine.clock.now() - before) / passes as u64;
 
-        let mut k = Kernel::boot(KernelConfig {
-            max_processes: n + 2,
-            ..KernelConfig::default()
-        });
+        let mut k = Kernel::boot(config);
         for i in 0..n {
             let name = format!("u{i}");
             k.register_account(&name, mx_kernel::UserId(i), 1, Label::BOTTOM);

@@ -31,11 +31,14 @@
 
 use mx_aim::Label;
 use mx_explore::oracle::check_storage;
-use mx_hw::{CrashWrite, DiskError, FaultPlan, Word, PAGE_WORDS};
-use mx_kernel::{Kernel, KernelConfig, KernelError};
+use mx_hw::meter::CounterSet;
+use mx_hw::salvage::Report;
+use mx_hw::{BootConfig, CrashWrite, DiskError, FaultPlan, Machine, ProcessId, Word, PAGE_WORDS};
+use mx_kernel::{Kernel, KernelError, SalvageReport};
 use mx_legacy::{
-    AccessRight, Acl as LAcl, LegacyError, Supervisor, SupervisorConfig, UserId as LUserId,
+    AccessRight, Acl as LAcl, LegacyError, LegacySalvageReport, Supervisor, UserId as LUserId,
 };
+use std::fmt::Debug;
 
 use crate::experiments::Comparison;
 
@@ -84,92 +87,232 @@ pub struct MatrixSummary {
     pub max_recovery_cycles: u64,
 }
 
-// ------------------------------------------------------------- kernel --
-
-fn kernel_config() -> KernelConfig {
-    KernelConfig {
+/// The configuration both designs boot with: two small packs, so that
+/// the growing segment outgrows its home pack.
+fn boot_config() -> BootConfig {
+    BootConfig {
         packs: 2,
         records_per_pack: 8,
         toc_slots_per_pack: 16,
         root_quota: 64,
-        ..KernelConfig::default()
+        ..BootConfig::default()
     }
 }
 
-struct KRig {
-    k: Kernel,
-    pid: mx_kernel::ProcessId,
+/// What the crash matrix needs of a design. [`matrix`] is written once
+/// against it; each design keeps its own workload and phase-1 check.
+trait Design: Sized {
+    /// `kernel` or `legacy`.
+    const NAME: &'static str;
+    type Error: Debug;
+    type Problem: Debug;
+
+    fn boot(config: BootConfig) -> Self;
+    /// Bootloads on the machine of `crashed`, whose power failed.
+    fn recover(config: BootConfig, crashed: Self) -> Result<Self, Self::Error>;
+    fn machine(&mut self) -> &mut Machine;
+    /// A process for the workload's user.
+    fn login(&mut self) -> ProcessId;
+    /// The shared workload, as `pid`. Records the write ordinal at which
+    /// the phase-1 sync completed into `sync1_at`.
+    fn workload(&mut self, pid: ProcessId, sync1_at: &mut Option<u64>) -> Result<(), Self::Error>;
+    fn relocations(&self) -> u64;
+    /// True if `e` is how a power failure surfaces.
+    fn power_failed(e: &Self::Error) -> bool;
+    fn salvage(&mut self, repair: bool) -> Result<Report<Self::Problem>, Self::Error>;
+    /// Checks phase-1 contents on the recovered system via the ordinary
+    /// gates.
+    fn verify_phase1(&mut self);
+    fn counters(&self) -> CounterSet;
 }
 
-/// Boots the kernel rig and installs `plan` so that write ordinals
-/// count workload transfers only (bootload writes are excluded).
-fn kernel_rig(plan: FaultPlan) -> KRig {
-    let mut k = Kernel::boot(kernel_config());
-    k.machine.disks.attach(BIG_PACK.0, BIG_PACK.1);
-    k.register_account("r1", mx_kernel::UserId(1), 1, Label::BOTTOM);
-    let pid = k.login_residue("r1", 1, Label::BOTTOM).expect("login");
-    k.machine.faults.install(plan);
-    KRig { k, pid }
+/// Boots `D` with the roomy pack attached and a process logged in, then
+/// installs `plan`, so that write ordinals count workload transfers only
+/// (bootload writes are excluded).
+fn rig<D: Design>(plan: FaultPlan) -> (D, ProcessId) {
+    let mut sys = D::boot(boot_config());
+    sys.machine().disks.attach(BIG_PACK.0, BIG_PACK.1);
+    let pid = sys.login();
+    sys.machine().faults.install(plan);
+    (sys, pid)
 }
 
-/// The shared workload, kernel side. Records the write ordinal at which
-/// the phase-1 sync completed into `sync1_at`.
-fn kernel_workload(r: &mut KRig, sync1_at: &mut Option<u64>) -> Result<(), KernelError> {
-    let acl = mx_kernel::Acl::owner(mx_kernel::UserId(1));
-    let root = r.k.root_token();
-    let d =
-        r.k.create_entry(r.pid, root, "d", acl.clone(), Label::BOTTOM, true)?;
-    r.k.set_quota(r.pid, d, QUOTA_LIMIT)?;
-    for i in 0..FILES {
-        let f = r.k.create_entry(
-            r.pid,
-            d,
-            &format!("f{i}"),
-            acl.clone(),
-            Label::BOTTOM,
-            false,
-        )?;
-        let segno = r.k.initiate(r.pid, f)?;
-        for p in 0..PAGES {
-            r.k.write_word(r.pid, segno, p * PW, val(i, p, 0))?;
-            r.k.write_word(r.pid, segno, p * PW + PW - 1, val(i, p, 1))?;
+impl Design for Kernel {
+    const NAME: &'static str = "kernel";
+    type Error = KernelError;
+    type Problem = mx_kernel::Problem;
+
+    fn boot(config: BootConfig) -> Self {
+        Kernel::boot(config)
+    }
+
+    fn recover(config: BootConfig, crashed: Self) -> Result<Self, KernelError> {
+        Kernel::boot_from_image(config, crashed.machine)
+    }
+
+    fn machine(&mut self) -> &mut Machine {
+        &mut self.machine
+    }
+
+    fn login(&mut self) -> ProcessId {
+        self.register_account("r1", mx_kernel::UserId(1), 1, Label::BOTTOM);
+        self.login_residue("r1", 1, Label::BOTTOM).expect("login")
+    }
+
+    fn workload(&mut self, pid: ProcessId, sync1_at: &mut Option<u64>) -> Result<(), KernelError> {
+        let acl = mx_kernel::Acl::owner(mx_kernel::UserId(1));
+        let root = self.root_token();
+        let d = self.create_entry(pid, root, "d", acl.clone(), Label::BOTTOM, true)?;
+        self.set_quota(pid, d, QUOTA_LIMIT)?;
+        for i in 0..FILES {
+            let f =
+                self.create_entry(pid, d, &format!("f{i}"), acl.clone(), Label::BOTTOM, false)?;
+            let segno = self.initiate(pid, f)?;
+            for p in 0..PAGES {
+                self.write_word(pid, segno, p * PW, val(i, p, 0))?;
+                self.write_word(pid, segno, p * PW + PW - 1, val(i, p, 1))?;
+            }
+        }
+        self.sync_to_disk()?;
+        *sync1_at = Some(self.machine.faults.writes);
+        let g = self.create_entry(pid, root, "grow", acl, Label::BOTTOM, false)?;
+        let segno = self.initiate(pid, g)?;
+        for p in 0..GROW_PAGES {
+            self.write_word(pid, segno, p * PW, Word::new(u64::from(p) + 1))?;
+        }
+        self.sync_to_disk()
+    }
+
+    fn relocations(&self) -> u64 {
+        self.segm.stats.relocations
+    }
+
+    fn power_failed(e: &KernelError) -> bool {
+        matches!(e, KernelError::Disk(_))
+    }
+
+    fn salvage(&mut self, repair: bool) -> Result<SalvageReport, KernelError> {
+        Kernel::salvage(self, repair)
+    }
+
+    fn verify_phase1(&mut self) {
+        self.register_account("check", mx_kernel::UserId(1), 1, Label::BOTTOM);
+        let pid = self
+            .login_residue("check", 1, Label::BOTTOM)
+            .expect("login");
+        let root = self.root_token();
+        let d = self
+            .dir_search(pid, root, "d")
+            .expect("synced dir survives");
+        for i in 0..FILES {
+            let f = self
+                .dir_search(pid, d, &format!("f{i}"))
+                .expect("synced file survives");
+            let segno = self.initiate(pid, f).expect("initiate survivor");
+            for p in 0..PAGES {
+                assert_eq!(
+                    self.read_word(pid, segno, p * PW).expect("read survivor"),
+                    val(i, p, 0),
+                    "file f{i} page {p} lost its first word"
+                );
+                assert_eq!(
+                    self.read_word(pid, segno, p * PW + PW - 1)
+                        .expect("read survivor"),
+                    val(i, p, 1),
+                    "file f{i} page {p} lost its last word"
+                );
+            }
         }
     }
-    r.k.sync_to_disk()?;
-    *sync1_at = Some(r.k.machine.faults.writes);
-    let g =
-        r.k.create_entry(r.pid, root, "grow", acl, Label::BOTTOM, false)?;
-    let segno = r.k.initiate(r.pid, g)?;
-    for p in 0..GROW_PAGES {
-        r.k.write_word(r.pid, segno, p * PW, Word::new(u64::from(p) + 1))?;
+
+    fn counters(&self) -> CounterSet {
+        self.stats.counters()
     }
-    r.k.sync_to_disk()
 }
 
-/// Checks phase-1 contents on a recovered kernel via the ordinary gates.
-fn kernel_verify_phase1(rk: &mut Kernel) {
-    rk.register_account("check", mx_kernel::UserId(1), 1, Label::BOTTOM);
-    let pid = rk.login_residue("check", 1, Label::BOTTOM).expect("login");
-    let root = rk.root_token();
-    let d = rk.dir_search(pid, root, "d").expect("synced dir survives");
-    for i in 0..FILES {
-        let f = rk
-            .dir_search(pid, d, &format!("f{i}"))
-            .expect("synced file survives");
-        let segno = rk.initiate(pid, f).expect("initiate survivor");
-        for p in 0..PAGES {
-            assert_eq!(
-                rk.read_word(pid, segno, p * PW).expect("read survivor"),
-                val(i, p, 0),
-                "file f{i} page {p} lost its first word"
-            );
-            assert_eq!(
-                rk.read_word(pid, segno, p * PW + PW - 1)
-                    .expect("read survivor"),
-                val(i, p, 1),
-                "file f{i} page {p} lost its last word"
-            );
+impl Design for Supervisor {
+    const NAME: &'static str = "legacy";
+    type Error = LegacyError;
+    type Problem = String;
+
+    fn boot(config: BootConfig) -> Self {
+        Supervisor::boot(config)
+    }
+
+    fn recover(config: BootConfig, crashed: Self) -> Result<Self, LegacyError> {
+        Supervisor::boot_from_image(config, crashed.machine)
+    }
+
+    fn machine(&mut self) -> &mut Machine {
+        &mut self.machine
+    }
+
+    fn login(&mut self) -> ProcessId {
+        self.create_process(LUserId(1), Label::BOTTOM)
+            .expect("process")
+    }
+
+    fn workload(&mut self, pid: ProcessId, sync1_at: &mut Option<u64>) -> Result<(), LegacyError> {
+        let acl = LAcl::owner(LUserId(1));
+        let root = self.root();
+        let d = self.create_directory_in(root, "d", acl.clone(), Label::BOTTOM)?;
+        self.set_quota_directory(pid, ">d", QUOTA_LIMIT)?;
+        for i in 0..FILES {
+            let f = self.create_segment_in(d, &format!("f{i}"), acl.clone(), Label::BOTTOM)?;
+            let astx = self.activate(f)?;
+            for p in 0..PAGES {
+                self.sup_write(astx, p * PW, val(i, p, 0))?;
+                self.sup_write(astx, p * PW + PW - 1, val(i, p, 1))?;
+            }
         }
+        self.sync_to_disk()?;
+        *sync1_at = Some(self.machine.faults.writes);
+        let g = self.create_segment_in(root, "grow", acl, Label::BOTTOM)?;
+        let astx = self.activate(g)?;
+        for p in 0..GROW_PAGES {
+            self.sup_write(astx, p * PW, Word::new(u64::from(p) + 1))?;
+        }
+        self.sync_to_disk()
+    }
+
+    fn relocations(&self) -> u64 {
+        self.stats.relocations
+    }
+
+    fn power_failed(e: &LegacyError) -> bool {
+        matches!(e, LegacyError::Disk(_))
+    }
+
+    fn salvage(&mut self, repair: bool) -> Result<LegacySalvageReport, LegacyError> {
+        Supervisor::salvage(self, repair)
+    }
+
+    fn verify_phase1(&mut self) {
+        let pid = self
+            .create_process(LUserId(1), Label::BOTTOM)
+            .expect("post-recovery process");
+        for i in 0..FILES {
+            let (uid, _entry) = self
+                .resolve(pid, &format!(">d>f{i}"), AccessRight::Read)
+                .expect("synced file survives");
+            let astx = self.activate(uid).expect("activate survivor");
+            for p in 0..PAGES {
+                assert_eq!(
+                    self.sup_read(astx, p * PW).expect("read survivor"),
+                    val(i, p, 0),
+                    "file f{i} page {p} lost its first word"
+                );
+                assert_eq!(
+                    self.sup_read(astx, p * PW + PW - 1).expect("read survivor"),
+                    val(i, p, 1),
+                    "file f{i} page {p} lost its last word"
+                );
+            }
+        }
+    }
+
+    fn counters(&self) -> CounterSet {
+        self.stats.counters()
     }
 }
 
@@ -184,17 +327,18 @@ fn assert_storage_conserved(disks: &mx_hw::DiskSystem, design: &str, n: u64) {
     );
 }
 
-/// Runs the kernel half of the crash matrix.
-fn kernel_matrix(stride: u64) -> MatrixSummary {
+/// Runs one design's half of the crash matrix.
+fn matrix<D: Design>(stride: u64) -> MatrixSummary {
+    let design = D::NAME;
     // Dry run: learn the write-ordinal universe and sanity-check that
     // the workload really exercises relocation.
-    let mut rig = kernel_rig(FaultPlan::new());
+    let (mut sys, pid) = rig::<D>(FaultPlan::new());
     let mut sync1 = None;
-    kernel_workload(&mut rig, &mut sync1).expect("fault-free run");
-    let total = rig.k.machine.faults.writes;
-    let sync1 = sync1.expect("phase-1 checkpoint");
+    sys.workload(pid, &mut sync1).expect("fault-free run");
+    let total = sys.machine().faults.writes;
+    sync1.expect("phase-1 checkpoint");
     assert!(
-        rig.k.segm.stats.relocations > 0,
+        sys.relocations() > 0,
         "workload must force a relocation (got none in {total} writes)"
     );
 
@@ -206,174 +350,27 @@ fn kernel_matrix(stride: u64) -> MatrixSummary {
     let mut cycles_max = 0u64;
     let mut last = None;
     for n in (1..=total).step_by(stride.max(1) as usize) {
-        let mut rig = kernel_rig(FaultPlan::new().crash_after_writes(n, crash_mode(n)));
+        let (mut sys, pid) = rig::<D>(FaultPlan::new().crash_after_writes(n, crash_mode(n)));
         let mut s1 = None;
-        let err = kernel_workload(&mut rig, &mut s1)
+        let err = sys
+            .workload(pid, &mut s1)
             .expect_err("the crash plan must fire before the workload ends");
         assert!(
-            matches!(err, KernelError::Disk(_)),
-            "kernel crash point {n}: power failure must surface typed, got {err:?}"
+            D::power_failed(&err),
+            "{design} crash point {n}: power failure must surface typed, got {err:?}"
         );
-        let mut rk =
-            Kernel::boot_from_image(kernel_config(), rig.k.machine).expect("recovery bootload");
-        let repaired = rk.salvage(true).expect("salvage with repair");
-        let check = rk.salvage(false).expect("salvage check pass");
-        assert!(
-            check.clean(),
-            "kernel crash point {n}: second salvage pass still sees {:?}",
-            check.problems
-        );
-        assert_storage_conserved(&rk.machine.disks, "kernel", n);
-        let cycles = rk.machine.clock.now();
-        if s1.is_some_and(|c| n > c) {
-            kernel_verify_phase1(&mut rk);
-            durable_verified += 1;
-        }
-        tested += 1;
-        if !repaired.problems.is_empty() {
-            damage_found += 1;
-        }
-        repairs += repaired.repairs.len() as u64;
-        cycles_sum += cycles;
-        cycles_max = cycles_max.max(cycles);
-        last = Some(rk);
-    }
-    let _ = sync1;
-    if let Some(rk) = last {
-        crate::trace::publish("r1.kernel", &rk.machine.clock, rk.stats.counters());
-    }
-    MatrixSummary {
-        total_writes: total,
-        tested,
-        damage_found,
-        repairs,
-        durable_verified,
-        avg_recovery_cycles: cycles_sum / u64::from(tested.max(1)),
-        max_recovery_cycles: cycles_max,
-    }
-}
-
-// ------------------------------------------------------------- legacy --
-
-fn legacy_config() -> SupervisorConfig {
-    SupervisorConfig {
-        packs: 2,
-        records_per_pack: 8,
-        toc_slots_per_pack: 16,
-        root_quota_pages: 64,
-        ..SupervisorConfig::default()
-    }
-}
-
-struct LRig {
-    sup: Supervisor,
-    pid: mx_legacy::ProcessId,
-}
-
-fn legacy_rig(plan: FaultPlan) -> LRig {
-    let mut sup = Supervisor::boot(legacy_config());
-    sup.machine.disks.attach(BIG_PACK.0, BIG_PACK.1);
-    let pid = sup
-        .create_process(LUserId(1), Label::BOTTOM)
-        .expect("process");
-    sup.machine.faults.install(plan);
-    LRig { sup, pid }
-}
-
-/// The shared workload, old-supervisor side.
-fn legacy_workload(r: &mut LRig, sync1_at: &mut Option<u64>) -> Result<(), LegacyError> {
-    let acl = LAcl::owner(LUserId(1));
-    let root = r.sup.root();
-    let d = r
-        .sup
-        .create_directory_in(root, "d", acl.clone(), Label::BOTTOM)?;
-    r.sup.set_quota_directory(r.pid, ">d", QUOTA_LIMIT)?;
-    for i in 0..FILES {
-        let f = r
-            .sup
-            .create_segment_in(d, &format!("f{i}"), acl.clone(), Label::BOTTOM)?;
-        let astx = r.sup.activate(f)?;
-        for p in 0..PAGES {
-            r.sup.sup_write(astx, p * PW, val(i, p, 0))?;
-            r.sup.sup_write(astx, p * PW + PW - 1, val(i, p, 1))?;
-        }
-    }
-    r.sup.sync_to_disk()?;
-    *sync1_at = Some(r.sup.machine.faults.writes);
-    let g = r.sup.create_segment_in(root, "grow", acl, Label::BOTTOM)?;
-    let astx = r.sup.activate(g)?;
-    for p in 0..GROW_PAGES {
-        r.sup.sup_write(astx, p * PW, Word::new(u64::from(p) + 1))?;
-    }
-    r.sup.sync_to_disk()
-}
-
-/// Checks phase-1 contents on a recovered supervisor.
-fn legacy_verify_phase1(rs: &mut Supervisor) {
-    let pid = rs
-        .create_process(LUserId(1), Label::BOTTOM)
-        .expect("post-recovery process");
-    for i in 0..FILES {
-        let (uid, _entry) = rs
-            .resolve(pid, &format!(">d>f{i}"), AccessRight::Read)
-            .expect("synced file survives");
-        let astx = rs.activate(uid).expect("activate survivor");
-        for p in 0..PAGES {
-            assert_eq!(
-                rs.sup_read(astx, p * PW).expect("read survivor"),
-                val(i, p, 0),
-                "file f{i} page {p} lost its first word"
-            );
-            assert_eq!(
-                rs.sup_read(astx, p * PW + PW - 1).expect("read survivor"),
-                val(i, p, 1),
-                "file f{i} page {p} lost its last word"
-            );
-        }
-    }
-}
-
-/// Runs the old-supervisor half of the crash matrix.
-fn legacy_matrix(stride: u64) -> MatrixSummary {
-    let mut rig = legacy_rig(FaultPlan::new());
-    let mut sync1 = None;
-    legacy_workload(&mut rig, &mut sync1).expect("fault-free run");
-    let total = rig.sup.machine.faults.writes;
-    let _sync1 = sync1.expect("phase-1 checkpoint");
-    assert!(
-        rig.sup.stats.relocations > 0,
-        "workload must force a relocation (got none in {total} writes)"
-    );
-
-    let mut tested = 0;
-    let mut damage_found = 0;
-    let mut repairs = 0u64;
-    let mut durable_verified = 0;
-    let mut cycles_sum = 0u64;
-    let mut cycles_max = 0u64;
-    let mut last = None;
-    for n in (1..=total).step_by(stride.max(1) as usize) {
-        let mut rig = legacy_rig(FaultPlan::new().crash_after_writes(n, crash_mode(n)));
-        let mut s1 = None;
-        let err = legacy_workload(&mut rig, &mut s1)
-            .expect_err("the crash plan must fire before the workload ends");
-        assert!(
-            matches!(err, LegacyError::Disk(_)),
-            "legacy crash point {n}: power failure must surface typed, got {err:?}"
-        );
-        let mut rs = Supervisor::boot_from_image(legacy_config(), rig.sup.machine)
-            .expect("recovery bootload");
+        let mut rs = D::recover(boot_config(), sys).expect("recovery bootload");
         let repaired = rs.salvage(true).expect("salvage with repair");
         let check = rs.salvage(false).expect("salvage check pass");
         assert!(
             check.clean(),
-            "legacy crash point {n}: second salvage pass still sees {:?}",
+            "{design} crash point {n}: second salvage pass still sees {:?}",
             check.problems
         );
-        assert_storage_conserved(&rs.machine.disks, "legacy", n);
-        let cycles = rs.machine.clock.now();
+        assert_storage_conserved(&rs.machine().disks, design, n);
+        let cycles = rs.machine().clock.now();
         if s1.is_some_and(|c| n > c) {
-            legacy_verify_phase1(&mut rs);
+            rs.verify_phase1();
             durable_verified += 1;
         }
         tested += 1;
@@ -385,8 +382,9 @@ fn legacy_matrix(stride: u64) -> MatrixSummary {
         cycles_max = cycles_max.max(cycles);
         last = Some(rs);
     }
-    if let Some(rs) = last {
-        crate::trace::publish("r1.legacy", &rs.machine.clock, rs.stats.counters());
+    if let Some(mut rs) = last {
+        let counters = rs.counters();
+        crate::trace::publish(&format!("r1.{design}"), &rs.machine().clock, counters);
     }
     MatrixSummary {
         total_writes: total,
@@ -409,87 +407,19 @@ fn degradation_notes() -> Vec<String> {
     let mut notes = Vec::new();
 
     // Kernel side.
-    let mut r = kernel_rig(FaultPlan::new());
+    let (mut k, pid) = rig::<Kernel>(FaultPlan::new());
     let acl = mx_kernel::Acl::owner(mx_kernel::UserId(1));
-    let root = r.k.root_token();
-    let t =
-        r.k.create_entry(r.pid, root, "t", acl, Label::BOTTOM, false)
-            .expect("probe file");
-    let segno = r.k.initiate(r.pid, t).expect("initiate probe");
-    r.k.write_word(r.pid, segno, 0, Word::new(0o7777))
-        .expect("probe write");
-    r.k.sync_to_disk().expect("probe sync");
-    let uid = r.k.uid_of_token(t).expect("probe uid");
-    let home = r.k.dirm.home_of(uid).expect("probe home");
-    let rec =
-        r.k.machine
-            .disks
-            .pack(home.pack)
-            .expect("probe pack")
-            .entry(home.toc)
-            .expect("probe toc")
-            .file_map[0]
-            .expect("probe record");
-    r.k.machine
-        .faults
-        .install(FaultPlan::new().transient_read(home.pack, rec, 1));
-    assert_eq!(
-        r.k.read_word(r.pid, segno, 0).expect("absorbed read"),
-        Word::new(0o7777)
-    );
-    assert!(r.k.pfm.stats.transient_retries >= 1, "retry not counted");
-    r.k.sync_to_disk().expect("re-sync");
-    let mut plan = FaultPlan::new();
-    for kth in 1..=u64::from(mx_kernel::page_frame::READ_RETRY_BUDGET) + 1 {
-        plan = plan.transient_read(home.pack, rec, kth);
-    }
-    r.k.machine.faults.install(plan);
-    let err =
-        r.k.read_word(r.pid, segno, 0)
-            .expect_err("budget exhausted");
-    assert!(
-        matches!(err, KernelError::Disk(DiskError::TransientRead { .. })),
-        "exhaustion must be typed, got {err:?}"
-    );
-    r.k.machine.faults.clear();
-    r.k.sync_to_disk().expect("re-sync");
-    r.k.machine.faults.set_offline(home.pack, true);
-    let err = r.k.read_word(r.pid, segno, 0).expect_err("pack offline");
-    assert!(
-        matches!(err, KernelError::Disk(DiskError::PackOffline { .. })),
-        "offline must be typed, got {err:?}"
-    );
-    r.k.machine.faults.set_offline(home.pack, false);
-    assert_eq!(
-        r.k.read_word(r.pid, segno, 0).expect("pack back online"),
-        Word::new(0o7777)
-    );
-    notes.push(format!(
-        "kernel: transient read absorbed ({} retries), retry exhaustion \
-         and offline pack surface typed, pack return resumes service",
-        r.k.pfm.stats.transient_retries
-    ));
-
-    // Old-supervisor side.
-    let mut r = legacy_rig(FaultPlan::new());
-    let acl = LAcl::owner(LUserId(1));
-    let root = r.sup.root();
-    let t = r
-        .sup
-        .create_segment_in(root, "t", acl, Label::BOTTOM)
+    let root = k.root_token();
+    let t = k
+        .create_entry(pid, root, "t", acl, Label::BOTTOM, false)
         .expect("probe file");
-    let astx = r.sup.activate(t).expect("activate probe");
-    r.sup
-        .sup_write(astx, 0, Word::new(0o7777))
+    let segno = k.initiate(pid, t).expect("initiate probe");
+    k.write_word(pid, segno, 0, Word::new(0o7777))
         .expect("probe write");
-    r.sup.sync_to_disk().expect("probe sync");
-    let (_uid, e) = r
-        .sup
-        .resolve(r.pid, ">t", AccessRight::Read)
-        .expect("probe entry");
-    let home = e.home;
-    let rec = r
-        .sup
+    k.sync_to_disk().expect("probe sync");
+    let uid = k.uid_of_token(t).expect("probe uid");
+    let home = k.dirm.home_of(uid).expect("probe home");
+    let rec = k
         .machine
         .disks
         .pack(home.pack)
@@ -498,49 +428,110 @@ fn degradation_notes() -> Vec<String> {
         .expect("probe toc")
         .file_map[0]
         .expect("probe record");
-    r.sup
-        .machine
+    k.machine
         .faults
         .install(FaultPlan::new().transient_read(home.pack, rec, 1));
-    let astx = r.sup.activate(t).expect("re-activate");
     assert_eq!(
-        r.sup.sup_read(astx, 0).expect("absorbed read"),
+        k.read_word(pid, segno, 0).expect("absorbed read"),
         Word::new(0o7777)
     );
-    assert!(r.sup.stats.disk_retries >= 1, "retry not counted");
-    r.sup.sync_to_disk().expect("re-sync");
+    assert!(k.pfm.stats.transient_retries >= 1, "retry not counted");
+    k.sync_to_disk().expect("re-sync");
+    let mut plan = FaultPlan::new();
+    for kth in 1..=u64::from(mx_kernel::page_frame::READ_RETRY_BUDGET) + 1 {
+        plan = plan.transient_read(home.pack, rec, kth);
+    }
+    k.machine.faults.install(plan);
+    let err = k.read_word(pid, segno, 0).expect_err("budget exhausted");
+    assert!(
+        matches!(err, KernelError::Disk(DiskError::TransientRead { .. })),
+        "exhaustion must be typed, got {err:?}"
+    );
+    k.machine.faults.clear();
+    k.sync_to_disk().expect("re-sync");
+    k.machine.faults.set_offline(home.pack, true);
+    let err = k.read_word(pid, segno, 0).expect_err("pack offline");
+    assert!(
+        matches!(err, KernelError::Disk(DiskError::PackOffline { .. })),
+        "offline must be typed, got {err:?}"
+    );
+    k.machine.faults.set_offline(home.pack, false);
+    assert_eq!(
+        k.read_word(pid, segno, 0).expect("pack back online"),
+        Word::new(0o7777)
+    );
+    notes.push(format!(
+        "kernel: transient read absorbed ({} retries), retry exhaustion \
+         and offline pack surface typed, pack return resumes service",
+        k.pfm.stats.transient_retries
+    ));
+
+    // Old-supervisor side.
+    let (mut sup, pid) = rig::<Supervisor>(FaultPlan::new());
+    let acl = LAcl::owner(LUserId(1));
+    let root = sup.root();
+    let t = sup
+        .create_segment_in(root, "t", acl, Label::BOTTOM)
+        .expect("probe file");
+    let astx = sup.activate(t).expect("activate probe");
+    sup.sup_write(astx, 0, Word::new(0o7777))
+        .expect("probe write");
+    sup.sync_to_disk().expect("probe sync");
+    let (_uid, e) = sup
+        .resolve(pid, ">t", AccessRight::Read)
+        .expect("probe entry");
+    let home = e.home;
+    let rec = sup
+        .machine
+        .disks
+        .pack(home.pack)
+        .expect("probe pack")
+        .entry(home.toc)
+        .expect("probe toc")
+        .file_map[0]
+        .expect("probe record");
+    sup.machine
+        .faults
+        .install(FaultPlan::new().transient_read(home.pack, rec, 1));
+    let astx = sup.activate(t).expect("re-activate");
+    assert_eq!(
+        sup.sup_read(astx, 0).expect("absorbed read"),
+        Word::new(0o7777)
+    );
+    assert!(sup.stats.disk_retries >= 1, "retry not counted");
+    sup.sync_to_disk().expect("re-sync");
     let mut plan = FaultPlan::new();
     for kth in 1..=u64::from(mx_legacy::page_control::READ_RETRY_BUDGET) + 1 {
         plan = plan.transient_read(home.pack, rec, kth);
     }
-    r.sup.machine.faults.install(plan);
-    let astx = r.sup.activate(t).expect("re-activate");
-    let err = r.sup.sup_read(astx, 0).expect_err("budget exhausted");
+    sup.machine.faults.install(plan);
+    let astx = sup.activate(t).expect("re-activate");
+    let err = sup.sup_read(astx, 0).expect_err("budget exhausted");
     assert!(
         matches!(err, LegacyError::Disk(DiskError::TransientRead { .. })),
         "exhaustion must be typed, got {err:?}"
     );
-    r.sup.machine.faults.clear();
-    r.sup.sync_to_disk().expect("re-sync");
-    r.sup.machine.faults.set_offline(home.pack, true);
+    sup.machine.faults.clear();
+    sup.sync_to_disk().expect("re-sync");
+    sup.machine.faults.set_offline(home.pack, true);
     // The old supervisor stores directory representations in segments,
     // so even re-activation pages against the offline pack — and must
     // degrade to a typed error rather than a panic.
-    let err = r.sup.activate(t).expect_err("pack offline");
+    let err = sup.activate(t).expect_err("pack offline");
     assert!(
         matches!(err, LegacyError::Disk(DiskError::PackOffline { .. })),
         "offline must be typed, got {err:?}"
     );
-    r.sup.machine.faults.set_offline(home.pack, false);
-    let astx = r.sup.activate(t).expect("re-activate");
+    sup.machine.faults.set_offline(home.pack, false);
+    let astx = sup.activate(t).expect("re-activate");
     assert_eq!(
-        r.sup.sup_read(astx, 0).expect("pack back online"),
+        sup.sup_read(astx, 0).expect("pack back online"),
         Word::new(0o7777)
     );
     notes.push(format!(
         "legacy: transient read absorbed ({} retries), retry exhaustion \
          and offline pack surface typed, pack return resumes service",
-        r.sup.stats.disk_retries
+        sup.stats.disk_retries
     ));
     notes
 }
@@ -552,8 +543,8 @@ fn degradation_notes() -> Vec<String> {
 /// any crash point fails to recover to a clean, conserved hierarchy
 /// with durable contents intact.
 pub fn r1_crash_recovery(stride: u64) -> Comparison {
-    let kernel = kernel_matrix(stride);
-    let legacy = legacy_matrix(stride);
+    let kernel = matrix::<Kernel>(stride);
+    let legacy = matrix::<Supervisor>(stride);
     let mut notes = vec![
         format!(
             "legacy: {}/{} crash points run, damage at {}, {} repairs, \
@@ -599,10 +590,10 @@ mod tests {
     /// runs the full matrix.
     #[test]
     fn subsampled_crash_matrix_recovers_both_designs() {
-        let k = kernel_matrix(7);
+        let k = matrix::<Kernel>(7);
         assert!(k.tested > 0);
         assert!(k.durable_verified > 0, "late crash points must be tested");
-        let l = legacy_matrix(7);
+        let l = matrix::<Supervisor>(7);
         assert!(l.tested > 0);
         assert!(l.durable_verified > 0, "late crash points must be tested");
     }
@@ -610,8 +601,8 @@ mod tests {
     /// Same seed, same matrix: the experiment is replayable.
     #[test]
     fn crash_matrix_is_deterministic() {
-        let a = kernel_matrix(11);
-        let b = kernel_matrix(11);
+        let a = matrix::<Kernel>(11);
+        let b = matrix::<Kernel>(11);
         assert_eq!(a.total_writes, b.total_writes);
         assert_eq!(a.damage_found, b.damage_found);
         assert_eq!(a.repairs, b.repairs);

@@ -33,7 +33,7 @@ use mx_aim::{FlowTracker, Label, ReferenceMonitor};
 use mx_hw::cpu::{DescBase, Ptw, Sdw};
 use mx_hw::interp::{self, ProgramRun};
 use mx_hw::meter::{CounterSet, Subsystem};
-use mx_hw::{Fault, HwFeatures, Machine, MachineConfig, ProcessorId, VirtAddr, Word};
+use mx_hw::{Fault, HwFeatures, Machine, ProcessorId, VirtAddr, Word};
 use std::collections::HashMap;
 
 /// Virtual processors (the first three are kernel-bound).
@@ -45,52 +45,9 @@ const EVENT_QUEUE: usize = 64;
 /// Seed for the identifier secret (deterministic experiments).
 const SEED: u64 = 0x6b65_726e_656c;
 
-/// Bootload configuration for Kernel/Multics.
-#[derive(Debug, Clone)]
-pub struct KernelConfig {
-    /// Core frames.
-    pub frames: usize,
-    /// Disk packs.
-    pub packs: u32,
-    /// Records per pack.
-    pub records_per_pack: u32,
-    /// TOC slots per pack.
-    pub toc_slots_per_pack: u32,
-    /// Page-table pool slots (max simultaneously active segments).
-    pub pt_slots: u32,
-    /// Process slots (wired descriptor-segment frames).
-    pub max_processes: u32,
-    /// Root quota cell limit, pages.
-    pub root_quota: u32,
-}
-
-impl KernelConfig {
-    /// The machine this configuration boots: the paper's proposed
-    /// hardware additions.
-    fn machine(&self) -> MachineConfig {
-        MachineConfig {
-            frames: self.frames,
-            packs: self.packs,
-            records_per_pack: self.records_per_pack,
-            toc_slots_per_pack: self.toc_slots_per_pack,
-            features: HwFeatures::KERNEL_PROPOSED,
-        }
-    }
-}
-
-impl Default for KernelConfig {
-    fn default() -> Self {
-        Self {
-            frames: 256,
-            packs: 2,
-            records_per_pack: 1024,
-            toc_slots_per_pack: 256,
-            pt_slots: 64,
-            max_processes: 16,
-            root_quota: 1500,
-        }
-    }
-}
+/// Bootload configuration for Kernel/Multics: the one both designs boot
+/// from. The kernel boots it on [`HwFeatures::KERNEL_PROPOSED`].
+pub use mx_hw::BootConfig as KernelConfig;
 
 /// Gatekeeper counters.
 #[derive(Debug, Clone, Copy, Default)]
@@ -343,7 +300,7 @@ impl Kernel {
     /// Panics if the configuration leaves fewer than eight pageable
     /// frames.
     pub fn boot(config: KernelConfig) -> Self {
-        let machine = Machine::new(config.machine());
+        let machine = Machine::new(config.machine(HwFeatures::KERNEL_PROPOSED));
         let mut kernel = Self::assemble(&config, machine, |fs| {
             DirectoryManager::new(fs, SEED, config.root_quota)
         })
@@ -369,7 +326,7 @@ impl Kernel {
     /// [`KernelError::NoEntry`] if pack 0 records no root directory;
     /// storage errors walking the image.
     pub fn boot_from_image(config: KernelConfig, crashed: Machine) -> Result<Self, KernelError> {
-        let machine = crashed.restart(config.machine());
+        let machine = crashed.restart(config.machine(HwFeatures::KERNEL_PROPOSED));
         let pack = mx_hw::PackId(0);
         let root = machine
             .disks
@@ -633,6 +590,26 @@ impl Kernel {
 
     // ---- directory gates ---------------------------------------------------
 
+    /// What every gate on a directory or its entries does around its
+    /// body: charges the gate, stops at the salvage barrier on `token`,
+    /// then runs `body` in `subsystem`'s meter scope as the process's
+    /// user at its label, through the trampoline.
+    fn dir_gate<T>(
+        &mut self,
+        pid: ProcessId,
+        token: ObjToken,
+        subsystem: Subsystem,
+        mut body: impl FnMut(&mut Self, UserId, Label) -> Result<T, KernelError>,
+    ) -> Result<T, KernelError> {
+        self.charge_gate();
+        self.salvage_barrier(token)?;
+        self.scoped(subsystem, |k| {
+            let user = k.upm.user_of(pid)?;
+            let label = k.upm.label_of(pid)?;
+            k.with_retries(|k| body(k, user, label))
+        })
+    }
+
     /// The single-directory search gate.
     ///
     /// # Errors
@@ -644,12 +621,8 @@ impl Kernel {
         dir: ObjToken,
         name: &str,
     ) -> Result<ObjToken, KernelError> {
-        self.charge_gate();
-        self.salvage_barrier(dir)?;
-        self.scoped(Subsystem::DirectoryControl, |k| {
-            let user = k.upm.user_of(pid)?;
-            let label = k.upm.label_of(pid)?;
-            k.with_retries(|k| k.dirm.search(&mut ctx!(k), user, label, dir, name))
+        self.dir_gate(pid, dir, Subsystem::DirectoryControl, |k, user, label| {
+            k.dirm.search(&mut ctx!(k), user, label, dir, name)
         })
     }
 
@@ -660,18 +633,12 @@ impl Kernel {
     /// [`KernelError::NoAccess`], uniformly, for mythical or forbidden
     /// tokens.
     pub fn initiate(&mut self, pid: ProcessId, token: ObjToken) -> Result<u32, KernelError> {
-        self.charge_gate();
-        // Only bars tokens naming a quarantined *directory*: plain
-        // segments serve as soon as their parent (the only path to a
-        // token for them) is released.
-        self.salvage_barrier(token)?;
-        self.scoped(Subsystem::SegmentControl, |k| {
-            let user = k.upm.user_of(pid)?;
-            let label = k.upm.label_of(pid)?;
-            k.with_retries(|k| {
-                k.dirm
-                    .initiate(&mut ctx!(k), &mut k.ksm, pid, user, label, token)
-            })
+        // The barrier only bars tokens naming a quarantined *directory*:
+        // plain segments serve as soon as their parent (the only path to
+        // a token for them) is released.
+        self.dir_gate(pid, token, Subsystem::SegmentControl, |k, user, label| {
+            k.dirm
+                .initiate(&mut ctx!(k), &mut k.ksm, pid, user, label, token)
         })
     }
 
@@ -711,16 +678,11 @@ impl Kernel {
         label: Label,
         is_dir: bool,
     ) -> Result<ObjToken, KernelError> {
-        self.charge_gate();
-        self.salvage_barrier(dir)?;
-        self.scoped(Subsystem::DirectoryControl, |k| {
-            let user = k.upm.user_of(pid)?;
-            let plabel = k.upm.label_of(pid)?;
-            let token = k.with_retries(|k| {
-                let acl = acl.clone();
-                k.dirm
-                    .create(&mut ctx!(k), user, plabel, dir, name, acl, label, is_dir)
-            })?;
+        self.dir_gate(pid, dir, Subsystem::DirectoryControl, |k, user, plabel| {
+            let acl = acl.clone();
+            let token = k
+                .dirm
+                .create(&mut ctx!(k), user, plabel, dir, name, acl, label, is_dir)?;
             if let Some(uid) = k.dirm.resolve_token(token) {
                 k.salvage_note_created(uid, is_dir);
             }
@@ -739,33 +701,27 @@ impl Kernel {
         dir: ObjToken,
         name: &str,
     ) -> Result<(), KernelError> {
-        self.charge_gate();
-        self.salvage_barrier(dir)?;
-        self.scoped(Subsystem::DirectoryControl, |k| {
-            let user = k.upm.user_of(pid)?;
-            let plabel = k.upm.label_of(pid)?;
-            k.with_retries(|k| {
-                let mut fs = ctx!(k);
-                // Structural modification of a quarantined subtree is
-                // barred: deleting a not-yet-salvaged child directory
-                // through its (released) parent would pull the frontier
-                // out from under the salvager.
-                if let Some(o) = k.online.as_ref() {
-                    if let Some(duid) = k.dirm.resolve_token(dir) {
-                        if let Some(cuid) = k.dirm.lookup_in(&mut fs, duid, name)? {
-                            let child_is_dir = k
-                                .dirm
-                                .activation_info(cuid)
-                                .map(|(_, _, d, _)| d)
-                                .unwrap_or(false);
-                            if child_is_dir && !o.is_released(cuid) {
-                                return Err(KernelError::SalvageBusy);
-                            }
+        self.dir_gate(pid, dir, Subsystem::DirectoryControl, |k, user, plabel| {
+            let mut fs = ctx!(k);
+            // Structural modification of a quarantined subtree is
+            // barred: deleting a not-yet-salvaged child directory
+            // through its (released) parent would pull the frontier out
+            // from under the salvager.
+            if let Some(o) = k.online.as_ref() {
+                if let Some(duid) = k.dirm.resolve_token(dir) {
+                    if let Some(cuid) = k.dirm.lookup_in(&mut fs, duid, name)? {
+                        let child_is_dir = k
+                            .dirm
+                            .activation_info(cuid)
+                            .map(|(_, _, d, _)| d)
+                            .unwrap_or(false);
+                        if child_is_dir && !o.is_released(cuid) {
+                            return Err(KernelError::SalvageBusy);
                         }
                     }
                 }
-                k.dirm.delete(&mut fs, &mut k.ksm, user, plabel, dir, name)
-            })
+            }
+            k.dirm.delete(&mut fs, &mut k.ksm, user, plabel, dir, name)
         })
     }
 
@@ -775,12 +731,8 @@ impl Kernel {
     ///
     /// [`KernelError::NoAccess`] for unreadable directories.
     pub fn list_dir(&mut self, pid: ProcessId, dir: ObjToken) -> Result<Vec<String>, KernelError> {
-        self.charge_gate();
-        self.salvage_barrier(dir)?;
-        self.scoped(Subsystem::DirectoryControl, |k| {
-            let user = k.upm.user_of(pid)?;
-            let label = k.upm.label_of(pid)?;
-            k.with_retries(|k| k.dirm.list(&mut ctx!(k), user, label, dir))
+        self.dir_gate(pid, dir, Subsystem::DirectoryControl, |k, user, label| {
+            k.dirm.list(&mut ctx!(k), user, label, dir)
         })
     }
 
@@ -795,15 +747,9 @@ impl Kernel {
         dir: ObjToken,
         limit: u32,
     ) -> Result<(), KernelError> {
-        self.charge_gate();
-        self.salvage_barrier(dir)?;
-        self.scoped(Subsystem::DirectoryControl, |k| {
-            let user = k.upm.user_of(pid)?;
-            let plabel = k.upm.label_of(pid)?;
-            k.with_retries(|k| {
-                k.dirm
-                    .set_quota_directory(&mut ctx!(k), user, plabel, dir, limit)
-            })
+        self.dir_gate(pid, dir, Subsystem::DirectoryControl, |k, user, label| {
+            k.dirm
+                .set_quota_directory(&mut ctx!(k), user, label, dir, limit)
         })
     }
 
@@ -813,15 +759,8 @@ impl Kernel {
     ///
     /// Per [`DirectoryManager::clear_quota_directory`].
     pub fn clear_quota(&mut self, pid: ProcessId, dir: ObjToken) -> Result<(), KernelError> {
-        self.charge_gate();
-        self.salvage_barrier(dir)?;
-        self.scoped(Subsystem::DirectoryControl, |k| {
-            let user = k.upm.user_of(pid)?;
-            let plabel = k.upm.label_of(pid)?;
-            k.with_retries(|k| {
-                k.dirm
-                    .clear_quota_directory(&mut ctx!(k), user, plabel, dir)
-            })
+        self.dir_gate(pid, dir, Subsystem::DirectoryControl, |k, user, label| {
+            k.dirm.clear_quota_directory(&mut ctx!(k), user, label, dir)
         })
     }
 

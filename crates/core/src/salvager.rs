@@ -30,14 +30,14 @@ use crate::directory::FsCtx;
 use crate::error::KernelError;
 use crate::kernel::{ctx, Kernel};
 use crate::types::{DiskHome, ObjToken, SegUid};
-use mx_hw::salvage::{self, Claim, Claims, Findings, Online, Salvager, Sweep};
+use mx_hw::salvage::{self, Claim, Claims, Online, Salvager, Sweep};
 use mx_hw::{Machine, PackId, RecordNo};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 
 pub use mx_hw::salvage::OnlineCheat;
 
 /// Progress from one [`Kernel::online_salvage_step`].
-pub type OnlineProgress = salvage::OnlineProgress<SalvageReport>;
+pub type OnlineProgress = salvage::OnlineProgress<Problem>;
 
 /// One detected inconsistency.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -109,32 +109,7 @@ impl Problem {
 }
 
 /// The salvager's findings (and actions, when repairing).
-#[derive(Debug, Clone, Default)]
-pub struct SalvageReport {
-    /// Objects examined.
-    pub objects_checked: u32,
-    /// Quota cells examined.
-    pub cells_checked: u32,
-    /// Everything found wrong.
-    pub problems: Vec<Problem>,
-    /// Human-readable descriptions of repairs performed.
-    pub repairs: Vec<String>,
-}
-
-impl SalvageReport {
-    /// True if the file system was fully consistent.
-    pub fn clean(&self) -> bool {
-        self.problems.is_empty()
-    }
-}
-
-impl Findings for SalvageReport {
-    type Problem = Problem;
-
-    fn lists(&mut self) -> (&mut Vec<Problem>, &mut Vec<String>) {
-        (&mut self.problems, &mut self.repairs)
-    }
-}
+pub type SalvageReport = salvage::Report<Problem>;
 
 /// A directory entry whose claim failed: `(dir, slot, uid, problem)`.
 type BadEntry = (SegUid, u32, SegUid, Problem);
@@ -509,7 +484,7 @@ impl Kernel {
 
 impl Salvager for Kernel {
     type Dir = SegUid;
-    type Report = SalvageReport;
+    type Problem = Problem;
     type Error = KernelError;
     type Memo = ();
 

@@ -13,10 +13,10 @@ use crate::oracle;
 use crate::policies::{schedule_string, Recorder, TraceHandle};
 use mx_aim::Label;
 use mx_hw::meter::EdgeSet;
-use mx_hw::{SplitMix64, Word, PAGE_WORDS};
+use mx_hw::{BootConfig, SplitMix64, Word, PAGE_WORDS};
 use mx_kernel::vproc::VpId;
-use mx_kernel::{Acl, Kernel, KernelConfig, KernelError, UserId};
-use mx_legacy::{Acl as LAcl, LegacyError, Supervisor, SupervisorConfig, UserId as LUserId};
+use mx_kernel::{Acl, Kernel, KernelError, UserId};
+use mx_legacy::{Acl as LAcl, LegacyError, Supervisor, UserId as LUserId};
 use mx_sync::SchedulePolicy;
 
 /// The paper-relevant concurrency scenarios.
@@ -275,22 +275,23 @@ pub fn run_kernel(kind: ScenarioKind, seed: u64, policy: Box<dyn SchedulePolicy>
     }
 }
 
-fn kernel_for(kind: ScenarioKind) -> Kernel {
-    let mut k = match kind {
-        ScenarioKind::Signals => {
-            let mut k = Kernel::boot(KernelConfig {
+/// The configuration `kind` boots both designs with, and the roomy pack
+/// it attaches after boot, if any, as `(records, toc_slots)`.
+fn boot_config(kind: ScenarioKind) -> (BootConfig, Option<(u32, u32)>) {
+    match kind {
+        // A roomy third pack so relocation always has a target.
+        ScenarioKind::Signals => (
+            BootConfig {
                 packs: 2,
                 records_per_pack: 8,
                 toc_slots_per_pack: 16,
                 root_quota: 128,
-                ..KernelConfig::default()
-            });
-            // A roomy third pack so relocation always has a target.
-            k.machine.disks.attach(128, 32);
-            k
-        }
-        ScenarioKind::Quota => {
-            let mut k = Kernel::boot(KernelConfig {
+                ..BootConfig::default()
+            },
+            Some((128, 32)),
+        ),
+        ScenarioKind::Quota => (
+            BootConfig {
                 frames: 128,
                 packs: 2,
                 records_per_pack: 64,
@@ -298,83 +299,52 @@ fn kernel_for(kind: ScenarioKind) -> Kernel {
                 pt_slots: 24,
                 max_processes: 4,
                 root_quota: 500,
-            });
-            k.machine.disks.attach(64, 32);
-            k
-        }
-        ScenarioKind::Purifier => Kernel::boot(KernelConfig {
-            frames: 48,
-            records_per_pack: 256,
-            toc_slots_per_pack: 64,
-            pt_slots: 16,
-            max_processes: 4,
-            root_quota: 500,
-            ..KernelConfig::default()
-        }),
-        ScenarioKind::Tlb => {
-            let mut k = Kernel::boot(KernelConfig {
+            },
+            Some((64, 32)),
+        ),
+        ScenarioKind::Purifier => (
+            BootConfig {
+                frames: 48,
+                records_per_pack: 256,
+                toc_slots_per_pack: 64,
+                pt_slots: 16,
+                max_processes: 4,
+                root_quota: 500,
+                ..BootConfig::default()
+            },
+            None,
+        ),
+        ScenarioKind::Tlb => (
+            BootConfig {
                 frames: 128,
                 records_per_pack: 256,
                 toc_slots_per_pack: 64,
                 root_quota: 500,
-                ..KernelConfig::default()
-            });
-            for cpu in &mut k.machine.cpus {
-                cpu.features.associative_memory = true;
-            }
-            k.machine.tlb_clear();
-            k
-        }
+                ..BootConfig::default()
+            },
+            None,
+        ),
         ScenarioKind::Handoff | ScenarioKind::HandoffLossy => unreachable!("structural scenario"),
-    };
+    }
+}
+
+fn kernel_for(kind: ScenarioKind) -> Kernel {
+    let (config, pack) = boot_config(kind);
+    let mut k = Kernel::boot(config);
+    if let Some((records, toc_slots)) = pack {
+        k.machine.disks.attach(records, toc_slots);
+    }
     k.register_account("x", UserId(1), 1, Label::BOTTOM);
     k
 }
 
 fn supervisor_for(kind: ScenarioKind) -> Supervisor {
-    match kind {
-        ScenarioKind::Signals => {
-            let mut sup = Supervisor::boot(SupervisorConfig {
-                packs: 2,
-                records_per_pack: 8,
-                toc_slots_per_pack: 16,
-                root_quota_pages: 128,
-                ..SupervisorConfig::default()
-            });
-            sup.machine.disks.attach(128, 32);
-            sup
-        }
-        ScenarioKind::Quota => {
-            let mut sup = Supervisor::boot(SupervisorConfig {
-                frames: 128,
-                packs: 2,
-                records_per_pack: 64,
-                toc_slots_per_pack: 24,
-                ast_slots: 24,
-                max_processes: 4,
-                root_quota_pages: 500,
-            });
-            sup.machine.disks.attach(64, 32);
-            sup
-        }
-        ScenarioKind::Purifier => Supervisor::boot(SupervisorConfig {
-            frames: 48,
-            records_per_pack: 256,
-            toc_slots_per_pack: 64,
-            ast_slots: 16,
-            max_processes: 4,
-            root_quota_pages: 500,
-            ..SupervisorConfig::default()
-        }),
-        ScenarioKind::Tlb => Supervisor::boot(SupervisorConfig {
-            frames: 128,
-            records_per_pack: 256,
-            toc_slots_per_pack: 64,
-            root_quota_pages: 500,
-            ..SupervisorConfig::default()
-        }),
-        ScenarioKind::Handoff | ScenarioKind::HandoffLossy => unreachable!("kernel-only"),
+    let (config, pack) = boot_config(kind);
+    let mut sup = Supervisor::boot(config);
+    if let Some((records, toc_slots)) = pack {
+        sup.machine.disks.attach(records, toc_slots);
     }
+    sup
 }
 
 fn run_kernel_ops(kind: ScenarioKind, seed: u64, policy: Box<dyn SchedulePolicy>) -> RunReport {

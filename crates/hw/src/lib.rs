@@ -78,7 +78,7 @@ pub use idmap::IdMap;
 pub use ids::{ProcessId, SegUid, UserId};
 pub use interp::{ProgramOutcome, ProgramRun, StepOutcome};
 pub use kst::{Known, Kst, MAX_SEGNO};
-pub use machine::{Machine, MachineConfig};
+pub use machine::{BootConfig, Machine, MachineConfig};
 pub use mem::{AbsAddr, FrameNo, MainMemory, PAGE_WORDS};
 pub use meter::{
     CounterSet, EdgeKind, EdgeSet, MeterGuard, MeterSnapshot, ObservedEdge, Subsystem,

@@ -56,6 +56,55 @@ impl MachineConfig {
     }
 }
 
+/// What either design is bootloaded with: the machine's sizes and the
+/// supervisor's table sizes. Each design picks its own feature set and
+/// lays out its own wired frames from these.
+#[derive(Debug, Clone)]
+pub struct BootConfig {
+    /// Core frames.
+    pub frames: usize,
+    /// Disk packs attached at bootload.
+    pub packs: u32,
+    /// Records per pack.
+    pub records_per_pack: u32,
+    /// TOC slots per pack.
+    pub toc_slots_per_pack: u32,
+    /// Page-table pool slots: the most segments active at once (the old
+    /// supervisor's AST slots).
+    pub pt_slots: u32,
+    /// Process slots, each owning one wired descriptor-segment frame.
+    pub max_processes: u32,
+    /// Page quota placed on the root directory at bootload.
+    pub root_quota: u32,
+}
+
+impl BootConfig {
+    /// The machine this configuration boots, with `features` on.
+    pub fn machine(&self, features: HwFeatures) -> MachineConfig {
+        MachineConfig {
+            frames: self.frames,
+            packs: self.packs,
+            records_per_pack: self.records_per_pack,
+            toc_slots_per_pack: self.toc_slots_per_pack,
+            features,
+        }
+    }
+}
+
+impl Default for BootConfig {
+    fn default() -> Self {
+        Self {
+            frames: 256,
+            packs: 2,
+            records_per_pack: 1024,
+            toc_slots_per_pack: 256,
+            pt_slots: 64,
+            max_processes: 16,
+            root_quota: 1500,
+        }
+    }
+}
+
 /// The whole simulated machine.
 #[derive(Debug, Clone)]
 pub struct Machine {

@@ -12,7 +12,9 @@
 //!   unreferenced records, which each design's offline pass and its
 //!   online finalize both run, in [`Sweep::all`]'s order;
 //! - [`Online`] and [`step`], the online salvage machine, which claims
-//!   one directory a step while the system serves.
+//!   one directory a step while the system serves;
+//! - [`Report`], what either salvager returns: the objects and cells it
+//!   checked, its problems in the design's own type, and its repairs.
 //!
 //! A design implements [`Salvager`] with what it alone knows: how it
 //! reads a directory, reads and repairs its quota cells and clears an
@@ -141,7 +143,7 @@ pub fn sweep<S: Salvager>(
     sys: &mut S,
     claims: &Claims,
     sweep: Sweep,
-    report: &mut S::Report,
+    report: &mut Report<S::Problem>,
     repair: bool,
 ) -> Result<(), S::Error> {
     let disks = &sys.machine().disks;
@@ -168,14 +170,13 @@ pub fn sweep<S: Salvager>(
                     .filter(|r| !referenced.contains(r))
                     .collect()
             });
-            let (problems, repairs) = report.lists();
             for record in leaked {
-                problems.push(S::leaked(pack, record));
+                report.problems.push(S::leaked(pack, record));
                 if repair {
                     if let Ok(p) = sys.machine().disks.pack_mut(pack) {
                         let _ = p.free_record(record);
                     }
-                    repairs.push(format!(
+                    report.repairs.push(format!(
                         "freed leaked record {} on pack {}",
                         record.0, pack.0
                     ));
@@ -186,28 +187,44 @@ pub fn sweep<S: Salvager>(
     Ok(())
 }
 
-/// A salvager's findings, in the order they were made.
-pub trait Findings: Default {
-    /// One thing found wrong.
-    type Problem;
-
-    /// Everything found wrong, and the repairs made.
-    fn lists(&mut self) -> (&mut Vec<Self::Problem>, &mut Vec<String>);
+/// A salvager's findings, in the order they were made, and its repairs.
+/// Each design reports its problems as its own type `P`.
+#[derive(Debug, Clone)]
+pub struct Report<P> {
+    /// Objects examined.
+    pub objects_checked: u32,
+    /// Quota cells examined.
+    pub cells_checked: u32,
+    /// Everything found wrong.
+    pub problems: Vec<P>,
+    /// Human-readable descriptions of repairs performed.
+    pub repairs: Vec<String>,
 }
 
-/// How many problems and repairs `report` holds. A step only appends to
-/// them, so truncating to these undoes it.
-fn lens<R: Findings>(report: &mut R) -> (usize, usize) {
-    let (problems, repairs) = report.lists();
-    (problems.len(), repairs.len())
+impl<P> Default for Report<P> {
+    fn default() -> Self {
+        Self {
+            objects_checked: 0,
+            cells_checked: 0,
+            problems: Vec::new(),
+            repairs: Vec::new(),
+        }
+    }
+}
+
+impl<P> Report<P> {
+    /// True if the file system was fully consistent.
+    pub fn clean(&self) -> bool {
+        self.problems.is_empty()
+    }
 }
 
 /// What a design tells the shared salvager.
 pub trait Salvager: Sized {
     /// What the frontier holds for a directory to claim.
     type Dir: Copy + Debug;
-    /// The design's report.
-    type Report: Findings + Debug;
+    /// One thing the design's salvager finds wrong.
+    type Problem: Debug;
     /// What a failed read, write or repair reports.
     type Error;
     /// What the design carries from one directory's claim to another's.
@@ -241,14 +258,14 @@ pub trait Salvager: Sized {
     /// A failed reclaim.
     fn orphan(
         &mut self,
-        report: &mut Self::Report,
+        report: &mut Report<Self::Problem>,
         home: DiskHome,
         uid: SegUid,
         repair: bool,
     ) -> Result<(), Self::Error>;
 
     /// How an allocated record no file map references is reported.
-    fn leaked(pack: PackId, record: RecordNo) -> <Self::Report as Findings>::Problem;
+    fn leaked(pack: PackId, record: RecordNo) -> Self::Problem;
 }
 
 /// A planted defect in the online salvager, for the self-check that
@@ -260,9 +277,9 @@ pub enum OnlineCheat {
     ReleaseBeforeCellRepair,
 }
 
-/// What one [`step`] did.
+/// What one [`step`] did, for a design whose problems are `P`.
 #[derive(Debug, Clone)]
-pub enum OnlineProgress<R> {
+pub enum OnlineProgress<P> {
     /// A directory was claimed, repaired, rechecked and released into
     /// service.
     Released {
@@ -287,7 +304,7 @@ pub enum OnlineProgress<R> {
     /// The hierarchy is fully salvaged; the barrier has lifted.
     Done {
         /// Everything found and repaired across the whole run.
-        report: R,
+        report: Report<P>,
     },
     /// No online salvage is in progress.
     Idle,
@@ -317,7 +334,7 @@ pub struct Online<S: Salvager> {
     /// The per-pack sweeps left, once the frontier has drained.
     sweeps: Option<VecDeque<Sweep>>,
     /// Everything found and repaired so far.
-    pub report: S::Report,
+    pub report: Report<S::Problem>,
     /// The planted defect, if any.
     pub cheat: Option<OnlineCheat>,
     /// What the design carries between claims.
@@ -334,7 +351,7 @@ impl<S: Salvager> Online<S> {
             frontier: VecDeque::from([root]),
             claims: Claims::default(),
             sweeps: None,
-            report: S::Report::default(),
+            report: Report::default(),
             cheat,
             memo: S::Memo::default(),
             dirs_released: 0,
@@ -362,8 +379,11 @@ impl<S: Salvager> Online<S> {
         self.dirs_released
     }
 
-    fn advance(&mut self, sys: &mut S) -> Result<OnlineProgress<S::Report>, S::Error> {
-        let (claims, before) = (self.claims.order.len(), lens(&mut self.report));
+    fn advance(&mut self, sys: &mut S) -> Result<OnlineProgress<S::Problem>, S::Error> {
+        // A step only appends to the claims, the problems and the
+        // repairs, so truncating to these lengths undoes it.
+        let claims = self.claims.order.len();
+        let (problems, repairs) = (self.report.problems.len(), self.report.repairs.len());
         let result = match self.frontier.pop_front() {
             Some(dir) => {
                 let queued = self.frontier.len();
@@ -376,12 +396,11 @@ impl<S: Salvager> Online<S> {
                     let uid = S::uid(dir);
                     self.released.insert(uid);
                     self.dirs_released += 1;
-                    let after = lens(&mut self.report);
                     OnlineProgress::Released {
                         dir: uid,
                         recheck_clean,
-                        problems_found: (after.0 - before.0) as u32,
-                        repairs_made: (after.1 - before.1) as u32,
+                        problems_found: (self.report.problems.len() - problems) as u32,
+                        repairs_made: (self.report.repairs.len() - repairs) as u32,
                     }
                 })
             }
@@ -405,9 +424,8 @@ impl<S: Salvager> Online<S> {
         };
         if result.is_err() {
             self.claims.truncate(claims);
-            let (problems, repairs) = self.report.lists();
-            problems.truncate(before.0);
-            repairs.truncate(before.1);
+            self.report.problems.truncate(problems);
+            self.report.repairs.truncate(repairs);
         }
         result
     }
@@ -423,7 +441,7 @@ impl<S: Salvager> Online<S> {
 ///
 /// What the design's [`Salvager::claim_dir`] or [`Salvager::orphan`]
 /// returns.
-pub fn step<S: Salvager>(sys: &mut S) -> Result<OnlineProgress<S::Report>, S::Error> {
+pub fn step<S: Salvager>(sys: &mut S) -> Result<OnlineProgress<S::Problem>, S::Error> {
     let Some(mut st) = sys.online().take() else {
         return Ok(OnlineProgress::Idle);
     };
@@ -443,20 +461,6 @@ mod tests {
     use crate::MachineConfig;
     use std::collections::HashMap;
 
-    #[derive(Debug, Default)]
-    struct Report {
-        objects: u32,
-        problems: Vec<String>,
-        repairs: Vec<String>,
-    }
-
-    impl Findings for Report {
-        type Problem = String;
-        fn lists(&mut self) -> (&mut Vec<String>, &mut Vec<String>) {
-            (&mut self.problems, &mut self.repairs)
-        }
-    }
-
     /// A design whose directories are maps from uid to entries
     /// `(uid, pack 0 TOC index, is_dir)`, and whose claim of `fail_after`
     /// fails once after it claimed its entries.
@@ -471,7 +475,7 @@ mod tests {
 
     impl Salvager for Toy {
         type Dir = u64;
-        type Report = Report;
+        type Problem = String;
         type Error = &'static str;
         type Memo = ();
 
@@ -486,7 +490,7 @@ mod tests {
         }
         fn claim_dir(&mut self, st: &mut Online<Self>, dir: u64) -> Result<bool, &'static str> {
             for &(uid, toc, is_dir) in &self.dirs[&dir] {
-                st.report.objects += 1;
+                st.report.objects_checked += 1;
                 match st
                     .claims
                     .claim(&self.machine.disks, at(0, toc.0), SegUid(uid))
@@ -503,7 +507,7 @@ mod tests {
         }
         fn orphan(
             &mut self,
-            report: &mut Report,
+            report: &mut Report<String>,
             home: DiskHome,
             uid: SegUid,
             repair: bool,
@@ -574,7 +578,7 @@ mod tests {
     }
 
     /// Steps to `Done`, naming each step's outcome.
-    fn drain(t: &mut Toy) -> (Vec<String>, Report) {
+    fn drain(t: &mut Toy) -> (Vec<String>, Report<String>) {
         let mut steps = Vec::new();
         loop {
             match step(t) {
@@ -648,7 +652,7 @@ mod tests {
             ["Dangling 5 in 4", "orphan 1:0 uid 9", "leaked 1:0"]
         );
         // The failed attempt's work stays counted: 2 examined its entry.
-        assert_eq!(report.objects, 5);
+        assert_eq!(report.objects_checked, 5);
     }
 
     #[test]

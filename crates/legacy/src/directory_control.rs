@@ -1103,10 +1103,10 @@ mod tests {
     fn boot(frames: usize) -> (Supervisor, ProcessId) {
         let mut sup = Supervisor::boot(SupervisorConfig {
             frames,
-            ast_slots: 16,
+            pt_slots: 16,
             max_processes: 4,
             toc_slots_per_pack: 512,
-            root_quota_pages: 400,
+            root_quota: 400,
             ..SupervisorConfig::default()
         });
         let pid = sup.create_process(USER, Label::BOTTOM).unwrap();

@@ -495,12 +495,12 @@ mod tests {
     fn small() -> Supervisor {
         Supervisor::boot(SupervisorConfig {
             frames: 64,
-            ast_slots: 16,
+            pt_slots: 16,
             max_processes: 4,
             packs: 2,
             records_per_pack: 64,
             toc_slots_per_pack: 32,
-            root_quota_pages: 200,
+            root_quota: 200,
         })
     }
 
@@ -539,7 +539,7 @@ mod tests {
     #[test]
     fn quota_exhaustion_is_reported_and_not_charged() {
         let mut sup = Supervisor::boot(SupervisorConfig {
-            root_quota_pages: 2,
+            root_quota: 2,
             ..SupervisorConfig::default()
         });
         let root = sup.ast.find(sup.root()).unwrap();
@@ -560,12 +560,12 @@ mod tests {
     fn replacement_evicts_under_memory_pressure() {
         let mut sup = Supervisor::boot(SupervisorConfig {
             frames: 48, // wired ≈ 9, so ~39 pageable
-            ast_slots: 16,
+            pt_slots: 16,
             max_processes: 4,
             packs: 1,
             records_per_pack: 128,
             toc_slots_per_pack: 16,
-            root_quota_pages: 150,
+            root_quota: 150,
         });
         let root = sup.ast.find(sup.root()).unwrap();
         // Touch more pages than there are pageable frames.

@@ -32,12 +32,12 @@ use crate::types::{DiskHome, LegacyError, SegUid};
 use mx_aim::Label;
 use mx_hw::meter::Subsystem;
 use mx_hw::salvage::{
-    self, live, toc_entry, Claim, Claims, Findings, Online, OnlineCheat, OnlineProgress, Salvager,
-    Sweep,
+    self, live, toc_entry, Claim, Claims, Online, OnlineCheat, OnlineProgress, Salvager, Sweep,
 };
 use mx_hw::word::{unpack_name, NAME_WORDS};
 use mx_hw::{
-    DiskError, DiskSystem, Language, Machine, PackId, RecordNo, TocIndex, Word, PAGE_WORDS,
+    DiskError, DiskSystem, HwFeatures, Language, Machine, PackId, RecordNo, TocIndex, Word,
+    PAGE_WORDS,
 };
 
 /// PL/I instructions charged per word the raw walk touches — the old
@@ -45,45 +45,22 @@ use mx_hw::{
 const RAW_WALK_INSTR: u64 = 10;
 
 /// What one [`Supervisor::online_salvage_step`] accomplished.
-pub type LegacyOnlineProgress = OnlineProgress<LegacySalvageReport>;
+pub type LegacyOnlineProgress = OnlineProgress<String>;
 
-/// The legacy salvager's findings (and actions, when repairing).
-#[derive(Debug, Clone, Default)]
-pub struct LegacySalvageReport {
-    /// Objects examined.
-    pub objects_checked: u32,
-    /// Quota cells examined.
-    pub cells_checked: u32,
-    /// Everything found wrong, as human-readable descriptions.
-    pub problems: Vec<String>,
-    /// Repairs performed.
-    pub repairs: Vec<String>,
-}
+/// The legacy salvager's findings (and actions, when repairing), its
+/// problems as human-readable descriptions.
+pub type LegacySalvageReport = salvage::Report<String>;
 
-impl LegacySalvageReport {
-    /// True if the file system was fully consistent.
-    pub fn clean(&self) -> bool {
-        self.problems.is_empty()
-    }
-
-    /// Records the drift of `cell` (`root cell` or `cell N`) and, if
-    /// `reset`, its reset to `actual`.
-    fn drift(&mut self, cell: &str, recorded: u32, actual: u32, reset: bool) {
-        self.problems.push(format!(
-            "{cell} drift: recorded {recorded}, actual {actual}"
-        ));
-        if reset {
-            self.repairs
-                .push(format!("reset {cell} used {recorded} -> {actual}"));
-        }
-    }
-}
-
-impl Findings for LegacySalvageReport {
-    type Problem = String;
-
-    fn lists(&mut self) -> (&mut Vec<String>, &mut Vec<String>) {
-        (&mut self.problems, &mut self.repairs)
+/// Records the drift of `cell` (`root cell` or `cell N`) and, if
+/// `reset`, its reset to `actual`.
+fn drift(report: &mut LegacySalvageReport, cell: &str, recorded: u32, actual: u32, reset: bool) {
+    report.problems.push(format!(
+        "{cell} drift: recorded {recorded}, actual {actual}"
+    ));
+    if reset {
+        report
+            .repairs
+            .push(format!("reset {cell} used {recorded} -> {actual}"));
     }
 }
 
@@ -172,7 +149,8 @@ impl Supervisor {
         config: SupervisorConfig,
         crashed: mx_hw::Machine,
     ) -> Result<Self, LegacyError> {
-        let mut sup = Self::assemble(&config, crashed.restart(config.machine()));
+        let machine = crashed.restart(config.machine(HwFeatures::BASE_1974));
+        let mut sup = Self::assemble(&config, machine);
         let root_toc = sup
             .machine
             .disks
@@ -204,7 +182,7 @@ impl Supervisor {
             parent: None,
             inferiors: 0,
             quota: Some(QuotaCell {
-                limit: config.root_quota_pages,
+                limit: config.root_quota,
                 used: 0,
             }),
             dir_home: None,
@@ -342,7 +320,8 @@ impl Supervisor {
                 if repair {
                     self.set_cell(uid, parent, parent_home, slot, want, false)?;
                 }
-                report.drift(&format!("cell {}", uid.0), recorded, want, repair);
+                let cell = format!("cell {}", uid.0);
+                drift(&mut report, &cell, recorded, want, repair);
             }
         }
         Ok(report)
@@ -424,7 +403,7 @@ impl Supervisor {
             if let Some(q) = cell.filter(|_| repair) {
                 q.used = want;
             }
-            report.drift("root cell", recorded, want, repair);
+            drift(report, "root cell", recorded, want, repair);
         }
         Ok(())
     }
@@ -517,8 +496,8 @@ impl Supervisor {
             };
             if recorded != expect {
                 clean = false;
-                st.report
-                    .drift(&format!("cell {}", dir.0), recorded, expect, false);
+                let cell = format!("cell {}", dir.0);
+                drift(&mut st.report, &cell, recorded, expect, false);
             }
         }
         Ok(clean)
@@ -793,7 +772,7 @@ impl Salvager for Supervisor {
     /// entry recorded. The home is stable: a quarantined directory
     /// cannot be activated, so it cannot relocate.
     type Dir = (SegUid, DiskHome);
-    type Report = LegacySalvageReport;
+    type Problem = String;
     type Error = LegacyError;
     /// Per quota cell, the frozen-truth used count established when the
     /// cell was checked at its parent's claim (or the root's own claim);
@@ -849,8 +828,8 @@ impl Salvager for Supervisor {
             st.memo.insert(quid, actual);
             if recorded != actual && st.cheat.is_none() {
                 self.set_cell(quid, dir, home, slot, actual, true)?;
-                st.report
-                    .drift(&format!("cell {}", quid.0), recorded, actual, true);
+                let cell = format!("cell {}", quid.0);
+                drift(&mut st.report, &cell, recorded, actual, true);
             }
         }
         if dir == self.root_uid {
@@ -920,9 +899,9 @@ mod tests {
             packs: 2,
             records_per_pack: 256,
             toc_slots_per_pack: 64,
-            ast_slots: 24,
+            pt_slots: 24,
             max_processes: 4,
-            root_quota_pages: 200,
+            root_quota: 200,
         }
     }
 

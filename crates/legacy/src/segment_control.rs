@@ -285,7 +285,7 @@ mod tests {
             packs: 2,
             records_per_pack: 12,
             toc_slots_per_pack: 8,
-            root_quota_pages: 40,
+            root_quota: 40,
             ..SupervisorConfig::default()
         });
         let user = UserId(1);

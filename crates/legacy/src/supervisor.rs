@@ -18,57 +18,15 @@ use mx_hw::cpu::{AccessMode, DescBase, Ptw, Sdw};
 use mx_hw::meter::{CounterSet, Subsystem};
 use mx_hw::{
     AbsAddr, Fault, FrameNo, FrameTable, HwFeatures, IdMap, Known, Kst, Language, Machine,
-    MachineConfig, VirtAddr, Word, PAGE_WORDS,
+    VirtAddr, Word, PAGE_WORDS,
 };
 
 pub use mx_hw::MAX_SEGNO;
 
-/// Configuration for bootloading the old supervisor.
-#[derive(Debug, Clone)]
-pub struct SupervisorConfig {
-    /// Core frames.
-    pub frames: usize,
-    /// Disk packs attached at bootload.
-    pub packs: u32,
-    /// Records per pack.
-    pub records_per_pack: u32,
-    /// TOC slots per pack.
-    pub toc_slots_per_pack: u32,
-    /// Active-segment-table slots (also page-table pool slots).
-    pub ast_slots: usize,
-    /// Maximum simultaneous processes (each owns one wired dseg frame).
-    pub max_processes: u32,
-    /// Page quota placed on the root directory at bootload.
-    pub root_quota_pages: u32,
-}
-
-impl SupervisorConfig {
-    /// The machine this configuration boots: two processors at the 1974
-    /// feature level.
-    pub(crate) fn machine(&self) -> MachineConfig {
-        MachineConfig {
-            frames: self.frames,
-            packs: self.packs,
-            records_per_pack: self.records_per_pack,
-            toc_slots_per_pack: self.toc_slots_per_pack,
-            features: HwFeatures::BASE_1974,
-        }
-    }
-}
-
-impl Default for SupervisorConfig {
-    fn default() -> Self {
-        Self {
-            frames: 256,
-            packs: 2,
-            records_per_pack: 1024,
-            toc_slots_per_pack: 256,
-            ast_slots: 64,
-            max_processes: 16,
-            root_quota_pages: 1500,
-        }
-    }
-}
+/// Configuration for bootloading the old supervisor: the one both
+/// designs boot from. The old supervisor boots it on
+/// [`HwFeatures::BASE_1974`].
+pub use mx_hw::BootConfig as SupervisorConfig;
 
 /// Counters the experiments read.
 #[derive(Debug, Clone, Copy, Default)]
@@ -235,8 +193,8 @@ impl Supervisor {
     /// Panics if the configuration does not leave at least eight
     /// pageable frames.
     pub fn boot(config: SupervisorConfig) -> Self {
-        let mut sup = Self::assemble(&config, Machine::new(config.machine()));
-        sup.create_root(config.root_quota_pages);
+        let mut sup = Self::assemble(&config, Machine::new(config.machine(HwFeatures::BASE_1974)));
+        sup.create_root(config.root_quota);
         sup
     }
 
@@ -247,7 +205,7 @@ impl Supervisor {
     pub(crate) fn assemble(config: &SupervisorConfig, machine: Machine) -> Self {
         // Low-core layout: frame 0 scratch, then the page-table pool,
         // then one dseg frame per process slot.
-        let pt_frames = (ActiveSegmentTable::pt_pool_words(config.ast_slots) as usize)
+        let pt_frames = (ActiveSegmentTable::pt_pool_words(config.pt_slots as usize) as usize)
             .div_ceil(PAGE_WORDS) as u32;
         let dseg_frame_base = 1 + pt_frames;
         let wired = dseg_frame_base + config.max_processes;
@@ -256,7 +214,7 @@ impl Supervisor {
             "configuration leaves fewer than 8 pageable frames"
         );
         let frames = FrameTable::new(config.frames, wired);
-        let ast = ActiveSegmentTable::new(config.ast_slots, FrameNo(1).base());
+        let ast = ActiveSegmentTable::new(config.pt_slots as usize, FrameNo(1).base());
 
         Self {
             machine,

@@ -21,20 +21,10 @@ pub(crate) mod legacy;
 
 use crate::run::{check_serving_records, Entry, SalvageProbe, SALVAGE_RETRY_BUDGET};
 use mx_explore::oracle;
-use mx_hw::{Machine, ProcessId};
+use mx_hw::salvage::{OnlineProgress, Report};
+use mx_hw::{BootConfig, Machine, ProcessId};
 use mx_sync::SchedulePolicy;
 use std::fmt::Debug;
-
-/// Storage and process-table sizes: the configuration both designs
-/// share (two packs each).
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct Sizes {
-    pub(crate) frames: usize,
-    pub(crate) records_per_pack: u32,
-    pub(crate) toc_slots_per_pack: u32,
-    pub(crate) max_processes: u32,
-    pub(crate) root_quota: u32,
-}
 
 /// One logged-in session, as the harness tracks it.
 pub(crate) struct Session<D: Design> {
@@ -76,6 +66,18 @@ pub(crate) struct SalvagePass {
     pub(crate) unclean: Option<String>,
 }
 
+/// A stop-the-world salvage's outcome, as the harness needs it.
+pub(crate) fn salvage_pass<P: Debug, E: Debug>(
+    report: Result<Report<P>, E>,
+) -> Result<SalvagePass, String> {
+    let r = report.map_err(|e| format!("{e:?}"))?;
+    Ok(SalvagePass {
+        problems: r.problems.len(),
+        repairs: r.repairs.len(),
+        unclean: (!r.clean()).then(|| format!("{:?}", r.problems)),
+    })
+}
+
 /// One online-salvage step, as the harness needs it.
 pub(crate) enum Step {
     /// A directory was repaired, rechecked and handed back to traffic.
@@ -84,6 +86,23 @@ pub(crate) enum Step {
     Done { problems: usize, repairs: usize },
     /// A finalize step, or nothing left to do.
     Quiet,
+}
+
+/// What an online-salvage step did, as the harness needs it.
+pub(crate) fn online_step<P>(progress: OnlineProgress<P>) -> Step {
+    match progress {
+        OnlineProgress::Released {
+            dir, recheck_clean, ..
+        } => Step::Released {
+            dir: dir.0,
+            recheck_clean,
+        },
+        OnlineProgress::Done { report } => Step::Done {
+            problems: report.problems.len(),
+            repairs: report.repairs.len(),
+        },
+        OnlineProgress::Finalized { .. } | OnlineProgress::Idle => Step::Quiet,
+    }
 }
 
 /// A design call's outcome.
@@ -107,10 +126,10 @@ pub(crate) trait Design: Sized {
     type Error: Debug;
 
     // ---------------------------------------------------------- boot --
-    fn boot(sizes: &Sizes) -> Self;
+    fn boot(config: BootConfig) -> Self;
     /// Power is gone: boots a fresh machine from this one's disk image,
     /// keeping only the user-domain state that survives a crash.
-    fn reboot(self, sizes: &Sizes) -> Res<Self, Self>;
+    fn reboot(self, config: BootConfig) -> Res<Self, Self>;
     fn machine(&self) -> &Machine;
     fn machine_mut(&mut self) -> &mut Machine;
     /// The whole oracle battery. Empty = clean.

@@ -7,7 +7,7 @@
 //! Only this design has schedule-policy hooks, the queue-delay and
 //! event-queue probes, and the specialized store's resident reads.
 
-use super::{Admitted, Design, Res, SalvagePass, Session, Sizes, Step};
+use super::{online_step, salvage_pass, Admitted, Design, Res, SalvagePass, Session, Step};
 use crate::fleet::CH_DIRECTIVE;
 use crate::run::SalvageProbe;
 use crate::run::{account_index, account_name, definitions, file_name, symbol, Entry};
@@ -15,10 +15,7 @@ use mx_aim::{FlowTracker, Label};
 use mx_explore::oracle;
 use mx_hw::{Machine, Subsystem, Word};
 use mx_kernel::demux::{FramingSpec, StreamId};
-use mx_kernel::{
-    Acl, Kernel, KernelConfig, KernelError, ObjToken, OnlineCheat, OnlineProgress, ProcessId,
-    UserId,
-};
+use mx_kernel::{Acl, Kernel, KernelConfig, KernelError, ObjToken, OnlineCheat, ProcessId, UserId};
 use mx_sync::SchedulePolicy;
 use mx_user::{publish_library, Admission, AnsweringService, NameSpace, UserLinker};
 use std::collections::HashMap;
@@ -36,17 +33,6 @@ pub(crate) struct KernelDesign {
 pub(crate) struct UserSide {
     ns: NameSpace,
     linker: UserLinker,
-}
-
-fn config(s: &Sizes) -> KernelConfig {
-    KernelConfig {
-        frames: s.frames,
-        records_per_pack: s.records_per_pack,
-        toc_slots_per_pack: s.toc_slots_per_pack,
-        max_processes: s.max_processes,
-        root_quota: s.root_quota,
-        ..KernelConfig::default()
-    }
 }
 
 impl KernelDesign {
@@ -89,17 +75,17 @@ impl Design for KernelDesign {
     type Ext = UserSide;
     type Error = KernelError;
 
-    fn boot(sizes: &Sizes) -> Self {
-        Self::on(Kernel::boot(config(sizes)), AnsweringService::new())
+    fn boot(config: KernelConfig) -> Self {
+        Self::on(Kernel::boot(config), AnsweringService::new())
     }
 
     /// The answering service is a user-domain program: its records and
     /// its admission queue survive; its sessions died with core.
-    fn reboot(self, sizes: &Sizes) -> Res<Self, Self> {
+    fn reboot(self, config: KernelConfig) -> Res<Self, Self> {
         let mut svc = self.svc;
         svc.crash_recover();
         Ok(Self::on(
-            Kernel::boot_from_image(config(sizes), self.k.machine)?,
+            Kernel::boot_from_image(config, self.k.machine)?,
             svc,
         ))
     }
@@ -300,12 +286,7 @@ impl Design for KernelDesign {
     }
 
     fn salvage(&mut self, repair: bool) -> Result<SalvagePass, String> {
-        let r = self.k.salvage(repair).map_err(|e| format!("{e:?}"))?;
-        Ok(SalvagePass {
-            problems: r.problems.len(),
-            repairs: r.repairs.len(),
-            unclean: (!r.clean()).then(|| format!("{:?}", r.problems)),
-        })
+        salvage_pass(self.k.salvage(repair))
     }
 
     fn begin_online_salvage(&mut self, release_early: bool) -> Result<(), String> {
@@ -330,19 +311,7 @@ impl Design for KernelDesign {
     }
 
     fn online_salvage_step(&mut self) -> Res<Step, Self> {
-        Ok(match self.k.online_salvage_step()? {
-            OnlineProgress::Released {
-                dir, recheck_clean, ..
-            } => Step::Released {
-                dir: dir.0,
-                recheck_clean,
-            },
-            OnlineProgress::Done { report } => Step::Done {
-                problems: report.problems.len(),
-                repairs: report.repairs.len(),
-            },
-            OnlineProgress::Finalized { .. } | OnlineProgress::Idle => Step::Quiet,
-        })
+        self.k.online_salvage_step().map(online_step)
     }
 
     fn attach_network(&mut self) {

@@ -8,7 +8,7 @@
 //! and every recovery publish it outside the gates and then write the
 //! library page themselves.
 
-use super::{Admitted, Design, Res, SalvagePass, Session, Sizes, Step};
+use super::{online_step, salvage_pass, Admitted, Design, Res, SalvagePass, Session, Step};
 use crate::fleet::CH_DIRECTIVE;
 use crate::run::{account_name, definitions, file_name, symbol, Entry, SalvageProbe};
 use mx_aim::Label;
@@ -16,8 +16,8 @@ use mx_explore::oracle;
 use mx_hw::{Machine, Subsystem, Word};
 use mx_legacy::network::{NetworkId, NetworkKind};
 use mx_legacy::{
-    AccessRight, Acl, LegacyError, LegacyOnlineProgress, OnlineCheat, ProcessId, SegUid,
-    Supervisor, SupervisorConfig, UserId,
+    AccessRight, Acl, LegacyError, OnlineCheat, ProcessId, SegUid, Supervisor, SupervisorConfig,
+    UserId,
 };
 use mx_sync::SchedulePolicy;
 use std::collections::VecDeque;
@@ -28,17 +28,6 @@ pub(crate) struct LegacyDesign {
     /// first. Survives a crash: it is the users at their terminals.
     pending: VecDeque<usize>,
     net: Option<NetworkId>,
-}
-
-fn config(s: &Sizes) -> SupervisorConfig {
-    SupervisorConfig {
-        frames: s.frames,
-        records_per_pack: s.records_per_pack,
-        toc_slots_per_pack: s.toc_slots_per_pack,
-        max_processes: s.max_processes,
-        root_quota_pages: s.root_quota,
-        ..SupervisorConfig::default()
-    }
 }
 
 fn file_path(dir: Entry, idx: usize) -> String {
@@ -61,17 +50,17 @@ impl Design for LegacyDesign {
     type Ext = ();
     type Error = LegacyError;
 
-    fn boot(sizes: &Sizes) -> Self {
+    fn boot(config: SupervisorConfig) -> Self {
         Self {
-            sup: Supervisor::boot(config(sizes)),
+            sup: Supervisor::boot(config),
             pending: VecDeque::new(),
             net: None,
         }
     }
 
-    fn reboot(self, sizes: &Sizes) -> Res<Self, Self> {
+    fn reboot(self, config: SupervisorConfig) -> Res<Self, Self> {
         Ok(Self {
-            sup: Supervisor::boot_from_image(config(sizes), self.sup.machine)?,
+            sup: Supervisor::boot_from_image(config, self.sup.machine)?,
             pending: self.pending,
             net: None,
         })
@@ -291,12 +280,7 @@ impl Design for LegacyDesign {
     }
 
     fn salvage(&mut self, repair: bool) -> Result<SalvagePass, String> {
-        let r = self.sup.salvage(repair).map_err(|e| format!("{e:?}"))?;
-        Ok(SalvagePass {
-            problems: r.problems.len(),
-            repairs: r.repairs.len(),
-            unclean: (!r.clean()).then(|| format!("{:?}", r.problems)),
-        })
+        salvage_pass(self.sup.salvage(repair))
     }
 
     fn begin_online_salvage(&mut self, release_early: bool) -> Result<(), String> {
@@ -324,19 +308,7 @@ impl Design for LegacyDesign {
     }
 
     fn online_salvage_step(&mut self) -> Res<Step, Self> {
-        Ok(match self.sup.online_salvage_step()? {
-            LegacyOnlineProgress::Released {
-                dir, recheck_clean, ..
-            } => Step::Released {
-                dir: dir.0,
-                recheck_clean,
-            },
-            LegacyOnlineProgress::Done { report } => Step::Done {
-                problems: report.problems.len(),
-                repairs: report.repairs.len(),
-            },
-            LegacyOnlineProgress::Finalized { .. } | LegacyOnlineProgress::Idle => Step::Quiet,
-        })
+        self.sup.online_salvage_step().map(online_step)
     }
 
     fn attach_network(&mut self) {

@@ -818,7 +818,7 @@ fn run_chaos<D: Design>(spec: &C1Spec, mode: SalvageMode, cheat: bool, repro: &s
         } = d;
 
         // ---- recovery: bootload, salvage, reconcile ----
-        let mut nd = match old.reboot(&load.sizes()) {
+        let mut nd = match old.reboot(load.sizes()) {
             Ok(nd) => nd,
             Err(err) => {
                 out.violations.push(format!(

@@ -560,7 +560,7 @@ impl<D: Design> Fleet<D> {
                 sizes.records_per_pack = 12;
                 sizes.toc_slots_per_pack = 24;
             }
-            let mut d = D::boot(&sizes);
+            let mut d = D::boot(sizes);
             if small_packs {
                 // The relocation target pack, roomy enough that the
                 // member never runs entirely out while migrations drain

@@ -12,11 +12,11 @@
 
 use crate::design::kernel::KernelDesign;
 use crate::design::legacy::LegacyDesign;
-use crate::design::{gate_retry, salvage_step_checked, Design, Session, Sizes};
+use crate::design::{gate_retry, salvage_step_checked, Design, Session};
 use crate::hist::Histogram;
 use crate::script::{session_script, SessionOp, SessionScript, LIB_SYMBOLS, SHARED_PAGES};
 use mx_hw::meter::{EdgeSet, MeterSnapshot};
-use mx_hw::{ProcessId, PAGE_WORDS};
+use mx_hw::{BootConfig, ProcessId, PAGE_WORDS};
 use mx_sync::SchedulePolicy;
 
 const PW: u32 = PAGE_WORDS as u32;
@@ -95,29 +95,31 @@ impl LoadSpec {
         }
     }
 
-    /// The storage and process-table sizes both designs boot with.
-    pub(crate) fn sizes(&self) -> Sizes {
+    /// The configuration both designs boot with (two packs each).
+    pub(crate) fn sizes(&self) -> BootConfig {
         if self.tight_storage {
             let (records_per_pack, toc_slots_per_pack, root_quota) = if self.headroom {
                 (64, 96, 512)
             } else {
                 (12, 24, 96)
             };
-            Sizes {
+            BootConfig {
                 frames: 96,
                 records_per_pack,
                 toc_slots_per_pack,
                 max_processes: 4,
                 root_quota,
+                ..BootConfig::default()
             }
         } else {
             let n = self.sessions as u32;
-            Sizes {
+            BootConfig {
                 frames: 256,
                 records_per_pack: (3 * n).max(1024),
                 toc_slots_per_pack: (2 * n).max(256),
                 max_processes: 16,
                 root_quota: (2 * n + 256).max(1500),
+                ..BootConfig::default()
             }
         }
     }
@@ -1065,7 +1067,7 @@ pub(crate) fn build_world<D: Design>(
 
 /// Boots a design and builds the one-machine world for `spec`.
 pub(crate) fn setup<D: Design>(spec: &LoadSpec) -> (Single<D>, WorldCtx) {
-    let mut d = D::boot(&spec.sizes());
+    let mut d = D::boot(spec.sizes());
     if let Some((records, toc_slots)) = spec.overflow_pack() {
         d.machine_mut().disks.attach(records, toc_slots);
     }

@@ -476,7 +476,7 @@ fn legacy_refused_growth_gives_its_quota_charge_back() {
         packs: 2,
         records_per_pack: 8,
         toc_slots_per_pack: 16,
-        root_quota_pages: 64,
+        root_quota: 64,
         ..SupervisorConfig::default()
     });
     let mut written = 0;

@@ -6,7 +6,7 @@
 //! logical operations on both systems and require the same outcomes.
 
 use multics::aim::Label;
-use multics::hw::Word;
+use multics::hw::{BootConfig, DiskPack, HwFeatures, Machine, Word};
 use multics::kernel::{Kernel, KernelConfig, KernelError};
 use multics::legacy::{LegacyError, Supervisor, SupervisorConfig};
 use multics::user::NameSpace;
@@ -266,5 +266,70 @@ fn the_semantics_change_quota_designation_differs_deliberately() {
         p.k.set_quota(p.kpid, tok, 50).unwrap_err(),
         KernelError::QuotaDesignation("directory has children"),
         "new: childless-only"
+    );
+}
+
+/// The two design names are one type: a kernel configuration is a
+/// supervisor configuration without conversion.
+fn as_supervisor_config(config: KernelConfig) -> SupervisorConfig {
+    config
+}
+
+/// Records and TOC slots of each pack, the TOC counted by filling a copy.
+fn pack_shapes(m: &Machine) -> Vec<(u32, u32)> {
+    let toc_slots = |pack: &DiskPack| {
+        let mut p = pack.clone();
+        let mut n = p.entries().count() as u32;
+        while p.create_entry(u64::MAX - u64::from(n)).is_ok() {
+            n += 1;
+        }
+        n
+    };
+    m.disks
+        .packs()
+        .map(|p| (p.capacity(), toc_slots(p)))
+        .collect()
+}
+
+#[test]
+fn one_configuration_boots_both_designs_alike() {
+    let config = BootConfig {
+        frames: 96,
+        packs: 3,
+        records_per_pack: 64,
+        toc_slots_per_pack: 24,
+        pt_slots: 16,
+        max_processes: 4,
+        root_quota: 200,
+    };
+    let mut k = Kernel::boot(config.clone());
+    let mut sup = Supervisor::boot(as_supervisor_config(config.clone()));
+
+    for m in [&k.machine, &sup.machine] {
+        assert_eq!(m.mem.frames(), 96);
+        assert_eq!(pack_shapes(m), [(64, 24); 3]);
+    }
+    assert_eq!(k.machine.features, HwFeatures::KERNEL_PROPOSED);
+    assert_eq!(sup.machine.features, HwFeatures::BASE_1974);
+
+    let kernel_root = k.qcm.cell_state(k.dirm.root()).expect("root cell");
+    assert_eq!(kernel_root.0, config.root_quota);
+    let astx = sup.ast.find(sup.root()).expect("root active");
+    let legacy_root = sup.ast.get(astx).and_then(|a| a.quota).expect("root cell");
+    assert_eq!(legacy_root.limit, config.root_quota);
+
+    for i in 0..config.max_processes {
+        k.create_process(multics::kernel::UserId(i), Label::BOTTOM)
+            .expect("kernel process within the table");
+        sup.create_process(multics::legacy::UserId(i), Label::BOTTOM)
+            .expect("legacy process within the table");
+    }
+    assert_eq!(
+        k.create_process(multics::kernel::UserId(9), Label::BOTTOM),
+        Err(KernelError::TableFull("process"))
+    );
+    assert_eq!(
+        sup.create_process(multics::legacy::UserId(9), Label::BOTTOM),
+        Err(LegacyError::NoSuchProcess)
     );
 }

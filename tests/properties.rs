@@ -601,7 +601,7 @@ fn legacy_workload_conserves_attributed_cycles() {
         frames: 64,
         records_per_pack: 512,
         toc_slots_per_pack: 64,
-        root_quota_pages: 300,
+        root_quota: 300,
         ..SupervisorConfig::default()
     });
     let pid = sup.create_process(UserId(1), Label::BOTTOM).unwrap();

@@ -212,7 +212,7 @@ fn legacy_relocation_agrees_on_data_preservation() {
         packs: 2,
         records_per_pack: 10,
         toc_slots_per_pack: 24,
-        root_quota_pages: 500,
+        root_quota: 500,
         ..SupervisorConfig::default()
     });
     // A big spare pack, as in the kernel test.

@@ -32,11 +32,11 @@ fn cramped_legacy() -> (Supervisor, multics::legacy::ProcessId) {
     // 8 pageable frames: the reference string below must evict.
     let mut sup = Supervisor::boot(SupervisorConfig {
         frames: 8 + 9,
-        ast_slots: 16,
+        pt_slots: 16,
         max_processes: 4,
         records_per_pack: 2048,
         toc_slots_per_pack: 64,
-        root_quota_pages: 1200,
+        root_quota: 1200,
         ..SupervisorConfig::default()
     });
     let pid = sup
