@@ -109,24 +109,47 @@ impl DemuxManager {
     }
 
     /// Claims a channel for a user process; channel input events are
-    /// delivered to it through the real-memory queue.
+    /// delivered to it through the real-memory queue. The owner may
+    /// claim it again; no other process may.
     ///
     /// # Errors
     ///
-    /// [`KernelError::NoSuchChannel`] for an unknown stream.
+    /// [`KernelError::NoSuchChannel`] for an unknown stream;
+    /// [`KernelError::ChannelClaimed`] for another process's channel.
     pub fn claim_channel(
         &mut self,
         stream: StreamId,
         channel: u16,
         pid: ProcessId,
     ) -> Result<(), KernelError> {
-        let s = self
-            .streams
-            .get_mut(stream.0 as usize)
-            .ok_or(KernelError::NoSuchChannel)?;
+        self.check_owner(stream, channel, pid)?;
+        let s = &mut self.streams[stream.0 as usize];
         s.owners.insert(channel, pid);
         s.channels.entry(channel).or_default();
         Ok(())
+    }
+
+    /// Refuses `pid` a channel another process has claimed. An
+    /// unclaimed channel is open to every process.
+    ///
+    /// # Errors
+    ///
+    /// [`KernelError::NoSuchChannel`] for an unknown stream;
+    /// [`KernelError::ChannelClaimed`] for another process's channel.
+    pub fn check_owner(
+        &self,
+        stream: StreamId,
+        channel: u16,
+        pid: ProcessId,
+    ) -> Result<(), KernelError> {
+        let s = self
+            .streams
+            .get(stream.0 as usize)
+            .ok_or(KernelError::NoSuchChannel)?;
+        match s.owners.get(&channel) {
+            Some(&owner) if owner != pid => Err(KernelError::ChannelClaimed),
+            _ => Ok(()),
+        }
     }
 
     /// Routes one raw frame with the single generic parse, appending the

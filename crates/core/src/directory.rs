@@ -339,7 +339,8 @@ impl DirectoryManager {
             true,
             Label::BOTTOM,
         )?;
-        let mut max_uid = root.0;
+        // Uids restart past every TOC entry, orphans included.
+        let mut max_uid = ctx.machine.disks.max_uid().max(root.0);
         let mut stack = vec![root];
         while let Some(dir) = stack.pop() {
             let parent_cell = dm.branch.get(&dir).expect("walked dir").child_cell;

@@ -82,6 +82,10 @@ pub enum KernelError {
     BadCredentials,
     /// The demultiplexer has no such stream or channel.
     NoSuchChannel,
+    /// Another process has claimed the channel.
+    ChannelClaimed,
+    /// The eventcount id names no eventcount the kernel issued.
+    NoSuchEventcount,
     /// A wire frame exceeds the demultiplexer's buffer bound.
     FrameTooBig {
         /// Bytes in the offending frame.
@@ -130,6 +134,8 @@ impl core::fmt::Display for KernelError {
             KernelError::AimViolation => write!(f, "AIM flow violation"),
             KernelError::BadCredentials => write!(f, "bad credentials"),
             KernelError::NoSuchChannel => write!(f, "no such stream or channel"),
+            KernelError::ChannelClaimed => write!(f, "channel claimed by another process"),
+            KernelError::NoSuchEventcount => write!(f, "no such eventcount"),
             KernelError::FrameTooBig { len, max } => {
                 write!(f, "frame too big ({len} bytes, max {max})")
             }

@@ -1078,15 +1078,39 @@ impl Kernel {
     }
 
     /// Advances an eventcount (the broadcast, receiver-blind notify).
-    pub fn ec_advance(&mut self, ec: mx_sync::sim::EcId) -> usize {
+    ///
+    /// # Errors
+    ///
+    /// [`KernelError::NoSuchEventcount`] for an id the kernel never issued.
+    pub fn ec_advance(&mut self, ec: mx_sync::sim::EcId) -> Result<usize, KernelError> {
         self.charge_gate();
-        self.scoped(Subsystem::Scheduler, |k| k.vpm.advance(ec))
+        self.scoped(Subsystem::Scheduler, |k| {
+            k.issued(ec)?;
+            Ok(k.vpm.advance(ec))
+        })
     }
 
     /// Reads an eventcount.
-    pub fn ec_read(&mut self, ec: mx_sync::sim::EcId) -> u64 {
+    ///
+    /// # Errors
+    ///
+    /// [`KernelError::NoSuchEventcount`] for an id the kernel never issued.
+    pub fn ec_read(&mut self, ec: mx_sync::sim::EcId) -> Result<u64, KernelError> {
         self.charge_gate();
-        self.scoped(Subsystem::Scheduler, |k| k.vpm.read_eventcount(ec))
+        self.scoped(Subsystem::Scheduler, |k| {
+            k.issued(ec)?;
+            Ok(k.vpm.read_eventcount(ec))
+        })
+    }
+
+    /// Refuses an eventcount id the table never issued: `EcId` is a bare
+    /// number any caller can forge.
+    fn issued(&self, ec: mx_sync::sim::EcId) -> Result<(), KernelError> {
+        if self.vpm.eventcount_issued(ec) {
+            Ok(())
+        } else {
+            Err(KernelError::NoSuchEventcount)
+        }
     }
 
     // ---- demultiplexer gates ----------------------------------------------------
@@ -1107,11 +1131,13 @@ impl Kernel {
         })
     }
 
-    /// Claims a channel for a process (user gate).
+    /// Claims a channel for a process (user gate). The owner may claim
+    /// it again; no other process may.
     ///
     /// # Errors
     ///
-    /// [`KernelError::NoSuchChannel`].
+    /// [`KernelError::NoSuchChannel`]; [`KernelError::ChannelClaimed`]
+    /// for a channel another process has claimed.
     pub fn demux_claim(
         &mut self,
         pid: ProcessId,
@@ -1124,19 +1150,22 @@ impl Kernel {
         })
     }
 
-    /// Reads a claimed channel's buffered input (user gate).
+    /// Reads a channel's buffered input (user gate). A claimed channel
+    /// is read only by its owner; an unclaimed one by any process.
     ///
     /// # Errors
     ///
-    /// [`KernelError::NoSuchChannel`].
+    /// [`KernelError::NoSuchChannel`]; [`KernelError::ChannelClaimed`]
+    /// for a channel another process has claimed.
     pub fn demux_read(
         &mut self,
-        _pid: ProcessId,
+        pid: ProcessId,
         stream: StreamId,
         channel: u16,
     ) -> Result<Vec<u8>, KernelError> {
         self.charge_gate();
         self.scoped(Subsystem::Network, |k| {
+            k.demux.check_owner(stream, channel, pid)?;
             k.demux.read_channel(stream, channel)
         })
     }
@@ -1288,6 +1317,41 @@ mod tests {
             Kernel::USER_GATES.len() < 25,
             "the kernel interface stays small"
         );
+    }
+
+    #[test]
+    fn forged_eventcounts_are_refused_with_a_typed_error() {
+        let mut k = boot_small();
+        let ec = k.ec_create();
+        assert_eq!(k.ec_advance(ec), Ok(0));
+        let forged = mx_sync::sim::EcId(999);
+        assert_eq!(k.ec_read(forged), Err(KernelError::NoSuchEventcount));
+        assert_eq!(k.ec_advance(forged), Err(KernelError::NoSuchEventcount));
+        assert_eq!(k.ec_read(ec), Ok(1), "a refused advance moves nothing");
+    }
+
+    #[test]
+    fn a_claimed_channel_is_read_and_claimed_only_by_its_owner() {
+        let mut k = boot_small();
+        let owner = login(&mut k, "owner", UserId(1));
+        let other = login(&mut k, "other", UserId(2));
+        let stream = k.demux_attach(crate::demux::FramingSpec::ARPANET);
+        k.demux_claim(owner, stream, 7).unwrap();
+        k.demux_receive(stream, &[0, 0, 7, b'h', b'i']).unwrap();
+        assert_eq!(
+            k.demux_read(other, stream, 7),
+            Err(KernelError::ChannelClaimed)
+        );
+        assert_eq!(
+            k.demux_claim(other, stream, 7),
+            Err(KernelError::ChannelClaimed)
+        );
+        // The refused read drained nothing, and the owner may claim again.
+        k.demux_claim(owner, stream, 7).unwrap();
+        assert_eq!(k.demux_read(owner, stream, 7).unwrap(), b"hi");
+        // An unclaimed channel stays open to every process.
+        k.demux_receive(stream, &[0, 0, 9, b'x']).unwrap();
+        assert_eq!(k.demux_read(other, stream, 9).unwrap(), b"x");
     }
 
     #[test]

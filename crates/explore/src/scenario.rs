@@ -438,10 +438,10 @@ fn run_kernel_ops(kind: ScenarioKind, seed: u64, policy: Box<dyn SchedulePolicy>
                 let done = k.run_purifier(steps).expect("purifier");
                 outcome.push(format!("p:{done}"));
             }
-            Op::Advance => {
-                let woken = k.ec_advance(ec);
-                outcome.push(format!("a:{woken}"));
-            }
+            Op::Advance => match k.ec_advance(ec) {
+                Ok(woken) => outcome.push(format!("a:{woken}")),
+                Err(e) => outcome.push(format!("a:{}", kernel_error_label(&e))),
+            },
             Op::Sync => {
                 k.sync_to_disk().expect("sync");
                 outcome.push("y".to_string());

@@ -534,12 +534,39 @@ impl DiskSystem {
     pub fn packs(&self) -> impl Iterator<Item = &DiskPack> {
         self.packs.iter()
     }
+
+    /// The highest uid any TOC entry on any pack records (0 with none).
+    /// A recovery bootload issues uids past it, not only past the uids
+    /// its directory walk reaches, so the uid of an orphan (crash debris
+    /// no directory entry names) is never issued to a new segment
+    /// before the salvager reclaims the orphan.
+    pub fn max_uid(&self) -> u64 {
+        self.packs
+            .iter()
+            .flat_map(DiskPack::entries)
+            .map(|(_, e)| e.uid)
+            .max()
+            .unwrap_or(0)
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::rng::SplitMix64;
+
+    #[test]
+    fn max_uid_reads_every_pack_and_forgets_deleted_entries() {
+        let mut disks = DiskSystem::new();
+        assert_eq!(disks.max_uid(), 0);
+        let (a, b) = (disks.attach(4, 4), disks.attach(4, 4));
+        disks.pack_mut(a).unwrap().create_entry(7).unwrap();
+        let top = disks.pack_mut(b).unwrap().create_entry(12).unwrap();
+        disks.pack_mut(a).unwrap().create_entry(3).unwrap();
+        assert_eq!(disks.max_uid(), 12);
+        disks.pack_mut(b).unwrap().delete_entry(top).unwrap();
+        assert_eq!(disks.max_uid(), 7);
+    }
 
     #[test]
     fn allocate_until_full_then_pack_full_error() {

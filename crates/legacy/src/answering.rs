@@ -173,7 +173,7 @@ mod tests {
         for i in 0..5 {
             match sup.login(&format!("u{i}"), "pw", Label::BOTTOM) {
                 Ok(pid) => live.push(pid),
-                Err(LegacyError::NoSuchProcess) => refused += 1,
+                Err(LegacyError::ProcessTableFull) => refused += 1,
                 Err(e) => panic!("unexpected refusal {e:?}"),
             }
         }

@@ -26,7 +26,7 @@ impl Supervisor {
     ///
     /// # Errors
     ///
-    /// [`LegacyError::NoSuchProcess`] when every process slot is taken.
+    /// [`LegacyError::ProcessTableFull`] when every process slot is taken.
     pub fn create_process(&mut self, user: UserId, label: Label) -> Result<ProcessId, LegacyError> {
         self.scoped(Subsystem::ProcessControl, |s| {
             s.create_process_body(user, label)
@@ -41,7 +41,7 @@ impl Supervisor {
         self.charge(CREATE_PROCESS_INSTR, Language::Pli);
         let slot = (0..self.process_slots())
             .find(|s| self.processes[*s as usize].is_none())
-            .ok_or(LegacyError::NoSuchProcess)?;
+            .ok_or(LegacyError::ProcessTableFull)?;
         let pid = ProcessId(slot);
         // The swappable state segment, in the hierarchy like any other.
         // All fallible hierarchy work happens BEFORE the slot is taken:
@@ -241,7 +241,7 @@ mod tests {
         let _b = sup.create_process(UserId(2), Label::BOTTOM).unwrap();
         assert_eq!(
             sup.create_process(UserId(3), Label::BOTTOM).unwrap_err(),
-            LegacyError::NoSuchProcess
+            LegacyError::ProcessTableFull
         );
         sup.destroy_process(a).unwrap();
         // Slot freed; a new process reuses it with a fresh state segment.

@@ -202,7 +202,8 @@ impl Supervisor {
         );
 
         // Rebuild the branch table from the on-disk hierarchy.
-        let mut max_uid = 1u64;
+        // Uids restart past every TOC entry, orphans included.
+        let mut max_uid = sup.machine.disks.max_uid().max(root_uid.0);
         let mut queue = VecDeque::from([(root_uid, root_home)]);
         while let Some((dir, home)) = queue.pop_front() {
             for (slot, e) in sup.raw_entries(home)? {

@@ -33,6 +33,8 @@ pub enum LegacyError {
     PageTablePoolFull,
     /// No such process.
     NoSuchProcess,
+    /// Every process slot is taken.
+    ProcessTableFull,
     /// The per-process known-segment table is full.
     KstFull,
     /// A quota directory cannot be un-designated while charged, or
@@ -90,6 +92,7 @@ impl core::fmt::Display for LegacyError {
             LegacyError::AstFull => write!(f, "active segment table full"),
             LegacyError::PageTablePoolFull => write!(f, "page table pool full"),
             LegacyError::NoSuchProcess => write!(f, "no such process"),
+            LegacyError::ProcessTableFull => write!(f, "process table full"),
             LegacyError::KstFull => write!(f, "known segment table full"),
             LegacyError::QuotaCellBusy => write!(f, "quota cell busy"),
             LegacyError::BadPassword => write!(f, "bad password"),

@@ -2,7 +2,7 @@
 //!
 //! The old answering service refuses a login when the process table is
 //! full, so the admission queue is harness bookkeeping: a FIFO fed by
-//! `NoSuchProcess` refusals. Files are named by tree names, so opening a
+//! `ProcessTableFull` refusals. Files are named by tree names, so opening a
 //! directory to create in resolves it (charged) while a delete only
 //! builds the path. The library's definition table is in-core: setup
 //! and every recovery publish it outside the gates and then write the
@@ -109,7 +109,7 @@ impl Design for LegacyDesign {
             Ok(pid) => Ok(Some(pid)),
             // The old answering service refuses when the process table
             // is full; the harness's retry queue is the admission policy.
-            Err(LegacyError::NoSuchProcess) => {
+            Err(LegacyError::ProcessTableFull) => {
                 self.pending.push_back(idx);
                 Ok(None)
             }
@@ -132,7 +132,7 @@ impl Design for LegacyDesign {
                     self.pending.pop_front();
                     out.sessions.push((idx, pid));
                 }
-                Err(LegacyError::NoSuchProcess) => break,
+                Err(LegacyError::ProcessTableFull) => break,
                 Err(LegacyError::SalvageBusy) => {
                     out.busy = Some(idx);
                     break;

@@ -33,13 +33,19 @@
 //! Every epoch boundary runs the oracle battery (meter conservation,
 //! per-pack record conservation, wakeup exactness, salvage idempotence)
 //! and every violation carries a replayable `seed=… plan=… schedule=…`
-//! string. [`C1SelfCheck`] deliberately breaks the recovery obligations
-//! so a harness test can prove the oracles catch a cheat.
+//! string. [`C1Spec::self_check`] deliberately breaks the recovery
+//! obligations so a harness test can prove the oracles catch a cheat.
+//!
+//! C1 and S1 are one composition over one [`C1Spec`]; only the run
+//! function called chooses the recovery mode. [`run_kernel_c1`] and
+//! [`run_legacy_c1`] salvage stop-the-world before anyone logs in again;
+//! [`run_kernel_s1`] and [`run_legacy_s1`] re-admit the population at
+//! once and salvage one directory at a time under the resumed stream.
 
 use crate::design::kernel::KernelDesign;
 use crate::design::legacy::LegacyDesign;
 use crate::design::{gate_retry, salvage_step_checked, Design, Session};
-use crate::hist::{Histogram, HistogramError};
+use crate::hist::Histogram;
 use crate::run::build_world;
 use crate::run::{
     account_name, drive_until, restore_file, setup, storm, Deferred, Driver, EngineState, Entry,
@@ -90,21 +96,9 @@ impl C1Policy {
     }
 }
 
-/// Deliberate recovery cheats, so the violation paths can be proven
-/// live: a broken run must be *caught*, and the printed repro string
-/// must reproduce it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum C1SelfCheck {
-    /// Recover honestly.
-    None,
-    /// Drop the youngest queued login at the first recovery — the
-    /// admission queue "forgets" one user, violating conservation of
-    /// sessions (and, cross-design, label parity).
-    DropQueuedLogin,
-}
-
 /// One chaos-composition run: the population, the stream seed, the
 /// fault-plan seed, how many crashes cut the stream, and the schedule.
+/// C1 and S1 run the same spec.
 #[derive(Debug, Clone, Copy)]
 pub struct C1Spec {
     /// Scripted sessions (the `crates/load` population).
@@ -117,9 +111,19 @@ pub struct C1Spec {
     pub crashes: u32,
     /// Kernel schedule between crashes.
     pub policy: C1Policy,
-    /// Recovery honesty (see [`C1SelfCheck`]).
-    pub self_check: C1SelfCheck,
+    /// Plant this mode's cheat, so the violation paths can be proven
+    /// live: a broken run must be *caught*, and the printed repro string
+    /// must reproduce it. C1 drops the youngest queued login at the first
+    /// recovery, breaking conservation of sessions (and, cross-design,
+    /// label parity). S1 tears the root quota cell at the first crash and
+    /// runs a salvager that releases each directory *before* repairing
+    /// its cell, so the per-release recheck fails at the root's release.
+    pub self_check: bool,
 }
+
+/// The online-salvage composition runs C1's spec: the same stream and
+/// crash plan, recovered under the resumed stream.
+pub type S1Spec = C1Spec;
 
 impl C1Spec {
     /// An honest run.
@@ -130,7 +134,7 @@ impl C1Spec {
             plan_seed,
             crashes,
             policy,
-            self_check: C1SelfCheck::None,
+            self_check: false,
         }
     }
 
@@ -222,160 +226,16 @@ pub struct C1Run {
 }
 
 impl C1Run {
-    /// The run's complete deterministic transcript. Two runs of the
-    /// same `(seed, plan, schedule)` triple must produce byte-identical
-    /// transcripts; the report treats any difference as a violation.
+    /// The run's complete deterministic transcript: its `Debug` text.
+    /// Two runs of the same `(seed, plan, schedule)` triple must produce
+    /// byte-identical transcripts; the report treats any difference as a
+    /// violation.
     pub fn transcript(&self) -> String {
-        let header = format!(
-            "design={} schedule={} ops={} abandoned={} queued_peak={} \
-             load_cycles={} recovery_cycles={}",
-            self.design,
-            self.schedule,
-            self.ops,
-            self.abandoned,
-            self.queued_peak,
-            self.load_cycles,
-            self.recovery_cycles
-        );
-        let epochs = self.epochs.iter().enumerate().map(|(i, e)| {
-            format!(
-                "epoch {i}: ops={} cycles={} qd={:?} hwm={} live={} queued={} \
-                 crashed={} problems={} repairs={} recovery={}",
-                e.ops,
-                e.cycles,
-                e.queue_delay,
-                e.event_queue_hwm,
-                e.live_at_crash,
-                e.queued_at_crash,
-                e.crashed,
-                e.salvage_problems,
-                e.salvage_repairs,
-                e.recovery_cycles
-            )
-        });
-        transcript(
-            header,
-            epochs,
-            &self.admitted_order,
-            &self.epoch_bounds,
-            &self.hist,
-            &self.parity,
-            &self.violations,
-        )
-    }
-}
-
-/// The transcript layout C1 and S1 share, one line each: the run's
-/// header, the admission order, the epoch bounds, one line per epoch,
-/// the histogram, the label stream, and every violation.
-fn transcript(
-    header: String,
-    epochs: impl Iterator<Item = String>,
-    admitted: &[usize],
-    bounds: &[usize],
-    hist: &Histogram,
-    parity: &[String],
-    violations: &[String],
-) -> String {
-    let mut lines = vec![
-        header,
-        format!("admitted={admitted:?}"),
-        format!("bounds={bounds:?}"),
-    ];
-    lines.extend(epochs);
-    lines.push(format!(
-        "hist: samples={} p50={} p99={}",
-        hist.samples(),
-        render_pct(hist, 50),
-        render_pct(hist, 99)
-    ));
-    lines.push(format!("parity={}", parity.join(",")));
-    lines.extend(violations.iter().map(|v| format!("violation: {v}")));
-    lines.into_iter().map(|l| l + "\n").collect()
-}
-
-/// Renders a percentile with its typed failure states instead of
-/// collapsing them to `0`: a run whose every epoch crashed before
-/// retiring an op has an *empty* histogram, which is a different fact
-/// from a measured zero-cycle percentile.
-fn render_pct(hist: &Histogram, pct: u64) -> String {
-    match hist.percentile(pct) {
-        Ok(v) => v.to_string(),
-        Err(HistogramError::Empty) => "empty".to_string(),
-        Err(e) => format!("error:{e}"),
+        format!("{self:?}")
     }
 }
 
 // ----------------------------------------------------- online salvage --
-
-/// Deliberate online-salvage cheats, mirroring [`C1SelfCheck`]: the
-/// per-release oracle battery must catch a salvager that hands a
-/// directory back to traffic before it is actually clean.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum S1SelfCheck {
-    /// Salvage honestly.
-    None,
-    /// At the first crash, tear the root quota cell behind the system's
-    /// back and run a salvager that releases each directory *before*
-    /// repairing its cell — the per-release recheck must fail at the
-    /// root's own release.
-    ReleaseBeforeCellRepair,
-}
-
-/// One online-salvage run: the C1 chaos composition, but recovery hands
-/// the machine back to the population after reconciling only the
-/// released prefix of the hierarchy; the salvager claims the rest one
-/// directory at a time while the stream runs.
-#[derive(Debug, Clone, Copy)]
-pub struct S1Spec {
-    /// Scripted sessions (the `crates/load` population).
-    pub sessions: usize,
-    /// Seed the session scripts expand from.
-    pub seed: u64,
-    /// Seed of the crash-mode stream (torn word counts, drop choices).
-    pub plan_seed: u64,
-    /// Crash/online-salvage/re-admit boundaries cut into the stream.
-    pub crashes: u32,
-    /// Kernel schedule between crashes.
-    pub policy: C1Policy,
-    /// Salvager honesty (see [`S1SelfCheck`]).
-    pub self_check: S1SelfCheck,
-}
-
-impl S1Spec {
-    /// An honest run.
-    pub fn new(sessions: usize, seed: u64, plan_seed: u64, crashes: u32, policy: C1Policy) -> Self {
-        Self {
-            sessions,
-            seed,
-            plan_seed,
-            crashes,
-            policy,
-            self_check: S1SelfCheck::None,
-        }
-    }
-
-    /// Completed operations per epoch (see [`C1Spec::ops_per_epoch`]).
-    pub fn ops_per_epoch(&self) -> u64 {
-        self.stream().ops_per_epoch()
-    }
-
-    /// The replayable identity of a run on `design`.
-    pub fn repro(&self, design: &str) -> String {
-        format!("{} mode=online", self.stream().repro(design))
-    }
-
-    /// The same stream and crash plan, as an honest C1 run.
-    fn stream(&self) -> C1Spec {
-        C1Spec::new(
-            self.sessions,
-            self.seed,
-            self.plan_seed,
-            self.crashes,
-            self.policy,
-        )
-    }
-}
 
 /// One online-salvage epoch's figures. The salvage fields describe the
 /// crash at the *end* of this epoch; they accumulate while the next
@@ -458,48 +318,7 @@ impl S1Run {
     /// The run's complete deterministic transcript (see
     /// [`C1Run::transcript`]).
     pub fn transcript(&self) -> String {
-        let header = format!(
-            "design={} schedule={} mode=online ops={} abandoned={} queued_peak={} \
-             load_cycles={} recovery_cycles={}",
-            self.design,
-            self.schedule,
-            self.ops,
-            self.abandoned,
-            self.queued_peak,
-            self.load_cycles,
-            self.recovery_cycles
-        );
-        let epochs = self.epochs.iter().enumerate().map(|(i, e)| {
-            format!(
-                "epoch {i}: ops={} cycles={} live={} queued={} crashed={} problems={} \
-                 repairs={} released={} overlap_ops={} window={} blocked={} retries={} \
-                 blocked_cycles={} first_op={} recovery={}",
-                e.ops,
-                e.cycles,
-                e.live_at_crash,
-                e.queued_at_crash,
-                e.crashed,
-                e.salvage_problems,
-                e.salvage_repairs,
-                e.dirs_released,
-                e.overlap_ops,
-                e.salvage_window,
-                e.blocked_ops,
-                e.retries,
-                e.blocked_cycles,
-                e.first_op_cycles,
-                e.recovery_cycles
-            )
-        });
-        transcript(
-            header,
-            epochs,
-            &self.admitted_order,
-            &self.epoch_bounds,
-            &self.hist,
-            &self.parity,
-            &self.violations,
-        )
+        format!("{self:?}")
     }
 }
 
@@ -678,7 +497,9 @@ type Rebuilt<D> = (Vec<Option<Session<D>>>, WorldCtx, Vec<Deferred>);
 /// be quarantined, so each shard's wipe and replays are parked in a
 /// [`Deferred`] and applied the moment the salvager releases (or is
 /// proven to have dropped) that shard — the stream resumes before the
-/// hierarchy is fully repaired.
+/// hierarchy is fully repaired. A survivor reaped before its shard is
+/// released keeps its file, as it would stop-the-world: the driver
+/// process replays it.
 fn reconcile<D: Design>(
     d: &mut D,
     mode: SalvageMode,
@@ -729,7 +550,7 @@ fn reconcile<D: Design>(
                     .live
                     .iter()
                     .filter(|lv| scripts[lv.idx].shard == j && had_own(lv.idx))
-                    .map(|lv| (lv.idx, lv.grown_vals.clone()))
+                    .map(|lv| (lv.idx, lv.grown_vals.clone(), scripts[lv.idx].abandon))
                     .collect(),
             })
             .collect()
@@ -741,11 +562,11 @@ fn reconcile<D: Design>(
 
 /// The chaos composition on one design: the load stream cut into epochs
 /// by mid-sync power failures, each followed by a recovery bootload, a
-/// salvage in `mode`, reconciliation, and re-admission. `cheat` is the
-/// mode's self-check: C1 drops a queued login at the first recovery, S1
-/// runs a salvager that releases before repairing.
-fn run_chaos<D: Design>(spec: &C1Spec, mode: SalvageMode, cheat: bool, repro: &str) -> Outcome {
+/// salvage in `mode`, reconciliation, and re-admission. The spec's
+/// `self_check` plants `mode`'s cheat at the first recovery.
+fn run_chaos<D: Design>(spec: &C1Spec, mode: SalvageMode, repro: &str) -> Outcome {
     let name = D::NAME;
+    let cheat = spec.self_check;
     let load = LoadSpec::continuous(spec.sessions, spec.seed);
     let scripts = load.scripts();
     let mut out = Outcome {
@@ -929,9 +750,7 @@ fn run_chaos<D: Design>(spec: &C1Spec, mode: SalvageMode, cheat: bool, repro: &s
 
 fn c1<D: Design>(spec: &C1Spec) -> C1Run {
     let repro = spec.repro(D::NAME);
-    let cheat = spec.self_check == C1SelfCheck::DropQueuedLogin;
-    let o = run_chaos::<D>(spec, SalvageMode::StopTheWorld, cheat, &repro)
-        .finish(spec.sessions, &repro);
+    let o = run_chaos::<D>(spec, SalvageMode::StopTheWorld, &repro).finish(spec.sessions, &repro);
     C1Run {
         design: o.design,
         schedule: o.schedule,
@@ -966,10 +785,8 @@ fn c1<D: Design>(spec: &C1Spec) -> C1Run {
 }
 
 fn s1<D: Design>(spec: &S1Spec) -> S1Run {
-    let repro = spec.repro(D::NAME);
-    let cheat = spec.self_check == S1SelfCheck::ReleaseBeforeCellRepair;
-    let o = run_chaos::<D>(&spec.stream(), SalvageMode::Online, cheat, &repro)
-        .finish(spec.sessions, &repro);
+    let repro = format!("{} mode=online", spec.repro(D::NAME));
+    let o = run_chaos::<D>(spec, SalvageMode::Online, &repro).finish(spec.sessions, &repro);
     S1Run {
         design: o.design,
         schedule: o.schedule,
@@ -1067,13 +884,9 @@ mod tests {
         }
     }
 
-    fn small_s1(policy: C1Policy) -> S1Spec {
-        S1Spec::new(8, 0xC1, 0xFA11, 2, policy)
-    }
-
     #[test]
     fn kernel_online_salvage_serves_during_repair() {
-        let spec = small_s1(C1Policy::Fifo);
+        let spec = small(C1Policy::Fifo);
         let a = run_kernel_s1(&spec);
         assert_eq!(a.violations, Vec::<String>::new());
         assert_eq!(a.epochs.iter().filter(|e| e.crashed).count(), 2);
@@ -1088,7 +901,7 @@ mod tests {
 
     #[test]
     fn legacy_online_salvage_serves_during_repair() {
-        let spec = small_s1(C1Policy::Fifo);
+        let spec = small(C1Policy::Fifo);
         let a = run_legacy_s1(&spec);
         assert_eq!(a.violations, Vec::<String>::new());
         assert_eq!(a.epochs.iter().filter(|e| e.crashed).count(), 2);
@@ -1098,7 +911,7 @@ mod tests {
 
     #[test]
     fn online_salvage_designs_agree_label_by_label() {
-        let spec = small_s1(C1Policy::Fifo);
+        let spec = small(C1Policy::Fifo);
         let k = run_kernel_s1(&spec);
         let l = run_legacy_s1(&spec);
         assert_eq!(
@@ -1114,15 +927,15 @@ mod tests {
         // The stream's user-visible outcome must not depend on whether
         // recovery repaired everything up front or underneath traffic.
         let c1 = run_kernel_c1(&small(C1Policy::Fifo));
-        let s1 = run_kernel_s1(&small_s1(C1Policy::Fifo));
+        let s1 = run_kernel_s1(&small(C1Policy::Fifo));
         assert_eq!(s1.parity, c1.parity, "online salvage changed an outcome");
         assert_eq!(s1.admitted_order, c1.admitted_order);
     }
 
     #[test]
     fn release_before_cell_repair_cheat_is_caught() {
-        let mut spec = small_s1(C1Policy::Fifo);
-        spec.self_check = S1SelfCheck::ReleaseBeforeCellRepair;
+        let mut spec = small(C1Policy::Fifo);
+        spec.self_check = true;
         let broken = run_kernel_s1(&spec);
         assert!(
             !broken.violations.is_empty(),
@@ -1143,7 +956,7 @@ mod tests {
     #[test]
     fn dropped_queued_login_is_caught_with_replayable_repro() {
         let mut spec = small(C1Policy::Fifo);
-        spec.self_check = C1SelfCheck::DropQueuedLogin;
+        spec.self_check = true;
         let broken = run_kernel_c1(&spec);
         assert!(
             !broken.violations.is_empty(),

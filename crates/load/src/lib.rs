@@ -21,8 +21,8 @@ pub mod script;
 pub mod shard;
 
 pub use epoch::{
-    run_kernel_c1, run_kernel_s1, run_legacy_c1, run_legacy_s1, C1Policy, C1Run, C1SelfCheck,
-    C1Spec, EpochReport, S1EpochReport, S1Run, S1SelfCheck, S1Spec,
+    run_kernel_c1, run_kernel_s1, run_legacy_c1, run_legacy_s1, C1Policy, C1Run, C1Spec,
+    EpochReport, S1EpochReport, S1Run, S1Spec,
 };
 pub use fleet::{run_kernel_fleet, run_legacy_fleet, FleetRun, FleetSpec};
 pub use hist::{Histogram, HistogramError};

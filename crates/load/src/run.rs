@@ -580,7 +580,9 @@ pub(crate) struct Deferred {
     pub(crate) drv: ProcessId,
     pub(crate) quota: u32,
     pub(crate) wipe: Vec<usize>,
-    pub(crate) restore: Vec<(usize, Vec<u64>)>,
+    /// Each survivor with a file: its index, the values its file grew
+    /// by, and whether its script abandons the session.
+    pub(crate) restore: Vec<(usize, Vec<u64>, bool)>,
 }
 
 /// One machine running one design under the engine.
@@ -653,11 +655,16 @@ impl<D: Design> Single<D> {
         for &idx in &work.wipe {
             let _ = self.d.delete_file(drv, dir, idx);
         }
-        for (idx, vals) in &work.restore {
-            // A survivor that finished before its shard was released
-            // never touches its file again; the wipe alone suffices.
-            let Some(pid) = self.sessions[*idx].as_ref().map(|s| s.pid) else {
-                continue;
+        for (idx, vals, abandon) in &work.restore {
+            // A survivor that ended before its shard was released never
+            // touches its file again. A logout deleted the file, so the
+            // wipe alone matches stop-the-world recovery; a reaped
+            // session's file outlives it and still holds its pages
+            // against the shard's quota, so the driver replays it.
+            let pid = match &self.sessions[*idx] {
+                Some(s) => s.pid,
+                None if *abandon => drv,
+                None => continue,
             };
             let segno = restore_file(&mut self.d, pid, at, *idx, vals)?;
             if let Some(s) = self.sessions[*idx].as_mut() {

@@ -11,8 +11,13 @@
 //! governing quota directory, leaving the directory's own cell reading
 //! high until growth under it spuriously faulted on quota. The
 //! cross-design parity assertions here pin the fix.
+//!
+//! Roadmap item 6's sweep runs both recovery modes over 40 script seeds:
+//! online salvage (S1) must leave the same labels and admission order as
+//! stop-the-world recovery (C1) on both designs, and repair every
+//! problem it finds.
 
-use mx_load::{run_kernel_c1, run_legacy_c1, C1Policy, C1SelfCheck, C1Spec};
+use mx_load::{run_kernel_c1, run_kernel_s1, run_legacy_c1, run_legacy_s1, C1Policy, C1Spec};
 
 const SEED: u64 = 0x0C1_1977;
 const PLAN: u64 = 0xFA17_0C1A;
@@ -79,7 +84,7 @@ fn reruns_are_byte_identical_and_cheats_are_caught() {
     assert_eq!(a.transcript(), b.transcript());
 
     let mut cheat = honest;
-    cheat.self_check = C1SelfCheck::DropQueuedLogin;
+    cheat.self_check = true;
     let broken = run_kernel_c1(&cheat);
     assert!(
         !broken.violations.is_empty(),
@@ -119,10 +124,87 @@ fn an_orphaned_shard_cell_is_audited_at_seed_0x1001() {
 #[test]
 fn forty_script_seeds_recover_with_cross_design_parity() {
     for seed in 0x1000..0x1028 {
-        let k = run_kernel_c1(&item_6(seed));
-        let l = run_legacy_c1(&item_6(seed));
+        let spec = item_6(seed);
+        let k = run_kernel_c1(&spec);
+        let l = run_legacy_c1(&spec);
         assert_eq!(k.violations, Vec::<String>::new(), "seed {seed:#x}");
         assert_eq!(l.violations, Vec::<String>::new(), "seed {seed:#x}");
         assert_eq!(k.parity, l.parity, "seed {seed:#x}");
+        for (c1, s1) in [(&k, run_kernel_s1(&spec)), (&l, run_legacy_s1(&spec))] {
+            let design = s1.design;
+            assert_eq!(
+                s1.violations,
+                Vec::<String>::new(),
+                "{design} seed {seed:#x}"
+            );
+            assert_eq!(
+                s1.parity, c1.parity,
+                "{design} S1 left C1 at seed {seed:#x}"
+            );
+            assert_eq!(
+                s1.admitted_order, c1.admitted_order,
+                "{design} S1 admission order at seed {seed:#x}"
+            );
+        }
     }
+}
+
+#[test]
+fn online_salvage_repairs_every_problem_it_finds_at_forty_seeds() {
+    // A recovery bootload issues uids past every TOC entry, so the
+    // stream never creates a namesake of an orphan before the online
+    // salvager's final sweep, which then reclaims every orphan.
+    for seed in 0x1000..0x1028 {
+        for run in [run_kernel_s1(&item_6(seed)), run_legacy_s1(&item_6(seed))] {
+            for (e, epoch) in run.epochs.iter().enumerate() {
+                assert_eq!(
+                    epoch.salvage_problems, epoch.salvage_repairs,
+                    "{} seed {seed:#x} epoch {e}: a problem left unrepaired",
+                    run.design
+                );
+            }
+        }
+    }
+}
+
+/// A survivor reaped before online salvage releases its shard keeps its
+/// file, as it does after a stop-the-world recovery: its pages still
+/// count against the shard's quota, so the grow at `label` meets it.
+fn reaped_survivor_keeps_its_file(seed: u64, label: usize) {
+    let spec = item_6(seed);
+    for (c1, s1) in [
+        (run_kernel_c1(&spec), run_kernel_s1(&spec)),
+        (run_legacy_c1(&spec), run_legacy_s1(&spec)),
+    ] {
+        let design = s1.design;
+        assert_eq!(c1.parity[label], "w:quota", "{design} C1 at {seed:#x}");
+        assert_eq!(
+            s1.parity[label], "w:quota",
+            "{design} S1 at {seed:#x}: the reaped survivor's file was not replayed"
+        );
+        assert_eq!(s1.parity, c1.parity, "{design} at {seed:#x}");
+        assert_eq!(
+            s1.admitted_order, c1.admitted_order,
+            "{design} at {seed:#x}"
+        );
+    }
+}
+
+#[test]
+fn a_reaped_survivor_keeps_its_file_under_online_salvage_at_seed_0x1004() {
+    reaped_survivor_keeps_its_file(0x1004, 262);
+}
+
+#[test]
+fn a_reaped_survivor_keeps_its_file_under_online_salvage_at_seed_0x1005() {
+    // u16 is reaped at label 128, before shard 0 is released; label 138
+    // is u18's third grow in that shard.
+    assert_eq!(run_kernel_c1(&item_6(0x1005)).parity[128], "reap");
+    reaped_survivor_keeps_its_file(0x1005, 138);
+}
+
+#[test]
+fn a_reaped_survivor_keeps_its_file_under_online_salvage_at_seed_0x100a() {
+    // Only the kernel's S1 left C1 here before the fix.
+    reaped_survivor_keeps_its_file(0x100a, 276);
 }

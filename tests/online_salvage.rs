@@ -14,8 +14,7 @@
 
 use mx_load::shard::{run_sharded, ShardSpec};
 use mx_load::{
-    run_kernel_c1, run_kernel_s1, run_legacy_c1, run_legacy_s1, C1Policy, C1Spec, S1SelfCheck,
-    S1Spec,
+    run_kernel_c1, run_kernel_s1, run_legacy_c1, run_legacy_s1, C1Policy, C1Spec, S1Spec,
 };
 
 const SEED: u64 = 0x0C1_1977;
@@ -147,7 +146,7 @@ fn reruns_are_byte_identical_and_the_planted_cheat_is_caught() {
     // battery — on both designs — and the printed repro string must
     // replay to the identical violations.
     let mut cheat = honest;
-    cheat.self_check = S1SelfCheck::ReleaseBeforeCellRepair;
+    cheat.self_check = true;
     for (design, broken, replay) in [
         ("kernel", run_kernel_s1(&cheat), run_kernel_s1(&cheat)),
         ("legacy", run_legacy_s1(&cheat), run_legacy_s1(&cheat)),

@@ -330,6 +330,6 @@ fn one_configuration_boots_both_designs_alike() {
     );
     assert_eq!(
         sup.create_process(multics::legacy::UserId(9), Label::BOTTOM),
-        Err(LegacyError::NoSuchProcess)
+        Err(LegacyError::ProcessTableFull)
     );
 }
