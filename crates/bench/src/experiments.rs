@@ -7,9 +7,11 @@
 //! regenerate those shapes.
 
 use mx_aim::{CompartmentSet, Label, Level};
-use mx_hw::{BootConfig, Word};
+use mx_explore::Rig;
+use mx_hw::clock::ClockSnapshot;
+use mx_hw::{BootConfig, ProcessId, TlbStats, Word, PAGE_WORDS};
 use mx_kernel::{Kernel, KernelConfig};
-use mx_legacy::{Acl as LAcl, Supervisor, SupervisorConfig, UserId as LUserId};
+use mx_legacy::{Supervisor, UserId as LUserId};
 use mx_user::{publish_library, AnsweringService, NameSpace, UserLinker};
 use std::collections::HashMap;
 
@@ -60,83 +62,113 @@ impl core::fmt::Display for Comparison {
 
 // ---------------------------------------------------------------- setup --
 
-fn boot_legacy() -> (Supervisor, mx_legacy::ProcessId) {
-    let mut sup = Supervisor::boot_default();
-    let pid = sup
-        .create_process(LUserId(1), Label::BOTTOM)
-        .expect("process");
-    (sup, pid)
+const PW: u32 = PAGE_WORDS as u32;
+
+/// Boots `R` with `config` and logs the benchmark user in.
+fn booted<R: Rig>(config: BootConfig) -> (R, ProcessId) {
+    let mut sys = R::boot(config);
+    let pid = sys.login("bench");
+    (sys, pid)
 }
 
-fn boot_kernel() -> (Kernel, mx_kernel::ProcessId) {
-    let mut k = Kernel::boot_default();
-    k.register_account("bench", mx_kernel::UserId(1), 1, Label::BOTTOM);
-    let pid = k.login_residue("bench", 1, Label::BOTTOM).expect("login");
-    (k, pid)
+/// Builds `spec`'s directories, then its files, through `R`'s gates.
+fn build_tree<R: Rig>(sys: &mut R, pid: ProcessId, spec: &TreeSpec) {
+    let root = sys.root_dir();
+    let mut made: HashMap<String, R::Entry> = HashMap::new();
+    let dirs = spec.dir_paths().into_iter().map(|p| (p, true));
+    for (path, is_dir) in dirs.chain(spec.file_paths().into_iter().map(|p| (p, false))) {
+        let i = path.rfind('>').expect("paths start with >");
+        let parent = if i == 0 { &root } else { &made[&path[..i]] };
+        let entry = sys
+            .create(pid, parent, &path[i + 1..], is_dir)
+            .expect("tree entry");
+        made.insert(path, entry);
+    }
 }
 
-/// Builds the tree on the old supervisor; returns path → uid.
-fn build_legacy_tree(sup: &mut Supervisor, spec: &TreeSpec) -> HashMap<String, mx_legacy::SegUid> {
-    let acl = LAcl::owner(LUserId(1));
-    let mut map: HashMap<String, mx_legacy::SegUid> = HashMap::new();
-    for dir in spec.dir_paths() {
-        let (parent_uid, name) = match dir.rfind('>') {
-            Some(0) => (sup.root(), &dir[1..]),
-            Some(i) => (map[&dir[..i]], &dir[i + 1..]),
-            None => unreachable!("paths start with >"),
-        };
-        let uid = sup
-            .create_directory_in(parent_uid, name, acl.clone(), Label::BOTTOM)
-            .expect("tree dir");
-        map.insert(dir.clone(), uid);
+/// P4's boot shape with `frames` of core: 16 page-table slots, four
+/// processes, 2,048-record packs of 64 TOC slots, a 1,200-record root
+/// quota. The designs wire different frame counts, so each caller adds
+/// its design's wired frames to the pageable pool it wants.
+pub(crate) fn memory_config(frames: usize) -> BootConfig {
+    BootConfig {
+        frames,
+        pt_slots: 16,
+        max_processes: 4,
+        records_per_pack: 2048,
+        toc_slots_per_pack: 64,
+        root_quota: 1200,
+        ..BootConfig::default()
     }
-    for file in spec.file_paths() {
-        let i = file.rfind('>').expect("file under a dir");
-        let parent_uid = if i == 0 { sup.root() } else { map[&file[..i]] };
-        let uid = sup
-            .create_segment_in(parent_uid, &file[i + 1..], acl.clone(), Label::BOTTOM)
-            .expect("tree file");
-        map.insert(file.clone(), uid);
-    }
-    map
 }
 
-/// Builds the same tree through the kernel gates; returns path → token.
-fn build_kernel_tree(
-    k: &mut Kernel,
-    pid: mx_kernel::ProcessId,
-    spec: &TreeSpec,
-) -> HashMap<String, mx_kernel::ObjToken> {
-    let acl = mx_kernel::Acl::owner(mx_kernel::UserId(1));
-    let mut map: HashMap<String, mx_kernel::ObjToken> = HashMap::new();
-    let root = k.root_token();
-    for dir in spec.dir_paths() {
-        let (parent, name) = match dir.rfind('>') {
-            Some(0) => (root, &dir[1..]),
-            Some(i) => (map[&dir[..i]], &dir[i + 1..]),
-            None => unreachable!(),
-        };
-        let tok = k
-            .create_entry(pid, parent, name, acl.clone(), Label::BOTTOM, true)
-            .expect("tree dir");
-        map.insert(dir.clone(), tok);
+/// The kernel's idle gap: four steps of the purifier daemon.
+pub(crate) fn purify(k: &mut Kernel) {
+    k.run_purifier(4).expect("purifier");
+}
+
+/// What one reference-string replay measured.
+pub(crate) struct Replay<R> {
+    /// The system, as the last reference left it.
+    pub(crate) sys: R,
+    /// The clock's movement over the references, idle gaps included.
+    pub(crate) delta: ClockSnapshot,
+    /// Cycles the idle gaps took.
+    pub(crate) idle_cycles: u64,
+    /// Associative-memory tallies over the references.
+    pub(crate) tlb: TlbStats,
+}
+
+/// Replays `string` on `R` booted with `config`: logs in, creates and
+/// initiates `data`, and reads or writes each reference's page at word
+/// `page % 100` if `spread`, else at word 0. `tlb`, if given, first
+/// switches the associative memory on or off from a cold cache; `idle`,
+/// if given, runs after every 16th reference.
+pub(crate) fn replay<R: Rig>(
+    config: BootConfig,
+    string: &RefString,
+    spread: bool,
+    tlb: Option<bool>,
+    idle: Option<fn(&mut R)>,
+) -> Replay<R> {
+    let (mut sys, pid) = booted::<R>(config);
+    let root = sys.root_dir();
+    let segno = sys.create_segment(pid, &root, "data").expect("segment");
+    if let Some(on) = tlb {
+        set_associative_memory(sys.machine(), on);
     }
-    for file in spec.file_paths() {
-        let i = file.rfind('>').expect("file under a dir");
-        let parent = if i == 0 { root } else { map[&file[..i]] };
-        let tok = k
-            .create_entry(
-                pid,
-                parent,
-                &file[i + 1..],
-                acl.clone(),
-                Label::BOTTOM,
-                false,
-            )
-            .expect("tree file");
-        map.insert(file.clone(), tok);
+    let tlb0 = sys.machine().tlb_stats();
+    let before = sys.machine().clock.snapshot();
+    let mut idle_cycles = 0;
+    for (i, &(page, write)) in string.refs.iter().enumerate() {
+        let wordno = page * PW + if spread { page % 100 } else { 0 };
+        if write {
+            let value = Word::new(u64::from(page) + 1);
+            sys.write(pid, segno, wordno, value).expect("write");
+        } else {
+            sys.read(pid, segno, wordno).expect("read");
+        }
+        if let Some(idle) = idle.filter(|_| i % 16 == 15) {
+            let p0 = sys.machine().clock.now();
+            idle(&mut sys);
+            idle_cycles += sys.machine().clock.now() - p0;
+        }
     }
-    map
+    let machine = sys.machine();
+    let delta = before.delta(&machine.clock.snapshot());
+    let tlb = tlb_delta(&tlb0, &machine.tlb_stats());
+    Replay {
+        sys,
+        delta,
+        idle_cycles,
+        tlb,
+    }
+}
+
+/// Publishes `sys`'s clock and counters under `label` for `--trace`.
+pub(crate) fn publish<R: Rig>(label: &str, sys: &mut R) {
+    let counters = sys.counters();
+    crate::trace::publish(label, &sys.machine().clock, counters);
 }
 
 // ------------------------------------------------------------ P1: linker --
@@ -147,15 +179,9 @@ pub fn p1_linker(n_symbols: usize) -> Comparison {
     let defs: Vec<(&str, u32)> = symbols.iter().map(|(s, o)| (s.as_str(), *o)).collect();
 
     // Old: the in-kernel linker.
-    let (mut sup, lpid) = boot_legacy();
-    let lib = sup
-        .create_segment_in(
-            sup.root(),
-            "libbench",
-            LAcl::owner(LUserId(1)),
-            Label::BOTTOM,
-        )
-        .expect("lib");
+    let (mut sup, lpid) = booted::<Supervisor>(BootConfig::default());
+    let root = sup.root_dir();
+    let (lib, _) = sup.create(lpid, &root, "libbench", false).expect("lib");
     sup.publish_definitions(lib, &defs);
     let before = sup.machine.clock.now();
     for (sym, off) in &defs {
@@ -165,17 +191,9 @@ pub fn p1_linker(n_symbols: usize) -> Comparison {
     let legacy = (sup.machine.clock.now() - before) / n_symbols as u64;
 
     // New: the user-domain linker over the gates.
-    let (mut k, kpid) = boot_kernel();
+    let (mut k, kpid) = booted::<Kernel>(BootConfig::default());
     let root = k.root_token();
-    k.create_entry(
-        kpid,
-        root,
-        "libbench",
-        mx_kernel::Acl::owner(mx_kernel::UserId(1)),
-        Label::BOTTOM,
-        false,
-    )
-    .expect("lib");
+    k.create(kpid, &root, "libbench", false).expect("lib");
     let mut ns = NameSpace::new(&mut k, kpid);
     let segno = ns.initiate(&mut k, ">libbench").expect("initiate lib");
     publish_library(&mut k, kpid, segno, &defs).expect("publish");
@@ -189,8 +207,8 @@ pub fn p1_linker(n_symbols: usize) -> Comparison {
     }
     let kernel = (k.machine.clock.now() - before) / n_symbols as u64;
 
-    crate::trace::publish("p1.legacy", &sup.machine.clock, sup.stats.counters());
-    crate::trace::publish("p1.kernel", &k.machine.clock, k.stats.counters());
+    publish("p1.legacy", &mut sup);
+    publish("p1.kernel", &mut k);
     Comparison {
         name: "P1  dynamic linker (cold links)",
         unit: "cycles/link",
@@ -211,8 +229,8 @@ pub fn p1_linker(n_symbols: usize) -> Comparison {
 pub fn p2_namespace(spec: TreeSpec, rounds: usize) -> Comparison {
     let paths = spec.file_paths();
 
-    let (mut sup, lpid) = boot_legacy();
-    build_legacy_tree(&mut sup, &spec);
+    let (mut sup, lpid) = booted::<Supervisor>(BootConfig::default());
+    build_tree(&mut sup, lpid, &spec);
     let before = sup.machine.clock.now();
     for _ in 0..rounds {
         for p in &paths {
@@ -223,8 +241,8 @@ pub fn p2_namespace(spec: TreeSpec, rounds: usize) -> Comparison {
     let n = (rounds * paths.len()) as u64;
     let legacy = (sup.machine.clock.now() - before) / n;
 
-    let (mut k, kpid) = boot_kernel();
-    build_kernel_tree(&mut k, kpid, &spec);
+    let (mut k, kpid) = booted::<Kernel>(BootConfig::default());
+    build_tree(&mut k, kpid, &spec);
     let mut ns = NameSpace::new(&mut k, kpid);
     let before = k.machine.clock.now();
     for _ in 0..rounds {
@@ -234,8 +252,8 @@ pub fn p2_namespace(spec: TreeSpec, rounds: usize) -> Comparison {
     }
     let kernel = (k.machine.clock.now() - before) / n;
 
-    crate::trace::publish("p2.legacy", &sup.machine.clock, sup.stats.counters());
-    crate::trace::publish("p2.kernel", &k.machine.clock, k.stats.counters());
+    publish("p2.legacy", &mut sup);
+    publish("p2.kernel", &mut k);
     Comparison {
         name: "P2  name-space manager (repeated resolutions)",
         unit: "cycles/resolution",
@@ -277,8 +295,8 @@ pub fn p3_answering(sessions: usize) -> Comparison {
     }
     let kernel = (k.machine.clock.now() - before) / sessions as u64;
 
-    crate::trace::publish("p3.legacy", &sup.machine.clock, sup.stats.counters());
-    crate::trace::publish("p3.kernel", &k.machine.clock, k.stats.counters());
+    publish("p3.legacy", &mut sup);
+    publish("p3.kernel", &mut k);
     Comparison {
         name: "P3  answering service (login+logout sessions)",
         unit: "cycles/session",
@@ -326,99 +344,23 @@ pub fn p4_memory(
     for &pageable in pageable_sweep {
         // Old supervisor: wired = 1 scratch + 4 page-table frames
         // (16 AST slots) + 4 dsegs.
-        let frames = pageable + 9;
-        let mut sup = Supervisor::boot(SupervisorConfig {
-            frames,
-            pt_slots: 16,
-            max_processes: 4,
-            records_per_pack: 2048,
-            toc_slots_per_pack: 64,
-            root_quota: 1200,
-            ..SupervisorConfig::default()
-        });
-        let lpid = sup
-            .create_process(LUserId(1), Label::BOTTOM)
-            .expect("process");
-        sup.create_segment_in(sup.root(), "data", LAcl::owner(LUserId(1)), Label::BOTTOM)
-            .expect("segment");
-        let segno = sup.initiate(lpid, "data").expect("initiate");
-        let before = sup.machine.clock.snapshot();
-        for (page, write) in &string.refs {
-            let wordno = page * mx_hw::PAGE_WORDS as u32 + (page % 100);
-            if *write {
-                sup.user_write(lpid, segno, wordno, Word::new(u64::from(*page) + 1))
-                    .expect("legacy write");
-            } else {
-                sup.user_read(lpid, segno, wordno).expect("legacy read");
-            }
-        }
-        let ldelta = before.delta(&sup.machine.clock.snapshot());
-
+        let mut l = replay::<Supervisor>(memory_config(pageable + 9), &string, true, None, None);
         // New design, purifier run in idle gaps. Wired = 1 scratch +
         // 8 core-segment frames (VP states, cell table, 4 page-table
         // frames, system space) + 4 dsegs.
-        let kframes = pageable + 13;
-        let mut k = Kernel::boot(KernelConfig {
-            frames: kframes,
-            pt_slots: 16,
-            max_processes: 4,
-            records_per_pack: 2048,
-            toc_slots_per_pack: 64,
-            root_quota: 1200,
-            ..KernelConfig::default()
-        });
-        k.register_account("bench", mx_kernel::UserId(1), 1, Label::BOTTOM);
-        let kpid = k.login_residue("bench", 1, Label::BOTTOM).expect("login");
-        let root = k.root_token();
-        let tok = k
-            .create_entry(
-                kpid,
-                root,
-                "data",
-                mx_kernel::Acl::owner(mx_kernel::UserId(1)),
-                Label::BOTTOM,
-                false,
-            )
-            .expect("segment");
-        let ksegno = k.initiate(kpid, tok).expect("initiate");
-        let before = k.machine.clock.snapshot();
-        let mut purifier_cycles = 0u64;
-        for (i, (page, write)) in string.refs.iter().enumerate() {
-            let wordno = page * mx_hw::PAGE_WORDS as u32 + (page % 100);
-            if *write {
-                k.write_word(kpid, ksegno, wordno, Word::new(u64::from(*page) + 1))
-                    .expect("kernel write");
-            } else {
-                k.read_word(kpid, ksegno, wordno).expect("kernel read");
-            }
-            if i % 16 == 15 {
-                // An idle gap: the purifier daemon gets the processor.
-                let p0 = k.machine.clock.now();
-                k.run_purifier(4).expect("purifier");
-                purifier_cycles += k.machine.clock.now() - p0;
-            }
-        }
-        let kdelta = before.delta(&k.machine.clock.snapshot());
-
-        crate::trace::publish(
-            &format!("p4.legacy.{pageable}"),
-            &sup.machine.clock,
-            sup.stats.counters(),
-        );
-        crate::trace::publish(
-            &format!("p4.kernel.{pageable}"),
-            &k.machine.clock,
-            k.stats.counters(),
-        );
-        debug_assert_eq!(sup.frames.pageable() as usize, pageable);
-        debug_assert_eq!(k.pfm.pageable() as usize, pageable);
+        let config = memory_config(pageable + 13);
+        let mut k = replay::<Kernel>(config, &string, true, None, Some(purify));
+        publish(&format!("p4.legacy.{pageable}"), &mut l.sys);
+        publish(&format!("p4.kernel.{pageable}"), &mut k.sys);
+        debug_assert_eq!(l.sys.frames.pageable() as usize, pageable);
+        debug_assert_eq!(k.sys.pfm.pageable() as usize, pageable);
         rows.push(MemoryRow {
             frames: pageable,
-            legacy_cycles: ldelta.cycles,
-            legacy_faults: ldelta.faults,
-            kernel_total_cycles: kdelta.cycles,
-            kernel_user_cycles: kdelta.cycles - purifier_cycles,
-            kernel_faults: kdelta.faults,
+            legacy_cycles: l.delta.cycles,
+            legacy_faults: l.delta.faults,
+            kernel_total_cycles: k.delta.cycles,
+            kernel_user_cycles: k.delta.cycles - k.idle_cycles,
+            kernel_faults: k.delta.faults,
         });
     }
     rows
@@ -472,16 +414,8 @@ pub fn p5_scheduler(process_counts: &[u32], passes: usize) -> Vec<SchedulerRow> 
         }
         let kernel = (k.machine.clock.now() - before) / passes as u64;
         let loads = k.upm.loads - loads_before;
-        crate::trace::publish(
-            &format!("p5.legacy.{n}"),
-            &sup.machine.clock,
-            sup.stats.counters(),
-        );
-        crate::trace::publish(
-            &format!("p5.kernel.{n}"),
-            &k.machine.clock,
-            k.stats.counters(),
-        );
+        publish(&format!("p5.legacy.{n}"), &mut sup);
+        publish(&format!("p5.kernel.{n}"), &mut k);
         rows.push(SchedulerRow {
             processes: n,
             legacy_cycles: legacy,
@@ -511,90 +445,49 @@ pub struct QuotaRow {
 pub fn p7_quota(depths: &[u32], pages: u32) -> Vec<QuotaRow> {
     let mut rows = Vec::new();
     for &depth in depths {
-        // Old supervisor: a chain of `depth` directories.
-        let (mut sup, lpid) = boot_legacy();
-        let mut parent = sup.root();
-        let mut path = String::new();
-        for lvl in 0..depth {
-            parent = sup
-                .create_directory_in(
-                    parent,
-                    &format!("c{lvl}"),
-                    LAcl::owner(LUserId(1)),
-                    Label::BOTTOM,
-                )
-                .expect("chain dir");
-            path.push_str(&format!(">c{lvl}"));
-        }
-        sup.create_segment_in(parent, "grow", LAcl::owner(LUserId(1)), Label::BOTTOM)
-            .expect("segment");
-        path.push_str(">grow");
-        let segno = sup.initiate(lpid, &path).expect("initiate");
-        let walks_before = (sup.stats.quota_walks, sup.stats.quota_walk_levels);
-        let before = sup.machine.clock.now();
-        for p in 0..pages {
-            sup.user_write(lpid, segno, p * mx_hw::PAGE_WORDS as u32, Word::new(1))
-                .expect("grow");
-        }
-        let legacy = (sup.machine.clock.now() - before) / u64::from(pages);
-        let walks = sup.stats.quota_walks - walks_before.0;
-        let levels = sup.stats.quota_walk_levels - walks_before.1;
-
-        // New design: same chain through the gates.
-        let (mut k, kpid) = boot_kernel();
-        let mut parent = k.root_token();
-        for lvl in 0..depth {
-            parent = k
-                .create_entry(
-                    kpid,
-                    parent,
-                    &format!("c{lvl}"),
-                    mx_kernel::Acl::owner(mx_kernel::UserId(1)),
-                    Label::BOTTOM,
-                    true,
-                )
-                .expect("chain dir");
-        }
-        let tok = k
-            .create_entry(
-                kpid,
-                parent,
-                "grow",
-                mx_kernel::Acl::owner(mx_kernel::UserId(1)),
-                Label::BOTTOM,
-                false,
-            )
-            .expect("segment");
-        let ksegno = k.initiate(kpid, tok).expect("initiate");
-        let before = k.machine.clock.now();
-        for p in 0..pages {
-            k.write_word(kpid, ksegno, p * mx_hw::PAGE_WORDS as u32, Word::new(1))
-                .expect("grow");
-        }
-        let kernel = (k.machine.clock.now() - before) / u64::from(pages);
-
-        crate::trace::publish(
-            &format!("p7.legacy.{depth}"),
-            &sup.machine.clock,
-            sup.stats.counters(),
-        );
-        crate::trace::publish(
-            &format!("p7.kernel.{depth}"),
-            &k.machine.clock,
-            k.stats.counters(),
-        );
+        let (legacy_cycles, legacy_walk_levels) = grow_in_chain::<Supervisor>(depth, pages);
+        let (kernel_cycles, _) = grow_in_chain::<Kernel>(depth, pages);
         rows.push(QuotaRow {
             depth,
-            legacy_cycles: legacy,
-            legacy_walk_levels: if walks == 0 {
-                0.0
-            } else {
-                levels as f64 / walks as f64
-            },
-            kernel_cycles: kernel,
+            legacy_cycles,
+            legacy_walk_levels,
+            kernel_cycles,
         });
     }
     rows
+}
+
+/// Grows a segment `pages` pages at the bottom of a chain of `depth`
+/// directories on `R`. Returns the cycles per page and the quota-walk
+/// levels per walk (the old supervisor's counters; 0 on the kernel,
+/// which keeps a static cell and never walks).
+fn grow_in_chain<R: Rig>(depth: u32, pages: u32) -> (u64, f64) {
+    let (mut sys, pid) = booted::<R>(BootConfig::default());
+    let mut parent = sys.root_dir();
+    for lvl in 0..depth {
+        parent = sys
+            .create(pid, &parent, &format!("c{lvl}"), true)
+            .expect("chain dir");
+    }
+    let segno = sys.create_segment(pid, &parent, "grow").expect("segment");
+    let walks = |sys: &R| {
+        let c = sys.counters();
+        let get = |name| c.get(name).unwrap_or(0);
+        (get("quota_walks"), get("quota_walk_levels"))
+    };
+    let (walks0, levels0) = walks(&sys);
+    let before = sys.machine().clock.now();
+    for p in 0..pages {
+        sys.write(pid, segno, p * PW, Word::new(1)).expect("grow");
+    }
+    let cycles = (sys.machine().clock.now() - before) / u64::from(pages);
+    let (walks1, levels1) = walks(&sys);
+    publish(&format!("p7.{}.{depth}", R::NAME), &mut sys);
+    let levels = match walks1 - walks0 {
+        0 => 0.0,
+        n => (levels1 - levels0) as f64 / n as f64,
+    };
+    (cycles, levels)
 }
 
 // ------------------------------------------------------- P8: fault path --
@@ -603,78 +496,29 @@ pub fn p7_quota(depths: &[u32], pages: u32) -> Vec<QuotaRow> {
 /// hardware lock bit, plus the two-processor race behaviour.
 pub fn p8_fault_path(pages: u32, rounds: usize) -> Comparison {
     // Old supervisor: write pages, then repeatedly flush + fault back.
-    let (mut sup, lpid) = boot_legacy();
-    sup.create_segment_in(sup.root(), "hot", LAcl::owner(LUserId(1)), Label::BOTTOM)
-        .expect("segment");
-    let segno = sup.initiate(lpid, "hot").expect("initiate");
-    for p in 0..pages {
-        sup.user_write(
-            lpid,
-            segno,
-            p * mx_hw::PAGE_WORDS as u32,
-            Word::new(u64::from(p) + 1),
-        )
-        .expect("seed");
-    }
+    let (mut sup, lpid, _, segno) = hot_segment::<Supervisor>(pages);
     let hot_uid = sup
         .resolve(lpid, "hot", mx_legacy::AccessRight::Read)
         .expect("resolve")
         .0;
     let astx = sup.ast.find(hot_uid).expect("active");
-    let mut legacy_faults = 0u64;
-    let before = sup.machine.clock.now();
-    for _ in 0..rounds {
-        sup.flush_segment(astx).expect("flush");
-        for p in 0..pages {
-            sup.user_read(lpid, segno, p * mx_hw::PAGE_WORDS as u32)
-                .expect("fault back");
-            legacy_faults += 1;
-        }
-    }
-    let legacy = (sup.machine.clock.now() - before) / legacy_faults;
+    let legacy = refault(&mut sup, lpid, segno, pages, rounds, |s| {
+        s.flush_segment(astx).expect("flush");
+    });
     let retranslations = sup.stats.retranslations;
 
     // New design.
-    let (mut k, kpid) = boot_kernel();
-    let root = k.root_token();
-    let tok = k
-        .create_entry(
-            kpid,
-            root,
-            "hot",
-            mx_kernel::Acl::owner(mx_kernel::UserId(1)),
-            Label::BOTTOM,
-            false,
-        )
-        .expect("segment");
-    let ksegno = k.initiate(kpid, tok).expect("initiate");
-    for p in 0..pages {
-        k.write_word(
-            kpid,
-            ksegno,
-            p * mx_hw::PAGE_WORDS as u32,
-            Word::new(u64::from(p) + 1),
-        )
-        .expect("seed");
-    }
+    let (mut k, kpid, tok, ksegno) = hot_segment::<Kernel>(pages);
     let uid = k.uid_of_token(tok).expect("uid");
-    let mut kernel_faults = 0u64;
-    let before = k.machine.clock.now();
-    for _ in 0..rounds {
+    let kernel = refault(&mut k, kpid, ksegno, pages, rounds, |k| {
         let handle = k.segm.get(uid).expect("active").handle;
         k.pfm
             .flush(&mut k.machine, &mut k.drm, &mut k.qcm, handle)
             .expect("flush");
-        for p in 0..pages {
-            k.read_word(kpid, ksegno, p * mx_hw::PAGE_WORDS as u32)
-                .expect("fault back");
-            kernel_faults += 1;
-        }
-    }
-    let kernel = (k.machine.clock.now() - before) / kernel_faults;
+    });
 
-    crate::trace::publish("p8.legacy", &sup.machine.clock, sup.stats.counters());
-    crate::trace::publish("p8.kernel", &k.machine.clock, k.stats.counters());
+    publish("p8.legacy", &mut sup);
+    publish("p8.kernel", &mut k);
     Comparison {
         name: "P8  missing-page service (flush + refault)",
         unit: "cycles/fault",
@@ -691,6 +535,41 @@ pub fn p8_fault_path(pages: u32, rounds: usize) -> Comparison {
     }
 }
 
+/// P8's setup on `R`: `hot` created and initiated, and `pages` pages of
+/// it written. Returns the system, the process, the entry and the
+/// segment number.
+fn hot_segment<R: Rig>(pages: u32) -> (R, ProcessId, R::Entry, u32) {
+    let (mut sys, pid) = booted::<R>(BootConfig::default());
+    let root = sys.root_dir();
+    let hot = sys.create(pid, &root, "hot", false).expect("segment");
+    let segno = sys.initiate(pid, &hot).expect("initiate");
+    for p in 0..pages {
+        let value = Word::new(u64::from(p) + 1);
+        sys.write(pid, segno, p * PW, value).expect("seed");
+    }
+    (sys, pid, hot, segno)
+}
+
+/// P8's timed loop: `rounds` times, `flush` the segment out of core and
+/// read each of its `pages` pages back. Returns the cycles per fault.
+fn refault<R: Rig>(
+    sys: &mut R,
+    pid: ProcessId,
+    segno: u32,
+    pages: u32,
+    rounds: usize,
+    mut flush: impl FnMut(&mut R),
+) -> u64 {
+    let before = sys.machine().clock.now();
+    for _ in 0..rounds {
+        flush(sys);
+        for p in 0..pages {
+            sys.read(pid, segno, p * PW).expect("fault back");
+        }
+    }
+    (sys.machine().clock.now() - before) / (rounds as u64 * u64::from(pages))
+}
+
 // --------------------------------------------------------- S1/S2/S3 demos --
 
 /// S1 — the mythical-identifier interface: no information leaks through
@@ -702,25 +581,8 @@ pub fn s1_mythical_identifiers() -> String {
     let alice = k.login_residue("alice", 1, Label::BOTTOM).unwrap();
     let bob = k.login_residue("bob", 2, Label::BOTTOM).unwrap();
     let root = k.root_token();
-    let private = k
-        .create_entry(
-            alice,
-            root,
-            "private",
-            mx_kernel::Acl::owner(mx_kernel::UserId(1)),
-            Label::BOTTOM,
-            true,
-        )
-        .unwrap();
-    k.create_entry(
-        alice,
-        private,
-        "exists",
-        mx_kernel::Acl::owner(mx_kernel::UserId(1)),
-        Label::BOTTOM,
-        false,
-    )
-    .unwrap();
+    let private = k.create(alice, &root, "private", true).unwrap();
+    k.create(alice, &private, "exists", false).unwrap();
 
     let mut out = String::from("S1  Bratt's mythical identifiers\n");
     let t_real = k.dir_search(bob, private, "exists").unwrap();
@@ -830,16 +692,7 @@ pub fn s3_relocation() -> String {
     k.register_account("grower", mx_kernel::UserId(1), 1, Label::BOTTOM);
     let pid = k.login_residue("grower", 1, Label::BOTTOM).unwrap();
     let root = k.root_token();
-    let tok = k
-        .create_entry(
-            pid,
-            root,
-            "bulky",
-            mx_kernel::Acl::owner(mx_kernel::UserId(1)),
-            Label::BOTTOM,
-            false,
-        )
-        .unwrap();
+    let tok = k.create(pid, &root, "bulky", false).unwrap();
     let segno = k.initiate(pid, tok).unwrap();
     let mut out = String::from("S3  full pack -> relocation -> upward signal\n");
     for p in 0..12u32 {
@@ -893,8 +746,8 @@ pub fn a1_namespace_cache(spec: TreeSpec, rounds: usize) -> Comparison {
     let paths = spec.file_paths();
     let n = (rounds * paths.len()) as u64;
 
-    let (mut k, kpid) = boot_kernel();
-    build_kernel_tree(&mut k, kpid, &spec);
+    let (mut k, kpid) = booted::<Kernel>(BootConfig::default());
+    build_tree(&mut k, kpid, &spec);
     let mut ns = NameSpace::new(&mut k, kpid);
     let before = k.machine.clock.now();
     for _ in 0..rounds {
@@ -904,8 +757,8 @@ pub fn a1_namespace_cache(spec: TreeSpec, rounds: usize) -> Comparison {
     }
     let with_cache = (k.machine.clock.now() - before) / n;
 
-    let (mut k, kpid) = boot_kernel();
-    build_kernel_tree(&mut k, kpid, &spec);
+    let (mut k, kpid) = booted::<Kernel>(BootConfig::default());
+    build_tree(&mut k, kpid, &spec);
     let mut ns = NameSpace::new(&mut k, kpid);
     let before = k.machine.clock.now();
     for _ in 0..rounds {
@@ -936,53 +789,15 @@ pub fn a1_namespace_cache(spec: TreeSpec, rounds: usize) -> Comparison {
 /// user-visible figures of the two experiments coincide.
 pub fn a2_purifier_idle(pageable: usize, pages: u32, refs: usize, ws: u32) -> Comparison {
     let string = RefString::generate(41, pages, refs, ws);
-    let run = |idle_purify: bool| -> u64 {
-        let mut k = Kernel::boot(KernelConfig {
-            frames: pageable + 13,
-            pt_slots: 16,
-            max_processes: 4,
-            records_per_pack: 2048,
-            toc_slots_per_pack: 64,
-            root_quota: 1200,
-            ..KernelConfig::default()
-        });
-        k.register_account("bench", mx_kernel::UserId(1), 1, Label::BOTTOM);
-        let pid = k.login_residue("bench", 1, Label::BOTTOM).expect("login");
-        let root = k.root_token();
-        let tok = k
-            .create_entry(
-                pid,
-                root,
-                "data",
-                mx_kernel::Acl::owner(mx_kernel::UserId(1)),
-                Label::BOTTOM,
-                false,
-            )
-            .expect("segment");
-        let segno = k.initiate(pid, tok).expect("initiate");
-        let before = k.machine.clock.now();
-        let mut daemon_cycles = 0;
-        for (i, (page, write)) in string.refs.iter().enumerate() {
-            let wordno = page * mx_hw::PAGE_WORDS as u32;
-            if *write {
-                k.write_word(pid, segno, wordno, Word::new(u64::from(*page) + 1))
-                    .expect("w");
-            } else {
-                k.read_word(pid, segno, wordno).expect("r");
-            }
-            if idle_purify && i % 16 == 15 {
-                let p0 = k.machine.clock.now();
-                k.run_purifier(4).expect("purifier");
-                daemon_cycles += k.machine.clock.now() - p0;
-            }
-        }
-        (k.machine.clock.now() - before) - daemon_cycles
+    let run = |idle: Option<fn(&mut Kernel)>| {
+        let r = replay::<Kernel>(memory_config(pageable + 13), &string, false, None, idle);
+        r.delta.cycles - r.idle_cycles
     };
     Comparison {
         name: "A2  purifier idle-time ablation (user-visible cycles)",
         unit: "cycles total",
-        legacy: run(false),
-        kernel: run(true),
+        legacy: run(None),
+        kernel: run(Some(purify)),
         notes: vec![
             "'legacy' row = no idle gaps (write-behind lands on the user path);              'kernel' row = daemon runs at idle"
                 .into(),
@@ -1026,6 +841,50 @@ fn a3_check(label: &str, clock: &mx_hw::Clock, tlb: &mx_hw::TlbStats) {
     );
 }
 
+/// One A3 workload on `R`: replays `string` with the associative memory
+/// off, then on, checking each leg's conservation and publishing it as
+/// `a3.{leg}.off` or `a3.{leg}.on` with its TLB tallies, and compares
+/// the legs' cycles per reference under `name`.
+fn a3_workload<R: Rig>(
+    name: &'static str,
+    leg: &str,
+    config: BootConfig,
+    string: &RefString,
+    spread: bool,
+) -> Comparison {
+    let [(off, _), (on, tlb)] = [false, true].map(|on| {
+        let label = format!("a3.{leg}.{}", if on { "on" } else { "off" });
+        let mut r = replay::<R>(config.clone(), string, spread, Some(on), None);
+        a3_check(&label, &r.sys.machine().clock, &r.tlb);
+        assert!(
+            on || r.tlb.lookups == 0,
+            "{label}: a disabled associative memory must never be consulted"
+        );
+        let mut counters = r.sys.counters();
+        for (name, v) in r.tlb.counters().iter() {
+            counters.set(name, v);
+        }
+        crate::trace::publish(&label, &r.sys.machine().clock, counters);
+        (r.delta.cycles / string.refs.len() as u64, r.tlb)
+    });
+    let hits = if tlb.lookups == 0 {
+        0.0
+    } else {
+        tlb.hits as f64 / tlb.lookups as f64 * 100.0
+    };
+    Comparison {
+        name,
+        unit: "cycles/reference",
+        legacy: off,
+        kernel: on,
+        notes: vec![format!(
+            "'legacy' row = TLB off; 'kernel' row = TLB on ({} lookups, {hits:.1}% hits, \
+             {} invalidations)",
+            tlb.lookups, tlb.invalidations
+        )],
+    }
+}
+
 /// A3 — ablate the hardware associative memory (the descriptor-walk
 /// translation cache of [`mx_hw::Tlb`]). With it off, every data
 /// reference pays the walk's two descriptor fetches; with it on, a
@@ -1036,135 +895,23 @@ fn a3_check(label: &str, clock: &mx_hw::Clock, tlb: &mx_hw::TlbStats) {
 /// and never consults the associative memory), and a P4-style
 /// ample-core reference string through the kernel gates.
 pub fn a3_associative_memory(pageable: usize, pages: u32, refs: usize, ws: u32) -> Vec<Comparison> {
-    // -- P2-style: repeated references to a small hot set, old
-    // supervisor. Eight pages with a tight working set: after the first
-    // touch every reference repeats, which is where the cache pays.
-    let hot = RefString::generate(43, 8, refs, 4);
-    let run_p2 = |tlb_on: bool| -> (u64, mx_hw::TlbStats) {
-        let (mut sup, lpid) = boot_legacy();
-        sup.create_segment_in(sup.root(), "data", LAcl::owner(LUserId(1)), Label::BOTTOM)
-            .expect("segment");
-        let segno = sup.initiate(lpid, "data").expect("initiate");
-        set_associative_memory(&mut sup.machine, tlb_on);
-        let t0 = sup.machine.tlb_stats();
-        let before = sup.machine.clock.now();
-        for (page, write) in &hot.refs {
-            let wordno = page * mx_hw::PAGE_WORDS as u32 + (page % 100);
-            if *write {
-                sup.user_write(lpid, segno, wordno, Word::new(u64::from(*page) + 1))
-                    .expect("a3 write");
-            } else {
-                sup.user_read(lpid, segno, wordno).expect("a3 read");
-            }
-        }
-        let per = (sup.machine.clock.now() - before) / hot.refs.len() as u64;
-        let tlb = tlb_delta(&t0, &sup.machine.tlb_stats());
-        let label = if tlb_on { "a3.p2.on" } else { "a3.p2.off" };
-        a3_check(label, &sup.machine.clock, &tlb);
-        let mut counters = sup.stats.counters();
-        for (name, v) in tlb.counters().iter() {
-            counters.set(name, v);
-        }
-        crate::trace::publish(label, &sup.machine.clock, counters);
-        (per, tlb)
-    };
-    let (p2_off, p2_off_tlb) = run_p2(false);
-    let (p2_on, p2_on_tlb) = run_p2(true);
-    assert_eq!(
-        p2_off_tlb.lookups, 0,
-        "a3.p2.off: a disabled associative memory must never be consulted"
-    );
-
-    // -- P4-style: ample-core reference string, kernel gates ------------
-    let string = RefString::generate(47, pages, refs, ws);
-    let run_p4 = |tlb_on: bool| -> (u64, mx_hw::TlbStats) {
-        let mut k = Kernel::boot(KernelConfig {
-            frames: pageable + 13,
-            pt_slots: 16,
-            max_processes: 4,
-            records_per_pack: 2048,
-            toc_slots_per_pack: 64,
-            root_quota: 1200,
-            ..KernelConfig::default()
-        });
-        k.register_account("bench", mx_kernel::UserId(1), 1, Label::BOTTOM);
-        let pid = k.login_residue("bench", 1, Label::BOTTOM).expect("login");
-        let root = k.root_token();
-        let tok = k
-            .create_entry(
-                pid,
-                root,
-                "data",
-                mx_kernel::Acl::owner(mx_kernel::UserId(1)),
-                Label::BOTTOM,
-                false,
-            )
-            .expect("segment");
-        let segno = k.initiate(pid, tok).expect("initiate");
-        set_associative_memory(&mut k.machine, tlb_on);
-        let t0 = k.machine.tlb_stats();
-        let before = k.machine.clock.now();
-        for (page, write) in &string.refs {
-            let wordno = page * mx_hw::PAGE_WORDS as u32;
-            if *write {
-                k.write_word(pid, segno, wordno, Word::new(u64::from(*page) + 1))
-                    .expect("a3 write");
-            } else {
-                k.read_word(pid, segno, wordno).expect("a3 read");
-            }
-        }
-        let per = (k.machine.clock.now() - before) / string.refs.len() as u64;
-        let tlb = tlb_delta(&t0, &k.machine.tlb_stats());
-        let label = if tlb_on { "a3.p4.on" } else { "a3.p4.off" };
-        a3_check(label, &k.machine.clock, &tlb);
-        let mut counters = k.stats.counters();
-        for (name, v) in tlb.counters().iter() {
-            counters.set(name, v);
-        }
-        crate::trace::publish(label, &k.machine.clock, counters);
-        (per, tlb)
-    };
-    let (p4_off, p4_off_tlb) = run_p4(false);
-    let (p4_on, p4_on_tlb) = run_p4(true);
-    assert_eq!(
-        p4_off_tlb.lookups, 0,
-        "a3.p4.off: a disabled associative memory must never be consulted"
-    );
-
-    let hit_pct = |t: &mx_hw::TlbStats| {
-        if t.lookups == 0 {
-            0.0
-        } else {
-            t.hits as f64 / t.lookups as f64 * 100.0
-        }
-    };
     vec![
-        Comparison {
-            name: "A3a associative-memory ablation — P2-style hot set (old supervisor)",
-            unit: "cycles/reference",
-            legacy: p2_off,
-            kernel: p2_on,
-            notes: vec![format!(
-                "'legacy' row = TLB off; 'kernel' row = TLB on ({} lookups, {:.1}% hits, \
-                 {} invalidations)",
-                p2_on_tlb.lookups,
-                hit_pct(&p2_on_tlb),
-                p2_on_tlb.invalidations
-            )],
-        },
-        Comparison {
-            name: "A3b associative-memory ablation — P4 ample-core references (kernel)",
-            unit: "cycles/reference",
-            legacy: p4_off,
-            kernel: p4_on,
-            notes: vec![format!(
-                "'legacy' row = TLB off; 'kernel' row = TLB on ({} lookups, {:.1}% hits, \
-                 {} invalidations)",
-                p4_on_tlb.lookups,
-                hit_pct(&p4_on_tlb),
-                p4_on_tlb.invalidations
-            )],
-        },
+        // Eight pages with a tight working set: after the first touch
+        // every reference repeats, which is where the cache pays.
+        a3_workload::<Supervisor>(
+            "A3a associative-memory ablation — P2-style hot set (old supervisor)",
+            "p2",
+            BootConfig::default(),
+            &RefString::generate(43, 8, refs, 4),
+            true,
+        ),
+        a3_workload::<Kernel>(
+            "A3b associative-memory ablation — P4 ample-core references (kernel)",
+            "p4",
+            memory_config(pageable + 13),
+            &RefString::generate(47, pages, refs, ws),
+            false,
+        ),
     ]
 }
 

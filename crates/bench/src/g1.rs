@@ -85,44 +85,10 @@ fn demux_leg(kernel_edges: &mut EdgeSet) {
 /// dispatch, quota growth, fault path — are the load scripts' and
 /// scenarios' ops, already in the battery.)
 fn purifier_leg(kernel_edges: &mut EdgeSet) {
-    use mx_hw::Word;
-    let mut k = Kernel::boot(KernelConfig {
-        frames: 36 + 13,
-        pt_slots: 16,
-        max_processes: 4,
-        records_per_pack: 2048,
-        toc_slots_per_pack: 64,
-        root_quota: 1200,
-        ..KernelConfig::default()
-    });
-    k.register_account("p", UserId(1), 1, Label::BOTTOM);
-    let pid = k.login_residue("p", 1, Label::BOTTOM).expect("login");
-    let root = k.root_token();
-    let tok = k
-        .create_entry(
-            pid,
-            root,
-            "data",
-            mx_kernel::Acl::owner(UserId(1)),
-            Label::BOTTOM,
-            false,
-        )
-        .expect("segment");
-    let segno = k.initiate(pid, tok).expect("initiate");
+    use crate::experiments::{memory_config, purify, replay};
     let string = crate::workload::RefString::generate(41, 40, 1500, 10);
-    for (i, (page, write)) in string.refs.iter().enumerate() {
-        let wordno = page * mx_hw::PAGE_WORDS as u32;
-        if *write {
-            k.write_word(pid, segno, wordno, Word::new(u64::from(*page) + 1))
-                .expect("write");
-        } else {
-            k.read_word(pid, segno, wordno).expect("read");
-        }
-        if i % 16 == 15 {
-            k.run_purifier(4).expect("purifier");
-        }
-    }
-    kernel_edges.merge(k.machine.clock.edge_set());
+    let r = replay::<Kernel>(memory_config(36 + 13), &string, false, None, Some(purify));
+    kernel_edges.merge(r.sys.machine.clock.edge_set());
 }
 
 /// Runs the full battery — ample and tight load, sharded load, chaos

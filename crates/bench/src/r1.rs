@@ -29,18 +29,15 @@
 //! transfer ordinals and a [`CrashWrite::seeded`] draw per crash
 //! point, so a given stride replays exactly.
 
-use mx_aim::Label;
 use mx_explore::oracle::check_storage;
-use mx_hw::meter::CounterSet;
+use mx_explore::Rig;
 use mx_hw::salvage::Report;
-use mx_hw::{BootConfig, CrashWrite, DiskError, FaultPlan, Machine, ProcessId, Word, PAGE_WORDS};
+use mx_hw::{BootConfig, CrashWrite, DiskError, FaultPlan, ProcessId, Word, PAGE_WORDS};
 use mx_kernel::{Kernel, KernelError, SalvageReport};
-use mx_legacy::{
-    AccessRight, Acl as LAcl, LegacyError, LegacySalvageReport, Supervisor, UserId as LUserId,
-};
+use mx_legacy::{AccessRight, LegacyError, LegacySalvageReport, Supervisor};
 use std::fmt::Debug;
 
-use crate::experiments::Comparison;
+use crate::experiments::{publish, Comparison};
 
 /// Seed for the per-crash-point mode draws.
 const SEED: u64 = 0x5231_C4A5_11E7_0001;
@@ -99,20 +96,14 @@ fn boot_config() -> BootConfig {
     }
 }
 
-/// What the crash matrix needs of a design. [`matrix`] is written once
-/// against it; each design keeps its own workload and phase-1 check.
-trait Design: Sized {
-    /// `kernel` or `legacy`.
-    const NAME: &'static str;
-    type Error: Debug;
+/// What the crash matrix needs of a design beyond its [`Rig`].
+/// [`matrix`] is written once against it; each design keeps its own
+/// workload and phase-1 check.
+trait Design: Rig {
     type Problem: Debug;
 
-    fn boot(config: BootConfig) -> Self;
     /// Bootloads on the machine of `crashed`, whose power failed.
     fn recover(config: BootConfig, crashed: Self) -> Result<Self, Self::Error>;
-    fn machine(&mut self) -> &mut Machine;
-    /// A process for the workload's user.
-    fn login(&mut self) -> ProcessId;
     /// The shared workload, as `pid`. Records the write ordinal at which
     /// the phase-1 sync completed into `sync1_at`.
     fn workload(&mut self, pid: ProcessId, sync1_at: &mut Option<u64>) -> Result<(), Self::Error>;
@@ -123,51 +114,32 @@ trait Design: Sized {
     /// Checks phase-1 contents on the recovered system via the ordinary
     /// gates.
     fn verify_phase1(&mut self);
-    fn counters(&self) -> CounterSet;
 }
 
 /// Boots `D` with the roomy pack attached and a process logged in, then
 /// installs `plan`, so that write ordinals count workload transfers only
 /// (bootload writes are excluded).
-fn rig<D: Design>(plan: FaultPlan) -> (D, ProcessId) {
+fn armed<D: Design>(plan: FaultPlan) -> (D, ProcessId) {
     let mut sys = D::boot(boot_config());
     sys.machine().disks.attach(BIG_PACK.0, BIG_PACK.1);
-    let pid = sys.login();
+    let pid = sys.login("r1");
     sys.machine().faults.install(plan);
     (sys, pid)
 }
 
 impl Design for Kernel {
-    const NAME: &'static str = "kernel";
-    type Error = KernelError;
     type Problem = mx_kernel::Problem;
-
-    fn boot(config: BootConfig) -> Self {
-        Kernel::boot(config)
-    }
 
     fn recover(config: BootConfig, crashed: Self) -> Result<Self, KernelError> {
         Kernel::boot_from_image(config, crashed.machine)
     }
 
-    fn machine(&mut self) -> &mut Machine {
-        &mut self.machine
-    }
-
-    fn login(&mut self) -> ProcessId {
-        self.register_account("r1", mx_kernel::UserId(1), 1, Label::BOTTOM);
-        self.login_residue("r1", 1, Label::BOTTOM).expect("login")
-    }
-
     fn workload(&mut self, pid: ProcessId, sync1_at: &mut Option<u64>) -> Result<(), KernelError> {
-        let acl = mx_kernel::Acl::owner(mx_kernel::UserId(1));
-        let root = self.root_token();
-        let d = self.create_entry(pid, root, "d", acl.clone(), Label::BOTTOM, true)?;
+        let root = self.root_dir();
+        let d = self.create(pid, &root, "d", true)?;
         self.set_quota(pid, d, QUOTA_LIMIT)?;
         for i in 0..FILES {
-            let f =
-                self.create_entry(pid, d, &format!("f{i}"), acl.clone(), Label::BOTTOM, false)?;
-            let segno = self.initiate(pid, f)?;
+            let segno = self.create_segment(pid, &d, &format!("f{i}"))?;
             for p in 0..PAGES {
                 self.write_word(pid, segno, p * PW, val(i, p, 0))?;
                 self.write_word(pid, segno, p * PW + PW - 1, val(i, p, 1))?;
@@ -175,8 +147,7 @@ impl Design for Kernel {
         }
         self.sync_to_disk()?;
         *sync1_at = Some(self.machine.faults.writes);
-        let g = self.create_entry(pid, root, "grow", acl, Label::BOTTOM, false)?;
-        let segno = self.initiate(pid, g)?;
+        let segno = self.create_segment(pid, &root, "grow")?;
         for p in 0..GROW_PAGES {
             self.write_word(pid, segno, p * PW, Word::new(u64::from(p) + 1))?;
         }
@@ -196,10 +167,7 @@ impl Design for Kernel {
     }
 
     fn verify_phase1(&mut self) {
-        self.register_account("check", mx_kernel::UserId(1), 1, Label::BOTTOM);
-        let pid = self
-            .login_residue("check", 1, Label::BOTTOM)
-            .expect("login");
+        let pid = self.login("check");
         let root = self.root_token();
         let d = self
             .dir_search(pid, root, "d")
@@ -224,41 +192,21 @@ impl Design for Kernel {
             }
         }
     }
-
-    fn counters(&self) -> CounterSet {
-        self.stats.counters()
-    }
 }
 
 impl Design for Supervisor {
-    const NAME: &'static str = "legacy";
-    type Error = LegacyError;
     type Problem = String;
-
-    fn boot(config: BootConfig) -> Self {
-        Supervisor::boot(config)
-    }
 
     fn recover(config: BootConfig, crashed: Self) -> Result<Self, LegacyError> {
         Supervisor::boot_from_image(config, crashed.machine)
     }
 
-    fn machine(&mut self) -> &mut Machine {
-        &mut self.machine
-    }
-
-    fn login(&mut self) -> ProcessId {
-        self.create_process(LUserId(1), Label::BOTTOM)
-            .expect("process")
-    }
-
     fn workload(&mut self, pid: ProcessId, sync1_at: &mut Option<u64>) -> Result<(), LegacyError> {
-        let acl = LAcl::owner(LUserId(1));
-        let root = self.root();
-        let d = self.create_directory_in(root, "d", acl.clone(), Label::BOTTOM)?;
-        self.set_quota_directory(pid, ">d", QUOTA_LIMIT)?;
+        let root = self.root_dir();
+        let d = self.create(pid, &root, "d", true)?;
+        self.set_quota(pid, &d, QUOTA_LIMIT)?;
         for i in 0..FILES {
-            let f = self.create_segment_in(d, &format!("f{i}"), acl.clone(), Label::BOTTOM)?;
+            let (f, _) = self.create(pid, &d, &format!("f{i}"), false)?;
             let astx = self.activate(f)?;
             for p in 0..PAGES {
                 self.sup_write(astx, p * PW, val(i, p, 0))?;
@@ -267,7 +215,7 @@ impl Design for Supervisor {
         }
         self.sync_to_disk()?;
         *sync1_at = Some(self.machine.faults.writes);
-        let g = self.create_segment_in(root, "grow", acl, Label::BOTTOM)?;
+        let (g, _) = self.create(pid, &root, "grow", false)?;
         let astx = self.activate(g)?;
         for p in 0..GROW_PAGES {
             self.sup_write(astx, p * PW, Word::new(u64::from(p) + 1))?;
@@ -288,9 +236,7 @@ impl Design for Supervisor {
     }
 
     fn verify_phase1(&mut self) {
-        let pid = self
-            .create_process(LUserId(1), Label::BOTTOM)
-            .expect("post-recovery process");
+        let pid = self.spawn();
         for i in 0..FILES {
             let (uid, _entry) = self
                 .resolve(pid, &format!(">d>f{i}"), AccessRight::Read)
@@ -310,10 +256,6 @@ impl Design for Supervisor {
             }
         }
     }
-
-    fn counters(&self) -> CounterSet {
-        self.stats.counters()
-    }
 }
 
 /// Panics unless, after salvage, every allocated record on every pack is
@@ -332,7 +274,7 @@ fn matrix<D: Design>(stride: u64) -> MatrixSummary {
     let design = D::NAME;
     // Dry run: learn the write-ordinal universe and sanity-check that
     // the workload really exercises relocation.
-    let (mut sys, pid) = rig::<D>(FaultPlan::new());
+    let (mut sys, pid) = armed::<D>(FaultPlan::new());
     let mut sync1 = None;
     sys.workload(pid, &mut sync1).expect("fault-free run");
     let total = sys.machine().faults.writes;
@@ -350,7 +292,7 @@ fn matrix<D: Design>(stride: u64) -> MatrixSummary {
     let mut cycles_max = 0u64;
     let mut last = None;
     for n in (1..=total).step_by(stride.max(1) as usize) {
-        let (mut sys, pid) = rig::<D>(FaultPlan::new().crash_after_writes(n, crash_mode(n)));
+        let (mut sys, pid) = armed::<D>(FaultPlan::new().crash_after_writes(n, crash_mode(n)));
         let mut s1 = None;
         let err = sys
             .workload(pid, &mut s1)
@@ -383,8 +325,7 @@ fn matrix<D: Design>(stride: u64) -> MatrixSummary {
         last = Some(rs);
     }
     if let Some(mut rs) = last {
-        let counters = rs.counters();
-        crate::trace::publish(&format!("r1.{design}"), &rs.machine().clock, counters);
+        publish(&format!("r1.{design}"), &mut rs);
     }
     MatrixSummary {
         total_writes: total,
@@ -407,12 +348,9 @@ fn degradation_notes() -> Vec<String> {
     let mut notes = Vec::new();
 
     // Kernel side.
-    let (mut k, pid) = rig::<Kernel>(FaultPlan::new());
-    let acl = mx_kernel::Acl::owner(mx_kernel::UserId(1));
-    let root = k.root_token();
-    let t = k
-        .create_entry(pid, root, "t", acl, Label::BOTTOM, false)
-        .expect("probe file");
+    let (mut k, pid) = armed::<Kernel>(FaultPlan::new());
+    let root = k.root_dir();
+    let t = k.create(pid, &root, "t", false).expect("probe file");
     let segno = k.initiate(pid, t).expect("initiate probe");
     k.write_word(pid, segno, 0, Word::new(0o7777))
         .expect("probe write");
@@ -467,12 +405,9 @@ fn degradation_notes() -> Vec<String> {
     ));
 
     // Old-supervisor side.
-    let (mut sup, pid) = rig::<Supervisor>(FaultPlan::new());
-    let acl = LAcl::owner(LUserId(1));
-    let root = sup.root();
-    let t = sup
-        .create_segment_in(root, "t", acl, Label::BOTTOM)
-        .expect("probe file");
+    let (mut sup, pid) = armed::<Supervisor>(FaultPlan::new());
+    let root = sup.root_dir();
+    let (t, _) = sup.create(pid, &root, "t", false).expect("probe file");
     let astx = sup.activate(t).expect("activate probe");
     sup.sup_write(astx, 0, Word::new(0o7777))
         .expect("probe write");
@@ -545,31 +480,26 @@ fn degradation_notes() -> Vec<String> {
 pub fn r1_crash_recovery(stride: u64) -> Comparison {
     let kernel = matrix::<Kernel>(stride);
     let legacy = matrix::<Supervisor>(stride);
-    let mut notes = vec![
-        format!(
-            "legacy: {}/{} crash points run, damage at {}, {} repairs, \
-             durable contents verified at {} points, worst recovery {} cycles",
-            legacy.tested,
-            legacy.total_writes,
-            legacy.damage_found,
-            legacy.repairs,
-            legacy.durable_verified,
-            legacy.max_recovery_cycles
-        ),
-        format!(
-            "kernel: {}/{} crash points run, damage at {}, {} repairs, \
-             durable contents verified at {} points, worst recovery {} cycles",
-            kernel.tested,
-            kernel.total_writes,
-            kernel.damage_found,
-            kernel.repairs,
-            kernel.durable_verified,
-            kernel.max_recovery_cycles
-        ),
+    let mut notes: Vec<String> = [("legacy", &legacy), ("kernel", &kernel)]
+        .iter()
+        .map(|(design, m)| {
+            format!(
+                "{design}: {}/{} crash points run, damage at {}, {} repairs, \
+                 durable contents verified at {} points, worst recovery {} cycles",
+                m.tested,
+                m.total_writes,
+                m.damage_found,
+                m.repairs,
+                m.durable_verified,
+                m.max_recovery_cycles
+            )
+        })
+        .collect();
+    notes.push(
         "every point recovered: salvage converged (second pass clean), \
          records conserved, synced objects intact"
             .to_string(),
-    ];
+    );
     notes.extend(degradation_notes());
     Comparison {
         name: "R1  crash matrix: salvager-driven recovery",

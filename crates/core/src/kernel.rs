@@ -120,6 +120,10 @@ pub struct Kernel {
     accounts: HashMap<String, Account>,
     processes_dir: ObjToken,
     state_counter: u64,
+    /// The eventcounts [`Kernel::ec_create`] issued, ascending: the only
+    /// ones the user eventcount gates accept. The managers' own
+    /// eventcounts share the table and are not among them.
+    user_eventcounts: Vec<mx_sync::sim::EcId>,
     /// In-progress incremental salvage, if any (see
     /// [`Kernel::begin_online_salvage`]). While set, gates into
     /// unreleased directories surface [`KernelError::SalvageBusy`].
@@ -272,6 +276,7 @@ impl Kernel {
             accounts: HashMap::new(),
             processes_dir: ObjToken(0),
             state_counter: 0,
+            user_eventcounts: Vec::new(),
             online: None,
         })
     }
@@ -1074,14 +1079,17 @@ impl Kernel {
     /// Creates a user-visible eventcount.
     pub fn ec_create(&mut self) -> mx_sync::sim::EcId {
         self.charge_gate();
-        self.scoped(Subsystem::Scheduler, |k| k.vpm.create_eventcount())
+        let ec = self.scoped(Subsystem::Scheduler, |k| k.vpm.create_eventcount());
+        self.user_eventcounts.push(ec);
+        ec
     }
 
     /// Advances an eventcount (the broadcast, receiver-blind notify).
     ///
     /// # Errors
     ///
-    /// [`KernelError::NoSuchEventcount`] for an id the kernel never issued.
+    /// [`KernelError::NoSuchEventcount`] for an id `ec_create` never
+    /// issued.
     pub fn ec_advance(&mut self, ec: mx_sync::sim::EcId) -> Result<usize, KernelError> {
         self.charge_gate();
         self.scoped(Subsystem::Scheduler, |k| {
@@ -1094,7 +1102,8 @@ impl Kernel {
     ///
     /// # Errors
     ///
-    /// [`KernelError::NoSuchEventcount`] for an id the kernel never issued.
+    /// [`KernelError::NoSuchEventcount`] for an id `ec_create` never
+    /// issued.
     pub fn ec_read(&mut self, ec: mx_sync::sim::EcId) -> Result<u64, KernelError> {
         self.charge_gate();
         self.scoped(Subsystem::Scheduler, |k| {
@@ -1103,13 +1112,13 @@ impl Kernel {
         })
     }
 
-    /// Refuses an eventcount id the table never issued: `EcId` is a bare
-    /// number any caller can forge.
+    /// Refuses an eventcount id `ec_create` never issued: `EcId` is a
+    /// bare number any caller can forge, and the page-frame and process
+    /// managers' own eventcounts sit in the same table.
     fn issued(&self, ec: mx_sync::sim::EcId) -> Result<(), KernelError> {
-        if self.vpm.eventcount_issued(ec) {
-            Ok(())
-        } else {
-            Err(KernelError::NoSuchEventcount)
+        match self.user_eventcounts.binary_search(&ec) {
+            Ok(_) => Ok(()),
+            Err(_) => Err(KernelError::NoSuchEventcount),
         }
     }
 
@@ -1328,6 +1337,18 @@ mod tests {
         assert_eq!(k.ec_read(forged), Err(KernelError::NoSuchEventcount));
         assert_eq!(k.ec_advance(forged), Err(KernelError::NoSuchEventcount));
         assert_eq!(k.ec_read(ec), Ok(1), "a refused advance moves nothing");
+        // Ids 0 and 1 are the page-frame manager's page event and the
+        // process manager's queue event: in the same table, but not the
+        // user's to read or advance.
+        let mut own = [k.pfm.page_event.0, k.upm.queue_event.0];
+        own.sort_unstable();
+        assert_eq!(own, [0, 1]);
+        for own in [mx_sync::sim::EcId(0), mx_sync::sim::EcId(1)] {
+            let before = k.vpm.read_eventcount(own);
+            assert_eq!(k.ec_read(own), Err(KernelError::NoSuchEventcount));
+            assert_eq!(k.ec_advance(own), Err(KernelError::NoSuchEventcount));
+            assert_eq!(k.vpm.read_eventcount(own), before, "{own:?} moved");
+        }
     }
 
     #[test]

@@ -177,11 +177,6 @@ impl VirtualProcessorManager {
         self.events.create_sequencer()
     }
 
-    /// Whether `ec` names an eventcount this manager created.
-    pub fn eventcount_issued(&self, ec: EcId) -> bool {
-        self.events.issued(ec)
-    }
-
     /// Reads an eventcount.
     pub fn read_eventcount(&self, ec: EcId) -> u64 {
         self.events.read(ec)

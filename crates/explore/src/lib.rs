@@ -21,6 +21,9 @@
 //!   tally closure — plus old/new parity on user-visible results.
 //! * [`dfs`] — bounded-preemption depth-first enumeration that visits
 //!   every schedule of a small scenario exactly once.
+//! * [`rig`] — [`Rig`], the one interface the single-process drivers
+//!   (the scenarios here, and `mx-bench`'s P4/P7/A2/A3, G1 and R1) run
+//!   both designs through.
 //!
 //! A violation is fully described by `(scenario, seed, schedule)`;
 //! [`replay`] turns that triple back into the failing run.
@@ -28,6 +31,7 @@
 pub mod dfs;
 pub mod oracle;
 pub mod policies;
+pub mod rig;
 pub mod scenario;
 
 pub use dfs::{explore_dfs, Exploration};
@@ -35,6 +39,7 @@ pub use policies::{
     parse_schedule, parse_trace, schedule_string, Choice, PctPolicy, Recorder, ReplayPolicy,
     SeededRandomPolicy, TraceHandle,
 };
+pub use rig::Rig;
 pub use scenario::{run_kernel, run_legacy, RunReport, ScenarioKind};
 
 use std::collections::HashSet;

@@ -10,14 +10,16 @@
 //! be reproduced is the `(scenario, seed, schedule)` triple.
 
 use crate::oracle;
-use crate::policies::{schedule_string, Recorder, TraceHandle};
-use mx_aim::Label;
+use crate::policies::{schedule_string, Recorder};
+use crate::rig::{Res, Rig};
 use mx_hw::meter::EdgeSet;
-use mx_hw::{BootConfig, SplitMix64, Word, PAGE_WORDS};
+use mx_hw::{BootConfig, ProcessId, SplitMix64, Word, PAGE_WORDS};
 use mx_kernel::vproc::VpId;
-use mx_kernel::{Acl, Kernel, KernelError, UserId};
-use mx_legacy::{Acl as LAcl, LegacyError, Supervisor, UserId as LUserId};
+use mx_kernel::Kernel;
+use mx_legacy::Supervisor;
 use mx_sync::SchedulePolicy;
+
+const PW: u32 = PAGE_WORDS as u32;
 
 /// The paper-relevant concurrency scenarios.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -249,20 +251,14 @@ fn fingerprint(labels: &[String]) -> u64 {
     h
 }
 
-fn kernel_error_label(e: &KernelError) -> String {
-    match e {
-        KernelError::QuotaExceeded { .. } => "quota".into(),
-        KernelError::AllPacksFull => "full".into(),
-        other => format!("err:{other:?}"),
-    }
-}
-
-fn legacy_error_label(e: &LegacyError) -> String {
-    match e {
-        LegacyError::QuotaExceeded { .. } => "quota".into(),
-        LegacyError::AllPacksFull => "full".into(),
-        other => format!("err:{other:?}"),
-    }
+/// An op's label: `prefix:` then the result, an error showing as the
+/// shared refusal's name, else as the error itself.
+fn shown<R: Rig, T: ToString>(prefix: &str, result: Res<T, R>) -> String {
+    let shown = match result {
+        Ok(v) => v.to_string(),
+        Err(e) => R::refusal(&e).map_or_else(|| format!("err:{e:?}"), String::from),
+    };
+    format!("{prefix}:{shown}")
 }
 
 /// Runs `kind` at `seed` on the kernel under `policy`, returning the
@@ -328,64 +324,78 @@ fn boot_config(kind: ScenarioKind) -> (BootConfig, Option<(u32, u32)>) {
     }
 }
 
-fn kernel_for(kind: ScenarioKind) -> Kernel {
+/// Builds `kind`'s world on `R`: its configuration and pack, a process
+/// for user 1 and a second one so the scheduler has something to
+/// rotate, and the two segments the op list addresses (under a 4-page
+/// quota directory for the quota race). Returns the system, the first
+/// process and the segment numbers.
+fn world<R: Rig>(kind: ScenarioKind) -> (R, ProcessId, Vec<u32>) {
     let (config, pack) = boot_config(kind);
-    let mut k = Kernel::boot(config);
+    let mut sys = R::boot(config);
     if let Some((records, toc_slots)) = pack {
-        k.machine.disks.attach(records, toc_slots);
+        sys.machine().disks.attach(records, toc_slots);
     }
-    k.register_account("x", UserId(1), 1, Label::BOTTOM);
-    k
+    let pid = sys.login("x");
+    sys.spawn();
+    let mut parent = sys.root_dir();
+    if kind == ScenarioKind::Quota {
+        parent = sys.create(pid, &parent, "capped", true).expect("quota dir");
+        sys.set_quota(pid, &parent, 4).expect("set quota");
+    }
+    let segnos = ["ga", "gb"]
+        .iter()
+        .map(|name| sys.create_segment(pid, &parent, name).expect("segment"))
+        .collect();
+    (sys, pid, segnos)
 }
 
-fn supervisor_for(kind: ScenarioKind) -> Supervisor {
-    let (config, pack) = boot_config(kind);
-    let mut sup = Supervisor::boot(config);
-    if let Some((records, toc_slots)) = pack {
-        sup.machine.disks.attach(records, toc_slots);
+/// Executes `plan` on `sys` as `pid` and returns every label and the
+/// user-visible subset. `extra` runs the ops only the kernel has
+/// (`Purify`, `Advance`) and returns their label, or `None` to skip.
+fn drive<R: Rig>(
+    sys: &mut R,
+    pid: ProcessId,
+    segnos: &[u32],
+    plan: &[Op],
+    mut extra: impl FnMut(&mut R, Op) -> Option<String>,
+) -> (Vec<String>, Vec<String>) {
+    let mut outcome = Vec::new();
+    let mut parity = Vec::new();
+    for &op in plan {
+        let (label, visible) = match op {
+            Op::Write { seg, page, val } => {
+                let done = sys.write(pid, segnos[seg], page * PW, Word::new(val));
+                (shown::<R, _>("w", done.map(|()| "ok")), true)
+            }
+            Op::Read { seg, page } => {
+                let got = sys.read(pid, segnos[seg], page * PW);
+                (shown::<R, _>("r", got.map(|w| w.raw())), true)
+            }
+            // Which process lands where is schedule-sensitive: it
+            // belongs in the outcome, never in the parity labels.
+            Op::Schedule => {
+                let who = sys.schedule().unwrap_or_else(|| "idle".into());
+                (format!("s:{who}"), false)
+            }
+            Op::Sync => {
+                sys.sync_to_disk().expect("sync");
+                ("y".to_string(), false)
+            }
+            Op::Purify(_) | Op::Advance => match extra(sys, op) {
+                Some(label) => (label, false),
+                None => continue,
+            },
+        };
+        if visible {
+            parity.push(label.clone());
+        }
+        outcome.push(label);
     }
-    sup
+    (outcome, parity)
 }
 
 fn run_kernel_ops(kind: ScenarioKind, seed: u64, policy: Box<dyn SchedulePolicy>) -> RunReport {
-    let plan = ops(kind, seed);
-    let mut k = kernel_for(kind);
-    // Two processes so the level-2 scheduler has something to rotate.
-    let pid = k.login_residue("x", 1, Label::BOTTOM).expect("login");
-    let _pid2 = k.create_process(UserId(1), Label::BOTTOM).expect("proc 2");
-    let root = k.root_token();
-
-    // Build the segment population the op list addresses.
-    let parent = if kind == ScenarioKind::Quota {
-        let dir = k
-            .create_entry(
-                pid,
-                root,
-                "capped",
-                Acl::owner(UserId(1)),
-                Label::BOTTOM,
-                true,
-            )
-            .expect("quota dir");
-        k.set_quota(pid, dir, 4).expect("set quota");
-        dir
-    } else {
-        root
-    };
-    let mut segnos = Vec::new();
-    for name in ["ga", "gb"] {
-        let tok = k
-            .create_entry(
-                pid,
-                parent,
-                name,
-                Acl::owner(UserId(1)),
-                Label::BOTTOM,
-                false,
-            )
-            .expect("segment");
-        segnos.push(k.initiate(pid, tok).expect("initiate"));
-    }
+    let (mut k, pid, segnos) = world::<Kernel>(kind);
 
     // Two spare user VPs parked on the scenario eventcount: the later
     // `Advance` op becomes an arity-2 wakeup-drain choice point.
@@ -401,63 +411,23 @@ fn run_kernel_ops(kind: ScenarioKind, seed: u64, policy: Box<dyn SchedulePolicy>
     let (rec, trace) = Recorder::new(policy);
     k.set_schedule_policy(Box::new(rec));
 
-    let mut outcome = Vec::new();
-    let mut parity = Vec::new();
-    for op in &plan {
-        match *op {
-            Op::Write { seg, page, val } => {
-                let label = match k.write_word(
-                    pid,
-                    segnos[seg],
-                    page * PAGE_WORDS as u32,
-                    Word::new(val),
-                ) {
-                    Ok(()) => "w:ok".to_string(),
-                    Err(e) => format!("w:{}", kernel_error_label(&e)),
-                };
-                outcome.push(label.clone());
-                parity.push(label);
-            }
-            Op::Read { seg, page } => {
-                let label = match k.read_word(pid, segnos[seg], page * PAGE_WORDS as u32) {
-                    Ok(w) => format!("r:{}", w.raw()),
-                    Err(e) => format!("r:{}", kernel_error_label(&e)),
-                };
-                outcome.push(label.clone());
-                parity.push(label);
-            }
-            Op::Schedule => {
-                // Which process lands on which VP is schedule-sensitive:
-                // it belongs in the outcome, never in the parity labels.
-                match k.schedule() {
-                    Some(d) => outcome.push(format!("s:p{}v{}", d.pid.0, d.vp.0)),
-                    None => outcome.push("s:idle".to_string()),
-                }
-            }
-            Op::Purify(steps) => {
-                let done = k.run_purifier(steps).expect("purifier");
-                outcome.push(format!("p:{done}"));
-            }
-            Op::Advance => match k.ec_advance(ec) {
-                Ok(woken) => outcome.push(format!("a:{woken}")),
-                Err(e) => outcome.push(format!("a:{}", kernel_error_label(&e))),
-            },
-            Op::Sync => {
-                k.sync_to_disk().expect("sync");
-                outcome.push("y".to_string());
-            }
-        }
-    }
+    let (outcome, parity) = drive(&mut k, pid, &segnos, &ops(kind, seed), |k, op| {
+        Some(match op {
+            Op::Purify(steps) => format!("p:{}", k.run_purifier(steps).expect("purifier")),
+            _ => shown::<Kernel, _>("a", k.ec_advance(ec)),
+        })
+    });
 
-    let mut violations = oracle::check_kernel(&k);
+    let mut violations = k.oracles();
     // The parked spares must have been woken (wakeup exactness end-to-end).
     for vp in spare {
         if k.vpm.state(vp) == mx_kernel::vproc::VpState::Waiting {
             violations.push(format!("spare {vp:?} never woke from the scenario advance"));
         }
     }
+    let schedule = schedule_string(&trace.borrow());
     let edges = k.machine.clock.edge_snapshot();
-    finish(kind, seed, &trace, outcome, parity, violations, edges)
+    finish(kind, seed, schedule, outcome, parity, violations, edges)
 }
 
 /// Runs the legacy counterpart of `kind` at `seed`. The old design has
@@ -469,83 +439,20 @@ fn run_kernel_ops(kind: ScenarioKind, seed: u64, policy: Box<dyn SchedulePolicy>
 /// Panics for the handoff scenarios ([`ScenarioKind::has_legacy`]).
 pub fn run_legacy(kind: ScenarioKind, seed: u64) -> RunReport {
     assert!(kind.has_legacy(), "no legacy counterpart for {kind:?}");
-    let plan = ops(kind, seed);
-    let mut sup = supervisor_for(kind);
-    let pid = sup.create_process(LUserId(1), Label::BOTTOM).expect("proc");
-    let _pid2 = sup
-        .create_process(LUserId(1), Label::BOTTOM)
-        .expect("proc 2");
-
-    let (parent_path, parent_uid) = if kind == ScenarioKind::Quota {
-        let uid = sup
-            .create_directory_in(sup.root(), "capped", LAcl::owner(LUserId(1)), Label::BOTTOM)
-            .expect("quota dir");
-        sup.set_quota_directory(pid, "capped", 4)
-            .expect("set quota");
-        ("capped>".to_string(), uid)
-    } else {
-        (String::new(), sup.root())
-    };
-    let mut segnos = Vec::new();
-    for name in ["ga", "gb"] {
-        sup.create_segment_in(parent_uid, name, LAcl::owner(LUserId(1)), Label::BOTTOM)
-            .expect("segment");
-        segnos.push(
-            sup.initiate(pid, &format!("{parent_path}{name}"))
-                .expect("initiate"),
-        );
-    }
-
-    let mut outcome = Vec::new();
-    let mut parity = Vec::new();
-    for op in &plan {
-        match *op {
-            Op::Write { seg, page, val } => {
-                let label = match sup.user_write(
-                    pid,
-                    segnos[seg],
-                    page * PAGE_WORDS as u32,
-                    Word::new(val),
-                ) {
-                    Ok(()) => "w:ok".to_string(),
-                    Err(e) => format!("w:{}", legacy_error_label(&e)),
-                };
-                outcome.push(label.clone());
-                parity.push(label);
-            }
-            Op::Read { seg, page } => {
-                let label = match sup.user_read(pid, segnos[seg], page * PAGE_WORDS as u32) {
-                    Ok(w) => format!("r:{}", w.raw()),
-                    Err(e) => format!("r:{}", legacy_error_label(&e)),
-                };
-                outcome.push(label.clone());
-                parity.push(label);
-            }
-            Op::Schedule => match sup.dispatch() {
-                Some(p) => outcome.push(format!("s:p{}", p.0)),
-                None => outcome.push("s:idle".to_string()),
-            },
-            // The old design has no purifier and no eventcounts.
-            Op::Purify(_) | Op::Advance => {}
-            Op::Sync => {
-                sup.sync_to_disk().expect("sync");
-                outcome.push("y".to_string());
-            }
-        }
-    }
-
-    let violations = oracle::check_legacy(&sup);
-    let fp = fingerprint(&outcome);
-    RunReport {
+    let (mut sup, pid, segnos) = world::<Supervisor>(kind);
+    // The old design has no purifier and no eventcounts.
+    let (outcome, parity) = drive(&mut sup, pid, &segnos, &ops(kind, seed), |_, _| None);
+    let violations = sup.oracles();
+    let edges = sup.machine.clock.edge_snapshot();
+    finish(
         kind,
         seed,
-        schedule: "-".to_string(),
+        "-".to_string(),
         outcome,
         parity,
-        fingerprint: fp,
         violations,
-        edges: sup.machine.clock.edge_snapshot(),
-    }
+        edges,
+    )
 }
 
 /// The structural handoff scenario on a bare VP manager: VP 0 produces
@@ -617,20 +524,20 @@ fn run_handoff(seed: u64, policy: Box<dyn SchedulePolicy>, lossy: bool) -> RunRe
     } else {
         ScenarioKind::Handoff
     };
+    let schedule = schedule_string(&trace.borrow());
     let edges = clock.edge_snapshot();
-    finish(kind, seed, &trace, outcome, Vec::new(), violations, edges)
+    finish(kind, seed, schedule, outcome, Vec::new(), violations, edges)
 }
 
 fn finish(
     kind: ScenarioKind,
     seed: u64,
-    trace: &TraceHandle,
+    schedule: String,
     outcome: Vec<String>,
     parity: Vec<String>,
     violations: Vec<String>,
     edges: EdgeSet,
 ) -> RunReport {
-    let schedule = schedule_string(&trace.borrow());
     let fp = fingerprint(&outcome);
     RunReport {
         kind,

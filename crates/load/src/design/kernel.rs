@@ -12,7 +12,7 @@ use crate::fleet::CH_DIRECTIVE;
 use crate::run::SalvageProbe;
 use crate::run::{account_index, account_name, definitions, file_name, symbol, Entry};
 use mx_aim::{FlowTracker, Label};
-use mx_explore::oracle;
+use mx_explore::{oracle, Rig};
 use mx_hw::{Machine, Subsystem, Word};
 use mx_kernel::demux::{FramingSpec, StreamId};
 use mx_kernel::{Acl, Kernel, KernelConfig, KernelError, ObjToken, OnlineCheat, ProcessId, UserId};
@@ -111,11 +111,7 @@ impl Design for KernelDesign {
     }
 
     fn label(e: &KernelError) -> &'static str {
-        match e {
-            KernelError::QuotaExceeded { .. } => "quota",
-            KernelError::AllPacksFull => "full",
-            _ => "err",
-        }
+        <Kernel as Rig>::refusal(e).unwrap_or("err")
     }
 
     fn register(&mut self, name: &str) {

@@ -12,7 +12,7 @@ use super::{online_step, salvage_pass, Admitted, Design, Res, SalvagePass, Sessi
 use crate::fleet::CH_DIRECTIVE;
 use crate::run::{account_name, definitions, file_name, symbol, Entry, SalvageProbe};
 use mx_aim::Label;
-use mx_explore::oracle;
+use mx_explore::{oracle, Rig};
 use mx_hw::{Machine, Subsystem, Word};
 use mx_legacy::network::{NetworkId, NetworkKind};
 use mx_legacy::{
@@ -87,11 +87,7 @@ impl Design for LegacyDesign {
     }
 
     fn label(e: &LegacyError) -> &'static str {
-        match e {
-            LegacyError::QuotaExceeded { .. } => "quota",
-            LegacyError::AllPacksFull => "full",
-            _ => "err",
-        }
+        <Supervisor as Rig>::refusal(e).unwrap_or("err")
     }
 
     fn register(&mut self, name: &str) {

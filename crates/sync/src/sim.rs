@@ -67,11 +67,6 @@ impl EventTable {
         EcId(self.sequencers.len() as u32 - 1)
     }
 
-    /// Whether `ec` names an eventcount this table created.
-    pub fn issued(&self, ec: EcId) -> bool {
-        (ec.0 as usize) < self.counts.len()
-    }
-
     /// Reads the current value of an eventcount.
     ///
     /// # Panics

@@ -108,8 +108,9 @@ impl FrontEndTerminal {
 }
 
 /// The demonstration third network: attaching it adds *no kernel code*,
-/// only this user-domain handler plus a framing spec (2-byte channel at
-/// offset 0, 1-byte length at offset 2, payload at 3).
+/// only this user-domain handler plus a framing spec
+/// ([`FramingSpec::THIRD_NET`]: 1-byte length at offset 0, a flags byte
+/// at 1, 2-byte channel at 2, payload at 4).
 #[derive(Debug)]
 pub struct ThirdNetTerminal {
     stream: StreamId,
@@ -121,12 +122,7 @@ impl ThirdNetTerminal {
     /// The third network's framing spec — the whole kernel-side cost of
     /// the new network.
     pub fn framing() -> FramingSpec {
-        FramingSpec {
-            channel_offset: 0,
-            channel_bytes: 2,
-            length_offset: Some(2),
-            payload_offset: 3,
-        }
+        FramingSpec::THIRD_NET
     }
 
     /// Claims a channel.
@@ -212,7 +208,7 @@ mod tests {
         assert_eq!(t_fe.read(&mut k).unwrap(), b"ok");
 
         let mut t3 = ThirdNetTerminal::open(&mut k, third, 0x0102, pid).unwrap();
-        k.demux_receive(third, &[1, 2, 3, b'a', b'b', b'c'])
+        k.demux_receive(third, &[3, 0, 1, 2, b'a', b'b', b'c'])
             .unwrap();
         assert_eq!(t3.read_quirky(&mut k).unwrap(), b"cba");
 

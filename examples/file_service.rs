@@ -138,8 +138,11 @@ fn main() {
         vec![3, 3, b'R', 2, 0],
         vec![3, 3, b'R', 1, 5], // Cross-network read of net-1's file.
     ];
-    // Third net: 2-byte channel, length, payload.
-    let third_frames: Vec<Vec<u8>> = vec![vec![1, 2, 3, b'R', 9, 0], vec![1, 2, 4, b'W', 9, 0, 7]];
+    // Third net: length, flags, 2-byte channel, payload.
+    let third_frames: Vec<Vec<u8>> = vec![
+        vec![3, 0, 1, 2, b'R', 9, 0],
+        vec![4, 0, 1, 2, b'W', 9, 0, 7],
+    ];
 
     for f in &arpa_frames {
         kernel.demux_receive(arpa, f).unwrap();

@@ -244,3 +244,79 @@ fn fleet_wire_holds_under_adversarial_delivery_schedules() {
         }
     }
 }
+
+/// FNV-1a, 64-bit: in-tree and stable across processes and builds.
+fn fnv1a64(s: &str) -> u64 {
+    let mut h: u64 = 0xCBF2_9CE4_8422_2325;
+    for &b in s.as_bytes() {
+        h ^= u64::from(b);
+        h = h.wrapping_mul(0x0000_0100_0000_01B3);
+    }
+    h
+}
+
+/// One FNV-1a-64 digest of each op scenario's full `Debug` report —
+/// schedule string, every label, the parity labels, the fingerprint, the
+/// violations and the edge ledger — on the kernel under FIFO and on the
+/// old supervisor, at scenario seeds 1 and 2. X1's report prints only
+/// counts, so these are what pin the scenarios' absolute output. The
+/// constants were generated once and are never edited to follow the
+/// code: a mismatch means a scenario changed behaviour.
+const SCENARIO_GOLDEN: &[(&str, u64)] = &[
+    ("signals 1 kernel fifo", 0xEC6C_1057_32AA_3C5D),
+    ("signals 1 legacy", 0xF450_BA28_F63F_676D),
+    ("signals 2 kernel fifo", 0x8B80_3E92_E859_AE2A),
+    ("signals 2 legacy", 0x27AF_26FB_9A70_E3E8),
+    ("quota 1 kernel fifo", 0x148D_6E50_9F79_A3D9),
+    ("quota 1 legacy", 0x87DD_FA87_9922_1EDB),
+    ("quota 2 kernel fifo", 0xB7D5_CFA3_6F68_CDB2),
+    ("quota 2 legacy", 0xAEF3_CFF5_D107_2283),
+    ("purifier 1 kernel fifo", 0x9079_03AB_EDEC_D0C1),
+    ("purifier 1 legacy", 0xDAFF_98B7_49F6_7C7F),
+    ("purifier 2 kernel fifo", 0xAE2E_997B_FAC4_641D),
+    ("purifier 2 legacy", 0x6142_FAB2_2F90_268A),
+    ("tlb 1 kernel fifo", 0x72FC_A2F6_20D7_2E1F),
+    ("tlb 1 legacy", 0x924D_6C30_5822_A6FC),
+    ("tlb 2 kernel fifo", 0x797F_DA53_67EF_D1BB),
+    ("tlb 2 legacy", 0xB722_C7D6_705E_7C7C),
+];
+
+#[test]
+fn scenario_reports_match_the_golden_digests() {
+    let mut moved = Vec::new();
+    let mut seen = 0;
+    for kind in [
+        ScenarioKind::Signals,
+        ScenarioKind::Quota,
+        ScenarioKind::Purifier,
+        ScenarioKind::Tlb,
+    ] {
+        for seed in [1u64, 2] {
+            let kernel = run_kernel(kind, seed, Box::new(FifoPolicy));
+            let legacy = run_legacy(kind, seed);
+            for (design, report) in [("kernel fifo", kernel), ("legacy", legacy)] {
+                let name = format!("{} {seed} {design}", kind.name());
+                let (_, want) = SCENARIO_GOLDEN
+                    .iter()
+                    .find(|(g, _)| *g == name)
+                    .unwrap_or_else(|| panic!("run '{name}' has no golden entry"));
+                let got = fnv1a64(&format!("{report:?}"));
+                if got != *want {
+                    moved.push(format!("{name}: digest {got:#018x}, pinned {want:#018x}"));
+                }
+                seen += 1;
+            }
+        }
+    }
+    assert_eq!(
+        seen,
+        SCENARIO_GOLDEN.len(),
+        "every golden entry is exercised"
+    );
+    assert!(
+        moved.is_empty(),
+        "scenario output moved for {} run(s):\n{}",
+        moved.len(),
+        moved.join("\n")
+    );
+}
