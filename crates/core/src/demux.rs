@@ -16,7 +16,7 @@ use crate::error::KernelError;
 use crate::types::ProcessId;
 use crate::user_process::{KernelEvent, UserProcessManager};
 use crate::vproc::VirtualProcessorManager;
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 pub use mx_hw::MAX_FRAME;
 
@@ -74,9 +74,9 @@ impl FramingSpec {
 #[derive(Debug, Default)]
 struct Stream {
     spec: Option<FramingSpec>,
-    channels: HashMap<u16, Vec<u8>>,
+    channels: BTreeMap<u16, Vec<u8>>,
     /// Which user process has claimed each channel (for event routing).
-    owners: HashMap<u16, ProcessId>,
+    owners: BTreeMap<u16, ProcessId>,
     frames_in: u64,
     frames_bad: u64,
 }

@@ -5,7 +5,7 @@
 //! resistance buys nothing on the supervisors' per-word paths. Maps keyed
 //! by script or user input (names, accounts, tokens) keep the std hasher.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::hash::{BuildHasherDefault, Hasher};
 
 /// A multiply-rotate word hasher (the FxHash recipe); `finish` rotates
@@ -26,6 +26,10 @@ impl Hasher for IdHasher {
         self.write_u64(u64::from(word));
     }
 
+    fn write_usize(&mut self, word: usize) {
+        self.write_u64(word as u64);
+    }
+
     fn finish(&self) -> u64 {
         self.0.rotate_left(26)
     }
@@ -33,6 +37,9 @@ impl Hasher for IdHasher {
 
 /// A `HashMap` keyed by simulator-allocated ids, hashed with [`IdHasher`].
 pub type IdMap<K, V> = HashMap<K, V, BuildHasherDefault<IdHasher>>;
+
+/// A `HashSet` of simulator-allocated ids, hashed with [`IdHasher`].
+pub type IdSet<K> = HashSet<K, BuildHasherDefault<IdHasher>>;
 
 #[cfg(test)]
 mod tests {

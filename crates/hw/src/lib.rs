@@ -74,7 +74,7 @@ pub use disk::{DiskError, DiskHome, DiskPack, DiskSystem, PackId, RecordNo, TocE
 pub use fault::Fault;
 pub use faultinj::{CrashWrite, DiskFaults, FaultPlan, HwFault};
 pub use frames::FrameTable;
-pub use idmap::IdMap;
+pub use idmap::{IdMap, IdSet};
 pub use ids::{ProcessId, SegUid, UserId};
 pub use interp::{ProgramOutcome, ProgramRun, StepOutcome};
 pub use kst::{Known, Kst, MAX_SEGNO};

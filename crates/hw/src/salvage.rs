@@ -24,8 +24,8 @@
 use crate::disk::{DiskHome, DiskSystem, PackId, RecordNo, TocEntry};
 use crate::ids::SegUid;
 use crate::meter::Subsystem;
-use crate::Machine;
-use std::collections::{HashSet, VecDeque};
+use crate::{IdSet, Machine};
+use std::collections::VecDeque;
 use std::fmt::Debug;
 
 /// The TOC entry at `home`, if its pack and the entry exist.
@@ -56,7 +56,7 @@ pub enum Claim {
 /// fails can forget its own.
 #[derive(Debug, Default)]
 pub struct Claims {
-    set: HashSet<DiskHome>,
+    set: IdSet<DiskHome>,
     order: Vec<DiskHome>,
 }
 
@@ -161,7 +161,7 @@ pub fn sweep<S: Salvager>(
         }
         Sweep::Leaks(pack) => {
             let leaked: Vec<RecordNo> = disks.pack(pack).map_or(Vec::new(), |p| {
-                let referenced: HashSet<RecordNo> = p
+                let referenced: IdSet<RecordNo> = p
                     .entries()
                     .flat_map(|(_, e)| e.file_map.iter().flatten().copied())
                     .collect();
@@ -324,7 +324,7 @@ pub enum OnlineProgress<P> {
 #[derive(Debug)]
 pub struct Online<S: Salvager> {
     /// Directories proven clean and open to service.
-    released: HashSet<SegUid>,
+    released: IdSet<SegUid>,
     /// Directories found but not yet claimed.
     frontier: VecDeque<S::Dir>,
     /// TOC entries claimed by a claimed directory's entries, the root's
@@ -347,7 +347,7 @@ impl<S: Salvager> Online<S> {
     /// claimed or released.
     pub fn new(root: S::Dir, cheat: Option<OnlineCheat>) -> Self {
         Self {
-            released: HashSet::new(),
+            released: IdSet::default(),
             frontier: VecDeque::from([root]),
             claims: Claims::default(),
             sweeps: None,

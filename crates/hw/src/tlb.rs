@@ -113,12 +113,10 @@ impl TlbStats {
 
 /// A per-processor set-associative translation cache.
 ///
-/// Beside the ways themselves it keeps two ordered indexes of the
-/// resident entries, one by PTW and one by SDW core address, so a
-/// setfaults flush finds exactly the entries it drops instead of sweeping
-/// every way. A flush that matches nothing changes no tally and no LRU
-/// stamp; a single-address one that the index's filter rules out returns
-/// without the binary search, and any other after one.
+/// Beside the ways themselves it keeps two indexes of the resident
+/// entries, one by PTW and one by SDW core address, so a setfaults flush
+/// finds exactly the entries it drops instead of sweeping every way. A
+/// flush that matches nothing changes no tally and no LRU stamp.
 #[derive(Debug, Clone)]
 pub struct Tlb {
     sets: Vec<[Option<TlbEntry>; TLB_WAYS]>,
@@ -128,71 +126,94 @@ pub struct Tlb {
     stats: TlbStats,
 }
 
-/// Buckets of an index's counting filter (a power of two).
-const FILTER_BUCKETS: usize = 512;
+/// Ways in the whole memory; way `w` of set `s` is slot `s * TLB_WAYS + w`.
+const SLOTS: usize = TLB_SETS * TLB_WAYS;
+/// Hash buckets of an index's chains and of its block counts (a power
+/// of two).
+const BUCKETS: usize = 512;
+/// log2 of the words in a block: a range flush first reads the counts
+/// of the 256-word blocks it covers.
+const BLOCK_SHIFT: u32 = 8;
+/// A range flush over more blocks than this sweeps without reading the
+/// counts (no caller's range comes close).
+const COUNTED_BLOCKS: u64 = 8;
+/// No slot: an empty bucket, the end of a chain, or the back link of its
+/// first slot.
+const NIL: u16 = u16::MAX;
+/// The address of a slot no entry holds; no flush range contains it.
+const EMPTY: u64 = u64::MAX;
 
-/// `(descriptor address, slot)` for every resident entry, sorted, where
-/// `slot` is `set * TLB_WAYS + way`: one key per entry, so at most
-/// `TLB_SETS * TLB_WAYS`, held contiguously for a cheap search.
+/// Every resident entry's address, chained by hash through the slots: a
+/// bucket's chain holds each slot whose address hashes there, linked both
+/// ways so a slot leaves its chain in O(1).
 ///
-/// Beside the keys, a counting filter holds how many keys fall in each
-/// bucket of addresses, so most addresses that no entry was cached from
-/// are ruled out without a search. A bucket counts at most the
-/// `TLB_SETS * TLB_WAYS` resident entries, so its count never wraps.
+/// Beside the chains, `blocks` counts the resident slots whose address
+/// falls in each bucket of 256-word blocks, so a range flush over a page
+/// table or a descriptor segment no entry was cached from returns after
+/// reading a few counts. A count holds at most the [`SLOTS`] resident
+/// entries, so it never wraps.
 #[derive(Debug, Clone)]
 struct AddrIndex {
-    keys: Vec<(u64, usize)>,
-    filter: [u16; FILTER_BUCKETS],
+    head: [u16; BUCKETS],
+    next: [u16; SLOTS],
+    prev: [u16; SLOTS],
+    /// The address each slot is chained under, [`EMPTY`] if none.
+    addr: [u64; SLOTS],
+    blocks: [u16; BUCKETS],
 }
 
 impl Default for AddrIndex {
     fn default() -> Self {
         Self {
-            keys: Vec::new(),
-            filter: [0; FILTER_BUCKETS],
+            head: [NIL; BUCKETS],
+            next: [NIL; SLOTS],
+            prev: [NIL; SLOTS],
+            addr: [EMPTY; SLOTS],
+            blocks: [0; BUCKETS],
         }
     }
 }
 
 impl AddrIndex {
-    /// The filter bucket of an address (Fibonacci hashing, so the
-    /// consecutive PTWs of one page table spread over every bucket).
-    fn bucket(addr: u64) -> usize {
-        (addr.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> (64 - FILTER_BUCKETS.trailing_zeros()))
-            as usize
+    /// The bucket of an address or block number (Fibonacci hashing, so
+    /// the consecutive PTWs of one page table spread over every bucket).
+    fn bucket(key: u64) -> usize {
+        (key.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> (64 - BUCKETS.trailing_zeros())) as usize
     }
 
-    fn insert(&mut self, key: (u64, usize)) {
-        let at = self.keys.partition_point(|k| *k < key);
-        self.keys.insert(at, key);
-        self.filter[Self::bucket(key.0)] += 1;
-    }
-
-    fn remove(&mut self, key: (u64, usize)) {
-        let at = self.keys.partition_point(|k| *k < key);
-        debug_assert_eq!(self.keys.get(at), Some(&key), "indexed key");
-        self.keys.remove(at);
-        self.filter[Self::bucket(key.0)] -= 1;
-    }
-
-    /// False only if no key has address `addr`.
-    fn may_hold(&self, addr: u64) -> bool {
-        self.filter[Self::bucket(addr)] > 0
-    }
-
-    fn clear(&mut self) {
-        self.keys.clear();
-        self.filter = [0; FILTER_BUCKETS];
-    }
-
-    /// The keys whose address lies in `[lo, hi)`: one binary search
-    /// when there are none, the common case.
-    fn range(&self, lo: u64, hi: u64) -> &[(u64, usize)] {
-        let rest = &self.keys[self.keys.partition_point(|&(a, _)| a < lo)..];
-        match rest.first() {
-            Some(&(a, _)) if a < hi => &rest[..rest.partition_point(|&(a, _)| a < hi)],
-            _ => &[],
+    /// Chains the empty `slot` under `addr`.
+    fn insert(&mut self, slot: usize, addr: u64) {
+        let bucket = Self::bucket(addr);
+        let first = self.head[bucket];
+        if first != NIL {
+            self.prev[usize::from(first)] = slot as u16;
         }
+        (self.next[slot], self.prev[slot]) = (first, NIL);
+        self.head[bucket] = slot as u16;
+        self.addr[slot] = addr;
+        self.blocks[Self::bucket(addr >> BLOCK_SHIFT)] += 1;
+    }
+
+    /// Unchains the resident `slot`.
+    fn remove(&mut self, slot: usize) {
+        let addr = std::mem::replace(&mut self.addr[slot], EMPTY);
+        let (prev, next) = (self.prev[slot], self.next[slot]);
+        match prev {
+            NIL => self.head[Self::bucket(addr)] = next,
+            p => self.next[usize::from(p)] = next,
+        }
+        if next != NIL {
+            self.prev[usize::from(next)] = prev;
+        }
+        self.blocks[Self::bucket(addr >> BLOCK_SHIFT)] -= 1;
+    }
+
+    /// False only if no slot's address lies in `[lo, hi)`, which is not
+    /// empty.
+    fn may_hold(&self, lo: u64, hi: u64) -> bool {
+        let (first, last) = (lo >> BLOCK_SHIFT, (hi - 1) >> BLOCK_SHIFT);
+        last - first >= COUNTED_BLOCKS
+            || (first..=last).any(|block| self.blocks[Self::bucket(block)] > 0)
     }
 }
 
@@ -273,66 +294,84 @@ impl Tlb {
             .or_else(|| (0..TLB_WAYS).min_by_key(|&w| set[w].map_or(0, |e| e.lru)))
             .expect("TLB_WAYS > 0");
         let slot = set_no * TLB_WAYS + way;
-        if let Some(old) = self.sets[set_no][way].replace(entry) {
-            self.by_ptw.remove((old.ptw_addr.0, slot));
-            self.by_sdw.remove((old.sdw_addr.0, slot));
+        if self.sets[set_no][way].replace(entry).is_some() {
+            self.by_ptw.remove(slot);
+            self.by_sdw.remove(slot);
         }
-        self.by_ptw.insert((entry.ptw_addr.0, slot));
-        self.by_sdw.insert((entry.sdw_addr.0, slot));
+        self.by_ptw.insert(slot, entry.ptw_addr.0);
+        self.by_sdw.insert(slot, entry.sdw_addr.0);
     }
 
     /// Drops every entry cached from the PTW at `addr`.
     pub fn invalidate_ptw(&mut self, addr: AbsAddr) {
-        if self.by_ptw.may_hold(addr.0) {
-            self.flush(Index::Ptw, addr.0, addr.0 + 1);
-        }
+        self.flush(Index::Ptw, addr.0);
     }
 
     /// Drops every entry cached from the SDW at `addr`.
     pub fn invalidate_sdw(&mut self, addr: AbsAddr) {
-        if self.by_sdw.may_hold(addr.0) {
-            self.flush(Index::Sdw, addr.0, addr.0 + 1);
-        }
+        self.flush(Index::Sdw, addr.0);
     }
 
     /// Drops every entry whose PTW lies in `[base, base + len)` — the
     /// page-table-slot-reuse flush.
     pub fn invalidate_ptw_range(&mut self, base: AbsAddr, len: u64) {
-        self.flush(Index::Ptw, base.0, base.0 + len);
+        self.flush_range(Index::Ptw, base.0, base.0 + len);
     }
 
     /// Drops every entry whose SDW lies in `[base, base + len)` — the
     /// flush a rebuilt or reused descriptor segment requires.
     pub fn invalidate_sdw_range(&mut self, base: AbsAddr, len: u64) {
-        self.flush(Index::Sdw, base.0, base.0 + len);
+        self.flush_range(Index::Sdw, base.0, base.0 + len);
     }
 
     /// Drops everything (the 6180's "clear associative memory").
     pub fn clear(&mut self) {
-        for &(_, slot) in &self.by_ptw.keys {
-            self.sets[slot / TLB_WAYS][slot % TLB_WAYS] = None;
-        }
-        self.stats.invalidations += self.by_ptw.keys.len() as u64;
-        self.by_ptw.clear();
-        self.by_sdw.clear();
+        self.stats.invalidations += self.resident() as u64;
+        self.sets.fill([None; TLB_WAYS]);
+        self.by_ptw = AddrIndex::default();
+        self.by_sdw = AddrIndex::default();
     }
 
-    /// Drops every entry whose `index` address lies in `[lo, hi)`.
-    fn flush(&mut self, index: Index, lo: u64, hi: u64) {
-        let keys = match index {
+    fn index(&self, index: Index) -> &AddrIndex {
+        match index {
             Index::Ptw => &self.by_ptw,
             Index::Sdw => &self.by_sdw,
-        };
-        // Empty, and so never allocated, when nothing matches.
-        let slots: Vec<usize> = keys.range(lo, hi).iter().map(|&(_, s)| s).collect();
-        for &slot in &slots {
-            let e = self.sets[slot / TLB_WAYS][slot % TLB_WAYS]
-                .take()
-                .expect("indexed slot is resident");
-            self.by_ptw.remove((e.ptw_addr.0, slot));
-            self.by_sdw.remove((e.sdw_addr.0, slot));
         }
-        self.stats.invalidations += slots.len() as u64;
+    }
+
+    /// Drops every entry whose `index` address is `addr`: one walk of
+    /// its bucket's chain.
+    fn flush(&mut self, index: Index, addr: u64) {
+        let mut slot = self.index(index).head[AddrIndex::bucket(addr)];
+        while slot != NIL {
+            let (s, keys) = (usize::from(slot), self.index(index));
+            slot = keys.next[s];
+            if keys.addr[s] == addr {
+                self.drop_slot(s);
+            }
+        }
+    }
+
+    /// Drops every entry whose `index` address lies in `[lo, hi)`: a
+    /// sweep of the slot addresses, unless the block counts rule the
+    /// range out.
+    fn flush_range(&mut self, index: Index, lo: u64, hi: u64) {
+        if lo >= hi || !self.index(index).may_hold(lo, hi) {
+            return;
+        }
+        for s in 0..SLOTS {
+            if self.index(index).addr[s].wrapping_sub(lo) < hi - lo {
+                self.drop_slot(s);
+            }
+        }
+    }
+
+    /// Empties the resident `slot` and unchains it from both indexes.
+    fn drop_slot(&mut self, slot: usize) {
+        self.sets[slot / TLB_WAYS][slot % TLB_WAYS] = None;
+        self.by_ptw.remove(slot);
+        self.by_sdw.remove(slot);
+        self.stats.invalidations += 1;
     }
 
     /// The tallies so far.
@@ -342,7 +381,7 @@ impl Tlb {
 
     /// Number of resident entries (for tests).
     pub fn resident(&self) -> usize {
-        self.by_ptw.keys.len()
+        self.sets.iter().flatten().flatten().count()
     }
 }
 
@@ -535,33 +574,55 @@ mod tests {
     }
 
     /// Asserts `tlb` holds exactly the reference's ways (LRU stamps
-    /// included), clock and tallies, that both indexes list exactly the
-    /// resident entries and that each filter counts exactly its keys.
+    /// included), clock and tallies; that each index chains every
+    /// resident slot exactly once, in its address's bucket with both links
+    /// agreeing, and no empty slot; and that the block counts equal a
+    /// recount.
     fn assert_matches(tlb: &Tlb, reference: &SweepTlb, step: usize) {
         assert_eq!(tlb.sets, reference.sets, "resident set, step {step}");
         assert_eq!(tlb.stats, reference.stats, "tallies, step {step}");
         assert_eq!(tlb.tick, reference.tick, "LRU clock, step {step}");
-        // One key per resident entry, each naming its slot's address.
-        let resident = tlb.sets.iter().flatten().flatten().count();
         for (index, addr) in [
             (&tlb.by_ptw, (|e| e.ptw_addr) as fn(&TlbEntry) -> AbsAddr),
             (&tlb.by_sdw, |e| e.sdw_addr),
         ] {
-            assert_eq!(index.keys.len(), resident, "index size, step {step}");
-            assert!(index.keys.is_sorted(), "index order, step {step}");
-            let mut filter = [0u16; FILTER_BUCKETS];
-            for &(key, slot) in &index.keys {
-                let e = tlb.sets[slot / TLB_WAYS][slot % TLB_WAYS].as_ref();
-                assert_eq!(e.map(addr), Some(AbsAddr(key)), "index key, step {step}");
-                filter[AddrIndex::bucket(key)] += 1;
+            let mut chained = [0u8; SLOTS];
+            for (bucket, &first) in index.head.iter().enumerate() {
+                let (mut prev, mut slot) = (NIL, first);
+                while slot != NIL {
+                    let s = usize::from(slot);
+                    chained[s] += 1;
+                    assert_eq!(chained[s], 1, "slot {s} chained twice, step {step}");
+                    assert_eq!(index.prev[s], prev, "back link, step {step}");
+                    let home = AddrIndex::bucket(index.addr[s]);
+                    assert_eq!(home, bucket, "chain bucket, step {step}");
+                    (prev, slot) = (slot, index.next[s]);
+                }
             }
-            assert_eq!(index.filter, filter, "filter counts, step {step}");
+            let mut blocks = [0u16; BUCKETS];
+            for (s, way) in tlb.sets.iter().flatten().enumerate() {
+                let want = way.as_ref().map_or(EMPTY, |e| addr(e).0);
+                assert_eq!(index.addr[s], want, "slot address, step {step}");
+                assert_eq!(chained[s], u8::from(way.is_some()), "chained, step {step}");
+                if way.is_some() {
+                    blocks[AddrIndex::bucket(want >> BLOCK_SHIFT)] += 1;
+                }
+            }
+            assert_eq!(index.blocks, blocks, "block counts, step {step}");
         }
     }
 
+    /// Where the pooled translations' descriptor segments (1,024 words
+    /// each) and page tables (256 words each) sit, aligned as the
+    /// supervisors place them.
+    const DSEGS: u64 = 4096;
+    const PAGE_TABLES: u64 = 100_352;
+
     /// A translation from a small pool of address spaces and shared page
     /// tables, so PTWs are cached under several address spaces, SDWs
-    /// cover several pages, and sets overflow into LRU eviction.
+    /// cover several pages, and sets overflow into LRU eviction. No
+    /// translation is cached from spaces 4–6 or page tables 5 and 6,
+    /// which [`pooled_range`] also draws.
     fn pooled_entry(rng: &mut SplitMix64) -> TlbEntry {
         let space = rng.below(4);
         let segno = rng.range_u32(0, 6);
@@ -569,11 +630,11 @@ mod tests {
         // Segment identity shared across address spaces.
         let seg = (space + u64::from(segno)) % 5;
         TlbEntry {
-            asid: AbsAddr(space * 1000),
+            asid: AbsAddr(DSEGS + space * 1024),
             segno,
             pageno,
-            sdw_addr: AbsAddr(space * 1000 + u64::from(segno)),
-            ptw_addr: AbsAddr(100_000 + seg * 256 + u64::from(pageno)),
+            sdw_addr: AbsAddr(DSEGS + space * 1024 + u64::from(segno)),
+            ptw_addr: AbsAddr(PAGE_TABLES + seg * 256 + u64::from(pageno)),
             frame: FrameNo(rng.range_u32(0, 200)),
             read: rng.chance(3, 4),
             write: rng.chance(1, 2),
@@ -583,29 +644,33 @@ mod tests {
         }
     }
 
+    /// A range flush in a caller's shape: a whole page table (256 words)
+    /// or descriptor segment (1,024 words) from the pool, cached from or
+    /// not, or an unaligned range across the edge of one of their blocks.
+    fn pooled_range(rng: &mut SplitMix64, by_sdw: bool) -> (u64, u64) {
+        let (pool, words) = if by_sdw {
+            (DSEGS, 1024)
+        } else {
+            (PAGE_TABLES, 256)
+        };
+        let table = pool + rng.below(7) * words;
+        if rng.chance(1, 2) {
+            return (table, words);
+        }
+        let edge = table + rng.below(words / 256) * 256;
+        let len = rng.below(299) + 2;
+        (edge - rng.below(len - 1) - 1, len)
+    }
+
     #[test]
     fn indexed_flushes_match_the_full_sweep_on_random_sequences() {
-        // Steps whose flush dropped something, whose flush matched
-        // nothing, and whose fill replaced or evicted a resident entry;
-        // single-address flushes the filter answered, and those it let
-        // through to the search that then matched nothing.
-        let (mut dropping, mut empty, mut replacing) = (0, 0, 0);
-        let (mut answered, mut passed) = (0, 0);
-        let mut single =
-            |index: &AddrIndex, reference: &SweepTlb, addr: &dyn Fn(&TlbEntry) -> u64, at: u64| {
-                let held = reference
-                    .sets
-                    .iter()
-                    .flatten()
-                    .flatten()
-                    .any(|r| addr(r) == at);
-                if !index.may_hold(at) {
-                    assert!(!held, "the filter ruled out a resident address");
-                    answered += 1;
-                } else if !held {
-                    passed += 1;
-                }
-            };
+        // Steps whose fill replaced or evicted a resident entry;
+        // single-address flushes that dropped an entry and that found
+        // nothing; range flushes the block counts ruled out, and those
+        // that swept.
+        let mut replacing = 0;
+        let (mut dropped, mut found_nothing) = (0, 0);
+        let (mut ruled_out, mut swept) = (0, 0);
         for seed in 0..12u64 {
             let mut rng = SplitMix64::new(0x7_1B00 + seed);
             let mut tlb = Tlb::new();
@@ -613,35 +678,51 @@ mod tests {
             for step in 0..3_000 {
                 let e = pooled_entry(&mut rng);
                 let (before, resident) = (tlb.stats(), tlb.resident());
-                match rng.below(1_000) {
+                let roll = rng.below(1_000);
+                match roll {
                     0..=599 => {
                         tlb.fill(e);
                         reference.fill(e);
+                        replacing += usize::from(tlb.resident() == resident);
                     }
                     600..=899 => {
                         let got = tlb.lookup(e.asid, e.segno, e.pageno).copied();
                         let want = reference.lookup(e.asid, e.segno, e.pageno);
                         assert_eq!(got, want, "lookup, seed {seed} step {step}");
                     }
-                    900..=949 => {
-                        single(&tlb.by_ptw, &reference, &|r| r.ptw_addr.0, e.ptw_addr.0);
-                        tlb.invalidate_ptw(e.ptw_addr);
-                        reference.retain(|r| r.ptw_addr != e.ptw_addr);
+                    900..=979 => {
+                        if roll < 950 {
+                            tlb.invalidate_ptw(e.ptw_addr);
+                            reference.retain(|r| r.ptw_addr != e.ptw_addr);
+                        } else {
+                            tlb.invalidate_sdw(e.sdw_addr);
+                            reference.retain(|r| r.sdw_addr != e.sdw_addr);
+                        }
+                        match tlb.stats().invalidations > before.invalidations {
+                            true => dropped += 1,
+                            false => found_nothing += 1,
+                        }
                     }
-                    950..=979 => {
-                        single(&tlb.by_sdw, &reference, &|r| r.sdw_addr.0, e.sdw_addr.0);
-                        tlb.invalidate_sdw(e.sdw_addr);
-                        reference.retain(|r| r.sdw_addr != e.sdw_addr);
-                    }
-                    980..=989 => {
-                        let (base, len) = (e.ptw_addr, rng.below(300));
-                        tlb.invalidate_ptw_range(base, len);
-                        reference.retain(|r| r.ptw_addr.0 < base.0 || r.ptw_addr.0 >= base.0 + len);
-                    }
-                    990..=997 => {
-                        let (base, len) = (AbsAddr(e.asid.0 + rng.below(4)), rng.below(8));
-                        tlb.invalidate_sdw_range(base, len);
-                        reference.retain(|r| r.sdw_addr.0 < base.0 || r.sdw_addr.0 >= base.0 + len);
+                    980..=997 => {
+                        let by_sdw = roll >= 990;
+                        let (lo, len) = pooled_range(&mut rng, by_sdw);
+                        let (index, addr): (_, fn(&TlbEntry) -> u64) = match by_sdw {
+                            false => (&tlb.by_ptw, |r| r.ptw_addr.0),
+                            true => (&tlb.by_sdw, |r| r.sdw_addr.0),
+                        };
+                        let held = |r: &TlbEntry| addr(r).wrapping_sub(lo) < len;
+                        if index.may_hold(lo, lo + len) {
+                            swept += 1;
+                        } else {
+                            let mut resident = reference.sets.iter().flatten().flatten();
+                            assert!(!resident.any(held), "ruled out a resident entry");
+                            ruled_out += 1;
+                        }
+                        match by_sdw {
+                            false => tlb.invalidate_ptw_range(AbsAddr(lo), len),
+                            true => tlb.invalidate_sdw_range(AbsAddr(lo), len),
+                        }
+                        reference.retain(|r| !held(r));
                     }
                     _ => {
                         tlb.clear();
@@ -649,21 +730,16 @@ mod tests {
                     }
                 }
                 assert_matches(&tlb, &reference, step);
-                let after = tlb.stats();
-                if after.fills > before.fills {
-                    replacing += usize::from(tlb.resident() == resident);
-                } else if after.lookups == before.lookups {
-                    match after.invalidations > before.invalidations {
-                        true => dropping += 1,
-                        false => empty += 1,
-                    }
-                }
             }
         }
-        assert!(dropping > 1_000 && empty > 1_000 && replacing > 1_000);
+        assert!(replacing > 1_000, "{replacing} replacing fills");
         assert!(
-            answered > 1_000 && passed > 20,
-            "{answered} answered, {passed} passed"
+            dropped > 1_000 && found_nothing > 1_000,
+            "single-address flushes: {dropped} dropped, {found_nothing} found nothing"
+        );
+        assert!(
+            ruled_out > 150 && swept > 200,
+            "range flushes: {ruled_out} ruled out, {swept} swept"
         );
     }
 

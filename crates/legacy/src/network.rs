@@ -18,7 +18,7 @@ use crate::supervisor::Supervisor;
 use crate::types::LegacyError;
 use mx_hw::meter::Subsystem;
 use mx_hw::Language;
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 pub use mx_hw::MAX_FRAME;
 
@@ -48,7 +48,7 @@ pub struct NetworkHandler {
     /// Protocol this handler speaks.
     pub kind: NetworkKind,
     /// Kernel-resident per-channel input buffers.
-    channels: HashMap<u16, Vec<u8>>,
+    channels: BTreeMap<u16, Vec<u8>>,
     /// Frames accepted.
     pub frames_in: u64,
     /// Frames dropped as malformed.
@@ -59,7 +59,7 @@ impl NetworkHandler {
     fn new(kind: NetworkKind) -> Self {
         Self {
             kind,
-            channels: HashMap::new(),
+            channels: BTreeMap::new(),
             frames_in: 0,
             frames_bad: 0,
         }

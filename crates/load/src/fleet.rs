@@ -29,7 +29,7 @@
 //! the user-visible labels — are structurally identical to the
 //! single-machine run.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 
 use crate::design::kernel::KernelDesign;
 use crate::design::legacy::LegacyDesign;
@@ -40,7 +40,7 @@ use crate::run::{
     Driver, EngineState, Entry, LoadRun, LoadSpec, SalvageProbe, WorldPlan,
 };
 use mx_hw::meter::{EdgeSet, MeterSnapshot};
-use mx_hw::{DiskSystem, Language, ProcessId, Subsystem, PAGE_WORDS};
+use mx_hw::{DiskSystem, IdMap, Language, ProcessId, Subsystem, PAGE_WORDS};
 use mx_sync::{ChoicePoint, FifoPolicy, SchedulePolicy};
 
 // ------------------------------------------------------ wire protocol --
@@ -494,7 +494,7 @@ struct Member<D: Design> {
     /// The resident driver's session, which serves remote requests.
     daemon: Session<D>,
     shared_segno: Option<u32>,
-    files: HashMap<usize, RFile>,
+    files: IdMap<usize, RFile>,
     served: u64,
     reloc_seen: u64,
     setup_cycles: u64,
@@ -591,7 +591,7 @@ impl<D: Design> Fleet<D> {
                 d,
                 daemon,
                 shared_segno: ctx.shared_segno,
-                files: HashMap::new(),
+                files: IdMap::default(),
                 served: 0,
             });
         }

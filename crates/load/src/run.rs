@@ -544,18 +544,23 @@ pub struct SalvageProbe {
 pub(crate) fn check_serving_records(disks: &mx_hw::DiskSystem) -> Vec<String> {
     let mut out = Vec::new();
     for pack in disks.packs() {
-        let allocated: std::collections::HashSet<u32> =
-            pack.allocated_record_nos().iter().map(|r| r.0).collect();
-        let mut seen = std::collections::HashSet::new();
+        // One flag per record of the pack; a corrupt map's record numbers
+        // past the pack's end go to `beyond`.
+        let mut seen = vec![false; pack.capacity() as usize];
+        let mut beyond = mx_hw::IdSet::default();
         for (toc, entry) in pack.entries() {
             for rec in entry.file_map.iter().flatten() {
-                if !allocated.contains(&rec.0) {
+                if pack.read_record(*rec).is_err() {
                     out.push(format!(
                         "pack {}: toc {} maps unallocated record {}",
                         pack.id.0, toc.0, rec.0
                     ));
                 }
-                if !seen.insert(rec.0) {
+                let fresh = match seen.get_mut(rec.0 as usize) {
+                    Some(flag) => !std::mem::replace(flag, true),
+                    None => beyond.insert(rec.0),
+                };
+                if !fresh {
                     out.push(format!(
                         "pack {}: record {} claimed by two file maps",
                         pack.id.0, rec.0
@@ -1257,5 +1262,42 @@ mod tests {
         assert!(k.meter.total() > 0, "load phase attributed cycles");
         assert!(k.hist.samples() == k.ops);
         assert!(k.ops_per_mcycle() > 0.0);
+    }
+
+    #[test]
+    fn the_serving_record_check_names_every_bad_and_shared_record() {
+        use mx_hw::{DiskSystem, RecordNo};
+        let mut disks = DiskSystem::new();
+        let id = disks.attach(8, 4);
+        let pack = disks.pack_mut(id).unwrap();
+        let (a, b) = (pack.create_entry(1).unwrap(), pack.create_entry(2).unwrap());
+        let (r0, r1) = (
+            pack.allocate_record().unwrap(),
+            pack.allocate_record().unwrap(),
+        );
+        // Record 5 is free, 9 and 99 are past the pack's end; r1, 9 and 99
+        // are named twice.
+        let maps = [
+            (a, vec![Some(r0), None, Some(r1), Some(RecordNo(9))]),
+            (b, vec![Some(r1), Some(RecordNo(5)), Some(RecordNo(9))]),
+            (b, vec![Some(RecordNo(99)), Some(RecordNo(99))]),
+        ];
+        for (toc, map) in maps {
+            pack.entry_mut(toc).unwrap().file_map.extend(map);
+        }
+        let p = id.0;
+        assert_eq!(
+            check_serving_records(&disks),
+            vec![
+                format!("pack {p}: toc 0 maps unallocated record 9"),
+                format!("pack {p}: record 1 claimed by two file maps"),
+                format!("pack {p}: toc 1 maps unallocated record 5"),
+                format!("pack {p}: toc 1 maps unallocated record 9"),
+                format!("pack {p}: record 9 claimed by two file maps"),
+                format!("pack {p}: toc 1 maps unallocated record 99"),
+                format!("pack {p}: toc 1 maps unallocated record 99"),
+                format!("pack {p}: record 99 claimed by two file maps"),
+            ]
+        );
     }
 }
