@@ -63,7 +63,8 @@ impl Supervisor {
         self.machine.clock.charge_gate(&cost);
         // One fast path: the link may already be snapped.
         let (uid, _entry) = self.resolve(pid, path, crate::types::AccessRight::Execute)?;
-        if let Some(&(segno, offset)) = self.linkage.get(&(pid, uid, symbol.to_string())) {
+        let snapped = self.linkage.get(&(pid, uid)).and_then(|l| l.get(symbol));
+        if let Some(&(segno, offset)) = snapped {
             return Ok(SnappedLink { segno, offset });
         }
         self.charge(SNAP_INSTR, Language::Pli);
@@ -88,7 +89,9 @@ impl Supervisor {
         self.charge(DEFSEARCH_INSTR_PER_DEF * scanned, Language::Pli);
         let offset = found.ok_or(LegacyError::UndefinedSymbol)?;
         self.linkage
-            .insert((pid, uid, symbol.to_string()), (segno, offset));
+            .entry((pid, uid))
+            .or_default()
+            .insert(symbol.to_string(), (segno, offset));
         Ok(SnappedLink { segno, offset })
     }
 
@@ -149,6 +152,43 @@ mod tests {
         assert_eq!(
             sup.link(other, "libmath", "sin").unwrap_err(),
             LegacyError::NoAccess
+        );
+    }
+
+    /// A link's outcome, the cycles it took and the snapped links after
+    /// it, for a hit and each kind of miss, as the owned-key probe
+    /// charged them.
+    #[test]
+    fn a_link_probe_hit_and_each_miss_charge_what_they_charged() {
+        let (mut sup, pid, _lib) = setup();
+        let other = sup.create_process(UserId(1), Label::BOTTOM).unwrap();
+        let mut seen = Vec::new();
+        for (by, symbol) in [
+            (pid, "cos"),   // miss: nothing snapped
+            (pid, "cos"),   // hit
+            (pid, "sin"),   // miss: the target snapped, not the symbol
+            (pid, "tan"),   // miss: undefined
+            (other, "cos"), // miss: another process
+            (other, "cos"), // hit
+            (pid, "sin"),   // hit
+        ] {
+            let before = sup.machine.clock.now();
+            let got = sup.link(by, "libmath", symbol).map(|l| l.offset);
+            let took = sup.machine.clock.now() - before;
+            let snapped: usize = sup.linkage.values().map(|l| l.len()).sum();
+            seen.push((got, took, snapped));
+        }
+        assert_eq!(
+            seen,
+            [
+                (Ok(200), 499, 1),
+                (Ok(200), 115, 1),
+                (Ok(100), 396, 2),
+                (Err(LegacyError::UndefinedSymbol), 431, 2),
+                (Ok(200), 499, 3),
+                (Ok(200), 115, 3),
+                (Ok(100), 115, 3),
+            ]
         );
     }
 }

@@ -172,8 +172,9 @@ pub struct Supervisor {
     /// In-kernel linker data: per-segment definition lists (as if read
     /// from object-segment headers).
     pub(crate) definitions: HashMap<SegUid, Vec<(String, u32)>>,
-    /// Per-process snapped links: (target uid, symbol) → (segno, offset).
-    pub(crate) linkage: HashMap<(ProcessId, SegUid, String), (u32, u32)>,
+    /// Per-process snapped links: (process, target uid) → symbol →
+    /// (segno, offset), so a probe borrows the symbol.
+    pub(crate) linkage: IdMap<(ProcessId, SegUid), HashMap<String, (u32, u32)>>,
     /// Answering-service user registry.
     pub(crate) users: HashMap<String, crate::answering::UserAccount>,
     /// In-kernel network handlers, one per attached network.
@@ -235,7 +236,7 @@ impl Supervisor {
             ready: VecDeque::new(),
             current: None,
             definitions: HashMap::new(),
-            linkage: HashMap::new(),
+            linkage: IdMap::default(),
             users: HashMap::new(),
             networks: Vec::new(),
             online: None,

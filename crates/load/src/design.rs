@@ -19,12 +19,13 @@
 pub(crate) mod kernel;
 pub(crate) mod legacy;
 
+use crate::label::Status;
 use crate::run::{check_serving_records, Entry, SalvageProbe, SALVAGE_RETRY_BUDGET};
 use mx_explore::oracle;
 use mx_hw::salvage::{OnlineProgress, Report};
 use mx_hw::{BootConfig, Machine, ProcessId};
 use mx_sync::SchedulePolicy;
-use std::fmt::Debug;
+use std::fmt::{self, Debug, Display};
 
 /// One logged-in session, as the harness tracks it.
 pub(crate) struct Session<D: Design> {
@@ -58,23 +59,36 @@ pub(crate) struct Admitted<D: Design> {
 }
 
 /// One stop-the-world salvage pass.
-#[derive(Debug)]
 pub(crate) struct SalvagePass {
     pub(crate) problems: usize,
     pub(crate) repairs: usize,
-    /// The problems found, rendered, unless the pass came back clean.
-    pub(crate) unclean: Option<String>,
+    /// The problems found, unless the pass came back clean. A violation
+    /// quotes them with `{:?}`; nothing else renders them.
+    pub(crate) unclean: Option<Box<dyn Debug>>,
+}
+
+/// Prints the problems as the `{:?}` of their rendered text, as the
+/// `salvage errored` violation has always quoted a pass.
+impl Debug for SalvagePass {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let unclean = self.unclean.as_ref().map(|p| format!("{p:?}"));
+        f.debug_struct("SalvagePass")
+            .field("problems", &self.problems)
+            .field("repairs", &self.repairs)
+            .field("unclean", &unclean)
+            .finish()
+    }
 }
 
 /// A stop-the-world salvage's outcome, as the harness needs it.
-pub(crate) fn salvage_pass<P: Debug, E: Debug>(
+pub(crate) fn salvage_pass<P: Debug + 'static, E: Debug>(
     report: Result<Report<P>, E>,
 ) -> Result<SalvagePass, String> {
     let r = report.map_err(|e| format!("{e:?}"))?;
     Ok(SalvagePass {
         problems: r.problems.len(),
         repairs: r.repairs.len(),
-        unclean: (!r.clean()).then(|| format!("{:?}", r.problems)),
+        unclean: (!r.clean()).then(|| Box::new(r.problems) as Box<dyn Debug>),
     })
 }
 
@@ -139,8 +153,8 @@ pub(crate) trait Design: Sized {
 
     // -------------------------------------------------------- errors --
     fn busy(e: &Self::Error) -> bool;
-    /// `quota`, `full` or `err`: the label vocabulary both designs share.
-    fn label(e: &Self::Error) -> &'static str;
+    /// `Quota`, `Full` or `Err`: the refusals both designs' labels share.
+    fn status(e: &Self::Error) -> Status;
 
     // ------------------------------------------- accounts, admission --
     fn register(&mut self, name: &str);
@@ -262,11 +276,12 @@ pub(crate) fn salvage_step_checked<D: Design>(d: &mut D, probe: &mut SalvageProb
 /// Retries `f` through `SalvageBusy`, stepping the salvager (and its
 /// per-release oracle battery) between attempts. A bounded budget turns
 /// a wedged salvager into a typed failure instead of a hang. With no
-/// salvage in progress this is exactly one call of `f`.
+/// salvage in progress this is exactly one call of `f`. `what` names
+/// the call in a failure, and is rendered only then.
 pub(crate) fn gate_retry<D: Design, T>(
     d: &mut D,
     probe: &mut SalvageProbe,
-    what: &str,
+    what: impl Display,
     mut f: impl FnMut(&mut D) -> Result<T, D::Error>,
 ) -> Result<T, String> {
     let mut attempts = 0u32;
@@ -284,6 +299,56 @@ pub(crate) fn gate_retry<D: Design, T>(
                 salvage_step_checked(d, probe);
             }
             Err(e) => return Err(format!("{what}: {e:?}")),
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The pass as it was, with its problems rendered when it was built.
+    mod rendered {
+        // Its counts are read through the derived `Debug` alone.
+        #[allow(dead_code)]
+        #[derive(Debug)]
+        pub(super) struct SalvagePass {
+            pub(super) problems: usize,
+            pub(super) repairs: usize,
+            pub(super) unclean: Option<String>,
+        }
+    }
+
+    /// Both places that read a pass's problems print the text they
+    /// printed when the pass rendered them as it was built: the second
+    /// pass's `{problems:?}`, and the `{:?}` of each pass in `salvage
+    /// errored`. Legacy problems are strings, so their quotes are escaped
+    /// twice there.
+    #[test]
+    fn a_salvage_pass_quotes_its_problems_as_the_rendered_text_did() {
+        let report = |problems: Vec<String>| Report {
+            problems,
+            repairs: vec!["relinked".to_string()],
+            ..Report::default()
+        };
+        for problems in [
+            vec![],
+            vec!["toc 3 \"f1\" orphaned".to_string(), "leak".to_string()],
+        ] {
+            let old = rendered::SalvagePass {
+                problems: problems.len(),
+                repairs: 1,
+                unclean: (!problems.is_empty()).then(|| format!("{problems:?}")),
+            };
+            let pass = salvage_pass::<_, String>(Ok(report(problems))).unwrap();
+            let quoted = pass.unclean.as_ref().map(|p| format!("{p:?}"));
+            assert_eq!(quoted, old.unclean);
+            let errored: Result<SalvagePass, String> = Err("PackOffline".to_string());
+            assert_eq!(
+                format!("{:?} / {errored:?}", Ok::<_, String>(&pass)),
+                format!("{:?} / {errored:?}", Ok::<_, String>(&old))
+            );
+            assert_eq!(format!("{pass:#?}"), format!("{old:#?}"));
         }
     }
 }

@@ -9,6 +9,8 @@
 
 use super::{online_step, salvage_pass, Admitted, Design, Res, SalvagePass, Session, Step};
 use crate::fleet::CH_DIRECTIVE;
+use crate::label::Status;
+use crate::name::Name;
 use crate::run::SalvageProbe;
 use crate::run::{account_index, account_name, definitions, file_name, symbol, Entry};
 use mx_aim::{FlowTracker, Label};
@@ -18,15 +20,31 @@ use mx_kernel::demux::{FramingSpec, StreamId};
 use mx_kernel::{Acl, Kernel, KernelConfig, KernelError, ObjToken, OnlineCheat, ProcessId, UserId};
 use mx_sync::SchedulePolicy;
 use mx_user::{publish_library, Admission, AnsweringService, NameSpace, UserLinker};
-use std::collections::HashMap;
 
 pub(crate) struct KernelDesign {
     k: Kernel,
     svc: AnsweringService,
     /// Tokens of the root entries found or created on this machine
-    /// since boot, so a file gate never searches for its directory.
-    held: HashMap<Entry, ObjToken>,
+    /// since boot, so a file gate never searches for its directory: one
+    /// slot per entry, at [`slot`].
+    held: Vec<Option<ObjToken>>,
     stream: Option<StreamId>,
+}
+
+/// Where `entry`'s token is held: the library, the shared segment and
+/// the migration zone first, then the shards in order.
+fn slot(entry: Entry) -> usize {
+    match entry {
+        Entry::Lib => 0,
+        Entry::Shared => 1,
+        Entry::Mig => 2,
+        Entry::Shard(j) => 3 + j,
+    }
+}
+
+/// The tree name of root entry `entry`: `>lib`, `>s3`.
+fn path(entry: Entry) -> Name {
+    Name::new(">").push(&entry.name())
 }
 
 /// A kernel session's user-domain half.
@@ -40,13 +58,22 @@ impl KernelDesign {
         Self {
             k,
             svc,
-            held: HashMap::new(),
+            held: Vec::new(),
             stream: None,
         }
     }
 
     fn held(&self, dir: Entry) -> Res<ObjToken, Self> {
-        self.held.get(&dir).copied().ok_or(KernelError::NoEntry)
+        let tok = self.held.get(slot(dir)).copied().flatten();
+        tok.ok_or(KernelError::NoEntry)
+    }
+
+    fn hold(&mut self, entry: Entry, tok: ObjToken) {
+        let at = slot(entry);
+        if self.held.len() <= at {
+            self.held.resize(at + 1, None);
+        }
+        self.held[at] = Some(tok);
     }
 
     fn stream(&self) -> StreamId {
@@ -110,8 +137,8 @@ impl Design for KernelDesign {
         matches!(e, KernelError::SalvageBusy)
     }
 
-    fn label(e: &KernelError) -> &'static str {
-        <Kernel as Rig>::refusal(e).unwrap_or("err")
+    fn status(e: &KernelError) -> Status {
+        Status::of_refusal(<Kernel as Rig>::refusal(e))
     }
 
     fn register(&mut self, name: &str) {
@@ -174,10 +201,7 @@ impl Design for KernelDesign {
     }
 
     fn resolve(&mut self, s: &mut Session<Self>, target: Entry) -> Res<(), Self> {
-        s.ext
-            .ns
-            .resolve(&mut self.k, &format!(">{}", target.name()))
-            .map(|_| ())
+        s.ext.ns.resolve(&mut self.k, &path(target)).map(|_| ())
     }
 
     fn initiate_shared(&mut self, s: &mut Session<Self>) -> Res<u32, Self> {
@@ -187,7 +211,7 @@ impl Design for KernelDesign {
     fn search(&mut self, drv: ProcessId, entry: Entry) -> Res<ObjToken, Self> {
         let root = self.k.root_token();
         let tok = self.k.dir_search(drv, root, &entry.name())?;
-        self.held.insert(entry, tok);
+        self.hold(entry, tok);
         Ok(tok)
     }
 
@@ -195,7 +219,7 @@ impl Design for KernelDesign {
         let root = self.k.root_token();
         let is_dir = matches!(entry, Entry::Shard(_) | Entry::Mig);
         let tok = self.create_in(drv, root, &entry.name(), is_dir)?;
-        self.held.insert(entry, tok);
+        self.hold(entry, tok);
         Ok(tok)
     }
 
@@ -220,8 +244,10 @@ impl Design for KernelDesign {
     /// A directory search walks only the (released) root, so a
     /// surviving shard keeps its token even while quarantined.
     fn shard_survives(&mut self, drv: ProcessId, shard: usize, probe: &mut SalvageProbe) -> bool {
-        let what = format!("shard s{shard} search");
-        super::gate_retry(self, probe, &what, |d| d.search(drv, Entry::Shard(shard))).is_ok()
+        super::gate_retry(self, probe, format_args!("shard s{shard} search"), |d| {
+            d.search(drv, Entry::Shard(shard))
+        })
+        .is_ok()
     }
 
     fn set_quota(&mut self, drv: ProcessId, dir: Entry, pages: u32) -> Res<(), Self> {
@@ -343,5 +369,31 @@ impl Design for KernelDesign {
         }
         self.k.machine.clock.exit(g);
         got
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::name::NAME_INDICES;
+
+    #[test]
+    fn root_paths_print_what_format_printed_and_slots_are_distinct() {
+        for (entry, text) in [
+            (Entry::Lib, ">lib"),
+            (Entry::Shared, ">shared"),
+            (Entry::Mig, ">mig"),
+        ] {
+            assert_eq!(&*path(entry), text);
+        }
+        for j in NAME_INDICES {
+            assert_eq!(&*path(Entry::Shard(j)), format!(">s{j}"));
+        }
+        let slots: Vec<usize> = [Entry::Lib, Entry::Shared, Entry::Mig]
+            .into_iter()
+            .chain((0..8).map(Entry::Shard))
+            .map(slot)
+            .collect();
+        assert_eq!(slots, (0..11).collect::<Vec<_>>());
     }
 }

@@ -10,6 +10,8 @@
 
 use super::{online_step, salvage_pass, Admitted, Design, Res, SalvagePass, Session, Step};
 use crate::fleet::CH_DIRECTIVE;
+use crate::label::Status;
+use crate::name::Name;
 use crate::run::{account_name, definitions, file_name, symbol, Entry, SalvageProbe};
 use mx_aim::Label;
 use mx_explore::{oracle, Rig};
@@ -30,8 +32,9 @@ pub(crate) struct LegacyDesign {
     net: Option<NetworkId>,
 }
 
-fn file_path(dir: Entry, idx: usize) -> String {
-    format!("{}>{}", dir.name(), file_name(idx))
+/// Session `idx`'s file in directory `dir`, by tree name: `s3>f17`.
+fn file_path(dir: Entry, idx: usize) -> Name {
+    dir.name().push(">").push(&file_name(idx))
 }
 
 impl LegacyDesign {
@@ -86,8 +89,8 @@ impl Design for LegacyDesign {
         matches!(e, LegacyError::SalvageBusy)
     }
 
-    fn label(e: &LegacyError) -> &'static str {
-        <Supervisor as Rig>::refusal(e).unwrap_or("err")
+    fn status(e: &LegacyError) -> Status {
+        Status::of_refusal(<Supervisor as Rig>::refusal(e))
     }
 
     fn register(&mut self, name: &str) {
@@ -334,5 +337,21 @@ impl Design for LegacyDesign {
             .sup
             .network_read_channel(self.net(), u16::from(CH_DIRECTIVE));
         got
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::name::NAME_INDICES;
+
+    #[test]
+    fn file_paths_print_what_format_printed() {
+        for i in NAME_INDICES {
+            for j in [0, 1, 7] {
+                assert_eq!(&*file_path(Entry::Shard(j), i), format!("s{j}>f{i}"));
+            }
+            assert_eq!(&*file_path(Entry::Mig, i), format!("mig>f{i}"));
+        }
     }
 }

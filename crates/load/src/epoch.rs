@@ -46,6 +46,7 @@ use crate::design::kernel::KernelDesign;
 use crate::design::legacy::LegacyDesign;
 use crate::design::{gate_retry, salvage_step_checked, Design, Session};
 use crate::hist::Histogram;
+use crate::label;
 use crate::run::build_world;
 use crate::run::{
     account_name, drive_until, restore_file, setup, storm, Deferred, Driver, EngineState, Entry,
@@ -400,8 +401,7 @@ impl Outcome {
                 self.stranded
             ));
         }
-        let terminal = |l: &&String| matches!(l.split(':').next(), Some("out" | "reap"));
-        let ends = self.st.parity.iter().filter(terminal).count();
+        let ends = self.st.parity.iter().filter(|l| l.terminal()).count();
         if ends != sessions {
             self.violations.push(format!(
                 "{design} final: {ends} sessions reached a terminal label but {sessions} were \
@@ -524,7 +524,7 @@ fn reconcile<D: Design>(
     let mut sessions: Vec<Option<Session<D>>> = (0..load.sessions).map(|_| None).collect();
     for lv in &st.live {
         let idx = lv.idx;
-        let pid = gate_retry(d, probe, &format!("survivor u{idx} re-login"), |d| {
+        let pid = gate_retry(d, probe, format_args!("survivor u{idx} re-login"), |d| {
             d.login(&account_name(idx))
         })?;
         let mut s = Session::open(d, pid);
@@ -659,7 +659,7 @@ fn run_chaos<D: Design>(spec: &C1Spec, mode: SalvageMode, repro: &str) -> Outcom
                         if let Some(problems) = check.unclean {
                             out.violations.push(format!(
                                 "{name} epoch {e}: salvage not idempotent — second pass sees \
-                                 {problems} [{repro}]"
+                                 {problems:?} [{repro}]"
                             ));
                         }
                     }
@@ -757,7 +757,7 @@ fn c1<D: Design>(spec: &C1Spec) -> C1Run {
         ops: o.st.ops,
         abandoned: o.st.abandoned,
         queued_peak: o.st.queued_peak,
-        parity: o.st.parity,
+        parity: label::render(&o.st.parity),
         epoch_bounds: o.epoch_bounds,
         epochs: o
             .epochs
@@ -793,7 +793,7 @@ fn s1<D: Design>(spec: &S1Spec) -> S1Run {
         ops: o.st.ops,
         abandoned: o.st.abandoned,
         queued_peak: o.st.queued_peak,
-        parity: o.st.parity,
+        parity: label::render(&o.st.parity),
         epoch_bounds: o.epoch_bounds,
         epochs: o.epochs.iter().map(|e| e.r).collect(),
         admitted_order: o.st.admitted_order,

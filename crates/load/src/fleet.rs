@@ -35,6 +35,7 @@ use crate::design::kernel::KernelDesign;
 use crate::design::legacy::LegacyDesign;
 use crate::design::{Design, Res, Session};
 use crate::hist::Histogram;
+use crate::label::{self, Label, Op, Status};
 use crate::run::{
     account_name, build_world, drive_until, end_once, exec_once, logout_once, storm, Action,
     Driver, EngineState, Entry, LoadRun, LoadSpec, SalvageProbe, WorldPlan,
@@ -95,30 +96,28 @@ const REQ_LEN: usize = 14;
 /// Response payload: status byte plus a 64-bit value.
 const RESP_LEN: usize = 9;
 
-fn status_name(st: u8) -> &'static str {
-    match st {
-        ST_QUOTA => "quota",
-        ST_FULL => "full",
-        _ => "err",
+/// A reply's status byte as a label status; `Lost` when no reply came.
+fn reply_status(resp: Option<(u8, u64)>) -> Status {
+    match resp {
+        Some((ST_OK, _)) => Status::Ok,
+        Some((ST_QUOTA, _)) => Status::Quota,
+        Some((ST_FULL, _)) => Status::Full,
+        Some(_) => Status::Err,
+        None => Status::Lost,
     }
 }
 
 /// Label for an RPC whose reply carries a value (`l:`, `r:`).
-fn value_label(prefix: &str, resp: Option<(u8, u64)>) -> String {
+fn value_label(op: Op, resp: Option<(u8, u64)>) -> Label {
     match resp {
-        Some((ST_OK, v)) => format!("{prefix}:{v}"),
-        Some((st, _)) => format!("{prefix}:{}", status_name(st)),
-        None => format!("{prefix}:lost"),
+        Some((ST_OK, v)) => Label::Value(op, v),
+        _ => Label::Status(op, reply_status(resp)),
     }
 }
 
 /// Label for an RPC whose reply is just an outcome (`n:`, `w:`).
-fn ok_label(prefix: &str, resp: Option<(u8, u64)>) -> String {
-    match resp {
-        Some((ST_OK, _)) => format!("{prefix}:ok"),
-        Some((st, _)) => format!("{prefix}:{}", status_name(st)),
-        None => format!("{prefix}:lost"),
-    }
+fn ok_label(op: Op, resp: Option<(u8, u64)>) -> Label {
+    Label::Status(op, reply_status(resp))
 }
 
 /// One remote request, before framing.
@@ -529,9 +528,9 @@ struct Fleet<D: Design> {
 }
 
 fn status<D: Design>(e: &D::Error) -> u8 {
-    match D::label(e) {
-        "quota" => ST_QUOTA,
-        "full" => ST_FULL,
+    match D::status(e) {
+        Status::Quota => ST_QUOTA,
+        Status::Full => ST_FULL,
         _ => ST_ERR,
     }
 }
@@ -958,11 +957,10 @@ impl<D: Design> Fleet<D> {
     }
 
     /// Runs an action where the session lives, as one machine would.
-    fn local(&mut self, idx: usize, shard: usize, action: &Action) -> String {
+    fn local(&mut self, idx: usize, shard: usize, action: &Action) -> Label {
         let fs = self.sessions[idx].as_mut().expect("live session");
         // No salvage runs in a fleet, so no barrier can fire.
-        exec_once(&mut self.ms[fs.home].d, &mut fs.s, idx, shard, action)
-            .unwrap_or_else(|| "busy".to_string())
+        exec_once(&mut self.ms[fs.home].d, &mut fs.s, idx, shard, action).unwrap_or(Label::Busy)
     }
 }
 
@@ -997,16 +995,18 @@ impl<D: Design> Driver for Fleet<D> {
         out
     }
 
-    fn exec(&mut self, idx: usize, shard: usize, action: &Action) -> String {
+    fn exec(&mut self, idx: usize, shard: usize, action: &Action) -> Label {
         let (home, pid, owner, local_file) = self.place(idx, shard);
         let req = |op| Req::new(op, idx, shard);
         match *action {
-            Action::Link(sym) if home != 0 => {
-                value_label("l", self.rpc(home, 0, pid, req(OP_LINK).arg(sym as u32)))
-            }
-            Action::ReadShared { page } if home != 0 => {
-                value_label("r", self.rpc(home, 0, pid, req(OP_READ_SHARED).arg(page)))
-            }
+            Action::Link(sym) if home != 0 => value_label(
+                Op::Link,
+                self.rpc(home, 0, pid, req(OP_LINK).arg(sym as u32)),
+            ),
+            Action::ReadShared { page } if home != 0 => value_label(
+                Op::Read,
+                self.rpc(home, 0, pid, req(OP_READ_SHARED).arg(page)),
+            ),
             Action::Resolve(target) => {
                 let (dst, op) = match target {
                     Entry::Lib => (0, OP_RESOLVE_LIB),
@@ -1017,7 +1017,7 @@ impl<D: Design> Driver for Fleet<D> {
                 if dst == home {
                     self.local(idx, shard, action)
                 } else {
-                    ok_label("n", self.rpc(home, dst, pid, req(op)))
+                    ok_label(Op::Resolve, self.rpc(home, dst, pid, req(op)))
                 }
             }
             Action::Grow { page, val } => {
@@ -1031,9 +1031,9 @@ impl<D: Design> Driver for Fleet<D> {
                     if let Some((_, 1)) = resp {
                         self.session(idx).own_created = true;
                     }
-                    ok_label("w", resp)
+                    ok_label(Op::Write, resp)
                 };
-                if label == "w:ok" {
+                if label == Label::GROWN {
                     self.session(idx).pages.push(val);
                 }
                 if self.spec.migratory && owner != 0 {
@@ -1042,31 +1042,31 @@ impl<D: Design> Driver for Fleet<D> {
                 label
             }
             Action::ReadOwn { page } if !local_file => value_label(
-                "r",
+                Op::Read,
                 self.daemon_call(owner, home, pid, req(OP_READ_OWN).arg(page)),
             ),
             _ => self.local(idx, shard, action),
         }
     }
 
-    fn finish(&mut self, idx: usize, shard: usize, abandon: bool) -> String {
+    fn finish(&mut self, idx: usize, shard: usize, abandon: bool) -> Label {
         let (home, pid, owner, local_file) = self.place(idx, shard);
         let own_created = self.session(idx).own_created;
         let label = if !abandon && own_created && !local_file {
             let req = Req::new(OP_DELETE_OWN, idx, shard);
-            let label = match self.daemon_call(owner, home, pid, req) {
-                Some((ST_OK, _)) => "out",
-                Some(_) => "out:err",
-                None => "out:lost",
+            let delete = match self.daemon_call(owner, home, pid, req) {
+                Some((ST_OK, _)) => Status::Ok,
+                Some(_) => Status::Err,
+                None => Status::Lost,
             };
-            logout_once(&mut self.ms[home].d, idx, pid, label.to_string())
+            logout_once(&mut self.ms[home].d, idx, pid, false, delete)
         } else {
             let fs = self.sessions[idx].as_mut().expect("live session");
             end_once(&mut self.ms[home].d, &mut fs.s, idx, shard, abandon)
         };
         self.sessions[idx] = None;
         self.live -= 1;
-        label.unwrap_or_else(|| "busy".to_string())
+        label.unwrap_or(Label::Busy)
     }
 
     fn schedule(&mut self) {
@@ -1141,7 +1141,7 @@ fn run_fleet<D: Design>(
         sessions: spec.sessions,
         abandoned: st.abandoned,
         queued_peak: st.queued_peak,
-        parity: st.parity,
+        parity: label::render(&st.parity),
         hist: st.hist,
         admitted_order: st.admitted_order,
         frames_sent: fleet.wire.sent,

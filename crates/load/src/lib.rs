@@ -16,6 +16,8 @@ mod design;
 pub mod epoch;
 pub mod fleet;
 pub mod hist;
+mod label;
+mod name;
 pub mod run;
 pub mod script;
 pub mod shard;

@@ -14,6 +14,8 @@ use crate::design::kernel::KernelDesign;
 use crate::design::legacy::LegacyDesign;
 use crate::design::{gate_retry, salvage_step_checked, Design, Session};
 use crate::hist::Histogram;
+use crate::label::{self, Label, Op, Status};
+use crate::name::Name;
 use crate::script::{session_script, SessionOp, SessionScript, LIB_SYMBOLS, SHARED_PAGES};
 use mx_hw::meter::{EdgeSet, MeterSnapshot};
 use mx_hw::{BootConfig, ProcessId, PAGE_WORDS};
@@ -256,12 +258,12 @@ pub(crate) enum Entry {
 }
 
 impl Entry {
-    pub(crate) fn name(self) -> String {
+    pub(crate) fn name(self) -> Name {
         match self {
-            Entry::Lib => "lib".to_string(),
-            Entry::Shared => "shared".to_string(),
-            Entry::Shard(j) => format!("s{j}"),
-            Entry::Mig => "mig".to_string(),
+            Entry::Lib => Name::new("lib"),
+            Entry::Shared => Name::new("shared"),
+            Entry::Shard(j) => Name::new("s").num(j as u64),
+            Entry::Mig => Name::new("mig"),
         }
     }
 }
@@ -276,10 +278,10 @@ pub(crate) trait Driver {
     fn request(&mut self, idx: usize) -> bool;
     /// Admits parked logins while slots last; returns their indices.
     fn admit(&mut self) -> Vec<usize>;
-    fn exec(&mut self, idx: usize, shard: usize, action: &Action) -> String;
+    fn exec(&mut self, idx: usize, shard: usize, action: &Action) -> Label;
     /// Ends the session: deletes its file (unless abandoned) and logs
     /// out (reaps, for abandoned sessions). Returns the parity label.
-    fn finish(&mut self, idx: usize, shard: usize, abandon: bool) -> String;
+    fn finish(&mut self, idx: usize, shard: usize, abandon: bool) -> Label;
     fn schedule(&mut self);
     /// The periodic housekeeping sweep (both designs: deactivate every
     /// active segment, flushing dirty pages and quota cells). Neither
@@ -325,7 +327,9 @@ pub(crate) struct EngineState {
     pub(crate) ops: u64,
     pub(crate) queued_peak: usize,
     pub(crate) abandoned: usize,
-    pub(crate) parity: Vec<String>,
+    /// The outcome labels, in execution order; the run's result renders
+    /// them.
+    pub(crate) parity: Vec<Label>,
     pub(crate) hist: Histogram,
     /// Session indices in the order the admission queue released them
     /// (post-storm admissions only) — the fairness record.
@@ -419,7 +423,7 @@ pub(crate) fn drive_until<D: Driver>(
                 let delta = d.now() - before;
                 st.sample(idx, delta);
                 if let Action::Grow { val, .. } = action {
-                    if label == "w:ok" {
+                    if label == Label::GROWN {
                         st.live[i].grown_vals.push(val);
                     }
                 }
@@ -466,8 +470,8 @@ fn drive<D: Driver>(d: &mut D, scripts: &[SessionScript]) -> EngineState {
 
 // ----------------------------------------------------- shared fixtures --
 
-pub(crate) fn account_name(idx: usize) -> String {
-    format!("u{idx}")
+pub(crate) fn account_name(idx: usize) -> Name {
+    Name::new("u").num(idx as u64)
 }
 
 pub(crate) fn account_index(name: &str) -> usize {
@@ -476,11 +480,13 @@ pub(crate) fn account_index(name: &str) -> usize {
         .expect("load account names are u<idx>")
 }
 
-pub(crate) fn symbol(i: usize) -> String {
-    format!("sym{i:02}")
+pub(crate) fn symbol(i: usize) -> Name {
+    // Two digits at least, as `{i:02}` prints.
+    let sym = Name::new(if i < 10 { "sym0" } else { "sym" });
+    sym.num(i as u64)
 }
 
-pub(crate) fn definitions() -> Vec<(String, u32)> {
+pub(crate) fn definitions() -> Vec<(Name, u32)> {
     (0..LIB_SYMBOLS)
         .map(|i| (symbol(i), 64 + 8 * i as u32))
         .collect()
@@ -490,8 +496,8 @@ pub(crate) fn shared_word(page: u32) -> u64 {
     0x5EED + u64::from(page)
 }
 
-pub(crate) fn file_name(idx: usize) -> String {
-    format!("f{idx}")
+pub(crate) fn file_name(idx: usize) -> Name {
+    Name::new("f").num(idx as u64)
 }
 
 // --------------------------------------------- online-salvage plumbing --
@@ -744,22 +750,22 @@ pub(crate) fn exec_once<D: Design>(
     idx: usize,
     shard: usize,
     action: &Action,
-) -> Option<String> {
-    let label = |prefix: &str, e: &D::Error| format!("{prefix}:{}", D::label(e));
+) -> Option<Label> {
+    let label = |op, e: &D::Error| Label::Status(op, D::status(e));
     let read = |r: Result<u64, D::Error>| match r {
-        Ok(w) => format!("r:{w}"),
-        Err(e) => label("r", &e),
+        Ok(w) => Label::Value(Op::Read, w),
+        Err(e) => label(Op::Read, &e),
     };
     Some(match *action {
         Action::Link(sym) => match d.link(s, sym) {
-            Ok(offset) => format!("l:{offset}"),
+            Ok(offset) => Label::Value(Op::Link, u64::from(offset)),
             Err(e) if D::busy(&e) => return None,
-            Err(e) => label("l", &e),
+            Err(e) => label(Op::Link, &e),
         },
         Action::Resolve(target) => match d.resolve(s, target) {
-            Ok(()) => "n:ok".to_string(),
+            Ok(()) => Label::Status(Op::Resolve, Status::Ok),
             Err(e) if D::busy(&e) => return None,
-            Err(e) => label("n", &e),
+            Err(e) => label(Op::Resolve, &e),
         },
         Action::Grow { page, val } => {
             if s.own.is_none() {
@@ -770,13 +776,13 @@ pub(crate) fn exec_once<D: Design>(
                 {
                     Ok(segno) => s.own = Some(segno),
                     Err(e) if D::busy(&e) => return None,
-                    Err(e) => return Some(label("w", &e)),
+                    Err(e) => return Some(label(Op::Write, &e)),
                 }
             }
             let segno = s.own.expect("just created");
             match d.write(s.pid, segno, page * PW, val) {
-                Ok(()) => "w:ok".to_string(),
-                Err(e) => label("w", &e),
+                Ok(()) => Label::GROWN,
+                Err(e) => label(Op::Write, &e),
             }
         }
         // A survivor whose file restoration is still deferred behind a
@@ -788,7 +794,7 @@ pub(crate) fn exec_once<D: Design>(
                 match d.initiate_shared(s) {
                     Ok(segno) => s.shared_segno = Some(segno),
                     Err(e) if D::busy(&e) => return None,
-                    Err(e) => return Some(label("r", &e)),
+                    Err(e) => return Some(label(Op::Read, &e)),
                 }
             }
             let segno = s.shared_segno.expect("just initiated");
@@ -807,32 +813,38 @@ pub(crate) fn end_once<D: Design>(
     idx: usize,
     shard: usize,
     abandon: bool,
-) -> Option<String> {
-    let mut label = if abandon { "reap" } else { "out" }.to_string();
+) -> Option<Label> {
+    let mut delete = Status::Ok;
     if !abandon && s.own.is_some() {
         match d.delete_file(s.pid, Entry::Shard(shard), idx) {
             Ok(()) => s.own = None,
             Err(e) if D::busy(&e) => return None,
-            Err(_) => label = "out:err".to_string(),
+            Err(_) => delete = Status::Err,
         }
     }
-    logout_once(d, idx, s.pid, label)
+    logout_once(d, idx, s.pid, abandon, delete)
 }
 
-/// Logs `pid` out, appending `:err` to `label` on a refusal; `None` =
+/// Logs `pid` out and labels the session's end: `reap` or `out`, with
+/// the file delete's outcome and `:err` on a refused logout; `None` =
 /// blocked on a barrier.
 pub(crate) fn logout_once<D: Design>(
     d: &mut D,
     idx: usize,
     pid: ProcessId,
-    mut label: String,
-) -> Option<String> {
-    match d.logout(idx, pid) {
-        Ok(()) => {}
+    reap: bool,
+    delete: Status,
+) -> Option<Label> {
+    let logout = match d.logout(idx, pid) {
+        Ok(()) => Status::Ok,
         Err(e) if D::busy(&e) => return None,
-        Err(_) => label = format!("{label}:err"),
-    }
-    Some(label)
+        Err(_) => Status::Err,
+    };
+    Some(Label::End {
+        reap,
+        delete,
+        logout,
+    })
 }
 
 impl<D: Design> Driver for Single<D> {
@@ -899,7 +911,7 @@ impl<D: Design> Driver for Single<D> {
         }
     }
 
-    fn exec(&mut self, idx: usize, shard: usize, action: &Action) -> String {
+    fn exec(&mut self, idx: usize, shard: usize, action: &Action) -> Label {
         self.retry(
             || format!("by session {idx} mid-script"),
             |d, ss| {
@@ -912,10 +924,10 @@ impl<D: Design> Driver for Single<D> {
                 )
             },
         )
-        .unwrap_or_else(|| "busy".to_string())
+        .unwrap_or(Label::Busy)
     }
 
-    fn finish(&mut self, idx: usize, shard: usize, abandon: bool) -> String {
+    fn finish(&mut self, idx: usize, shard: usize, abandon: bool) -> Label {
         let label = self.retry(
             || format!("by session {idx} at logout"),
             |d, ss| {
@@ -925,7 +937,7 @@ impl<D: Design> Driver for Single<D> {
                 Some(label)
             },
         );
-        label.unwrap_or_else(|| "busy".to_string())
+        label.unwrap_or(Label::Busy)
     }
 
     fn schedule(&mut self) {
@@ -999,13 +1011,13 @@ fn find_or_create<D: Design>(
 ) -> Result<D::Handle, String> {
     let name = entry.name();
     if recover {
-        if let Ok(h) = gate_retry(d, probe, &format!("{name} search"), |d| {
+        if let Ok(h) = gate_retry(d, probe, format_args!("{name} search"), |d| {
             d.search(drv, entry)
         }) {
             return Ok(h);
         }
     }
-    gate_retry(d, probe, &format!("{name} recreate"), |d| {
+    gate_retry(d, probe, format_args!("{name} recreate"), |d| {
         d.create(drv, entry)
     })
 }
@@ -1043,7 +1055,7 @@ pub(crate) fn build_world<D: Design>(
         let shared = find_or_create(d, probe, drv, Entry::Shared, recover)?;
         let segno = gate_retry(d, probe, "shared initiate", |d| d.initiate(drv, shared))?;
         for page in 0..SHARED_PAGES {
-            gate_retry(d, probe, &format!("shared page {page}"), |d| {
+            gate_retry(d, probe, format_args!("shared page {page}"), |d| {
                 d.write(drv, segno, page * PW, shared_word(page))
             })?;
         }
@@ -1065,7 +1077,7 @@ pub(crate) fn build_world<D: Design>(
             }
         }
         find_or_create(d, probe, drv, dir, false)?;
-        gate_retry(d, probe, &format!("{} quota", dir.name()), |d| {
+        gate_retry(d, probe, format_args!("{} quota", dir.name()), |d| {
             d.set_quota(drv, dir, quota)
         })?;
     }
@@ -1143,7 +1155,7 @@ pub(crate) fn run_load<D: Design>(
         sessions: spec.sessions,
         abandoned: out.abandoned,
         queued_peak: out.queued_peak,
-        parity: out.parity,
+        parity: label::render(&out.parity),
         hist: out.hist,
         per_cpu_ops,
         queue_delay,
@@ -1175,6 +1187,7 @@ pub fn run_both(spec: &LoadSpec) -> (LoadRun, LoadRun) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::name::NAME_INDICES;
 
     #[test]
     fn runs_are_deterministic() {
@@ -1262,6 +1275,30 @@ mod tests {
         assert!(k.meter.total() > 0, "load phase attributed cycles");
         assert!(k.hist.samples() == k.ops);
         assert!(k.ops_per_mcycle() > 0.0);
+    }
+
+    #[test]
+    fn every_name_helper_prints_what_format_printed() {
+        for i in NAME_INDICES {
+            assert_eq!(&*account_name(i), format!("u{i}"));
+            assert_eq!(account_index(&account_name(i)), i);
+            assert_eq!(&*file_name(i), format!("f{i}"));
+            assert_eq!(&*Entry::Shard(i).name(), format!("s{i}"));
+            assert_eq!(account_name(i).to_string(), format!("u{i}"));
+        }
+        for i in (0..=LIB_SYMBOLS).chain([100]) {
+            assert_eq!(&*symbol(i), format!("sym{i:02}"));
+        }
+        for (entry, text) in [
+            (Entry::Lib, "lib"),
+            (Entry::Shared, "shared"),
+            (Entry::Mig, "mig"),
+        ] {
+            assert_eq!(&*entry.name(), text);
+        }
+        let defs = definitions();
+        assert_eq!(defs.len(), LIB_SYMBOLS);
+        assert_eq!((&*defs[3].0, defs[3].1), ("sym03", 88));
     }
 
     #[test]

@@ -115,7 +115,12 @@ impl AnsweringService {
         password: &str,
         label: Label,
     ) -> Result<ProcessId, KernelError> {
-        let record = self.records.entry(name.to_string()).or_default();
+        // A registered account's record is found by the borrowed name;
+        // only an unknown name's new record owns a copy.
+        let record = match self.records.get_mut(name) {
+            Some(record) => record,
+            None => self.records.entry(name.to_string()).or_default(),
+        };
         if record.failed_attempts >= self.max_attempts {
             return Err(KernelError::BadCredentials);
         }
@@ -530,5 +535,40 @@ mod tests {
         // hashing behaviour.
         assert_ne!(password_hash("a"), password_hash("b"));
         assert_eq!(password_hash("cactus"), password_hash("cactus"));
+    }
+
+    /// A login's outcome, the cycles it took and the account's record
+    /// after it, for a registered name (the borrowed probe hits) and an
+    /// unknown one (it misses and files a record), as the owned-key probe
+    /// charged them.
+    #[test]
+    fn a_login_probe_hit_and_miss_charge_what_they_charged() {
+        let mut k = boot();
+        let mut svc = AnsweringService::new();
+        svc.register(&mut k, "saltzer", UserId(1), "cactus", Label::BOTTOM);
+        let mut seen = Vec::new();
+        for (name, password) in [
+            ("saltzer", "cactus"), // hit, admitted
+            ("saltzer", "wrong"),  // hit, refused
+            ("mallory", "cactus"), // miss: a record is filed
+            ("mallory", "cactus"), // hit on the filed record
+            ("saltzer", "cactus"), // hit, admitted again
+        ] {
+            let before = k.machine.clock.now();
+            let got = svc.login(&mut k, name, password, Label::BOTTOM).is_ok();
+            let took = k.machine.clock.now() - before;
+            let attempts = svc.record(name).map(|r| r.failed_attempts);
+            seen.push((got, took, attempts, svc.records.len()));
+        }
+        assert_eq!(
+            seen,
+            [
+                (true, 3526, Some(0), 1),
+                (false, 2098, Some(1), 1),
+                (false, 2098, Some(1), 2),
+                (false, 2098, Some(2), 2),
+                (true, 3061, Some(0), 2),
+            ]
+        );
     }
 }

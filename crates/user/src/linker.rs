@@ -58,8 +58,9 @@ pub struct SnappedLink {
 #[derive(Debug)]
 pub struct UserLinker {
     pid: ProcessId,
-    /// Snapped links: (path, symbol) → target.
-    snapped: HashMap<(String, String), SnappedLink>,
+    /// Snapped links: path → symbol → target, so a probe borrows both
+    /// names.
+    snapped: HashMap<String, HashMap<String, SnappedLink>>,
     /// Linkage faults taken (cache misses).
     pub faults: u64,
 }
@@ -88,7 +89,7 @@ impl UserLinker {
         path: &str,
         symbol: &str,
     ) -> Result<SnappedLink, KernelError> {
-        if let Some(l) = self.snapped.get(&(path.to_string(), symbol.to_string())) {
+        if let Some(l) = self.snapped.get(path).and_then(|s| s.get(symbol)) {
             return Ok(*l);
         }
         self.faults += 1;
@@ -114,7 +115,9 @@ impl UserLinker {
                 let offset = kernel.read_word(self.pid, segno, base + 8)?.raw() as u32;
                 let link = SnappedLink { segno, offset };
                 self.snapped
-                    .insert((path.to_string(), symbol.to_string()), link);
+                    .entry(path.to_string())
+                    .or_default()
+                    .insert(symbol.to_string(), link);
                 return Ok(link);
             }
         }
@@ -202,6 +205,45 @@ mod tests {
             linker.link(&mut k, &mut ns, ">libtrig", "sin").unwrap_err(),
             KernelError::NoEntry,
             "missing library surfaces as the honest no-entry in the readable root"
+        );
+    }
+
+    /// A link probe's outcome, the cycles it took and the fault count
+    /// after it, for a hit and each kind of miss, as the `(String,
+    /// String)`-keyed cache charged them.
+    #[test]
+    fn a_link_probe_hit_and_each_miss_charge_what_they_charged() {
+        let (mut k, pid) = boot();
+        let mut ns = setup_lib(&mut k, pid);
+        let mut linker = UserLinker::new(pid);
+        let mut seen = Vec::new();
+        for (path, symbol) in [
+            (">libmath", "cos"),  // miss: nothing snapped
+            (">libmath", "cos"),  // hit
+            (">libmath", "sin"),  // miss: the path snapped, not the symbol
+            (">>libmath", "cos"), // miss: another spelling of the path
+            (">libmath", "tan"),  // miss: undefined
+            (">nolib", "cos"),    // miss: no such segment
+            (">libmath", "sin"),  // hit
+            (">>libmath", "cos"), // hit
+        ] {
+            let before = k.machine.clock.now();
+            let got = linker.link(&mut k, &mut ns, path, symbol);
+            let took = k.machine.clock.now() - before;
+            seen.push((got.map(|l| l.offset), took, linker.faults));
+        }
+        assert_eq!(
+            seen,
+            [
+                (Ok(200), 427, 1),
+                (Ok(200), 0, 1),
+                (Ok(100), 397, 2),
+                (Ok(200), 427, 3),
+                (Err(KernelError::NoEntry), 456, 4),
+                (Err(KernelError::NoEntry), 486, 5),
+                (Ok(100), 0, 5),
+                (Ok(200), 0, 5),
+            ]
         );
     }
 }

@@ -14,6 +14,7 @@
 //! "no access".
 
 use mx_kernel::{Kernel, KernelError, ObjToken, ProcessId};
+use std::borrow::Cow;
 use std::collections::HashMap;
 
 /// A per-process tree-name resolver with a prefix cache.
@@ -21,6 +22,8 @@ use std::collections::HashMap;
 pub struct NameSpace {
     pid: ProcessId,
     root: ObjToken,
+    /// Resolved directories by canonical tree name: the components
+    /// joined by single `>`s, no leading `>`.
     cache: HashMap<String, ObjToken>,
     /// Gate calls spent on searches (experiment counter).
     pub searches: u64,
@@ -56,30 +59,46 @@ impl NameSpace {
     /// [`KernelError::NoEntry`] when a *readable* directory honestly
     /// lacks the name.
     pub fn resolve(&mut self, kernel: &mut Kernel, path: &str) -> Result<ObjToken, KernelError> {
-        let comps = Self::components(path);
-        if comps.is_empty() {
+        // Every prefix the cache is probed with is a slice of the
+        // canonical name. A name without empty components already holds
+        // it; one with them is canonicalized once.
+        let trimmed = path.trim_matches('>');
+        let canon = if trimmed.contains(">>") {
+            Cow::Owned(Self::components(path).join(">"))
+        } else {
+            Cow::Borrowed(trimmed)
+        };
+        if canon.is_empty() {
             return Ok(self.root);
         }
-        // Longest cached prefix.
+        // Longest cached prefix: the whole name, then one component
+        // fewer at a time. `start` is where the uncached rest begins.
         let mut start = 0;
         let mut current = self.root;
-        for i in (1..=comps.len()).rev() {
-            let prefix = comps[..i].join(">");
-            if let Some(tok) = self.cache.get(&prefix) {
+        let mut prefix = &*canon;
+        loop {
+            if let Some(tok) = self.cache.get(prefix) {
                 kernel.charge_user_instructions(5, mx_hw::Language::Pli);
                 self.cache_hits += 1;
                 current = *tok;
-                start = i;
+                start = prefix.len();
                 break;
             }
+            match prefix.rfind('>') {
+                Some(at) => prefix = &prefix[..at],
+                None => break,
+            }
         }
-        for i in start..comps.len() {
+        while start < canon.len() {
+            let from = if start == 0 { 0 } else { start + 1 };
+            let end = canon[from..].find('>').map_or(canon.len(), |at| from + at);
             self.searches += 1;
             // Component parsing and cache maintenance are user-domain
             // work.
             kernel.charge_user_instructions(25, mx_hw::Language::Pli);
-            current = kernel.dir_search(self.pid, current, comps[i])?;
-            self.cache.insert(comps[..=i].join(">"), current);
+            current = kernel.dir_search(self.pid, current, &canon[from..end])?;
+            self.cache.insert(canon[..end].to_string(), current);
+            start = end;
         }
         Ok(current)
     }
@@ -213,5 +232,108 @@ mod tests {
             ns.resolve(&mut k, ">nothing").unwrap_err(),
             KernelError::NoEntry
         );
+    }
+
+    /// The resolver as it was: each probed prefix built with `join`.
+    fn resolve_by_join(
+        ns: &mut NameSpace,
+        kernel: &mut Kernel,
+        path: &str,
+    ) -> Result<ObjToken, KernelError> {
+        let comps = NameSpace::components(path);
+        if comps.is_empty() {
+            return Ok(ns.root);
+        }
+        let mut start = 0;
+        let mut current = ns.root;
+        for i in (1..=comps.len()).rev() {
+            if let Some(tok) = ns.cache.get(&comps[..i].join(">")) {
+                kernel.charge_user_instructions(5, mx_hw::Language::Pli);
+                ns.cache_hits += 1;
+                current = *tok;
+                start = i;
+                break;
+            }
+        }
+        for i in start..comps.len() {
+            ns.searches += 1;
+            kernel.charge_user_instructions(25, mx_hw::Language::Pli);
+            current = kernel.dir_search(ns.pid, current, comps[i])?;
+            ns.cache.insert(comps[..=i].join(">"), current);
+        }
+        Ok(current)
+    }
+
+    /// Borrowed prefix probes give every answer, charge and counter the
+    /// joined ones gave: hits, misses, failures, mythical chains and
+    /// tree names with empty components, for the owner and an outsider,
+    /// before and after a cache flush.
+    #[test]
+    fn borrowed_prefix_probes_charge_and_count_as_joined_ones_did() {
+        let world = || {
+            let (mut k, alice, bob) = boot();
+            build_tree(&mut k, alice);
+            let root = k.root_token();
+            k.create_entry(
+                alice,
+                root,
+                "lib",
+                Acl::owner(UserId(1)),
+                Label::BOTTOM,
+                false,
+            )
+            .unwrap();
+            (k, alice, bob)
+        };
+        let (mut k, alice, bob) = world();
+        let (mut r, ..) = world();
+        let paths = [
+            ">a>b>leaf",
+            ">a>b>leaf",
+            ">a>b",
+            ">a",
+            ">>lib",
+            "lib>",
+            ">lib",
+            ">a>>b",
+            ">>a>>b>>leaf>>",
+            "a>b",
+            "",
+            ">",
+            ">>",
+            ">a>no>such",
+            ">nothing",
+            ">a>b>ghost",
+            ">a>b>ghost>deeper",
+        ];
+        let mut hits = 0;
+        for pid in [alice, bob] {
+            let mut ns = NameSpace::new(&mut k, pid);
+            let mut old = NameSpace::new(&mut r, pid);
+            for flush in [false, true] {
+                if flush {
+                    ns.flush_cache();
+                    old.flush_cache();
+                }
+                for path in paths {
+                    let (before, old_before) = (k.machine.clock.now(), r.machine.clock.now());
+                    let got = ns.resolve(&mut k, path);
+                    assert_eq!(got, resolve_by_join(&mut old, &mut r, path), "{path}");
+                    assert_eq!(
+                        k.machine.clock.now() - before,
+                        r.machine.clock.now() - old_before,
+                        "{path}"
+                    );
+                    assert_eq!(
+                        (ns.searches, ns.cache_hits),
+                        (old.searches, old.cache_hits),
+                        "{path}"
+                    );
+                    assert_eq!(ns.cache, old.cache, "{path}");
+                }
+            }
+            hits += ns.cache_hits;
+        }
+        assert!(hits > 20, "the sequence hits the cache: {hits}");
     }
 }
