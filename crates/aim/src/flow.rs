@@ -26,8 +26,9 @@ pub struct FlowEvent {
     pub to: Label,
     /// Human-readable description of the mechanism (e.g.
     /// "quota-cell used-page count update on implicit zero-page
-    /// allocation").
-    pub cause: String,
+    /// allocation"). Every instrumented path names its mechanism with a
+    /// literal, so recording a flow builds no string.
+    pub cause: &'static str,
 }
 
 impl FlowEvent {
@@ -51,12 +52,8 @@ impl FlowTracker {
     }
 
     /// Records an observed flow.
-    pub fn observe(&mut self, from: Label, to: Label, cause: impl Into<String>) {
-        self.events.push(FlowEvent {
-            from,
-            to,
-            cause: cause.into(),
-        });
+    pub fn observe(&mut self, from: Label, to: Label, cause: &'static str) {
+        self.events.push(FlowEvent { from, to, cause });
     }
 
     /// All observed flows.
@@ -89,7 +86,7 @@ mod tests {
         let e = FlowEvent {
             from: l(0),
             to: l(2),
-            cause: "read up-level copy".into(),
+            cause: "read up-level copy",
         };
         assert!(e.is_lawful());
     }
@@ -112,7 +109,7 @@ mod tests {
         let e = FlowEvent {
             from: a,
             to: b,
-            cause: "cross-compartment".into(),
+            cause: "cross-compartment",
         };
         assert!(!e.is_lawful());
     }

@@ -72,7 +72,8 @@ fn demux_leg(kernel_edges: &mut EdgeSet) {
     k.demux_claim(pid, stream, 7).expect("claim");
     k.demux_receive(stream, &[0, 0, 7, b'm', b'x', b'\r'])
         .expect("receive");
-    let bytes = k.demux_read(pid, stream, 7).expect("read");
+    let mut bytes = Vec::new();
+    k.demux_read(pid, stream, 7, &mut bytes).expect("read");
     assert_eq!(bytes, b"mx\r", "demux leg must round-trip the frame");
     kernel_edges.merge(k.machine.clock.edge_set());
 }

@@ -236,19 +236,29 @@ impl DemuxManager {
     }
 
     /// Takes the buffered input of a channel (a user-domain read through
-    /// the gate).
+    /// the gate): `buf` is left holding exactly that input, and the
+    /// channel's buffer is left empty with its capacity.
     ///
     /// # Errors
     ///
-    /// [`KernelError::NoSuchChannel`] for unknown stream or channel.
-    pub fn read_channel(&mut self, stream: StreamId, channel: u16) -> Result<Vec<u8>, KernelError> {
-        self.streams
+    /// [`KernelError::NoSuchChannel`] for unknown stream or channel;
+    /// `buf` is then unchanged.
+    pub fn read_channel(
+        &mut self,
+        stream: StreamId,
+        channel: u16,
+        buf: &mut Vec<u8>,
+    ) -> Result<(), KernelError> {
+        let input = self
+            .streams
             .get_mut(stream.0 as usize)
             .ok_or(KernelError::NoSuchChannel)?
             .channels
             .get_mut(&channel)
-            .map(std::mem::take)
-            .ok_or(KernelError::NoSuchChannel)
+            .ok_or(KernelError::NoSuchChannel)?;
+        buf.clear();
+        buf.append(input);
+        Ok(())
     }
 
     /// (frames accepted, frames dropped) for a stream.
@@ -272,6 +282,12 @@ mod tests {
     use crate::types::UserId;
     use mx_aim::Label;
     use mx_hw::Machine;
+
+    /// A channel read into a fresh buffer.
+    fn read(dx: &mut DemuxManager, stream: StreamId, channel: u16) -> Result<Vec<u8>, KernelError> {
+        let mut buf = Vec::new();
+        dx.read_channel(stream, channel, &mut buf).map(|()| buf)
+    }
 
     fn rig() -> (
         Machine,
@@ -298,14 +314,35 @@ mod tests {
             .unwrap();
         dx.claim_channel(arpa, 7, crate::types::ProcessId(0))
             .unwrap();
-        assert_eq!(dx.read_channel(arpa, 7).unwrap(), b"hi");
+        assert_eq!(read(&mut dx, arpa, 7).unwrap(), b"hi");
         dx.claim_channel(fe, 3, crate::types::ProcessId(0)).unwrap();
         assert_eq!(
-            dx.read_channel(fe, 3).unwrap(),
+            read(&mut dx, fe, 3).unwrap(),
             b"ok",
             "length field honoured"
         );
         assert_eq!(dx.stream_count(), 2);
+    }
+
+    #[test]
+    fn a_read_fills_the_callers_buffer_and_leaves_the_channel_empty() {
+        let (_m, mut vpm, mut upm, mut dx) = rig();
+        let arpa = dx.attach(FramingSpec::ARPANET);
+        dx.receive(&mut upm, &mut vpm, arpa, &[0, 0, 7, b'h', b'i'])
+            .unwrap();
+        let mut buf = b"stale".to_vec();
+        dx.read_channel(arpa, 7, &mut buf).unwrap();
+        assert_eq!(buf, b"hi", "the read replaces what the buffer held");
+        let input = &dx.streams[arpa.0 as usize].channels[&7];
+        assert!(input.is_empty() && input.capacity() >= 2);
+        dx.read_channel(arpa, 7, &mut buf).unwrap();
+        assert_eq!(buf, b"", "the first read drained the channel");
+        buf.extend_from_slice(b"kept");
+        assert_eq!(
+            dx.read_channel(arpa, 8, &mut buf),
+            Err(KernelError::NoSuchChannel)
+        );
+        assert_eq!(buf, b"kept", "a refused read leaves the buffer alone");
     }
 
     #[test]
@@ -340,13 +377,10 @@ mod tests {
     fn unknown_stream_and_channel_are_errors() {
         let (_m, _vpm, _upm, mut dx) = rig();
         assert_eq!(
-            dx.read_channel(StreamId(4), 1).unwrap_err(),
+            read(&mut dx, StreamId(4), 1).unwrap_err(),
             KernelError::NoSuchChannel
         );
         let s = dx.attach(FramingSpec::ARPANET);
-        assert_eq!(
-            dx.read_channel(s, 1).unwrap_err(),
-            KernelError::NoSuchChannel
-        );
+        assert_eq!(read(&mut dx, s, 1).unwrap_err(), KernelError::NoSuchChannel);
     }
 }

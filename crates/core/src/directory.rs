@@ -36,7 +36,7 @@ use crate::types::{AccessRight, Acl, DiskHome, ObjToken, ProcessId, SegUid, User
 use crate::vproc::VirtualProcessorManager;
 use mx_aim::{AccessKind, FlowTracker, Label, ReferenceMonitor};
 use mx_hw::entries::{name_words, EntryReader, EntryStore};
-use mx_hw::word::{name_fits, pack_name, unpack_name, NameKey};
+use mx_hw::word::{name_fits, pack_name, unpack_name, Name, NameKey};
 use mx_hw::{AbsAddr, IdMap, Machine, PackId, TocIndex, Word};
 use std::collections::HashMap;
 
@@ -77,7 +77,7 @@ pub struct EntryRecord {
     /// Disk home.
     pub home: DiskHome,
     /// Entry name.
-    pub name: String,
+    pub name: Name,
     /// Discretionary ACL.
     pub acl: Acl,
     /// AIM label.
@@ -594,7 +594,7 @@ impl DirectoryManager {
                 is_dir: true,
                 quota_dir: b.quota_dir,
                 home: b.home,
-                name: String::new(),
+                name: Name::EMPTY,
                 acl: Acl::new(), // Root: checked specially (public).
                 label: Label::BOTTOM,
                 quota_limit: 0,
@@ -828,7 +828,7 @@ impl DirectoryManager {
             is_dir,
             quota_dir: false,
             home: toc,
-            name: name.to_string(),
+            name: Name::new(name),
             acl,
             label,
             quota_limit: 0,
@@ -1106,7 +1106,7 @@ impl DirectoryManager {
         Ok(self
             .entries(ctx, dir)?
             .into_iter()
-            .map(|(_, e)| e.name)
+            .map(|(_, e)| e.name.to_string())
             .collect())
     }
 }

@@ -33,7 +33,7 @@ use mx_aim::{FlowTracker, Label, ReferenceMonitor};
 use mx_hw::cpu::{DescBase, Ptw, Sdw};
 use mx_hw::interp::{self, ProgramRun};
 use mx_hw::meter::{CounterSet, Subsystem};
-use mx_hw::{Fault, HwFeatures, Machine, ProcessorId, VirtAddr, Word};
+use mx_hw::{Fault, HwFeatures, Machine, Name, ProcessorId, VirtAddr, Word};
 use std::collections::HashMap;
 
 /// Virtual processors (the first three are kernel-bound).
@@ -557,7 +557,7 @@ impl Kernel {
             let pid = k.upm.create(&mut k.machine, user, label)?;
             k.ksm.create_kst(pid);
             k.state_counter += 1;
-            let name = format!("proc-{}", k.state_counter);
+            let name = Name::new("proc-").num(k.state_counter);
             let processes_dir = k.processes_dir;
             let token = k.with_retries(|k| {
                 k.dirm.create(
@@ -1159,8 +1159,9 @@ impl Kernel {
         })
     }
 
-    /// Reads a channel's buffered input (user gate). A claimed channel
-    /// is read only by its owner; an unclaimed one by any process.
+    /// Reads a channel's buffered input into `buf` (user gate), as
+    /// [`DemuxManager::read_channel`] does. A claimed channel is read
+    /// only by its owner; an unclaimed one by any process.
     ///
     /// # Errors
     ///
@@ -1171,17 +1172,19 @@ impl Kernel {
         pid: ProcessId,
         stream: StreamId,
         channel: u16,
-    ) -> Result<Vec<u8>, KernelError> {
+        buf: &mut Vec<u8>,
+    ) -> Result<(), KernelError> {
         self.charge_gate();
         self.scoped(Subsystem::Network, |k| {
             k.demux.check_owner(stream, channel, pid)?;
-            k.demux.read_channel(stream, channel)
+            k.demux.read_channel(stream, channel, buf)
         })
     }
 
-    /// Reads a channel's buffered input from *inside* the kernel — the
-    /// specialized file-store machine's service path, where the network
-    /// daemon is kernel-resident and no gate crossing is paid. The
+    /// Reads a channel's buffered input into `buf` from *inside* the
+    /// kernel — the specialized file-store machine's service path, where
+    /// the network daemon is kernel-resident and no gate crossing is
+    /// paid. The
     /// general-purpose configuration uses [`Kernel::demux_read`]
     /// instead; the cycle difference between the two paths is exactly
     /// what the T3 estimate prices.
@@ -1193,9 +1196,10 @@ impl Kernel {
         &mut self,
         stream: StreamId,
         channel: u16,
-    ) -> Result<Vec<u8>, KernelError> {
+        buf: &mut Vec<u8>,
+    ) -> Result<(), KernelError> {
         self.scoped(Subsystem::Network, |k| {
-            k.demux.read_channel(stream, channel)
+            k.demux.read_channel(stream, channel, buf)
         })
     }
 
@@ -1280,6 +1284,17 @@ mod tests {
     use super::*;
     use crate::types::AccessRight;
 
+    /// A gated channel read into a fresh buffer.
+    fn read(
+        k: &mut Kernel,
+        pid: ProcessId,
+        stream: StreamId,
+        channel: u16,
+    ) -> Result<Vec<u8>, KernelError> {
+        let mut buf = Vec::new();
+        k.demux_read(pid, stream, channel, &mut buf).map(|()| buf)
+    }
+
     fn boot_small() -> Kernel {
         Kernel::boot(KernelConfig {
             frames: 128,
@@ -1360,7 +1375,7 @@ mod tests {
         k.demux_claim(owner, stream, 7).unwrap();
         k.demux_receive(stream, &[0, 0, 7, b'h', b'i']).unwrap();
         assert_eq!(
-            k.demux_read(other, stream, 7),
+            read(&mut k, other, stream, 7),
             Err(KernelError::ChannelClaimed)
         );
         assert_eq!(
@@ -1369,10 +1384,10 @@ mod tests {
         );
         // The refused read drained nothing, and the owner may claim again.
         k.demux_claim(owner, stream, 7).unwrap();
-        assert_eq!(k.demux_read(owner, stream, 7).unwrap(), b"hi");
+        assert_eq!(read(&mut k, owner, stream, 7).unwrap(), b"hi");
         // An unclaimed channel stays open to every process.
         k.demux_receive(stream, &[0, 0, 9, b'x']).unwrap();
-        assert_eq!(k.demux_read(other, stream, 9).unwrap(), b"x");
+        assert_eq!(read(&mut k, other, stream, 9).unwrap(), b"x");
     }
 
     #[test]

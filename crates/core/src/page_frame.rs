@@ -245,7 +245,9 @@ impl PageFrameManager {
         qcm: &mut QuotaCellManager,
         handle: PtHandle,
     ) -> Result<(), KernelError> {
-        for (frame, pageno) in self.frames.owned(handle.0) {
+        let mut at = None;
+        while let Some((frame, pageno)) = self.frames.next_owned(handle.0, at) {
+            at = Some(frame);
             self.evict_frame(machine, drm, qcm, frame, handle.0, pageno)?;
         }
         Ok(())

@@ -31,7 +31,7 @@ use crate::error::KernelError;
 use crate::kernel::{ctx, Kernel};
 use crate::types::{DiskHome, ObjToken, SegUid};
 use mx_hw::salvage::{self, Claim, Claims, Online, Salvager, Sweep};
-use mx_hw::{Machine, PackId, RecordNo};
+use mx_hw::{Machine, Name, PackId, RecordNo};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 
 pub use mx_hw::salvage::OnlineCheat;
@@ -100,7 +100,8 @@ pub enum Problem {
 impl Problem {
     /// How entry `name` of `dir`, naming `uid` at `home`, is reported
     /// when its claim fails.
-    fn of_claim(claim: Claim, dir: SegUid, name: String, uid: SegUid, home: DiskHome) -> Self {
+    fn of_claim(claim: Claim, dir: SegUid, name: Name, uid: SegUid, home: DiskHome) -> Self {
+        let name = name.to_string();
         match claim {
             Claim::Duplicate => Problem::DoublyClaimedToc { dir, name, home },
             _ => Problem::DanglingEntry { dir, name, uid },
@@ -572,7 +573,7 @@ impl Salvager for Kernel {
 
 /// One live directory entry as the salvager sees it:
 /// `(slot, name, uid, home, is_dir)`.
-type SalvageEntry = (u32, String, SegUid, DiskHome, bool);
+type SalvageEntry = (u32, Name, SegUid, DiskHome, bool);
 
 #[cfg(test)]
 mod tests {

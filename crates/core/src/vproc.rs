@@ -65,6 +65,9 @@ pub struct VirtualProcessorManager {
     events: EventTable,
     state_seg: CoreSegId,
     run_queue: VecDeque<VpId>,
+    /// The run queue's ids as the policy is shown them, refilled at each
+    /// dispatch that offers a choice.
+    queued_ids: Vec<u32>,
     running: Option<VpId>,
     /// Decides the manager's two choice points: which runnable VP the
     /// dispatcher picks, and the order `advance` drains met waiters.
@@ -105,6 +108,7 @@ impl VirtualProcessorManager {
             events: EventTable::new(),
             state_seg,
             run_queue: (0..count).map(VpId).collect(),
+            queued_ids: Vec::with_capacity(count as usize),
             running: None,
             policy: Box::new(FifoPolicy),
             switches: 0,
@@ -262,10 +266,11 @@ impl VirtualProcessorManager {
             }
         }
         let next = if self.run_queue.len() > 1 {
-            let ids: Vec<u32> = self.run_queue.iter().map(|v| v.0).collect();
+            self.queued_ids.clear();
+            self.queued_ids.extend(self.run_queue.iter().map(|v| v.0));
             let idx = self
                 .policy
-                .choose(ChoicePoint::Dispatch, &ids)
+                .choose(ChoicePoint::Dispatch, &self.queued_ids)
                 .min(self.run_queue.len() - 1);
             self.run_queue.remove(idx)?
         } else {

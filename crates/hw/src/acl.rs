@@ -18,9 +18,96 @@ pub enum AccessRight {
 /// An access control list: `(user, rights)` terms. "Every file and
 /// directory has its own access control list … access to a file is
 /// determined entirely by the access control list for that file."
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+///
+/// The first four terms, all a stored ACL holds ([`Acl::stored`]), are
+/// kept inline, so decoding an entry's ACL ([`Acl::unpack`]) or building
+/// an owner's ([`Acl::owner`]) never allocates. A longer ACL can still be
+/// built, and [`Acl::stored`] refuses it.
+#[derive(Clone, Default)]
 pub struct Acl {
-    terms: Vec<(UserId, [bool; 3])>,
+    terms: Terms,
+}
+
+/// One term: a user and its read, write and execute bits.
+type Term = (UserId, [bool; 3]);
+
+/// An ACL's terms in the order they were granted.
+#[derive(Clone)]
+enum Terms {
+    /// At most [`ACL_TERMS`] terms; the first `len` are live.
+    Inline { len: u8, terms: [Term; ACL_TERMS] },
+    /// More terms than a stored ACL holds.
+    Spilled(Vec<Term>),
+}
+
+impl Default for Terms {
+    fn default() -> Self {
+        Terms::Inline {
+            len: 0,
+            terms: [(UserId(0), [false; 3]); ACL_TERMS],
+        }
+    }
+}
+
+impl Terms {
+    fn as_slice(&self) -> &[Term] {
+        match self {
+            Terms::Inline { len, terms } => &terms[..usize::from(*len)],
+            Terms::Spilled(terms) => terms,
+        }
+    }
+
+    fn as_mut_slice(&mut self) -> &mut [Term] {
+        match self {
+            Terms::Inline { len, terms } => &mut terms[..usize::from(*len)],
+            Terms::Spilled(terms) => terms,
+        }
+    }
+
+    fn push(&mut self, term: Term) {
+        match self {
+            Terms::Inline { len, terms } if usize::from(*len) < ACL_TERMS => {
+                terms[usize::from(*len)] = term;
+                *len += 1;
+            }
+            Terms::Inline { terms, .. } => {
+                let mut spilled = terms.to_vec();
+                spilled.push(term);
+                *self = Terms::Spilled(spilled);
+            }
+            Terms::Spilled(terms) => terms.push(term),
+        }
+    }
+
+    /// Removes `user`'s term, keeping the others in order.
+    fn remove(&mut self, user: UserId) {
+        match self {
+            Terms::Inline { len, terms } => {
+                let live = usize::from(*len);
+                if let Some(at) = terms[..live].iter().position(|(u, _)| *u == user) {
+                    terms.copy_within(at + 1..live, at);
+                    *len -= 1;
+                }
+            }
+            Terms::Spilled(terms) => terms.retain(|(u, _)| *u != user),
+        }
+    }
+}
+
+impl PartialEq for Acl {
+    fn eq(&self, other: &Self) -> bool {
+        self.terms.as_slice() == other.terms.as_slice()
+    }
+}
+
+impl Eq for Acl {}
+
+impl core::fmt::Debug for Acl {
+    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
+        f.debug_struct("Acl")
+            .field("terms", &self.terms.as_slice())
+            .finish()
+    }
 }
 
 impl Acl {
@@ -50,7 +137,8 @@ impl Acl {
 
     /// Adds a term's rights to the user's term, or appends the term.
     fn add(&mut self, user: UserId, bits: [bool; 3]) {
-        match self.terms.iter_mut().find(|(u, _)| *u == user) {
+        let terms = self.terms.as_mut_slice();
+        match terms.iter_mut().find(|(u, _)| *u == user) {
             Some((_, have)) => {
                 for (have, add) in have.iter_mut().zip(bits) {
                     *have |= add;
@@ -62,12 +150,13 @@ impl Acl {
 
     /// Revokes all rights from a user.
     pub fn revoke(&mut self, user: UserId) {
-        self.terms.retain(|(u, _)| *u != user);
+        self.terms.remove(user);
     }
 
     /// True if the user holds the right.
     pub fn permits(&self, user: UserId, right: AccessRight) -> bool {
         self.terms
+            .as_slice()
             .iter()
             .find(|(u, _)| *u == user)
             .is_some_and(|(_, b)| b[right_slot(right)])
@@ -82,11 +171,12 @@ impl Acl {
     /// more than four terms, or a user id above 255. [`Acl::unpack`] is
     /// its inverse.
     pub fn stored(&self) -> Option<(u64, u64)> {
-        if self.terms.len() > ACL_TERMS {
+        let terms = self.terms.as_slice();
+        if terms.len() > ACL_TERMS {
             return None;
         }
         let (mut users, mut rights) = (0, 0);
-        for (i, (u, r)) in self.terms.iter().enumerate() {
+        for (i, (u, r)) in terms.iter().enumerate() {
             if u.0 > ACL_MAX_USER {
                 return None;
             }
@@ -136,13 +226,18 @@ mod tests {
     /// stores exactly the ACLs of at most four terms whose ids all fit
     /// in 8 bits, and what it stores unpacks to the same permissions for
     /// every user and right. One id in four is drawn from the edges, and
-    /// floors make sure each edge was reached.
+    /// one ACL built past four terms in two is revoked back to four at
+    /// random users; floors make sure each edge was reached. The terms
+    /// stay in grant order, as a `Vec` of terms kept them, whether they
+    /// are held inline or spilled.
     #[test]
     fn the_codec_stores_exactly_what_fits_and_unpacks_the_same_permissions() {
         let mut rng = SplitMix64::new(0xAC1_C0DE);
         let (mut four, mut at_255, mut too_many, mut too_high) = (0, 0, 0, 0);
+        let mut revoked_to_four = 0;
         for _ in 0..4_000 {
             let mut acl = Acl::new();
+            let mut reference: Vec<Term> = Vec::new();
             for _ in 0..rng.below(7) {
                 let rights: Vec<_> = RIGHTS.into_iter().filter(|_| rng.chance(1, 2)).collect();
                 let user = match rng.below(4) {
@@ -150,15 +245,36 @@ mod tests {
                     _ => rng.below(301) as u32,
                 };
                 acl.grant(UserId(user), &rights);
+                let bits = RIGHTS.map(|r| rights.contains(&r));
+                match reference.iter_mut().find(|(u, _)| u.0 == user) {
+                    Some((_, have)) => have.iter_mut().zip(bits).for_each(|(h, b)| *h |= b),
+                    None => reference.push((UserId(user), bits)),
+                }
             }
-            let terms = acl.terms.len();
-            let top = acl.terms.iter().map(|(u, _)| u.0).max().unwrap_or(0);
+            let revoked = reference.len() > ACL_TERMS && rng.chance(1, 2);
+            if revoked {
+                while reference.len() > ACL_TERMS {
+                    let (user, _) = reference.remove(rng.below(reference.len() as u64) as usize);
+                    acl.revoke(user);
+                }
+            }
+            assert_eq!(acl.terms.as_slice(), reference, "{acl:?}");
+            let terms = reference.len();
+            let top = reference.iter().map(|(u, _)| u.0).max().unwrap_or(0);
             let stored = acl.stored();
             assert_eq!(
                 stored.is_some(),
                 terms <= ACL_TERMS && top <= ACL_MAX_USER,
                 "{acl:?}"
             );
+            for user in (0..=300).map(UserId) {
+                for right in RIGHTS {
+                    let granted = reference
+                        .iter()
+                        .any(|(u, b)| *u == user && b[right_slot(right)]);
+                    assert_eq!(acl.permits(user, right), granted, "{acl:?}");
+                }
+            }
             match stored {
                 Some((users, rights)) => {
                     let back = Acl::unpack(users, rights);
@@ -173,11 +289,16 @@ mod tests {
                     }
                     four += usize::from(terms == ACL_TERMS);
                     at_255 += usize::from(top == ACL_MAX_USER);
+                    revoked_to_four += usize::from(revoked);
                 }
                 None if terms > ACL_TERMS => too_many += 1,
                 None => too_high += 1,
             }
         }
+        assert!(
+            revoked_to_four >= 50,
+            "{revoked_to_four} ACLs revoked back to four terms stored"
+        );
         assert!(four >= 50, "{four} stored four-term ACLs");
         assert!(at_255 >= 50, "{at_255} stored ACLs holding id 255");
         assert!(too_many >= 50, "{too_many} refused for a fifth term");

@@ -11,8 +11,8 @@
 //! any choice the sweeps made. A free floor marks the lowest frame that
 //! may be free, so a claim starts there and still takes the lowest free
 //! frame. Each owner's frames are kept in ascending order, so
-//! [`FrameTable::owned`] lists the owner's pages in ascending frame order
-//! without walking the table.
+//! [`FrameTable::next_owned`] walks the owner's pages in ascending frame
+//! order without walking the table or building a listing.
 
 use crate::mem::FrameNo;
 
@@ -122,19 +122,21 @@ impl FrameTable {
         frame
     }
 
-    /// Every frame holding a page of `owner`, with its page number, in
-    /// ascending frame order.
-    pub fn owned(&self, owner: u32) -> Vec<(FrameNo, u32)> {
-        let Some(frames) = self.frames_of.get(owner as usize) else {
-            return Vec::new();
-        };
-        frames
-            .iter()
-            .map(|&f| {
-                let page = self.pages[f as usize].expect("a listed frame holds a page");
-                (FrameNo(f), page.pageno)
-            })
-            .collect()
+    /// The lowest frame above `after` holding a page of `owner`, with its
+    /// page number; `None` for `after` starts at the owner's lowest frame.
+    ///
+    /// A walk that passes back each frame it is handed visits the owner's
+    /// frames in ascending order. It may free the frame it was handed
+    /// before asking for the next, and still visits exactly the frames
+    /// the owner held when the walk began, so long as it takes no frame
+    /// for that owner and frees no other of its frames on the way: each
+    /// design's flush, truncation and deletion walks this way.
+    pub fn next_owned(&self, owner: u32, after: Option<FrameNo>) -> Option<(FrameNo, u32)> {
+        let frames = self.frames_of.get(owner as usize)?;
+        let at = after.map_or(0, |a| frames.partition_point(|&f| f <= a.0));
+        let &f = frames.get(at)?;
+        let page = self.pages[f as usize].expect("a listed frame holds a page");
+        Some((FrameNo(f), page.pageno))
     }
 }
 
@@ -170,11 +172,25 @@ mod tests {
         }
     }
 
+    /// An owner's pages as a walk of [`FrameTable::next_owned`] visits
+    /// them.
+    fn listing(table: &FrameTable, owner: u32) -> Vec<(FrameNo, u32)> {
+        let mut out = Vec::new();
+        let mut at = None;
+        while let Some((frame, pageno)) = table.next_owned(owner, at) {
+            at = Some(frame);
+            out.push((frame, pageno));
+        }
+        out
+    }
+
     #[test]
     fn claims_and_listings_match_the_sweeping_twin_on_random_sequences() {
         // Releases below the floor, listings of an owner with nothing
-        // resident, and claims refused by a full table.
+        // resident, claims refused by a full table, and flushes that
+        // freed two or more frames as they walked.
         let (mut below_floor, mut none_resident, mut full) = (0, 0, 0);
+        let mut flushed = 0;
         for seed in 0..16u64 {
             let mut rng = SplitMix64::new(0xF4A3_0000 + seed);
             let (frames, wired) = (rng.range_usize(6, 40), rng.range_u32(0, 5));
@@ -184,7 +200,22 @@ mod tests {
                 first_pageable: wired as usize,
             };
             for step in 0..2_000 {
-                if rng.chance(3, 5) {
+                if rng.chance(1, 20) {
+                    // A flush as the designs walk one: each frame the walk
+                    // hands back is freed before the next is asked for.
+                    let owner = rng.range_u32(0, 6);
+                    let held = twin.owned(owner);
+                    let mut walked = Vec::new();
+                    let mut at = None;
+                    while let Some((frame, pageno)) = table.next_owned(owner, at) {
+                        at = Some(frame);
+                        walked.push((frame, pageno));
+                        table.release(frame);
+                        twin.pages[frame.0 as usize] = None;
+                    }
+                    assert_eq!(walked, held, "seed {seed} step {step}");
+                    flushed += usize::from(held.len() >= 2);
+                } else if rng.chance(3, 5) {
                     let (owner, pageno) = (rng.range_u32(0, 6), rng.range_u32(0, 256));
                     let got = table.take(owner, pageno);
                     assert_eq!(got, twin.take(owner, pageno), "seed {seed} step {step}");
@@ -204,7 +235,7 @@ mod tests {
                     let owned = twin.owned(owner);
                     none_resident += usize::from(owned.is_empty());
                     assert_eq!(table.resident(owner) as usize, owned.len());
-                    assert_eq!(table.owned(owner), owned, "seed {seed} step {step}");
+                    assert_eq!(listing(&table, owner), owned, "seed {seed} step {step}");
                 }
             }
         }
@@ -217,6 +248,7 @@ mod tests {
             "{none_resident} owners with nothing resident"
         );
         assert!(full > 1_000, "{full} claims refused by a full table");
+        assert!(flushed > 200, "{flushed} flushes freed two or more frames");
     }
 
     #[test]
@@ -252,7 +284,7 @@ mod tests {
                 twin.pages[frame.0 as usize] = None;
             }
             for owner in 0..2 {
-                assert_eq!(table.owned(owner), twin.owned(owner), "step {step}");
+                assert_eq!(listing(&table, owner), twin.owned(owner), "step {step}");
             }
         }
         assert!(

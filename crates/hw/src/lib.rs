@@ -85,7 +85,7 @@ pub use meter::{
 };
 pub use rng::SplitMix64;
 pub use tlb::{Tlb, TlbEntry, TlbStats};
-pub use word::{Word, WORD_MASK};
+pub use word::{Name, Word, WORD_MASK};
 
 /// A virtual address: segment number plus word offset within the segment.
 ///

@@ -107,25 +107,126 @@ pub fn pack_name(name: &str) -> [Word; NAME_WORDS] {
 }
 
 /// Decodes a stored name: the characters up to the first NUL, each
-/// 9-bit character read as its low eight bits. An ASCII name costs one
-/// allocation.
-pub fn unpack_name(words: &[Word; NAME_WORDS]) -> String {
-    let mut bytes = [0; NAME_CHARS];
-    let mut len = 0;
-    'name: for w in words {
+/// 9-bit character read as its low eight bits (a byte above 0x7F is the
+/// Latin-1 character it numbers). Builds no heap string.
+pub fn unpack_name(words: &[Word; NAME_WORDS]) -> Name {
+    let mut name = Name::EMPTY;
+    for w in words {
         for c in 0..4 {
             let b = (w.raw() >> (c * 9)) as u8;
             if b == 0 {
-                break 'name;
+                return name;
             }
-            bytes[len] = b;
-            len += 1;
+            if b.is_ascii() {
+                name.grow(1)[0] = b;
+            } else {
+                char::from(b).encode_utf8(name.grow(2));
+            }
         }
     }
-    let bytes = &bytes[..len];
-    match std::str::from_utf8(bytes) {
-        Ok(ascii) if bytes.is_ascii() => ascii.to_owned(),
-        _ => bytes.iter().copied().map(char::from).collect(),
+    name
+}
+
+/// Bytes of text a [`Name`] holds: a stored name's [`NAME_CHARS`]
+/// characters, each up to two bytes of UTF-8 (every decoded character is
+/// at most U+00FF).
+const NAME_BYTES: usize = 2 * NAME_CHARS;
+
+/// A name as a value: a decoded directory entry name, or a name the load
+/// harness builds for the designs (`u17`, `s3>f17`), held inline.
+///
+/// A name is text the simulator passes across the gates or decodes from
+/// a directory entry; neither design charges a cycle for how the host
+/// holds it, so it lives in a fixed buffer instead of a `String`. It
+/// derefs to `&str`, and prints (`Display` and `Debug`) as the `String`
+/// it replaces printed.
+#[derive(Clone, Copy, PartialEq, Eq)]
+pub struct Name {
+    len: u8,
+    bytes: [u8; NAME_BYTES],
+}
+
+impl Name {
+    /// The empty name.
+    pub const EMPTY: Name = Name {
+        len: 0,
+        bytes: [0; NAME_BYTES],
+    };
+
+    /// A name holding `s`.
+    ///
+    /// # Panics
+    ///
+    /// If `s` is longer than a name holds.
+    pub fn new(s: &str) -> Self {
+        Self::EMPTY.push(s)
+    }
+
+    /// This name with `s` appended.
+    ///
+    /// # Panics
+    ///
+    /// If the result would be longer than a name holds.
+    pub fn push(mut self, s: &str) -> Self {
+        self.grow(s.len()).copy_from_slice(s.as_bytes());
+        self
+    }
+
+    /// This name with `n` appended in decimal, as `format!("{n}")`
+    /// prints it.
+    ///
+    /// # Panics
+    ///
+    /// If the result would be longer than a name holds.
+    pub fn num(mut self, mut n: u64) -> Self {
+        let digits = n.checked_ilog10().map_or(1, |l| l as usize + 1);
+        for d in self.grow(digits).iter_mut().rev() {
+            *d = b'0' + (n % 10) as u8;
+            n /= 10;
+        }
+        self
+    }
+
+    /// Lengthens the name by `n` bytes, which the caller fills.
+    fn grow(&mut self, n: usize) -> &mut [u8] {
+        let at = usize::from(self.len);
+        let end = at + n;
+        assert!(end <= NAME_BYTES, "a name is at most {NAME_BYTES} bytes");
+        self.len = end as u8;
+        &mut self.bytes[at..end]
+    }
+
+    /// The name's text.
+    pub fn as_str(&self) -> &str {
+        // Built from whole `&str`s, ASCII digits and whole encoded
+        // characters, so always UTF-8.
+        std::str::from_utf8(&self.bytes[..usize::from(self.len)]).expect("whole characters")
+    }
+}
+
+impl core::ops::Deref for Name {
+    type Target = str;
+
+    fn deref(&self) -> &str {
+        self.as_str()
+    }
+}
+
+impl PartialEq<&str> for Name {
+    fn eq(&self, other: &&str) -> bool {
+        self.as_str() == *other
+    }
+}
+
+impl core::fmt::Display for Name {
+    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
+        core::fmt::Display::fmt(self.as_str(), f)
+    }
+}
+
+impl core::fmt::Debug for Name {
+    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
+        core::fmt::Debug::fmt(self.as_str(), f)
     }
 }
 
@@ -268,12 +369,16 @@ mod tests {
                 words[i / 4] = Word::new(words[i / 4].raw() | c << (i % 4 * 9));
             }
             let decoded = unpack_name(&words);
-            assert_eq!(decoded, unpack_per_character(&words), "{words:?}");
+            let reference = unpack_per_character(&words);
+            assert_eq!(decoded, reference.as_str(), "{words:?}");
+            assert_eq!(decoded, Name::new(&reference), "{words:?}");
             latin1 += usize::from(!decoded.is_ascii());
             full_length += usize::from(decoded.chars().count() == NAME_CHARS);
             let ninth = |w: &Word| (0..4).any(|c| w.bit(c * 9 + 8));
             ninth_bits += usize::from(words.iter().any(ninth));
-            let mut name = decoded.clone();
+            // The mutations edit the decoded text as a `String`; the
+            // comparisons below hold it against the inline name.
+            let mut name = reference;
             match rng.below(7) {
                 0 => {}
                 1 => name.push(char::from(b'a' + rng.below(5) as u8)),
@@ -303,7 +408,7 @@ mod tests {
                     name = name.chars().chain(std::iter::repeat('a')).take(n).collect();
                 }
             }
-            let expected = decoded == name;
+            let expected = decoded == name.as_str();
             matches += usize::from(expected);
             full_length_matches += usize::from(expected && name.chars().count() == NAME_CHARS);
             let at = format!("{words:?} vs {name:?}");
@@ -321,6 +426,34 @@ mod tests {
             "decoded: {latin1} with bytes ≥ 0x80, {ninth_bits} with ninth bits \
              set, {full_length} of 32 characters"
         );
+    }
+
+    #[test]
+    fn a_name_holds_any_decoded_name_and_prints_its_text() {
+        assert!(std::mem::size_of::<Name>() <= NAME_BYTES + 1);
+        let n = Name::new("mig>f").num(u64::MAX);
+        assert_eq!(&*n, "mig>f18446744073709551615");
+        assert_eq!(format!("{n}|{n:>27}|{n:?}"), {
+            let s = n.to_string();
+            format!("{s}|{s:>27}|{s:?}")
+        });
+        for v in [0, 9, 10, 99, 100, 1023, 100_000, u64::MAX] {
+            assert_eq!(&*Name::new("").num(v), v.to_string());
+        }
+        // The longest decoded text: 32 characters of two UTF-8 bytes,
+        // one of them a 9-bit character read as its low eight bits.
+        let mut words = [Word::new(0o377_377_377_377); NAME_WORDS];
+        words[0] = Word::new(0o777_377_377_377);
+        let longest = unpack_name(&words);
+        assert_eq!(longest.len(), NAME_BYTES);
+        assert_eq!(longest, "\u{ff}".repeat(NAME_CHARS).as_str());
+        assert_eq!(Name::EMPTY, unpack_name(&[Word::ZERO; NAME_WORDS]));
+    }
+
+    #[test]
+    #[should_panic(expected = "a name is at most 64 bytes")]
+    fn a_name_past_its_capacity_is_refused() {
+        Name::new(&"x".repeat(NAME_BYTES)).push("y");
     }
 
     #[test]

@@ -304,8 +304,10 @@ mod tests {
         let f1 = ft.take(3, 0).unwrap();
         let _f2 = ft.take(4, 0).unwrap();
         let f3 = ft.take(3, 7).unwrap();
-        let got = ft.owned(3);
-        assert_eq!(got, vec![(f1, 0), (f3, 7)]);
+        let first = ft.next_owned(3, None);
+        assert_eq!(first, Some((f1, 0)));
+        assert_eq!(ft.next_owned(3, Some(f1)), Some((f3, 7)));
+        assert_eq!(ft.next_owned(3, Some(f3)), None);
     }
 
     #[test]

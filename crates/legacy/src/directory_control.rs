@@ -24,7 +24,7 @@ use mx_aim::{AccessKind, Label, ReferenceMonitor};
 use mx_hw::entries::{name_words, EntryReader, EntryStore};
 pub(crate) use mx_hw::entries::{FLAGS, NAME};
 use mx_hw::meter::Subsystem;
-use mx_hw::word::{name_fits, pack_name, unpack_name, NameKey};
+use mx_hw::word::{name_fits, pack_name, unpack_name, Name, NameKey};
 use mx_hw::{AbsAddr, Language, Machine, PackId, TocIndex, Word};
 
 /// Words per directory entry record.
@@ -46,7 +46,7 @@ pub struct EntryRecord {
     /// Where the named object lives on disk.
     pub home: DiskHome,
     /// Entry name (up to 32 characters).
-    pub name: String,
+    pub name: Name,
     /// Discretionary access control list.
     pub acl: Acl,
     /// AIM label of the object.
@@ -345,7 +345,7 @@ impl Supervisor {
             is_dir,
             quota_dir: false,
             home,
-            name: name.to_string(),
+            name: Name::new(name),
             acl,
             label,
             quota_limit: 0,
@@ -683,7 +683,9 @@ impl Supervisor {
             if records > 0 {
                 self.quota_uncharge(astx, records);
             }
-            for (frame, pageno) in self.frames.owned(astx as u32) {
+            let mut at = None;
+            while let Some((frame, pageno)) = self.frames.next_owned(astx as u32, at) {
+                at = Some(frame);
                 self.set_ptw(astx, pageno, Default::default());
                 self.frames.release(frame);
             }

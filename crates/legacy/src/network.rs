@@ -126,7 +126,7 @@ impl Supervisor {
                     None
                 } else {
                     let channel = u16::from_be_bytes([frame[1], frame[2]]);
-                    Some((channel, frame[3..].to_vec()))
+                    Some((channel, &frame[3..]))
                 }
             }
             NetworkKind::FrontEnd => {
@@ -136,7 +136,7 @@ impl Supervisor {
                 } else {
                     let channel = u16::from(frame[0]);
                     let len = frame[1] as usize;
-                    Some((channel, frame[2..2 + len].to_vec()))
+                    Some((channel, &frame[2..2 + len]))
                 }
             }
             NetworkKind::ThirdNet => {
@@ -146,7 +146,7 @@ impl Supervisor {
                 } else {
                     let channel = u16::from_be_bytes([frame[2], frame[3]]);
                     let len = frame[0] as usize;
-                    Some((channel, frame[4..4 + len].to_vec()))
+                    Some((channel, &frame[4..4 + len]))
                 }
             }
         };
@@ -161,7 +161,7 @@ impl Supervisor {
                     .channels
                     .entry(channel)
                     .or_default()
-                    .extend_from_slice(&payload);
+                    .extend_from_slice(payload);
                 Ok(())
             }
             None => {
@@ -171,17 +171,20 @@ impl Supervisor {
         }
     }
 
-    /// A user-domain read of a channel's buffered input (through a gate).
+    /// A user-domain read of a channel's buffered input (through a
+    /// gate): `buf` is left holding exactly that input, and the channel's
+    /// kernel buffer is left empty with its capacity.
     ///
     /// # Errors
     ///
     /// [`LegacyError::NoSuchChannel`] if the network or channel is
-    /// unknown.
+    /// unknown; `buf` is then unchanged.
     pub fn network_read_channel(
         &mut self,
         net: NetworkId,
         channel: u16,
-    ) -> Result<Vec<u8>, LegacyError> {
+        buf: &mut Vec<u8>,
+    ) -> Result<(), LegacyError> {
         self.scoped(Subsystem::Network, |s| {
             let cost = s.machine.cost;
             s.machine.clock.charge_gate(&cost);
@@ -189,11 +192,13 @@ impl Supervisor {
                 .networks
                 .get_mut(net.0)
                 .ok_or(LegacyError::NoSuchChannel)?;
-            handler
+            let input = handler
                 .channels
                 .get_mut(&channel)
-                .map(std::mem::take)
-                .ok_or(LegacyError::NoSuchChannel)
+                .ok_or(LegacyError::NoSuchChannel)?;
+            buf.clear();
+            buf.append(input);
+            Ok(())
         })
     }
 }
@@ -202,6 +207,13 @@ impl Supervisor {
 mod tests {
     use super::*;
 
+    /// A channel read into a fresh buffer.
+    fn read(sup: &mut Supervisor, net: NetworkId, channel: u16) -> Result<Vec<u8>, LegacyError> {
+        let mut buf = Vec::new();
+        sup.network_read_channel(net, channel, &mut buf)
+            .map(|()| buf)
+    }
+
     #[test]
     fn arpanet_frames_demultiplex_by_leader() {
         let mut sup = Supervisor::boot_default();
@@ -209,8 +221,28 @@ mod tests {
         sup.network_receive(net, &[0, 0, 7, b'h', b'i']).unwrap();
         sup.network_receive(net, &[0, 0, 7, b'!']).unwrap();
         sup.network_receive(net, &[0, 0, 9, b'x']).unwrap();
-        assert_eq!(sup.network_read_channel(net, 7).unwrap(), b"hi!");
-        assert_eq!(sup.network_read_channel(net, 9).unwrap(), b"x");
+        assert_eq!(read(&mut sup, net, 7).unwrap(), b"hi!");
+        assert_eq!(read(&mut sup, net, 9).unwrap(), b"x");
+    }
+
+    #[test]
+    fn a_read_fills_the_callers_buffer_and_leaves_the_channel_empty() {
+        let mut sup = Supervisor::boot_default();
+        let net = sup.attach_network(NetworkKind::Arpanet);
+        sup.network_receive(net, &[0, 0, 7, b'h', b'i']).unwrap();
+        let mut buf = b"stale".to_vec();
+        sup.network_read_channel(net, 7, &mut buf).unwrap();
+        assert_eq!(buf, b"hi", "the read replaces what the buffer held");
+        let input = &sup.networks[net.0].channels[&7];
+        assert!(input.is_empty() && input.capacity() >= 2);
+        sup.network_read_channel(net, 7, &mut buf).unwrap();
+        assert_eq!(buf, b"", "the first read drained the channel");
+        buf.extend_from_slice(b"kept");
+        assert_eq!(
+            sup.network_read_channel(net, 8, &mut buf),
+            Err(LegacyError::NoSuchChannel)
+        );
+        assert_eq!(buf, b"kept", "a refused read leaves the buffer alone");
     }
 
     #[test]
@@ -219,7 +251,7 @@ mod tests {
         let net = sup.attach_network(NetworkKind::FrontEnd);
         sup.network_receive(net, &[3, 2, b'o', b'k', b'X']).unwrap();
         assert_eq!(
-            sup.network_read_channel(net, 3).unwrap(),
+            read(&mut sup, net, 3).unwrap(),
             b"ok",
             "trailing garbage ignored"
         );
@@ -246,7 +278,7 @@ mod tests {
         let mut sup = Supervisor::boot_default();
         let net = sup.attach_network(NetworkKind::Arpanet);
         assert_eq!(
-            sup.network_read_channel(net, 99).unwrap_err(),
+            read(&mut sup, net, 99).unwrap_err(),
             LegacyError::NoSuchChannel
         );
     }

@@ -450,7 +450,9 @@ impl Supervisor {
     /// rereads).
     pub fn flush_segment(&mut self, astx: usize) -> Result<(), LegacyError> {
         self.scoped(Subsystem::PageControl, |s| {
-            for (frame, _pageno) in s.frames.owned(astx as u32) {
+            let mut at = None;
+            while let Some((frame, _pageno)) = s.frames.next_owned(astx as u32, at) {
+                at = Some(frame);
                 s.evict(frame)?;
             }
             Ok(())

@@ -13,7 +13,7 @@ use crate::types::{Acl, LegacyError, ProcessId, SegUid, UserId};
 use mx_aim::Label;
 use mx_hw::interp::{self, ProgramRun};
 use mx_hw::meter::Subsystem;
-use mx_hw::{Language, Word};
+use mx_hw::{Language, Name, Word};
 
 const DISPATCH_INSTR: u64 = 45;
 const CREATE_PROCESS_INSTR: u64 = 300;
@@ -48,7 +48,7 @@ impl Supervisor {
         // a failure here (quota, space, a salvage quarantine) must not
         // leak a table entry, or retrying the login drains the table.
         let proc_dir = self.ensure_processes_dir()?;
-        let state_name = format!("proc-{}", self.next_uid);
+        let state_name = Name::new("proc-").num(self.next_uid);
         let state_uid = self.create_segment_in(proc_dir, &state_name, Acl::owner(user), label)?;
         let astx = self.activate(state_uid)?;
         self.sup_write(astx, 0, Word::new(u64::from(slot) + 1))?;

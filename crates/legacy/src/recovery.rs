@@ -34,7 +34,7 @@ use mx_hw::meter::Subsystem;
 use mx_hw::salvage::{
     self, live, toc_entry, Claim, Claims, Online, OnlineCheat, OnlineProgress, Salvager, Sweep,
 };
-use mx_hw::word::{unpack_name, NAME_WORDS};
+use mx_hw::word::{unpack_name, Name, NAME_WORDS};
 use mx_hw::{
     DiskError, DiskSystem, HwFeatures, Language, Machine, PackId, RecordNo, TocIndex, Word,
     PAGE_WORDS,
@@ -70,7 +70,7 @@ struct RawEntry {
     is_dir: bool,
     quota_dir: bool,
     home: DiskHome,
-    name: String,
+    name: Name,
     quota_used: u32,
 }
 

@@ -217,7 +217,9 @@ impl Supervisor {
     fn truncate_segment_body(&mut self, uid: SegUid) -> Result<(), LegacyError> {
         let astx = self.ast.find(uid).ok_or(LegacyError::NotActive)?;
         // Drop resident frames without write-back.
-        for (frame, pageno) in self.frames.owned(astx as u32) {
+        let mut at = None;
+        while let Some((frame, pageno)) = self.frames.next_owned(astx as u32, at) {
+            at = Some(frame);
             self.set_ptw(astx, pageno, Default::default());
             self.frames.release(frame);
         }

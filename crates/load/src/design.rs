@@ -229,10 +229,19 @@ pub(crate) trait Design: Sized {
     // ------------------------------------------------------- network --
     fn attach_network(&mut self);
     fn net_receive(&mut self, frame: &[u8]) -> Res<(), Self>;
-    fn net_read(&mut self, pid: ProcessId, channel: u16, resident: bool) -> Res<Vec<u8>, Self>;
+    /// Reads a channel's buffered input into `buf`, leaving it holding
+    /// exactly that input.
+    fn net_read(
+        &mut self,
+        pid: ProcessId,
+        channel: u16,
+        resident: bool,
+        buf: &mut Vec<u8>,
+    ) -> Res<(), Self>;
     /// Receives and drains an answering-service directive frame,
-    /// charging the answering service for it.
-    fn receive_directive(&mut self, frame: &[u8]) -> Res<(), Self>;
+    /// charging the answering service for it; the drained input lands in
+    /// `buf`.
+    fn receive_directive(&mut self, frame: &[u8], buf: &mut Vec<u8>) -> Res<(), Self>;
 }
 
 /// One salvage step with the per-release battery applied: recheck

@@ -10,12 +10,11 @@
 use super::{online_step, salvage_pass, Admitted, Design, Res, SalvagePass, Session, Step};
 use crate::fleet::CH_DIRECTIVE;
 use crate::label::Status;
-use crate::name::Name;
 use crate::run::SalvageProbe;
 use crate::run::{account_index, account_name, definitions, file_name, symbol, Entry};
 use mx_aim::{FlowTracker, Label};
 use mx_explore::{oracle, Rig};
-use mx_hw::{Machine, Subsystem, Word};
+use mx_hw::{Machine, Name, Subsystem, Word};
 use mx_kernel::demux::{FramingSpec, StreamId};
 use mx_kernel::{Acl, Kernel, KernelConfig, KernelError, ObjToken, OnlineCheat, ProcessId, UserId};
 use mx_sync::SchedulePolicy;
@@ -344,12 +343,18 @@ impl Design for KernelDesign {
         self.k.demux_receive(self.stream(), frame)
     }
 
-    fn net_read(&mut self, pid: ProcessId, channel: u16, resident: bool) -> Res<Vec<u8>, Self> {
+    fn net_read(
+        &mut self,
+        pid: ProcessId,
+        channel: u16,
+        resident: bool,
+        buf: &mut Vec<u8>,
+    ) -> Res<(), Self> {
         let stream = self.stream();
         if resident {
-            self.k.demux_read_resident(stream, channel)
+            self.k.demux_read_resident(stream, channel, buf)
         } else {
-            self.k.demux_read(pid, stream, channel)
+            self.k.demux_read(pid, stream, channel, buf)
         }
     }
 
@@ -357,7 +362,7 @@ impl Design for KernelDesign {
     /// only after a successful receive, drained through the resident
     /// entry, all inside the answering service's meter scope —
     /// kernel-internal traffic does not cross a user gate.
-    fn receive_directive(&mut self, frame: &[u8]) -> Res<(), Self> {
+    fn receive_directive(&mut self, frame: &[u8], buf: &mut Vec<u8>) -> Res<(), Self> {
         let cost = self.k.machine.cost;
         let g = self.k.machine.clock.enter(Subsystem::AnsweringService);
         self.k.machine.clock.charge_wire_frame(&cost, frame.len());
@@ -365,7 +370,7 @@ impl Design for KernelDesign {
         if got.is_ok() {
             let _ = self
                 .k
-                .demux_read_resident(self.stream(), u16::from(CH_DIRECTIVE));
+                .demux_read_resident(self.stream(), u16::from(CH_DIRECTIVE), buf);
         }
         self.k.machine.clock.exit(g);
         got
@@ -375,7 +380,7 @@ impl Design for KernelDesign {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::name::NAME_INDICES;
+    use crate::run::NAME_INDICES;
 
     #[test]
     fn root_paths_print_what_format_printed_and_slots_are_distinct() {

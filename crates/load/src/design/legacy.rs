@@ -11,11 +11,10 @@
 use super::{online_step, salvage_pass, Admitted, Design, Res, SalvagePass, Session, Step};
 use crate::fleet::CH_DIRECTIVE;
 use crate::label::Status;
-use crate::name::Name;
 use crate::run::{account_name, definitions, file_name, symbol, Entry, SalvageProbe};
 use mx_aim::Label;
 use mx_explore::{oracle, Rig};
-use mx_hw::{Machine, Subsystem, Word};
+use mx_hw::{Machine, Name, Subsystem, Word};
 use mx_legacy::network::{NetworkId, NetworkKind};
 use mx_legacy::{
     AccessRight, Acl, LegacyError, OnlineCheat, ProcessId, SegUid, Supervisor, SupervisorConfig,
@@ -320,14 +319,20 @@ impl Design for LegacyDesign {
 
     /// No resident path and no per-process channel: every read goes
     /// through the ordinary gate from the ambient domain.
-    fn net_read(&mut self, _pid: ProcessId, channel: u16, _resident: bool) -> Res<Vec<u8>, Self> {
-        self.sup.network_read_channel(self.net(), channel)
+    fn net_read(
+        &mut self,
+        _pid: ProcessId,
+        channel: u16,
+        _resident: bool,
+        buf: &mut Vec<u8>,
+    ) -> Res<(), Self> {
+        self.sup.network_read_channel(self.net(), channel, buf)
     }
 
     /// The answering service's scope covers only the receive; even its
     /// own channel is drained afterwards through the ordinary gate, and
     /// drained even when the receive failed.
-    fn receive_directive(&mut self, frame: &[u8]) -> Res<(), Self> {
+    fn receive_directive(&mut self, frame: &[u8], buf: &mut Vec<u8>) -> Res<(), Self> {
         let cost = self.sup.machine.cost;
         let g = self.sup.machine.clock.enter(Subsystem::AnsweringService);
         self.sup.machine.clock.charge_wire_frame(&cost, frame.len());
@@ -335,7 +340,7 @@ impl Design for LegacyDesign {
         self.sup.machine.clock.exit(g);
         let _ = self
             .sup
-            .network_read_channel(self.net(), u16::from(CH_DIRECTIVE));
+            .network_read_channel(self.net(), u16::from(CH_DIRECTIVE), buf);
         got
     }
 }
@@ -343,7 +348,7 @@ impl Design for LegacyDesign {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::name::NAME_INDICES;
+    use crate::run::NAME_INDICES;
 
     #[test]
     fn file_paths_print_what_format_printed() {

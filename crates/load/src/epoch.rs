@@ -576,7 +576,7 @@ fn run_chaos<D: Design>(spec: &C1Spec, mode: SalvageMode, repro: &str) -> Outcom
         } else {
             "inherent".to_string()
         },
-        st: EngineState::new(),
+        st: EngineState::new(&scripts),
         epochs: Vec::new(),
         epoch_bounds: Vec::new(),
         load_cycles: 0,

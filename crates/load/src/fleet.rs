@@ -95,6 +95,10 @@ const ST_ERR: u8 = 3;
 const REQ_LEN: usize = 14;
 /// Response payload: status byte plus a 64-bit value.
 const RESP_LEN: usize = 9;
+/// The longest frame on the wire: channel and length bytes, then the
+/// longest payload, a request.
+const FRAME_MAX: usize = 2 + REQ_LEN;
+const _: () = assert!(RESP_LEN <= REQ_LEN, "a response frames like a request");
 
 /// A reply's status byte as a label status; `Lost` when no reply came.
 fn reply_status(resp: Option<(u8, u64)>) -> Status {
@@ -151,16 +155,17 @@ impl Req {
         self
     }
 
-    fn encode(&self) -> Vec<u8> {
-        let mut p = vec![
+    fn encode(&self) -> [u8; REQ_LEN] {
+        let mut p = [0; REQ_LEN];
+        p[..6].copy_from_slice(&[
             self.op,
             self.idx as u8,
             (self.idx >> 8) as u8,
             self.shard as u8,
             self.a as u8,
             (self.a >> 8) as u8,
-        ];
-        p.extend_from_slice(&self.b.to_le_bytes());
+        ]);
+        p[6..].copy_from_slice(&self.b.to_le_bytes());
         p
     }
 
@@ -260,9 +265,25 @@ enum FrameKind {
     Gossip,
 }
 
+/// One front-end frame, held inline: channel byte, length byte, then at
+/// most [`REQ_LEN`] payload bytes.
+#[derive(Clone, Copy)]
+struct Frame {
+    len: u8,
+    bytes: [u8; FRAME_MAX],
+}
+
+impl std::ops::Deref for Frame {
+    type Target = [u8];
+
+    fn deref(&self) -> &[u8] {
+        &self.bytes[..usize::from(self.len)]
+    }
+}
+
 struct WireFrame {
     kind: FrameKind,
-    bytes: Vec<u8>,
+    bytes: Frame,
 }
 
 /// The inter-machine wire: one FIFO queue per directed link, delivery
@@ -297,15 +318,48 @@ impl Wire {
     }
 
     /// Front-end framing: channel byte, length byte, payload.
-    fn frame(channel: u8, payload: &[u8]) -> Vec<u8> {
-        let mut b = Vec::with_capacity(2 + payload.len());
-        b.push(channel);
-        b.push(payload.len() as u8);
-        b.extend_from_slice(payload);
-        b
+    ///
+    /// # Panics
+    ///
+    /// If the payload is longer than a request.
+    fn frame(channel: u8, payload: &[u8]) -> Frame {
+        let len = payload.len();
+        assert!(len <= REQ_LEN, "a wire payload is at most {REQ_LEN} bytes");
+        let mut bytes = [0; FRAME_MAX];
+        bytes[0] = channel;
+        bytes[1] = len as u8;
+        bytes[2..2 + len].copy_from_slice(payload);
+        Frame {
+            len: (2 + len) as u8,
+            bytes,
+        }
     }
 
-    fn send(&mut self, src: usize, dst: usize, kind: FrameKind, bytes: Vec<u8>) {
+    /// Machine `src`'s request: its channel, then the encoded request.
+    fn request(src: usize, req: &Req) -> Frame {
+        Self::frame(src as u8, &req.encode())
+    }
+
+    /// Machine `server`'s reply: its reply channel, the status byte,
+    /// then the value.
+    fn response(server: usize, status: u8, value: u64) -> Frame {
+        let mut payload = [status; RESP_LEN];
+        payload[1..].copy_from_slice(&value.to_le_bytes());
+        Self::frame((CH_RESP_BASE + server as u16) as u8, &payload)
+    }
+
+    /// Gossip from machine `from`; `ack` asks the receiver to
+    /// acknowledge.
+    fn gossip(ack: bool, from: usize) -> Frame {
+        Self::frame(CH_GOSSIP, &[u8::from(ack), from as u8])
+    }
+
+    /// The front's directive to accept session `idx`.
+    fn directive(idx: usize) -> Frame {
+        Self::frame(CH_DIRECTIVE, &[idx as u8, (idx >> 8) as u8])
+    }
+
+    fn send(&mut self, src: usize, dst: usize, kind: FrameKind, bytes: Frame) {
         self.sent += 1;
         let link = src * self.machines + dst;
         if self.links[link].is_empty() {
@@ -519,6 +573,8 @@ struct Fleet<D: Design> {
     ms: Vec<Member<D>>,
     sessions: Vec<Option<FleetSession<D>>>,
     wire: Wire,
+    /// The one buffer every channel read on every machine fills.
+    rx: Vec<u8>,
     front: VecDeque<usize>,
     live: usize,
     last_active: usize,
@@ -601,6 +657,7 @@ impl<D: Design> Fleet<D> {
             ms,
             sessions: (0..spec.sessions).map(|_| None).collect(),
             wire: Wire::new(spec.machines, wire_policy, spec.drop_frame),
+            rx: Vec::with_capacity(FRAME_MAX),
             front: VecDeque::new(),
             live: 0,
             last_active: 0,
@@ -623,7 +680,7 @@ impl<D: Design> Fleet<D> {
         let m = &mut self.ms[dst];
         match frame.kind {
             FrameKind::Directive => {
-                if let Err(e) = m.d.receive_directive(&frame.bytes) {
+                if let Err(e) = m.d.receive_directive(&frame.bytes, &mut self.rx) {
                     self.failures
                         .push(format!("machine {dst}: directive receive: {e:?}"));
                 }
@@ -632,7 +689,8 @@ impl<D: Design> Fleet<D> {
                 charge_frame(&mut m.d, frame.bytes.len());
                 match m.d.net_receive(&frame.bytes) {
                     Ok(()) => {
-                        let _ = m.d.net_read(m.daemon.pid, u16::from(CH_GOSSIP), false);
+                        let gossip = u16::from(CH_GOSSIP);
+                        let _ = m.d.net_read(m.daemon.pid, gossip, false, &mut self.rx);
                     }
                     Err(e) => self
                         .failures
@@ -640,7 +698,7 @@ impl<D: Design> Fleet<D> {
                 }
                 // payload: [ack-wanted, sender]
                 if frame.bytes.get(2) == Some(&1) {
-                    let bytes = Wire::frame(CH_GOSSIP, &[0, dst as u8]);
+                    let bytes = Wire::gossip(false, dst);
                     charge_frame(&mut self.ms[dst].d, bytes.len());
                     self.wire
                         .send(dst, frame.bytes[3] as usize, FrameKind::Gossip, bytes);
@@ -675,21 +733,19 @@ impl<D: Design> Fleet<D> {
     fn service_request(&mut self, mi: usize, ch: u16) {
         let resident = self.resident(mi);
         let m = &mut self.ms[mi];
-        let bytes = match m.d.net_read(m.daemon.pid, ch, resident) {
-            Ok(b) => b,
-            Err(e) => {
-                self.failures
-                    .push(format!("machine {mi}: request read: {e:?}"));
-                return;
-            }
-        };
-        if bytes.len() != REQ_LEN {
+        if let Err(e) = m.d.net_read(m.daemon.pid, ch, resident, &mut self.rx) {
+            self.failures
+                .push(format!("machine {mi}: request read: {e:?}"));
+            return;
+        }
+        if self.rx.len() != REQ_LEN {
             self.failures.push(format!(
                 "machine {mi}: mangled request ({} bytes)",
-                bytes.len()
+                self.rx.len()
             ));
             return;
         }
+        let req = Req::decode(&self.rx);
         let mach = m.d.machine_mut();
         let cost = mach.cost;
         if resident {
@@ -701,7 +757,7 @@ impl<D: Design> Fleet<D> {
             mach.clock
                 .charge_instructions(&cost, CMD_DECODE_INSTR, Language::Pli);
         }
-        let (status, value) = self.execute_op(mi, Req::decode(&bytes));
+        let (status, value) = self.execute_op(mi, req);
 
         // Gossip *before* the response: while the reply is still in
         // flight, the acknowledgment travels the opposite way — two
@@ -709,15 +765,13 @@ impl<D: Design> Fleet<D> {
         self.ms[mi].served += 1;
         if self.ms[mi].served.is_multiple_of(GOSSIP_EVERY) {
             for o in (0..self.spec.machines).filter(|&o| o != mi) {
-                let bytes = Wire::frame(CH_GOSSIP, &[1, mi as u8]);
+                let bytes = Wire::gossip(true, mi);
                 charge_frame(&mut self.ms[mi].d, bytes.len());
                 self.wire.send(mi, o, FrameKind::Gossip, bytes);
             }
         }
 
-        let mut payload = vec![status];
-        payload.extend_from_slice(&value.to_le_bytes());
-        let bytes = Wire::frame((CH_RESP_BASE + mi as u16) as u8, &payload);
+        let bytes = Wire::response(mi, status, value);
         charge_frame(&mut self.ms[mi].d, bytes.len());
         self.wire.send(mi, ch as usize, FrameKind::Data, bytes);
     }
@@ -796,18 +850,16 @@ impl<D: Design> Fleet<D> {
     /// reply back through this machine's network entry. `None` = the
     /// reply never arrived (a frame was lost).
     fn rpc(&mut self, src: usize, dst: usize, pid: ProcessId, req: Req) -> Option<(u8, u64)> {
-        let bytes = Wire::frame(src as u8, &req.encode());
+        let bytes = Wire::request(src, &req);
         charge_frame(&mut self.ms[src].d, bytes.len());
         self.wire.send(src, dst, FrameKind::Data, bytes);
         self.remote_ops += 1;
         self.pump();
-        match self.ms[src]
-            .d
-            .net_read(pid, CH_RESP_BASE + dst as u16, false)
-        {
-            Ok(bytes) if bytes.len() == RESP_LEN => Some((
-                bytes[0],
-                u64::from_le_bytes(bytes[1..9].try_into().expect("8 bytes")),
+        let channel = CH_RESP_BASE + dst as u16;
+        match self.ms[src].d.net_read(pid, channel, false, &mut self.rx) {
+            Ok(()) if self.rx.len() == RESP_LEN => Some((
+                self.rx[0],
+                u64::from_le_bytes(self.rx[1..].try_into().expect("8 bytes")),
             )),
             _ => None,
         }
@@ -835,7 +887,7 @@ impl<D: Design> Fleet<D> {
             // The front answering service directs the home machine to
             // accept the session — one directive frame, charged to the
             // answering service on both ends of the wire.
-            let bytes = Wire::frame(CH_DIRECTIVE, &[idx as u8, (idx >> 8) as u8]);
+            let bytes = Wire::directive(idx);
             let m = self.ms[0].d.machine_mut();
             let cost = m.cost;
             let g = m.clock.enter(Subsystem::AnsweringService);
@@ -1106,7 +1158,7 @@ fn run_fleet<D: Design>(
     );
     let scripts = spec.base().scripts();
     let mut fleet = Fleet::<D>::new(spec, wire_policy);
-    let mut st = EngineState::new();
+    let mut st = EngineState::new(&scripts);
     storm(&mut fleet, &scripts, &mut st);
     drive_until(&mut fleet, &scripts, &mut st, None);
     fleet.pump();
@@ -1183,6 +1235,45 @@ pub fn run_legacy_fleet(
 mod tests {
     use super::*;
     use crate::run::{run_kernel_load, run_legacy_load};
+
+    /// A request keeps every field at its edge values through framing,
+    /// and each frame kind is as long as it always was, which is what
+    /// [`charge_frame`] charges: a request 16 bytes, a reply 11, gossip
+    /// and a directive 4.
+    #[test]
+    fn requests_round_trip_at_their_edges_and_each_frame_kind_keeps_its_length() {
+        let top = u32::from(u16::MAX);
+        for (op, idx, shard, a, b) in [
+            (OP_MIG_WRITE, MAX_SESSIONS - 1, 255, top, u64::MAX),
+            (OP_LINK, 0, 0, 0, 0),
+            (OP_GROW, 256, 7, 256, 1 << 63),
+        ] {
+            let req = Req::new(op, idx, shard).arg(a).val(b);
+            let frame = Wire::request(MAX_MACHINES - 1, &req);
+            assert_eq!(frame.len(), 16);
+            assert_eq!(frame[..2], [MAX_MACHINES as u8 - 1, REQ_LEN as u8]);
+            let back = Req::decode(&frame[2..]);
+            let fields = (back.op, back.idx, back.shard, back.a, back.b);
+            assert_eq!(fields, (op, idx, shard, a, b));
+        }
+        let reply = Wire::response(3, ST_QUOTA, u64::MAX);
+        assert_eq!(reply.len(), 11);
+        assert_eq!(
+            reply[..3],
+            [CH_RESP_BASE as u8 + 3, RESP_LEN as u8, ST_QUOTA]
+        );
+        assert_eq!(reply[3..], u64::MAX.to_le_bytes());
+        assert_eq!(*Wire::gossip(true, 2), [CH_GOSSIP, 2, 1, 2]);
+        assert_eq!(*Wire::gossip(false, 99), [CH_GOSSIP, 2, 0, 99]);
+        let directive = Wire::directive(MAX_SESSIONS - 1);
+        assert_eq!(*directive, [CH_DIRECTIVE, 2, 0xFF, 0xFF]);
+    }
+
+    #[test]
+    #[should_panic(expected = "a wire payload is at most 14 bytes")]
+    fn a_payload_longer_than_a_request_is_refused() {
+        Wire::frame(0, &[0; REQ_LEN + 1]);
+    }
 
     #[test]
     fn fleet_of_one_is_the_single_machine_run() {

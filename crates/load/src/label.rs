@@ -7,7 +7,7 @@
 //! had: `l:{offset}`, `r:{word}`, `n:ok`, `w:quota`, `r:err`, `n:lost`,
 //! `out`, `reap:err`, `out:lost:err`, `busy`.
 
-use crate::name::Name;
+use mx_hw::Name;
 
 /// The operation a label reports on: its text's prefix.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

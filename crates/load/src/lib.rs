@@ -17,7 +17,6 @@ pub mod epoch;
 pub mod fleet;
 pub mod hist;
 mod label;
-mod name;
 pub mod run;
 pub mod script;
 pub mod shard;

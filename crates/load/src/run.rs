@@ -15,10 +15,9 @@ use crate::design::legacy::LegacyDesign;
 use crate::design::{gate_retry, salvage_step_checked, Design, Session};
 use crate::hist::Histogram;
 use crate::label::{self, Label, Op, Status};
-use crate::name::Name;
 use crate::script::{session_script, SessionOp, SessionScript, LIB_SYMBOLS, SHARED_PAGES};
 use mx_hw::meter::{EdgeSet, MeterSnapshot};
-use mx_hw::{BootConfig, ProcessId, PAGE_WORDS};
+use mx_hw::{BootConfig, Name, ProcessId, PAGE_WORDS};
 use mx_sync::SchedulePolicy;
 
 const PW: u32 = PAGE_WORDS as u32;
@@ -334,12 +333,13 @@ pub(crate) struct EngineState {
     /// Session indices in the order the admission queue released them
     /// (post-storm admissions only) — the fairness record.
     pub(crate) admitted_order: Vec<usize>,
-    /// Latency samples per session index, grown lazily as sessions act.
+    /// Latency samples per session index, each sized once for its
+    /// script: one per scripted operation and one for the logout.
     pub(crate) user_samples: Vec<Vec<u64>>,
 }
 
 impl EngineState {
-    pub(crate) fn new() -> Self {
+    pub(crate) fn new(scripts: &[SessionScript]) -> Self {
         Self {
             live: Vec::new(),
             cursor: 0,
@@ -350,16 +350,16 @@ impl EngineState {
             parity: Vec::new(),
             hist: Histogram::new(),
             admitted_order: Vec::new(),
-            user_samples: Vec::new(),
+            user_samples: scripts
+                .iter()
+                .map(|s| Vec::with_capacity(s.ops.len() + 1))
+                .collect(),
         }
     }
 
     /// Records one latency sample for session `idx` (and the histogram).
     fn sample(&mut self, idx: usize, delta: u64) {
         self.hist.record(delta);
-        if self.user_samples.len() <= idx {
-            self.user_samples.resize_with(idx + 1, Vec::new);
-        }
         self.user_samples[idx].push(delta);
     }
 }
@@ -462,13 +462,18 @@ pub(crate) fn drive_until<D: Driver>(
 }
 
 fn drive<D: Driver>(d: &mut D, scripts: &[SessionScript]) -> EngineState {
-    let mut st = EngineState::new();
+    let mut st = EngineState::new(scripts);
     storm(d, scripts, &mut st);
     drive_until(d, scripts, &mut st, None);
     st
 }
 
 // ----------------------------------------------------- shared fixtures --
+
+/// The indices the name helpers are checked at: each edge of a digit
+/// count, and the largest index.
+#[cfg(test)]
+pub(crate) const NAME_INDICES: [usize; 8] = [0, 9, 10, 99, 100, 1023, 100_000, usize::MAX];
 
 pub(crate) fn account_name(idx: usize) -> Name {
     Name::new("u").num(idx as u64)
@@ -1136,7 +1141,7 @@ pub(crate) fn run_load<D: Design>(
         driver.d.set_schedule_policy(p);
     }
 
-    let mut out = drive(&mut driver, scripts);
+    let out = drive(&mut driver, scripts);
     let d = driver.d;
     let m = d.machine();
     let per_cpu_ops: Vec<u64> = m
@@ -1146,7 +1151,6 @@ pub(crate) fn run_load<D: Design>(
         .map(|(now, base)| now - base)
         .collect();
     let (queue_delay, event_queue_hwm) = d.load_probes();
-    out.user_samples.resize_with(spec.sessions, Vec::new);
     LoadRun {
         design: D::NAME,
         cycles: m.clock.now() - setup_cycles,
@@ -1187,7 +1191,6 @@ pub fn run_both(spec: &LoadSpec) -> (LoadRun, LoadRun) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::name::NAME_INDICES;
 
     #[test]
     fn runs_are_deterministic() {

@@ -53,7 +53,8 @@ impl ArpanetTerminal {
     ///
     /// Gate errors reading the channel.
     pub fn read_lines(&mut self, kernel: &mut Kernel) -> Result<Vec<String>, KernelError> {
-        let bytes = kernel.demux_read(self.pid, self.stream, self.channel)?;
+        let mut bytes = Vec::new();
+        kernel.demux_read(self.pid, self.stream, self.channel, &mut bytes)?;
         self.buffer.extend_from_slice(&bytes);
         let mut lines = Vec::new();
         while let Some(pos) = self.buffer.iter().position(|b| *b == b'\r') {
@@ -103,7 +104,9 @@ impl FrontEndTerminal {
     ///
     /// Gate errors reading the channel.
     pub fn read(&mut self, kernel: &mut Kernel) -> Result<Vec<u8>, KernelError> {
-        kernel.demux_read(self.pid, self.stream, self.channel)
+        let mut bytes = Vec::new();
+        kernel.demux_read(self.pid, self.stream, self.channel, &mut bytes)?;
+        Ok(bytes)
     }
 }
 
@@ -151,7 +154,8 @@ impl ThirdNetTerminal {
     ///
     /// Gate errors reading the channel.
     pub fn read_quirky(&mut self, kernel: &mut Kernel) -> Result<Vec<u8>, KernelError> {
-        let mut bytes = kernel.demux_read(self.pid, self.stream, self.channel)?;
+        let mut bytes = Vec::new();
+        kernel.demux_read(self.pid, self.stream, self.channel, &mut bytes)?;
         bytes.reverse();
         Ok(bytes)
     }

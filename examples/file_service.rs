@@ -155,13 +155,14 @@ fn main() {
     }
 
     // The server drains each channel and serves the requests.
+    let mut bytes = Vec::new();
     for (label, stream, channel) in [
         ("arpanet", arpa, 7u16),
         ("front-end", fe, 3),
         ("third-net", third, 0x0102),
     ] {
-        let bytes = kernel
-            .demux_read(pid, stream, channel)
+        kernel
+            .demux_read(pid, stream, channel, &mut bytes)
             .expect("read channel");
         // Requests were concatenated by the demux; re-split by opcode
         // arity (W=4 bytes, R=3).

@@ -26,6 +26,19 @@ const FRAMINGS: [(FramingSpec, NetworkKind); 3] = [
     (FramingSpec::THIRD_NET, NetworkKind::ThirdNet),
 ];
 
+/// A resident channel read on the kernel, into a fresh buffer.
+fn kread(k: &mut Kernel, stream: StreamId, channel: u16) -> Result<Vec<u8>, KernelError> {
+    let mut buf = Vec::new();
+    k.demux_read_resident(stream, channel, &mut buf)
+        .map(|()| buf)
+}
+
+/// A channel read on the old supervisor, into a fresh buffer.
+fn lread(s: &mut Supervisor, net: NetworkId, channel: u16) -> Result<Vec<u8>, LegacyError> {
+    let mut buf = Vec::new();
+    s.network_read_channel(net, channel, &mut buf).map(|()| buf)
+}
+
 fn rigs() -> (Kernel, Supervisor) {
     (
         Kernel::boot(KernelConfig::default()),
@@ -70,10 +83,10 @@ fn third_net_terminal_demultiplexes_identically_on_both_designs() {
     feed(&mut k, &mut s, stream, net, &[1, 0x00, 0, 9, b'!']).unwrap();
     // Another channel through the same concentrator.
     feed(&mut k, &mut s, stream, net, &[1, 0x20, 0x01, 0x02, b'x']).unwrap();
-    assert_eq!(k.demux_read_resident(stream, 9).unwrap(), b"hi!");
-    assert_eq!(s.network_read_channel(net, 9).unwrap(), b"hi!");
-    assert_eq!(k.demux_read_resident(stream, 0x0102).unwrap(), b"x");
-    assert_eq!(s.network_read_channel(net, 0x0102).unwrap(), b"x");
+    assert_eq!(kread(&mut k, stream, 9).unwrap(), b"hi!");
+    assert_eq!(lread(&mut s, net, 9).unwrap(), b"hi!");
+    assert_eq!(kread(&mut k, stream, 0x0102).unwrap(), b"x");
+    assert_eq!(lread(&mut s, net, 0x0102).unwrap(), b"x");
     assert_eq!(k.demux.frame_counts(stream).unwrap(), (3, 0));
     assert_eq!(s.network_frame_counts(net).unwrap(), (3, 0));
 }
@@ -87,15 +100,15 @@ fn a_zero_length_frame_is_accepted_and_reads_back_empty() {
     feed(&mut k, &mut s, stream, net, &[0, 0, 0, 5]).unwrap();
     assert_eq!(k.demux.frame_counts(stream).unwrap(), (1, 0));
     assert_eq!(s.network_frame_counts(net).unwrap(), (1, 0));
-    assert_eq!(k.demux_read_resident(stream, 5).unwrap(), b"");
-    assert_eq!(s.network_read_channel(net, 5).unwrap(), b"");
+    assert_eq!(kread(&mut k, stream, 5).unwrap(), b"");
+    assert_eq!(lread(&mut s, net, 5).unwrap(), b"");
     // …and an unknown channel is a typed error, not an empty read.
     assert_eq!(
-        k.demux_read_resident(stream, 6).unwrap_err(),
+        kread(&mut k, stream, 6).unwrap_err(),
         KernelError::NoSuchChannel
     );
     assert_eq!(
-        s.network_read_channel(net, 6).unwrap_err(),
+        lread(&mut s, net, 6).unwrap_err(),
         LegacyError::NoSuchChannel
     );
 }
@@ -190,8 +203,8 @@ fn legacy_and_kernel_demultiplexers_agree_across_all_framings() {
             "{kind:?} counts"
         );
         for ch in 0..1024u16 {
-            let kb = k.demux_read_resident(stream, ch).ok();
-            let lb = s.network_read_channel(net, ch).ok();
+            let kb = kread(&mut k, stream, ch).ok();
+            let lb = lread(&mut s, net, ch).ok();
             assert_eq!(kb, lb, "{kind:?} channel {ch}");
         }
     }
