@@ -7,11 +7,11 @@
 //! regenerate those shapes.
 
 use mx_aim::{CompartmentSet, Label, Level};
-use mx_explore::Rig;
+use mx_explore::{Principal, Rig};
 use mx_hw::clock::ClockSnapshot;
 use mx_hw::{BootConfig, ProcessId, TlbStats, Word, PAGE_WORDS};
 use mx_kernel::{Kernel, KernelConfig};
-use mx_legacy::{Supervisor, UserId as LUserId};
+use mx_legacy::{Supervisor, UserId};
 use mx_user::{publish_library, AnsweringService, NameSpace, UserLinker};
 use std::collections::HashMap;
 
@@ -67,7 +67,7 @@ const PW: u32 = PAGE_WORDS as u32;
 /// Boots `R` with `config` and logs the benchmark user in.
 fn booted<R: Rig>(config: BootConfig) -> (R, ProcessId) {
     let mut sys = R::boot(config);
-    let pid = sys.login("bench");
+    let pid = sys.login("bench", Principal::OPERATOR);
     (sys, pid)
 }
 
@@ -135,7 +135,7 @@ pub(crate) fn replay<R: Rig>(
     let root = sys.root_dir();
     let segno = sys.create_segment(pid, &root, "data").expect("segment");
     if let Some(on) = tlb {
-        set_associative_memory(sys.machine(), on);
+        set_associative_memory(sys.machine_mut(), on);
     }
     let tlb0 = sys.machine().tlb_stats();
     let before = sys.machine().clock.snapshot();
@@ -271,7 +271,7 @@ pub fn p2_namespace(spec: TreeSpec, rounds: usize) -> Comparison {
 /// P3 — login/logout sessions, monolithic vs. residue + user domain.
 pub fn p3_answering(sessions: usize) -> Comparison {
     let mut sup = Supervisor::boot_default();
-    sup.register_user("bench", LUserId(1), "pw", Label::BOTTOM);
+    sup.register_user("bench", UserId(1), "pw", Label::BOTTOM);
     let before = sup.machine.clock.now();
     for _ in 0..sessions {
         let pid = sup
@@ -381,38 +381,41 @@ pub struct SchedulerRow {
     pub cheap_switch_pct: f64,
 }
 
+/// P5's system: `R` booted with room for `n` processes and one process
+/// logged in for each user id from 0 to n − 1 (account `u{i}`).
+fn crowded<R: Rig>(n: u32) -> R {
+    let mut sys = R::boot(BootConfig {
+        max_processes: n + 2,
+        ..BootConfig::default()
+    });
+    for i in 0..n {
+        let who = Principal {
+            user: UserId(i),
+            label: Label::BOTTOM,
+        };
+        sys.login(&format!("u{i}"), who);
+    }
+    sys
+}
+
+/// Runs `passes` scheduler passes on `sys`; the cycles per pass.
+fn per_pass<R: Rig>(sys: &mut R, passes: usize) -> u64 {
+    let before = sys.machine().clock.now();
+    for _ in 0..passes {
+        sys.schedule();
+    }
+    (sys.machine().clock.now() - before) / passes as u64
+}
+
 /// P5 — one-level vs. two-level processor multiplexing.
 pub fn p5_scheduler(process_counts: &[u32], passes: usize) -> Vec<SchedulerRow> {
     let mut rows = Vec::new();
     for &n in process_counts {
-        let config = BootConfig {
-            max_processes: n + 2,
-            ..BootConfig::default()
-        };
-        let mut sup = Supervisor::boot(config.clone());
-        for i in 0..n {
-            sup.create_process(LUserId(i), Label::BOTTOM)
-                .expect("legacy process");
-        }
-        let before = sup.machine.clock.now();
-        for _ in 0..passes {
-            sup.dispatch();
-        }
-        let legacy = (sup.machine.clock.now() - before) / passes as u64;
-
-        let mut k = Kernel::boot(config);
-        for i in 0..n {
-            let name = format!("u{i}");
-            k.register_account(&name, mx_kernel::UserId(i), 1, Label::BOTTOM);
-            k.login_residue(&name, 1, Label::BOTTOM)
-                .expect("kernel process");
-        }
+        let mut sup = crowded::<Supervisor>(n);
+        let legacy = per_pass(&mut sup, passes);
+        let mut k = crowded::<Kernel>(n);
         let loads_before = k.upm.loads;
-        let before = k.machine.clock.now();
-        for _ in 0..passes {
-            k.schedule();
-        }
-        let kernel = (k.machine.clock.now() - before) / passes as u64;
+        let kernel = per_pass(&mut k, passes);
         let loads = k.upm.loads - loads_before;
         publish(&format!("p5.legacy.{n}"), &mut sup);
         publish(&format!("p5.kernel.{n}"), &mut k);
@@ -854,7 +857,7 @@ fn a3_workload<R: Rig>(
 ) -> Comparison {
     let [(off, _), (on, tlb)] = [false, true].map(|on| {
         let label = format!("a3.{leg}.{}", if on { "on" } else { "off" });
-        let mut r = replay::<R>(config.clone(), string, spread, Some(on), None);
+        let r = replay::<R>(config.clone(), string, spread, Some(on), None);
         a3_check(&label, &r.sys.machine().clock, &r.tlb);
         assert!(
             on || r.tlb.lookups == 0,

@@ -30,12 +30,10 @@
 //! point, so a given stride replays exactly.
 
 use mx_explore::oracle::check_storage;
-use mx_explore::Rig;
-use mx_hw::salvage::Report;
+use mx_explore::{Principal, Rig};
 use mx_hw::{BootConfig, CrashWrite, DiskError, FaultPlan, ProcessId, Word, PAGE_WORDS};
-use mx_kernel::{Kernel, KernelError, SalvageReport};
-use mx_legacy::{AccessRight, LegacyError, LegacySalvageReport, Supervisor};
-use std::fmt::Debug;
+use mx_kernel::{Kernel, KernelError};
+use mx_legacy::{AccessRight, LegacyError, Supervisor};
 
 use crate::experiments::{publish, Comparison};
 
@@ -96,21 +94,16 @@ fn boot_config() -> BootConfig {
     }
 }
 
-/// What the crash matrix needs of a design beyond its [`Rig`].
-/// [`matrix`] is written once against it; each design keeps its own
-/// workload and phase-1 check.
+/// What the crash matrix owns of a design beyond its [`Rig`] (which
+/// boots, recovers and salvages it): the workload, how a power failure
+/// surfaces, and the phase-1 check. [`matrix`] is written once against
+/// it.
 trait Design: Rig {
-    type Problem: Debug;
-
-    /// Bootloads on the machine of `crashed`, whose power failed.
-    fn recover(config: BootConfig, crashed: Self) -> Result<Self, Self::Error>;
     /// The shared workload, as `pid`. Records the write ordinal at which
     /// the phase-1 sync completed into `sync1_at`.
     fn workload(&mut self, pid: ProcessId, sync1_at: &mut Option<u64>) -> Result<(), Self::Error>;
-    fn relocations(&self) -> u64;
     /// True if `e` is how a power failure surfaces.
     fn power_failed(e: &Self::Error) -> bool;
-    fn salvage(&mut self, repair: bool) -> Result<Report<Self::Problem>, Self::Error>;
     /// Checks phase-1 contents on the recovered system via the ordinary
     /// gates.
     fn verify_phase1(&mut self);
@@ -121,19 +114,13 @@ trait Design: Rig {
 /// (bootload writes are excluded).
 fn armed<D: Design>(plan: FaultPlan) -> (D, ProcessId) {
     let mut sys = D::boot(boot_config());
-    sys.machine().disks.attach(BIG_PACK.0, BIG_PACK.1);
-    let pid = sys.login("r1");
-    sys.machine().faults.install(plan);
+    sys.machine_mut().disks.attach(BIG_PACK.0, BIG_PACK.1);
+    let pid = sys.login("r1", Principal::OPERATOR);
+    sys.machine_mut().faults.install(plan);
     (sys, pid)
 }
 
 impl Design for Kernel {
-    type Problem = mx_kernel::Problem;
-
-    fn recover(config: BootConfig, crashed: Self) -> Result<Self, KernelError> {
-        Kernel::boot_from_image(config, crashed.machine)
-    }
-
     fn workload(&mut self, pid: ProcessId, sync1_at: &mut Option<u64>) -> Result<(), KernelError> {
         let root = self.root_dir();
         let d = self.create(pid, &root, "d", true)?;
@@ -154,20 +141,12 @@ impl Design for Kernel {
         self.sync_to_disk()
     }
 
-    fn relocations(&self) -> u64 {
-        self.segm.stats.relocations
-    }
-
     fn power_failed(e: &KernelError) -> bool {
         matches!(e, KernelError::Disk(_))
     }
 
-    fn salvage(&mut self, repair: bool) -> Result<SalvageReport, KernelError> {
-        Kernel::salvage(self, repair)
-    }
-
     fn verify_phase1(&mut self) {
-        let pid = self.login("check");
+        let pid = self.login("check", Principal::OPERATOR);
         let root = self.root_token();
         let d = self
             .dir_search(pid, root, "d")
@@ -195,12 +174,6 @@ impl Design for Kernel {
 }
 
 impl Design for Supervisor {
-    type Problem = String;
-
-    fn recover(config: BootConfig, crashed: Self) -> Result<Self, LegacyError> {
-        Supervisor::boot_from_image(config, crashed.machine)
-    }
-
     fn workload(&mut self, pid: ProcessId, sync1_at: &mut Option<u64>) -> Result<(), LegacyError> {
         let root = self.root_dir();
         let d = self.create(pid, &root, "d", true)?;
@@ -223,20 +196,12 @@ impl Design for Supervisor {
         self.sync_to_disk()
     }
 
-    fn relocations(&self) -> u64 {
-        self.stats.relocations
-    }
-
     fn power_failed(e: &LegacyError) -> bool {
         matches!(e, LegacyError::Disk(_))
     }
 
-    fn salvage(&mut self, repair: bool) -> Result<LegacySalvageReport, LegacyError> {
-        Supervisor::salvage(self, repair)
-    }
-
     fn verify_phase1(&mut self) {
-        let pid = self.spawn();
+        let pid = self.spawn(Principal::OPERATOR);
         for i in 0..FILES {
             let (uid, _entry) = self
                 .resolve(pid, &format!(">d>f{i}"), AccessRight::Read)

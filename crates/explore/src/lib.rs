@@ -22,8 +22,9 @@
 //! * [`dfs`] — bounded-preemption depth-first enumeration that visits
 //!   every schedule of a small scenario exactly once.
 //! * [`rig`] — [`Rig`], the one interface the single-process drivers
-//!   (the scenarios here, and `mx-bench`'s P4/P7/A2/A3, G1 and R1) run
-//!   both designs through.
+//!   (the scenarios here, `mx-bench`'s P4/P5/P7/A2/A3, G1 and R1, and
+//!   `mx-load`'s `Design`) run both designs through, and [`Principal`],
+//!   who the caller is.
 //!
 //! A violation is fully described by `(scenario, seed, schedule)`;
 //! [`replay`] turns that triple back into the failing run.
@@ -39,7 +40,7 @@ pub use policies::{
     parse_schedule, parse_trace, schedule_string, Choice, PctPolicy, Recorder, ReplayPolicy,
     SeededRandomPolicy, TraceHandle,
 };
-pub use rig::Rig;
+pub use rig::{Principal, Rig};
 pub use scenario::{run_kernel, run_legacy, RunReport, ScenarioKind};
 
 use std::collections::HashSet;

@@ -11,7 +11,7 @@
 
 use crate::oracle;
 use crate::policies::{schedule_string, Recorder};
-use crate::rig::{Res, Rig};
+use crate::rig::{Principal, Res, Rig};
 use mx_hw::meter::EdgeSet;
 use mx_hw::{BootConfig, ProcessId, SplitMix64, Word, PAGE_WORDS};
 use mx_kernel::vproc::VpId;
@@ -325,7 +325,7 @@ fn boot_config(kind: ScenarioKind) -> (BootConfig, Option<(u32, u32)>) {
 }
 
 /// Builds `kind`'s world on `R`: its configuration and pack, a process
-/// for user 1 and a second one so the scheduler has something to
+/// for the operator and a second one so the scheduler has something to
 /// rotate, and the two segments the op list addresses (under a 4-page
 /// quota directory for the quota race). Returns the system, the first
 /// process and the segment numbers.
@@ -333,10 +333,10 @@ fn world<R: Rig>(kind: ScenarioKind) -> (R, ProcessId, Vec<u32>) {
     let (config, pack) = boot_config(kind);
     let mut sys = R::boot(config);
     if let Some((records, toc_slots)) = pack {
-        sys.machine().disks.attach(records, toc_slots);
+        sys.machine_mut().disks.attach(records, toc_slots);
     }
-    let pid = sys.login("x");
-    sys.spawn();
+    let pid = sys.login("x", Principal::OPERATOR);
+    sys.spawn(Principal::OPERATOR);
     let mut parent = sys.root_dir();
     if kind == ScenarioKind::Quota {
         parent = sys.create(pid, &parent, "capped", true).expect("quota dir");
@@ -374,8 +374,12 @@ fn drive<R: Rig>(
             // Which process lands where is schedule-sensitive: it
             // belongs in the outcome, never in the parity labels.
             Op::Schedule => {
-                let who = sys.schedule().unwrap_or_else(|| "idle".into());
-                (format!("s:{who}"), false)
+                let label = match sys.schedule() {
+                    Some((pid, Some(vp))) => format!("s:p{}v{}", pid.0, vp.0),
+                    Some((pid, None)) => format!("s:p{}", pid.0),
+                    None => "s:idle".to_string(),
+                };
+                (label, false)
             }
             Op::Sync => {
                 sys.sync_to_disk().expect("sync");

@@ -10,6 +10,16 @@
 //! answering service, [`legacy::LegacyDesign`] over the 1974 supervisor.
 //! Nothing outside those two files names either design's types.
 //!
+//! Each design holds its process-level [`Rig`] (`mx_explore::Rig`), and
+//! the harness reaches the machine, the oracle battery, relocations,
+//! initiation, session-file creation, writes, syncs, scheduler passes
+//! and stop-the-world salvage through it: [`Design::rig`] and
+//! [`Design::rig_mut`]. [`Design`] declares only what the sessions add:
+//! accounts and admission, the name space, the harness's root entries,
+//! online salvage and the network. Who the harness acts as is decided
+//! beside the rig: every account, login and created object is
+//! [`Principal::OPERATOR`](mx_explore::Principal::OPERATOR)'s.
+//!
 //! It lives here, not in the design crates, because the kernel's session
 //! layer (name space, linker, answering service) is in `mx-user`, which
 //! already depends on `mx-kernel`. Every method is one call, or one fixed
@@ -19,11 +29,10 @@
 pub(crate) mod kernel;
 pub(crate) mod legacy;
 
-use crate::label::Status;
 use crate::run::{check_serving_records, Entry, SalvageProbe, SALVAGE_RETRY_BUDGET};
-use mx_explore::oracle;
+use mx_explore::{oracle, Rig};
 use mx_hw::salvage::{OnlineProgress, Report};
-use mx_hw::{BootConfig, Machine, ProcessId};
+use mx_hw::{BootConfig, ProcessId};
 use mx_sync::SchedulePolicy;
 use std::fmt::{self, Debug, Display};
 
@@ -92,40 +101,14 @@ pub(crate) fn salvage_pass<P: Debug + 'static, E: Debug>(
     })
 }
 
-/// One online-salvage step, as the harness needs it.
-pub(crate) enum Step {
-    /// A directory was repaired, rechecked and handed back to traffic.
-    Released { dir: u64, recheck_clean: bool },
-    /// The salvage completed.
-    Done { problems: usize, repairs: usize },
-    /// A finalize step, or nothing left to do.
-    Quiet,
-}
-
-/// What an online-salvage step did, as the harness needs it.
-pub(crate) fn online_step<P>(progress: OnlineProgress<P>) -> Step {
-    match progress {
-        OnlineProgress::Released {
-            dir, recheck_clean, ..
-        } => Step::Released {
-            dir: dir.0,
-            recheck_clean,
-        },
-        OnlineProgress::Done { report } => Step::Done {
-            problems: report.problems.len(),
-            repairs: report.repairs.len(),
-        },
-        OnlineProgress::Finalized { .. } | OnlineProgress::Idle => Step::Quiet,
-    }
-}
-
 /// A design call's outcome.
 pub(crate) type Res<T, D> = Result<T, <D as Design>::Error>;
 
+/// A directory or segment as `D`'s rig names it.
+pub(crate) type Handle<D> = <<D as Design>::Rig as Rig>::Entry;
+
 /// One supervisor design, as the load harness drives it.
 pub(crate) trait Design: Sized {
-    /// `"kernel"` or `"legacy"`.
-    const NAME: &'static str;
     /// Whether the scheduler takes a schedule policy. The old supervisor
     /// has one inherent schedule.
     const SCHEDULE_HOOKS: bool;
@@ -133,8 +116,8 @@ pub(crate) trait Design: Sized {
     /// request reads and page reads, no command layer).
     const RESIDENT_STORE: bool;
 
-    /// A directory or segment as the storage gates name it.
-    type Handle: Copy;
+    /// The design's process-level interface.
+    type Rig: Rig<Error = Self::Error>;
     /// Per-session user-domain state.
     type Ext;
     type Error: Debug;
@@ -144,17 +127,11 @@ pub(crate) trait Design: Sized {
     /// Power is gone: boots a fresh machine from this one's disk image,
     /// keeping only the user-domain state that survives a crash.
     fn reboot(self, config: BootConfig) -> Res<Self, Self>;
-    fn machine(&self) -> &Machine;
-    fn machine_mut(&mut self) -> &mut Machine;
-    /// The whole oracle battery. Empty = clean.
-    fn oracle(&self) -> Vec<String>;
-    /// Whole-segment relocations so far.
-    fn relocations(&self) -> u64;
+    fn rig(&self) -> &Self::Rig;
+    fn rig_mut(&mut self) -> &mut Self::Rig;
 
     // -------------------------------------------------------- errors --
     fn busy(e: &Self::Error) -> bool;
-    /// `Quota`, `Full` or `Err`: the refusals both designs' labels share.
-    fn status(e: &Self::Error) -> Status;
 
     // ------------------------------------------- accounts, admission --
     fn register(&mut self, name: &str);
@@ -182,35 +159,29 @@ pub(crate) trait Design: Sized {
 
     // ------------------------------------------------------- storage --
     /// Looks `entry` up in the root.
-    fn search(&mut self, drv: ProcessId, entry: Entry) -> Res<Self::Handle, Self>;
+    fn search(&mut self, drv: ProcessId, entry: Entry) -> Res<Handle<Self>, Self>;
     /// Creates `entry` in the root: a directory for shards and the
     /// migration zone, a segment otherwise.
-    fn create(&mut self, drv: ProcessId, entry: Entry) -> Res<Self::Handle, Self>;
-    fn initiate(&mut self, drv: ProcessId, seg: Self::Handle) -> Res<u32, Self>;
+    fn create(&mut self, drv: ProcessId, entry: Entry) -> Res<Handle<Self>, Self>;
     /// Publishes the library's definitions, retrying through `probe`.
     fn publish(
         &mut self,
         drv: ProcessId,
-        lib: Self::Handle,
+        lib: Handle<Self>,
         probe: &mut SalvageProbe,
     ) -> Result<(), String>;
     /// Recovery's probe for shard `s{shard}`: true = it survived.
     fn shard_survives(&mut self, drv: ProcessId, shard: usize, probe: &mut SalvageProbe) -> bool;
     fn set_quota(&mut self, drv: ProcessId, dir: Entry, pages: u32) -> Res<(), Self>;
     /// The directory to create a session file in.
-    fn open_dir(&mut self, pid: ProcessId, dir: Entry) -> Res<Self::Handle, Self>;
+    fn open_dir(&mut self, pid: ProcessId, dir: Entry) -> Res<Handle<Self>, Self>;
     /// Whether `dir` is out of salvage quarantine (`SalvageBusy` if not).
-    fn probe_dir(&mut self, pid: ProcessId, dir: Entry) -> Res<Self::Handle, Self>;
-    /// Creates and initiates session `idx`'s file in directory `at`.
-    fn create_file(&mut self, pid: ProcessId, at: Self::Handle, idx: usize) -> Res<u32, Self>;
+    fn probe_dir(&mut self, pid: ProcessId, dir: Entry) -> Res<Handle<Self>, Self>;
     fn delete_file(&mut self, pid: ProcessId, dir: Entry, idx: usize) -> Res<(), Self>;
-    fn write(&mut self, pid: ProcessId, segno: u32, offset: u32, val: u64) -> Res<(), Self>;
     /// A word read; `resident` takes the specialized store's path.
     fn read(&mut self, pid: ProcessId, segno: u32, offset: u32, resident: bool) -> Res<u64, Self>;
-    fn sync_to_disk(&mut self) -> Res<(), Self>;
 
     // ---------------------------------------------------- scheduling --
-    fn schedule(&mut self);
     fn set_schedule_policy(&mut self, policy: Box<dyn SchedulePolicy>);
     /// Zeroes the queue-delay and event-queue probes.
     fn reset_load_probes(&mut self);
@@ -218,13 +189,12 @@ pub(crate) trait Design: Sized {
     fn load_probes(&self) -> ((u64, u64), usize);
 
     // ------------------------------------------------------- salvage --
-    fn salvage(&mut self, repair: bool) -> Result<SalvagePass, String>;
     /// Starts an online salvage. With `release_early`, first tears the
     /// root quota cell and runs the salvager that releases each
     /// directory before repairing its cell; `Err` = the tear failed.
     fn begin_online_salvage(&mut self, release_early: bool) -> Result<(), String>;
     fn online_salvage_active(&self) -> bool;
-    fn online_salvage_step(&mut self) -> Res<Step, Self>;
+    fn online_salvage_step(&mut self) -> Res<OnlineProgress<<Self::Rig as Rig>::Problem>, Self>;
 
     // ------------------------------------------------------- network --
     fn attach_network(&mut self);
@@ -249,7 +219,10 @@ pub(crate) trait Design: Sized {
 /// every release, and the full oracle battery at `Done`.
 pub(crate) fn salvage_step_checked<D: Design>(d: &mut D, probe: &mut SalvageProbe) {
     match d.online_salvage_step() {
-        Ok(Step::Released { dir, recheck_clean }) => {
+        Ok(OnlineProgress::Released {
+            dir, recheck_clean, ..
+        }) => {
+            let dir = dir.0;
             probe.dirs_released += 1;
             if !recheck_clean {
                 probe.violations.push(format!(
@@ -257,7 +230,7 @@ pub(crate) fn salvage_step_checked<D: Design>(d: &mut D, probe: &mut SalvageProb
                      per-directory salvage not idempotent"
                 ));
             }
-            let m = d.machine();
+            let m = d.rig().machine();
             for v in oracle::check_meter(&m.clock)
                 .into_iter()
                 .chain(check_serving_records(&m.disks))
@@ -267,15 +240,15 @@ pub(crate) fn salvage_step_checked<D: Design>(d: &mut D, probe: &mut SalvageProb
                     .push(format!("at release of uid {dir}: {v}"));
             }
         }
-        Ok(Step::Done { problems, repairs }) => {
-            probe.done_at = Some(d.machine().clock.now());
-            probe.problems = problems;
-            probe.repairs = repairs;
-            for v in d.oracle() {
+        Ok(OnlineProgress::Done { report }) => {
+            probe.done_at = Some(d.rig().machine().clock.now());
+            probe.problems = report.problems.len();
+            probe.repairs = report.repairs.len();
+            for v in d.rig().oracles() {
                 probe.violations.push(format!("post-salvage: {v}"));
             }
         }
-        Ok(Step::Quiet) => {}
+        Ok(OnlineProgress::Finalized { .. } | OnlineProgress::Idle) => {}
         Err(e) => probe
             .violations
             .push(format!("online salvage step failed: {e:?}")),
@@ -315,6 +288,96 @@ pub(crate) fn gate_retry<D: Design, T>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::design::kernel::KernelDesign;
+    use crate::design::legacy::LegacyDesign;
+    use crate::run::{file_name, setup, LoadSpec};
+    use mx_aim::Label;
+    use mx_explore::Principal;
+    use mx_hw::entries::EntryReader;
+    use mx_hw::word::NameKey;
+    use mx_hw::{Acl, Name};
+    use mx_kernel::directory::FsCtx;
+    use mx_kernel::Kernel;
+    use mx_legacy::{AccessRight, Supervisor};
+
+    /// What a design stores for the entry at `path`: its ACL and label.
+    type Stored<R> = fn(&mut R, ProcessId, &str) -> (Acl, Label);
+
+    /// The kernel's directory entries, read from the root one component
+    /// of `path` at a time.
+    fn kernel_stored(k: &mut Kernel, _pid: ProcessId, path: &str) -> (Acl, Label) {
+        let mut dir = k.dirm.root();
+        let mut ctx = FsCtx {
+            machine: &mut k.machine,
+            drm: &mut k.drm,
+            qcm: &mut k.qcm,
+            pfm: &mut k.pfm,
+            vpm: &mut k.vpm,
+            segm: &mut k.segm,
+            flows: &mut k.flows,
+            monitor: &mut k.monitor,
+        };
+        let mut found = None;
+        for name in path.split('>').filter(|c| !c.is_empty()) {
+            let mut reader = EntryReader::new(dir);
+            let count = reader.count(&mut ctx).expect("count");
+            let key = NameKey::new(name);
+            let found_at = reader.find(&mut ctx, count, &key).expect("scan");
+            let (_, e) = found_at.expect("entry");
+            dir = e.uid;
+            found = Some((e.acl, e.label));
+        }
+        found.expect("a path names an entry")
+    }
+
+    /// The old supervisor's entry, as its resolve returns it.
+    fn legacy_stored(sup: &mut Supervisor, pid: ProcessId, path: &str) -> (Acl, Label) {
+        let (_, e) = sup.resolve(pid, path, AccessRight::Read).expect("resolve");
+        (e.acl, e.label)
+    }
+
+    /// Builds the one-machine world on `D` and, as session 0, its file in
+    /// its shard; what `stored` reads for each root entry and the file.
+    fn harness_entries<D: Design>(stored: Stored<D::Rig>) -> Vec<(Name, (Acl, Label))> {
+        let spec = LoadSpec::new(4, 1);
+        let (mut single, ctx) = setup::<D>(&spec);
+        let d = &mut single.d;
+        let pid = d.login_or_queue(0).expect("login").expect("admitted");
+        let shard = Entry::Shard(0);
+        let at = d.open_dir(pid, shard).expect("shard");
+        let file = file_name(0);
+        d.rig_mut()
+            .create_segment(pid, &at, &file)
+            .expect("session file");
+        let shards = (0..spec.shard_count()).map(Entry::Shard);
+        [Entry::Lib, Entry::Shared]
+            .into_iter()
+            .chain(shards)
+            .map(Entry::path)
+            .chain([shard.path().push(">").push(&file)])
+            .map(|path| (path, stored(d.rig_mut(), ctx.drv, &path)))
+            .collect()
+    }
+
+    /// The harness acts as the operator: each root entry it creates, and
+    /// a session's file, is stored owner-only for the operator at the
+    /// operator's label, on both designs.
+    #[test]
+    fn the_harness_creates_every_object_as_the_operator() {
+        let operator = (
+            Acl::owner(Principal::OPERATOR.user),
+            Principal::OPERATOR.label,
+        );
+        for (design, entries) in [
+            ("kernel", harness_entries::<KernelDesign>(kernel_stored)),
+            ("legacy", harness_entries::<LegacyDesign>(legacy_stored)),
+        ] {
+            assert_eq!(entries.len(), 2 + 8 + 1, "{design}");
+            for (path, stored) in entries {
+                assert_eq!(stored, operator, "{design} {path}");
+            }
+        }
+    }
 
     /// The pass as it was, with its problems rendered when it was built.
     mod rendered {

@@ -7,16 +7,17 @@
 //! Only this design has schedule-policy hooks, the queue-delay and
 //! event-queue probes, and the specialized store's resident reads.
 
-use super::{online_step, salvage_pass, Admitted, Design, Res, SalvagePass, Session, Step};
+use super::{Admitted, Design, Res, Session};
 use crate::fleet::CH_DIRECTIVE;
-use crate::label::Status;
 use crate::run::SalvageProbe;
 use crate::run::{account_index, account_name, definitions, file_name, symbol, Entry};
-use mx_aim::{FlowTracker, Label};
-use mx_explore::{oracle, Rig};
-use mx_hw::{Machine, Name, Subsystem, Word};
+use mx_aim::FlowTracker;
+use mx_explore::{Principal, Rig};
+use mx_hw::Subsystem;
 use mx_kernel::demux::{FramingSpec, StreamId};
-use mx_kernel::{Acl, Kernel, KernelConfig, KernelError, ObjToken, OnlineCheat, ProcessId, UserId};
+use mx_kernel::{
+    Kernel, KernelConfig, KernelError, ObjToken, OnlineCheat, OnlineProgress, ProcessId,
+};
 use mx_sync::SchedulePolicy;
 use mx_user::{publish_library, Admission, AnsweringService, NameSpace, UserLinker};
 
@@ -39,11 +40,6 @@ fn slot(entry: Entry) -> usize {
         Entry::Mig => 2,
         Entry::Shard(j) => 3 + j,
     }
-}
-
-/// The tree name of root entry `entry`: `>lib`, `>s3`.
-fn path(entry: Entry) -> Name {
-    Name::new(">").push(&entry.name())
 }
 
 /// A kernel session's user-domain half.
@@ -78,26 +74,13 @@ impl KernelDesign {
     fn stream(&self) -> StreamId {
         self.stream.expect("network attached")
     }
-
-    fn create_in(
-        &mut self,
-        pid: ProcessId,
-        dir: ObjToken,
-        name: &str,
-        is_dir: bool,
-    ) -> Res<ObjToken, Self> {
-        let acl = Acl::owner(UserId(1));
-        self.k
-            .create_entry(pid, dir, name, acl, Label::BOTTOM, is_dir)
-    }
 }
 
 impl Design for KernelDesign {
-    const NAME: &'static str = "kernel";
     const SCHEDULE_HOOKS: bool = true;
     const RESIDENT_STORE: bool = true;
 
-    type Handle = ObjToken;
+    type Rig = Kernel;
     type Ext = UserSide;
     type Error = KernelError;
 
@@ -110,43 +93,31 @@ impl Design for KernelDesign {
     fn reboot(self, config: KernelConfig) -> Res<Self, Self> {
         let mut svc = self.svc;
         svc.crash_recover();
-        Ok(Self::on(
-            Kernel::boot_from_image(config, self.k.machine)?,
-            svc,
-        ))
+        Ok(Self::on(Kernel::recover(config, self.k)?, svc))
     }
 
-    fn machine(&self) -> &Machine {
-        &self.k.machine
+    #[inline]
+    fn rig(&self) -> &Kernel {
+        &self.k
     }
 
-    fn machine_mut(&mut self) -> &mut Machine {
-        &mut self.k.machine
-    }
-
-    fn oracle(&self) -> Vec<String> {
-        oracle::check_kernel(&self.k)
-    }
-
-    fn relocations(&self) -> u64 {
-        self.k.segm.stats.relocations
+    #[inline]
+    fn rig_mut(&mut self) -> &mut Kernel {
+        &mut self.k
     }
 
     fn busy(e: &KernelError) -> bool {
         matches!(e, KernelError::SalvageBusy)
     }
 
-    fn status(e: &KernelError) -> Status {
-        Status::of_refusal(<Kernel as Rig>::refusal(e))
-    }
-
     fn register(&mut self, name: &str) {
-        self.svc
-            .register(&mut self.k, name, UserId(1), "pw", Label::BOTTOM);
+        let Principal { user, label } = Principal::OPERATOR;
+        self.svc.register(&mut self.k, name, user, "pw", label);
     }
 
     fn login(&mut self, name: &str) -> Res<ProcessId, Self> {
-        self.svc.login(&mut self.k, name, "pw", Label::BOTTOM)
+        self.svc
+            .login(&mut self.k, name, "pw", Principal::OPERATOR.label)
     }
 
     fn open(&mut self, pid: ProcessId) -> UserSide {
@@ -157,8 +128,9 @@ impl Design for KernelDesign {
     }
 
     fn login_or_queue(&mut self, idx: usize) -> Res<Option<ProcessId>, Self> {
+        let name = account_name(idx);
         self.svc
-            .login_or_queue(&mut self.k, &account_name(idx), "pw", Label::BOTTOM)
+            .login_or_queue(&mut self.k, &name, "pw", Principal::OPERATOR.label)
             .map(|a| match a {
                 Admission::Admitted(pid) => Some(pid),
                 Admission::Queued(_) => None,
@@ -200,7 +172,7 @@ impl Design for KernelDesign {
     }
 
     fn resolve(&mut self, s: &mut Session<Self>, target: Entry) -> Res<(), Self> {
-        s.ext.ns.resolve(&mut self.k, &path(target)).map(|_| ())
+        s.ext.ns.resolve(&mut self.k, &target.path()).map(|_| ())
     }
 
     fn initiate_shared(&mut self, s: &mut Session<Self>) -> Res<u32, Self> {
@@ -216,14 +188,9 @@ impl Design for KernelDesign {
 
     fn create(&mut self, drv: ProcessId, entry: Entry) -> Res<ObjToken, Self> {
         let root = self.k.root_token();
-        let is_dir = matches!(entry, Entry::Shard(_) | Entry::Mig);
-        let tok = self.create_in(drv, root, &entry.name(), is_dir)?;
+        let tok = self.k.create(drv, &root, &entry.name(), entry.is_dir())?;
         self.hold(entry, tok);
         Ok(tok)
-    }
-
-    fn initiate(&mut self, drv: ProcessId, seg: ObjToken) -> Res<u32, Self> {
-        self.k.initiate(drv, seg)
     }
 
     fn publish(
@@ -263,18 +230,9 @@ impl Design for KernelDesign {
         self.k.list_dir(pid, tok).map(|_| tok)
     }
 
-    fn create_file(&mut self, pid: ProcessId, at: ObjToken, idx: usize) -> Res<u32, Self> {
-        let tok = self.create_in(pid, at, &file_name(idx), false)?;
-        self.k.initiate(pid, tok)
-    }
-
     fn delete_file(&mut self, pid: ProcessId, dir: Entry, idx: usize) -> Res<(), Self> {
         let tok = self.held(dir)?;
         self.k.delete_entry(pid, tok, &file_name(idx))
-    }
-
-    fn write(&mut self, pid: ProcessId, segno: u32, offset: u32, val: u64) -> Res<(), Self> {
-        self.k.write_word(pid, segno, offset, Word::new(val))
     }
 
     fn read(&mut self, pid: ProcessId, segno: u32, offset: u32, resident: bool) -> Res<u64, Self> {
@@ -284,14 +242,6 @@ impl Design for KernelDesign {
             self.k.read_word(pid, segno, offset)
         }
         .map(|w| w.raw())
-    }
-
-    fn sync_to_disk(&mut self) -> Res<(), Self> {
-        self.k.sync_to_disk()
-    }
-
-    fn schedule(&mut self) {
-        self.k.schedule();
     }
 
     fn set_schedule_policy(&mut self, policy: Box<dyn SchedulePolicy>) {
@@ -306,10 +256,6 @@ impl Design for KernelDesign {
         (self.k.vpm.queue_delay(), self.k.upm.queue_high_watermark())
     }
 
-    fn salvage(&mut self, repair: bool) -> Result<SalvagePass, String> {
-        salvage_pass(self.k.salvage(repair))
-    }
-
     fn begin_online_salvage(&mut self, release_early: bool) -> Result<(), String> {
         if !release_early {
             self.k.begin_online_salvage();
@@ -320,7 +266,13 @@ impl Design for KernelDesign {
         let torn = self
             .k
             .qcm
-            .charge(&mut self.k.machine, root, 3, Label::BOTTOM, &mut flows)
+            .charge(
+                &mut self.k.machine,
+                root,
+                3,
+                Principal::OPERATOR.label,
+                &mut flows,
+            )
             .map_err(|e| format!("self-check drift injection failed: {e:?}"));
         self.k
             .begin_online_salvage_with_cheat(Some(OnlineCheat::ReleaseBeforeCellRepair));
@@ -331,8 +283,8 @@ impl Design for KernelDesign {
         self.k.online_salvage_active()
     }
 
-    fn online_salvage_step(&mut self) -> Res<Step, Self> {
-        self.k.online_salvage_step().map(online_step)
+    fn online_salvage_step(&mut self) -> Res<OnlineProgress, Self> {
+        self.k.online_salvage_step()
     }
 
     fn attach_network(&mut self) {
@@ -389,10 +341,10 @@ mod tests {
             (Entry::Shared, ">shared"),
             (Entry::Mig, ">mig"),
         ] {
-            assert_eq!(&*path(entry), text);
+            assert_eq!(&*entry.path(), text);
         }
         for j in NAME_INDICES {
-            assert_eq!(&*path(Entry::Shard(j)), format!(">s{j}"));
+            assert_eq!(&*Entry::Shard(j).path(), format!(">s{j}"));
         }
         let slots: Vec<usize> = [Entry::Lib, Entry::Shared, Entry::Mig]
             .into_iter()

@@ -8,17 +8,15 @@
 //! and every recovery publish it outside the gates and then write the
 //! library page themselves.
 
-use super::{online_step, salvage_pass, Admitted, Design, Res, SalvagePass, Session, Step};
+use super::{Admitted, Design, Handle, Res, Session};
 use crate::fleet::CH_DIRECTIVE;
-use crate::label::Status;
 use crate::run::{account_name, definitions, file_name, symbol, Entry, SalvageProbe};
-use mx_aim::Label;
-use mx_explore::{oracle, Rig};
-use mx_hw::{Machine, Name, Subsystem, Word};
+use mx_explore::{Principal, Rig};
+use mx_hw::{Name, Subsystem, Word};
 use mx_legacy::network::{NetworkId, NetworkKind};
 use mx_legacy::{
-    AccessRight, Acl, LegacyError, OnlineCheat, ProcessId, SegUid, Supervisor, SupervisorConfig,
-    UserId,
+    AccessRight, LegacyError, LegacyOnlineProgress, OnlineCheat, ProcessId, Supervisor,
+    SupervisorConfig,
 };
 use mx_sync::SchedulePolicy;
 use std::collections::VecDeque;
@@ -43,12 +41,10 @@ impl LegacyDesign {
 }
 
 impl Design for LegacyDesign {
-    const NAME: &'static str = "legacy";
     const SCHEDULE_HOOKS: bool = false;
     const RESIDENT_STORE: bool = false;
 
-    /// The uid, for creating in, and the entry, for naming by path.
-    type Handle = (SegUid, Entry);
+    type Rig = Supervisor;
     type Ext = ();
     type Error = LegacyError;
 
@@ -62,42 +58,33 @@ impl Design for LegacyDesign {
 
     fn reboot(self, config: SupervisorConfig) -> Res<Self, Self> {
         Ok(Self {
-            sup: Supervisor::boot_from_image(config, self.sup.machine)?,
+            sup: Supervisor::recover(config, self.sup)?,
             pending: self.pending,
             net: None,
         })
     }
 
-    fn machine(&self) -> &Machine {
-        &self.sup.machine
+    #[inline]
+    fn rig(&self) -> &Supervisor {
+        &self.sup
     }
 
-    fn machine_mut(&mut self) -> &mut Machine {
-        &mut self.sup.machine
-    }
-
-    fn oracle(&self) -> Vec<String> {
-        oracle::check_legacy(&self.sup)
-    }
-
-    fn relocations(&self) -> u64 {
-        self.sup.stats.relocations
+    #[inline]
+    fn rig_mut(&mut self) -> &mut Supervisor {
+        &mut self.sup
     }
 
     fn busy(e: &LegacyError) -> bool {
         matches!(e, LegacyError::SalvageBusy)
     }
 
-    fn status(e: &LegacyError) -> Status {
-        Status::of_refusal(<Supervisor as Rig>::refusal(e))
-    }
-
     fn register(&mut self, name: &str) {
-        self.sup.register_user(name, UserId(1), "pw", Label::BOTTOM);
+        let Principal { user, label } = Principal::OPERATOR;
+        self.sup.register_user(name, user, "pw", label);
     }
 
     fn login(&mut self, name: &str) -> Res<ProcessId, Self> {
-        self.sup.login(name, "pw", Label::BOTTOM)
+        self.sup.login(name, "pw", Principal::OPERATOR.label)
     }
 
     fn open(&mut self, _pid: ProcessId) {}
@@ -174,27 +161,15 @@ impl Design for LegacyDesign {
         self.sup.initiate(s.pid, "shared")
     }
 
-    fn search(&mut self, drv: ProcessId, entry: Entry) -> Res<(SegUid, Entry), Self> {
-        let (uid, _) = self.sup.resolve(drv, &entry.name(), AccessRight::Read)?;
-        Ok((uid, entry))
+    fn search(&mut self, drv: ProcessId, entry: Entry) -> Res<Handle<Self>, Self> {
+        let path = entry.path();
+        let (uid, _) = self.sup.resolve(drv, &path, AccessRight::Read)?;
+        Ok((uid, path))
     }
 
-    fn create(&mut self, _drv: ProcessId, entry: Entry) -> Res<(SegUid, Entry), Self> {
-        let (root, acl, name) = (self.sup.root(), Acl::owner(UserId(1)), entry.name());
-        let uid = match entry {
-            Entry::Shard(_) | Entry::Mig => {
-                self.sup
-                    .create_directory_in(root, &name, acl, Label::BOTTOM)
-            }
-            Entry::Lib | Entry::Shared => {
-                self.sup.create_segment_in(root, &name, acl, Label::BOTTOM)
-            }
-        }?;
-        Ok((uid, entry))
-    }
-
-    fn initiate(&mut self, drv: ProcessId, (_, entry): (SegUid, Entry)) -> Res<u32, Self> {
-        self.sup.initiate(drv, &entry.name())
+    fn create(&mut self, drv: ProcessId, entry: Entry) -> Res<Handle<Self>, Self> {
+        let root = self.sup.root_dir();
+        self.sup.create(drv, &root, &entry.name(), entry.is_dir())
     }
 
     /// The definition table is in-core, so it is re-published outside
@@ -203,7 +178,7 @@ impl Design for LegacyDesign {
     fn publish(
         &mut self,
         drv: ProcessId,
-        (lib, _): (SegUid, Entry),
+        (lib, _): Handle<Self>,
         probe: &mut SalvageProbe,
     ) -> Result<(), String> {
         let defs = definitions();
@@ -229,44 +204,20 @@ impl Design for LegacyDesign {
         self.sup.set_quota_directory(drv, &dir.name(), pages)
     }
 
-    fn open_dir(&mut self, pid: ProcessId, dir: Entry) -> Res<(SegUid, Entry), Self> {
+    fn open_dir(&mut self, pid: ProcessId, dir: Entry) -> Res<Handle<Self>, Self> {
         self.search(pid, dir)
     }
 
-    fn probe_dir(&mut self, pid: ProcessId, dir: Entry) -> Res<(SegUid, Entry), Self> {
+    fn probe_dir(&mut self, pid: ProcessId, dir: Entry) -> Res<Handle<Self>, Self> {
         self.search(pid, dir)
-    }
-
-    fn create_file(
-        &mut self,
-        pid: ProcessId,
-        (at, dir): (SegUid, Entry),
-        idx: usize,
-    ) -> Res<u32, Self> {
-        let acl = Acl::owner(UserId(1));
-        self.sup
-            .create_segment_in(at, &file_name(idx), acl, Label::BOTTOM)?;
-        self.sup.initiate(pid, &file_path(dir, idx))
     }
 
     fn delete_file(&mut self, pid: ProcessId, dir: Entry, idx: usize) -> Res<(), Self> {
         self.sup.delete(pid, &file_path(dir, idx))
     }
 
-    fn write(&mut self, pid: ProcessId, segno: u32, offset: u32, val: u64) -> Res<(), Self> {
-        self.sup.user_write(pid, segno, offset, Word::new(val))
-    }
-
     fn read(&mut self, pid: ProcessId, segno: u32, offset: u32, _resident: bool) -> Res<u64, Self> {
         self.sup.user_read(pid, segno, offset).map(|w| w.raw())
-    }
-
-    fn sync_to_disk(&mut self) -> Res<(), Self> {
-        self.sup.sync_to_disk()
-    }
-
-    fn schedule(&mut self) {
-        self.sup.dispatch();
     }
 
     fn set_schedule_policy(&mut self, _policy: Box<dyn SchedulePolicy>) {}
@@ -275,10 +226,6 @@ impl Design for LegacyDesign {
 
     fn load_probes(&self) -> ((u64, u64), usize) {
         ((0, 0), 0)
-    }
-
-    fn salvage(&mut self, repair: bool) -> Result<SalvagePass, String> {
-        salvage_pass(self.sup.salvage(repair))
     }
 
     fn begin_online_salvage(&mut self, release_early: bool) -> Result<(), String> {
@@ -305,8 +252,8 @@ impl Design for LegacyDesign {
         self.sup.online_salvage_active()
     }
 
-    fn online_salvage_step(&mut self) -> Res<Step, Self> {
-        self.sup.online_salvage_step().map(online_step)
+    fn online_salvage_step(&mut self) -> Res<LegacyOnlineProgress, Self> {
+        self.sup.online_salvage_step()
     }
 
     fn attach_network(&mut self) {

@@ -44,7 +44,7 @@
 
 use crate::design::kernel::KernelDesign;
 use crate::design::legacy::LegacyDesign;
-use crate::design::{gate_retry, salvage_step_checked, Design, Session};
+use crate::design::{gate_retry, salvage_pass, salvage_step_checked, Design, Session};
 use crate::hist::Histogram;
 use crate::label;
 use crate::run::build_world;
@@ -53,9 +53,9 @@ use crate::run::{
     LoadSpec, SalvageProbe, Single, WorldCtx, WorldPlan,
 };
 use crate::script::SessionScript;
-use mx_explore::{PctPolicy, SeededRandomPolicy};
+use mx_explore::{PctPolicy, Rig, SeededRandomPolicy};
 use mx_hw::meter::EdgeSet;
-use mx_hw::CrashWrite;
+use mx_hw::{CrashWrite, Word};
 use mx_sync::SchedulePolicy;
 
 const MIX: u64 = 0x9E37_79B9_7F4A_7C15;
@@ -454,7 +454,7 @@ fn close_epoch<D: Design>(
     drain_salvage(d);
     let prev = out.epochs.len();
     if let Some(last) = out.epochs.last_mut() {
-        let tag = format!("{} epoch {} online salvage", D::NAME, prev - 1);
+        let tag = format!("{} epoch {} online salvage", D::Rig::NAME, prev - 1);
         patch_salvage_figures(
             &mut last.r,
             &mut d.salvage,
@@ -463,7 +463,7 @@ fn close_epoch<D: Design>(
             repro,
         );
     }
-    for v in d.d.oracle() {
+    for v in d.d.rig().oracles() {
         out.violations.push(format!("{tag}: {v} [{repro}]"));
     }
     let now = d.now();
@@ -565,7 +565,7 @@ fn reconcile<D: Design>(
 /// salvage in `mode`, reconciliation, and re-admission. The spec's
 /// `self_check` plants `mode`'s cheat at the first recovery.
 fn run_chaos<D: Design>(spec: &C1Spec, mode: SalvageMode, repro: &str) -> Outcome {
-    let name = D::NAME;
+    let name = D::Rig::NAME;
     let cheat = spec.self_check;
     let load = LoadSpec::continuous(spec.sessions, spec.seed);
     let scripts = load.scripts();
@@ -592,7 +592,7 @@ fn run_chaos<D: Design>(spec: &C1Spec, mode: SalvageMode, repro: &str) -> Outcom
     let (mut d, mut ctx) = setup::<D>(&load);
     // The durability point: everything the world build created is on
     // disk before the first crash can happen.
-    d.d.sync_to_disk().expect("setup sync");
+    d.d.rig_mut().sync_to_disk().expect("setup sync");
     d.d.reset_load_probes();
     install_policy(&mut d.d, spec.policy, 0);
     storm(&mut d, &scripts, &mut out.st);
@@ -614,17 +614,19 @@ fn run_chaos<D: Design>(spec: &C1Spec, mode: SalvageMode, repro: &str) -> Outcom
         let shared = ctx
             .shared_segno
             .expect("one machine holds the shared segment");
-        if let Err(err) = d.d.write(ctx.drv, shared, 1, 0xBEAC_0000 + e) {
+        let beacon = Word::new(0xBEAC_0000 + e);
+        if let Err(err) = d.d.rig_mut().write(ctx.drv, shared, 1, beacon) {
             out.violations
                 .push(format!("{name} epoch {e}: beacon write: {err:?} [{repro}]"));
         }
-        d.d.machine_mut().faults.crash_after_further_writes(
+        let sys = d.d.rig_mut();
+        sys.machine_mut().faults.crash_after_further_writes(
             1,
             CrashWrite::seeded(spec.plan_seed ^ (e + 1).wrapping_mul(MIX)),
         );
-        let sync = d.d.sync_to_disk();
-        out.edges.merge(d.d.machine().clock.edge_set());
-        if sync.is_ok() || d.d.machine().faults.halted().is_none() {
+        let sync = sys.sync_to_disk();
+        out.edges.merge(sys.machine().clock.edge_set());
+        if sync.is_ok() || sys.machine().faults.halted().is_none() {
             out.violations.push(format!(
                 "{name} epoch {e}: crash plan failed to fire during sync [{repro}]"
             ));
@@ -652,7 +654,8 @@ fn run_chaos<D: Design>(spec: &C1Spec, mode: SalvageMode, repro: &str) -> Outcom
         let mut probe = SalvageProbe::default();
         match mode {
             SalvageMode::StopTheWorld => {
-                match (nd.salvage(true), nd.salvage(false)) {
+                let mut pass = |repair| salvage_pass(nd.rig_mut().salvage(repair));
+                match (pass(true), pass(false)) {
                     (Ok(repaired), Ok(check)) => {
                         epoch.r.salvage_problems = repaired.problems;
                         epoch.r.salvage_repairs = repaired.repairs;
@@ -667,7 +670,7 @@ fn run_chaos<D: Design>(spec: &C1Spec, mode: SalvageMode, repro: &str) -> Outcom
                         "{name} epoch {e}: salvage errored: {r:?} / {c:?} [{repro}]"
                     )),
                 }
-                for v in nd.oracle() {
+                for v in nd.rig().oracles() {
                     out.violations
                         .push(format!("{name} epoch {e} post-salvage: {v} [{repro}]"));
                 }
@@ -677,7 +680,7 @@ fn run_chaos<D: Design>(spec: &C1Spec, mode: SalvageMode, repro: &str) -> Outcom
                     out.violations
                         .push(format!("{name} epoch {e}: {msg} [{repro}]"));
                 }
-                probe.begin_at = Some(nd.machine().clock.now());
+                probe.begin_at = Some(nd.rig().machine().clock.now());
             }
         }
         match reconcile(
@@ -743,13 +746,13 @@ fn run_chaos<D: Design>(spec: &C1Spec, mode: SalvageMode, repro: &str) -> Outcom
         let epoch = close_epoch(&mut d, &mut out, &tag, repro, epoch_base);
         out.epochs.push(epoch);
     }
-    out.edges.merge(d.d.machine().clock.edge_set());
+    out.edges.merge(d.d.rig().machine().clock.edge_set());
     out.stranded = d.d.queued();
     out
 }
 
 fn c1<D: Design>(spec: &C1Spec) -> C1Run {
-    let repro = spec.repro(D::NAME);
+    let repro = spec.repro(D::Rig::NAME);
     let o = run_chaos::<D>(spec, SalvageMode::StopTheWorld, &repro).finish(spec.sessions, &repro);
     C1Run {
         design: o.design,
@@ -785,7 +788,7 @@ fn c1<D: Design>(spec: &C1Spec) -> C1Run {
 }
 
 fn s1<D: Design>(spec: &S1Spec) -> S1Run {
-    let repro = format!("{} mode=online", spec.repro(D::NAME));
+    let repro = format!("{} mode=online", spec.repro(D::Rig::NAME));
     let o = run_chaos::<D>(spec, SalvageMode::Online, &repro).finish(spec.sessions, &repro);
     S1Run {
         design: o.design,

@@ -37,11 +37,12 @@ use crate::design::{Design, Res, Session};
 use crate::hist::Histogram;
 use crate::label::{self, Label, Op, Status};
 use crate::run::{
-    account_name, build_world, drive_until, end_once, exec_once, logout_once, storm, Action,
-    Driver, EngineState, Entry, LoadRun, LoadSpec, SalvageProbe, WorldPlan,
+    account_name, build_world, drive_until, end_once, exec_once, file_name, logout_once, storm,
+    Action, Driver, EngineState, Entry, LoadRun, LoadSpec, SalvageProbe, WorldPlan,
 };
+use mx_explore::Rig;
 use mx_hw::meter::{EdgeSet, MeterSnapshot};
-use mx_hw::{DiskSystem, IdMap, Language, ProcessId, Subsystem, PAGE_WORDS};
+use mx_hw::{DiskSystem, IdMap, Language, ProcessId, Subsystem, Word, PAGE_WORDS};
 use mx_sync::{ChoicePoint, FifoPolicy, SchedulePolicy};
 
 // ------------------------------------------------------ wire protocol --
@@ -584,7 +585,7 @@ struct Fleet<D: Design> {
 }
 
 fn status<D: Design>(e: &D::Error) -> u8 {
-    match D::status(e) {
+    match Status::of_refusal(D::Rig::refusal(e)) {
         Status::Quota => ST_QUOTA,
         Status::Full => ST_FULL,
         _ => ST_ERR,
@@ -592,7 +593,7 @@ fn status<D: Design>(e: &D::Error) -> u8 {
 }
 
 fn charge_frame<D: Design>(d: &mut D, len: usize) {
-    let m = d.machine_mut();
+    let m = d.rig_mut().machine_mut();
     let cost = m.cost;
     m.clock.charge_wire_frame(&cost, len);
 }
@@ -620,7 +621,7 @@ impl<D: Design> Fleet<D> {
                 // The relocation target pack, roomy enough that the
                 // member never runs entirely out while migrations drain
                 // it.
-                d.machine_mut().disks.attach(512, 128);
+                d.rig_mut().machine_mut().disks.attach(512, 128);
             }
             let plan = WorldPlan {
                 store: m == 0,
@@ -634,15 +635,15 @@ impl<D: Design> Fleet<D> {
                 accounts: (0..spec.sessions).filter(|&idx| homes[idx] == m).collect(),
             };
             let ctx = build_world(&mut d, &plan, &mut SalvageProbe::default(), false)
-                .unwrap_or_else(|e| panic!("{} machine {m} setup: {e}", D::NAME));
+                .unwrap_or_else(|e| panic!("{} machine {m} setup: {e}", D::Rig::NAME));
             d.attach_network();
             let daemon = Session::open(&mut d, ctx.drv);
-            let clock = &d.machine().clock;
+            let clock = &d.rig().machine().clock;
             ms.push(Member {
                 setup_cycles: clock.now(),
                 meter_base: clock.meter_snapshot(),
                 edge_base: clock.edge_snapshot(),
-                reloc_seen: d.relocations(),
+                reloc_seen: d.rig().relocations(),
                 d,
                 daemon,
                 shared_segno: ctx.shared_segno,
@@ -746,7 +747,7 @@ impl<D: Design> Fleet<D> {
             return;
         }
         let req = Req::decode(&self.rx);
-        let mach = m.d.machine_mut();
+        let mach = m.d.rig_mut().machine_mut();
         let cost = mach.cost;
         if resident {
             let g = mach.clock.enter(Subsystem::Network);
@@ -809,11 +810,10 @@ impl<D: Design> Fleet<D> {
                     Entry::Mig
                 };
                 if !m.files.contains_key(&idx) {
-                    match m
-                        .d
-                        .open_dir(drv, dir)
-                        .and_then(|at| m.d.create_file(drv, at, idx))
-                    {
+                    match m.d.open_dir(drv, dir).and_then(|at| {
+                        let name = file_name(idx);
+                        m.d.rig_mut().create_segment(drv, &at, &name)
+                    }) {
                         Ok(segno) => {
                             m.files.insert(idx, RFile { dir, segno });
                         }
@@ -823,7 +823,8 @@ impl<D: Design> Fleet<D> {
                 if op == OP_MIG_OPEN {
                     return (ST_OK, 0);
                 }
-                match m.d.write(drv, m.files[&idx].segno, a * PW, b) {
+                let segno = m.files[&idx].segno;
+                match m.d.rig_mut().write(drv, segno, a * PW, Word::new(b)) {
                     Ok(()) => (ST_OK, 1),
                     Err(e) => (status::<D>(&e), 1),
                 }
@@ -837,10 +838,10 @@ impl<D: Design> Fleet<D> {
                 None => (ST_ERR, 0),
             },
             OP_MIG_WRITE => match m.files.get(&idx) {
-                Some(f) => done(m.d.write(drv, f.segno, a * PW, b)),
+                Some(f) => done(m.d.rig_mut().write(drv, f.segno, a * PW, Word::new(b))),
                 None => (ST_ERR, 0),
             },
-            OP_MIG_COMMIT => done(m.d.sync_to_disk()),
+            OP_MIG_COMMIT => done(m.d.rig_mut().sync_to_disk()),
             _ => (ST_ERR, 0),
         }
     }
@@ -888,7 +889,7 @@ impl<D: Design> Fleet<D> {
             // accept the session — one directive frame, charged to the
             // answering service on both ends of the wire.
             let bytes = Wire::directive(idx);
-            let m = self.ms[0].d.machine_mut();
+            let m = self.ms[0].d.rig_mut().machine_mut();
             let cost = m.cost;
             let g = m.clock.enter(Subsystem::AnsweringService);
             m.clock.charge_wire_frame(&cost, bytes.len());
@@ -919,7 +920,7 @@ impl<D: Design> Fleet<D> {
     /// is migrated to the store — read back page by page at the source,
     /// shipped over the wire, then deleted locally.
     fn maybe_migrate(&mut self, idx: usize, shard: usize, owner: usize) {
-        let reloc = self.ms[owner].d.relocations();
+        let reloc = self.ms[owner].d.rig().relocations();
         if reloc <= self.ms[owner].reloc_seen {
             return;
         }
@@ -1018,7 +1019,10 @@ impl<D: Design> Fleet<D> {
 
 impl<D: Design> Driver for Fleet<D> {
     fn now(&self) -> u64 {
-        self.ms.iter().map(|m| m.d.machine().clock.now()).sum()
+        self.ms
+            .iter()
+            .map(|m| m.d.rig().machine().clock.now())
+            .sum()
     }
 
     fn queued(&self) -> usize {
@@ -1122,12 +1126,12 @@ impl<D: Design> Driver for Fleet<D> {
     }
 
     fn schedule(&mut self) {
-        self.ms[self.last_active].d.schedule();
+        self.ms[self.last_active].d.rig_mut().schedule();
     }
 
     fn housekeep(&mut self) {
         for mi in 0..self.ms.len() {
-            if let Err(e) = self.ms[mi].d.sync_to_disk() {
+            if let Err(e) = self.ms[mi].d.rig_mut().sync_to_disk() {
                 self.failures
                     .push(format!("machine {mi}: housekeeping sweep: {e:?}"));
             }
@@ -1166,25 +1170,25 @@ fn run_fleet<D: Design>(
     let per_machine_cycles: Vec<u64> = fleet
         .ms
         .iter()
-        .map(|m| m.d.machine().clock.now() - m.setup_cycles)
+        .map(|m| m.d.rig().machine().clock.now() - m.setup_cycles)
         .collect();
     let mut edges = EdgeSet::new();
     let mut violations = Vec::new();
     let mut totals = Vec::new();
     let mut relocations = 0;
     for (i, m) in fleet.ms.iter().enumerate() {
-        edges.merge(&m.edge_base.delta(m.d.machine().clock.edge_set()));
-        for v in m.d.oracle() {
+        edges.merge(&m.edge_base.delta(m.d.rig().machine().clock.edge_set()));
+        for v in m.d.rig().oracles() {
             violations.push(format!("machine {i}: {v}"));
         }
-        totals.push(disk_totals(&m.d.machine().disks));
-        relocations += m.d.relocations();
+        totals.push(disk_totals(&m.d.rig().machine().disks));
+        relocations += m.d.rig().relocations();
     }
     violations.extend(fleet_conservation(&totals));
     violations.extend(fleet.failures.iter().cloned());
     let store = &fleet.ms[0];
     FleetRun {
-        design: D::NAME,
+        design: D::Rig::NAME,
         machines: spec.machines,
         cycles: per_machine_cycles.iter().sum(),
         wall_cycles: per_machine_cycles.iter().copied().max().unwrap_or(0),
@@ -1205,7 +1209,7 @@ fn run_fleet<D: Design>(
         store_cycles: per_machine_cycles[0],
         store_meter: store
             .meter_base
-            .delta(&store.d.machine().clock.meter_snapshot()),
+            .delta(&store.d.rig().machine().clock.meter_snapshot()),
         per_machine_cycles,
         edges,
         violations,

@@ -12,12 +12,13 @@
 
 use crate::design::kernel::KernelDesign;
 use crate::design::legacy::LegacyDesign;
-use crate::design::{gate_retry, salvage_step_checked, Design, Session};
+use crate::design::{gate_retry, salvage_step_checked, Design, Handle, Session};
 use crate::hist::Histogram;
 use crate::label::{self, Label, Op, Status};
 use crate::script::{session_script, SessionOp, SessionScript, LIB_SYMBOLS, SHARED_PAGES};
+use mx_explore::Rig;
 use mx_hw::meter::{EdgeSet, MeterSnapshot};
-use mx_hw::{BootConfig, Name, ProcessId, PAGE_WORDS};
+use mx_hw::{BootConfig, Name, ProcessId, Word, PAGE_WORDS};
 use mx_sync::SchedulePolicy;
 
 const PW: u32 = PAGE_WORDS as u32;
@@ -264,6 +265,16 @@ impl Entry {
             Entry::Shard(j) => Name::new("s").num(j as u64),
             Entry::Mig => Name::new("mig"),
         }
+    }
+
+    /// Its tree name: `>lib`, `>s3`.
+    pub(crate) fn path(self) -> Name {
+        Name::new(">").push(&self.name())
+    }
+
+    /// A directory: a shard or the migration zone.
+    pub(crate) fn is_dir(self) -> bool {
+        matches!(self, Entry::Shard(_) | Entry::Mig)
     }
 }
 
@@ -731,15 +742,17 @@ impl<D: Design> Single<D> {
 pub(crate) fn restore_file<D: Design>(
     d: &mut D,
     pid: ProcessId,
-    at: D::Handle,
+    at: Handle<D>,
     idx: usize,
     vals: &[u64],
 ) -> Result<u32, String> {
     let segno = d
-        .create_file(pid, at, idx)
+        .rig_mut()
+        .create_segment(pid, &at, &file_name(idx))
         .map_err(|e| format!("survivor u{idx} file recreate: {e:?}"))?;
     for (page, &val) in vals.iter().enumerate() {
-        d.write(pid, segno, page as u32 * PW, val)
+        d.rig_mut()
+            .write(pid, segno, page as u32 * PW, Word::new(val))
             .map_err(|e| format!("survivor u{idx} replay page {page}: {e:?}"))?;
     }
     Ok(segno)
@@ -756,7 +769,7 @@ pub(crate) fn exec_once<D: Design>(
     shard: usize,
     action: &Action,
 ) -> Option<Label> {
-    let label = |op, e: &D::Error| Label::Status(op, D::status(e));
+    let label = |op, e: &D::Error| Label::Status(op, Status::of_refusal(D::Rig::refusal(e)));
     let read = |r: Result<u64, D::Error>| match r {
         Ok(w) => Label::Value(Op::Read, w),
         Err(e) => label(Op::Read, &e),
@@ -777,7 +790,7 @@ pub(crate) fn exec_once<D: Design>(
                 let dir = Entry::Shard(shard);
                 match d
                     .open_dir(s.pid, dir)
-                    .and_then(|at| d.create_file(s.pid, at, idx))
+                    .and_then(|at| d.rig_mut().create_segment(s.pid, &at, &file_name(idx)))
                 {
                     Ok(segno) => s.own = Some(segno),
                     Err(e) if D::busy(&e) => return None,
@@ -785,7 +798,7 @@ pub(crate) fn exec_once<D: Design>(
                 }
             }
             let segno = s.own.expect("just created");
-            match d.write(s.pid, segno, page * PW, val) {
+            match d.rig_mut().write(s.pid, segno, page * PW, Word::new(val)) {
                 Ok(()) => Label::GROWN,
                 Err(e) => label(Op::Write, &e),
             }
@@ -854,7 +867,7 @@ pub(crate) fn logout_once<D: Design>(
 
 impl<D: Design> Driver for Single<D> {
     fn now(&self) -> u64 {
-        self.d.machine().clock.now()
+        self.d.rig().machine().clock.now()
     }
 
     fn queued(&self) -> usize {
@@ -946,12 +959,12 @@ impl<D: Design> Driver for Single<D> {
     }
 
     fn schedule(&mut self) {
-        self.d.schedule();
+        self.d.rig_mut().schedule();
     }
 
     fn housekeep(&mut self) {
-        if let Err(e) = self.d.sync_to_disk() {
-            panic!("{} housekeeping sweep: {e:?}", D::NAME);
+        if let Err(e) = self.d.rig_mut().sync_to_disk() {
+            panic!("{} housekeeping sweep: {e:?}", D::Rig::NAME);
         }
     }
 
@@ -1013,7 +1026,7 @@ fn find_or_create<D: Design>(
     drv: ProcessId,
     entry: Entry,
     recover: bool,
-) -> Result<D::Handle, String> {
+) -> Result<Handle<D>, String> {
     let name = entry.name();
     if recover {
         if let Ok(h) = gate_retry(d, probe, format_args!("{name} search"), |d| {
@@ -1058,10 +1071,13 @@ pub(crate) fn build_world<D: Design>(
         let lib = find_or_create(d, probe, drv, Entry::Lib, recover)?;
         d.publish(drv, lib, probe)?;
         let shared = find_or_create(d, probe, drv, Entry::Shared, recover)?;
-        let segno = gate_retry(d, probe, "shared initiate", |d| d.initiate(drv, shared))?;
+        let segno = gate_retry(d, probe, "shared initiate", |d| {
+            d.rig_mut().initiate(drv, &shared)
+        })?;
         for page in 0..SHARED_PAGES {
             gate_retry(d, probe, format_args!("shared page {page}"), |d| {
-                d.write(drv, segno, page * PW, shared_word(page))
+                let word = Word::new(shared_word(page));
+                d.rig_mut().write(drv, segno, page * PW, word)
             })?;
         }
         shared_segno = Some(segno);
@@ -1098,7 +1114,7 @@ pub(crate) fn build_world<D: Design>(
 pub(crate) fn setup<D: Design>(spec: &LoadSpec) -> (Single<D>, WorldCtx) {
     let mut d = D::boot(spec.sizes());
     if let Some((records, toc_slots)) = spec.overflow_pack() {
-        d.machine_mut().disks.attach(records, toc_slots);
+        d.rig_mut().machine_mut().disks.attach(records, toc_slots);
     }
     let ctx = build_world(
         &mut d,
@@ -1106,7 +1122,7 @@ pub(crate) fn setup<D: Design>(spec: &LoadSpec) -> (Single<D>, WorldCtx) {
         &mut SalvageProbe::default(),
         false,
     )
-    .unwrap_or_else(|e| panic!("{} world setup: {e}", D::NAME));
+    .unwrap_or_else(|e| panic!("{} world setup: {e}", D::Rig::NAME));
     let sessions = (0..spec.sessions).map(|_| None).collect();
     let driver = Single {
         d,
@@ -1132,7 +1148,7 @@ pub(crate) fn run_load<D: Design>(
     assert_eq!(scripts.len(), spec.sessions, "one script per session");
     let (mut driver, _ctx) = setup::<D>(spec);
 
-    let m = driver.d.machine();
+    let m = driver.d.rig().machine();
     let setup_cycles = m.clock.now();
     let ops_base = m.ops_retired();
     let meter_base = m.clock.meter_snapshot();
@@ -1143,7 +1159,7 @@ pub(crate) fn run_load<D: Design>(
 
     let out = drive(&mut driver, scripts);
     let d = driver.d;
-    let m = d.machine();
+    let m = d.rig().machine();
     let per_cpu_ops: Vec<u64> = m
         .ops_retired()
         .iter()
@@ -1152,7 +1168,7 @@ pub(crate) fn run_load<D: Design>(
         .collect();
     let (queue_delay, event_queue_hwm) = d.load_probes();
     LoadRun {
-        design: D::NAME,
+        design: D::Rig::NAME,
         cycles: m.clock.now() - setup_cycles,
         setup_cycles,
         ops: out.ops,
@@ -1166,7 +1182,7 @@ pub(crate) fn run_load<D: Design>(
         event_queue_hwm,
         meter: meter_base.delta(&m.clock.meter_snapshot()),
         edges: edge_base.delta(m.clock.edge_set()),
-        violations: d.oracle(),
+        violations: d.rig().oracles(),
         user_samples: out.user_samples,
     }
 }

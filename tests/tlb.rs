@@ -10,7 +10,7 @@
 
 use multics::aim::Label;
 use multics::bench_harness::RefString;
-use multics::explore::Rig;
+use multics::explore::{Principal, Rig};
 use multics::hw::cpu::Ptw;
 use multics::hw::{AbsAddr, BootConfig, Machine, TlbStats, Word, PAGE_WORDS};
 use multics::kernel::{Kernel, KernelConfig, KernelError};
@@ -368,7 +368,7 @@ fn flush_churn<R: Rig>() -> TlbStats {
         max_processes: 8,
         ..BootConfig::default()
     });
-    let pid = sys.login("churn");
+    let pid = sys.login("churn", Principal::OPERATOR);
     let root = sys.root_dir();
     let value =
         |round: u32, page: u32, f: usize| Word::new(u64::from(round * 100 + page) + f as u64);
@@ -395,7 +395,7 @@ fn flush_churn<R: Rig>() -> TlbStats {
             }
         }
         sys.sync_to_disk().unwrap();
-        let other = sys.spawn();
+        let other = sys.spawn(Principal::OPERATOR);
         let segno = sys.initiate(other, &entries[0]).unwrap();
         for page in 0..12u32 {
             let wordno = page * PAGE_WORDS as u32 + round;
